@@ -195,7 +195,9 @@ def _min_distance_to_edges(point, polygon) -> float:
     ab = b - a
     ap = p[None, :] - a
     denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(np.divide(np.einsum("ij,ij->i", ap, ab), denom, where=denom > 0), 0.0, 1.0)
+    proj = np.einsum("ij,ij->i", ap, ab)
+    # a zero-length edge projects onto its first endpoint (t = 0)
+    t = np.clip(np.divide(proj, denom, out=np.zeros_like(proj), where=denom > 0), 0.0, 1.0)
     closest = a + t[:, None] * ab
     return float(np.min(np.linalg.norm(p[None, :] - closest, axis=1)))
 

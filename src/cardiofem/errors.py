@@ -22,4 +22,12 @@ class ConstraintConflictError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed or did not meet its residual contract."""
+    """Linear solve failed or did not meet its residual contract.
+
+    ``column`` is the index of the failing right-hand side when the failure
+    belongs to one column of a multi-right-hand-side solve, else None.
+    """
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column

@@ -13,7 +13,7 @@ the x-displacement of node i and dof 2*i + 1 its y-displacement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -113,26 +113,38 @@ class DisplacementField:
 # element level
 
 
-def strain_displacement_matrix(coords) -> tuple[np.ndarray, float]:
-    """Constant B matrix (3x6) of the linear triangle and its area.
+def strain_displacement_matrices(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
+    """Constant B matrices (F, 3, 6) of linear triangles and their areas (F,).
 
-    Rows map interleaved nodal displacements to (eps_x, eps_y, gamma_xy).
+    Rows map each element's interleaved nodal displacements to
+    (eps_x, eps_y, gamma_xy). A degenerate or clockwise element raises
+    GeometryError.
     """
-    p = np.asarray(coords, dtype=float).reshape(3, 2)
-    x, y = p[:, 0], p[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    two_a = x[0] * b[0] + x[1] * b[1] + x[2] * b[2]
-    area = 0.5 * two_a
-    if area <= 0.0:
-        raise GeometryError(f"degenerate element: signed area {area} is not positive")
-    bmat = np.zeros((3, 6))
-    bmat[0, 0::2] = b
-    bmat[1, 1::2] = c
-    bmat[2, 0::2] = c
-    bmat[2, 1::2] = b
-    bmat /= two_a
-    return bmat, float(area)
+    p = np.asarray(nodes, dtype=float)[np.asarray(triangles, dtype=np.int64)]
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    two_a = np.einsum("fi,fi->f", x, b)
+    bad = np.flatnonzero(~(two_a > 0.0))
+    if bad.size:
+        raise GeometryError(
+            f"degenerate element {bad[0]}: signed area {0.5 * two_a[bad[0]]} is not positive"
+        )
+    bmat = np.zeros((len(p), 3, 6))
+    bmat[:, 0, 0::2] = b
+    bmat[:, 1, 1::2] = c
+    bmat[:, 2, 0::2] = c
+    bmat[:, 2, 1::2] = b
+    bmat /= two_a[:, None, None]
+    return bmat, 0.5 * two_a
+
+
+def strain_displacement_matrix(coords) -> tuple[np.ndarray, float]:
+    """Constant B matrix (3x6) of one linear triangle and its area."""
+    bmat, area = strain_displacement_matrices(
+        np.asarray(coords, dtype=float).reshape(3, 2), [[0, 1, 2]]
+    )
+    return bmat[0], float(area[0])
 
 
 def element_stiffness(coords, constitutive: np.ndarray) -> np.ndarray:
@@ -171,26 +183,15 @@ def assemble(mesh: Mesh, materials: MaterialField, mode: str = "as-printed") -> 
     tri = mesh.triangles
     if len(tri) and tri.max() >= mesh.n_nodes:
         raise MeshError("triangle node index out of range")
-
-    p = mesh.nodes[tri]
-    x, y = p[..., 0], p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    two_a = np.einsum("fi,fi->f", x, b)
-    if np.any(two_a <= 0.0):
-        raise MeshError("mesh contains non-positive-area triangles")
-
-    nf = len(tri)
-    bmat = np.zeros((nf, 3, 6))
-    bmat[:, 0, 0::2] = b
-    bmat[:, 1, 1::2] = c
-    bmat[:, 2, 0::2] = c
-    bmat[:, 2, 1::2] = b
-    bmat /= two_a[:, None, None]
+    try:
+        bmat, area = strain_displacement_matrices(mesh.nodes, tri)
+    except GeometryError as exc:
+        raise MeshError(f"mesh contains non-positive-area triangles: {exc}") from exc
 
     d = constitutive_matrices(materials, mode)
-    ke = np.einsum("fki,fkl,flj,f->fij", bmat, d, bmat, 0.5 * two_a)
+    ke = np.einsum("fki,fkl,flj,f->fij", bmat, d, bmat, area)
 
+    nf = len(tri)
     dofs = np.empty((nf, 6), dtype=np.int64)
     dofs[:, 0::2] = 2 * tri
     dofs[:, 1::2] = 2 * tri + 1
@@ -230,16 +231,10 @@ def _edge_average_values(mesh: Mesh, dirichlet) -> dict[int, tuple[float, float]
     return edge_vals
 
 
-def apply_dirichlet(
-    system: LinearSystem, bcs: BoundaryConditionSet, mesh: Mesh | None = None
-) -> LinearSystem:
-    """Impose Dirichlet values by symmetric row/column elimination.
-
-    Returns a new system; the input is left untouched. Eliminated rows and
-    columns are replaced by identity, with the load corrected so interior
-    equations see the constrained values. ``edge-average`` mode requires the
-    mesh for boundary-edge incidence.
-    """
+def _constraint_values(
+    system: LinearSystem, bcs: BoundaryConditionSet, mesh: Mesh | None
+) -> dict[int, float]:
+    """The system's constraints merged with the Dirichlet values of ``bcs``."""
     n_nodes = system.n_dofs // 2
     if bcs.mode == "edge-average":
         if mesh is None:
@@ -263,7 +258,20 @@ def apply_dirichlet(
                     f"dof {dof} constrained to both {new_constraints[dof]} and {val}"
                 )
             new_constraints[dof] = val
+    return new_constraints
 
+
+def apply_dirichlet(
+    system: LinearSystem, bcs: BoundaryConditionSet, mesh: Mesh | None = None
+) -> LinearSystem:
+    """Impose Dirichlet values by symmetric row/column elimination.
+
+    Returns a new system; the input is left untouched. Eliminated rows and
+    columns are replaced by identity, with the load corrected so interior
+    equations see the constrained values. ``edge-average`` mode requires the
+    mesh for boundary-edge incidence.
+    """
+    new_constraints = _constraint_values(system, bcs, mesh)
     ndof = system.n_dofs
     fixed = np.fromiter(sorted(new_constraints), dtype=np.int64, count=len(new_constraints))
     values = np.array([new_constraints[int(i)] for i in fixed])
@@ -380,6 +388,38 @@ def boundary_conditions_from_displacements(
 # solve
 
 
+def _factor(k: sparse.csc_matrix):
+    """Sparse LU factor of ``k``; a singular or near-singular ``k`` raises SolverError."""
+    try:
+        lu = splu(k)
+    except RuntimeError as exc:
+        raise SolverError(f"direct factorization failed: {exc}") from exc
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() <= 1e-12 * pivots.max():
+        raise SolverError(
+            "numerically singular system: rigid modes are unconstrained "
+            "(pin at least 3 dofs)"
+        )
+    return lu
+
+
+def _check_columns(u: np.ndarray, residual: np.ndarray, f_norm: np.ndarray) -> None:
+    """Per right-hand-side column j of ``u`` (n, r): finite values and the
+    residual contract residual[j] <= 1e-10 * f_norm[j] (1e-12 absolute for a
+    zero load). A failing column raises SolverError with ``column=j``."""
+    for j in range(u.shape[1]):
+        if not np.all(np.isfinite(u[:, j])):
+            raise SolverError("solution contains non-finite values; system is singular", j)
+        ok = residual[j] <= 1e-10 * f_norm[j] if f_norm[j] > 0.0 else residual[j] <= 1e-12
+        if not ok:
+            raise SolverError(
+                f"residual contract violated: |KU - F| = {residual[j]:.3e} with "
+                f"|F| = {f_norm[j]:.3e}; check that at least 3 dofs are pinned against "
+                "rigid motion",
+                j,
+            )
+
+
 def solve(system: LinearSystem, method: str = "direct") -> DisplacementField:
     """Solve K U = F and check the residual contract.
 
@@ -390,17 +430,7 @@ def solve(system: LinearSystem, method: str = "direct") -> DisplacementField:
     k = system.stiffness.tocsc()
     f = system.load
     if method == "direct":
-        try:
-            lu = splu(k)
-        except RuntimeError as exc:
-            raise SolverError(f"direct factorization failed: {exc}") from exc
-        pivots = np.abs(lu.U.diagonal())
-        if pivots.min() <= 1e-12 * pivots.max():
-            raise SolverError(
-                "numerically singular system: rigid modes are unconstrained "
-                "(pin at least 3 dofs)"
-            )
-        u = lu.solve(f)
+        u = _factor(k).solve(f)
     elif method == "cg":
         diag = k.diagonal()
         if np.any(diag <= 0.0):
@@ -412,22 +442,51 @@ def solve(system: LinearSystem, method: str = "direct") -> DisplacementField:
     else:
         raise ConfigurationError(f"unknown solve method {method!r}")
 
-    if not np.all(np.isfinite(u)):
-        raise SolverError("solution contains non-finite values; system is singular")
-
     if system.constraints:
         fixed = np.fromiter(sorted(system.constraints), dtype=np.int64)
         u[fixed] = [system.constraints[int(i)] for i in fixed]
 
-    f_norm = float(np.linalg.norm(f))
-    residual = float(np.linalg.norm(k @ u - f))
-    ok = residual <= 1e-10 * f_norm if f_norm > 0.0 else residual <= 1e-12
-    if not ok:
-        raise SolverError(
-            f"residual contract violated: |KU - F| = {residual:.3e} with |F| = {f_norm:.3e}; "
-            "check that at least 3 dofs are pinned against rigid motion"
-        )
+    f_norm = np.linalg.norm(f)
+    residual = np.linalg.norm(k @ u - f)
+    _check_columns(u[:, None], [residual], [f_norm])
     return DisplacementField(u.reshape(-1, 2))
+
+
+def solve_condensed(
+    system: LinearSystem, bcs_sets: Sequence[BoundaryConditionSet]
+) -> list[DisplacementField]:
+    """Solve K U = F once per Dirichlet set, for sets that all fix the same dofs.
+
+    Static condensation: with free dofs f and fixed dofs b, each set leaves
+    K_ff u_f = F_f - K_fb u_b with the same K_ff, so K_ff is factorized once
+    and all sets are solved as one multi-column right-hand side. Result j
+    equals ``solve(apply_dirichlet(system, bcs_sets[j]))`` to rounding
+    and passes the same checks: the pivot ratio of the factor and, per
+    column, the residual contract of the eliminated system,
+    |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2).
+    A failing column j raises SolverError with ``column=j``.
+    """
+    constraints = [_constraint_values(system, bcs, None) for bcs in bcs_sets]
+    if not constraints:
+        return []
+    fixed = np.array(sorted(constraints[0]), dtype=np.int64)
+    for j, c in enumerate(constraints):
+        if c.keys() != constraints[0].keys():
+            raise ConfigurationError(f"boundary condition set {j} fixes other dofs than set 0")
+    u_b = np.array([[c[int(dof)] for dof in fixed] for c in constraints]).T
+    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
+    k_free = system.stiffness.tocsr()[free]
+    k_ff = k_free[:, free].tocsc()
+    rhs = system.load[free, None] - k_free[:, fixed] @ u_b
+
+    u = np.empty((system.n_dofs, len(constraints)))
+    u[fixed] = u_b
+    # a mesh whose nodes are all constrained leaves nothing to factorize
+    u[free] = _factor(k_ff).solve(rhs) if len(free) else rhs
+    residual = np.linalg.norm(k_ff @ u[free] - rhs, axis=0)
+    f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(u_b * u_b, axis=0))
+    _check_columns(u, residual, f_norm)
+    return [DisplacementField(u[:, j].reshape(-1, 2)) for j in range(u.shape[1])]
 
 
 def remove_rigid_motion(mesh: Mesh, disp: DisplacementField) -> DisplacementField:

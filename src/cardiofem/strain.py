@@ -1,9 +1,11 @@
 """Per-element strain extraction, effective strain, and sector aggregates.
 
-Strain of each linear triangle is computed in a local frame with node 1 at
-the origin and node 2 on the positive x axis, then tensor-rotated back to
-the global frame so fields are comparable across elements. The local-frame
-values can be kept as debug output.
+A strain field is computed for all elements at once as B . d, with the
+strain-displacement matrices that assembly uses. The per-element formula of
+the method (strain in a local frame with node 1 at the origin and node 2 on
+the positive x axis, tensor-rotated back to the global frame) is kept as
+``element_strain`` and ``element_strain_local``; the tests check the field
+against it. The local-frame values can be kept as debug output.
 
 The effective strain scalar condenses the 2D strain state (with zero
 out-of-plane components) into one non-negative deformation intensity:
@@ -20,7 +22,7 @@ import numpy as np
 
 from .contours import _as_point
 from .errors import GeometryError
-from .fem import DisplacementField
+from .fem import DisplacementField, strain_displacement_matrices
 from .materials import _check_mode
 from .meshing import Mesh
 
@@ -138,6 +140,21 @@ def effective_strain(eps_x, eps_y, gamma_xy, nu, mode: str = "as-printed"):
     return out if out.ndim else float(out)
 
 
+def _edge_frame(mesh: Mesh, comps: np.ndarray) -> np.ndarray:
+    """Global (F, 3) strains rotated into each element's edge-1-2 frame."""
+    p = mesh.nodes[mesh.triangles]
+    e21 = p[:, 1] - p[:, 0]
+    length = np.hypot(e21[:, 0], e21[:, 1])
+    c, s = e21[:, 0] / length, e21[:, 1] / length
+    cc, ss, cs = c * c, s * s, c * s
+    ex, ey, g = comps.T
+    return np.column_stack([
+        cc * ex + ss * ey + cs * g,
+        ss * ex + cc * ey - cs * g,
+        2.0 * cs * (ey - ex) + (cc - ss) * g,
+    ])
+
+
 def strain_field(
     mesh: Mesh,
     disp: DisplacementField,
@@ -156,19 +173,9 @@ def strain_field(
         )
     nf = mesh.n_triangles
     nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), (nf,))
-    comps = np.empty((nf, 3))
-    local = np.empty((nf, 3)) if keep_local else None
-    for i, tri in enumerate(mesh.triangles):
-        coords = mesh.nodes[tri]
-        d = disp.values[tri]
-        if keep_local:
-            loc, rot = _local_frame_strain(coords, d)
-            local[i] = loc
-            tensor = np.array([[loc[0], 0.5 * loc[2]], [0.5 * loc[2], loc[1]]])
-            glob = rot.T @ tensor @ rot
-            comps[i] = (glob[0, 0], glob[1, 1], 2.0 * glob[0, 1])
-        else:
-            comps[i] = element_strain(coords, d)
+    bmat, _ = strain_displacement_matrices(mesh.nodes, mesh.triangles)
+    comps = np.einsum("fij,fj->fi", bmat, disp.values[mesh.triangles].reshape(nf, 6))
+    local = _edge_frame(mesh, comps) if keep_local else None
     eff = effective_strain(comps[:, 0], comps[:, 1], comps[:, 2], nu_arr, mode)
     return StrainField(comps[:, 0], comps[:, 1], comps[:, 2], eff, local)
 

@@ -2,11 +2,18 @@
 the cycle, and infarct localization from sector strain comparisons.
 
 A study holds one or more slices, each an ordered sequence of frame contours
-with frame 0 at begin systole. The deformation mesh is built once on frame-0
-geometry and reused for every frame pair (small-strain assumption); frame
-pairs are (0 -> k) in the default cumulative mode or (k-1 -> k) in
-incremental mode. Rotation compensation per pair follows a linear ramp that
-totals the configured systolic rotation.
+with frame 0 at begin systole. The deformation mesh and stiffness are built
+once on frame-0 geometry and reused for every frame pair (small-strain
+assumption); frame pairs are (0 -> k) in the default cumulative mode or
+(k-1 -> k) in incremental mode. Rotation compensation per pair follows a
+linear ramp that totals the configured systolic rotation.
+
+Every frame pair fixes the same dofs (both components of all inner and outer
+boundary nodes) and only their values change, so the stiffness is condensed
+onto its free dofs and factorized once per slice, and all frame pairs are
+solved as one multi-column right-hand side (``fem.solve_condensed``). Strain
+is then one vectorised B . d per frame; the per-element local-frame formula
+of the method is the test oracle for it.
 """
 
 from __future__ import annotations
@@ -27,10 +34,9 @@ from .contours import (
 from .errors import ConfigurationError, GeometryError, SolverError
 from .fem import (
     DisplacementField,
-    apply_dirichlet,
     assemble,
     boundary_conditions_from_displacements,
-    solve,
+    solve_condensed,
 )
 from .materials import Material, MaterialField
 from .meshing import triangulate_annulus
@@ -202,8 +208,9 @@ def cycle_strain_analysis(
     """Solve the deformation of one slice for every frame pair of the cycle.
 
     Returns one result per target frame 1..n-1. All solves reuse the mesh
-    built on frame-0 geometry; in incremental mode the boundary samples of
-    later reference frames are mapped onto it by angular index.
+    and the factorized stiffness built on frame-0 geometry; in incremental
+    mode the boundary samples of later reference frames are mapped onto it by
+    angular index. Errors name the frame they belong to.
     """
     if slice_index < 0 or slice_index >= len(study.slices):
         raise ConfigurationError(f"slice index {slice_index} outside study")
@@ -220,7 +227,7 @@ def cycle_strain_analysis(
     base_system = assemble(mesh, materials, params.mode)
 
     step_rot = params.rotation_deg_total / (n - 1) if n > 1 else 0.0
-    results: list[FrameResult] = []
+    bcs_sets = []
     for k in range(1, n):
         if params.reference == "cumulative":
             ref, target = frame0, frames[k]
@@ -232,10 +239,17 @@ def cycle_strain_analysis(
             match = "index"
         try:
             bd = boundary_displacements(ref, target, params.n_points, rotation)
-            bcs = boundary_conditions_from_displacements(mesh, bd, match=match)
-            disp = solve(apply_dirichlet(base_system, bcs, mesh))
-        except (GeometryError, ConfigurationError, SolverError) as exc:
+            bcs_sets.append(boundary_conditions_from_displacements(mesh, bd, match=match))
+        except (GeometryError, ConfigurationError) as exc:
             raise type(exc)(f"frame {k}: {exc}") from exc
+    try:
+        disps = solve_condensed(base_system, bcs_sets)
+    except SolverError as exc:
+        where = f"frame {exc.column + 1}" if exc.column is not None else f"frames 1-{n - 1}"
+        raise SolverError(f"{where}: {exc}", exc.column) from exc
+
+    results: list[FrameResult] = []
+    for k, disp in enumerate(disps, start=1):
         sf = strain_field(mesh, disp, materials.nu, params.mode)
         sectors = sector_average(mesh, sf, disp, center, params.n_sectors)
         results.append(FrameResult(k, disp, sf, sectors))

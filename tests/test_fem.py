@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 from cardiofem import (
     BoundaryConditionSet,
@@ -24,9 +25,11 @@ from cardiofem import (
     make_ring,
     rigid_body_modes,
     solve,
+    solve_condensed,
     strain_displacement_matrix,
     triangulate_annulus,
 )
+from cardiofem import fem
 
 from conftest import circle_frame
 
@@ -435,6 +438,84 @@ def test_residual_contract(ring_mesh):
     disp = solve(constrained)
     residual = np.linalg.norm(constrained.stiffness @ disp.values.ravel() - constrained.load)
     assert residual <= 1e-10 * np.linalg.norm(constrained.load)
+
+
+# ---------------------------------------------------------------------------
+# condensed multi-right-hand-side solve
+
+
+def _random_boundary_sets(mesh, n_sets, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        _dirichlet_all_boundary(mesh, rng.normal(scale=0.05, size=(mesh.n_nodes, 2)))
+        for _ in range(n_sets)
+    ]
+
+
+def test_solve_condensed_matches_per_set_solve(ring_mesh):
+    mesh, mats = ring_mesh
+    system = assemble(mesh, mats)
+    # a load on the free dofs exercises the F_f term of the condensed right-hand side
+    system = fem.LinearSystem(
+        system.stiffness, np.random.default_rng(1).normal(size=system.n_dofs)
+    )
+    bcs_sets = _random_boundary_sets(mesh, 4)
+    batched = solve_condensed(system, bcs_sets)
+    assert len(batched) == 4
+    for bcs, disp in zip(bcs_sets, batched):
+        expected = solve(apply_dirichlet(system, bcs, mesh)).values
+        assert np.max(np.abs(disp.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_solve_condensed_all_nodes_constrained():
+    mesh, mats = make_ring(RingSpec(1.0, 2.0), 16, 1)  # every node is a boundary node
+    values = _affine_field(mesh.nodes)
+    (disp,) = solve_condensed(assemble(mesh, mats), [_dirichlet_all_boundary(mesh, values)])
+    assert_allclose(disp.values, values, rtol=0, atol=0)
+
+
+def test_solve_condensed_empty_sequence(ring_mesh):
+    mesh, mats = ring_mesh
+    assert solve_condensed(assemble(mesh, mats), []) == []
+
+
+def test_solve_condensed_requires_same_fixed_dofs(ring_mesh):
+    mesh, mats = ring_mesh
+    full, _ = _random_boundary_sets(mesh, 2)
+    partial = BoundaryConditionSet(dirichlet=dict(list(full.dirichlet.items())[1:]))
+    with pytest.raises(ConfigurationError):
+        solve_condensed(assemble(mesh, mats), [full, partial])
+
+
+def test_solve_condensed_singular_free_block(ring_mesh):
+    # an extra node that belongs to no element leaves zero rows in K_ff
+    mesh, mats = ring_mesh
+    system = assemble(mesh, mats)
+    padded = fem.LinearSystem(
+        sparse.block_diag([system.stiffness, sparse.csr_matrix((2, 2))]).tocsr(),
+        np.zeros(system.n_dofs + 2),
+    )
+    with pytest.raises(SolverError):
+        solve_condensed(padded, _random_boundary_sets(mesh, 3))
+
+
+def test_solve_condensed_names_failing_column(ring_mesh, monkeypatch):
+    mesh, mats = ring_mesh
+    real_factor = fem._factor
+
+    class CorruptColumnOne:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            u = self.lu.solve(rhs)
+            u[:, 1] *= 1.0 + 1e-6
+            return u
+
+    monkeypatch.setattr(fem, "_factor", lambda k: CorruptColumnOne(real_factor(k)))
+    with pytest.raises(SolverError, match="residual contract") as info:
+        solve_condensed(assemble(mesh, mats), _random_boundary_sets(mesh, 3))
+    assert info.value.column == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from cardiofem import (
     DisplacementField,
     GeometryError,
     Material,
+    Mesh,
     RingSpec,
     apply_dirichlet,
     assemble,
@@ -182,6 +183,44 @@ def test_fem_solution_strain_against_ring_analytics():
         )
     )
     assert err < 0.02 * scale
+
+
+def _perturbed_annulus(seed):
+    """Ring mesh with every node moved at random by up to 15 % of the
+    smallest element's inscribed size, which keeps all elements
+    counter-clockwise."""
+    mesh, _ = make_ring(RingSpec(1.0, 2.0), 24, 4)
+    rng = np.random.default_rng(seed)
+    p = mesh.nodes[mesh.triangles]
+    perimeter = sum(np.linalg.norm(p[:, i] - p[:, (i + 1) % 3], axis=1) for i in range(3))
+    step = 0.15 * np.min(2.0 * mesh.triangle_areas() / perimeter)
+    nodes = mesh.nodes + rng.uniform(-step, step, mesh.nodes.shape)
+    moved = Mesh(nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_labels)
+    assert np.all(moved.triangle_areas() > 0.0)
+    return moved
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_strain_field_matches_element_loop(seed):
+    mesh = _perturbed_annulus(seed)
+    rng = np.random.default_rng(100 + seed)
+    disp = DisplacementField(rng.normal(scale=0.05, size=(mesh.n_nodes, 2)))
+    sf = strain_field(mesh, disp, 0.3, keep_local=True)
+    glob = np.array([element_strain(mesh.nodes[t], disp.values[t]) for t in mesh.triangles])
+    local = np.array(
+        [element_strain_local(mesh.nodes[t], disp.values[t]) for t in mesh.triangles]
+    )
+    got = np.column_stack([sf.eps_x, sf.eps_y, sf.gamma_xy])
+    assert np.max(np.abs(got - glob)) <= 1e-12 * np.max(np.abs(glob))
+    assert np.max(np.abs(sf.local - local)) <= 1e-12 * np.max(np.abs(local))
+
+
+def test_strain_field_rejects_clockwise_element():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = Mesh(nodes, [[0, 2, 1]], [[0, 1]], ("inner",))
+    disp = DisplacementField(np.zeros((3, 2)))
+    with pytest.raises(GeometryError):
+        strain_field(mesh, disp, 0.3)
 
 
 def test_strain_field_node_count_mismatch(ring_mesh):

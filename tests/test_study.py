@@ -10,19 +10,32 @@ from cardiofem import (
     CycleParams,
     FrameContours,
     GeometryError,
+    MaterialField,
     SectorSummary,
     Slice,
+    SolverError,
     Study,
+    apply_dirichlet,
+    assemble,
     average_sector_summaries,
+    boundary_conditions_from_displacements,
+    boundary_displacements,
+    centroid,
     circle_contour,
     cycle_strain_analysis,
+    effective_strain,
+    element_strain,
     healthy_study,
     infarct_localization,
     mi_wedge_study,
     normalized_volume_curve,
     phantom_cycle_study,
+    resample_uniform_angle,
+    solve,
+    triangulate_annulus,
     ventricle_volume,
 )
+from cardiofem import fem
 
 from conftest import circle_frame, star_contour
 
@@ -229,6 +242,72 @@ def test_cycle_error_carries_frame_index():
     study = _single_slice_study(frames)
     with pytest.raises(GeometryError, match="frame 1"):
         cycle_strain_analysis(study, CycleParams(n_points=16, n_radial=2))
+
+
+def _per_frame_cycle(study, params):
+    """The per-frame path: one eliminated system and one factorization per
+    frame pair, and strain from the per-element local-frame formula."""
+    frames = study.slices[0].frames
+    n = len(frames)
+    center = centroid(frames[0].inner)
+    inner0 = resample_uniform_angle(frames[0].inner, center, params.n_points)
+    outer0 = resample_uniform_angle(frames[0].outer, center, params.n_points)
+    mesh = triangulate_annulus(inner0, outer0, params.n_points, params.n_radial)
+    materials = MaterialField.uniform(mesh, params.material)
+    system = assemble(mesh, materials, params.mode)
+    step_rot = params.rotation_deg_total / (n - 1)
+    out = []
+    for k in range(1, n):
+        if params.reference == "cumulative":
+            bd = boundary_displacements(frames[0], frames[k], params.n_points, step_rot * k)
+            bcs = boundary_conditions_from_displacements(mesh, bd, match="position")
+        else:
+            bd = boundary_displacements(frames[k - 1], frames[k], params.n_points, step_rot)
+            bcs = boundary_conditions_from_displacements(mesh, bd, match="index")
+        disp = solve(apply_dirichlet(system, bcs, mesh))
+        comps = np.array(
+            [element_strain(mesh.nodes[tri], disp.values[tri]) for tri in mesh.triangles]
+        )
+        out.append((disp.values, comps))
+    return out
+
+
+@pytest.mark.parametrize("reference", ["cumulative", "incremental"])
+def test_cycle_matches_per_frame_path(reference):
+    study = mi_wedge_study(seed=3, n_frames=6, n_points=48, rotation_deg_total=5.0)
+    params = CycleParams(
+        n_points=32, n_radial=4, rotation_deg_total=5.0, reference=reference,
+        mode="plane-strain",
+    )
+    results = cycle_strain_analysis(study, params)
+    expected = _per_frame_cycle(study, params)
+    assert len(results) == study.n_frames - 1
+    for k, (res, (disp, comps)) in enumerate(zip(results, expected), start=1):
+        assert res.frame_index == k
+        got_disp = res.displacement.values
+        assert np.max(np.abs(got_disp - disp)) <= 1e-12 * np.max(np.abs(disp))
+        got = np.column_stack([res.strain.eps_x, res.strain.eps_y, res.strain.gamma_xy])
+        assert np.max(np.abs(got - comps)) <= 1e-12 * np.max(np.abs(comps))
+        eff = effective_strain(comps[:, 0], comps[:, 1], comps[:, 2], params.material.nu)
+        assert np.max(np.abs(res.strain.effective - eff)) <= 1e-12 * np.max(eff)
+
+
+def test_cycle_solver_error_names_frame(monkeypatch):
+    real_factor = fem._factor
+
+    class CorruptColumnTwo:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            u = self.lu.solve(rhs)
+            u[:, 2] *= 1.0 + 1e-6
+            return u
+
+    monkeypatch.setattr(fem, "_factor", lambda k: CorruptColumnTwo(real_factor(k)))
+    study = healthy_study(seed=2, n_frames=5)
+    with pytest.raises(SolverError, match=r"^frame 3: residual contract"):
+        cycle_strain_analysis(study, CycleParams(n_points=32, n_radial=4))
 
 
 # ---------------------------------------------------------------------------
