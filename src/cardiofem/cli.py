@@ -56,6 +56,11 @@ from .study import (
 )
 from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_study
 
+
+class UsageError(ValueError):
+    """A flag value outside what the input allows, such as a missing slice."""
+
+
 VALIDATION_ERRORS = (
     GeometryError,
     StarShapeError,
@@ -410,15 +415,10 @@ def cmd_analyze(cfg) -> int:
 
     per_slice = _analyze_one(study, params)
     for sl, results in zip(study.slices, per_slice):
-        frame0 = sl.frames[0]
-        center = centroid(frame0.inner)
-        inner0 = resample_uniform_angle(frame0.inner, center, params.n_points)
-        outer0 = resample_uniform_angle(frame0.outer, center, params.n_points)
-        mesh = triangulate_annulus(inner0, outer0, params.n_points, params.n_radial)
         for res in results:
             cfio.write_mesh_vtk(
                 out / f"fields_slice{sl.index}_frame{res.frame_index}.vtk",
-                mesh,
+                res.mesh,
                 point_vectors={"displacement": res.displacement.values},
                 cell_scalars={
                     "eps_x": res.strain.eps_x,
@@ -493,19 +493,37 @@ def cmd_synth(cfg) -> int:
     return 0
 
 
-def _frame_pair_solve(cfg, study):
+def _selected_slice(cfg, study):
+    """The slice chosen by --slice (a position in the study, default 0)."""
     slice_index = getattr(cfg, "slice_index", 0)
+    if not isinstance(slice_index, int) or not 0 <= slice_index < len(study.slices):
+        raise UsageError(f"--slice must be in 0..{len(study.slices) - 1}, got {slice_index!r}")
+    return study.slices[slice_index]
+
+
+def _selected_frame(cfg, sl, first: int, default: int) -> int:
+    """The frame chosen by --frame, checked against first..n_frames-1."""
     frame = getattr(cfg, "frame", None)
     if frame is None:
-        frame = study.n_frames - 1
-    sl = study.slices[slice_index]
-    if frame < 1 or frame >= sl.n_frames:
-        raise ConfigurationError(f"frame must be in 1..{sl.n_frames - 1}, got {frame}")
+        frame = default
+    if not isinstance(frame, int) or not first <= frame < sl.n_frames:
+        raise UsageError(f"--frame must be in {first}..{sl.n_frames - 1}, got {frame!r}")
+    return frame
+
+
+def _frame_mesh(cfg, fc):
+    """Mesh of one frame's wall on its uniform-angle resampling."""
+    center = centroid(fc.inner)
+    inner = resample_uniform_angle(fc.inner, center, cfg.n_points)
+    outer = resample_uniform_angle(fc.outer, center, cfg.n_points)
+    return triangulate_annulus(inner, outer, cfg.n_points, cfg.n_radial), center
+
+
+def _frame_pair_solve(cfg, study):
+    sl = _selected_slice(cfg, study)
+    frame = _selected_frame(cfg, sl, first=1, default=sl.n_frames - 1)
     frame0 = sl.frames[0]
-    center = centroid(frame0.inner)
-    inner0 = resample_uniform_angle(frame0.inner, center, cfg.n_points)
-    outer0 = resample_uniform_angle(frame0.outer, center, cfg.n_points)
-    mesh = triangulate_annulus(inner0, outer0, cfg.n_points, cfg.n_radial)
+    mesh, center = _frame_mesh(cfg, frame0)
     materials = MaterialField.uniform(mesh, Material(cfg.young, cfg.poisson))
     rotation = cfg.rotation_deg * frame / (sl.n_frames - 1) if sl.n_frames > 1 else 0.0
     bd = boundary_displacements(frame0, sl.frames[frame], cfg.n_points, rotation)
@@ -519,13 +537,9 @@ def _frame_pair_solve(cfg, study):
 def cmd_mesh(cfg) -> int:
     out = _outdir(cfg)
     study = _load_study(cfg)
-    slice_index = getattr(cfg, "slice_index", 0)
-    frame = getattr(cfg, "frame", 0)
-    fc = study.slices[slice_index].frames[frame]
-    center = centroid(fc.inner)
-    inner = resample_uniform_angle(fc.inner, center, cfg.n_points)
-    outer = resample_uniform_angle(fc.outer, center, cfg.n_points)
-    mesh = triangulate_annulus(inner, outer, cfg.n_points, cfg.n_radial)
+    sl = _selected_slice(cfg, study)
+    fc = sl.frames[_selected_frame(cfg, sl, first=0, default=0)]
+    mesh, _ = _frame_mesh(cfg, fc)
     report = validate(mesh)
     print(report)
     cfio.write_mesh_vtk(out / "mesh.vtk", mesh)
@@ -605,7 +619,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merged_config(args, {})
         return COMMANDS[args.command](cfg)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, json.JSONDecodeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VALIDATION_ERRORS as exc:

@@ -10,6 +10,11 @@ format mirrors the same fields in nested form and is self-contained.
 
 Field exports use legacy ASCII VTK (unstructured grid, triangle cells) plus
 plain CSV tables, so results can be inspected without extra dependencies.
+Every float is written as ``repr`` of the Python float, the shortest text that
+reads back to the same value. A cycle writes one VTK per frame on the same
+frame-0 mesh, so the header and the POINTS/CELLS/CELL_TYPES block are
+formatted once per mesh and reused; each file is byte-identical to one
+formatted from scratch.
 """
 
 from __future__ import annotations
@@ -33,10 +38,6 @@ from .study import LocalizationResult, Slice, Study, VolumeCurve
 CONTOUR_CSV_COLUMNS = ("subject_id", "slice", "frame", "boundary", "point_index", "x", "y")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # study ingest / emit
 
@@ -49,11 +50,11 @@ def write_study_csv(path, study: Study) -> None:
         for sl in study.slices:
             for fc in sl.frames:
                 for boundary, contour in (("inner", fc.inner), ("outer", fc.outer)):
-                    for i, (x, y) in enumerate(contour.points):
-                        writer.writerow(
-                            [study.subject_id, sl.index, fc.frame_index, boundary,
-                             i, _fmt(x), _fmt(y)]
-                        )
+                    writer.writerows(
+                        [study.subject_id, sl.index, fc.frame_index, boundary,
+                         i, repr(x), repr(y)]
+                        for i, (x, y) in enumerate(contour.points.tolist())
+                    )
 
 
 def write_manifest(path, study: Study) -> None:
@@ -183,9 +184,16 @@ def read_study_json(path) -> Study:
             raise ConfigurationError(f"{path}: study JSON is missing {key!r}")
     slices = []
     for sl in data["slices"]:
+        for key in ("slice", "frames"):
+            if key not in sl:
+                raise ConfigurationError(f"{path}: study JSON slice is missing {key!r}")
+        if any("frame" not in fr for fr in sl["frames"]):
+            raise ConfigurationError(f"{path} slice {sl['slice']}: a frame is missing 'frame'")
         frames = []
         for fr in sorted(sl["frames"], key=lambda f: f["frame"]):
             where = f"{path} slice {sl['slice']} frame {fr['frame']}"
+            if "inner" not in fr or "outer" not in fr:
+                raise ConfigurationError(f"{where}: needs both inner and outer contours")
             inner = Contour(np.asarray(fr["inner"], dtype=float), "inner")
             outer = Contour(np.asarray(fr["outer"], dtype=float), "outer")
             for name, cont in (("inner", inner), ("outer", outer)):
@@ -213,6 +221,35 @@ def read_study(path, manifest_path=None) -> Study:
 # mesh / field exports
 
 
+# One-entry memo of the last geometry block, (mesh, title, text). Mesh arrays
+# are read-only, so the mesh's identity keys its text for as long as the memo
+# holds the mesh. The tuple is read and replaced whole, so concurrent writers
+# at worst format a block twice.
+_geometry_memo: tuple = (None, None, "")
+
+
+def _vtk_geometry(mesh: Mesh, title: str) -> str:
+    """Header and POINTS/CELLS/CELL_TYPES block of a legacy VTK file."""
+    global _geometry_memo
+    memo_mesh, memo_title, text = _geometry_memo
+    if memo_mesh is not mesh or memo_title != title:
+        lines = [
+            "# vtk DataFile Version 3.0",
+            title,
+            "ASCII",
+            "DATASET UNSTRUCTURED_GRID",
+            f"POINTS {mesh.n_nodes} double",
+        ]
+        lines += [f"{x!r} {y!r} 0.0" for x, y in mesh.nodes.tolist()]
+        lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
+        lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
+        lines.append(f"CELL_TYPES {mesh.n_triangles}")
+        lines += ["5"] * mesh.n_triangles
+        text = "\n".join(lines) + "\n"
+        _geometry_memo = (mesh, title, text)
+    return text
+
+
 def write_mesh_vtk(
     path,
     mesh: Mesh,
@@ -221,62 +258,52 @@ def write_mesh_vtk(
     title: str = "cardiofem output",
 ) -> None:
     """Legacy ASCII VTK unstructured grid with triangle cells (type 5)."""
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
-    ]
-    lines += [f"{_fmt(x)} {_fmt(y)} 0.0" for x, y in mesh.nodes]
-    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
-    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
-    lines.append(f"CELL_TYPES {mesh.n_triangles}")
-    lines += ["5"] * mesh.n_triangles
+    lines = []
     if point_vectors:
         lines.append(f"POINT_DATA {mesh.n_nodes}")
         for name, vec in point_vectors.items():
             lines.append(f"VECTORS {name} double")
-            lines += [f"{_fmt(u)} {_fmt(v)} 0.0" for u, v in np.asarray(vec)]
+            lines += [f"{u!r} {v!r} 0.0" for u, v in np.asarray(vec, dtype=float).tolist()]
     if cell_scalars:
         lines.append(f"CELL_DATA {mesh.n_triangles}")
         for name, arr in cell_scalars.items():
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines += [_fmt(v) for v in np.asarray(arr)]
-    Path(path).write_text("\n".join(lines) + "\n")
+            lines += map(repr, np.asarray(arr, dtype=float).tolist())
+    data = "\n".join(lines) + "\n" if lines else ""
+    Path(path).write_text(_vtk_geometry(mesh, title) + data)
 
 
 def write_mesh_csv(nodes_path, elements_path, mesh: Mesh) -> None:
     with Path(nodes_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", "x", "y"])
-        for i, (x, y) in enumerate(mesh.nodes):
-            writer.writerow([i, _fmt(x), _fmt(y)])
+        writer.writerows([i, repr(x), repr(y)] for i, (x, y) in enumerate(mesh.nodes.tolist()))
     with Path(elements_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element_id", "n0", "n1", "n2"])
-        for i, (a, b, c) in enumerate(mesh.triangles):
-            writer.writerow([i, a, b, c])
+        writer.writerows([i, a, b, c] for i, (a, b, c) in enumerate(mesh.triangles.tolist()))
 
 
 def write_displacement_csv(path, mesh: Mesh, disp: DisplacementField) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", "x", "y", "u", "v"])
-        for i, ((x, y), (u, v)) in enumerate(zip(mesh.nodes, disp.values)):
-            writer.writerow([i, _fmt(x), _fmt(y), _fmt(u), _fmt(v)])
+        writer.writerows(
+            [i, repr(x), repr(y), repr(u), repr(v)]
+            for i, ((x, y), (u, v)) in enumerate(zip(mesh.nodes.tolist(), disp.values.tolist()))
+        )
 
 
 def write_strain_csv(path, strain: StrainField) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element_id", "eps_x", "eps_y", "gamma_xy", "effective"])
-        for i in range(strain.n_elements):
-            writer.writerow(
-                [i, _fmt(strain.eps_x[i]), _fmt(strain.eps_y[i]),
-                 _fmt(strain.gamma_xy[i]), _fmt(strain.effective[i])]
-            )
+        rows = zip(strain.eps_x.tolist(), strain.eps_y.tolist(),
+                   strain.gamma_xy.tolist(), strain.effective.tolist())
+        writer.writerows(
+            [i, repr(ex), repr(ey), repr(g), repr(e)] for i, (ex, ey, g, e) in enumerate(rows)
+        )
 
 
 def write_sector_csv(path, summaries: list[SectorSummary], frame_indices=None) -> None:
@@ -287,19 +314,21 @@ def write_sector_csv(path, summaries: list[SectorSummary], frame_indices=None) -
         writer = csv.writer(fh)
         writer.writerow(["frame", "sector", "mean_displacement", "mean_effective", "count"])
         for frame, summary in zip(frame_indices, summaries):
-            for s in range(summary.n_sectors):
-                writer.writerow(
-                    [frame, s, _fmt(summary.mean_displacement[s]),
-                     _fmt(summary.mean_effective[s]), int(summary.counts[s])]
-                )
+            rows = zip(summary.mean_displacement.tolist(), summary.mean_effective.tolist(),
+                       summary.counts.tolist())
+            writer.writerows(
+                [frame, s, repr(md), repr(me), count] for s, (md, me, count) in enumerate(rows)
+            )
 
 
 def write_volume_csv(path, curve: VolumeCurve) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "volume", "normalized"])
-        for k, (raw, norm) in enumerate(zip(curve.raw, curve.normalized)):
-            writer.writerow([k, _fmt(raw), _fmt(norm)])
+        writer.writerows(
+            [k, repr(raw), repr(norm)]
+            for k, (raw, norm) in enumerate(zip(curve.raw.tolist(), curve.normalized.tolist()))
+        )
 
 
 def write_localization_json(path, result: LocalizationResult) -> None:

@@ -39,7 +39,7 @@ from .fem import (
     solve_condensed,
 )
 from .materials import Material, MaterialField
-from .meshing import triangulate_annulus
+from .meshing import Mesh, triangulate_annulus
 from .strain import SectorSummary, StrainField, sector_average, strain_field
 
 REFERENCE_MODES = ("cumulative", "incremental")
@@ -138,10 +138,13 @@ class CycleParams:
 
 @dataclass(frozen=True)
 class FrameResult:
+    """One frame pair's fields, on the frame-0 mesh shared by the whole slice."""
+
     frame_index: int
     displacement: DisplacementField
     strain: StrainField
     sectors: SectorSummary
+    mesh: Mesh
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,8 @@ def cycle_strain_analysis(
     """Solve the deformation of one slice for every frame pair of the cycle.
 
     Returns one result per target frame 1..n-1. All solves reuse the mesh
-    and the factorized stiffness built on frame-0 geometry; in incremental
+    and the factorized stiffness built on frame-0 geometry, and every result
+    carries that one mesh object for export; in incremental
     mode the boundary samples of later reference frames are mapped onto it by
     angular index. Errors name the frame they belong to.
     """
@@ -252,7 +256,7 @@ def cycle_strain_analysis(
     for k, disp in enumerate(disps, start=1):
         sf = strain_field(mesh, disp, materials.nu, params.mode)
         sectors = sector_average(mesh, sf, disp, center, params.n_sectors)
-        results.append(FrameResult(k, disp, sf, sectors))
+        results.append(FrameResult(k, disp, sf, sectors, mesh))
     return results
 
 

@@ -102,6 +102,72 @@ def test_analyze_mi_flags_wedge(tmp_path, synth_pair):
     assert loc["suspected_sectors"] == [4, 5, 6, 7]
 
 
+def test_analyze_exports_the_cycle_mesh(tmp_path, synth_pair, monkeypatch):
+    import cardiofem.cli as cli
+    import cardiofem.study as study_mod
+
+    calls = {"cli": 0, "study": 0}
+
+    def counted(where, fn):
+        def wrapper(*args, **kwargs):
+            calls[where] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "triangulate_annulus", counted("cli", cli.triangulate_annulus))
+    monkeypatch.setattr(
+        study_mod, "triangulate_annulus", counted("study", study_mod.triangulate_annulus)
+    )
+    healthy_dir, mi_dir = synth_pair
+    out = tmp_path / "res"
+    assert run("analyze", "--study", str(mi_dir / "study.json"),
+               "--reference", str(healthy_dir / "study.json"), "--out", str(out)) == 0
+    # one frame-0 mesh per cycle analysis (subject and reference), none for export
+    assert calls == {"cli": 0, "study": 2}
+    assert len(list(out.glob("fields_slice0_frame*.vtk"))) == 5
+
+
+def _single_error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.out + captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("command, flags, needle", [
+    ("mesh", ["--slice", "3"], "--slice must be in 0..0, got 3"),
+    ("mesh", ["--slice", "-1"], "--slice must be in 0..0, got -1"),
+    ("mesh", ["--frame", "99"], "--frame must be in 0..5, got 99"),
+    ("mesh", ["--frame", "-1"], "--frame must be in 0..5, got -1"),
+    ("solve", ["--slice", "2"], "--slice must be in 0..0, got 2"),
+    ("solve", ["--frame", "0"], "--frame must be in 1..5, got 0"),
+    ("strain", ["--slice", "2"], "--slice must be in 0..0, got 2"),
+    ("strain", ["--frame", "6"], "--frame must be in 1..5, got 6"),
+])
+def test_out_of_range_slice_or_frame(tmp_path, synth_pair, capsys, command, flags, needle):
+    healthy_dir, _ = synth_pair
+    capsys.readouterr()
+    out = tmp_path / "res"
+    code = run(command, "--study", str(healthy_dir / "study.json"), *flags, "--out", str(out))
+    assert code == 2
+    assert needle in _single_error_line(capsys)
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("missing", ["inner", "outer"])
+def test_study_json_frame_without_contour(tmp_path, synth_pair, capsys, missing):
+    healthy_dir, _ = synth_pair
+    data = json.loads((healthy_dir / "study.json").read_text())
+    del data["slices"][0]["frames"][3][missing]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run("mesh", "--study", str(bad), "--out", str(tmp_path / "res"))
+    assert code == 1
+    assert "frame 3: needs both inner and outer contours" in _single_error_line(capsys)
+
+
 def test_analyze_missing_manifest(tmp_path, synth_pair):
     healthy_dir, _ = synth_pair
     code = run(

@@ -18,6 +18,7 @@ from cardiofem import (
     assemble,
     healthy_study,
     make_ring,
+    Mesh,
     strain_field,
     sector_average,
 )
@@ -114,6 +115,19 @@ def test_missing_files(tmp_path):
         cfio.read_study(tmp_path / "x.csv", None)
 
 
+@pytest.mark.parametrize("missing", ["inner", "outer"])
+def test_json_frame_without_contour(tmp_path, study, missing):
+    path = tmp_path / "study.json"
+    cfio.write_study_json(path, study)
+    data = json.loads(path.read_text())
+    del data["slices"][0]["frames"][2][missing]
+    path.write_text(json.dumps(data))
+    with pytest.raises(
+        ConfigurationError, match=r"slice 0 frame 2: needs both inner and outer contours"
+    ):
+        cfio.read_study_json(path)
+
+
 def test_json_round_trip(tmp_path, study):
     path = tmp_path / "study.json"
     cfio.write_study_json(path, study)
@@ -147,6 +161,93 @@ def test_vtk_export_structure(tmp_path):
     assert "VECTORS displacement double" in lines
     assert f"CELL_DATA {mesh.n_triangles}" in lines
     assert "SCALARS effective double 1" in lines
+
+
+def _oracle_vtk_text(mesh, point_vectors=None, cell_scalars=None, title="cardiofem output"):
+    """The writer's former per-value line builder: every number through
+    repr(float(x)) while iterating numpy rows, the whole file rebuilt per call."""
+
+    def fmt(x):
+        return repr(float(x))
+
+    lines = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {mesh.n_nodes} double",
+    ]
+    lines += [f"{fmt(x)} {fmt(y)} 0.0" for x, y in mesh.nodes]
+    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    lines.append(f"CELL_TYPES {mesh.n_triangles}")
+    lines += ["5"] * mesh.n_triangles
+    if point_vectors:
+        lines.append(f"POINT_DATA {mesh.n_nodes}")
+        for name, vec in point_vectors.items():
+            lines.append(f"VECTORS {name} double")
+            lines += [f"{fmt(u)} {fmt(v)} 0.0" for u, v in np.asarray(vec)]
+    if cell_scalars:
+        lines.append(f"CELL_DATA {mesh.n_triangles}")
+        for name, arr in cell_scalars.items():
+            lines.append(f"SCALARS {name} double 1")
+            lines.append("LOOKUP_TABLE default")
+            lines += [fmt(v) for v in np.asarray(arr)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _perturbed_ring(seed, n_angular, n_radial):
+    """A ring mesh whose node coordinates use all 17 significant digits."""
+    mesh, mats = make_ring(RingSpec(1.0, 2.0), n_angular, n_radial)
+    rng = np.random.default_rng(seed)
+    nodes = mesh.nodes * (1.0 + rng.uniform(-1e-3, 1e-3, mesh.nodes.shape))
+    return Mesh(nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_labels), mats
+
+
+def _fields(mesh, seed):
+    rng = np.random.default_rng(seed)
+    disp = rng.normal(size=(mesh.n_nodes, 2)) * 10.0 ** rng.integers(-8, 8, (mesh.n_nodes, 2))
+    disp[0] = (-0.0, 0.0)
+    disp[1] = (1e-300, -1e300)
+    eff = np.abs(rng.normal(size=mesh.n_triangles))
+    return (
+        {"displacement": disp, "integer_valued": np.arange(2 * mesh.n_nodes).reshape(-1, 2)},
+        {"eps_x": rng.normal(size=mesh.n_triangles), "effective": eff,
+         "region": np.arange(mesh.n_triangles)},
+    )
+
+
+def test_vtk_matches_per_value_oracle(tmp_path):
+    mesh_a, _ = _perturbed_ring(1, 12, 2)
+    mesh_b, _ = _perturbed_ring(2, 16, 3)
+    vec_a, sca_a = _fields(mesh_a, 3)
+    vec_b, sca_b = _fields(mesh_b, 4)
+    cases = [
+        ("fields_a", mesh_a, {"point_vectors": vec_a, "cell_scalars": sca_a}),
+        ("geometry_a", mesh_a, {}),
+        ("points_only_a", mesh_a, {"point_vectors": vec_a}),
+        ("cells_only_a", mesh_a, {"cell_scalars": sca_a}),
+        # alternate meshes, so a memo that outlives its mesh shows
+        ("fields_b", mesh_b, {"point_vectors": vec_b, "cell_scalars": sca_b}),
+        ("fields_a_again", mesh_a, {"point_vectors": vec_a, "cell_scalars": sca_a}),
+        ("geometry_b", mesh_b, {}),
+        # same mesh, other titles: the title is part of the memoised block
+        ("titled_a", mesh_a, {"point_vectors": vec_a, "title": "frame 7 of slice 2"}),
+        ("untitled_a", mesh_a, {"point_vectors": vec_a}),
+        ("empty_title_a", mesh_a, {"cell_scalars": sca_a, "title": ""}),
+    ]
+    for name, mesh, kwargs in cases:
+        path = tmp_path / f"{name}.vtk"
+        cfio.write_mesh_vtk(path, mesh, **kwargs)
+        assert path.read_bytes() == _oracle_vtk_text(mesh, **kwargs), name
+
+
+def test_vtk_geometry_follows_an_equal_but_distinct_mesh(tmp_path):
+    mesh, _ = _perturbed_ring(5, 8, 1)
+    moved = Mesh(mesh.nodes + 1.0, mesh.triangles, mesh.boundary_edges, mesh.boundary_labels)
+    cfio.write_mesh_vtk(tmp_path / "a.vtk", mesh)
+    cfio.write_mesh_vtk(tmp_path / "b.vtk", moved)
+    assert (tmp_path / "b.vtk").read_bytes() == _oracle_vtk_text(moved)
 
 
 def test_mesh_and_field_csv(tmp_path):

@@ -292,6 +292,25 @@ def test_cycle_matches_per_frame_path(reference):
         assert np.max(np.abs(res.strain.effective - eff)) <= 1e-12 * np.max(eff)
 
 
+def test_cycle_results_share_frame0_mesh():
+    study = mi_wedge_study(seed=4, n_frames=5, n_points=40)
+    params = CycleParams(n_points=24, n_radial=3)
+    results = cycle_strain_analysis(study, params)
+    mesh = results[0].mesh
+    assert all(res.mesh is mesh for res in results)
+    frame0 = study.slices[0].frames[0]
+    center = centroid(frame0.inner)
+    expected = triangulate_annulus(
+        resample_uniform_angle(frame0.inner, center, params.n_points),
+        resample_uniform_angle(frame0.outer, center, params.n_points),
+        params.n_points, params.n_radial,
+    )
+    assert np.array_equal(mesh.nodes, expected.nodes)
+    assert np.array_equal(mesh.triangles, expected.triangles)
+    assert all(res.displacement.values.shape == (mesh.n_nodes, 2) for res in results)
+    assert all(res.strain.n_elements == mesh.n_triangles for res in results)
+
+
 def test_cycle_solver_error_names_frame(monkeypatch):
     real_factor = fem._factor
 
