@@ -45,7 +45,13 @@ from .fem import (
 )
 from .materials import AngularRegion, Material, MaterialField
 from .meshing import triangulate_annulus, validate
-from .phantom import RingSpec, lame_displacement, make_ring, solve_ring_traction
+from .phantom import (
+    RingSpec,
+    lame_displacement,
+    lame_displacement_at,
+    make_ring,
+    solve_ring_traction,
+)
 from .strain import sector_average, strain_field
 from .study import (
     CycleParams,
@@ -157,9 +163,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_config(args: argparse.Namespace, extra_defaults: dict) -> SimpleNamespace:
+def _config_flags(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Config key -> flag action of one subcommand, keyed by each long flag's
+    name (``--n-points`` gives ``n_points``) and by its dest."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {}
+    for action in subparsers.choices[command]._actions:
+        for name in action.option_strings:
+            if name.startswith("--"):
+                flags[name[2:].replace("-", "_")] = action
+        flags[action.dest] = action
+    return flags
+
+
+def _merged_config(args: argparse.Namespace, flags: dict) -> SimpleNamespace:
+    """Defaults, then --config values, then explicit flags.
+
+    A config key names a long flag (``slice`` sets what ``--slice`` sets). A
+    value of a typed flag is converted like the same text given on the
+    command line (``"64"`` and ``64`` both give 64); one that flag would
+    reject raises UsageError.
+    """
     merged = dict(COMMON_DEFAULTS)
-    merged.update(extra_defaults)
     explicit = {k: v for k, v in vars(args).items() if k != "command"}
     config_path = explicit.pop("config", None)
     if config_path:
@@ -170,7 +195,16 @@ def _merged_config(args: argparse.Namespace, extra_defaults: dict) -> SimpleName
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config {path} must be a JSON object")
         for key, value in loaded.items():
-            merged[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            action = flags.get(key)
+            if action is not None and action.type is not None:
+                try:
+                    value = action.type(str(value))
+                except ValueError:
+                    raise UsageError(
+                        f"config {path}: {key} must be {action.type.__name__}, got {value!r}"
+                    ) from None
+            merged[key if action is None else action.dest] = value
     merged.update(explicit)
     return SimpleNamespace(**merged)
 
@@ -237,18 +271,7 @@ def _lame_dirichlet_error(spec: RingSpec, n_angular: int, n_radial: int) -> floa
     """
     mesh, mats = make_ring(spec, n_angular, n_radial)
     system = assemble(mesh, mats, "plane-strain")
-    c = np.asarray(spec.center, dtype=float)
-
-    def exact_at(points):
-        rel = points - c
-        radii = np.linalg.norm(rel, axis=1)
-        u = lame_displacement(
-            spec.inner_radius, spec.outer_radius, 1.0, spec.material.E,
-            spec.material.nu, radii,
-        )
-        return (u / radii)[:, None] * rel
-
-    exact_nodes = exact_at(mesh.nodes)
+    exact_nodes = lame_displacement_at(spec, 1.0, mesh.nodes)
     bnodes = np.concatenate([mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")])
     bcs = BoundaryConditionSet(
         dirichlet={int(n): (float(exact_nodes[n, 0]), float(exact_nodes[n, 1])) for n in bnodes}
@@ -259,7 +282,7 @@ def _lame_dirichlet_error(spec: RingSpec, n_angular: int, n_radial: int) -> floa
     num_at_centroids = disp.values[mesh.triangles].mean(axis=1)
     # clamp centroid radii into the wall: the polygonal mesh lies slightly
     # inside the true circles
-    rel = mesh.triangle_centroids() - c
+    rel = mesh.triangle_centroids() - np.asarray(spec.center, dtype=float)
     radii = np.clip(
         np.linalg.norm(rel, axis=1), spec.inner_radius, spec.outer_radius
     )
@@ -316,16 +339,7 @@ def cmd_phantom_verify(cfg) -> int:
     # independent traction-loaded cross-check of the oracle
     na, nr = resolutions[-1]
     mesh, mats, disp = solve_ring_traction(spec, 1.0, na, nr)
-    c = np.asarray(spec.center, dtype=float)
-    rel = mesh.nodes - c
-    radii = np.linalg.norm(rel, axis=1)
-    exact = (
-        lame_displacement(
-            spec.inner_radius, spec.outer_radius, 1.0, spec.material.E,
-            spec.material.nu, radii,
-        )
-        / radii
-    )[:, None] * rel
+    exact = lame_displacement_at(spec, 1.0, mesh.nodes)
     traction_err = float(np.linalg.norm(disp.values - exact) / np.linalg.norm(exact))
     ok = traction_err <= 0.02
     print(f"[{'PASS' if ok else 'FAIL'}] traction cross-check L2 {traction_err:.3e} <= 2e-2")
@@ -617,7 +631,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        cfg = _merged_config(args, {})
+        cfg = _merged_config(args, _config_flags(parser, args.command))
         return COMMANDS[args.command](cfg)
     except (FileNotFoundError, json.JSONDecodeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -189,7 +189,7 @@ def assemble(mesh: Mesh, materials: MaterialField, mode: str = "as-printed") -> 
         raise MeshError(f"mesh contains non-positive-area triangles: {exc}") from exc
 
     d = constitutive_matrices(materials, mode)
-    ke = np.einsum("fki,fkl,flj,f->fij", bmat, d, bmat, area)
+    ke = np.matmul(bmat.transpose(0, 2, 1), d @ bmat) * area[:, None, None]
 
     nf = len(tri)
     dofs = np.empty((nf, 6), dtype=np.int64)
@@ -389,9 +389,14 @@ def boundary_conditions_from_displacements(
 
 
 def _factor(k: sparse.csc_matrix):
-    """Sparse LU factor of ``k``; a singular or near-singular ``k`` raises SolverError."""
+    """Sparse LU factor of ``k``; a singular or near-singular ``k`` raises SolverError.
+
+    Columns are ordered by minimum degree on the pattern of K^T + K, which
+    SuperLU recommends for matrices with a symmetric nonzero pattern such as
+    a stiffness; it fills less than the default COLAMD ordering.
+    """
     try:
-        lu = splu(k)
+        lu = splu(k, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverError(f"direct factorization failed: {exc}") from exc
     pivots = np.abs(lu.U.diagonal())

@@ -174,36 +174,63 @@ def write_study_json(path, study: Study) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
+def _json_field(obj, key: str, kind: type, where: str):
+    """``obj[key]`` checked to be a JSON value of ``kind``; ConfigurationError otherwise."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where}: expected a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ConfigurationError(f"{where}: study JSON is missing {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        name = getattr(kind, "__name__", "a number")
+        raise ConfigurationError(f"{where}: {key!r} must be {name}, got {value!r}")
+    return value
+
+
+def _json_contour(points, label: str, where: str) -> Contour:
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where} {label}: points must be [x, y] pairs ({exc})") from None
+    contour = Contour(pts, label)
+    if not contour.is_simple():
+        raise GeometryError(f"{where} {label}: contour is self-intersecting")
+    return contour
+
+
 def read_study_json(path) -> Study:
+    """Ingest and validate a self-contained JSON study.
+
+    A missing key or a value of the wrong JSON type (``slice`` and ``frame``
+    must be integers, ``slices`` and ``frames`` lists, contours lists of
+    [x, y] pairs) raises ConfigurationError naming the file, slice and frame.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"study file not found: {path}")
     data = json.loads(path.read_text())
-    for key in ("subject_id", "slice_spacing_mm", "slices"):
-        if key not in data:
-            raise ConfigurationError(f"{path}: study JSON is missing {key!r}")
+    if not isinstance(data, dict) or "subject_id" not in data:
+        raise ConfigurationError(f"{path}: study JSON must be an object with 'subject_id'")
+    spacing = float(_json_field(data, "slice_spacing_mm", (int, float), str(path)))
     slices = []
-    for sl in data["slices"]:
-        for key in ("slice", "frames"):
-            if key not in sl:
-                raise ConfigurationError(f"{path}: study JSON slice is missing {key!r}")
-        if any("frame" not in fr for fr in sl["frames"]):
-            raise ConfigurationError(f"{path} slice {sl['slice']}: a frame is missing 'frame'")
+    for sl in _json_field(data, "slices", list, str(path)):
+        sl_idx = _json_field(sl, "slice", int, f"{path} slice")
+        raw_frames = _json_field(sl, "frames", list, f"{path} slice {sl_idx}")
+        indexed = [(_json_field(fr, "frame", int, f"{path} slice {sl_idx}"), fr)
+                   for fr in raw_frames]
         frames = []
-        for fr in sorted(sl["frames"], key=lambda f: f["frame"]):
-            where = f"{path} slice {sl['slice']} frame {fr['frame']}"
+        for frame_idx, fr in sorted(indexed, key=lambda item: item[0]):
+            where = f"{path} slice {sl_idx} frame {frame_idx}"
             if "inner" not in fr or "outer" not in fr:
                 raise ConfigurationError(f"{where}: needs both inner and outer contours")
-            inner = Contour(np.asarray(fr["inner"], dtype=float), "inner")
-            outer = Contour(np.asarray(fr["outer"], dtype=float), "outer")
-            for name, cont in (("inner", inner), ("outer", outer)):
-                if not cont.is_simple():
-                    raise GeometryError(f"{where} {name}: contour is self-intersecting")
-            frames.append(FrameContours(int(fr["frame"]), inner, outer))
-        slices.append(
-            Slice(index=int(sl["slice"]), spacing=float(data["slice_spacing_mm"]),
-                  frames=tuple(frames))
-        )
+            frames.append(
+                FrameContours(
+                    frame_idx,
+                    _json_contour(fr["inner"], "inner", where),
+                    _json_contour(fr["outer"], "outer", where),
+                )
+            )
+        slices.append(Slice(index=sl_idx, spacing=spacing, frames=tuple(frames)))
     return Study(str(data["subject_id"]), tuple(slices))
 
 

@@ -138,33 +138,24 @@ def triangulate_annulus(
     layers = pi[None, :, :] * (1.0 - fractions) + po[None, :, :] * fractions
     nodes = layers.reshape(-1, 2)
 
-    def idx(k, j):
-        return k * n_angular + j
+    # a: lowest (angle, radial) corner and diagonal anchor of each quad,
+    # b/cc/d: its angular, diagonal and radial neighbours
+    j = np.arange(n_angular, dtype=np.int64)
+    jp = (j + 1) % n_angular
+    layer = np.arange(n_radial, dtype=np.int64)[:, None] * n_angular
+    a = (layer + j).ravel()
+    b = (layer + jp).ravel()
+    cc = b + n_angular
+    d = a + n_angular
+    triangles = np.stack([a, d, cc, a, cc, b], axis=1).reshape(-1, 3)
 
-    tris = []
-    for k in range(n_radial):
-        for j in range(n_angular):
-            jp = (j + 1) % n_angular
-            a = idx(k, j)        # lowest (angle, radial) corner; diagonal anchor
-            b = idx(k, jp)
-            cc = idx(k + 1, jp)
-            d = idx(k + 1, j)
-            tris.append((a, d, cc))
-            tris.append((a, cc, b))
-    triangles = np.asarray(tris, dtype=np.int64)
+    last = n_radial * n_angular
+    edges = np.concatenate(
+        [np.column_stack([j, jp]), np.column_stack([last + j, last + jp])]
+    )
+    labels = ("inner",) * n_angular + ("outer",) * n_angular
 
-    edges = []
-    labels = []
-    for j in range(n_angular):
-        jp = (j + 1) % n_angular
-        edges.append((idx(0, j), idx(0, jp)))
-        labels.append("inner")
-    for j in range(n_angular):
-        jp = (j + 1) % n_angular
-        edges.append((idx(n_radial, j), idx(n_radial, jp)))
-        labels.append("outer")
-
-    mesh = Mesh(nodes, triangles, np.asarray(edges, dtype=np.int64), tuple(labels))
+    mesh = Mesh(nodes, triangles, edges, labels)
     if np.any(mesh.triangle_areas() <= 0.0):
         raise GeometryError(
             "non-positive triangle area: contours cross or are inconsistently ordered"

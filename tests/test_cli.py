@@ -168,6 +168,58 @@ def test_study_json_frame_without_contour(tmp_path, synth_pair, capsys, missing)
     assert "frame 3: needs both inner and outer contours" in _single_error_line(capsys)
 
 
+def _ragged_inner(data):
+    data["slices"][0]["frames"][2]["inner"][5].append(0.0)
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda d: d.update(slices=5), "'slices' must be list, got 5"),
+    (_ragged_inner, "slice 0 frame 2 inner: points must be [x, y] pairs"),
+    (lambda d: d["slices"][0]["frames"][4].update(frame="a"),
+     "slice 0: 'frame' must be int, got 'a'"),
+], ids=["slices-not-a-list", "ragged-points", "frame-not-an-int"])
+def test_study_json_wrong_types(tmp_path, synth_pair, capsys, edit, needle):
+    healthy_dir, _ = synth_pair
+    data = json.loads((healthy_dir / "study.json").read_text())
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run("volume", "--study", str(bad), "--out", str(tmp_path / "res"))
+    assert code == 1
+    line = _single_error_line(capsys)
+    assert str(bad) in line and needle in line
+
+
+def test_config_values_converted_like_flags(tmp_path, synth_pair):
+    healthy_dir, _ = synth_pair
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_points": "32", "n_radial": 2, "young": "2e4"}))
+    out = tmp_path / "res"
+    assert run("mesh", "--study", str(healthy_dir / "study.json"),
+               "--config", str(config), "--out", str(out)) == 0
+    with (out / "nodes.csv").open() as fh:
+        assert len(list(csv.DictReader(fh))) == 32 * 3
+
+
+@pytest.mark.parametrize("values, needle", [
+    ({"sectors": "x"}, "sectors must be int, got 'x'"),
+    ({"n_points": 64.5}, "n_points must be int, got 64.5"),
+    ({"tau": [0.5]}, "tau must be float, got [0.5]"),
+    # the key names the --slice flag, whose dest is slice_index
+    ({"slice": 7}, "--slice must be in 0..0, got 7"),
+])
+def test_bad_config_value(tmp_path, synth_pair, capsys, values, needle):
+    healthy_dir, _ = synth_pair
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    capsys.readouterr()
+    code = run("strain", "--study", str(healthy_dir / "study.json"),
+               "--config", str(config), "--out", str(tmp_path / "res"))
+    assert code == 2
+    assert needle in _single_error_line(capsys)
+
+
 def test_analyze_missing_manifest(tmp_path, synth_pair):
     healthy_dir, _ = synth_pair
     code = run(

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from cardiofem import (
+    AngularRegion,
     BoundaryConditionSet,
     ConfigurationError,
     ConstraintConflictError,
@@ -30,6 +32,7 @@ from cardiofem import (
     triangulate_annulus,
 )
 from cardiofem import fem
+from cardiofem.phantom import lame_displacement_at
 
 from conftest import circle_frame
 
@@ -560,3 +563,55 @@ def test_bcs_from_displacements_count_mismatch():
     mesh = triangulate_annulus(inner, outer, 16, 2)
     with pytest.raises(GeometryError):
         boundary_conditions_from_displacements(mesh, bd)
+
+
+# ---------------------------------------------------------------------------
+# factor ordering: the solves against a default-ordered (COLAMD) reference on
+# high stiffness contrast, near-incompressible plane strain and a thin wall
+
+
+def _wedge_spec(contrast, nu, outer_radius=2.0):
+    wedge = AngularRegion(200.0, 290.0, Material(1e4 * contrast, nu))
+    return RingSpec(1.0, outer_radius, material=Material(1e4, nu), regions=(wedge,))
+
+
+@pytest.mark.parametrize("n_angular, n_radial", [(128, 16), (256, 32)])
+@pytest.mark.parametrize("contrast, nu, outer_radius", [
+    (10.0, 0.3, 2.0),
+    (10.0, 0.49, 2.0),
+    (1000.0, 0.3, 2.0),
+    (1000.0, 0.49, 2.0),
+    (1.0, 0.3, 1.02),
+])
+def test_solves_match_colamd_reference(n_angular, n_radial, contrast, nu, outer_radius):
+    spec = _wedge_spec(contrast, nu, outer_radius)
+    mesh, mats = make_ring(spec, n_angular, n_radial)
+    system = assemble(mesh, mats, "plane-strain")
+    bcs = _dirichlet_all_boundary(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
+    constrained = apply_dirichlet(system, bcs, mesh)
+    reference = splu(constrained.stiffness.tocsc(), permc_spec="COLAMD").solve(
+        constrained.load
+    ).reshape(-1, 2)
+    scale = np.linalg.norm(reference)
+    direct = solve(constrained).values
+    (condensed,) = solve_condensed(system, [bcs])
+    assert np.linalg.norm(direct - reference) <= 1e-12 * scale
+    assert np.linalg.norm(condensed.values - reference) <= 1e-12 * scale
+
+
+def test_each_solve_factorizes_once_through_module_splu(ring_mesh, monkeypatch):
+    # the benchmark's tracer counts factorizations and their fill by wrapping fem.splu
+    calls = []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    mesh, mats = ring_mesh
+    system = assemble(mesh, mats)
+    bcs_sets = _random_boundary_sets(mesh, 3)
+    solve(apply_dirichlet(system, bcs_sets[0], mesh))
+    assert len(calls) == 1
+    solve_condensed(system, bcs_sets)
+    assert len(calls) == 2

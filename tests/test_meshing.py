@@ -194,3 +194,68 @@ def test_boundary_nodes(ring_mesh):
     mesh, _ = ring_mesh
     assert mesh.boundary_nodes("inner").tolist() == list(range(16))
     assert mesh.boundary_nodes("outer").tolist() == list(range(32, 48))
+
+
+# ---------------------------------------------------------------------------
+# index-arithmetic triangulation against the per-quad loop it replaced
+
+
+def _triangulate_loop_oracle(inner, outer, n_angular, n_radial):
+    """Nodes, triangles, boundary edges and labels built quad by quad."""
+    fractions = np.arange(n_radial + 1)[:, None, None] / n_radial
+    layers = inner.points[None, :, :] * (1.0 - fractions) + outer.points[None, :, :] * fractions
+    nodes = layers.reshape(-1, 2)
+
+    def idx(k, j):
+        return k * n_angular + j
+
+    tris = []
+    for k in range(n_radial):
+        for j in range(n_angular):
+            jp = (j + 1) % n_angular
+            a = idx(k, j)
+            b = idx(k, jp)
+            cc = idx(k + 1, jp)
+            d = idx(k + 1, j)
+            tris.append((a, d, cc))
+            tris.append((a, cc, b))
+    edges = []
+    labels = []
+    for k, label in ((0, "inner"), (n_radial, "outer")):
+        for j in range(n_angular):
+            edges.append((idx(k, j), idx(k, (j + 1) % n_angular)))
+            labels.append(label)
+    return (
+        nodes,
+        np.asarray(tris, dtype=np.int64),
+        np.asarray(edges, dtype=np.int64),
+        tuple(labels),
+    )
+
+
+def _perturbed(n, seed):
+    return (
+        star_contour(n, 1.0, seed=seed, label="inner"),
+        star_contour(n, 2.0, seed=seed + 50, label="outer"),
+    )
+
+
+@pytest.mark.parametrize("contours, n_angular, n_radial", [
+    (_circles(3), 3, 1),
+    (_circles(4), 4, 1),
+    (_circles(64), 64, 8),
+    (_circles(256), 256, 32),
+    (_perturbed(24, 1), 24, 3),
+    (_perturbed(64, 2), 64, 8),
+    (_perturbed(37, 3), 37, 5),
+])
+def test_triangulation_matches_loop_oracle(contours, n_angular, n_radial):
+    inner, outer = contours
+    mesh = triangulate_annulus(inner, outer, n_angular, n_radial)
+    nodes, tris, edges, labels = _triangulate_loop_oracle(inner, outer, n_angular, n_radial)
+    for got, expected in ((mesh.nodes, nodes), (mesh.triangles, tris),
+                          (mesh.boundary_edges, edges)):
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+    assert mesh.boundary_labels == labels
