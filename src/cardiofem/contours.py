@@ -73,8 +73,15 @@ class Contour:
         return len(self.points)
 
     def is_simple(self) -> bool:
-        """True if no two non-adjacent edges intersect or touch."""
-        return is_simple_polygon(self.points)
+        """True if no two non-adjacent edges intersect or touch.
+
+        The O(n^2) check runs once per contour; the result is kept.
+        """
+        simple = self.__dict__.get("_simple")
+        if simple is None:
+            simple = is_simple_polygon(self.points)
+            object.__setattr__(self, "_simple", simple)
+        return simple
 
 
 @dataclass(frozen=True)
@@ -338,6 +345,31 @@ def resample_uniform_angle(contour: Contour, center, n: int) -> Contour:
     return Contour(out, contour.label)
 
 
+def uniform_angle_walls(
+    frame: FrameContours,
+    center,
+    n: int,
+    rotation_deg: float | None = None,
+    context: str = "frame 0",
+) -> tuple[Contour, Contour]:
+    """Both walls of one frame resampled onto n uniform angles about center.
+
+    Each wall must be star-shaped about the center; a failure names
+    ``context``. With ``rotation_deg`` given, the walls are first rotated
+    counter-clockwise by that angle about the center (the removal of a known
+    clockwise rotation), even for 0, whose rotation can still round.
+    """
+    c = _as_point(center)
+    require_star_shaped(frame.inner, c, f"{context} inner")
+    require_star_shaped(frame.outer, c, f"{context} outer")
+    inner, outer = frame.inner, frame.outer
+    if rotation_deg is not None:
+        derot = math.radians(rotation_deg)
+        inner = Contour(rotate_about(inner.points, c, derot), "inner")
+        outer = Contour(rotate_about(outer.points, c, derot), "outer")
+    return resample_uniform_angle(inner, c, n), resample_uniform_angle(outer, c, n)
+
+
 def boundary_displacements(
     frame0: FrameContours,
     frame1: FrameContours,
@@ -354,25 +386,8 @@ def boundary_displacements(
     zero displacement.
     """
     center = centroid(frame0.inner)
-    c = np.array(center, dtype=float)
-
-    for cont, what in (
-        (frame0.inner, "frame 0 inner"),
-        (frame0.outer, "frame 0 outer"),
-        (frame1.inner, "frame 1 inner"),
-        (frame1.outer, "frame 1 outer"),
-    ):
-        require_star_shaped(cont, c, what)
-
-    derot = math.radians(rotation_deg)
-    inner1 = Contour(rotate_about(frame1.inner.points, c, derot), "inner")
-    outer1 = Contour(rotate_about(frame1.outer.points, c, derot), "outer")
-
-    i0 = resample_uniform_angle(frame0.inner, c, n)
-    o0 = resample_uniform_angle(frame0.outer, c, n)
-    i1 = resample_uniform_angle(inner1, c, n)
-    o1 = resample_uniform_angle(outer1, c, n)
-
+    i0, o0 = uniform_angle_walls(frame0, center, n)
+    i1, o1 = uniform_angle_walls(frame1, center, n, rotation_deg, "frame 1")
     return BoundaryDisplacements(
         inner_positions=i0.points,
         inner_vectors=i1.points - i0.points,

@@ -13,10 +13,11 @@ the x-displacement of node i and dof 2*i + 1 its y-displacement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
+from scipy.spatial import cKDTree
 from scipy.sparse.linalg import cg as sparse_cg
 from scipy.sparse.linalg import splu
 
@@ -139,6 +140,19 @@ def strain_displacement_matrices(nodes, triangles) -> tuple[np.ndarray, np.ndarr
     return bmat, 0.5 * two_a
 
 
+def _element_matrices(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only B matrices and areas of a mesh's elements, computed once per
+    mesh so that assembly and every frame's strain of a cycle share them."""
+
+    def compute():
+        bmat, area = strain_displacement_matrices(mesh.nodes, mesh.triangles)
+        bmat.setflags(write=False)
+        area.setflags(write=False)
+        return bmat, area
+
+    return mesh.cached("element_matrices", compute)
+
+
 def strain_displacement_matrix(coords) -> tuple[np.ndarray, float]:
     """Constant B matrix (3x6) of one linear triangle and its area."""
     bmat, area = strain_displacement_matrices(
@@ -184,7 +198,7 @@ def assemble(mesh: Mesh, materials: MaterialField, mode: str = "as-printed") -> 
     if len(tri) and tri.max() >= mesh.n_nodes:
         raise MeshError("triangle node index out of range")
     try:
-        bmat, area = strain_displacement_matrices(mesh.nodes, tri)
+        bmat, area = _element_matrices(mesh)
     except GeometryError as exc:
         raise MeshError(f"mesh contains non-positive-area triangles: {exc}") from exc
 
@@ -330,28 +344,35 @@ def internal_pressure_tractions(mesh: Mesh, pressure: float) -> dict:
     return tractions
 
 
-def boundary_conditions_from_displacements(
+def boundary_dof_map(
     mesh: Mesh,
-    bd: BoundaryDisplacements,
-    mode: str = "nodal",
+    inner_positions,
+    outer_positions,
+    center,
     match: str = "position",
-) -> BoundaryConditionSet:
-    """Map boundary displacement samples onto mesh boundary nodes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair the dofs of both boundary loops with displacement samples.
+
+    Returns the sorted dofs of all inner and outer boundary nodes and, per
+    dof, the index of its value in the flattened sample vectors
+    ``concatenate([inner_vectors, outer_vectors]).ravel()``.
 
     ``match="position"`` pairs each boundary node with the sample at the same
     location (the usual case: the mesh was built from the same resampled
-    contours). ``match="index"`` pairs by angular order about the reference
-    center, for reusing a reference mesh with samples taken on a slightly
-    different geometry (small-strain approximation).
+    contours, so node k of a loop sits on sample k; other orders fall back to
+    a nearest-sample search). Nodes farther than 1e-9 of the loop's extent
+    about ``center`` from their sample raise GeometryError.
+    ``match="index"`` pairs by angular order about ``center``, for reusing a
+    reference mesh with samples taken on a slightly different geometry
+    (small-strain approximation).
     """
     if match not in ("position", "index"):
         raise ConfigurationError(f"match must be 'position' or 'index', got {match!r}")
-    c = np.asarray(bd.reference_center, dtype=float)
-    dirichlet: dict[int, tuple[float, float]] = {}
-    for label, positions, vectors in (
-        ("inner", bd.inner_positions, bd.inner_vectors),
-        ("outer", bd.outer_positions, bd.outer_vectors),
-    ):
+    c = np.asarray(center, dtype=float)
+    nodes, samples = [], []
+    offset = 0
+    for label, positions in (("inner", inner_positions), ("outer", outer_positions)):
+        positions = np.asarray(positions, dtype=float)
         node_ids = mesh.boundary_nodes(label)
         if len(node_ids) != len(positions):
             raise GeometryError(
@@ -360,14 +381,15 @@ def boundary_conditions_from_displacements(
             )
         coords = mesh.nodes[node_ids]
         if match == "position":
-            diff = coords[:, None, :] - positions[None, :, :]
-            dist = np.linalg.norm(diff, axis=2)
-            nearest = np.argmin(dist, axis=1)
-            scale = float(np.max(np.abs(coords - c))) or 1.0
-            if np.max(dist[np.arange(len(node_ids)), nearest]) > 1e-9 * scale:
-                raise GeometryError(
-                    f"{label} boundary nodes do not coincide with displacement samples"
-                )
+            nearest = np.arange(len(node_ids))
+            dist = np.linalg.norm(coords - positions, axis=1)
+            tol = 1e-9 * (float(np.max(np.abs(coords - c))) or 1.0)
+            if not np.all(dist <= tol):
+                dist, nearest = cKDTree(positions).query(coords)
+                if np.max(dist) > tol:
+                    raise GeometryError(
+                        f"{label} boundary nodes do not coincide with displacement samples"
+                    )
         else:
             node_angles = np.mod(
                 np.arctan2(coords[:, 1] - c[1], coords[:, 0] - c[0]), 2.0 * np.pi
@@ -379,8 +401,35 @@ def boundary_conditions_from_displacements(
             sample_order = np.argsort(sample_angles, kind="stable")
             nearest = np.empty(len(node_ids), dtype=np.int64)
             nearest[node_order] = sample_order
-        for node, j in zip(node_ids, nearest):
-            dirichlet[int(node)] = (float(vectors[j, 0]), float(vectors[j, 1]))
+        nodes.append(node_ids)
+        samples.append(offset + nearest)
+        offset += len(positions)
+    node_ids = np.concatenate(nodes)
+    order = np.argsort(node_ids, kind="stable")
+    dofs = (2 * node_ids[order, None] + np.arange(2)).ravel()
+    take = (2 * np.concatenate(samples)[order, None] + np.arange(2)).ravel()
+    return dofs, take
+
+
+def boundary_conditions_from_displacements(
+    mesh: Mesh,
+    bd: BoundaryDisplacements,
+    mode: str = "nodal",
+    match: str = "position",
+) -> BoundaryConditionSet:
+    """Map boundary displacement samples onto mesh boundary nodes.
+
+    Nodes and samples are paired by :func:`boundary_dof_map` (``match`` is
+    ``"position"`` or ``"index"``); every boundary node gets both components.
+    """
+    dofs, take = boundary_dof_map(
+        mesh, bd.inner_positions, bd.outer_positions, bd.reference_center, match
+    )
+    values = np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]
+    dirichlet = {
+        node: (u, v)
+        for node, (u, v) in zip((dofs[0::2] // 2).tolist(), values.reshape(-1, 2).tolist())
+    }
     return BoundaryConditionSet(dirichlet=dirichlet, mode=mode)
 
 
@@ -415,12 +464,18 @@ def _check_columns(u: np.ndarray, residual: np.ndarray, f_norm: np.ndarray) -> N
     for j in range(u.shape[1]):
         if not np.all(np.isfinite(u[:, j])):
             raise SolverError("solution contains non-finite values; system is singular", j)
-        ok = residual[j] <= 1e-10 * f_norm[j] if f_norm[j] > 0.0 else residual[j] <= 1e-12
+        if f_norm[j] > 0.0:
+            ok = residual[j] <= 1e-10 * f_norm[j]
+            miss = f"relative residual {residual[j] / f_norm[j]:.2e} > 1e-10"
+        else:
+            ok = residual[j] <= 1e-12
+            miss = "absolute residual > 1e-12 for a zero load"
         if not ok:
             raise SolverError(
                 f"residual contract violated: |KU - F| = {residual[j]:.3e} with "
-                f"|F| = {f_norm[j]:.3e}; check that at least 3 dofs are pinned against "
-                "rigid motion",
+                f"|F| = {f_norm[j]:.3e} ({miss}); the system is singular or "
+                "ill-conditioned: fewer than 3 dofs pinned against rigid motion, "
+                "or a large stiffness contrast or a Poisson's ratio near 0.5",
                 j,
             )
 
@@ -429,8 +484,9 @@ def solve(system: LinearSystem, method: str = "direct") -> DisplacementField:
     """Solve K U = F and check the residual contract.
 
     The relative residual must not exceed 1e-10 (absolute 1e-12 for a zero
-    load); otherwise the system is reported as singular or ill-conditioned,
-    typically because rigid modes were left unconstrained.
+    load); otherwise the system is reported as singular or ill-conditioned:
+    rigid modes left unconstrained, or float64 rounding of a stiffness with a
+    large contrast or near-incompressible material.
     """
     k = system.stiffness.tocsc()
     f = system.load
@@ -458,33 +514,43 @@ def solve(system: LinearSystem, method: str = "direct") -> DisplacementField:
 
 
 def solve_condensed(
-    system: LinearSystem, bcs_sets: Sequence[BoundaryConditionSet]
+    system: LinearSystem, fixed_dofs, values
 ) -> list[DisplacementField]:
-    """Solve K U = F once per Dirichlet set, for sets that all fix the same dofs.
+    """Solve K U = F for several sets of values on the same fixed dofs.
 
-    Static condensation: with free dofs f and fixed dofs b, each set leaves
-    K_ff u_f = F_f - K_fb u_b with the same K_ff, so K_ff is factorized once
-    and all sets are solved as one multi-column right-hand side. Result j
-    equals ``solve(apply_dirichlet(system, bcs_sets[j]))`` to rounding
-    and passes the same checks: the pivot ratio of the factor and, per
-    column, the residual contract of the eliminated system,
+    ``fixed_dofs`` are strictly increasing dof indices and ``values`` is an
+    (n_fixed, n_sets) array whose column j holds set j's values on them; the
+    system itself must carry no constraints. Static condensation: with free
+    dofs f and fixed dofs b, each set leaves K_ff u_f = F_f - K_fb u_b with
+    the same K_ff, so K_ff is factorized once and all sets are solved as one
+    multi-column right-hand side. Result j equals
+    ``solve(apply_dirichlet(system, bcs_j))`` to rounding and passes the same
+    checks: the pivot ratio of the factor and, per column, the residual
+    contract of the eliminated system,
     |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2).
     A failing column j raises SolverError with ``column=j``.
     """
-    constraints = [_constraint_values(system, bcs, None) for bcs in bcs_sets]
-    if not constraints:
+    fixed = np.asarray(fixed_dofs, dtype=np.int64)
+    u_b = np.asarray(values, dtype=float)
+    if system.constraints:
+        raise ConfigurationError("solve_condensed needs a system without constraints")
+    if fixed.ndim != 1 or np.any(np.diff(fixed) <= 0):
+        raise ConfigurationError("fixed dofs must be strictly increasing")
+    if len(fixed) and (fixed[0] < 0 or fixed[-1] >= system.n_dofs):
+        raise ConfigurationError(f"fixed dofs must lie in 0..{system.n_dofs - 1}")
+    if u_b.ndim != 2 or len(u_b) != len(fixed):
+        raise ConfigurationError(
+            f"values must be ({len(fixed)}, n_sets) for {len(fixed)} fixed dofs, "
+            f"got {u_b.shape}"
+        )
+    if not u_b.shape[1]:
         return []
-    fixed = np.array(sorted(constraints[0]), dtype=np.int64)
-    for j, c in enumerate(constraints):
-        if c.keys() != constraints[0].keys():
-            raise ConfigurationError(f"boundary condition set {j} fixes other dofs than set 0")
-    u_b = np.array([[c[int(dof)] for dof in fixed] for c in constraints]).T
     free = np.setdiff1d(np.arange(system.n_dofs), fixed)
     k_free = system.stiffness.tocsr()[free]
     k_ff = k_free[:, free].tocsc()
     rhs = system.load[free, None] - k_free[:, fixed] @ u_b
 
-    u = np.empty((system.n_dofs, len(constraints)))
+    u = np.empty((system.n_dofs, u_b.shape[1]))
     u[fixed] = u_b
     # a mesh whose nodes are all constrained leaves nothing to factorize
     u[free] = _factor(k_ff).solve(rhs) if len(free) else rhs

@@ -62,6 +62,17 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
+    def cached(self, key, compute):
+        """``compute()``, evaluated once per ``key`` and kept on this mesh.
+
+        The mesh is read-only, so values derived from its geometry stay
+        valid for its lifetime; callers must not modify what is returned.
+        """
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     def triangle_areas(self) -> np.ndarray:
         """Signed areas; positive for counter-clockwise triangles."""
         p = self.nodes[self.triangles]

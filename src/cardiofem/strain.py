@@ -22,7 +22,7 @@ import numpy as np
 
 from .contours import _as_point
 from .errors import GeometryError
-from .fem import DisplacementField, strain_displacement_matrices
+from .fem import DisplacementField, _element_matrices
 from .materials import _check_mode
 from .meshing import Mesh
 
@@ -173,7 +173,7 @@ def strain_field(
         )
     nf = mesh.n_triangles
     nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), (nf,))
-    bmat, _ = strain_displacement_matrices(mesh.nodes, mesh.triangles)
+    bmat, _ = _element_matrices(mesh)
     comps = np.einsum("fij,fj->fi", bmat, disp.values[mesh.triangles].reshape(nf, 6))
     local = _edge_frame(mesh, comps) if keep_local else None
     eff = effective_strain(comps[:, 0], comps[:, 1], comps[:, 2], nu_arr, mode)
@@ -190,6 +190,22 @@ def sector_index(angles_rad, n_sectors: int) -> np.ndarray:
     s[on_boundary] -= 1
     s[s >= n_sectors] = n_sectors - 1
     return s
+
+
+def _element_sectors(mesh: Mesh, center, n_sectors: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sector of each element centroid about the center and the
+    element count per sector, computed once per mesh, center and sector count."""
+    c = _as_point(center)
+
+    def compute():
+        cen = mesh.triangle_centroids() - c
+        sectors = sector_index(np.arctan2(cen[:, 1], cen[:, 0]), n_sectors)
+        counts = np.bincount(sectors, minlength=n_sectors)
+        sectors.setflags(write=False)
+        counts.setflags(write=False)
+        return sectors, counts
+
+    return mesh.cached(("sectors", c.tobytes(), n_sectors), compute)
 
 
 def sector_average(
@@ -209,14 +225,11 @@ def sector_average(
         raise GeometryError("n_sectors must be >= 1")
     if strain.n_elements != mesh.n_triangles:
         raise GeometryError("strain field does not match mesh")
-    c = _as_point(center)
-    cen = mesh.triangle_centroids() - c
-    sectors = sector_index(np.arctan2(cen[:, 1], cen[:, 0]), n_sectors)
+    sectors, counts = _element_sectors(mesh, center, n_sectors)
 
     disp_at_centroid = disp.values[mesh.triangles].mean(axis=1)
     disp_mag = np.linalg.norm(disp_at_centroid, axis=1)
 
-    counts = np.bincount(sectors, minlength=n_sectors)
     sum_disp = np.bincount(sectors, weights=disp_mag, minlength=n_sectors)
     sum_eff = np.bincount(sectors, weights=strain.effective, minlength=n_sectors)
     denom = np.maximum(counts, 1)

@@ -8,16 +8,24 @@ assumption); frame pairs are (0 -> k) in the default cumulative mode or
 (k-1 -> k) in incremental mode. Rotation compensation per pair follows a
 linear ramp that totals the configured systolic rotation.
 
-Every frame pair fixes the same dofs (both components of all inner and outer
-boundary nodes) and only their values change, so the stiffness is condensed
-onto its free dofs and factorized once per slice, and all frame pairs are
-solved as one multi-column right-hand side (``fem.solve_condensed``). Strain
-is then one vectorised B . d per frame; the per-element local-frame formula
-of the method is the test oracle for it.
+Frame 0 is checked for star shape and resampled once per slice; its walls
+are the mesh boundary. In cumulative mode each later frame is resampled once
+and its boundary values are the differences to those walls; in incremental
+mode each pair has its own reference frame and is matched to the mesh by
+angular index. Every frame pair fixes the same dofs (both components of all
+inner and outer boundary nodes) and only their values change, so one map
+from dofs to samples (``fem.boundary_dof_map``) gathers the values of all
+pairs into one (fixed dofs, pairs) array, the stiffness is condensed onto its
+free dofs and factorized once per slice, and all pairs are solved as one
+multi-column right-hand side (``fem.solve_condensed``). Strain is then one
+vectorised B . d per frame, with the B matrices and sector bins of the shared
+mesh computed once and kept on it; the per-element local-frame formula of the
+method is the test oracle for the strain.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,15 +35,14 @@ from .contours import (
     FrameContours,
     boundary_displacements,
     centroid,
-    is_simple_polygon,
     polygon_area,
-    resample_uniform_angle,
+    uniform_angle_walls,
 )
 from .errors import ConfigurationError, GeometryError, SolverError
 from .fem import (
     DisplacementField,
     assemble,
-    boundary_conditions_from_displacements,
+    boundary_dof_map,
     solve_condensed,
 )
 from .materials import Material, MaterialField
@@ -181,7 +188,7 @@ def ventricle_volume(study: Study, frame: int) -> float:
         if frame < 0 or frame >= sl.n_frames:
             raise ConfigurationError(f"frame {frame} outside study range")
         inner = sl.frames[frame].inner
-        if not is_simple_polygon(inner.points):
+        if not inner.is_simple():
             raise GeometryError(
                 f"slice {sl.index} frame {frame}: inner contour self-intersects"
             )
@@ -201,6 +208,15 @@ def normalized_volume_curve(study: Study) -> VolumeCurve:
 
 # ---------------------------------------------------------------------------
 # deformation analysis
+
+
+@contextmanager
+def _frame_errors(k: int):
+    """Prefix geometry and configuration errors with the frame they belong to."""
+    try:
+        yield
+    except (GeometryError, ConfigurationError) as exc:
+        raise type(exc)(f"frame {k}: {exc}") from exc
 
 
 def cycle_strain_analysis(
@@ -224,30 +240,33 @@ def cycle_strain_analysis(
 
     frame0 = frames[0]
     center = centroid(frame0.inner)
-    inner0 = resample_uniform_angle(frame0.inner, center, params.n_points)
-    outer0 = resample_uniform_angle(frame0.outer, center, params.n_points)
+    with _frame_errors(1):
+        inner0, outer0 = uniform_angle_walls(frame0, center, params.n_points)
     mesh = triangulate_annulus(inner0, outer0, params.n_points, params.n_radial)
     materials = MaterialField.uniform(mesh, params.material)
     base_system = assemble(mesh, materials, params.mode)
+    fixed, take = boundary_dof_map(mesh, inner0.points, outer0.points, center)
 
     step_rot = params.rotation_deg_total / (n - 1) if n > 1 else 0.0
-    bcs_sets = []
+    walls0 = np.concatenate([inner0.points, outer0.points])
+    values = np.empty((len(fixed), n - 1))
     for k in range(1, n):
-        if params.reference == "cumulative":
-            ref, target = frame0, frames[k]
-            rotation = step_rot * k
-            match = "position"
-        else:
-            ref, target = frames[k - 1], frames[k]
-            rotation = step_rot
-            match = "index"
-        try:
-            bd = boundary_displacements(ref, target, params.n_points, rotation)
-            bcs_sets.append(boundary_conditions_from_displacements(mesh, bd, match=match))
-        except (GeometryError, ConfigurationError) as exc:
-            raise type(exc)(f"frame {k}: {exc}") from exc
+        with _frame_errors(k):
+            if params.reference == "cumulative":
+                # a failure names the pair's target as boundary_displacements does
+                inner, outer = uniform_angle_walls(
+                    frames[k], center, params.n_points, step_rot * k, "frame 1"
+                )
+                vectors = np.concatenate([inner.points, outer.points]) - walls0
+            else:
+                bd = boundary_displacements(frames[k - 1], frames[k], params.n_points, step_rot)
+                _, take = boundary_dof_map(
+                    mesh, bd.inner_positions, bd.outer_positions, bd.reference_center, "index"
+                )
+                vectors = np.concatenate([bd.inner_vectors, bd.outer_vectors])
+        values[:, k - 1] = vectors.ravel()[take]
     try:
-        disps = solve_condensed(base_system, bcs_sets)
+        disps = solve_condensed(base_system, fixed, values)
     except SolverError as exc:
         where = f"frame {exc.column + 1}" if exc.column is not None else f"frames 1-{n - 1}"
         raise SolverError(f"{where}: {exc}", exc.column) from exc

@@ -7,8 +7,11 @@ from scipy.sparse.linalg import splu
 from cardiofem import (
     AngularRegion,
     BoundaryConditionSet,
+    BoundaryDisplacements,
     ConfigurationError,
     ConstraintConflictError,
+    Contour,
+    FrameContours,
     GeometryError,
     Material,
     MaterialField,
@@ -32,9 +35,9 @@ from cardiofem import (
     triangulate_annulus,
 )
 from cardiofem import fem
-from cardiofem.phantom import lame_displacement_at
+from cardiofem.phantom import lame_displacement_at, solve_ring_traction
 
-from conftest import circle_frame
+from conftest import circle_frame, star_contour
 
 
 def _random_triangle(rng):
@@ -455,6 +458,16 @@ def _random_boundary_sets(mesh, n_sets, seed=0):
     ]
 
 
+def _as_arrays(bcs_sets):
+    """Sorted fixed dofs and the (n_fixed, n_sets) values of full-node sets on the same nodes."""
+    nodes = sorted(bcs_sets[0].dirichlet)
+    fixed = np.array([2 * n + c for n in nodes for c in (0, 1)], dtype=np.int64)
+    values = np.array(
+        [[bcs.dirichlet[n][c] for n in nodes for c in (0, 1)] for bcs in bcs_sets]
+    ).T
+    return fixed, values
+
+
 def test_solve_condensed_matches_per_set_solve(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
@@ -463,7 +476,7 @@ def test_solve_condensed_matches_per_set_solve(ring_mesh):
         system.stiffness, np.random.default_rng(1).normal(size=system.n_dofs)
     )
     bcs_sets = _random_boundary_sets(mesh, 4)
-    batched = solve_condensed(system, bcs_sets)
+    batched = solve_condensed(system, *_as_arrays(bcs_sets))
     assert len(batched) == 4
     for bcs, disp in zip(bcs_sets, batched):
         expected = solve(apply_dirichlet(system, bcs, mesh)).values
@@ -473,21 +486,22 @@ def test_solve_condensed_matches_per_set_solve(ring_mesh):
 def test_solve_condensed_all_nodes_constrained():
     mesh, mats = make_ring(RingSpec(1.0, 2.0), 16, 1)  # every node is a boundary node
     values = _affine_field(mesh.nodes)
-    (disp,) = solve_condensed(assemble(mesh, mats), [_dirichlet_all_boundary(mesh, values)])
+    fixed, u_b = _as_arrays([_dirichlet_all_boundary(mesh, values)])
+    (disp,) = solve_condensed(assemble(mesh, mats), fixed, u_b)
     assert_allclose(disp.values, values, rtol=0, atol=0)
 
 
 def test_solve_condensed_empty_sequence(ring_mesh):
     mesh, mats = ring_mesh
-    assert solve_condensed(assemble(mesh, mats), []) == []
+    fixed, _ = _as_arrays(_random_boundary_sets(mesh, 1))
+    assert solve_condensed(assemble(mesh, mats), fixed, np.empty((len(fixed), 0))) == []
 
 
-def test_solve_condensed_requires_same_fixed_dofs(ring_mesh):
+def test_solve_condensed_checks_values_shape(ring_mesh):
     mesh, mats = ring_mesh
-    full, _ = _random_boundary_sets(mesh, 2)
-    partial = BoundaryConditionSet(dirichlet=dict(list(full.dirichlet.items())[1:]))
+    fixed, values = _as_arrays(_random_boundary_sets(mesh, 2))
     with pytest.raises(ConfigurationError):
-        solve_condensed(assemble(mesh, mats), [full, partial])
+        solve_condensed(assemble(mesh, mats), fixed, values[1:])
 
 
 def test_solve_condensed_singular_free_block(ring_mesh):
@@ -499,7 +513,7 @@ def test_solve_condensed_singular_free_block(ring_mesh):
         np.zeros(system.n_dofs + 2),
     )
     with pytest.raises(SolverError):
-        solve_condensed(padded, _random_boundary_sets(mesh, 3))
+        solve_condensed(padded, *_as_arrays(_random_boundary_sets(mesh, 3)))
 
 
 def test_solve_condensed_names_failing_column(ring_mesh, monkeypatch):
@@ -517,7 +531,7 @@ def test_solve_condensed_names_failing_column(ring_mesh, monkeypatch):
 
     monkeypatch.setattr(fem, "_factor", lambda k: CorruptColumnOne(real_factor(k)))
     with pytest.raises(SolverError, match="residual contract") as info:
-        solve_condensed(assemble(mesh, mats), _random_boundary_sets(mesh, 3))
+        solve_condensed(assemble(mesh, mats), *_as_arrays(_random_boundary_sets(mesh, 3)))
     assert info.value.column == 1
 
 
@@ -565,6 +579,67 @@ def test_bcs_from_displacements_count_mismatch():
         boundary_conditions_from_displacements(mesh, bd)
 
 
+def _mesh_and_samples(n=24):
+    """A frame-0 mesh and the displacement samples of a deformed frame on it."""
+    frame0 = circle_frame(0)
+    frame1 = FrameContours(
+        1, star_contour(32, 0.9, seed=1), star_contour(32, 1.9, seed=2, label="outer")
+    )
+    bd = boundary_displacements(frame0, frame1, n)
+    mesh = triangulate_annulus(
+        Contour(bd.inner_positions, "inner"), Contour(bd.outer_positions, "outer"), n, 2
+    )
+    return mesh, bd
+
+
+def test_bcs_position_match_maps_rolled_samples():
+    mesh, bd = _mesh_and_samples()
+    rolled = BoundaryDisplacements(
+        np.roll(bd.inner_positions, 5, axis=0), np.roll(bd.inner_vectors, 5, axis=0),
+        np.roll(bd.outer_positions, -3, axis=0), np.roll(bd.outer_vectors, -3, axis=0),
+        bd.reference_center,
+    )
+    expected = boundary_conditions_from_displacements(mesh, bd).dirichlet
+    assert boundary_conditions_from_displacements(mesh, rolled).dirichlet == expected
+    # both equal the nearest sample by brute force
+    for label, positions, vectors in (
+        ("inner", rolled.inner_positions, rolled.inner_vectors),
+        ("outer", rolled.outer_positions, rolled.outer_vectors),
+    ):
+        nodes = mesh.boundary_nodes(label)
+        dist = np.linalg.norm(mesh.nodes[nodes][:, None] - positions[None], axis=2)
+        for node, j in zip(nodes, np.argmin(dist, axis=1)):
+            assert expected[int(node)] == tuple(vectors[j])
+    assert len(set(expected.values())) == len(expected)  # a wrong pairing would show
+
+
+@pytest.mark.parametrize("offset, coincide", [(1e-12, True), (1e-6, False)])
+def test_bcs_position_match_tolerance(offset, coincide):
+    mesh, bd = _mesh_and_samples()
+    shifted = BoundaryDisplacements(
+        bd.inner_positions + offset, bd.inner_vectors,
+        bd.outer_positions, bd.outer_vectors, bd.reference_center,
+    )
+    if coincide:
+        assert (
+            boundary_conditions_from_displacements(mesh, shifted).dirichlet
+            == boundary_conditions_from_displacements(mesh, bd).dirichlet
+        )
+    else:
+        with pytest.raises(GeometryError, match="inner boundary nodes do not coincide"):
+            boundary_conditions_from_displacements(mesh, shifted)
+
+
+def test_boundary_dof_map_pairs_sorted_dofs_with_samples():
+    mesh, bd = _mesh_and_samples()
+    dofs, take = fem.boundary_dof_map(
+        mesh, bd.inner_positions, bd.outer_positions, bd.reference_center
+    )
+    boundary = np.concatenate([mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")])
+    assert np.array_equal(dofs, np.sort(np.concatenate([2 * boundary, 2 * boundary + 1])))
+    assert np.array_equal(take, np.arange(len(dofs)))  # node k of a loop sits on sample k
+
+
 # ---------------------------------------------------------------------------
 # factor ordering: the solves against a default-ordered (COLAMD) reference on
 # high stiffness contrast, near-incompressible plane strain and a thin wall
@@ -594,7 +669,7 @@ def test_solves_match_colamd_reference(n_angular, n_radial, contrast, nu, outer_
     ).reshape(-1, 2)
     scale = np.linalg.norm(reference)
     direct = solve(constrained).values
-    (condensed,) = solve_condensed(system, [bcs])
+    (condensed,) = solve_condensed(system, *_as_arrays([bcs]))
     assert np.linalg.norm(direct - reference) <= 1e-12 * scale
     assert np.linalg.norm(condensed.values - reference) <= 1e-12 * scale
 
@@ -613,5 +688,16 @@ def test_each_solve_factorizes_once_through_module_splu(ring_mesh, monkeypatch):
     bcs_sets = _random_boundary_sets(mesh, 3)
     solve(apply_dirichlet(system, bcs_sets[0], mesh))
     assert len(calls) == 1
-    solve_condensed(system, bcs_sets)
+    solve_condensed(system, *_as_arrays(bcs_sets))
     assert len(calls) == 2
+
+
+def test_ring_traction_residual_error_names_ill_conditioning():
+    # three pins hold the ring and pass the pivot check, yet float64 rounding of
+    # an E x 1000 wedge at nu 0.49 misses the 1e-10 residual contract
+    with pytest.raises(SolverError, match=r"relative residual \d\.\d\de-\d\d > 1e-10") as info:
+        solve_ring_traction(_wedge_spec(1000.0, 0.49), 1.0, 128, 16)
+    message = str(info.value)
+    assert "ill-conditioned" in message
+    assert "stiffness contrast" in message
+    assert "Poisson's ratio near 0.5" in message

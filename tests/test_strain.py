@@ -25,6 +25,8 @@ from cardiofem import (
     strain_displacement_matrix,
     strain_field,
 )
+from cardiofem import fem
+from cardiofem import strain as strain_module
 from cardiofem.strain import sector_index
 
 TWO_PI = 2.0 * math.pi
@@ -366,3 +368,35 @@ def test_sector_indicator_field():
     assert summary.mean_effective[0] == pytest.approx(1.0)
     assert np.all(summary.mean_effective[1:] == 0.0)
     assert summary.counts.sum() == mesh.n_triangles
+
+
+def test_mesh_geometry_computed_once_per_mesh(monkeypatch):
+    # assembly and every frame's strain share one B computation per mesh, and
+    # the sector bins are computed once per mesh, center and sector count
+    b_calls, bin_calls = [], []
+    real_b, real_bin = fem.strain_displacement_matrices, strain_module.sector_index
+
+    def counting_b(*args):
+        b_calls.append(1)
+        return real_b(*args)
+
+    def counting_bin(*args):
+        bin_calls.append(1)
+        return real_bin(*args)
+
+    monkeypatch.setattr(fem, "strain_displacement_matrices", counting_b)
+    monkeypatch.setattr(strain_module, "sector_index", counting_bin)
+    mesh, mats = make_ring(RingSpec(1.0, 2.0), 32, 4)
+    b_calls.clear()
+    rng = np.random.default_rng(4)
+    assemble(mesh, mats)
+    for _ in range(3):
+        disp = DisplacementField(rng.normal(scale=0.02, size=(mesh.n_nodes, 2)))
+        sf = strain_field(mesh, disp, mats.nu)
+        sector_average(mesh, sf, disp, (0.0, 0.0), 16)
+    sector_average(mesh, sf, disp, (0.0, 0.0), 8)
+    sector_average(mesh, sf, disp, (0.1, 0.0), 8)
+    assert (len(b_calls), len(bin_calls)) == (1, 3)
+    other, _ = make_ring(RingSpec(1.0, 2.0), 32, 4)
+    strain_field(other, disp, mats.nu)
+    assert len(b_calls) == 2

@@ -8,6 +8,7 @@ from cardiofem import (
     ConfigurationError,
     Contour,
     CycleParams,
+    DisplacementField,
     FrameContours,
     GeometryError,
     MaterialField,
@@ -31,11 +32,14 @@ from cardiofem import (
     normalized_volume_curve,
     phantom_cycle_study,
     resample_uniform_angle,
+    sector_average,
     solve,
+    strain_field,
     triangulate_annulus,
     ventricle_volume,
 )
-from cardiofem import fem
+from cardiofem import contours, fem, io
+from cardiofem import study as study_module
 
 from conftest import circle_frame, star_contour
 
@@ -124,6 +128,33 @@ def test_volume_rejects_self_intersection():
     study = _single_slice_study(_repeat_frame(FrameContours(0, bow, outer), 2))
     with pytest.raises(GeometryError):
         ventricle_volume(study, 0)
+
+
+def _count_simplicity_checks(monkeypatch):
+    """Record the size of every O(n^2) simplicity check, wherever the package binds it."""
+    calls = []
+    real = contours.is_simple_polygon
+
+    def counting(points):
+        calls.append(len(points))
+        return real(points)
+
+    for module in (contours, io, study_module):
+        if hasattr(module, "is_simple_polygon"):
+            monkeypatch.setattr(module, "is_simple_polygon", counting)
+    return calls
+
+
+def test_volume_checks_each_contour_once(monkeypatch, tmp_path):
+    calls = _count_simplicity_checks(monkeypatch)
+    study = healthy_study(seed=3, n_frames=4)
+    normalized_volume_curve(study)
+    normalized_volume_curve(study)
+    assert len(calls) == 4  # in memory: each inner contour checked once
+    io.write_study_json(tmp_path / "study.json", study)
+    calls.clear()
+    normalized_volume_curve(io.read_study(tmp_path / "study.json"))
+    assert len(calls) == 8  # ingest checks both walls of each frame; volume reuses it
 
 
 def test_normalized_curve_constant_study():
@@ -290,6 +321,83 @@ def test_cycle_matches_per_frame_path(reference):
         assert np.max(np.abs(got - comps)) <= 1e-12 * np.max(np.abs(comps))
         eff = effective_strain(comps[:, 0], comps[:, 1], comps[:, 2], params.material.nu)
         assert np.max(np.abs(res.strain.effective - eff)) <= 1e-12 * np.max(eff)
+
+
+def _dict_condensed_solve(system, bcs_sets):
+    """The condensed solve as it was before it took arrays: each set's
+    Dirichlet dict is merged into a dof -> value dict and read back in dof
+    order."""
+    constraints = [fem._constraint_values(system, bcs, None) for bcs in bcs_sets]
+    fixed = np.array(sorted(constraints[0]), dtype=np.int64)
+    assert all(c.keys() == constraints[0].keys() for c in constraints)
+    u_b = np.array([[c[int(dof)] for dof in fixed] for c in constraints]).T
+    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
+    k_free = system.stiffness.tocsr()[free]
+    k_ff = k_free[:, free].tocsc()
+    rhs = system.load[free, None] - k_free[:, fixed] @ u_b
+    u = np.empty((system.n_dofs, len(constraints)))
+    u[fixed] = u_b
+    u[free] = fem._factor(k_ff).solve(rhs)
+    return [DisplacementField(u[:, j].reshape(-1, 2)) for j in range(u.shape[1])]
+
+
+def _per_pair_cycle(study, params):
+    """The per-pair path: boundary displacements and a Dirichlet dict per
+    frame pair, the dict-based condensed solve, and per-frame strain and
+    sectors on a mesh object of its own."""
+    frames = study.slices[0].frames
+    n = len(frames)
+    center = centroid(frames[0].inner)
+    inner0 = resample_uniform_angle(frames[0].inner, center, params.n_points)
+    outer0 = resample_uniform_angle(frames[0].outer, center, params.n_points)
+    mesh = triangulate_annulus(inner0, outer0, params.n_points, params.n_radial)
+    materials = MaterialField.uniform(mesh, params.material)
+    system = assemble(mesh, materials, params.mode)
+    step_rot = params.rotation_deg_total / (n - 1)
+    bcs_sets = []
+    for k in range(1, n):
+        if params.reference == "cumulative":
+            bd = boundary_displacements(frames[0], frames[k], params.n_points, step_rot * k)
+            bcs_sets.append(boundary_conditions_from_displacements(mesh, bd, match="position"))
+        else:
+            bd = boundary_displacements(frames[k - 1], frames[k], params.n_points, step_rot)
+            bcs_sets.append(boundary_conditions_from_displacements(mesh, bd, match="index"))
+    out = []
+    for disp in _dict_condensed_solve(system, bcs_sets):
+        sf = strain_field(mesh, disp, materials.nu, params.mode)
+        out.append((disp, sf, sector_average(mesh, sf, disp, center, params.n_sectors)))
+    return out
+
+
+@pytest.mark.parametrize("n_points, n_radial", [(64, 8), (128, 16), (256, 32)])
+@pytest.mark.parametrize("reference, rotation", [
+    ("cumulative", 0.0), ("cumulative", 6.0), ("incremental", 0.0), ("incremental", 6.0),
+])
+def test_cycle_equals_per_pair_path(n_points, n_radial, reference, rotation):
+    study = mi_wedge_study(seed=8, n_frames=5, n_points=80, rotation_deg_total=rotation)
+    params = CycleParams(
+        n_points=n_points, n_radial=n_radial, rotation_deg_total=rotation, reference=reference,
+    )
+    results = cycle_strain_analysis(study, params)
+    expected = _per_pair_cycle(study, params)
+    assert len(results) == len(expected) == study.n_frames - 1
+    for res, (disp, sf, sectors) in zip(results, expected):
+        assert np.array_equal(res.displacement.values, disp.values)
+        for name in ("eps_x", "eps_y", "gamma_xy", "effective"):
+            assert np.array_equal(getattr(res.strain, name), getattr(sf, name))
+        for name in ("mean_displacement", "mean_effective", "counts"):
+            assert np.array_equal(getattr(res.sectors, name), getattr(sectors, name))
+
+
+@pytest.mark.parametrize("reference", ["cumulative", "incremental"])
+def test_cycle_non_star_frame0_names_frame_1(reference):
+    frames = [circle_frame(k) for k in range(3)]
+    theta = np.array([0.0, 0.8, 0.4, 1.6, 2.4, 3.2, 4.0, 4.8, 5.6])
+    bad_inner = Contour(np.column_stack([np.cos(theta), np.sin(theta)]), "inner")
+    frames[0] = FrameContours(0, bad_inner, frames[0].outer)
+    study = _single_slice_study(frames)
+    with pytest.raises(GeometryError, match=r"^frame 1: .*\(frame 0 inner\)$"):
+        cycle_strain_analysis(study, CycleParams(n_points=16, n_radial=2, reference=reference))
 
 
 def test_cycle_results_share_frame0_mesh():
