@@ -176,13 +176,41 @@ def _config_flags(parser: argparse.ArgumentParser, command: str) -> dict:
     return flags
 
 
+def _config_value(action: argparse.Action, value, where: str):
+    """A --config value taken as its flag would take it from the command line.
+
+    A typed flag converts the value's text (``"64"`` and ``64`` both give
+    64); a text flag needs a string, a repeatable flag a string or a list of
+    strings, an on/off flag true or false, and a flag with choices one of
+    them. Anything else raises UsageError.
+    """
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise UsageError(f"{where} must be true or false, got {value!r}")
+        return value
+    if isinstance(action, argparse._AppendAction):
+        items = [value] if isinstance(value, str) else value
+        if not (isinstance(items, list) and all(isinstance(v, str) for v in items)):
+            raise UsageError(f"{where} must be a string or a list of strings, got {value!r}")
+        return items
+    if action.type is None:
+        if not isinstance(value, str):
+            raise UsageError(f"{where} must be a string, got {value!r}")
+    else:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise UsageError(f"{where} must be {action.type.__name__}, got {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"{where} must be one of {list(action.choices)}, got {value!r}")
+    return value
+
+
 def _merged_config(args: argparse.Namespace, flags: dict) -> SimpleNamespace:
     """Defaults, then --config values, then explicit flags.
 
-    A config key names a long flag (``slice`` sets what ``--slice`` sets). A
-    value of a typed flag is converted like the same text given on the
-    command line (``"64"`` and ``64`` both give 64); one that flag would
-    reject raises UsageError.
+    A config key names a long flag (``slice`` sets what ``--slice`` sets),
+    and its value is checked by :func:`_config_value`.
     """
     merged = dict(COMMON_DEFAULTS)
     explicit = {k: v for k, v in vars(args).items() if k != "command"}
@@ -197,14 +225,10 @@ def _merged_config(args: argparse.Namespace, flags: dict) -> SimpleNamespace:
         for key, value in loaded.items():
             key = key.replace("-", "_")
             action = flags.get(key)
-            if action is not None and action.type is not None:
-                try:
-                    value = action.type(str(value))
-                except ValueError:
-                    raise UsageError(
-                        f"config {path}: {key} must be {action.type.__name__}, got {value!r}"
-                    ) from None
-            merged[key if action is None else action.dest] = value
+            if action is None:
+                merged[key] = value
+            else:
+                merged[action.dest] = _config_value(action, value, f"config {path}: {key}")
     merged.update(explicit)
     return SimpleNamespace(**merged)
 

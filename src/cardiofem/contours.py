@@ -60,9 +60,9 @@ class Contour:
             raise GeometryError(f"contour points must be (n, 2), got {pts.shape}")
         if len(pts) < 3:
             raise GeometryError("contour needs at least 3 points")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise GeometryError("contour contains non-finite coordinates")
-        if np.array_equal(pts[0], pts[-1]):
+        if (pts[0] == pts[-1]).all():
             raise GeometryError("closed contours must not repeat the first vertex")
         if self.label not in CONTOUR_LABELS:
             raise GeometryError(f"contour label must be one of {CONTOUR_LABELS}")
@@ -75,7 +75,9 @@ class Contour:
     def is_simple(self) -> bool:
         """True if no two non-adjacent edges intersect or touch.
 
-        The O(n^2) check runs once per contour; the result is kept.
+        Checked once per contour by :func:`is_simple_polygon` (an O(n)
+        star-shape certificate about the vertex centroid, with the exact
+        O(n^2) edge-pair test as the fallback); the result is kept.
         """
         simple = self.__dict__.get("_simple")
         if simple is None:
@@ -154,6 +156,11 @@ def points_in_polygon(query, polygon) -> np.ndarray:
     return np.count_nonzero(hits, axis=1) % 2 == 1
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """Each row's cyclic successor, as ``np.roll(a, -1, axis=0)`` (and cheaper)."""
+    return np.concatenate([a[1:], a[:1]])
+
+
 def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
@@ -179,11 +186,9 @@ def _segments_intersect(p1, p2, q1, q2) -> np.ndarray:
     return proper | touch
 
 
-def is_simple_polygon(points) -> bool:
-    pts = np.asarray(points, dtype=float)
+def _is_simple_exact(pts: np.ndarray) -> bool:
+    """Exact O(n^2) test: no two non-adjacent edges intersect or touch."""
     n = len(pts)
-    if n < 3:
-        return False
     a = pts
     b = np.roll(pts, -1, axis=0)
     i_idx, j_idx = np.triu_indices(n, k=2)
@@ -194,24 +199,93 @@ def is_simple_polygon(points) -> bool:
     return not bool(np.any(_segments_intersect(a[i_idx], b[i_idx], a[j_idx], b[j_idx])))
 
 
-def _min_distance_to_edges(point, polygon) -> float:
-    p = _as_point(point)
-    poly = np.asarray(polygon, dtype=float)
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a
-    ap = p[None, :] - a
+def _is_star_about_centroid(pts: np.ndarray) -> bool:
+    """O(n) certificate of simplicity: the polygon winds once, strictly
+    monotonically, about its vertex centroid.
+
+    Every step between consecutive centroid-relative vertices must turn the
+    same way by less than pi, and the turns must add up to one full turn;
+    such a polygon is star-shaped about the centroid and hence simple
+    (Preparata & Shamos, *Computational Geometry*, 1985). Each turn's cross
+    product must clear a relative margin of 1e-9 |d_i| |d_i+1|, so rounding
+    cannot fake a turn; the radii carry 1e-6 of the largest coordinate, which
+    covers the rounding of ``d`` on contours far from the origin.
+    """
+    d = pts - pts.mean(axis=0)
+    d_next = _next(d)
+    cross = _cross(d, d_next)
+    r = np.hypot(d[:, 0], d[:, 1]) + 1e-6 * float(np.abs(pts).max())
+    margin = 1e-9 * r * _next(r)
+    if not ((cross > margin).all() or (cross < -margin).all()):
+        return False
+    turn = float(np.arctan2(cross, np.einsum("ij,ij->i", d, d_next)).sum())
+    return math.isclose(abs(turn), TWO_PI, rel_tol=0, abs_tol=1e-6)
+
+
+def is_simple_polygon(points) -> bool:
+    """True if no two non-adjacent edges of the closed polygon intersect or touch.
+
+    Runs in O(n) for a polygon that winds strictly monotonically once about
+    its vertex centroid (:func:`_is_star_about_centroid`); any other polygon,
+    including one inside that certificate's margin, gets the exact O(n^2)
+    test of all edge pairs.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 3:
+        return False
+    return _is_star_about_centroid(pts) or _is_simple_exact(pts)
+
+
+def _distance_to_edges(rel: np.ndarray) -> float:
+    """Distance from a point to a closed polygon, given the polygon's
+    vertices relative to that point."""
+    ab = _next(rel) - rel
     denom = np.einsum("ij,ij->i", ab, ab)
-    proj = np.einsum("ij,ij->i", ap, ab)
+    proj = -np.einsum("ij,ij->i", rel, ab)
     # a zero-length edge projects onto its first endpoint (t = 0)
     t = np.clip(np.divide(proj, denom, out=np.zeros_like(proj), where=denom > 0), 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return float(np.min(np.linalg.norm(p[None, :] - closest, axis=1)))
+    gap = rel + t[:, None] * ab
+    return math.sqrt(float(np.einsum("ij,ij->i", gap, gap).min()))
 
 
-def _angles_about(points, center) -> np.ndarray:
-    d = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
-    return np.mod(np.arctan2(d[:, 1], d[:, 0]), TWO_PI)
+class _AngularPass(NamedTuple):
+    """A contour's vertices about one center, computed once and shared by the
+    star, center and tie checks and the uniform-angle resampling."""
+
+    perm: np.ndarray  # stable sort of the vertices by angle
+    angles: np.ndarray  # in [0, 2*pi), sorted
+    radii: np.ndarray  # in angle order
+    gaps: np.ndarray  # from each sorted angle to the next, the last one wrapping
+    star: bool  # the is_star_shaped verdict
+
+
+def _winds_once_monotonically(th: np.ndarray) -> bool:
+    diffs = np.mod(_next(th) - th + math.pi, TWO_PI) - math.pi
+    if not math.isclose(abs(float(diffs.sum())), TWO_PI, rel_tol=0, abs_tol=1e-9):
+        return False
+    return bool(diffs.min() >= -ANGLE_TIE_TOL or diffs.max() <= ANGLE_TIE_TOL)
+
+
+def _angular_pass(contour: Contour, c: np.ndarray) -> _AngularPass:
+    """The contour's angular pass about ``c``; the last one is kept on the
+    frozen contour, as :meth:`Contour.is_simple` keeps its verdict."""
+    key = c.tobytes()
+    memo = contour.__dict__.get("_angular")
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    d = contour.points - c
+    angles = np.mod(np.arctan2(d[:, 1], d[:, 0]), TWO_PI)
+    radii = np.linalg.norm(d, axis=1)
+    perm = np.argsort(angles, kind="stable")
+    th = angles[perm]
+    gaps = np.concatenate([th[1:], [th[0] + TWO_PI]]) - th
+    scale = float(np.abs(d).max()) or 1.0
+    star = _distance_to_edges(d) > 1e-12 * scale and _winds_once_monotonically(angles)
+    result = _AngularPass(perm, th, radii[perm], gaps, star)
+    for arr in result[:4]:
+        arr.setflags(write=False)
+    object.__setattr__(contour, "_angular", (key, result))
+    return result
 
 
 def rotate_about(points, center, angle_rad: float) -> np.ndarray:
@@ -237,11 +311,38 @@ def centroid(contour: Contour) -> Point2:
 
 
 def _check_center_inside(points_sorted: np.ndarray, center: np.ndarray) -> None:
-    scale = float(np.max(np.abs(points_sorted - center))) or 1.0
-    if _min_distance_to_edges(center, points_sorted) <= 1e-12 * scale:
+    rel = points_sorted - center
+    scale = float(np.max(np.abs(rel))) or 1.0
+    if _distance_to_edges(rel) <= 1e-12 * scale:
         raise GeometryError("center lies on the contour boundary")
     if not points_in_polygon(center, points_sorted)[0]:
         raise GeometryError("center lies outside the contour")
+
+
+def _checked_pass(contour: Contour, c: np.ndarray) -> _AngularPass:
+    """The angular pass about ``c`` once the center and tie checks of
+    :func:`angular_permutation` hold."""
+    ap = _angular_pass(contour, c)
+    perm = ap.perm
+    # A star-shaped contour whose angular order is a cyclic shift of its
+    # vertex order sorts into the same polygon, edge for edge: the star check
+    # found the center off those edges, and one monotone turn about the
+    # center puts it inside. Any other order gets the full check.
+    if not (ap.star and ((_next(perm) - perm) % len(perm) == 1).all()):
+        _check_center_inside(contour.points[perm], c)
+
+    radii = ap.radii
+    tied = ap.gaps <= ANGLE_TIE_TOL
+    if np.any(tied):
+        r_next = _next(radii)
+        r_scale = max(float(np.max(radii)), 1e-300)
+        mismatched = tied & (np.abs(r_next - radii) > RADIUS_TIE_RTOL * r_scale)
+        if np.any(mismatched):
+            raise StarShapeError(
+                "multiple boundary points share an angle at different radii; "
+                "contour is not star-shaped about the center"
+            )
+    return ap
 
 
 def angular_permutation(contour: Contour, center) -> np.ndarray:
@@ -250,29 +351,10 @@ def angular_permutation(contour: Contour, center) -> np.ndarray:
     The sort is stable, so vertices sharing an angle keep their input order.
     Vertices at the same angle (within ``ANGLE_TIE_TOL``) but at different
     radii mean a ray from the center crosses the boundary more than once,
-    which violates the star-shape requirement.
+    which violates the star-shape requirement. The returned array is
+    read-only.
     """
-    c = _as_point(center)
-    angles = _angles_about(contour.points, c)
-    perm = np.argsort(angles, kind="stable")
-    sorted_pts = contour.points[perm]
-    _check_center_inside(sorted_pts, c)
-
-    th = angles[perm]
-    radii = np.linalg.norm(sorted_pts - c, axis=1)
-    gaps = np.diff(th)
-    wrap_gap = (th[0] + TWO_PI) - th[-1]
-    tied = np.concatenate([gaps <= ANGLE_TIE_TOL, [wrap_gap <= ANGLE_TIE_TOL]])
-    if np.any(tied):
-        r_next = np.roll(radii, -1)
-        r_scale = max(float(np.max(radii)), 1e-300)
-        mismatched = tied & (np.abs(r_next - radii) > RADIUS_TIE_RTOL * r_scale)
-        if np.any(mismatched):
-            raise StarShapeError(
-                "multiple boundary points share an angle at different radii; "
-                "contour is not star-shaped about the center"
-            )
-    return perm
+    return _checked_pass(contour, _as_point(center)).perm
 
 
 def order_by_angle(contour: Contour, center) -> Contour:
@@ -290,22 +372,10 @@ def is_star_shaped(contour: Contour, center) -> bool:
 
     Treats the vertex order as the polygon traversal order; a star-shaped
     contour visits angles monotonically (up to tied duplicates) with total
-    winding of one full turn in either direction.
+    winding of one full turn in either direction, and the center lies off
+    its edges.
     """
-    c = _as_point(center)
-    pts = contour.points
-    scale = float(np.max(np.abs(pts - c))) or 1.0
-    if _min_distance_to_edges(c, pts) <= 1e-12 * scale:
-        return False
-    th = _angles_about(pts, c)
-    diffs = np.diff(np.concatenate([th, th[:1]]))
-    diffs = np.mod(diffs + math.pi, TWO_PI) - math.pi
-    total = float(np.sum(diffs))
-    if not math.isclose(abs(total), TWO_PI, rel_tol=0, abs_tol=1e-9):
-        return False
-    forward = np.all(diffs >= -ANGLE_TIE_TOL)
-    backward = np.all(diffs <= ANGLE_TIE_TOL)
-    return bool(forward or backward)
+    return _angular_pass(contour, _as_point(center)).star
 
 
 def require_star_shaped(contour: Contour, center, context: str = "") -> None:
@@ -324,18 +394,15 @@ def resample_uniform_angle(contour: Contour, center, n: int) -> Contour:
     if n < 3:
         raise GeometryError("resampling needs n >= 3")
     c = _as_point(center)
-    perm = angular_permutation(contour, center)
-    pts = contour.points[perm]
-    th = _angles_about(pts, c)
-    radii = np.linalg.norm(pts - c, axis=1)
+    ap = _checked_pass(contour, c)
+    perm, gaps = ap.perm, ap.gaps
 
     # Duplicate angular samples: keep the first in input order (stable sort
     # puts it first within a tie run; resolve a wrap-around tie explicitly).
-    keep = np.concatenate([[True], np.diff(th) > ANGLE_TIE_TOL])
-    if len(th) > 1 and (th[0] + TWO_PI) - th[-1] <= ANGLE_TIE_TOL and keep[-1]:
-        if perm[-1] > perm[0]:
-            keep[-1] = False
-    th, radii = th[keep], radii[keep]
+    keep = np.concatenate([[True], gaps[:-1] > ANGLE_TIE_TOL])
+    if gaps[-1] <= ANGLE_TIE_TOL and keep[-1] and perm[-1] > perm[0]:
+        keep[-1] = False
+    th, radii = ap.angles[keep], ap.radii[keep]
     if len(th) < 3:
         raise GeometryError("contour collapses to fewer than 3 angular samples")
 
@@ -360,13 +427,16 @@ def uniform_angle_walls(
     clockwise rotation), even for 0, whose rotation can still round.
     """
     c = _as_point(center)
-    require_star_shaped(frame.inner, c, f"{context} inner")
-    require_star_shaped(frame.outer, c, f"{context} outer")
     inner, outer = frame.inner, frame.outer
     if rotation_deg is not None:
         derot = math.radians(rotation_deg)
         inner = Contour(rotate_about(inner.points, c, derot), "inner")
         outer = Contour(rotate_about(outer.points, c, derot), "outer")
+    # Checked on the walls that are resampled, so that the check and the
+    # resampling share one angular pass; a rotation about the center keeps
+    # a wall star-shaped.
+    require_star_shaped(inner, c, f"{context} inner")
+    require_star_shaped(outer, c, f"{context} outer")
     return resample_uniform_angle(inner, c, n), resample_uniform_angle(outer, c, n)
 
 

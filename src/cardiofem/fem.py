@@ -364,7 +364,9 @@ def boundary_dof_map(
     about ``center`` from their sample raise GeometryError.
     ``match="index"`` pairs by angular order about ``center``, for reusing a
     reference mesh with samples taken on a slightly different geometry
-    (small-strain approximation).
+    (small-strain approximation). The two angular orders are cyclic and are
+    aligned at the sample nearest to the first node, so the seam at angle 0
+    does not shift the pairing by one.
     """
     if match not in ("position", "index"):
         raise ConfigurationError(f"match must be 'position' or 'index', got {match!r}")
@@ -399,8 +401,13 @@ def boundary_dof_map(
             )
             node_order = np.argsort(node_angles, kind="stable")
             sample_order = np.argsort(sample_angles, kind="stable")
+            # Both orders are cyclic: align them at the sample nearest (in
+            # circular distance) to the first node, so that a node whose
+            # angle rounds to just below 2*pi meets the sample at 0.
+            gap = np.abs(sample_angles[sample_order] - node_angles[node_order[0]])
+            shift = int(np.argmin(np.minimum(gap, 2.0 * np.pi - gap)))
             nearest = np.empty(len(node_ids), dtype=np.int64)
-            nearest[node_order] = sample_order
+            nearest[node_order] = np.roll(sample_order, -shift)
         nodes.append(node_ids)
         samples.append(offset + nearest)
         offset += len(positions)

@@ -74,6 +74,8 @@ def read_manifest(path) -> dict:
     for key in ("subject_id", "slice_spacing_mm", "frames_per_cycle"):
         if key not in data:
             raise ConfigurationError(f"manifest {path} is missing {key!r}")
+    _json_field(data, "slice_spacing_mm", (int, float), f"manifest {path}")
+    _json_field(data, "frames_per_cycle", int, f"manifest {path}")
     return data
 
 
@@ -248,18 +250,11 @@ def read_study(path, manifest_path=None) -> Study:
 # mesh / field exports
 
 
-# One-entry memo of the last geometry block, (mesh, title, text). Mesh arrays
-# are read-only, so the mesh's identity keys its text for as long as the memo
-# holds the mesh. The tuple is read and replaced whole, so concurrent writers
-# at worst format a block twice.
-_geometry_memo: tuple = (None, None, "")
-
-
 def _vtk_geometry(mesh: Mesh, title: str) -> str:
-    """Header and POINTS/CELLS/CELL_TYPES block of a legacy VTK file."""
-    global _geometry_memo
-    memo_mesh, memo_title, text = _geometry_memo
-    if memo_mesh is not mesh or memo_title != title:
+    """Header and POINTS/CELLS/CELL_TYPES block of a legacy VTK file,
+    formatted once per mesh and title and kept on the mesh."""
+
+    def compute() -> str:
         lines = [
             "# vtk DataFile Version 3.0",
             title,
@@ -272,9 +267,9 @@ def _vtk_geometry(mesh: Mesh, title: str) -> str:
         lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
         lines.append(f"CELL_TYPES {mesh.n_triangles}")
         lines += ["5"] * mesh.n_triangles
-        text = "\n".join(lines) + "\n"
-        _geometry_memo = (mesh, title, text)
-    return text
+        return "\n".join(lines) + "\n"
+
+    return mesh.cached(("vtk_geometry", title), compute)
 
 
 def write_mesh_vtk(

@@ -220,6 +220,34 @@ def test_bad_config_value(tmp_path, synth_pair, capsys, values, needle):
     assert needle in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize("values, needle", [
+    ({"mode": "plane-stress"}, "mode must be one of ['as-printed', 'plane-strain']"),
+    ({"out": 5}, "out must be a string, got 5"),
+    ({"manifest": None}, "manifest must be a string, got None"),
+    ({"dump_system": "no"}, "dump_system must be true or false, got 'no'"),
+])
+def test_config_value_checked_like_its_flag(tmp_path, synth_pair, capsys, values, needle):
+    healthy_dir, _ = synth_pair
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    capsys.readouterr()
+    code = run("solve", "--study", str(healthy_dir / "study.json"),
+               "--config", str(config), "--out", str(tmp_path / "res"))
+    assert code == 2
+    assert needle in _single_error_line(capsys)
+
+
+def test_config_reference_may_be_one_string(tmp_path, synth_pair):
+    healthy_dir, mi_dir = synth_pair
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reference": str(healthy_dir / "study.json")}))
+    out = tmp_path / "res"
+    assert run("analyze", "--study", str(mi_dir / "study.json"), "--config", str(config),
+               "--out", str(out)) == 0
+    loc = json.loads((out / "localization_slice0.json").read_text())
+    assert loc["suspected_sectors"] == [4, 5, 6, 7]
+
+
 def test_analyze_missing_manifest(tmp_path, synth_pair):
     healthy_dir, _ = synth_pair
     code = run(
@@ -323,3 +351,25 @@ def test_phantom_verify_custom_spec(tmp_path):
     out = tmp_path / "pv"
     assert run("phantom-verify", "--phantom-spec", str(spec_path),
                "--out", str(out)) == 0
+
+
+def test_analyze_dense_contours(tmp_path, monkeypatch):
+    # 2048-vertex walls through ingest, volumes, meshing, solves and export,
+    # with every contour certified simple by the linear-time check
+    import cardiofem.contours as contours
+    import cardiofem.io as cfio
+    from cardiofem.synth import mi_wedge_study
+
+    exact_calls = []
+    exact = contours._is_simple_exact
+    monkeypatch.setattr(
+        contours, "_is_simple_exact", lambda pts: exact_calls.append(len(pts)) or exact(pts)
+    )
+    study = mi_wedge_study(seed=5, n_points=2048, n_frames=6)
+    cfio.write_study_csv(tmp_path / "dense.csv", study)
+    cfio.write_manifest(tmp_path / "dense.json", study)
+    out = tmp_path / "res"
+    assert run("analyze", "--study", str(tmp_path / "dense.csv"),
+               "--manifest", str(tmp_path / "dense.json"), "--out", str(out)) == 0
+    assert len(list(out.glob("fields_slice0_frame*.vtk"))) == 5
+    assert exact_calls == []

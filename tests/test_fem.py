@@ -701,3 +701,22 @@ def test_ring_traction_residual_error_names_ill_conditioning():
     assert "ill-conditioned" in message
     assert "stiffness contrast" in message
     assert "Poisson's ratio near 0.5" in message
+
+
+def test_boundary_dof_map_index_match_across_the_seam(ring_mesh):
+    # about a center 1e-9 above the ring's, node 0 of each loop sits at angle
+    # 2*pi - 1e-9 while sample 0 sits at angle 0; they must still pair
+    mesh, _ = ring_mesh
+    center = np.array([0.0, 1e-9])
+    nodes, samples = [], []
+    for label in ("inner", "outer"):
+        rel = mesh.nodes[mesh.boundary_nodes(label)] - center
+        theta = 2.0 * np.pi * np.arange(len(rel)) / len(rel)
+        radii = np.linalg.norm(rel, axis=1)
+        nodes.append(center + rel)
+        samples.append(center + radii[:, None] * np.column_stack([np.cos(theta), np.sin(theta)]))
+        assert np.mod(np.arctan2(rel[0, 1], rel[0, 0]), 2.0 * np.pi) > 2.0 * np.pi - 2e-9
+    dofs, take = fem.boundary_dof_map(mesh, *samples, center, "index")
+    expected_dofs, expected_take = fem.boundary_dof_map(mesh, *nodes, center)
+    assert np.array_equal(dofs, expected_dofs)
+    assert np.array_equal(take, expected_take)

@@ -514,3 +514,19 @@ def test_average_sector_summaries():
     assert_allclose(avg[1].mean_effective, [3.0, 5.0])
     with pytest.raises(ConfigurationError):
         average_sector_summaries([a, _summaries([[1.0, 2.0]])])
+
+
+@pytest.mark.parametrize("n_points", [64, 128])
+def test_incremental_frames_add_up_to_cumulative(n_points):
+    # the phantom's walls keep their centroid and its boundary data is linear in
+    # the load, so the incremental solves telescope to the cumulative ones
+    study = phantom_cycle_study(n_points=n_points, n_steps=5)
+    cumulative = cycle_strain_analysis(study, CycleParams(n_points=n_points, n_radial=8))
+    incremental = cycle_strain_analysis(
+        study, CycleParams(n_points=n_points, n_radial=8, reference="incremental")
+    )
+    total = np.zeros_like(cumulative[0].displacement.values)
+    for cum, inc in zip(cumulative, incremental):
+        total += inc.displacement.values
+        expected = cum.displacement.values
+        assert np.max(np.abs(total - expected)) <= 1e-10 * np.max(np.abs(expected))
