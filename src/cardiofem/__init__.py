@@ -41,14 +41,12 @@ from .fem import (
     assemble,
     boundary_conditions_from_displacements,
     boundary_dof_map,
-    element_stiffness,
     internal_pressure_tractions,
     remove_rigid_motion,
     rigid_body_modes,
     solve,
     solve_condensed,
     strain_displacement_matrices,
-    strain_displacement_matrix,
 )
 from .materials import (
     AngularRegion,
@@ -57,7 +55,7 @@ from .materials import (
     constitutive_matrix,
     region_material_field,
 )
-from .meshing import Mesh, ValidationReport, locate_element, triangulate_annulus, validate
+from .meshing import Mesh, ValidationReport, triangulate_annulus, validate
 from .phantom import (
     RingSpec,
     circle_contour,
@@ -66,13 +64,12 @@ from .phantom import (
     make_ring,
     pressure_load_cycle,
     solve_ring_traction,
+    verify_ring,
 )
 from .strain import (
     SectorSummary,
     StrainField,
     effective_strain,
-    element_strain,
-    element_strain_local,
     sector_average,
     strain_field,
 )
@@ -134,16 +131,12 @@ __all__ = [
     "constitutive_matrix",
     "cycle_strain_analysis",
     "effective_strain",
-    "element_stiffness",
-    "element_strain",
-    "element_strain_local",
     "healthy_study",
     "infarct_localization",
     "internal_pressure_tractions",
     "is_star_shaped",
     "lame_displacement",
     "lame_strain_polar",
-    "locate_element",
     "make_ring",
     "mi_wedge_study",
     "normalized_volume_curve",
@@ -161,10 +154,10 @@ __all__ = [
     "solve_condensed",
     "solve_ring_traction",
     "strain_displacement_matrices",
-    "strain_displacement_matrix",
     "strain_field",
     "triangulate_annulus",
     "uniform_angle_walls",
     "validate",
     "ventricle_volume",
+    "verify_ring",
 ]

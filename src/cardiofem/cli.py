@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import io as cfio
-from .contours import boundary_displacements, centroid, resample_uniform_angle
+from .contours import centroid, resample_uniform_angle
 from .errors import (
     ConfigurationError,
     ConstraintConflictError,
@@ -36,23 +35,10 @@ from .errors import (
     SolverError,
     StarShapeError,
 )
-from .fem import (
-    BoundaryConditionSet,
-    apply_dirichlet,
-    assemble,
-    boundary_conditions_from_displacements,
-    solve,
-)
-from .materials import AngularRegion, Material, MaterialField
+from .fem import BoundaryConditionSet, apply_dirichlet, assemble
+from .materials import Material, MaterialField
 from .meshing import triangulate_annulus, validate
-from .phantom import (
-    RingSpec,
-    lame_displacement,
-    lame_displacement_at,
-    make_ring,
-    solve_ring_traction,
-)
-from .strain import sector_average, strain_field
+from .phantom import RingSpec, verify_ring
 from .study import (
     CycleParams,
     average_sector_summaries,
@@ -114,10 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
-    # argparse.SUPPRESS keeps unset flags out of the namespace so config
-    # values and defaults can be layered underneath explicit flags.
-    parser.set_defaults(**{})
-
+    # argument_default=argparse.SUPPRESS on every subcommand keeps unset flags
+    # out of the namespace so config values and defaults can be layered
+    # underneath explicit flags.
     p = sub.add_parser("phantom-verify", help="run the ring verification suite",
                        argument_default=argparse.SUPPRESS)
     _add_common(p)
@@ -260,175 +245,38 @@ def _cycle_params(cfg) -> CycleParams:
 # phantom-verify
 
 
-def _sector_summary_of(mesh, mats, disp, spec, n_sectors):
-    sf = strain_field(mesh, disp, mats.nu, "plane-strain")
-    return sector_average(mesh, sf, disp, spec.center, n_sectors)
-
-
-def _pipeline_resolve(mesh, mats, disp, n_points):
-    """Re-derive boundary conditions from deformed contours and solve again."""
-    from .contours import Contour, FrameContours
-
-    inner_nodes = mesh.boundary_nodes("inner")
-    outer_nodes = mesh.boundary_nodes("outer")
-    frame0 = FrameContours(
-        0,
-        Contour(mesh.nodes[inner_nodes], "inner"),
-        Contour(mesh.nodes[outer_nodes], "outer"),
-    )
-    frame1 = FrameContours(
-        1,
-        Contour(mesh.nodes[inner_nodes] + disp.values[inner_nodes], "inner"),
-        Contour(mesh.nodes[outer_nodes] + disp.values[outer_nodes], "outer"),
-    )
-    bd = boundary_displacements(frame0, frame1, n_points)
-    bcs = boundary_conditions_from_displacements(mesh, bd, match="index")
-    system = assemble(mesh, mats, "plane-strain")
-    return solve(apply_dirichlet(system, bcs, mesh))
-
-
-def _lame_dirichlet_error(spec: RingSpec, n_angular: int, n_radial: int) -> float:
-    """Area-weighted relative L2 displacement error sampled at centroids.
-
-    Centroid sampling keeps the metric honest even when a coarse mesh has no
-    interior nodes (all nodal values then equal the imposed boundary data).
-    """
-    mesh, mats = make_ring(spec, n_angular, n_radial)
-    system = assemble(mesh, mats, "plane-strain")
-    exact_nodes = lame_displacement_at(spec, 1.0, mesh.nodes)
-    bnodes = np.concatenate([mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")])
-    bcs = BoundaryConditionSet(
-        dirichlet={int(n): (float(exact_nodes[n, 0]), float(exact_nodes[n, 1])) for n in bnodes}
-    )
-    disp = solve(apply_dirichlet(system, bcs, mesh))
-
-    areas = mesh.triangle_areas()
-    num_at_centroids = disp.values[mesh.triangles].mean(axis=1)
-    # clamp centroid radii into the wall: the polygonal mesh lies slightly
-    # inside the true circles
-    rel = mesh.triangle_centroids() - np.asarray(spec.center, dtype=float)
-    radii = np.clip(
-        np.linalg.norm(rel, axis=1), spec.inner_radius, spec.outer_radius
-    )
-    exact_at_centroids = (
-        lame_displacement(
-            spec.inner_radius, spec.outer_radius, 1.0, spec.material.E,
-            spec.material.nu, radii,
-        )
-        / np.linalg.norm(rel, axis=1)
-    )[:, None] * rel
-    diff2 = np.einsum("ij,ij->i", num_at_centroids - exact_at_centroids,
-                      num_at_centroids - exact_at_centroids)
-    ref2 = np.einsum("ij,ij->i", exact_at_centroids, exact_at_centroids)
-    return float(np.sqrt(np.sum(areas * diff2) / np.sum(areas * ref2)))
-
-
 def cmd_phantom_verify(cfg) -> int:
     out = _outdir(cfg)
     if getattr(cfg, "phantom_spec", None):
         spec = cfio.read_phantom_spec(cfg.phantom_spec)
     else:
         spec = RingSpec(1.0, 2.0, material=Material(cfg.young, cfg.poisson))
-    base = (cfg.n_points, cfg.n_radial)
-    resolutions = [
-        (base[0] // 2, max(base[1] // 2, 1)),
-        base,
-        (base[0] * 2, base[1] * 2),
-    ]
-    failures = []
+    report = verify_ring(spec, cfg.n_points, cfg.n_radial, cfg.sectors)
 
-    errors = [_lame_dirichlet_error(spec, na, nr) for na, nr in resolutions]
-    orders = [
-        math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0.0 else math.inf
-        for i in range(len(errors) - 1)
-    ]
     with (out / "convergence.csv").open("w") as fh:
         fh.write("n_angular,n_radial,h,l2_error,observed_order\n")
-        for i, ((na, nr), err) in enumerate(zip(resolutions, errors)):
+        for i, ((na, nr), err) in enumerate(zip(report.resolutions, report.l2_errors)):
             h = (spec.outer_radius - spec.inner_radius) / nr
-            order = "" if i == 0 else repr(orders[i - 1])
+            order = "" if i == 0 else repr(report.orders[i - 1])
             fh.write(f"{na},{nr},{h!r},{err!r},{order}\n")
-    mid_err = errors[1]
-    print(f"[convergence] L2 errors: {['%.3e' % e for e in errors]}")
-    print(f"[convergence] observed orders: {['%.3f' % o for o in orders]}")
-    ok = mid_err <= 0.01
-    print(f"[{'PASS' if ok else 'FAIL'}] mid-resolution L2 error {mid_err:.3e} <= 1e-2")
-    if not ok:
-        failures.append("L2 error")
-    ok = min(orders) >= 1.7
-    print(f"[{'PASS' if ok else 'FAIL'}] min observed order {min(orders):.3f} >= 1.7")
-    if not ok:
-        failures.append("convergence order")
+    print(f"[convergence] L2 errors: {['%.3e' % e for e in report.l2_errors]}")
+    print(f"[convergence] observed orders: {['%.3f' % o for o in report.orders]}")
+    for check in report.checks:
+        print(check.line)
 
-    # independent traction-loaded cross-check of the oracle
-    na, nr = resolutions[-1]
-    mesh, mats, disp = solve_ring_traction(spec, 1.0, na, nr)
-    exact = lame_displacement_at(spec, 1.0, mesh.nodes)
-    traction_err = float(np.linalg.norm(disp.values - exact) / np.linalg.norm(exact))
-    ok = traction_err <= 0.02
-    print(f"[{'PASS' if ok else 'FAIL'}] traction cross-check L2 {traction_err:.3e} <= 2e-2")
-    if not ok:
-        failures.append("traction cross-check")
-
-    # homogeneous route agreement: deformed contours through the full
-    # pipeline must reproduce the traction solution's sector averages
-    # (the homogeneous field is purely radial, so the angular matching is
-    # exact up to interpolation)
-    mesh, mats, disp = solve_ring_traction(spec, 1.0, cfg.n_points, cfg.n_radial)
-    summary = _sector_summary_of(mesh, mats, disp, spec, cfg.sectors)
-    disp2 = _pipeline_resolve(mesh, mats, disp, cfg.n_points)
-    summary2 = _sector_summary_of(mesh, mats, disp2, spec, cfg.sectors)
-    route_gap = float(
-        np.max(np.abs(summary2.mean_displacement - summary.mean_displacement))
-        / np.max(summary.mean_displacement)
-    )
-    ok = route_gap <= 0.05
-    print(f"[{'PASS' if ok else 'FAIL'}] pipeline/traction sector agreement {route_gap:.3e} <= 5e-2")
-    if not ok:
-        failures.append("route agreement")
-
-    # inhomogeneous ring: stiff wedge anchored at its mid angle; both the
-    # traction route and the contour pipeline must rank its sectors lowest
-    stiff = AngularRegion(225.0, 315.0, Material(spec.material.E * 10.0, spec.material.nu))
-    stiff_spec = RingSpec(
-        spec.inner_radius, spec.outer_radius, spec.center, spec.material, (stiff,)
-    )
-    mesh, mats, disp = solve_ring_traction(
-        stiff_spec, 1.0, cfg.n_points, cfg.n_radial, anchor_deg=270.0
-    )
-    summary = _sector_summary_of(mesh, mats, disp, stiff_spec, cfg.sectors)
-    disp2 = _pipeline_resolve(mesh, mats, disp, cfg.n_points)
-    summary2 = _sector_summary_of(mesh, mats, disp2, stiff_spec, cfg.sectors)
-
-    sector_width = 360.0 / cfg.sectors
-    mids = (np.arange(cfg.sectors) + 0.5) * sector_width
-    stiff_mask = (mids >= 225.0) & (mids < 315.0)
+    t, p = report.traction, report.pipeline
+    columns = zip(t.mean_displacement.tolist(), p.mean_displacement.tolist(),
+                  t.mean_effective.tolist(), p.mean_effective.tolist(),
+                  report.stiff_sectors.tolist())
     with (out / "sector_comparison.csv").open("w") as fh:
         fh.write("sector,mean_disp_traction,mean_disp_pipeline,"
                  "mean_effective_traction,mean_effective_pipeline,stiff\n")
-        for s in range(cfg.sectors):
-            fh.write(
-                f"{s},{summary.mean_displacement[s]!r},{summary2.mean_displacement[s]!r},"
-                f"{summary.mean_effective[s]!r},{summary2.mean_effective[s]!r},"
-                f"{int(stiff_mask[s])}\n"
-            )
-
-    for route, summ in (("traction", summary), ("pipeline", summary2)):
-        md, me = summ.mean_displacement, summ.mean_effective
-        ok = bool(
-            md[stiff_mask].max() < md[~stiff_mask].min()
-            and me[stiff_mask].max() < me[~stiff_mask].min()
-        )
-        print(
-            f"[{'PASS' if ok else 'FAIL'}] stiff-sector displacement and strain "
-            f"strict minima ({route} route)"
-        )
-        if not ok:
-            failures.append(f"stiff-sector minima ({route})")
+        for s, (md_t, md_p, me_t, me_p, stiff) in enumerate(columns):
+            fh.write(f"{s},{md_t!r},{md_p!r},{me_t!r},{me_p!r},{int(stiff)}\n")
 
     print(f"wrote {out / 'convergence.csv'} and {out / 'sector_comparison.csv'}")
-    if failures:
-        print(f"FAILED checks: {', '.join(failures)}")
+    if report.failures:
+        print(f"FAILED checks: {', '.join(report.failures)}")
         return 1
     return 0
 
@@ -437,10 +285,17 @@ def cmd_phantom_verify(cfg) -> int:
 # analyze and the small single-step commands
 
 
-def _analyze_one(study, params):
-    """Per-slice cycle analysis for a whole study."""
-    return [cycle_strain_analysis(study, params, slice_index=i)
-            for i in range(len(study.slices))]
+def _write_fields_vtk(path, res) -> None:
+    """One frame result's displacement and strain fields on its mesh."""
+    sf = res.strain
+    cfio.write_mesh_vtk(
+        path, res.mesh,
+        point_vectors={"displacement": res.displacement.values},
+        cell_scalars={
+            "eps_x": sf.eps_x, "eps_y": sf.eps_y, "gamma_xy": sf.gamma_xy,
+            "effective": sf.effective,
+        },
+    )
 
 
 def cmd_analyze(cfg) -> int:
@@ -451,20 +306,10 @@ def cmd_analyze(cfg) -> int:
     curve = normalized_volume_curve(study)
     cfio.write_volume_csv(out / "volume_curve.csv", curve)
 
-    per_slice = _analyze_one(study, params)
+    per_slice = [cycle_strain_analysis(study, params, i) for i in range(len(study.slices))]
     for sl, results in zip(study.slices, per_slice):
         for res in results:
-            cfio.write_mesh_vtk(
-                out / f"fields_slice{sl.index}_frame{res.frame_index}.vtk",
-                res.mesh,
-                point_vectors={"displacement": res.displacement.values},
-                cell_scalars={
-                    "eps_x": res.strain.eps_x,
-                    "eps_y": res.strain.eps_y,
-                    "gamma_xy": res.strain.gamma_xy,
-                    "effective": res.strain.effective,
-                },
-            )
+            _write_fields_vtk(out / f"fields_slice{sl.index}_frame{res.frame_index}.vtk", res)
         cfio.write_sector_csv(
             out / f"sector_timeseries_slice{sl.index}.csv",
             [r.sectors for r in results],
@@ -531,19 +376,17 @@ def cmd_synth(cfg) -> int:
     return 0
 
 
-def _selected_slice(cfg, study):
-    """The slice chosen by --slice (a position in the study, default 0)."""
+def _selected_slice(cfg, study) -> int:
+    """The position of the slice chosen by --slice (default 0)."""
     slice_index = getattr(cfg, "slice_index", 0)
     if not isinstance(slice_index, int) or not 0 <= slice_index < len(study.slices):
         raise UsageError(f"--slice must be in 0..{len(study.slices) - 1}, got {slice_index!r}")
-    return study.slices[slice_index]
+    return slice_index
 
 
 def _selected_frame(cfg, sl, first: int, default: int) -> int:
     """The frame chosen by --frame, checked against first..n_frames-1."""
-    frame = getattr(cfg, "frame", None)
-    if frame is None:
-        frame = default
+    frame = getattr(cfg, "frame", default)
     if not isinstance(frame, int) or not first <= frame < sl.n_frames:
         raise UsageError(f"--frame must be in {first}..{sl.n_frames - 1}, got {frame!r}")
     return frame
@@ -554,30 +397,32 @@ def _frame_mesh(cfg, fc):
     center = centroid(fc.inner)
     inner = resample_uniform_angle(fc.inner, center, cfg.n_points)
     outer = resample_uniform_angle(fc.outer, center, cfg.n_points)
-    return triangulate_annulus(inner, outer, cfg.n_points, cfg.n_radial), center
+    return triangulate_annulus(inner, outer, cfg.n_points, cfg.n_radial)
 
 
-def _frame_pair_solve(cfg, study):
-    sl = _selected_slice(cfg, study)
+def _frame_result(cfg, study):
+    """The --frame result of the --slice cycle analysis, the frame-0 model
+    that ``analyze`` solves on; every frame of the slice is checked."""
+    position = _selected_slice(cfg, study)
+    sl = study.slices[position]
     frame = _selected_frame(cfg, sl, first=1, default=sl.n_frames - 1)
-    frame0 = sl.frames[0]
-    mesh, center = _frame_mesh(cfg, frame0)
+    return cycle_strain_analysis(study, _cycle_params(cfg), position)[frame - 1]
+
+
+def _constrained_system(cfg, res):
+    """The frame's stiffness system with its boundary values eliminated."""
+    mesh, values = res.mesh, res.displacement.values.tolist()
+    nodes = np.concatenate([mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")])
+    bcs = BoundaryConditionSet(dirichlet={n: tuple(values[n]) for n in nodes.tolist()})
     materials = MaterialField.uniform(mesh, Material(cfg.young, cfg.poisson))
-    rotation = cfg.rotation_deg * frame / (sl.n_frames - 1) if sl.n_frames > 1 else 0.0
-    bd = boundary_displacements(frame0, sl.frames[frame], cfg.n_points, rotation)
-    bcs = boundary_conditions_from_displacements(mesh, bd)
-    system = assemble(mesh, materials, cfg.mode)
-    constrained = apply_dirichlet(system, bcs, mesh)
-    disp = solve(constrained)
-    return mesh, materials, constrained, disp, center, frame
+    return apply_dirichlet(assemble(mesh, materials, cfg.mode), bcs, mesh)
 
 
 def cmd_mesh(cfg) -> int:
     out = _outdir(cfg)
     study = _load_study(cfg)
-    sl = _selected_slice(cfg, study)
-    fc = sl.frames[_selected_frame(cfg, sl, first=0, default=0)]
-    mesh, _ = _frame_mesh(cfg, fc)
+    sl = study.slices[_selected_slice(cfg, study)]
+    mesh = _frame_mesh(cfg, sl.frames[_selected_frame(cfg, sl, first=0, default=0)])
     report = validate(mesh)
     print(report)
     cfio.write_mesh_vtk(out / "mesh.vtk", mesh)
@@ -589,15 +434,13 @@ def cmd_mesh(cfg) -> int:
 def cmd_solve(cfg) -> int:
     out = _outdir(cfg)
     study = _load_study(cfg)
-    mesh, _, constrained, disp, _, frame = _frame_pair_solve(cfg, study)
-    cfio.write_mesh_vtk(
-        out / f"displacement_frame{frame}.vtk",
-        mesh,
-        point_vectors={"displacement": disp.values},
-    )
-    cfio.write_displacement_csv(out / f"displacement_frame{frame}.csv", mesh, disp)
+    res = _frame_result(cfg, study)
+    frame = res.frame_index
+    cfio.write_mesh_vtk(out / f"displacement_frame{frame}.vtk", res.mesh,
+                        point_vectors={"displacement": res.displacement.values})
+    cfio.write_displacement_csv(out / f"displacement_frame{frame}.csv", res.mesh, res.displacement)
     if getattr(cfg, "dump_system", False):
-        cfio.dump_system(out / f"system_frame{frame}", constrained)
+        cfio.dump_system(out / f"system_frame{frame}", _constrained_system(cfg, res))
     print(f"artifacts written to {out}")
     return 0
 
@@ -605,22 +448,11 @@ def cmd_solve(cfg) -> int:
 def cmd_strain(cfg) -> int:
     out = _outdir(cfg)
     study = _load_study(cfg)
-    mesh, materials, _, disp, center, frame = _frame_pair_solve(cfg, study)
-    sf = strain_field(mesh, disp, materials.nu, cfg.mode)
-    summary = sector_average(mesh, sf, disp, center, cfg.sectors)
-    cfio.write_mesh_vtk(
-        out / f"strain_frame{frame}.vtk",
-        mesh,
-        point_vectors={"displacement": disp.values},
-        cell_scalars={
-            "eps_x": sf.eps_x,
-            "eps_y": sf.eps_y,
-            "gamma_xy": sf.gamma_xy,
-            "effective": sf.effective,
-        },
-    )
-    cfio.write_strain_csv(out / f"strain_frame{frame}.csv", sf)
-    cfio.write_sector_csv(out / f"sectors_frame{frame}.csv", [summary], [frame])
+    res = _frame_result(cfg, study)
+    frame = res.frame_index
+    _write_fields_vtk(out / f"strain_frame{frame}.vtk", res)
+    cfio.write_strain_csv(out / f"strain_frame{frame}.csv", res.strain)
+    cfio.write_sector_csv(out / f"sectors_frame{frame}.csv", [res.sectors], [frame])
     print(f"artifacts written to {out}")
     return 0
 

@@ -153,21 +153,6 @@ def _element_matrices(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return mesh.cached("element_matrices", compute)
 
 
-def strain_displacement_matrix(coords) -> tuple[np.ndarray, float]:
-    """Constant B matrix (3x6) of one linear triangle and its area."""
-    bmat, area = strain_displacement_matrices(
-        np.asarray(coords, dtype=float).reshape(3, 2), [[0, 1, 2]]
-    )
-    return bmat[0], float(area[0])
-
-
-def element_stiffness(coords, constitutive: np.ndarray) -> np.ndarray:
-    """6x6 stiffness area * B^T D B of one linear triangle."""
-    bmat, area = strain_displacement_matrix(coords)
-    d = np.asarray(constitutive, dtype=float).reshape(3, 3)
-    return area * bmat.T @ d @ bmat
-
-
 def rigid_body_modes(nodes) -> np.ndarray:
     """(3, 2V) rows: x-translation, y-translation, infinitesimal rotation."""
     pts = np.asarray(nodes, dtype=float)

@@ -56,22 +56,6 @@ class AngularRegion:
     material: Material
 
 
-def constitutive_matrix(material: Material, mode: str = "as-printed") -> np.ndarray:
-    """3x3 symmetric matrix relating (eps_x, eps_y, gamma_xy) to stress."""
-    _check_mode(mode)
-    e, nu = material.E, material.nu
-    if mode == "as-printed":
-        return e / (1.0 - nu * nu) * np.array(
-            [[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, (1.0 - nu) / 2.0]]
-        )
-    if nu >= 0.5:
-        raise ConfigurationError("plane-strain matrix is singular at nu >= 0.5")
-    f = e / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    return f * np.array(
-        [[1.0 - nu, nu, 0.0], [nu, 1.0 - nu, 0.0], [0.0, 0.0, (1.0 - 2.0 * nu) / 2.0]]
-    )
-
-
 @dataclass(frozen=True)
 class MaterialField:
     """Per-element material assignment over a mesh."""
@@ -126,6 +110,12 @@ def constitutive_matrices(field: MaterialField, mode: str = "as-printed") -> np.
         out[:, 1, 0] = f * nu
         out[:, 2, 2] = f * (1.0 - 2.0 * nu) / 2.0
     return out
+
+
+def constitutive_matrix(material: Material, mode: str = "as-printed") -> np.ndarray:
+    """3x3 symmetric matrix relating (eps_x, eps_y, gamma_xy) to stress: the
+    one row of :func:`constitutive_matrices` for a single material."""
+    return constitutive_matrices(MaterialField([material.E], [material.nu]), mode)[0]
 
 
 def _region_intervals(region: AngularRegion) -> list[tuple[float, float]]:

@@ -270,24 +270,3 @@ def validate(mesh: Mesh, quality_angle_deg: float = QUALITY_ANGLE_DEG) -> Valida
         )
     return ValidationReport(tuple(checks), tuple(warnings))
 
-
-def locate_element(mesh: Mesh, point) -> int | None:
-    """Index of the lowest-index triangle containing the point, else None.
-
-    Containment uses closed barycentric coordinates, so points on shared
-    edges resolve to the lower triangle index.
-    """
-    p = np.asarray(point, dtype=float).reshape(2)
-    t = mesh.nodes[mesh.triangles]
-    v0 = t[:, 1] - t[:, 0]
-    v1 = t[:, 2] - t[:, 0]
-    v2 = p[None, :] - t[:, 0]
-    den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
-    l1 = (v2[:, 0] * v1[:, 1] - v2[:, 1] * v1[:, 0]) / den
-    l2 = (v0[:, 0] * v2[:, 1] - v0[:, 1] * v2[:, 0]) / den
-    l0 = 1.0 - l1 - l2
-    tol = 1e-12
-    inside = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-    if not np.any(inside):
-        return None
-    return int(np.argmax(inside))

@@ -6,7 +6,7 @@ available: the closed-form plane-strain radial displacement of the
 homogeneous ring, and a traction-loaded finite-element solve that works for
 inhomogeneous (stiff-sector) rings as well. A pressure cycle turns either
 into a sequence of displaced wall contours, feeding the contour pipeline
-exactly like cardiac data.
+exactly like cardiac data. :func:`verify_ring` runs the verification suite.
 """
 
 from __future__ import annotations
@@ -16,19 +16,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contours import Contour, FrameContours, Point2
+from .contours import Contour, FrameContours, Point2, boundary_displacements
 from .errors import ConfigurationError, GeometryError
 from .fem import (
     BoundaryConditionSet,
     apply_dirichlet,
     apply_traction,
     assemble,
+    boundary_dof_map,
     internal_pressure_tractions,
     remove_rigid_motion,
     solve,
+    solve_condensed,
 )
 from .materials import AngularRegion, Material, region_material_field
 from .meshing import triangulate_annulus
+from .strain import SectorSummary, sector_average, strain_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,22 +165,26 @@ def solve_ring_traction(
     Requires n_angular divisible by 4. Returns (mesh, materials,
     displacement).
     """
-    if n_angular % 4 != 0:
-        raise ConfigurationError("n_angular must be divisible by 4 for the pin layout")
     mesh, materials = make_ring(spec, n_angular, n_radial)
     system = assemble(mesh, materials, mode)
+    disp = _traction_solve(mesh, system, pressure, n_angular, n_radial, detrend_rigid, anchor_deg)
+    return mesh, materials, disp
+
+
+def _traction_solve(
+    mesh, system, pressure, n_angular, n_radial, detrend_rigid=True, anchor_deg=None
+):
+    """The pinned solve of :func:`solve_ring_traction` on an assembled ring."""
+    if n_angular % 4 != 0:
+        raise ConfigurationError("n_angular must be divisible by 4 for the pin layout")
+    if anchor_deg is not None and anchor_deg % 90.0 != 0.0:
+        raise ConfigurationError("anchor_deg must be a multiple of 90 degrees")
     tractions = internal_pressure_tractions(mesh, pressure)
     system = apply_traction(system, BoundaryConditionSet(tractions=tractions), mesh)
     if anchor_deg is None:
         quarter = n_angular // 4
-        pins = {
-            0: (None, 0.0),
-            2 * quarter: (None, 0.0),
-            quarter: (0.0, None),
-        }
+        pins = {0: (None, 0.0), 2 * quarter: (None, 0.0), quarter: (0.0, None)}
     else:
-        if anchor_deg % 90.0 != 0.0:
-            raise ConfigurationError("anchor_deg must be a multiple of 90 degrees")
         j = int(round(anchor_deg % 360.0 / 360.0 * n_angular)) % n_angular
         outer_node = n_radial * n_angular + j
         tangential_is_x = anchor_deg % 180.0 != 0.0  # at 90/270 deg tangent is +-x
@@ -187,7 +194,7 @@ def solve_ring_traction(
     disp = solve(system)
     if detrend_rigid and anchor_deg is None:
         disp = remove_rigid_motion(mesh, disp)
-    return mesh, materials, disp
+    return disp
 
 
 def pressure_load_cycle(
@@ -230,3 +237,161 @@ def pressure_load_cycle(
         outer = Contour(outer0.points + p * unit_outer, "outer")
         frames.append(FrameContours(k, inner, outer))
     return frames
+
+
+# ---------------------------------------------------------------------------
+# verification suite
+
+
+@dataclass(frozen=True)
+class RingCheck:
+    """One named pass/fail check of :func:`verify_ring` and its report line."""
+
+    name: str
+    passed: bool
+    line: str
+
+
+def _check(name: str, passed, text: str) -> RingCheck:
+    return RingCheck(name, bool(passed), f"[{'PASS' if passed else 'FAIL'}] {text}")
+
+
+@dataclass(frozen=True)
+class RingVerification:
+    """L2 errors and orders of the homogeneous rings at ``resolutions``, the
+    stiff-wedge ring's sector summaries on both routes, and the checks."""
+
+    resolutions: tuple[tuple[int, int], ...]
+    l2_errors: tuple[float, ...]
+    orders: tuple[float, ...]
+    traction: SectorSummary
+    pipeline: SectorSummary
+    stiff_sectors: np.ndarray
+    checks: tuple[RingCheck, ...]
+
+    @property
+    def failures(self) -> list[str]:
+        return [c.name for c in self.checks if not c.passed]
+
+
+def _walls(mesh, values):
+    return values[mesh.boundary_nodes("inner")], values[mesh.boundary_nodes("outer")]
+
+
+def _oracle_values(spec: RingSpec, mesh):
+    """All boundary dofs of a ring mesh and their unit-pressure oracle values."""
+    inner, outer = _walls(mesh, mesh.nodes)
+    fixed, take = boundary_dof_map(mesh, inner, outer, spec.center)
+    return fixed, lame_displacement_at(spec, 1.0, np.concatenate([inner, outer])).ravel()[take]
+
+
+def _pipeline_values(mesh, disp, n_points: int) -> np.ndarray:
+    """The values the contour pipeline reads off the walls deformed by ``disp``."""
+    (inner, outer), (du_inner, du_outer) = _walls(mesh, mesh.nodes), _walls(mesh, disp.values)
+    bd = boundary_displacements(
+        FrameContours(0, Contour(inner, "inner"), Contour(outer, "outer")),
+        FrameContours(1, Contour(inner + du_inner, "inner"), Contour(outer + du_outer, "outer")),
+        n_points,
+    )
+    _, take = boundary_dof_map(
+        mesh, bd.inner_positions, bd.outer_positions, bd.reference_center, "index"
+    )
+    return np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]
+
+
+def _centroid_l2_error(spec: RingSpec, mesh, disp) -> float:
+    """Area-weighted relative L2 displacement error sampled at centroids.
+
+    Centroid sampling keeps the metric honest even when a coarse mesh has no
+    interior nodes (all nodal values then equal the imposed boundary data).
+    """
+    areas = mesh.triangle_areas()
+    num_at_centroids = disp.values[mesh.triangles].mean(axis=1)
+    rel = mesh.triangle_centroids() - np.asarray(spec.center, dtype=float)
+    dist = np.linalg.norm(rel, axis=1)
+    a, b = spec.inner_radius, spec.outer_radius
+    # clamp centroid radii into the wall: the polygonal mesh lies slightly
+    # inside the true circles
+    u = lame_displacement(a, b, 1.0, spec.material.E, spec.material.nu, np.clip(dist, a, b))
+    exact_at_centroids = (u / dist)[:, None] * rel
+    diff = num_at_centroids - exact_at_centroids
+    diff2 = np.einsum("ij,ij->i", diff, diff)
+    ref2 = np.einsum("ij,ij->i", exact_at_centroids, exact_at_centroids)
+    return float(np.sqrt(np.sum(areas * diff2) / np.sum(areas * ref2)))
+
+
+def verify_ring(
+    spec: RingSpec, n_points: int = 64, n_radial: int = 8, n_sectors: int = 16
+) -> RingVerification:
+    """Verify the solver and the contour pipeline on the pressurized ring.
+
+    Convergence against the oracle at half, base (n_points x n_radial) and
+    double resolution, the traction solve against the oracle, the contour
+    pipeline against the traction route, and a 10x stiffer 225-315 degree
+    wedge as the strict sector minima on both routes. Each ring is meshed and
+    assembled once (the wedge ring on the base mesh), and every solve that
+    fixes all boundary dofs is condensed: on the base ring the oracle solve
+    and the pipeline re-solve are two columns of one factor.
+    """
+    resolutions = ((n_points // 2, max(n_radial // 2, 1)), (n_points, n_radial),
+                   (n_points * 2, n_radial * 2))
+    rings = [make_ring(spec, na, nr) for na, nr in resolutions]
+    systems = [assemble(mesh, mats, "plane-strain") for mesh, mats in rings]
+    oracle = [_oracle_values(spec, mesh) for mesh, _ in rings]
+    (mesh, mats), fixed = rings[1], oracle[1][0]
+
+    disp = _traction_solve(mesh, systems[1], 1.0, n_points, n_radial)
+    columns = [[values] for _, values in oracle]
+    columns[1].append(_pipeline_values(mesh, disp, n_points))
+    solved = [solve_condensed(system, dofs, np.column_stack(cols))
+              for system, (dofs, _), cols in zip(systems, oracle, columns)]
+    errors = [_centroid_l2_error(spec, m, d[0]) for (m, _), d in zip(rings, solved)]
+    orders = [math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0.0 else math.inf
+              for i in range(len(errors) - 1)]
+
+    # independent traction-loaded cross-check of the oracle
+    fine_mesh = rings[2][0]
+    fine = _traction_solve(fine_mesh, systems[2], 1.0, *resolutions[2])
+    exact = lame_displacement_at(spec, 1.0, fine_mesh.nodes)
+    traction_err = float(np.linalg.norm(fine.values - exact) / np.linalg.norm(exact))
+
+    def summary(materials, u):
+        sf = strain_field(mesh, u, materials.nu, "plane-strain")
+        return sector_average(mesh, sf, u, spec.center, n_sectors)
+
+    # the homogeneous field is purely radial, so the angular matching of the
+    # deformed contours is exact up to interpolation
+    md, md2 = summary(mats, disp).mean_displacement, summary(mats, solved[1][1]).mean_displacement
+    route_gap = float(np.max(np.abs(md2 - md)) / np.max(md))
+
+    # stiff wedge anchored at its mid angle
+    stiff = AngularRegion(225.0, 315.0, Material(spec.material.E * 10.0, spec.material.nu))
+    stiff_mats = region_material_field(mesh, spec.material, (stiff,), spec.center)
+    stiff_system = assemble(mesh, stiff_mats, "plane-strain")
+    stiff_disp = _traction_solve(mesh, stiff_system, 1.0, n_points, n_radial, anchor_deg=270.0)
+    values = _pipeline_values(mesh, stiff_disp, n_points)[:, None]
+    (stiff_disp2,) = solve_condensed(stiff_system, fixed, values)
+    traction, pipeline = summary(stiff_mats, stiff_disp), summary(stiff_mats, stiff_disp2)
+    mids = (np.arange(n_sectors) + 0.5) * (360.0 / n_sectors)
+    stiff_sectors = (mids >= 225.0) & (mids < 315.0)
+    stiff_sectors.setflags(write=False)
+
+    checks = [
+        _check("L2 error", errors[1] <= 0.01, f"mid-resolution L2 error {errors[1]:.3e} <= 1e-2"),
+        _check("convergence order", min(orders) >= 1.7,
+               f"min observed order {min(orders):.3f} >= 1.7"),
+        _check("traction cross-check", traction_err <= 0.02,
+               f"traction cross-check L2 {traction_err:.3e} <= 2e-2"),
+        _check("route agreement", route_gap <= 0.05,
+               f"pipeline/traction sector agreement {route_gap:.3e} <= 5e-2"),
+    ]
+    for route, summ in (("traction", traction), ("pipeline", pipeline)):
+        md, me = summ.mean_displacement, summ.mean_effective
+        checks.append(_check(
+            f"stiff-sector minima ({route})",
+            md[stiff_sectors].max() < md[~stiff_sectors].min()
+            and me[stiff_sectors].max() < me[~stiff_sectors].min(),
+            f"stiff-sector displacement and strain strict minima ({route} route)",
+        ))
+    return RingVerification(resolutions, tuple(errors), tuple(orders), traction, pipeline,
+                            stiff_sectors, tuple(checks))

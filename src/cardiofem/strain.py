@@ -3,9 +3,9 @@
 A strain field is computed for all elements at once as B . d, with the
 strain-displacement matrices that assembly uses. The per-element formula of
 the method (strain in a local frame with node 1 at the origin and node 2 on
-the positive x axis, tensor-rotated back to the global frame) is kept as
-``element_strain`` and ``element_strain_local``; the tests check the field
-against it. The local-frame values can be kept as debug output.
+the positive x axis, tensor-rotated back to the global frame) lives in the
+test suite as the oracle the field is checked against. The local-frame
+values can be kept as debug output.
 
 The effective strain scalar condenses the 2D strain state (with zero
 out-of-plane components) into one non-negative deformation intensity:
@@ -74,51 +74,6 @@ class SectorSummary:
         for arr, name in ((md, "mean_displacement"), (me, "mean_effective"), (ct, "counts")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-def _local_frame_strain(coords, disp) -> tuple[np.ndarray, np.ndarray]:
-    """Strain in the node-1-origin, edge-1-2-aligned frame plus the rotation."""
-    p = np.asarray(coords, dtype=float).reshape(3, 2)
-    d = np.asarray(disp, dtype=float).reshape(3, 2)
-    e21 = p[1] - p[0]
-    x2p = float(np.hypot(e21[0], e21[1]))
-    if x2p <= 0.0:
-        raise GeometryError("degenerate element: nodes 1 and 2 coincide")
-    cph = e21[0] / x2p
-    sph = e21[1] / x2p
-    rot = np.array([[cph, sph], [-sph, cph]])  # global -> local
-    q3 = rot @ (p[2] - p[0])
-    x3p, y3p = float(q3[0]), float(q3[1])
-    if y3p <= 0.0:
-        raise GeometryError("degenerate element: non-positive area after transform")
-
-    el = d @ rot.T
-    u1, v1 = el[0]
-    u2, v2 = el[1]
-    u3, v3 = el[2]
-    denom = x2p * y3p
-    eps_x = (u2 - u1) / x2p
-    eps_y = ((x3p - x2p) * v1 - x3p * v2) / denom + v3 / y3p
-    gamma = ((x3p - x2p) * u1 - x3p * u2) / denom - v1 / x2p + v2 / x2p + u3 / y3p
-    return np.array([eps_x, eps_y, gamma]), rot
-
-
-def element_strain_local(coords, disp) -> np.ndarray:
-    """(eps_x, eps_y, gamma_xy) in the element-local rotated frame."""
-    strain, _ = _local_frame_strain(coords, disp)
-    return strain
-
-
-def element_strain(coords, disp) -> np.ndarray:
-    """(eps_x, eps_y, gamma_xy) of one triangle in the global frame.
-
-    Computed in the local edge-aligned frame and rotated back; identical
-    (to rounding) to B @ d with the element's strain-displacement matrix.
-    """
-    (ex, ey, g), rot = _local_frame_strain(coords, disp)
-    tensor = np.array([[ex, 0.5 * g], [0.5 * g, ey]])
-    glob = rot.T @ tensor @ rot
-    return np.array([glob[0, 0], glob[1, 1], 2.0 * glob[0, 1]])
 
 
 def effective_strain(eps_x, eps_y, gamma_xy, nu, mode: str = "as-printed"):

@@ -1,0 +1,69 @@
+"""Per-element oracles kept for the tests: the one-triangle strain-displacement
+matrix and stiffness, and the method's strain formula in the element's local
+edge-aligned frame. The library computes all of these for whole meshes at
+once; the tests check it against these scalar forms."""
+
+import numpy as np
+
+from cardiofem.errors import GeometryError
+from cardiofem.fem import strain_displacement_matrices
+
+
+def strain_displacement_matrix(coords) -> tuple[np.ndarray, float]:
+    """Constant B matrix (3x6) of one linear triangle and its area."""
+    bmat, area = strain_displacement_matrices(
+        np.asarray(coords, dtype=float).reshape(3, 2), [[0, 1, 2]]
+    )
+    return bmat[0], float(area[0])
+
+
+def element_stiffness(coords, constitutive: np.ndarray) -> np.ndarray:
+    """6x6 stiffness area * B^T D B of one linear triangle."""
+    bmat, area = strain_displacement_matrix(coords)
+    d = np.asarray(constitutive, dtype=float).reshape(3, 3)
+    return area * bmat.T @ d @ bmat
+
+
+def _local_frame_strain(coords, disp) -> tuple[np.ndarray, np.ndarray]:
+    """Strain in the node-1-origin, edge-1-2-aligned frame plus the rotation."""
+    p = np.asarray(coords, dtype=float).reshape(3, 2)
+    d = np.asarray(disp, dtype=float).reshape(3, 2)
+    e21 = p[1] - p[0]
+    x2p = float(np.hypot(e21[0], e21[1]))
+    if x2p <= 0.0:
+        raise GeometryError("degenerate element: nodes 1 and 2 coincide")
+    cph = e21[0] / x2p
+    sph = e21[1] / x2p
+    rot = np.array([[cph, sph], [-sph, cph]])  # global -> local
+    q3 = rot @ (p[2] - p[0])
+    x3p, y3p = float(q3[0]), float(q3[1])
+    if y3p <= 0.0:
+        raise GeometryError("degenerate element: non-positive area after transform")
+
+    el = d @ rot.T
+    u1, v1 = el[0]
+    u2, v2 = el[1]
+    u3, v3 = el[2]
+    denom = x2p * y3p
+    eps_x = (u2 - u1) / x2p
+    eps_y = ((x3p - x2p) * v1 - x3p * v2) / denom + v3 / y3p
+    gamma = ((x3p - x2p) * u1 - x3p * u2) / denom - v1 / x2p + v2 / x2p + u3 / y3p
+    return np.array([eps_x, eps_y, gamma]), rot
+
+
+def element_strain_local(coords, disp) -> np.ndarray:
+    """(eps_x, eps_y, gamma_xy) in the element-local rotated frame."""
+    strain, _ = _local_frame_strain(coords, disp)
+    return strain
+
+
+def element_strain(coords, disp) -> np.ndarray:
+    """(eps_x, eps_y, gamma_xy) of one triangle in the global frame.
+
+    Computed in the local edge-aligned frame and rotated back; identical
+    (to rounding) to B @ d with the element's strain-displacement matrix.
+    """
+    (ex, ey, g), rot = _local_frame_strain(coords, disp)
+    tensor = np.array([[ex, 0.5 * g], [0.5 * g, ey]])
+    glob = rot.T @ tensor @ rot
+    return np.array([glob[0, 0], glob[1, 1], 2.0 * glob[0, 1]])

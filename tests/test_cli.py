@@ -353,6 +353,58 @@ def test_phantom_verify_custom_spec(tmp_path):
                "--out", str(out)) == 0
 
 
+def test_phantom_csvs_are_numbers_of_the_report(tmp_path):
+    from cardiofem import Material, RingSpec, verify_ring
+
+    out = tmp_path / "pv"
+    assert run("phantom-verify", "--n-points", "32", "--n-radial", "4",
+               "--out", str(out)) == 0
+    report = verify_ring(RingSpec(1.0, 2.0, material=Material(1e4, 0.3)), 32, 4, 16)
+    with (out / "convergence.csv").open() as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [[float(v) for v in row[:4]] for row in rows] == [
+        [na, nr, 1.0 / nr, err] for (na, nr), err in zip(report.resolutions, report.l2_errors)
+    ]
+    assert [row[4] for row in rows] == ["", *(repr(o) for o in report.orders)]
+    with (out / "sector_comparison.csv").open() as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    t, p = report.traction, report.pipeline
+    assert rows == [
+        [s, t.mean_displacement[s], p.mean_displacement[s], t.mean_effective[s],
+         p.mean_effective[s], float(report.stiff_sectors[s])]
+        for s in range(16)
+    ]
+
+
+def _hooked_inner(center, n=60):
+    """A simple inner wall with a hook over angles -0.2..0.5 rad: the ray at
+    angle 0 from the center crosses it three times, so it is not star-shaped."""
+    path = [(22.0, t) for t in np.linspace(-0.2, 0.3, 6)]
+    path += [(28.0, t) for t in np.linspace(0.3, -0.2, 6)]
+    path += [(32.0, t) for t in np.linspace(-0.2, 0.5, 8)]
+    path += [(22.0, t) for t in np.linspace(0.5, 2.0 * np.pi - 0.2, n)[:-1]]
+    return [[center[0] + r * np.cos(t), center[1] + r * np.sin(t)] for r, t in path]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--frame", "2"]),
+    ("strain", ["--frame", "1"]),
+    ("analyze", []),
+])
+def test_every_frame_of_the_slice_is_checked(tmp_path, synth_pair, capsys, command, flags):
+    # solve and strain run the slice's cycle analysis like analyze does, so a
+    # later frame that is not star-shaped stops them too
+    healthy_dir, _ = synth_pair
+    data = json.loads((healthy_dir / "study.json").read_text())
+    data["slices"][0]["frames"][4]["inner"] = _hooked_inner((128.0, 128.0))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(command, "--study", str(bad), *flags, "--out", str(tmp_path / "res")) == 1
+    line = _single_error_line(capsys)
+    assert line.startswith("error: frame 4: contour is not star-shaped"), line
+
+
 def test_analyze_dense_contours(tmp_path, monkeypatch):
     # 2048-vertex walls through ingest, volumes, meshing, solves and export,
     # with every contour certified simple by the linear-time check

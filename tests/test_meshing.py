@@ -7,7 +7,6 @@ from cardiofem import (
     Mesh,
     MeshError,
     circle_contour,
-    locate_element,
     polygon_area,
     triangulate_annulus,
     validate,
@@ -132,62 +131,6 @@ def test_validate_warns_on_slivers():
     report = validate(mesh)
     assert report.passed
     assert report.warnings
-
-
-# ---------------------------------------------------------------------------
-# locate_element
-
-
-def test_locate_element_centroids(ring_mesh):
-    mesh, _ = ring_mesh
-    for k, c in enumerate(mesh.triangle_centroids()):
-        assert locate_element(mesh, c) == k
-
-
-def test_locate_element_outside(ring_mesh):
-    mesh, _ = ring_mesh
-    assert locate_element(mesh, (5.0, 5.0)) is None
-    assert locate_element(mesh, (0.0, 0.0)) is None  # in the hole
-
-
-def test_locate_element_shared_edge_lowest_index(ring_mesh):
-    mesh, _ = ring_mesh
-    # midpoint of an edge shared by two triangles resolves to the lower index
-    t0 = mesh.triangles[0]
-    t1 = mesh.triangles[1]
-    shared = sorted(set(t0) & set(t1))
-    assert len(shared) == 2
-    midpoint = mesh.nodes[shared].mean(axis=0)
-    assert locate_element(mesh, midpoint) == 0
-
-
-def _brute_force_locate(mesh, p):
-    """Sign-based point-in-triangle scan, independent of barycentric math."""
-    for k, tri in enumerate(mesh.triangles):
-        a, b, c = mesh.nodes[tri]
-        d1 = (p[0] - b[0]) * (a[1] - b[1]) - (a[0] - b[0]) * (p[1] - b[1])
-        d2 = (p[0] - c[0]) * (b[1] - c[1]) - (b[0] - c[0]) * (p[1] - c[1])
-        d3 = (p[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (p[1] - a[1])
-        neg = (d1 < -1e-12) or (d2 < -1e-12) or (d3 < -1e-12)
-        pos = (d1 > 1e-12) or (d2 > 1e-12) or (d3 > 1e-12)
-        if not (neg and pos):
-            return k
-    return None
-
-
-def test_locate_element_matches_brute_force():
-    inner, outer = _circles(32)
-    mesh = triangulate_annulus(inner, outer, 32, 4)
-    rng = np.random.default_rng(12)
-    theta = rng.uniform(0, 2 * np.pi, 1000)
-    radius = rng.uniform(1.01, 1.99, 1000)
-    pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
-    for p in pts:
-        fast = locate_element(mesh, p)
-        slow = _brute_force_locate(mesh, p)
-        # interior points away from edges must agree exactly; edge points may
-        # legitimately differ only if both pick a containing triangle
-        assert fast == slow
 
 
 def test_boundary_nodes(ring_mesh):

@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose
 
 from cardiofem import (
     AngularRegion,
+    BoundaryConditionSet,
     ConfigurationError,
+    Contour,
+    FrameContours,
     GeometryError,
     Material,
     RingSpec,
@@ -23,7 +26,9 @@ from cardiofem import (
     solve_ring_traction,
     strain_field,
     triangulate_annulus,
+    verify_ring,
 )
+from cardiofem.phantom import lame_displacement_at
 
 
 def test_ring_spec_validation():
@@ -233,3 +238,133 @@ def test_anchor_requires_axis_aligned_angle():
         solve_ring_traction(spec, 1.0, 64, 8, anchor_deg=45.0)
     with pytest.raises(ConfigurationError):
         solve_ring_traction(spec, 1.0, 30, 8)  # not divisible by 4
+
+
+# ---------------------------------------------------------------------------
+# the verification suite against the route it replaced
+
+
+def _old_sector_summary(mesh, mats, disp, spec, n_sectors):
+    sf = strain_field(mesh, disp, mats.nu, "plane-strain")
+    return sector_average(mesh, sf, disp, spec.center, n_sectors)
+
+
+def _old_pipeline_resolve(mesh, mats, disp, n_points):
+    """Re-derive boundary conditions from deformed contours and solve again,
+    on a system assembled afresh and eliminated."""
+    inner_nodes = mesh.boundary_nodes("inner")
+    outer_nodes = mesh.boundary_nodes("outer")
+    frame0 = FrameContours(
+        0,
+        Contour(mesh.nodes[inner_nodes], "inner"),
+        Contour(mesh.nodes[outer_nodes], "outer"),
+    )
+    frame1 = FrameContours(
+        1,
+        Contour(mesh.nodes[inner_nodes] + disp.values[inner_nodes], "inner"),
+        Contour(mesh.nodes[outer_nodes] + disp.values[outer_nodes], "outer"),
+    )
+    bd = boundary_displacements(frame0, frame1, n_points)
+    bcs = boundary_conditions_from_displacements(mesh, bd, match="index")
+    system = assemble(mesh, mats, "plane-strain")
+    return solve(apply_dirichlet(system, bcs, mesh))
+
+
+def _old_lame_dirichlet_error(spec, n_angular, n_radial):
+    """Centroid-sampled relative L2 error of a freshly meshed ring whose
+    boundary nodes are eliminated to the oracle values."""
+    mesh, mats = make_ring(spec, n_angular, n_radial)
+    system = assemble(mesh, mats, "plane-strain")
+    exact_nodes = lame_displacement_at(spec, 1.0, mesh.nodes)
+    bnodes = np.concatenate([mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")])
+    bcs = BoundaryConditionSet(
+        dirichlet={int(n): (float(exact_nodes[n, 0]), float(exact_nodes[n, 1])) for n in bnodes}
+    )
+    disp = solve(apply_dirichlet(system, bcs, mesh))
+
+    areas = mesh.triangle_areas()
+    num_at_centroids = disp.values[mesh.triangles].mean(axis=1)
+    rel = mesh.triangle_centroids() - np.asarray(spec.center, dtype=float)
+    radii = np.clip(np.linalg.norm(rel, axis=1), spec.inner_radius, spec.outer_radius)
+    exact_at_centroids = (
+        lame_displacement(
+            spec.inner_radius, spec.outer_radius, 1.0, spec.material.E,
+            spec.material.nu, radii,
+        )
+        / np.linalg.norm(rel, axis=1)
+    )[:, None] * rel
+    diff2 = np.einsum("ij,ij->i", num_at_centroids - exact_at_centroids,
+                      num_at_centroids - exact_at_centroids)
+    ref2 = np.einsum("ij,ij->i", exact_at_centroids, exact_at_centroids)
+    return float(np.sqrt(np.sum(areas * diff2) / np.sum(areas * ref2)))
+
+
+def _old_verification(spec, n_points, n_radial, n_sectors):
+    """L2 errors, orders and the stiff ring's (traction, pipeline) summaries
+    as the command line computed them: every ring meshed and assembled per
+    solve, every solve eliminated."""
+    resolutions = [
+        (n_points // 2, max(n_radial // 2, 1)), (n_points, n_radial),
+        (n_points * 2, n_radial * 2),
+    ]
+    errors = [_old_lame_dirichlet_error(spec, na, nr) for na, nr in resolutions]
+    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
+    stiff = AngularRegion(225.0, 315.0, Material(spec.material.E * 10.0, spec.material.nu))
+    stiff_spec = RingSpec(
+        spec.inner_radius, spec.outer_radius, spec.center, spec.material, (stiff,)
+    )
+    mesh, mats, disp = solve_ring_traction(
+        stiff_spec, 1.0, n_points, n_radial, anchor_deg=270.0
+    )
+    traction = _old_sector_summary(mesh, mats, disp, stiff_spec, n_sectors)
+    disp2 = _old_pipeline_resolve(mesh, mats, disp, n_points)
+    pipeline = _old_sector_summary(mesh, mats, disp2, stiff_spec, n_sectors)
+    return errors, orders, traction, pipeline
+
+
+@pytest.mark.parametrize("spec, n_points, n_radial", [
+    (RingSpec(1.0, 2.0, material=Material(1e4, 0.3)), 32, 4),
+    (RingSpec(1.0, 2.0, material=Material(1e4, 0.3)), 64, 8),
+    (RingSpec(1.0, 2.0, material=Material(5e4, 0.25)), 64, 8),
+])
+def test_verify_ring_matches_eliminated_route(spec, n_points, n_radial):
+    report = verify_ring(spec, n_points, n_radial, 16)
+    errors, orders, traction, pipeline = _old_verification(spec, n_points, n_radial, 16)
+    assert np.array_equal(report.l2_errors, errors)
+    assert np.array_equal(report.orders, orders)
+    for got, want in ((report.traction, traction), (report.pipeline, pipeline)):
+        for name in ("mean_displacement", "mean_effective", "counts"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert report.failures == []
+    assert len(report.checks) == 6
+
+
+def test_verify_ring_builds_each_ring_once(monkeypatch):
+    import cardiofem.fem as fem_module
+    import cardiofem.phantom as phantom_module
+
+    calls = {"triangulate": 0, "assemble": 0, "splu": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(phantom_module, "triangulate_annulus",
+                        counted("triangulate", phantom_module.triangulate_annulus))
+    monkeypatch.setattr(phantom_module, "assemble", counted("assemble", phantom_module.assemble))
+    monkeypatch.setattr(fem_module, "splu", counted("splu", fem_module.splu))
+    verify_ring(RingSpec(1.0, 2.0), 64, 8, 16)
+    # three homogeneous rings plus the stiff wedge on the base mesh; the base
+    # oracle solve and the pipeline re-solve share one factor
+    assert calls == {"triangulate": 3, "assemble": 4, "splu": 7}
+
+
+def test_verify_ring_coarse_base_fails_named_checks():
+    report = verify_ring(RingSpec(1.0, 2.0), 8, 1, 16)
+    assert report.failures == ["L2 error", "traction cross-check"]
+    assert [c.line.split("]")[0] + "]" for c in report.checks] == [
+        "[FAIL]", "[PASS]", "[FAIL]", "[PASS]", "[PASS]", "[PASS]",
+    ]
+    assert report.stiff_sectors.tolist() == [10 <= s <= 13 for s in range(16)]

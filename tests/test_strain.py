@@ -15,19 +15,18 @@ from cardiofem import (
     apply_dirichlet,
     assemble,
     effective_strain,
-    element_strain,
-    element_strain_local,
     lame_displacement,
     lame_strain_polar,
     make_ring,
     sector_average,
     solve,
-    strain_displacement_matrix,
     strain_field,
 )
 from cardiofem import fem
 from cardiofem import strain as strain_module
 from cardiofem.strain import sector_index
+
+from oracles import element_strain, element_strain_local, strain_displacement_matrix
 
 TWO_PI = 2.0 * math.pi
 

@@ -25,7 +25,6 @@ from cardiofem import (
     circle_contour,
     cycle_strain_analysis,
     effective_strain,
-    element_strain,
     healthy_study,
     infarct_localization,
     mi_wedge_study,
@@ -42,6 +41,7 @@ from cardiofem import contours, fem, io
 from cardiofem import study as study_module
 
 from conftest import circle_frame, star_contour
+from oracles import element_strain
 
 
 def _single_slice_study(frames, spacing=8.0, subject="s"):
