@@ -11,8 +11,9 @@ Subcommands:
     volume           volume curve of a study
 
 Exit codes: 0 success, 1 tolerance or validation failure, 2 usage or input
-error. A JSON config file (--config) may supply any long flag by name;
-explicit flags override config values.
+error, including a file that cannot be read or written. A JSON config file
+(--config) may supply any long flag by name; explicit flags override config
+values.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     MeshError,
     SolverError,
     StarShapeError,
+    UsageError,
 )
 from .fem import BoundaryConditionSet, apply_dirichlet, assemble
 from .materials import Material, MaterialField
@@ -47,10 +49,6 @@ from .study import (
     normalized_volume_curve,
 )
 from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_study
-
-
-class UsageError(ValueError):
-    """A flag value outside what the input allows, such as a missing slice."""
 
 
 VALIDATION_ERRORS = (
@@ -285,16 +283,14 @@ def cmd_phantom_verify(cfg) -> int:
 # analyze and the small single-step commands
 
 
-def _write_fields_vtk(path, res) -> None:
-    """One frame result's displacement and strain fields on its mesh."""
+def _fields_vtk_job(path, res) -> tuple:
+    """``write_mesh_vtk`` arguments of one frame result's displacement and
+    strain fields on its mesh."""
     sf = res.strain
-    cfio.write_mesh_vtk(
-        path, res.mesh,
-        point_vectors={"displacement": res.displacement.values},
-        cell_scalars={
-            "eps_x": sf.eps_x, "eps_y": sf.eps_y, "gamma_xy": sf.gamma_xy,
-            "effective": sf.effective,
-        },
+    return (
+        path, res.mesh, {"displacement": res.displacement.values},
+        {"eps_x": sf.eps_x, "eps_y": sf.eps_y, "gamma_xy": sf.gamma_xy,
+         "effective": sf.effective},
     )
 
 
@@ -307,43 +303,46 @@ def cmd_analyze(cfg) -> int:
     cfio.write_volume_csv(out / "volume_curve.csv", curve)
 
     per_slice = [cycle_strain_analysis(study, params, i) for i in range(len(study.slices))]
-    for sl, results in zip(study.slices, per_slice):
-        for res in results:
-            _write_fields_vtk(out / f"fields_slice{sl.index}_frame{res.frame_index}.vtk", res)
-        cfio.write_sector_csv(
-            out / f"sector_timeseries_slice{sl.index}.csv",
-            [r.sectors for r in results],
-            [r.frame_index for r in results],
-        )
-        with (out / f"strain_aggregates_slice{sl.index}.csv").open("w") as fh:
-            fh.write("frame,mean_effective,max_effective\n")
-            for r in results:
-                fh.write(
-                    f"{r.frame_index},{float(np.mean(r.strain.effective))!r},"
-                    f"{float(np.max(r.strain.effective))!r}\n"
-                )
-
-    references = getattr(cfg, "reference", None)
-    if references:
-        ref_manifests = list(getattr(cfg, "reference_manifest", None) or [])
-        ref_sequences = []
-        for i, ref_path in enumerate(references):
-            manifest = ref_manifests[i] if i < len(ref_manifests) else getattr(cfg, "manifest", None)
-            ref_sequences.append(cfio.read_study(ref_path, manifest))
-        for sl_pos, (sl, results) in enumerate(zip(study.slices, per_slice)):
-            ref_runs = []
-            for ref_study in ref_sequences:
-                ref_results = cycle_strain_analysis(ref_study, params, slice_index=sl_pos)
-                ref_runs.append([r.sectors for r in ref_results])
-            reference = average_sector_summaries(ref_runs)
-            loc = infarct_localization([r.sectors for r in results], reference, cfg.tau)
-            cfio.write_localization_json(out / f"localization_slice{sl.index}.json", loc)
-            flagged = loc.suspected_sectors
-            print(
-                f"slice {sl.index}: suspected sectors {list(flagged)}"
-                if flagged
-                else f"slice {sl.index}: no suspected sectors"
+    jobs = [_fields_vtk_job(out / f"fields_slice{sl.index}_frame{res.frame_index}.vtk", res)
+            for sl, results in zip(study.slices, per_slice) for res in results]
+    # the VTK writers run while the tables are written and the reference analysed
+    with cfio.field_vtk_export(jobs):
+        for sl, results in zip(study.slices, per_slice):
+            cfio.write_sector_csv(
+                out / f"sector_timeseries_slice{sl.index}.csv",
+                [r.sectors for r in results],
+                [r.frame_index for r in results],
             )
+            with (out / f"strain_aggregates_slice{sl.index}.csv").open("w") as fh:
+                fh.write("frame,mean_effective,max_effective\n")
+                for r in results:
+                    fh.write(
+                        f"{r.frame_index},{float(np.mean(r.strain.effective))!r},"
+                        f"{float(np.max(r.strain.effective))!r}\n"
+                    )
+
+        references = getattr(cfg, "reference", None)
+        if references:
+            ref_manifests = list(getattr(cfg, "reference_manifest", None) or [])
+            ref_sequences = []
+            for i, ref_path in enumerate(references):
+                manifest = (ref_manifests[i] if i < len(ref_manifests)
+                            else getattr(cfg, "manifest", None))
+                ref_sequences.append(cfio.read_study(ref_path, manifest))
+            for sl_pos, (sl, results) in enumerate(zip(study.slices, per_slice)):
+                ref_runs = []
+                for ref_study in ref_sequences:
+                    ref_results = cycle_strain_analysis(ref_study, params, slice_index=sl_pos)
+                    ref_runs.append([r.sectors for r in ref_results])
+                reference = average_sector_summaries(ref_runs)
+                loc = infarct_localization([r.sectors for r in results], reference, cfg.tau)
+                cfio.write_localization_json(out / f"localization_slice{sl.index}.json", loc)
+                flagged = loc.suspected_sectors
+                print(
+                    f"slice {sl.index}: suspected sectors {list(flagged)}"
+                    if flagged
+                    else f"slice {sl.index}: no suspected sectors"
+                )
     print(f"artifacts written to {out}")
     return 0
 
@@ -450,7 +449,7 @@ def cmd_strain(cfg) -> int:
     study = _load_study(cfg)
     res = _frame_result(cfg, study)
     frame = res.frame_index
-    _write_fields_vtk(out / f"strain_frame{frame}.vtk", res)
+    cfio.write_mesh_vtk(*_fields_vtk_job(out / f"strain_frame{frame}.vtk", res))
     cfio.write_strain_csv(out / f"strain_frame{frame}.csv", res.strain)
     cfio.write_sector_csv(out / f"sectors_frame{frame}.csv", [res.sectors], [frame])
     print(f"artifacts written to {out}")
@@ -489,7 +488,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merged_config(args, _config_flags(parser, args.command))
         return COMMANDS[args.command](cfg)
-    except (FileNotFoundError, json.JSONDecodeError, UsageError) as exc:
+    except (OSError, json.JSONDecodeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VALIDATION_ERRORS as exc:

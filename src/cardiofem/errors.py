@@ -17,6 +17,10 @@ class ConfigurationError(ValueError):
     """Invalid or conflicting configuration values."""
 
 
+class UsageError(ValueError):
+    """An option value outside what the input allows, such as a missing slice."""
+
+
 class ConstraintConflictError(ValueError):
     """Two Dirichlet constraints disagree on the same degree of freedom."""
 

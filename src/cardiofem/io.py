@@ -15,12 +15,21 @@ reads back to the same value. A cycle writes one VTK per frame on the same
 frame-0 mesh, so the header and the POINTS/CELLS/CELL_TYPES block are
 formatted once per mesh and reused; each file is byte-identical to one
 formatted from scratch.
+
+Formatting those floats is the cost of an export, so
+:func:`field_vtk_export` spreads a batch of VTK files over the CPUs the
+process may use: it forks one writer process per extra CPU and writes its
+own share while the caller goes on with other work, then reaps the writers.
+The bytes of every file are the same as when written in-process, which is
+what happens on one CPU or where ``os.fork`` is missing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -292,8 +301,74 @@ def write_mesh_vtk(
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
             lines += map(repr, np.asarray(arr, dtype=float).tolist())
-    data = "\n".join(lines) + "\n" if lines else ""
-    Path(path).write_text(_vtk_geometry(mesh, title) + data)
+    with Path(path).open("w") as fh:
+        fh.write(_vtk_geometry(mesh, title))
+        if lines:
+            fh.write("\n".join(lines) + "\n")
+
+
+def _reap(pid: int, fd: int) -> str | None:
+    """Wait for one writer process; its error text, or None if it succeeded."""
+    chunks = []
+    while chunk := os.read(fd, 4096):
+        chunks.append(chunk)
+    os.close(fd)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return None
+    return b"".join(chunks).decode(errors="replace") or f"VTK writer {pid} exited with {code}"
+
+
+@contextlib.contextmanager
+def field_vtk_export(jobs):
+    """Write ``write_mesh_vtk(*job)`` for every job, spread over the CPUs.
+
+    With k = min(usable CPUs, len(jobs)), k - 1 forked children write
+    ``jobs[i::k]`` (i = 1..k-1) and this process writes the rest before the
+    body runs. Leaving the block waits for every child, also when the body
+    raised; if it did not, the first failed child's error text is raised as
+    an OSError. On one CPU, without ``os.fork``, or when a fork fails, the
+    unassigned shares are written here, so every job is written once.
+    """
+    jobs = list(jobs)
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    k = max(1, min(len(os.sched_getaffinity(0)) if can_fork else 1, len(jobs)))
+    children = []  # (pid, read end of the error pipe), child i owns jobs[i::k]
+    for i in range(1, k):
+        try:
+            r, w = os.pipe()
+        except OSError:
+            break
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            break
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                for job in jobs[i::k]:
+                    write_mesh_vtk(*job)
+                code = 0
+            except Exception as exc:
+                os.write(w, (str(exc) or type(exc).__name__).encode(errors="replace"))
+            finally:
+                os._exit(code)
+        os.close(w)
+        children.append((pid, r))
+    owned = len(children)
+    try:
+        for j, job in enumerate(jobs):
+            if j % k == 0 or j % k > owned:
+                write_mesh_vtk(*job)
+        yield
+    finally:
+        errors = [_reap(pid, fd) for pid, fd in children]
+    failed = [e for e in errors if e is not None]
+    if failed:
+        raise OSError(failed[0])
 
 
 def write_mesh_csv(nodes_path, elements_path, mesh: Mesh) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contours import Contour, FrameContours, Point2, boundary_displacements
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError, GeometryError, UsageError
 from .fem import (
     BoundaryConditionSet,
     apply_dirichlet,
@@ -331,8 +331,12 @@ def verify_ring(
     wedge as the strict sector minima on both routes. Each ring is meshed and
     assembled once (the wedge ring on the base mesh), and every solve that
     fixes all boundary dofs is condensed: on the base ring the oracle solve
-    and the pipeline re-solve are two columns of one factor.
+    and the pipeline re-solve are two columns of one factor. ``n_sectors``
+    must be at least 2, so that the wedge and the rest of the ring both hold
+    a sector midpoint.
     """
+    if n_sectors < 2:
+        raise UsageError(f"sectors must be at least 2 for the stiff-wedge check, got {n_sectors}")
     resolutions = ((n_points // 2, max(n_radial // 2, 1)), (n_points, n_radial),
                    (n_points * 2, n_radial * 2))
     rings = [make_ring(spec, na, nr) for na, nr in resolutions]

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -125,6 +126,85 @@ def test_analyze_exports_the_cycle_mesh(tmp_path, synth_pair, monkeypatch):
     # one frame-0 mesh per cycle analysis (subject and reference), none for export
     assert calls == {"cli": 0, "study": 2}
     assert len(list(out.glob("fields_slice0_frame*.vtk"))) == 5
+
+
+def _cpus(monkeypatch, n):
+    """Pretend the process may run on ``n`` CPUs; returns the list of fork pids."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _analyze_mi(healthy_dir, mi_dir, out, reference=None):
+    return run("analyze", "--study", str(mi_dir / "contours.csv"),
+               "--manifest", str(mi_dir / "manifest.json"),
+               "--reference", str(reference or healthy_dir / "contours.csv"),
+               "--reference-manifest", str(healthy_dir / "manifest.json"), "--out", str(out))
+
+
+def test_forked_and_in_process_exports_are_identical(tmp_path, synth_pair, monkeypatch):
+    healthy_dir, mi_dir = synth_pair
+    trees, fork_counts = [], []
+    for n_cpus in (1, 3):
+        forks = _cpus(monkeypatch, n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        assert _analyze_mi(healthy_dir, mi_dir, out) == 0
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        fork_counts.append(len(forks))
+        _assert_no_child_left()
+    assert fork_counts == [0, 2]
+    assert len(trees[0]) == len(trees[1]) == 9  # 5 VTKs, 3 CSVs, 1 JSON
+    assert trees[0] == trees[1]
+
+
+def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, capsys):
+    healthy_dir, mi_dir = synth_pair
+    forks = _cpus(monkeypatch, 2)
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert _analyze_mi(healthy_dir, mi_dir, out, reference=tmp_path / "nope.csv") == 2
+    assert "nope.csv" in _single_error_line(capsys)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    # the child still wrote its share before it was reaped
+    assert len(list(out.glob("fields_slice0_frame*.vtk"))) == 5
+
+
+def test_failed_export_child_is_one_error_line(tmp_path, synth_pair, monkeypatch, capsys):
+    healthy_dir, mi_dir = synth_pair
+    forks = _cpus(monkeypatch, 2)
+    out = tmp_path / "res"
+    # the second job, frame 2, belongs to the child on two CPUs
+    (out / "fields_slice0_frame2.vtk").mkdir(parents=True)
+    capsys.readouterr()
+    assert _analyze_mi(healthy_dir, mi_dir, out) == 2
+    line = _single_error_line(capsys)
+    assert "Is a directory" in line and "fields_slice0_frame2.vtk" in line, line
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_unwritable_output_path(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    capsys.readouterr()
+    assert run("synth", "--kind", "healthy", "--out", str(blocker / "x")) == 2
+    assert "Not a directory" in _single_error_line(capsys)
+    _assert_no_child_left()
 
 
 def _single_error_line(capsys):
@@ -351,6 +431,13 @@ def test_phantom_verify_custom_spec(tmp_path):
     out = tmp_path / "pv"
     assert run("phantom-verify", "--phantom-spec", str(spec_path),
                "--out", str(out)) == 0
+
+
+def test_phantom_verify_needs_two_sectors(tmp_path, capsys):
+    capsys.readouterr()
+    assert run("phantom-verify", "--sectors", "1", "--n-points", "16", "--n-radial", "2",
+               "--out", str(tmp_path / "pv")) == 2
+    assert "sectors must be at least 2" in _single_error_line(capsys)
 
 
 def test_phantom_csvs_are_numbers_of_the_report(tmp_path):

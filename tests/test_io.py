@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -248,6 +249,41 @@ def test_vtk_geometry_follows_an_equal_but_distinct_mesh(tmp_path):
     cfio.write_mesh_vtk(tmp_path / "a.vtk", mesh)
     cfio.write_mesh_vtk(tmp_path / "b.vtk", moved)
     assert (tmp_path / "b.vtk").read_bytes() == _oracle_vtk_text(moved)
+
+
+def _export_jobs(tmp_path, n):
+    mesh, _ = _perturbed_ring(6, 8, 1)
+    return [(tmp_path / f"f{i}.vtk", mesh, *_fields(mesh, i)) for i in range(n)]
+
+
+def test_field_vtk_export_when_fork_fails(tmp_path, monkeypatch):
+    # a failing fork leaves its share to this process: every job is written once
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "fork", no_fork)
+    jobs = _export_jobs(tmp_path, 5)
+    with cfio.field_vtk_export(jobs):
+        pass
+    for path, mesh, vectors, scalars in jobs:
+        assert path.read_bytes() == _oracle_vtk_text(mesh, vectors, scalars), path.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"f{i}.vtk" for i in range(5)]
+
+
+def test_field_vtk_export_body_error_wins(tmp_path, monkeypatch):
+    # a failed child does not hide the error of the block it ran beside
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    jobs = _export_jobs(tmp_path, 2)
+    jobs[1][0].mkdir()
+    with pytest.raises(KeyError, match="body"):
+        with cfio.field_vtk_export(jobs):
+            raise KeyError("body")
+    with pytest.raises(OSError, match="Is a directory"):
+        with cfio.field_vtk_export(jobs):
+            pass
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_mesh_and_field_csv(tmp_path):
