@@ -12,8 +12,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 tolerance or validation failure, 2 usage or input
 error, including a file that cannot be read or written. A JSON config file
-(--config) may supply any long flag by name; explicit flags override config
-values.
+(--config) may supply any long flag of the command by name (any other key is
+a usage error); explicit flags override config values.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import io as cfio
-from .contours import centroid, resample_uniform_angle
+from .contours import centroid, uniform_angle_walls
 from .errors import (
     ConfigurationError,
     ConstraintConflictError,
@@ -192,8 +192,9 @@ def _config_value(action: argparse.Action, value, where: str):
 def _merged_config(args: argparse.Namespace, flags: dict) -> SimpleNamespace:
     """Defaults, then --config values, then explicit flags.
 
-    A config key names a long flag (``slice`` sets what ``--slice`` sets),
-    and its value is checked by :func:`_config_value`.
+    A config key names a long flag of the command (``slice`` sets what
+    ``--slice`` sets) and its value is checked by :func:`_config_value`; any
+    other key raises UsageError.
     """
     merged = dict(COMMON_DEFAULTS)
     explicit = {k: v for k, v in vars(args).items() if k != "command"}
@@ -207,11 +208,10 @@ def _merged_config(args: argparse.Namespace, flags: dict) -> SimpleNamespace:
             raise ConfigurationError(f"config {path} must be a JSON object")
         for key, value in loaded.items():
             key = key.replace("-", "_")
-            action = flags.get(key)
-            if action is None:
-                merged[key] = value
-            else:
-                merged[action.dest] = _config_value(action, value, f"config {path}: {key}")
+            if key not in flags:
+                raise UsageError(f"config {path}: {key!r} names no flag of {args.command}")
+            action = flags[key]
+            merged[action.dest] = _config_value(action, value, f"config {path}: {key}")
     merged.update(explicit)
     return SimpleNamespace(**merged)
 
@@ -295,8 +295,14 @@ def _fields_vtk_job(path, res) -> tuple:
 
 
 def cmd_analyze(cfg) -> int:
-    out = _outdir(cfg)
     study = _load_study(cfg)
+    ref_manifests = list(getattr(cfg, "reference_manifest", None) or [])
+    references = [
+        cfio.read_study(path, ref_manifests[i] if i < len(ref_manifests)
+                        else getattr(cfg, "manifest", None))
+        for i, path in enumerate(getattr(cfg, "reference", None) or [])
+    ]
+    out = _outdir(cfg)
     params = _cycle_params(cfg)
 
     curve = normalized_volume_curve(study)
@@ -321,17 +327,10 @@ def cmd_analyze(cfg) -> int:
                         f"{float(np.max(r.strain.effective))!r}\n"
                     )
 
-        references = getattr(cfg, "reference", None)
         if references:
-            ref_manifests = list(getattr(cfg, "reference_manifest", None) or [])
-            ref_sequences = []
-            for i, ref_path in enumerate(references):
-                manifest = (ref_manifests[i] if i < len(ref_manifests)
-                            else getattr(cfg, "manifest", None))
-                ref_sequences.append(cfio.read_study(ref_path, manifest))
             for sl_pos, (sl, results) in enumerate(zip(study.slices, per_slice)):
                 ref_runs = []
-                for ref_study in ref_sequences:
+                for ref_study in references:
                     ref_results = cycle_strain_analysis(ref_study, params, slice_index=sl_pos)
                     ref_runs.append([r.sectors for r in ref_results])
                 reference = average_sector_summaries(ref_runs)
@@ -391,14 +390,6 @@ def _selected_frame(cfg, sl, first: int, default: int) -> int:
     return frame
 
 
-def _frame_mesh(cfg, fc):
-    """Mesh of one frame's wall on its uniform-angle resampling."""
-    center = centroid(fc.inner)
-    inner = resample_uniform_angle(fc.inner, center, cfg.n_points)
-    outer = resample_uniform_angle(fc.outer, center, cfg.n_points)
-    return triangulate_annulus(inner, outer, cfg.n_points, cfg.n_radial)
-
-
 def _frame_result(cfg, study):
     """The --frame result of the --slice cycle analysis, the frame-0 model
     that ``analyze`` solves on; every frame of the slice is checked."""
@@ -421,7 +412,10 @@ def cmd_mesh(cfg) -> int:
     out = _outdir(cfg)
     study = _load_study(cfg)
     sl = study.slices[_selected_slice(cfg, study)]
-    mesh = _frame_mesh(cfg, sl.frames[_selected_frame(cfg, sl, first=0, default=0)])
+    frame = _selected_frame(cfg, sl, first=0, default=0)
+    fc = sl.frames[frame]
+    walls = uniform_angle_walls(fc, centroid(fc.inner), cfg.n_points, context=f"frame {frame}")
+    mesh = triangulate_annulus(*walls, cfg.n_points, cfg.n_radial)
     report = validate(mesh)
     print(report)
     cfio.write_mesh_vtk(out / "mesh.vtk", mesh)

@@ -1,10 +1,11 @@
 """Linear triangular finite elements for 2D elasticity.
 
 Assembles the sparse symmetric stiffness system K U = F over a mesh with
-per-element constitutive matrices, applies Dirichlet boundary conditions by
+per-element constitutive matrices, records Dirichlet boundary conditions by
 symmetric row/column elimination (the matrix stays symmetric positive
-definite) and Neumann tractions by consistent edge lumping, and solves with
-a direct sparse factorization or optionally conjugate gradients.
+definite) and applies Neumann tractions by consistent edge lumping. Every
+solve fixes the constrained dofs and solves only the free-dof block, with a
+direct sparse factorization or optionally conjugate gradients.
 
 Unknown ordering is interleaved: (u_0, v_0, u_1, v_1, ...), so dof 2*i is
 the x-displacement of node i and dof 2*i + 1 its y-displacement.
@@ -472,37 +473,58 @@ def _check_columns(u: np.ndarray, residual: np.ndarray, f_norm: np.ndarray) -> N
             )
 
 
-def solve(system: LinearSystem, method: str = "direct") -> DisplacementField:
-    """Solve K U = F and check the residual contract.
-
-    The relative residual must not exceed 1e-10 (absolute 1e-12 for a zero
-    load); otherwise the system is reported as singular or ill-conditioned:
-    rigid modes left unconstrained, or float64 rounding of a stiffness with a
-    large contrast or near-incompressible material.
+def _solve_fixed(system: LinearSystem, fixed, u_b, method="direct") -> list[DisplacementField]:
+    """Solutions of K U = F with U = u_b[:, j] on the strictly increasing dofs
+    ``fixed``, one per column j, by static condensation: with free dofs f and
+    fixed dofs b, each column leaves K_ff u_f = F_f - K_fb u_b with the same
+    K_ff, factorized once (or solved per column by Jacobi-preconditioned CG).
+    Column j must meet the residual contract of the eliminated system,
+    |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2),
+    else SolverError is raised with ``column=j``.
     """
-    k = system.stiffness.tocsc()
-    f = system.load
-    if method == "direct":
-        u = _factor(k).solve(f)
-    elif method == "cg":
-        diag = k.diagonal()
+    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
+    k_free = system.stiffness.tocsr()[free]
+    k_ff = k_free[:, free].tocsc()
+    rhs = system.load[free, None] - k_free[:, fixed] @ u_b
+    del k_free  # so that K_ff is not factorized beside a second stiffness-sized copy
+
+    u = np.empty((system.n_dofs, u_b.shape[1]))
+    u[fixed] = u_b
+    if not len(free):
+        u[free] = rhs  # a mesh whose nodes are all constrained leaves nothing to solve
+    elif method == "direct":
+        u[free] = _factor(k_ff).solve(rhs)
+    else:
+        diag = k_ff.diagonal()
         if np.any(diag <= 0.0):
             raise SolverError("non-positive diagonal; system is not positive definite")
         precond = sparse.diags(1.0 / diag)
-        u, info = sparse_cg(k, f, rtol=1e-12, atol=0.0, maxiter=20 * k.shape[0], M=precond)
-        if info != 0:
-            raise SolverError(f"conjugate gradients did not converge (info={info})")
-    else:
+        for j in range(rhs.shape[1]):
+            u[free, j], info = sparse_cg(
+                k_ff, rhs[:, j], rtol=1e-12, atol=0.0, maxiter=20 * len(free), M=precond
+            )
+            if info != 0:
+                raise SolverError(f"conjugate gradients did not converge (info={info})", j)
+    residual = np.linalg.norm(k_ff @ u[free] - rhs, axis=0)
+    f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(u_b * u_b, axis=0))
+    _check_columns(u, residual, f_norm)
+    return [DisplacementField(u[:, j].reshape(-1, 2)) for j in range(u.shape[1])]
+
+
+def solve(system: LinearSystem, method: str = "direct") -> DisplacementField:
+    """Solve K U = F with the system's constraints as fixed dofs, by ``method``
+    "direct" (sparse LU) or "cg", on the free-dof block only, as
+    :func:`solve_condensed` does. The relative residual must not exceed 1e-10
+    (absolute 1e-12 for a zero load); otherwise the system is reported as
+    singular or ill-conditioned: rigid modes left unconstrained, or float64
+    rounding of a stiffness with a large contrast or near-incompressible
+    material.
+    """
+    if method not in ("direct", "cg"):
         raise ConfigurationError(f"unknown solve method {method!r}")
-
-    if system.constraints:
-        fixed = np.fromiter(sorted(system.constraints), dtype=np.int64)
-        u[fixed] = [system.constraints[int(i)] for i in fixed]
-
-    f_norm = np.linalg.norm(f)
-    residual = np.linalg.norm(k @ u - f)
-    _check_columns(u[:, None], [residual], [f_norm])
-    return DisplacementField(u.reshape(-1, 2))
+    fixed = sorted(system.constraints)
+    values = np.array([system.constraints[i] for i in fixed], dtype=float)[:, None]
+    return _solve_fixed(system, np.array(fixed, dtype=np.int64), values, method)[0]
 
 
 def solve_condensed(
@@ -512,15 +534,9 @@ def solve_condensed(
 
     ``fixed_dofs`` are strictly increasing dof indices and ``values`` is an
     (n_fixed, n_sets) array whose column j holds set j's values on them; the
-    system itself must carry no constraints. Static condensation: with free
-    dofs f and fixed dofs b, each set leaves K_ff u_f = F_f - K_fb u_b with
-    the same K_ff, so K_ff is factorized once and all sets are solved as one
-    multi-column right-hand side. Result j equals
-    ``solve(apply_dirichlet(system, bcs_j))`` to rounding and passes the same
-    checks: the pivot ratio of the factor and, per column, the residual
-    contract of the eliminated system,
-    |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2).
-    A failing column j raises SolverError with ``column=j``.
+    system itself must carry no constraints. K_ff is factorized once and all
+    sets are solved as one multi-column right-hand side; result j equals
+    ``solve(apply_dirichlet(system, bcs_j))``, with the same checks.
     """
     fixed = np.asarray(fixed_dofs, dtype=np.int64)
     u_b = np.asarray(values, dtype=float)
@@ -537,19 +553,7 @@ def solve_condensed(
         )
     if not u_b.shape[1]:
         return []
-    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
-    k_free = system.stiffness.tocsr()[free]
-    k_ff = k_free[:, free].tocsc()
-    rhs = system.load[free, None] - k_free[:, fixed] @ u_b
-
-    u = np.empty((system.n_dofs, u_b.shape[1]))
-    u[fixed] = u_b
-    # a mesh whose nodes are all constrained leaves nothing to factorize
-    u[free] = _factor(k_ff).solve(rhs) if len(free) else rhs
-    residual = np.linalg.norm(k_ff @ u[free] - rhs, axis=0)
-    f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(u_b * u_b, axis=0))
-    _check_columns(u, residual, f_norm)
-    return [DisplacementField(u[:, j].reshape(-1, 2)) for j in range(u.shape[1])]
+    return _solve_fixed(system, fixed, u_b)
 
 
 def remove_rigid_motion(mesh: Mesh, disp: DisplacementField) -> DisplacementField:

@@ -324,17 +324,18 @@ def field_vtk_export(jobs):
     """Write ``write_mesh_vtk(*job)`` for every job, spread over the CPUs.
 
     With k = min(usable CPUs, len(jobs)), k - 1 forked children write
-    ``jobs[i::k]`` (i = 1..k-1) and this process writes the rest before the
-    body runs. Leaving the block waits for every child, also when the body
-    raised; if it did not, the first failed child's error text is raised as
-    an OSError. On one CPU, without ``os.fork``, or when a fork fails, the
-    unassigned shares are written here, so every job is written once.
+    ``jobs[i::k]`` (i = 0..k-2) and this process writes the last share, the
+    smallest, before the body runs. Leaving the block waits for every child,
+    also when the body raised; if it did not, the first failed child's error
+    text is raised as an OSError. On one CPU, without ``os.fork``, or when a
+    fork fails, the unassigned shares are written here, so every job is
+    written once.
     """
     jobs = list(jobs)
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     k = max(1, min(len(os.sched_getaffinity(0)) if can_fork else 1, len(jobs)))
     children = []  # (pid, read end of the error pipe), child i owns jobs[i::k]
-    for i in range(1, k):
+    for i in range(k - 1):
         try:
             r, w = os.pipe()
         except OSError:
@@ -361,7 +362,7 @@ def field_vtk_export(jobs):
     owned = len(children)
     try:
         for j, job in enumerate(jobs):
-            if j % k == 0 or j % k > owned:
+            if j % k >= owned:
                 write_mesh_vtk(*job)
         yield
     finally:

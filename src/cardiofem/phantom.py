@@ -20,13 +20,11 @@ from .contours import Contour, FrameContours, Point2, boundary_displacements
 from .errors import ConfigurationError, GeometryError, UsageError
 from .fem import (
     BoundaryConditionSet,
-    apply_dirichlet,
     apply_traction,
     assemble,
     boundary_dof_map,
     internal_pressure_tractions,
     remove_rigid_motion,
-    solve,
     solve_condensed,
 )
 from .materials import AngularRegion, Material, region_material_field
@@ -182,16 +180,14 @@ def _traction_solve(
     tractions = internal_pressure_tractions(mesh, pressure)
     system = apply_traction(system, BoundaryConditionSet(tractions=tractions), mesh)
     if anchor_deg is None:
-        quarter = n_angular // 4
-        pins = {0: (None, 0.0), 2 * quarter: (None, 0.0), quarter: (0.0, None)}
+        quarter = n_angular // 4  # v at 0 (node 0), u at pi/2 (node quarter), v at pi
+        pins = [1, 2 * quarter, 4 * quarter + 1]
     else:
         j = int(round(anchor_deg % 360.0 / 360.0 * n_angular)) % n_angular
         outer_node = n_radial * n_angular + j
         tangential_is_x = anchor_deg % 180.0 != 0.0  # at 90/270 deg tangent is +-x
-        outer_pin = (0.0, None) if tangential_is_x else (None, 0.0)
-        pins = {j: (0.0, 0.0), outer_node: outer_pin}
-    system = apply_dirichlet(system, BoundaryConditionSet(dirichlet=pins), mesh)
-    disp = solve(system)
+        pins = [2 * j, 2 * j + 1, 2 * outer_node + (0 if tangential_is_x else 1)]
+    (disp,) = solve_condensed(system, pins, np.zeros((len(pins), 1)))
     if detrend_rigid and anchor_deg is None:
         disp = remove_rigid_motion(mesh, disp)
     return disp

@@ -1,9 +1,13 @@
-"""Per-element oracles kept for the tests: the one-triangle strain-displacement
-matrix and stiffness, and the method's strain formula in the element's local
-edge-aligned frame. The library computes all of these for whole meshes at
-once; the tests check it against these scalar forms."""
+"""Oracles kept for the tests. Per element: the one-triangle strain-
+displacement matrix and stiffness, and the method's strain formula in the
+element's local edge-aligned frame; the library computes all of these for
+whole meshes at once, and the tests check it against these scalar forms. Per
+system: the solve of the whole identity-row system that ``apply_dirichlet``
+builds, which the library replaced by a solve of the free-dof block."""
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import cg, splu
 
 from cardiofem.errors import GeometryError
 from cardiofem.fem import strain_displacement_matrices
@@ -67,3 +71,19 @@ def element_strain(coords, disp) -> np.ndarray:
     tensor = np.array([[ex, 0.5 * g], [0.5 * g, ey]])
     glob = rot.T @ tensor @ rot
     return np.array([glob[0, 0], glob[1, 1], 2.0 * glob[0, 1]])
+
+
+def identity_row_solve(system, method="direct") -> np.ndarray:
+    """(V, 2) solution of a constrained system's whole n_dofs x n_dofs matrix,
+    its unit rows included, by sparse LU (same ordering as the library) or
+    Jacobi-preconditioned CG, with the constrained values written back."""
+    k = system.stiffness.tocsc()
+    if method == "direct":
+        u = splu(k, permc_spec="MMD_AT_PLUS_A").solve(system.load)
+    else:
+        precond = sparse.diags(1.0 / k.diagonal())
+        u, info = cg(k, system.load, rtol=1e-12, atol=0.0, maxiter=20 * k.shape[0], M=precond)
+        assert info == 0, info
+    fixed = sorted(system.constraints)
+    u[fixed] = [system.constraints[i] for i in fixed]
+    return u.reshape(-1, 2)

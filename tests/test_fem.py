@@ -36,7 +36,7 @@ from cardiofem import fem
 from cardiofem.phantom import lame_displacement_at, solve_ring_traction
 
 from conftest import circle_frame, star_contour
-from oracles import element_stiffness, strain_displacement_matrix
+from oracles import element_stiffness, identity_row_solve, strain_displacement_matrix
 
 
 def _random_triangle(rng):
@@ -428,6 +428,25 @@ def test_cg_matches_direct(ring_mesh):
     )
 
 
+@pytest.mark.parametrize("method", ["direct", "cg"])
+@pytest.mark.parametrize("field", ["affine", "random", "random with load"])
+def test_solve_matches_identity_row_oracle(ring_mesh, method, field):
+    # solve factors only the free-dof block; the old whole-system solve is the oracle
+    mesh, mats = ring_mesh
+    system = assemble(mesh, mats)
+    if field == "affine":
+        bcs = _dirichlet_all_boundary(mesh, _affine_field(mesh.nodes))
+    else:
+        bcs = _random_boundary_sets(mesh, 1)[0]
+    if field == "random with load":
+        load = np.random.default_rng(2).normal(size=system.n_dofs)
+        system = fem.LinearSystem(system.stiffness, load)
+    constrained = apply_dirichlet(system, bcs, mesh)
+    expected = identity_row_solve(constrained, method)
+    got = solve(constrained, method).values
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_solve_unknown_method(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
@@ -671,6 +690,24 @@ def test_solves_match_colamd_reference(n_angular, n_radial, contrast, nu, outer_
     (condensed,) = solve_condensed(system, *_as_arrays([bcs]))
     assert np.linalg.norm(direct - reference) <= 1e-12 * scale
     assert np.linalg.norm(condensed.values - reference) <= 1e-12 * scale
+    oracle = identity_row_solve(constrained)
+    assert np.linalg.norm(direct - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("young", [1e-13, 1e13])
+def test_solves_are_scale_invariant(young):
+    # E * u does not depend on E: the pivot check sees only K_ff, whose pivots
+    # all scale with E, never unit pivots of eliminated rows beside them
+    def scaled_solutions(e_mod):
+        spec = RingSpec(1.0, 2.0, material=Material(e_mod, 0.3))
+        mesh, mats = make_ring(spec, 64, 8)
+        bcs = _dirichlet_all_boundary(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
+        dirichlet = solve(apply_dirichlet(assemble(mesh, mats, "plane-strain"), bcs, mesh))
+        _, _, traction = solve_ring_traction(spec, 1.0, 64, 8)
+        return e_mod * dirichlet.values, e_mod * traction.values
+
+    for got, expected in zip(scaled_solutions(young), scaled_solutions(1e4)):
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_each_solve_factorizes_once_through_module_splu(ring_mesh, monkeypatch):
@@ -686,7 +723,8 @@ def test_each_solve_factorizes_once_through_module_splu(ring_mesh, monkeypatch):
     system = assemble(mesh, mats)
     bcs_sets = _random_boundary_sets(mesh, 3)
     solve(apply_dirichlet(system, bcs_sets[0], mesh))
-    assert len(calls) == 1
+    # solve factors the free-dof block, not the whole eliminated matrix
+    assert calls == [(system.n_dofs - 2 * len(bcs_sets[0].dirichlet),) * 2]
     solve_condensed(system, *_as_arrays(bcs_sets))
     assert len(calls) == 2
 

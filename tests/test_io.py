@@ -271,11 +271,27 @@ def test_field_vtk_export_when_fork_fails(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"f{i}.vtk" for i in range(5)]
 
 
+def test_field_vtk_export_parent_writes_the_smallest_share(tmp_path, monkeypatch):
+    # on two CPUs the child writes jobs 0, 2, 4 and this process jobs 1, 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    written = []
+    write = cfio.write_mesh_vtk
+    monkeypatch.setattr(
+        cfio, "write_mesh_vtk", lambda path, *rest: written.append(path.name) or write(path, *rest)
+    )
+    jobs = _export_jobs(tmp_path, 5)
+    with cfio.field_vtk_export(jobs):
+        pass
+    assert written == ["f1.vtk", "f3.vtk"]
+    for path, mesh, vectors, scalars in jobs:
+        assert path.read_bytes() == _oracle_vtk_text(mesh, vectors, scalars), path.name
+
+
 def test_field_vtk_export_body_error_wins(tmp_path, monkeypatch):
     # a failed child does not hide the error of the block it ran beside
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     jobs = _export_jobs(tmp_path, 2)
-    jobs[1][0].mkdir()
+    jobs[0][0].mkdir()  # the child's share on two CPUs
     with pytest.raises(KeyError, match="body"):
         with cfio.field_vtk_export(jobs):
             raise KeyError("body")
