@@ -26,7 +26,6 @@ from .contours import (
 )
 from .errors import (
     ConfigurationError,
-    ConstraintConflictError,
     GeometryError,
     MeshError,
     SolverError,
@@ -34,7 +33,6 @@ from .errors import (
     UsageError,
 )
 from .fem import (
-    BoundaryConditionSet,
     DisplacementField,
     LinearSystem,
     apply_dirichlet,
@@ -46,7 +44,6 @@ from .fem import (
     remove_rigid_motion,
     rigid_body_modes,
     solve,
-    solve_condensed,
     strain_displacement_matrices,
 )
 from .materials import (
@@ -93,10 +90,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngularRegion",
-    "BoundaryConditionSet",
     "BoundaryDisplacements",
     "ConfigurationError",
-    "ConstraintConflictError",
     "Contour",
     "CycleParams",
     "DisplacementField",
@@ -153,7 +148,6 @@ __all__ = [
     "rotate_about",
     "sector_average",
     "solve",
-    "solve_condensed",
     "solve_ring_traction",
     "strain_displacement_matrices",
     "strain_field",

@@ -30,14 +30,13 @@ from . import io as cfio
 from .contours import centroid, uniform_angle_walls
 from .errors import (
     ConfigurationError,
-    ConstraintConflictError,
     GeometryError,
     MeshError,
     SolverError,
     StarShapeError,
     UsageError,
 )
-from .fem import BoundaryConditionSet, apply_dirichlet, assemble
+from .fem import apply_dirichlet, assemble
 from .materials import Material, MaterialField
 from .meshing import triangulate_annulus, validate
 from .phantom import RingSpec, verify_ring
@@ -51,14 +50,7 @@ from .study import (
 from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_study
 
 
-VALIDATION_ERRORS = (
-    GeometryError,
-    StarShapeError,
-    MeshError,
-    SolverError,
-    ConstraintConflictError,
-    ConfigurationError,
-)
+VALIDATION_ERRORS = (GeometryError, StarShapeError, MeshError, SolverError, ConfigurationError)
 
 COMMON_DEFAULTS = {
     "out": "cardiofem-out",
@@ -401,11 +393,13 @@ def _frame_result(cfg, study):
 
 def _constrained_system(cfg, res):
     """The frame's stiffness system with its boundary values eliminated."""
-    mesh, values = res.mesh, res.displacement.values.tolist()
-    nodes = np.concatenate([mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")])
-    bcs = BoundaryConditionSet(dirichlet={n: tuple(values[n]) for n in nodes.tolist()})
+    mesh = res.mesh
+    nodes = np.union1d(mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"))
+    fixed = (2 * nodes[:, None] + np.arange(2)).ravel()
     materials = MaterialField.uniform(mesh, Material(cfg.young, cfg.poisson))
-    return apply_dirichlet(assemble(mesh, materials, cfg.mode), bcs, mesh)
+    return apply_dirichlet(
+        assemble(mesh, materials, cfg.mode), fixed, res.displacement.values.ravel()[fixed]
+    )
 
 
 def cmd_mesh(cfg) -> int:

@@ -21,10 +21,6 @@ class UsageError(ValueError):
     """An option value outside what the input allows, such as a missing slice."""
 
 
-class ConstraintConflictError(ValueError):
-    """Two Dirichlet constraints disagree on the same degree of freedom."""
-
-
 class SolverError(RuntimeError):
     """Linear solve failed or did not meet its residual contract.
 

@@ -1,11 +1,14 @@
 """Linear triangular finite elements for 2D elasticity.
 
 Assembles the sparse symmetric stiffness system K U = F over a mesh with
-per-element constitutive matrices, records Dirichlet boundary conditions by
-symmetric row/column elimination (the matrix stays symmetric positive
-definite) and applies Neumann tractions by consistent edge lumping. Every
-solve fixes the constrained dofs and solves only the free-dof block, with a
-direct sparse factorization or optionally conjugate gradients.
+per-element constitutive matrices and applies Neumann tractions by
+consistent edge lumping. Dirichlet data has one format: an array of strictly
+increasing fixed dofs and an array of their values. :func:`solve` takes an
+(n_fixed, n_sets) value array, fixes those dofs and solves only the free-dof
+block for every column, with one direct sparse factorization or optionally
+conjugate gradients. :func:`apply_dirichlet` builds the equivalent symmetric
+system with the fixed rows and columns eliminated (replaced by identity), for
+export.
 
 Unknown ordering is interleaved: (u_0, v_0, u_1, v_1, ...), so dof 2*i is
 the x-displacement of node i and dof 2*i + 1 its y-displacement.
@@ -13,8 +16,7 @@ the x-displacement of node i and dof 2*i + 1 its y-displacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -23,61 +25,25 @@ from scipy.sparse.linalg import cg as sparse_cg
 from scipy.sparse.linalg import splu
 
 from .contours import BoundaryDisplacements
-from .errors import (
-    ConfigurationError,
-    ConstraintConflictError,
-    GeometryError,
-    MeshError,
-    SolverError,
-)
+from .errors import ConfigurationError, GeometryError, MeshError, SolverError
 from .materials import MaterialField, constitutive_matrices
 from .meshing import Mesh
-
-#: Dirichlet values on the same dof may differ by at most this much.
-CONSTRAINT_TOL = 1e-9
 
 BC_MODES = ("nodal", "edge-average")
 
 
 @dataclass(frozen=True)
-class BoundaryConditionSet:
-    """Dirichlet values per node and/or tractions per boundary edge.
-
-    ``dirichlet`` maps node index to an (u, v) pair; either component may be
-    None to leave that direction free (useful for pinning single dofs).
-    ``tractions`` maps a boundary edge (node pair, traversal order) to a
-    constant force per unit length acting on that edge.
-
-    In ``edge-average`` mode the value imposed at a boundary node is the mean
-    over its two incident boundary edges of the per-edge averages
-    (value_i + value_j) / 2, instead of the nodal value itself.
-    """
-
-    dirichlet: Mapping[int, tuple[float | None, float | None]] = field(default_factory=dict)
-    tractions: Mapping[tuple[int, int], tuple[float, float]] = field(default_factory=dict)
-    mode: str = "nodal"
-
-    def __post_init__(self):
-        if self.mode not in BC_MODES:
-            raise ConfigurationError(f"bc mode must be one of {BC_MODES}, got {self.mode!r}")
-        object.__setattr__(self, "dirichlet", dict(self.dirichlet))
-        object.__setattr__(self, "tractions", dict(self.tractions))
-
-
-@dataclass(frozen=True)
 class LinearSystem:
-    """Sparse stiffness matrix, load vector, and accumulated constraints."""
+    """Sparse stiffness matrix and load vector."""
 
     stiffness: sparse.csr_matrix
     load: np.ndarray
-    constraints: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.stiffness.shape[0] != self.stiffness.shape[1]:
             raise MeshError("stiffness matrix must be square")
         if self.stiffness.shape[0] != len(self.load):
             raise MeshError("stiffness/load size mismatch")
-        object.__setattr__(self, "constraints", dict(self.constraints))
 
     @property
     def n_dofs(self) -> int:
@@ -206,76 +172,33 @@ def assemble(mesh: Mesh, materials: MaterialField, mode: str = "as-printed") -> 
 # boundary conditions
 
 
-def _edge_average_values(mesh: Mesh, dirichlet) -> dict[int, tuple[float, float]]:
-    edge_vals = {}
-    incident: dict[int, list] = {}
-    for a, b in mesh.boundary_edges:
-        a, b = int(a), int(b)
-        if a in dirichlet and b in dirichlet:
-            ua, va = dirichlet[a]
-            ub, vb = dirichlet[b]
-            if None in (ua, va, ub, vb):
-                raise ConfigurationError(
-                    "edge-average mode needs both components at both edge endpoints"
-                )
-            val = (0.5 * (ua + ub), 0.5 * (va + vb))
-            incident.setdefault(a, []).append(val)
-            incident.setdefault(b, []).append(val)
-    for node in dirichlet:
-        if node not in incident:
-            raise ConfigurationError(
-                f"node {node} has no boundary edge with both endpoints constrained"
-            )
-        vals = np.asarray(incident[node], dtype=float)
-        edge_vals[node] = (float(vals[:, 0].mean()), float(vals[:, 1].mean()))
-    return edge_vals
+def _fixed_dofs(system: LinearSystem, fixed_dofs) -> np.ndarray:
+    """``fixed_dofs`` as an int64 array, checked to be strictly increasing
+    dofs of ``system``."""
+    fixed = np.asarray(fixed_dofs, dtype=np.int64)
+    if fixed.ndim != 1 or np.any(np.diff(fixed) <= 0):
+        raise ConfigurationError("fixed dofs must be strictly increasing")
+    if len(fixed) and (fixed[0] < 0 or fixed[-1] >= system.n_dofs):
+        raise ConfigurationError(f"fixed dofs must lie in 0..{system.n_dofs - 1}")
+    return fixed
 
 
-def _constraint_values(
-    system: LinearSystem, bcs: BoundaryConditionSet, mesh: Mesh | None
-) -> dict[int, float]:
-    """The system's constraints merged with the Dirichlet values of ``bcs``."""
-    n_nodes = system.n_dofs // 2
-    if bcs.mode == "edge-average":
-        if mesh is None:
-            raise ConfigurationError("edge-average mode requires the mesh")
-        nodal = _edge_average_values(mesh, bcs.dirichlet)
-    else:
-        nodal = bcs.dirichlet
-
-    new_constraints = dict(system.constraints)
-    for node, (u, v) in nodal.items():
-        node = int(node)
-        if node < 0 or node >= n_nodes:
-            raise ConfigurationError(f"constrained node {node} outside mesh")
-        for comp, val in ((0, u), (1, v)):
-            if val is None:
-                continue
-            dof = 2 * node + comp
-            val = float(val)
-            if dof in new_constraints and abs(new_constraints[dof] - val) > CONSTRAINT_TOL:
-                raise ConstraintConflictError(
-                    f"dof {dof} constrained to both {new_constraints[dof]} and {val}"
-                )
-            new_constraints[dof] = val
-    return new_constraints
-
-
-def apply_dirichlet(
-    system: LinearSystem, bcs: BoundaryConditionSet, mesh: Mesh | None = None
-) -> LinearSystem:
-    """Impose Dirichlet values by symmetric row/column elimination.
+def apply_dirichlet(system: LinearSystem, fixed_dofs, values) -> LinearSystem:
+    """The system with ``values`` imposed on the strictly increasing
+    ``fixed_dofs`` by symmetric row/column elimination.
 
     Returns a new system; the input is left untouched. Eliminated rows and
     columns are replaced by identity, with the load corrected so interior
-    equations see the constrained values. ``edge-average`` mode requires the
-    mesh for boundary-edge incidence.
+    equations see the fixed values. :func:`solve` does not need this system:
+    it solves the free-dof block directly.
     """
-    new_constraints = _constraint_values(system, bcs, mesh)
+    fixed = _fixed_dofs(system, fixed_dofs)
+    values = np.asarray(values, dtype=float)
+    if values.shape != fixed.shape:
+        raise ConfigurationError(
+            f"values must be ({len(fixed)},) for {len(fixed)} fixed dofs, got {values.shape}"
+        )
     ndof = system.n_dofs
-    fixed = np.fromiter(sorted(new_constraints), dtype=np.int64, count=len(new_constraints))
-    values = np.array([new_constraints[int(i)] for i in fixed])
-
     z = np.zeros(ndof)
     z[fixed] = values
     free_mask = np.ones(ndof)
@@ -284,19 +207,20 @@ def apply_dirichlet(
     proj = sparse.diags(free_mask)
     k_new = (proj @ k @ proj + sparse.diags(1.0 - free_mask)).tocsr()
     f_new = free_mask * (system.load - k @ z) + z
-    return LinearSystem(k_new, f_new, new_constraints)
+    return LinearSystem(k_new, f_new)
 
 
-def apply_traction(system: LinearSystem, bcs: BoundaryConditionSet, mesh: Mesh) -> LinearSystem:
+def apply_traction(system: LinearSystem, tractions, mesh: Mesh) -> LinearSystem:
     """Add consistent loads for constant per-edge tractions.
 
-    Each loaded edge contributes length * traction / 2 to both endpoints.
-    Apply tractions before Dirichlet elimination so the load correction sees
-    them.
+    ``tractions`` maps a boundary edge (node pair) to a constant force per
+    unit length on it, as :func:`internal_pressure_tractions` returns. Each
+    loaded edge contributes length * traction / 2 to both endpoints. Apply
+    tractions before :func:`apply_dirichlet` so its load correction sees them.
     """
     boundary = {frozenset(map(int, e)) for e in mesh.boundary_edges}
     f = system.load.copy()
-    for (a, b), (tx, ty) in sorted(bcs.tractions.items()):
+    for (a, b), (tx, ty) in sorted(tractions.items()):
         a, b = int(a), int(b)
         if frozenset((a, b)) not in boundary:
             raise ConfigurationError(f"traction on non-boundary edge ({a}, {b})")
@@ -306,7 +230,7 @@ def apply_traction(system: LinearSystem, bcs: BoundaryConditionSet, mesh: Mesh) 
         f[2 * a + 1] += half * ty
         f[2 * b] += half * tx
         f[2 * b + 1] += half * ty
-    return LinearSystem(system.stiffness, f, system.constraints)
+    return LinearSystem(system.stiffness, f)
 
 
 def internal_pressure_tractions(mesh: Mesh, pressure: float) -> dict:
@@ -409,21 +333,33 @@ def boundary_conditions_from_displacements(
     bd: BoundaryDisplacements,
     mode: str = "nodal",
     match: str = "position",
-) -> BoundaryConditionSet:
-    """Map boundary displacement samples onto mesh boundary nodes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dirichlet data of boundary displacement samples on the mesh.
 
-    Nodes and samples are paired by :func:`boundary_dof_map` (``match`` is
-    ``"position"`` or ``"index"``); every boundary node gets both components.
+    Returns the sorted dofs of all inner and outer boundary nodes and their
+    values, paired with the samples by :func:`boundary_dof_map` (``match`` is
+    ``"position"`` or ``"index"``). In ``edge-average`` mode the value at a
+    boundary node is the mean over its incident boundary edges of the edge
+    averages (value_a + value_b) / 2, instead of the node's own sample.
     """
+    if mode not in BC_MODES:
+        raise ConfigurationError(f"bc mode must be one of {BC_MODES}, got {mode!r}")
     dofs, take = boundary_dof_map(
         mesh, bd.inner_positions, bd.outer_positions, bd.reference_center, match
     )
     values = np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]
-    dirichlet = {
-        node: (u, v)
-        for node, (u, v) in zip((dofs[0::2] // 2).tolist(), values.reshape(-1, 2).tolist())
-    }
-    return BoundaryConditionSet(dirichlet=dirichlet, mode=mode)
+    if mode == "edge-average":
+        row = np.zeros(mesh.n_nodes, dtype=np.int64)
+        row[dofs[0::2] // 2] = np.arange(len(dofs) // 2)
+        a, b = row[mesh.boundary_edges.T]
+        nodal = values.reshape(-1, 2)
+        edge = 0.5 * (nodal[a] + nodal[b])
+        total = np.zeros_like(nodal)
+        np.add.at(total, a, edge)
+        np.add.at(total, b, edge)
+        count = np.bincount(np.concatenate([a, b]), minlength=len(nodal))
+        values = (total / count[:, None]).ravel()
+    return dofs, values
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +409,35 @@ def _check_columns(u: np.ndarray, residual: np.ndarray, f_norm: np.ndarray) -> N
             )
 
 
-def _solve_fixed(system: LinearSystem, fixed, u_b, method="direct") -> list[DisplacementField]:
-    """Solutions of K U = F with U = u_b[:, j] on the strictly increasing dofs
-    ``fixed``, one per column j, by static condensation: with free dofs f and
-    fixed dofs b, each column leaves K_ff u_f = F_f - K_fb u_b with the same
-    K_ff, factorized once (or solved per column by Jacobi-preconditioned CG).
-    Column j must meet the residual contract of the eliminated system,
-    |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2),
-    else SolverError is raised with ``column=j``.
+def solve(
+    system: LinearSystem, fixed_dofs, values, method: str = "direct"
+) -> list[DisplacementField]:
+    """Solutions of K U = F with U fixed on ``fixed_dofs``, one per set of values.
+
+    ``fixed_dofs`` are strictly increasing dof indices and ``values`` is an
+    (n_fixed, n_sets) array whose column j holds set j's values on them.
+    With free dofs f and fixed dofs b, each column leaves
+    K_ff u_f = F_f - K_fb u_b with the same K_ff, which ``method`` "direct"
+    factorizes once by sparse LU for all columns and "cg" solves per column
+    by Jacobi-preconditioned conjugate gradients. Column j must meet the
+    residual contract of the eliminated system,
+    |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2)
+    (absolute 1e-12 for a zero right-hand side); otherwise SolverError with
+    ``column=j`` reports the system as singular or ill-conditioned: rigid
+    modes left unconstrained, or float64 rounding of a stiffness with a large
+    contrast or near-incompressible material.
     """
+    if method not in ("direct", "cg"):
+        raise ConfigurationError(f"unknown solve method {method!r}")
+    fixed = _fixed_dofs(system, fixed_dofs)
+    u_b = np.asarray(values, dtype=float)
+    if u_b.ndim != 2 or len(u_b) != len(fixed):
+        raise ConfigurationError(
+            f"values must be ({len(fixed)}, n_sets) for {len(fixed)} fixed dofs, "
+            f"got {u_b.shape}"
+        )
+    if not u_b.shape[1]:
+        return []
     free = np.setdiff1d(np.arange(system.n_dofs), fixed)
     k_free = system.stiffness.tocsr()[free]
     k_ff = k_free[:, free].tocsc()
@@ -509,51 +465,6 @@ def _solve_fixed(system: LinearSystem, fixed, u_b, method="direct") -> list[Disp
     f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(u_b * u_b, axis=0))
     _check_columns(u, residual, f_norm)
     return [DisplacementField(u[:, j].reshape(-1, 2)) for j in range(u.shape[1])]
-
-
-def solve(system: LinearSystem, method: str = "direct") -> DisplacementField:
-    """Solve K U = F with the system's constraints as fixed dofs, by ``method``
-    "direct" (sparse LU) or "cg", on the free-dof block only, as
-    :func:`solve_condensed` does. The relative residual must not exceed 1e-10
-    (absolute 1e-12 for a zero load); otherwise the system is reported as
-    singular or ill-conditioned: rigid modes left unconstrained, or float64
-    rounding of a stiffness with a large contrast or near-incompressible
-    material.
-    """
-    if method not in ("direct", "cg"):
-        raise ConfigurationError(f"unknown solve method {method!r}")
-    fixed = sorted(system.constraints)
-    values = np.array([system.constraints[i] for i in fixed], dtype=float)[:, None]
-    return _solve_fixed(system, np.array(fixed, dtype=np.int64), values, method)[0]
-
-
-def solve_condensed(
-    system: LinearSystem, fixed_dofs, values
-) -> list[DisplacementField]:
-    """Solve K U = F for several sets of values on the same fixed dofs.
-
-    ``fixed_dofs`` are strictly increasing dof indices and ``values`` is an
-    (n_fixed, n_sets) array whose column j holds set j's values on them; the
-    system itself must carry no constraints. K_ff is factorized once and all
-    sets are solved as one multi-column right-hand side; result j equals
-    ``solve(apply_dirichlet(system, bcs_j))``, with the same checks.
-    """
-    fixed = np.asarray(fixed_dofs, dtype=np.int64)
-    u_b = np.asarray(values, dtype=float)
-    if system.constraints:
-        raise ConfigurationError("solve_condensed needs a system without constraints")
-    if fixed.ndim != 1 or np.any(np.diff(fixed) <= 0):
-        raise ConfigurationError("fixed dofs must be strictly increasing")
-    if len(fixed) and (fixed[0] < 0 or fixed[-1] >= system.n_dofs):
-        raise ConfigurationError(f"fixed dofs must lie in 0..{system.n_dofs - 1}")
-    if u_b.ndim != 2 or len(u_b) != len(fixed):
-        raise ConfigurationError(
-            f"values must be ({len(fixed)}, n_sets) for {len(fixed)} fixed dofs, "
-            f"got {u_b.shape}"
-        )
-    if not u_b.shape[1]:
-        return []
-    return _solve_fixed(system, fixed, u_b)
 
 
 def remove_rigid_motion(mesh: Mesh, disp: DisplacementField) -> DisplacementField:

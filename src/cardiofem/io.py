@@ -76,15 +76,16 @@ def write_manifest(path, study: Study) -> None:
 
 
 def read_manifest(path) -> dict:
+    """A manifest JSON object with ``subject_id``, a number
+    ``slice_spacing_mm`` and an integer ``frames_per_cycle``."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
     data = json.loads(path.read_text())
-    for key in ("subject_id", "slice_spacing_mm", "frames_per_cycle"):
-        if key not in data:
-            raise ConfigurationError(f"manifest {path} is missing {key!r}")
-    _json_field(data, "slice_spacing_mm", (int, float), f"manifest {path}")
-    _json_field(data, "frames_per_cycle", int, f"manifest {path}")
+    where = f"manifest {path}"
+    _json_field(data, "subject_id", object, where)
+    _json_field(data, "slice_spacing_mm", _NUMBER, where)
+    _json_field(data, "frames_per_cycle", int, where)
     return data
 
 
@@ -185,12 +186,19 @@ def write_study_json(path, study: Study) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def _json_field(obj, key: str, kind: type, where: str):
-    """``obj[key]`` checked to be a JSON value of ``kind``; ConfigurationError otherwise."""
+_NUMBER = (int, float)
+_REQUIRED = object()
+
+
+def _json_field(obj, key: str, kind: type, where: str, default=_REQUIRED):
+    """``obj[key]`` checked to be a JSON value of ``kind`` (``default`` when
+    given and the key is absent); ConfigurationError otherwise."""
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{where}: expected a JSON object, got {obj!r}")
     if key not in obj:
-        raise ConfigurationError(f"{where}: study JSON is missing {key!r}")
+        if default is not _REQUIRED:
+            return default
+        raise ConfigurationError(f"{where}: missing {key!r}")
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, kind):
         name = getattr(kind, "__name__", "a number")
@@ -222,7 +230,7 @@ def read_study_json(path) -> Study:
     data = json.loads(path.read_text())
     if not isinstance(data, dict) or "subject_id" not in data:
         raise ConfigurationError(f"{path}: study JSON must be an object with 'subject_id'")
-    spacing = float(_json_field(data, "slice_spacing_mm", (int, float), str(path)))
+    spacing = float(_json_field(data, "slice_spacing_mm", _NUMBER, str(path)))
     slices = []
     for sl in _json_field(data, "slices", list, str(path)):
         sl_idx = _json_field(sl, "slice", int, f"{path} slice")
@@ -451,28 +459,50 @@ def dump_system(prefix, system: LinearSystem) -> None:
 # phantom / material configuration
 
 
+def _json_numbers(obj, key: str, where: str, default, length: int | None = None) -> tuple:
+    """``obj[key]`` (``default`` when absent) checked to be a list of JSON
+    numbers, ``length`` of them when given, as floats."""
+    values = _json_field(obj, key, list, where, default)
+    if (length is not None and len(values) != length) or not all(
+        isinstance(v, _NUMBER) and not isinstance(v, bool) for v in values
+    ):
+        what = f"{length} numbers" if length is not None else "a list of numbers"
+        raise ConfigurationError(f"{where}: {key!r} must be {what}, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 def read_phantom_spec(path) -> RingSpec:
+    """A ring spec JSON object: numbers ``inner_radius`` and ``outer_radius``;
+    optional ``center`` [x, y], ``material`` {"E", "nu"}, ``regions`` (objects
+    with ``start_deg``, ``end_deg`` and optional ``E``, ``nu``) and a
+    ``pressures`` list. A missing key or a value of the wrong JSON type raises
+    ConfigurationError."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"phantom spec not found: {path}")
     data = json.loads(path.read_text())
-    base = data.get("material", {})
-    material = Material(float(base.get("E", 1e4)), float(base.get("nu", 0.3)))
-    regions = tuple(
-        AngularRegion(
-            float(r["start_deg"]), float(r["end_deg"]),
-            Material(float(r.get("E", material.E)), float(r.get("nu", material.nu))),
-        )
-        for r in data.get("regions", [])
-    )
-    center = data.get("center", [0.0, 0.0])
+    where = f"phantom spec {path}"
+    inner = float(_json_field(data, "inner_radius", _NUMBER, where))
+    outer = float(_json_field(data, "outer_radius", _NUMBER, where))
+    base = _json_field(data, "material", dict, where, {})
+    material = Material(float(_json_field(base, "E", _NUMBER, f"{where} material", 1e4)),
+                        float(_json_field(base, "nu", _NUMBER, f"{where} material", 0.3)))
+    regions = []
+    for k, r in enumerate(_json_field(data, "regions", list, where, [])):
+        at = f"{where} region {k}"
+        regions.append(AngularRegion(
+            float(_json_field(r, "start_deg", _NUMBER, at)),
+            float(_json_field(r, "end_deg", _NUMBER, at)),
+            Material(float(_json_field(r, "E", _NUMBER, at, material.E)),
+                     float(_json_field(r, "nu", _NUMBER, at, material.nu))),
+        ))
     return RingSpec(
-        inner_radius=float(data["inner_radius"]),
-        outer_radius=float(data["outer_radius"]),
-        center=(float(center[0]), float(center[1])),
+        inner_radius=inner,
+        outer_radius=outer,
+        center=_json_numbers(data, "center", where, [0.0, 0.0], 2),
         material=material,
-        regions=regions,
-        pressures=tuple(float(p) for p in data.get("pressures", [])),
+        regions=tuple(regions),
+        pressures=_json_numbers(data, "pressures", where, []),
     )
 
 

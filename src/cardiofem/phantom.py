@@ -19,13 +19,13 @@ import numpy as np
 from .contours import Contour, FrameContours, Point2, boundary_displacements
 from .errors import ConfigurationError, GeometryError, UsageError
 from .fem import (
-    BoundaryConditionSet,
     apply_traction,
     assemble,
+    boundary_conditions_from_displacements,
     boundary_dof_map,
     internal_pressure_tractions,
     remove_rigid_motion,
-    solve_condensed,
+    solve,
 )
 from .materials import AngularRegion, Material, region_material_field
 from .meshing import triangulate_annulus
@@ -142,16 +142,14 @@ def solve_ring_traction(
     pressure: float,
     n_angular: int = 64,
     n_radial: int = 8,
-    mode: str = "plane-strain",
-    detrend_rigid: bool = True,
     anchor_deg: float | None = None,
 ):
-    """Neumann-loaded solve of the ring under internal pressure.
+    """Neumann-loaded plane-strain solve of the ring under internal pressure.
 
     By default rigid modes are removed by pinning three symmetry dofs on the
     inner boundary (v at angles 0 and pi, u at angle pi/2) and the
     least-squares rigid motion is subtracted afterwards (strains are
-    unaffected) unless disabled.
+    unaffected).
 
     ``anchor_deg`` instead supports the ring at one wall angle, mimicking a
     stiff (infarct-like) region that holds the wall in place: the inner node
@@ -164,21 +162,18 @@ def solve_ring_traction(
     displacement).
     """
     mesh, materials = make_ring(spec, n_angular, n_radial)
-    system = assemble(mesh, materials, mode)
-    disp = _traction_solve(mesh, system, pressure, n_angular, n_radial, detrend_rigid, anchor_deg)
+    system = assemble(mesh, materials, "plane-strain")
+    disp = _traction_solve(mesh, system, pressure, n_angular, n_radial, anchor_deg)
     return mesh, materials, disp
 
 
-def _traction_solve(
-    mesh, system, pressure, n_angular, n_radial, detrend_rigid=True, anchor_deg=None
-):
+def _traction_solve(mesh, system, pressure, n_angular, n_radial, anchor_deg=None):
     """The pinned solve of :func:`solve_ring_traction` on an assembled ring."""
     if n_angular % 4 != 0:
         raise ConfigurationError("n_angular must be divisible by 4 for the pin layout")
     if anchor_deg is not None and anchor_deg % 90.0 != 0.0:
         raise ConfigurationError("anchor_deg must be a multiple of 90 degrees")
-    tractions = internal_pressure_tractions(mesh, pressure)
-    system = apply_traction(system, BoundaryConditionSet(tractions=tractions), mesh)
+    system = apply_traction(system, internal_pressure_tractions(mesh, pressure), mesh)
     if anchor_deg is None:
         quarter = n_angular // 4  # v at 0 (node 0), u at pi/2 (node quarter), v at pi
         pins = [1, 2 * quarter, 4 * quarter + 1]
@@ -187,8 +182,8 @@ def _traction_solve(
         outer_node = n_radial * n_angular + j
         tangential_is_x = anchor_deg % 180.0 != 0.0  # at 90/270 deg tangent is +-x
         pins = [2 * j, 2 * j + 1, 2 * outer_node + (0 if tangential_is_x else 1)]
-    (disp,) = solve_condensed(system, pins, np.zeros((len(pins), 1)))
-    if detrend_rigid and anchor_deg is None:
+    (disp,) = solve(system, pins, np.zeros((len(pins), 1)))
+    if anchor_deg is None:
         disp = remove_rigid_motion(mesh, disp)
     return disp
 
@@ -289,10 +284,7 @@ def _pipeline_values(mesh, disp, n_points: int) -> np.ndarray:
         FrameContours(1, Contour(inner + du_inner, "inner"), Contour(outer + du_outer, "outer")),
         n_points,
     )
-    _, take = boundary_dof_map(
-        mesh, bd.inner_positions, bd.outer_positions, bd.reference_center, "index"
-    )
-    return np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]
+    return boundary_conditions_from_displacements(mesh, bd, match="index")[1]
 
 
 def _centroid_l2_error(spec: RingSpec, mesh, disp) -> float:
@@ -343,7 +335,7 @@ def verify_ring(
     disp = _traction_solve(mesh, systems[1], 1.0, n_points, n_radial)
     columns = [[values] for _, values in oracle]
     columns[1].append(_pipeline_values(mesh, disp, n_points))
-    solved = [solve_condensed(system, dofs, np.column_stack(cols))
+    solved = [solve(system, dofs, np.column_stack(cols))
               for system, (dofs, _), cols in zip(systems, oracle, columns)]
     errors = [_centroid_l2_error(spec, m, d[0]) for (m, _), d in zip(rings, solved)]
     orders = [math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0.0 else math.inf
@@ -356,7 +348,7 @@ def verify_ring(
     traction_err = float(np.linalg.norm(fine.values - exact) / np.linalg.norm(exact))
 
     def summary(materials, u):
-        sf = strain_field(mesh, u, materials.nu, "plane-strain")
+        sf = strain_field(mesh, u, materials.nu)
         return sector_average(mesh, sf, u, spec.center, n_sectors)
 
     # the homogeneous field is purely radial, so the angular matching of the
@@ -370,7 +362,7 @@ def verify_ring(
     stiff_system = assemble(mesh, stiff_mats, "plane-strain")
     stiff_disp = _traction_solve(mesh, stiff_system, 1.0, n_points, n_radial, anchor_deg=270.0)
     values = _pipeline_values(mesh, stiff_disp, n_points)[:, None]
-    (stiff_disp2,) = solve_condensed(stiff_system, fixed, values)
+    (stiff_disp2,) = solve(stiff_system, fixed, values)
     traction, pipeline = summary(stiff_mats, stiff_disp), summary(stiff_mats, stiff_disp2)
     mids = (np.arange(n_sectors) + 0.5) * (360.0 / n_sectors)
     stiff_sectors = (mids >= 225.0) & (mids < 315.0)

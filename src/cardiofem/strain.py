@@ -23,7 +23,6 @@ import numpy as np
 from .contours import _as_point
 from .errors import GeometryError
 from .fem import DisplacementField, _element_matrices
-from .materials import _check_mode
 from .meshing import Mesh
 
 TWO_PI = 2.0 * math.pi
@@ -76,14 +75,12 @@ class SectorSummary:
             object.__setattr__(self, name, arr)
 
 
-def effective_strain(eps_x, eps_y, gamma_xy, nu, mode: str = "as-printed"):
+def effective_strain(eps_x, eps_y, gamma_xy, nu):
     """Scalar effective strain; vectorized over array inputs.
 
     Out-of-plane strain components are taken as zero in both constitutive
-    modes, so ``mode`` does not alter the value; it is accepted for interface
-    symmetry with the field pipeline.
+    modes, so the value does not depend on the mode.
     """
-    _check_mode(mode)
     eps_x = np.asarray(eps_x, dtype=float)
     eps_y = np.asarray(eps_y, dtype=float)
     gamma_xy = np.asarray(gamma_xy, dtype=float)
@@ -114,7 +111,6 @@ def strain_field(
     mesh: Mesh,
     disp: DisplacementField,
     nu,
-    mode: str = "as-printed",
     keep_local: bool = False,
 ) -> StrainField:
     """Element-wise strain of a displacement field plus effective strain.
@@ -131,7 +127,7 @@ def strain_field(
     bmat, _ = _element_matrices(mesh)
     comps = np.einsum("fij,fj->fi", bmat, disp.values[mesh.triangles].reshape(nf, 6))
     local = _edge_frame(mesh, comps) if keep_local else None
-    eff = effective_strain(comps[:, 0], comps[:, 1], comps[:, 2], nu_arr, mode)
+    eff = effective_strain(comps[:, 0], comps[:, 1], comps[:, 2], nu_arr)
     return StrainField(comps[:, 0], comps[:, 1], comps[:, 2], eff, local)
 
 

@@ -17,7 +17,7 @@ inner and outer boundary nodes) and only their values change, so one map
 from dofs to samples (``fem.boundary_dof_map``) gathers the values of all
 pairs into one (fixed dofs, pairs) array, the stiffness is condensed onto its
 free dofs and factorized once per slice, and all pairs are solved as one
-multi-column right-hand side (``fem.solve_condensed``). Strain is then one
+multi-column right-hand side (``fem.solve``). Strain is then one
 vectorised B . d per frame, with the B matrices and sector bins of the shared
 mesh computed once and kept on it; the per-element local-frame formula of the
 method is the test oracle for the strain.
@@ -39,12 +39,7 @@ from .contours import (
     uniform_angle_walls,
 )
 from .errors import ConfigurationError, GeometryError, SolverError
-from .fem import (
-    DisplacementField,
-    assemble,
-    boundary_dof_map,
-    solve_condensed,
-)
+from .fem import DisplacementField, assemble, boundary_dof_map, solve
 from .materials import Material, MaterialField
 from .meshing import Mesh, triangulate_annulus
 from .strain import SectorSummary, StrainField, sector_average, strain_field
@@ -266,14 +261,14 @@ def cycle_strain_analysis(
                 vectors = np.concatenate([bd.inner_vectors, bd.outer_vectors])
         values[:, k - 1] = vectors.ravel()[take]
     try:
-        disps = solve_condensed(base_system, fixed, values)
+        disps = solve(base_system, fixed, values)
     except SolverError as exc:
         where = f"frame {exc.column + 1}" if exc.column is not None else f"frames 1-{n - 1}"
         raise SolverError(f"{where}: {exc}", exc.column) from exc
 
     results: list[FrameResult] = []
     for k, disp in enumerate(disps, start=1):
-        sf = strain_field(mesh, disp, materials.nu, params.mode)
+        sf = strain_field(mesh, disp, materials.nu)
         sectors = sector_average(mesh, sf, disp, center, params.n_sectors)
         results.append(FrameResult(k, disp, sf, sectors, mesh))
     return results
@@ -319,7 +314,10 @@ def infarct_localization(
     tau: float = 0.5,
 ) -> LocalizationResult:
     """Flag sectors whose time-averaged effective strain falls below
-    tau times the reference value for the same sector."""
+    tau times the reference value for the same sector. ``tau`` must be finite
+    and positive: a NaN threshold would flag no sector."""
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ConfigurationError(f"tau must be finite and positive, got {tau!r}")
     subj = _stack_sector_strain(subject)
     ref = _stack_sector_strain(reference)
     if subj.shape != ref.shape:

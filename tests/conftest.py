@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cardiofem import Contour, FrameContours
+from cardiofem import Contour, FrameContours, solve
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,3 +38,16 @@ def ring_mesh():
     from cardiofem import RingSpec, make_ring
 
     return make_ring(RingSpec(1.0, 2.0), 16, 2)
+
+
+def boundary_dirichlet(mesh, values):
+    """Sorted dofs of every boundary node and their values in the (V, 2) ``values``."""
+    nodes = np.union1d(mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"))
+    fixed = (2 * nodes[:, None] + np.arange(2)).ravel()
+    return fixed, np.asarray(values, dtype=float).ravel()[fixed]
+
+
+def solve_one(system, fixed, values, method="direct"):
+    """The solution of ``system`` with the one set ``values`` on the dofs ``fixed``."""
+    (disp,) = solve(system, fixed, np.asarray(values, dtype=float)[:, None], method)
+    return disp

@@ -2,15 +2,17 @@
 displacement matrix and stiffness, and the method's strain formula in the
 element's local edge-aligned frame; the library computes all of these for
 whole meshes at once, and the tests check it against these scalar forms. Per
-system: the solve of the whole identity-row system that ``apply_dirichlet``
-builds, which the library replaced by a solve of the free-dof block."""
+system: Dirichlet values as a per-node dict merged into a dof -> value map
+(nodal or edge-averaged), the identity-row system built from it, and the
+solve of that whole system; the library takes the values as (fixed dofs,
+values) arrays and solves only the free-dof block."""
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg, splu
 
 from cardiofem.errors import GeometryError
-from cardiofem.fem import strain_displacement_matrices
+from cardiofem.fem import LinearSystem, strain_displacement_matrices
 
 
 def strain_displacement_matrix(coords) -> tuple[np.ndarray, float]:
@@ -73,10 +75,61 @@ def element_strain(coords, disp) -> np.ndarray:
     return np.array([glob[0, 0], glob[1, 1], 2.0 * glob[0, 1]])
 
 
-def identity_row_solve(system, method="direct") -> np.ndarray:
-    """(V, 2) solution of a constrained system's whole n_dofs x n_dofs matrix,
+def nodal_dirichlet(dofs, values) -> dict[int, tuple[float, float]]:
+    """Per-node (u, v) dict of Dirichlet values given on both dofs of each node."""
+    nodes = (np.asarray(dofs)[0::2] // 2).tolist()
+    return {n: (u, v) for n, (u, v) in zip(nodes, np.reshape(values, (-1, 2)).tolist())}
+
+
+def _edge_average_values(mesh, dirichlet) -> dict[int, tuple[float, float]]:
+    edge_vals = {}
+    incident: dict[int, list] = {}
+    for a, b in mesh.boundary_edges:
+        a, b = int(a), int(b)
+        if a in dirichlet and b in dirichlet:
+            ua, va = dirichlet[a]
+            ub, vb = dirichlet[b]
+            val = (0.5 * (ua + ub), 0.5 * (va + vb))
+            incident.setdefault(a, []).append(val)
+            incident.setdefault(b, []).append(val)
+    for node in dirichlet:
+        vals = np.asarray(incident[node], dtype=float)
+        edge_vals[node] = (float(vals[:, 0].mean()), float(vals[:, 1].mean()))
+    return edge_vals
+
+
+def constraint_values(dirichlet, mode="nodal", mesh=None) -> dict[int, float]:
+    """dof -> value map of a per-node (u, v) dict; in ``edge-average`` mode a
+    node takes the mean of its incident boundary edges' averages
+    (value_a + value_b) / 2."""
+    nodal = _edge_average_values(mesh, dirichlet) if mode == "edge-average" else dirichlet
+    return {2 * int(node) + comp: float(val)
+            for node, uv in nodal.items() for comp, val in enumerate(uv)}
+
+
+def identity_row_system(system, dirichlet, mode="nodal", mesh=None):
+    """(eliminated system, fixed dofs, values) of a per-node dict: fixed rows
+    and columns replaced by identity, the load corrected so interior
+    equations see the fixed values."""
+    constraints = constraint_values(dirichlet, mode, mesh)
+    ndof = system.n_dofs
+    fixed = np.fromiter(sorted(constraints), dtype=np.int64, count=len(constraints))
+    values = np.array([constraints[int(i)] for i in fixed])
+    z = np.zeros(ndof)
+    z[fixed] = values
+    free_mask = np.ones(ndof)
+    free_mask[fixed] = 0.0
+    k = system.stiffness
+    proj = sparse.diags(free_mask)
+    k_new = (proj @ k @ proj + sparse.diags(1.0 - free_mask)).tocsr()
+    f_new = free_mask * (system.load - k @ z) + z
+    return LinearSystem(k_new, f_new), fixed, values
+
+
+def identity_row_solve(system, fixed, values, method="direct") -> np.ndarray:
+    """(V, 2) solution of an eliminated system's whole n_dofs x n_dofs matrix,
     its unit rows included, by sparse LU (same ordering as the library) or
-    Jacobi-preconditioned CG, with the constrained values written back."""
+    Jacobi-preconditioned CG, with the fixed values written back."""
     k = system.stiffness.tocsc()
     if method == "direct":
         u = splu(k, permc_spec="MMD_AT_PLUS_A").solve(system.load)
@@ -84,6 +137,5 @@ def identity_row_solve(system, method="direct") -> np.ndarray:
         precond = sparse.diags(1.0 / k.diagonal())
         u, info = cg(k, system.load, rtol=1e-12, atol=0.0, maxiter=20 * k.shape[0], M=precond)
         assert info == 0, info
-    fixed = sorted(system.constraints)
-    u[fixed] = [system.constraints[i] for i in fixed]
+    u[fixed] = values
     return u.reshape(-1, 2)

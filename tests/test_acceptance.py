@@ -8,11 +8,9 @@ import numpy as np
 
 from cardiofem import (
     AngularRegion,
-    BoundaryConditionSet,
     CycleParams,
     Material,
     RingSpec,
-    apply_dirichlet,
     assemble,
     cycle_strain_analysis,
     effective_strain,
@@ -23,7 +21,6 @@ from cardiofem import (
     mi_wedge_study,
     normalized_volume_curve,
     sector_average,
-    solve,
     solve_ring_traction,
     strain_field,
 )
@@ -31,17 +28,12 @@ from cardiofem.study import Slice, Study
 from cardiofem.contours import FrameContours
 from cardiofem.phantom import circle_contour
 
+from conftest import boundary_dirichlet, solve_one
+
 
 def _report(criterion, ok, detail):
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def _boundary_dirichlet(mesh, values):
-    nodes = np.concatenate([mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")])
-    return BoundaryConditionSet(
-        dirichlet={int(n): (float(values[n, 0]), float(values[n, 1])) for n in nodes}
-    )
 
 
 def _lame_exact(mesh, spec, p=1.0):
@@ -79,10 +71,10 @@ def test_ac1_patch_test():
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     exact = np.column_stack([a[0] + a[1] * x + a[2] * y, b[0] + b[1] * x + b[2] * y])
     system = assemble(mesh, mats, "plane-strain")
-    disp = solve(apply_dirichlet(system, _boundary_dirichlet(mesh, exact), mesh))
+    disp = solve_one(system, *boundary_dirichlet(mesh, exact))
     field_err = np.max(np.abs(disp.values - exact)) / np.max(np.abs(exact))
 
-    sf = strain_field(mesh, disp, mats.nu, "plane-strain")
+    sf = strain_field(mesh, disp, mats.nu)
     expected = np.array([a[1], b[2], a[2] + b[1]])
     strain_err = max(
         np.max(np.abs(sf.eps_x - expected[0])),
@@ -107,7 +99,7 @@ def test_ac2_lame_convergence():
         mesh, mats = make_ring(spec, na, nr)
         system = assemble(mesh, mats, "plane-strain")
         exact = _lame_exact(mesh, spec)
-        disp = solve(apply_dirichlet(system, _boundary_dirichlet(mesh, exact), mesh))
+        disp = solve_one(system, *boundary_dirichlet(mesh, exact))
         errors.append(_weighted_l2_error(mesh, disp, spec))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     elapsed = time.perf_counter() - start
@@ -136,8 +128,8 @@ def test_ac4_rigid_motion_nullity():
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     rigid = np.column_stack([shift[0] - theta * y, shift[1] + theta * x])
     system = assemble(mesh, mats, "plane-strain")
-    disp = solve(apply_dirichlet(system, _boundary_dirichlet(mesh, rigid), mesh))
-    sf = strain_field(mesh, disp, mats.nu, "plane-strain")
+    disp = solve_one(system, *boundary_dirichlet(mesh, rigid))
+    sf = strain_field(mesh, disp, mats.nu)
     peak = float(np.max(sf.effective))
     ok = peak <= 1e-8
     _report("AC4", ok, f"translation + 1e-3 rad rotation: max effective strain {peak:.2e} <= 1e-8")
@@ -204,7 +196,7 @@ def test_ac7_inhomogeneous_direction_check():
     # support the ring at the stiff wedge (the infarct-like region anchors
     # the wall); rigid modes pinned at its mid angle
     mesh, mats, disp = solve_ring_traction(spec, 1.0, 64, 8, anchor_deg=270.0)
-    sf = strain_field(mesh, disp, mats.nu, "plane-strain")
+    sf = strain_field(mesh, disp, mats.nu)
     summary = sector_average(mesh, sf, disp, spec.center, 16)
     mids = (np.arange(16) + 0.5) * 22.5
     stiff_mask = (mids >= 225.0) & (mids < 315.0)

@@ -270,6 +270,32 @@ def test_study_json_wrong_types(tmp_path, synth_pair, capsys, edit, needle):
     assert str(bad) in line and needle in line
 
 
+@pytest.mark.parametrize("command, text, needle", [
+    ("phantom-verify", "[1, 2]", "expected a JSON object, got [1, 2]"),
+    ("phantom-verify", '{"inner_radius": 1}', "missing 'outer_radius'"),
+    ("phantom-verify", '{"inner_radius": "a", "outer_radius": 2}',
+     "'inner_radius' must be a number, got 'a'"),
+    ("phantom-verify", '{"inner_radius": 1, "outer_radius": 2, "center": [0]}',
+     "'center' must be 2 numbers, got [0]"),
+    ("phantom-verify", '{"inner_radius": 1, "outer_radius": 2, "regions": [{"start_deg": 0}]}',
+     "region 0: missing 'end_deg'"),
+    ("analyze", "5", "expected a JSON object, got 5"),
+], ids=["spec-not-an-object", "spec-missing-key", "spec-string-radius", "spec-short-center",
+        "region-missing-key", "manifest-not-an-object"])
+def test_malformed_spec_or_manifest_json(tmp_path, capsys, command, text, needle):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if command == "phantom-verify":
+        argv = ["phantom-verify", "--phantom-spec", str(bad)]
+    else:
+        (tmp_path / "contours.csv").write_text("")  # the manifest is read first
+        argv = ["analyze", "--study", str(tmp_path / "contours.csv"), "--manifest", str(bad)]
+    capsys.readouterr()
+    assert run(*argv, "--out", str(tmp_path / "res")) == 1
+    line = _single_error_line(capsys)
+    assert str(bad) in line and needle in line
+
+
 def test_config_values_converted_like_flags(tmp_path, synth_pair):
     healthy_dir, _ = synth_pair
     config = tmp_path / "config.json"

@@ -6,10 +6,8 @@ from scipy.sparse.linalg import splu
 
 from cardiofem import (
     AngularRegion,
-    BoundaryConditionSet,
     BoundaryDisplacements,
     ConfigurationError,
-    ConstraintConflictError,
     Contour,
     FrameContours,
     GeometryError,
@@ -29,14 +27,19 @@ from cardiofem import (
     make_ring,
     rigid_body_modes,
     solve,
-    solve_condensed,
     triangulate_annulus,
 )
 from cardiofem import fem
 from cardiofem.phantom import lame_displacement_at, solve_ring_traction
 
-from conftest import circle_frame, star_contour
-from oracles import element_stiffness, identity_row_solve, strain_displacement_matrix
+from conftest import boundary_dirichlet, circle_frame, solve_one, star_contour
+from oracles import (
+    element_stiffness,
+    identity_row_solve,
+    identity_row_system,
+    nodal_dirichlet,
+    strain_displacement_matrix,
+)
 
 
 def _random_triangle(rng):
@@ -53,10 +56,13 @@ def _affine_field(points, a=(0.003, 0.1, -0.04), b=(-0.002, 0.05, 0.07)):
     return np.column_stack([a[0] + a[1] * x + a[2] * y, b[0] + b[1] * x + b[2] * y])
 
 
-def _dirichlet_all_boundary(mesh, values):
-    nodes = np.concatenate([mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")])
-    return BoundaryConditionSet(
-        dirichlet={int(n): (float(values[n, 0]), float(values[n, 1])) for n in nodes}
+def _ring_samples(mesh, values):
+    """Boundary displacement samples at the ring's boundary nodes, taken from
+    the (V, 2) ``values``."""
+    walls = [mesh.boundary_nodes(label) for label in ("inner", "outer")]
+    return BoundaryDisplacements(
+        mesh.nodes[walls[0]], values[walls[0]], mesh.nodes[walls[1]], values[walls[1]],
+        np.zeros(2),
     )
 
 
@@ -203,8 +209,7 @@ def test_rigid_modes_annihilated():
 def test_zero_boundary_gives_zero_solution(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    bcs = _dirichlet_all_boundary(mesh, np.zeros((mesh.n_nodes, 2)))
-    disp = solve(apply_dirichlet(system, bcs, mesh))
+    disp = solve_one(system, *boundary_dirichlet(mesh, np.zeros((mesh.n_nodes, 2))))
     assert np.max(np.abs(disp.values)) < 1e-14
 
 
@@ -212,7 +217,7 @@ def test_patch_test_affine_exact():
     mesh, mats = make_ring(RingSpec(1.0, 2.0), 24, 3)
     system = assemble(mesh, mats, "plane-strain")
     exact = _affine_field(mesh.nodes)
-    disp = solve(apply_dirichlet(system, _dirichlet_all_boundary(mesh, exact), mesh))
+    disp = solve_one(system, *boundary_dirichlet(mesh, exact))
     err = np.max(np.abs(disp.values - exact)) / np.max(np.abs(exact))
     assert err < 1e-9
 
@@ -223,7 +228,7 @@ def test_rigid_translation_reproduced(ring_mesh):
     c = 0.37
     values = np.full((mesh.n_nodes, 2), 0.0)
     values[:, 0] = c
-    disp = solve(apply_dirichlet(system, _dirichlet_all_boundary(mesh, values), mesh))
+    disp = solve_one(system, *boundary_dirichlet(mesh, values))
     assert np.max(np.abs(disp.u - c)) < 1e-10
     assert np.max(np.abs(disp.v)) < 1e-10
 
@@ -235,13 +240,9 @@ def test_solution_linear_in_boundary_data(ring_mesh):
     g1 = rng.normal(size=(mesh.n_nodes, 2))
     g2 = rng.normal(size=(mesh.n_nodes, 2))
     alpha, beta = 1.7, -0.6
-    u1 = solve(apply_dirichlet(system, _dirichlet_all_boundary(mesh, g1), mesh)).values
-    u2 = solve(apply_dirichlet(system, _dirichlet_all_boundary(mesh, g2), mesh)).values
-    u12 = solve(
-        apply_dirichlet(
-            system, _dirichlet_all_boundary(mesh, alpha * g1 + beta * g2), mesh
-        )
-    ).values
+    u1 = solve_one(system, *boundary_dirichlet(mesh, g1)).values
+    u2 = solve_one(system, *boundary_dirichlet(mesh, g2)).values
+    u12 = solve_one(system, *boundary_dirichlet(mesh, alpha * g1 + beta * g2)).values
     ref = alpha * u1 + beta * u2
     assert np.max(np.abs(u12 - ref)) / np.max(np.abs(ref)) < 1e-9
 
@@ -249,55 +250,37 @@ def test_solution_linear_in_boundary_data(ring_mesh):
 def test_dirichlet_values_exact_at_constrained_nodes(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    values = _affine_field(mesh.nodes)
-    bcs = _dirichlet_all_boundary(mesh, values)
-    disp = solve(apply_dirichlet(system, bcs, mesh))
-    for node in bcs.dirichlet:
-        assert disp.values[node, 0] == bcs.dirichlet[node][0]
-        assert disp.values[node, 1] == bcs.dirichlet[node][1]
+    fixed, values = boundary_dirichlet(mesh, _affine_field(mesh.nodes))
+    disp = solve_one(system, fixed, values)
+    assert np.array_equal(disp.values.ravel()[fixed], values)
 
 
 def test_edge_average_equals_nodal_for_equal_values(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    values = np.tile([0.01, -0.02], (mesh.n_nodes, 1))
-    nodal = solve(
-        apply_dirichlet(
-            system,
-            _dirichlet_all_boundary(mesh, values),
-            mesh,
-        )
-    )
-    bcs = _dirichlet_all_boundary(mesh, values)
-    averaged = solve(
-        apply_dirichlet(
-            system,
-            BoundaryConditionSet(dirichlet=bcs.dirichlet, mode="edge-average"),
-            mesh,
-        )
+    bd = _ring_samples(mesh, np.tile([0.01, -0.02], (mesh.n_nodes, 1)))
+    nodal = solve_one(system, *boundary_conditions_from_displacements(mesh, bd))
+    averaged = solve_one(
+        system, *boundary_conditions_from_displacements(mesh, bd, mode="edge-average")
     )
     assert_allclose(averaged.values, nodal.values, atol=1e-12)
 
 
 def test_edge_average_smooths_nodal_values(ring_mesh):
-    mesh, mats = ring_mesh
-    system = assemble(mesh, mats)
+    mesh, _ = ring_mesh
     values = _affine_field(mesh.nodes)
-    bcs = _dirichlet_all_boundary(mesh, values)
-    averaged = apply_dirichlet(
-        system, BoundaryConditionSet(dirichlet=bcs.dirichlet, mode="edge-average"), mesh
+    dofs, averaged = boundary_conditions_from_displacements(
+        mesh, _ring_samples(mesh, values), mode="edge-average"
     )
     node = int(mesh.boundary_nodes("inner")[0])
     # expected: mean of the two incident edge averages (u_i + u_j) / 2
-    incident = [
-        e for e in mesh.boundary_edges if node in e[:2] and
-        all(int(x) in bcs.dirichlet for x in e)
-    ]
+    incident = [e for e in mesh.boundary_edges if node in e[:2]]
     expected = np.mean(
         [0.5 * (values[int(a)] + values[int(b)]) for a, b in incident], axis=0
     )
-    assert_allclose(averaged.load[2 * node: 2 * node + 2], expected, rtol=1e-12)
-    assert averaged.constraints[2 * node] != values[node, 0]
+    at_node = averaged[np.searchsorted(dofs, 2 * node) + np.arange(2)]
+    assert_allclose(at_node, expected, rtol=1e-12)
+    assert at_node[0] != values[node, 0]
 
 
 def test_bc_modes_converge_under_refinement():
@@ -312,52 +295,74 @@ def test_bc_modes_converge_under_refinement():
         exact = (lame_displacement(1.0, 2.0, 1.0, 1e4, 0.3, radii) / radii)[
             :, None
         ] * mesh.nodes
-        bcs = _dirichlet_all_boundary(mesh, exact)
-        u_nodal = solve(apply_dirichlet(system, bcs, mesh)).values
-        u_edge = solve(
-            apply_dirichlet(
-                system,
-                BoundaryConditionSet(dirichlet=bcs.dirichlet, mode="edge-average"),
-                mesh,
-            )
+        bd = _ring_samples(mesh, exact)
+        u_nodal = solve_one(system, *boundary_conditions_from_displacements(mesh, bd)).values
+        u_edge = solve_one(
+            system, *boundary_conditions_from_displacements(mesh, bd, mode="edge-average")
         ).values
         gaps.append(np.linalg.norm(u_edge - u_nodal) / np.linalg.norm(u_nodal))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.5 * gaps[1] < 0.25 * gaps[0]
 
 
-def test_edge_average_requires_mesh(ring_mesh):
-    mesh, mats = ring_mesh
-    system = assemble(mesh, mats)
-    bcs = BoundaryConditionSet(dirichlet={0: (0.0, 0.0)}, mode="edge-average")
-    with pytest.raises(ConfigurationError):
-        apply_dirichlet(system, bcs)
+@pytest.mark.parametrize("mode", ["nodal", "edge-average"])
+def test_apply_dirichlet_matches_dict_oracle(mode):
+    # the per-node dict merged into a dof -> value map, then eliminated, is
+    # the path the (fixed dofs, values) arrays replaced
+    mesh, bd = _mesh_and_samples()
+    system = assemble(mesh, MaterialField.uniform(mesh, Material(1e4, 0.3)))
+    load = np.random.default_rng(4).normal(size=system.n_dofs)
+    system = fem.LinearSystem(system.stiffness, load)
+    nodal = nodal_dirichlet(*boundary_conditions_from_displacements(mesh, bd))
+    expected, fixed, values = identity_row_system(system, nodal, mode, mesh)
+    dofs, got_values = boundary_conditions_from_displacements(mesh, bd, mode)
+    got = apply_dirichlet(system, dofs, got_values)
+    assert np.array_equal(dofs, fixed)
+    assert np.array_equal(got_values, values)
+    assert np.array_equal(got.stiffness.toarray(), expected.stiffness.toarray())
+    assert np.array_equal(got.load, expected.load)
 
 
-def test_constraint_conflict(ring_mesh):
-    mesh, mats = ring_mesh
-    system = assemble(mesh, mats)
-    first = apply_dirichlet(system, BoundaryConditionSet(dirichlet={0: (0.1, 0.0)}), mesh)
-    # same value again is fine
-    apply_dirichlet(first, BoundaryConditionSet(dirichlet={0: (0.1, 0.0)}), mesh)
-    with pytest.raises(ConstraintConflictError):
-        apply_dirichlet(first, BoundaryConditionSet(dirichlet={0: (0.2, 0.0)}), mesh)
+def test_bc_mode_checked(ring_mesh):
+    mesh, _ = ring_mesh
+    bd = _ring_samples(mesh, np.zeros((mesh.n_nodes, 2)))
+    with pytest.raises(ConfigurationError, match="bc mode"):
+        boundary_conditions_from_displacements(mesh, bd, mode="edge")
 
 
 def test_dirichlet_node_out_of_range(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    with pytest.raises(ConfigurationError):
-        apply_dirichlet(system, BoundaryConditionSet(dirichlet={999: (0.0, 0.0)}), mesh)
+    for fixed in ([1998, 1999], [-1, 0]):
+        with pytest.raises(ConfigurationError, match="must lie in"):
+            apply_dirichlet(system, fixed, [0.0, 0.0])
+        with pytest.raises(ConfigurationError, match="must lie in"):
+            solve(system, fixed, np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("fixed", [[3, 2], [2, 2], [[0, 1]]])
+def test_fixed_dofs_strictly_increasing(ring_mesh, fixed):
+    mesh, mats = ring_mesh
+    system = assemble(mesh, mats)
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        apply_dirichlet(system, fixed, [0.0, 0.0])
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        solve(system, fixed, np.zeros((2, 1)))
+
+
+def test_apply_dirichlet_checks_values_shape(ring_mesh):
+    mesh, mats = ring_mesh
+    with pytest.raises(ConfigurationError, match="values must be"):
+        apply_dirichlet(assemble(mesh, mats), [0, 1], np.zeros((2, 1)))
 
 
 def test_apply_dirichlet_preserves_input(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     before = system.stiffness.toarray().copy()
-    apply_dirichlet(system, _dirichlet_all_boundary(mesh, np.ones((mesh.n_nodes, 2))), mesh)
+    apply_dirichlet(system, *boundary_dirichlet(mesh, np.ones((mesh.n_nodes, 2))))
     assert np.array_equal(system.stiffness.toarray(), before)
-    assert not system.constraints
+    assert np.all(system.load == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +373,7 @@ def test_zero_traction_keeps_load(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     edges = {tuple(map(int, e)): (0.0, 0.0) for e in mesh.boundary_edges[:4]}
-    out = apply_traction(system, BoundaryConditionSet(tractions=edges), mesh)
+    out = apply_traction(system, edges, mesh)
     assert np.all(out.load == 0.0)
 
 
@@ -376,10 +381,7 @@ def test_single_edge_traction_lumping():
     nodes = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     mesh = Mesh(nodes, [[0, 1, 2]], [[0, 1]], ("inner",))
     system = assemble(mesh, MaterialField.uniform(mesh, Material(1.0, 0.0)))
-    out = apply_traction(
-        system, BoundaryConditionSet(tractions={(0, 1): (1.0, 0.0)}), mesh
-    )
-    f = out.load
+    f = apply_traction(system, {(0, 1): (1.0, 0.0)}, mesh).load
     assert f[0] == pytest.approx(1.0)
     assert f[2] == pytest.approx(1.0)
     assert np.all(f[[1, 3, 4, 5]] == 0.0)
@@ -388,8 +390,7 @@ def test_single_edge_traction_lumping():
 def test_radial_pressure_net_force_zero():
     mesh, mats = make_ring(RingSpec(1.0, 2.0), 64, 4)
     system = assemble(mesh, mats)
-    tractions = internal_pressure_tractions(mesh, 2.5)
-    out = apply_traction(system, BoundaryConditionSet(tractions=tractions), mesh)
+    out = apply_traction(system, internal_pressure_tractions(mesh, 2.5), mesh)
     net = np.array([out.load[0::2].sum(), out.load[1::2].sum()])
     assert np.max(np.abs(net)) < 1e-9 * 2.5 * 2 * np.pi
 
@@ -398,9 +399,7 @@ def test_traction_on_non_boundary_edge(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     with pytest.raises(ConfigurationError):
-        apply_traction(
-            system, BoundaryConditionSet(tractions={(0, 17): (1.0, 0.0)}), mesh
-        )
+        apply_traction(system, {(0, 17): (1.0, 0.0)}, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +409,17 @@ def test_traction_on_non_boundary_edge(ring_mesh):
 def test_unpinned_traction_system_is_singular():
     mesh, mats = make_ring(RingSpec(1.0, 2.0), 16, 2)
     system = assemble(mesh, mats)
-    tractions = internal_pressure_tractions(mesh, 1.0)
-    loaded = apply_traction(system, BoundaryConditionSet(tractions=tractions), mesh)
+    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0), mesh)
     with pytest.raises(SolverError):
-        solve(loaded)
+        solve(loaded, [], np.zeros((0, 1)))
 
 
 def test_cg_matches_direct(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    values = _affine_field(mesh.nodes)
-    constrained = apply_dirichlet(system, _dirichlet_all_boundary(mesh, values), mesh)
-    direct = solve(constrained, method="direct")
-    iterative = solve(constrained, method="cg")
+    fixed, values = boundary_dirichlet(mesh, _affine_field(mesh.nodes))
+    direct = solve_one(system, fixed, values, method="direct")
+    iterative = solve_one(system, fixed, values, method="cg")
     assert np.max(np.abs(direct.values - iterative.values)) < 1e-8 * np.max(
         np.abs(direct.values)
     )
@@ -431,19 +428,20 @@ def test_cg_matches_direct(ring_mesh):
 @pytest.mark.parametrize("method", ["direct", "cg"])
 @pytest.mark.parametrize("field", ["affine", "random", "random with load"])
 def test_solve_matches_identity_row_oracle(ring_mesh, method, field):
-    # solve factors only the free-dof block; the old whole-system solve is the oracle
+    # solve factors only the free-dof block; the whole identity-row solve is the oracle
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     if field == "affine":
-        bcs = _dirichlet_all_boundary(mesh, _affine_field(mesh.nodes))
+        fixed, values = boundary_dirichlet(mesh, _affine_field(mesh.nodes))
     else:
-        bcs = _random_boundary_sets(mesh, 1)[0]
+        fixed, values = _random_boundary_sets(mesh, 1)
+        values = values[:, 0]
     if field == "random with load":
         load = np.random.default_rng(2).normal(size=system.n_dofs)
         system = fem.LinearSystem(system.stiffness, load)
-    constrained = apply_dirichlet(system, bcs, mesh)
-    expected = identity_row_solve(constrained, method)
-    got = solve(constrained, method).values
+    expected = identity_row_solve(*identity_row_system(system, nodal_dirichlet(fixed, values)),
+                                  method)
+    got = solve_one(system, fixed, values, method).values
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -451,39 +449,31 @@ def test_solve_unknown_method(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     with pytest.raises(ConfigurationError):
-        solve(system, method="multigrid")
+        solve(system, [], np.zeros((0, 1)), method="multigrid")
 
 
 def test_residual_contract(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    values = _affine_field(mesh.nodes)
-    constrained = apply_dirichlet(system, _dirichlet_all_boundary(mesh, values), mesh)
-    disp = solve(constrained)
+    fixed, values = boundary_dirichlet(mesh, _affine_field(mesh.nodes))
+    constrained = apply_dirichlet(system, fixed, values)
+    disp = solve_one(system, fixed, values)
     residual = np.linalg.norm(constrained.stiffness @ disp.values.ravel() - constrained.load)
     assert residual <= 1e-10 * np.linalg.norm(constrained.load)
 
 
 # ---------------------------------------------------------------------------
-# condensed multi-right-hand-side solve
+# multi-right-hand-side solve
 
 
 def _random_boundary_sets(mesh, n_sets, seed=0):
+    """All boundary dofs and (n_fixed, n_sets) random values on them."""
     rng = np.random.default_rng(seed)
-    return [
-        _dirichlet_all_boundary(mesh, rng.normal(scale=0.05, size=(mesh.n_nodes, 2)))
+    sets = [
+        boundary_dirichlet(mesh, rng.normal(scale=0.05, size=(mesh.n_nodes, 2)))
         for _ in range(n_sets)
     ]
-
-
-def _as_arrays(bcs_sets):
-    """Sorted fixed dofs and the (n_fixed, n_sets) values of full-node sets on the same nodes."""
-    nodes = sorted(bcs_sets[0].dirichlet)
-    fixed = np.array([2 * n + c for n in nodes for c in (0, 1)], dtype=np.int64)
-    values = np.array(
-        [[bcs.dirichlet[n][c] for n in nodes for c in (0, 1)] for bcs in bcs_sets]
-    ).T
-    return fixed, values
+    return sets[0][0], np.column_stack([values for _, values in sets])
 
 
 def test_solve_condensed_matches_per_set_solve(ring_mesh):
@@ -493,33 +483,32 @@ def test_solve_condensed_matches_per_set_solve(ring_mesh):
     system = fem.LinearSystem(
         system.stiffness, np.random.default_rng(1).normal(size=system.n_dofs)
     )
-    bcs_sets = _random_boundary_sets(mesh, 4)
-    batched = solve_condensed(system, *_as_arrays(bcs_sets))
+    fixed, values = _random_boundary_sets(mesh, 4)
+    batched = solve(system, fixed, values)
     assert len(batched) == 4
-    for bcs, disp in zip(bcs_sets, batched):
-        expected = solve(apply_dirichlet(system, bcs, mesh)).values
+    for column, disp in zip(values.T, batched):
+        expected = identity_row_solve(*identity_row_system(system, nodal_dirichlet(fixed, column)))
         assert np.max(np.abs(disp.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_solve_condensed_all_nodes_constrained():
     mesh, mats = make_ring(RingSpec(1.0, 2.0), 16, 1)  # every node is a boundary node
     values = _affine_field(mesh.nodes)
-    fixed, u_b = _as_arrays([_dirichlet_all_boundary(mesh, values)])
-    (disp,) = solve_condensed(assemble(mesh, mats), fixed, u_b)
+    disp = solve_one(assemble(mesh, mats), *boundary_dirichlet(mesh, values))
     assert_allclose(disp.values, values, rtol=0, atol=0)
 
 
 def test_solve_condensed_empty_sequence(ring_mesh):
     mesh, mats = ring_mesh
-    fixed, _ = _as_arrays(_random_boundary_sets(mesh, 1))
-    assert solve_condensed(assemble(mesh, mats), fixed, np.empty((len(fixed), 0))) == []
+    fixed, _ = _random_boundary_sets(mesh, 1)
+    assert solve(assemble(mesh, mats), fixed, np.empty((len(fixed), 0))) == []
 
 
 def test_solve_condensed_checks_values_shape(ring_mesh):
     mesh, mats = ring_mesh
-    fixed, values = _as_arrays(_random_boundary_sets(mesh, 2))
+    fixed, values = _random_boundary_sets(mesh, 2)
     with pytest.raises(ConfigurationError):
-        solve_condensed(assemble(mesh, mats), fixed, values[1:])
+        solve(assemble(mesh, mats), fixed, values[1:])
 
 
 def test_solve_condensed_singular_free_block(ring_mesh):
@@ -531,7 +520,7 @@ def test_solve_condensed_singular_free_block(ring_mesh):
         np.zeros(system.n_dofs + 2),
     )
     with pytest.raises(SolverError):
-        solve_condensed(padded, *_as_arrays(_random_boundary_sets(mesh, 3)))
+        solve(padded, *_random_boundary_sets(mesh, 3))
 
 
 def test_solve_condensed_names_failing_column(ring_mesh, monkeypatch):
@@ -549,7 +538,7 @@ def test_solve_condensed_names_failing_column(ring_mesh, monkeypatch):
 
     monkeypatch.setattr(fem, "_factor", lambda k: CorruptColumnOne(real_factor(k)))
     with pytest.raises(SolverError, match="residual contract") as info:
-        solve_condensed(assemble(mesh, mats), *_as_arrays(_random_boundary_sets(mesh, 3)))
+        solve(assemble(mesh, mats), *_random_boundary_sets(mesh, 3))
     assert info.value.column == 1
 
 
@@ -567,9 +556,9 @@ def test_bcs_from_displacements_position_match():
     inner = resample_uniform_angle(frame0.inner, center, 16)
     outer = resample_uniform_angle(frame0.outer, center, 16)
     mesh = triangulate_annulus(inner, outer, 16, 2)
-    bcs = boundary_conditions_from_displacements(mesh, bd)
-    assert len(bcs.dirichlet) == 32
-    assert all(v == (0.0, 0.0) for v in bcs.dirichlet.values())
+    dofs, values = boundary_conditions_from_displacements(mesh, bd)
+    assert len(dofs) == 64
+    assert np.all(values == 0.0)
 
 
 def test_bcs_from_displacements_mismatched_mesh():
@@ -617,8 +606,11 @@ def test_bcs_position_match_maps_rolled_samples():
         np.roll(bd.outer_positions, -3, axis=0), np.roll(bd.outer_vectors, -3, axis=0),
         bd.reference_center,
     )
-    expected = boundary_conditions_from_displacements(mesh, bd).dirichlet
-    assert boundary_conditions_from_displacements(mesh, rolled).dirichlet == expected
+    dofs, values = boundary_conditions_from_displacements(mesh, bd)
+    rolled_dofs, rolled_values = boundary_conditions_from_displacements(mesh, rolled)
+    assert np.array_equal(rolled_dofs, dofs)
+    assert np.array_equal(rolled_values, values)
+    expected = nodal_dirichlet(dofs, values)
     # both equal the nearest sample by brute force
     for label, positions, vectors in (
         ("inner", rolled.inner_positions, rolled.inner_vectors),
@@ -639,10 +631,11 @@ def test_bcs_position_match_tolerance(offset, coincide):
         bd.outer_positions, bd.outer_vectors, bd.reference_center,
     )
     if coincide:
-        assert (
-            boundary_conditions_from_displacements(mesh, shifted).dirichlet
-            == boundary_conditions_from_displacements(mesh, bd).dirichlet
-        )
+        for got, expected in zip(
+            boundary_conditions_from_displacements(mesh, shifted),
+            boundary_conditions_from_displacements(mesh, bd),
+        ):
+            assert np.array_equal(got, expected)
     else:
         with pytest.raises(GeometryError, match="inner boundary nodes do not coincide"):
             boundary_conditions_from_displacements(mesh, shifted)
@@ -680,17 +673,15 @@ def test_solves_match_colamd_reference(n_angular, n_radial, contrast, nu, outer_
     spec = _wedge_spec(contrast, nu, outer_radius)
     mesh, mats = make_ring(spec, n_angular, n_radial)
     system = assemble(mesh, mats, "plane-strain")
-    bcs = _dirichlet_all_boundary(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
-    constrained = apply_dirichlet(system, bcs, mesh)
+    fixed, values = boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
+    constrained = apply_dirichlet(system, fixed, values)
     reference = splu(constrained.stiffness.tocsc(), permc_spec="COLAMD").solve(
         constrained.load
     ).reshape(-1, 2)
     scale = np.linalg.norm(reference)
-    direct = solve(constrained).values
-    (condensed,) = solve_condensed(system, *_as_arrays([bcs]))
+    direct = solve_one(system, fixed, values).values
     assert np.linalg.norm(direct - reference) <= 1e-12 * scale
-    assert np.linalg.norm(condensed.values - reference) <= 1e-12 * scale
-    oracle = identity_row_solve(constrained)
+    oracle = identity_row_solve(constrained, fixed, values)
     assert np.linalg.norm(direct - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
@@ -701,8 +692,8 @@ def test_solves_are_scale_invariant(young):
     def scaled_solutions(e_mod):
         spec = RingSpec(1.0, 2.0, material=Material(e_mod, 0.3))
         mesh, mats = make_ring(spec, 64, 8)
-        bcs = _dirichlet_all_boundary(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
-        dirichlet = solve(apply_dirichlet(assemble(mesh, mats, "plane-strain"), bcs, mesh))
+        fixed, values = boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
+        dirichlet = solve_one(assemble(mesh, mats, "plane-strain"), fixed, values)
         _, _, traction = solve_ring_traction(spec, 1.0, 64, 8)
         return e_mod * dirichlet.values, e_mod * traction.values
 
@@ -721,11 +712,11 @@ def test_each_solve_factorizes_once_through_module_splu(ring_mesh, monkeypatch):
     monkeypatch.setattr(fem, "splu", counting_splu)
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    bcs_sets = _random_boundary_sets(mesh, 3)
-    solve(apply_dirichlet(system, bcs_sets[0], mesh))
+    fixed, values = _random_boundary_sets(mesh, 3)
+    solve(system, fixed, values[:, :1])
     # solve factors the free-dof block, not the whole eliminated matrix
-    assert calls == [(system.n_dofs - 2 * len(bcs_sets[0].dirichlet),) * 2]
-    solve_condensed(system, *_as_arrays(bcs_sets))
+    assert calls == [(system.n_dofs - len(fixed),) * 2]
+    solve(system, fixed, values)
     assert len(calls) == 2
 
 

@@ -9,7 +9,6 @@ from scipy.io import mmread
 
 import cardiofem.io as cfio
 from cardiofem import (
-    BoundaryConditionSet,
     ConfigurationError,
     DisplacementField,
     Material,
@@ -327,8 +326,7 @@ def test_mesh_and_field_csv(tmp_path):
 def test_dump_system_matrix_market(tmp_path):
     mesh, mats = make_ring(RingSpec(1.0, 2.0), 8, 1)
     system = assemble(mesh, mats)
-    bcs = BoundaryConditionSet(dirichlet={0: (0.01, 0.0)})
-    constrained = apply_dirichlet(system, bcs, mesh)
+    constrained = apply_dirichlet(system, [0, 1], [0.01, 0.0])
     cfio.dump_system(tmp_path / "sys", constrained)
     k = mmread(tmp_path / "sys_K.mtx").toarray()
     f = np.asarray(mmread(tmp_path / "sys_F.mtx")).ravel()

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from cardiofem import (
     AngularRegion,
-    BoundaryConditionSet,
     ConfigurationError,
     Contour,
     FrameContours,
@@ -15,20 +14,20 @@ from cardiofem import (
     RingSpec,
     boundary_conditions_from_displacements,
     boundary_displacements,
-    apply_dirichlet,
     assemble,
     lame_displacement,
     lame_strain_polar,
     make_ring,
     pressure_load_cycle,
     sector_average,
-    solve,
     solve_ring_traction,
     strain_field,
     triangulate_annulus,
     verify_ring,
 )
 from cardiofem.phantom import lame_displacement_at
+
+from conftest import boundary_dirichlet, solve_one
 
 
 def test_ring_spec_validation():
@@ -191,8 +190,9 @@ def _pipeline_error(spec, n_angular, n_radial, pressure=1.0):
     bd = boundary_displacements(frames[0], frames[1], n_angular)
     mesh = triangulate_annulus(frames[0].inner, frames[0].outer, n_angular, n_radial)
     mats_mesh, mats = make_ring(cycle, n_angular, n_radial)
-    bcs = boundary_conditions_from_displacements(mesh, bd)
-    disp = solve(apply_dirichlet(assemble(mesh, mats, "plane-strain"), bcs, mesh))
+    disp = solve_one(
+        assemble(mesh, mats, "plane-strain"), *boundary_conditions_from_displacements(mesh, bd)
+    )
 
     centroids = mesh.triangle_centroids()
     rn = np.linalg.norm(centroids, axis=1)
@@ -222,7 +222,7 @@ def test_inhomogeneous_low_mobility_sectors():
     stiff = AngularRegion(225.0, 315.0, Material(1e5, 0.3))
     spec = RingSpec(1.0, 2.0, material=Material(1e4, 0.3), regions=(stiff,))
     mesh, mats, disp = solve_ring_traction(spec, 1.0, 64, 8, anchor_deg=270.0)
-    sf = strain_field(mesh, disp, mats.nu, "plane-strain")
+    sf = strain_field(mesh, disp, mats.nu)
     summary = sector_average(mesh, sf, disp, spec.center, 16)
     stiff_idx = np.array([10, 11, 12, 13])
     normal_idx = np.array([i for i in range(16) if i not in stiff_idx])
@@ -245,7 +245,7 @@ def test_anchor_requires_axis_aligned_angle():
 
 
 def _old_sector_summary(mesh, mats, disp, spec, n_sectors):
-    sf = strain_field(mesh, disp, mats.nu, "plane-strain")
+    sf = strain_field(mesh, disp, mats.nu)
     return sector_average(mesh, sf, disp, spec.center, n_sectors)
 
 
@@ -265,9 +265,8 @@ def _old_pipeline_resolve(mesh, mats, disp, n_points):
         Contour(mesh.nodes[outer_nodes] + disp.values[outer_nodes], "outer"),
     )
     bd = boundary_displacements(frame0, frame1, n_points)
-    bcs = boundary_conditions_from_displacements(mesh, bd, match="index")
     system = assemble(mesh, mats, "plane-strain")
-    return solve(apply_dirichlet(system, bcs, mesh))
+    return solve_one(system, *boundary_conditions_from_displacements(mesh, bd, match="index"))
 
 
 def _old_lame_dirichlet_error(spec, n_angular, n_radial):
@@ -276,11 +275,7 @@ def _old_lame_dirichlet_error(spec, n_angular, n_radial):
     mesh, mats = make_ring(spec, n_angular, n_radial)
     system = assemble(mesh, mats, "plane-strain")
     exact_nodes = lame_displacement_at(spec, 1.0, mesh.nodes)
-    bnodes = np.concatenate([mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")])
-    bcs = BoundaryConditionSet(
-        dirichlet={int(n): (float(exact_nodes[n, 0]), float(exact_nodes[n, 1])) for n in bnodes}
-    )
-    disp = solve(apply_dirichlet(system, bcs, mesh))
+    disp = solve_one(system, *boundary_dirichlet(mesh, exact_nodes))
 
     areas = mesh.triangle_areas()
     num_at_centroids = disp.values[mesh.triangles].mean(axis=1)

@@ -6,26 +6,24 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from cardiofem import (
-    BoundaryConditionSet,
     DisplacementField,
     GeometryError,
     Material,
     Mesh,
     RingSpec,
-    apply_dirichlet,
     assemble,
     effective_strain,
     lame_displacement,
     lame_strain_polar,
     make_ring,
     sector_average,
-    solve,
     strain_field,
 )
 from cardiofem import fem
 from cardiofem import strain as strain_module
 from cardiofem.strain import sector_index
 
+from conftest import boundary_dirichlet, solve_one
 from oracles import element_strain, element_strain_local, strain_displacement_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -135,7 +133,7 @@ def test_strain_field_against_ring_analytics():
     mesh, mats = make_ring(RingSpec(a_r, b_r, material=Material(e_mod, nu)), 64, 8)
     radii = np.linalg.norm(mesh.nodes, axis=1)
     exact = (lame_displacement(a_r, b_r, p, e_mod, nu, radii) / radii)[:, None] * mesh.nodes
-    sf = strain_field(mesh, DisplacementField(exact), mats.nu, "plane-strain")
+    sf = strain_field(mesh, DisplacementField(exact), mats.nu)
 
     centroids = mesh.triangle_centroids()
     exact_x, exact_y, exact_g = _analytic_cartesian_strain(
@@ -168,12 +166,8 @@ def test_fem_solution_strain_against_ring_analytics():
     system = assemble(mesh, mats, "plane-strain")
     radii = np.linalg.norm(mesh.nodes, axis=1)
     exact = (lame_displacement(a_r, b_r, p, e_mod, nu, radii) / radii)[:, None] * mesh.nodes
-    nodes = np.concatenate([mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")])
-    bcs = BoundaryConditionSet(
-        dirichlet={int(n): (float(exact[n, 0]), float(exact[n, 1])) for n in nodes}
-    )
-    disp = solve(apply_dirichlet(system, bcs, mesh))
-    sf = strain_field(mesh, disp, mats.nu, "plane-strain")
+    disp = solve_one(system, *boundary_dirichlet(mesh, exact))
+    sf = strain_field(mesh, disp, mats.nu)
     pair = lambda arr: 0.5 * (arr[0::2] + arr[1::2])
     pair_centroids = pair(mesh.triangle_centroids())
     px, py, pg = _analytic_cartesian_strain(pair_centroids, a_r, b_r, p, e_mod, nu)

@@ -16,7 +16,6 @@ from cardiofem import (
     Slice,
     SolverError,
     Study,
-    apply_dirichlet,
     assemble,
     average_sector_summaries,
     boundary_conditions_from_displacements,
@@ -32,7 +31,6 @@ from cardiofem import (
     phantom_cycle_study,
     resample_uniform_angle,
     sector_average,
-    solve,
     strain_field,
     triangulate_annulus,
     ventricle_volume,
@@ -40,8 +38,8 @@ from cardiofem import (
 from cardiofem import contours, fem, io
 from cardiofem import study as study_module
 
-from conftest import circle_frame, star_contour
-from oracles import element_strain
+from conftest import circle_frame, solve_one, star_contour
+from oracles import constraint_values, element_strain, nodal_dirichlet
 
 
 def _single_slice_study(frames, spacing=8.0, subject="s"):
@@ -291,11 +289,11 @@ def _per_frame_cycle(study, params):
     for k in range(1, n):
         if params.reference == "cumulative":
             bd = boundary_displacements(frames[0], frames[k], params.n_points, step_rot * k)
-            bcs = boundary_conditions_from_displacements(mesh, bd, match="position")
+            dirichlet = boundary_conditions_from_displacements(mesh, bd, match="position")
         else:
             bd = boundary_displacements(frames[k - 1], frames[k], params.n_points, step_rot)
-            bcs = boundary_conditions_from_displacements(mesh, bd, match="index")
-        disp = solve(apply_dirichlet(system, bcs, mesh))
+            dirichlet = boundary_conditions_from_displacements(mesh, bd, match="index")
+        disp = solve_one(system, *dirichlet)
         comps = np.array(
             [element_strain(mesh.nodes[tri], disp.values[tri]) for tri in mesh.triangles]
         )
@@ -325,9 +323,9 @@ def test_cycle_matches_per_frame_path(reference):
 
 def _dict_condensed_solve(system, bcs_sets):
     """The condensed solve as it was before it took arrays: each set's
-    Dirichlet dict is merged into a dof -> value dict and read back in dof
-    order."""
-    constraints = [fem._constraint_values(system, bcs, None) for bcs in bcs_sets]
+    per-node Dirichlet dict is merged into a dof -> value dict and read back
+    in dof order."""
+    constraints = [constraint_values(bcs) for bcs in bcs_sets]
     fixed = np.array(sorted(constraints[0]), dtype=np.int64)
     assert all(c.keys() == constraints[0].keys() for c in constraints)
     u_b = np.array([[c[int(dof)] for dof in fixed] for c in constraints]).T
@@ -358,13 +356,15 @@ def _per_pair_cycle(study, params):
     for k in range(1, n):
         if params.reference == "cumulative":
             bd = boundary_displacements(frames[0], frames[k], params.n_points, step_rot * k)
-            bcs_sets.append(boundary_conditions_from_displacements(mesh, bd, match="position"))
+            match = "position"
         else:
             bd = boundary_displacements(frames[k - 1], frames[k], params.n_points, step_rot)
-            bcs_sets.append(boundary_conditions_from_displacements(mesh, bd, match="index"))
+            match = "index"
+        dirichlet = boundary_conditions_from_displacements(mesh, bd, match=match)
+        bcs_sets.append(nodal_dirichlet(*dirichlet))
     out = []
     for disp in _dict_condensed_solve(system, bcs_sets):
-        sf = strain_field(mesh, disp, materials.nu, params.mode)
+        sf = strain_field(mesh, disp, materials.nu)
         out.append((disp, sf, sector_average(mesh, sf, disp, center, params.n_sectors)))
     return out
 
@@ -465,6 +465,15 @@ def test_localization_zero_sector_flagged():
     ref = _summaries([[1.0, 2.0], [1.0, 2.0]])
     loc = infarct_localization(subj, ref, tau=0.01)
     assert loc.suspected_sectors == (0,)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.5])
+def test_localization_rejects_bad_tau(tau):
+    # compared with NaN every sector reads "normal", which would hide an infarct
+    subj = _summaries([[0.0, 2.0], [0.0, 2.0]])
+    ref = _summaries([[1.0, 2.0], [1.0, 2.0]])
+    with pytest.raises(ConfigurationError, match="tau must be finite and positive"):
+        infarct_localization(subj, ref, tau)
 
 
 def test_localization_monotone_in_tau():
