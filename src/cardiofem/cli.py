@@ -43,6 +43,7 @@ from .phantom import RingSpec, verify_ring
 from .study import (
     CycleParams,
     average_sector_summaries,
+    check_tau,
     cycle_strain_analysis,
     infarct_localization,
     normalized_volume_curve,
@@ -236,12 +237,12 @@ def _cycle_params(cfg) -> CycleParams:
 
 
 def cmd_phantom_verify(cfg) -> int:
-    out = _outdir(cfg)
     if getattr(cfg, "phantom_spec", None):
         spec = cfio.read_phantom_spec(cfg.phantom_spec)
     else:
         spec = RingSpec(1.0, 2.0, material=Material(cfg.young, cfg.poisson))
     report = verify_ring(spec, cfg.n_points, cfg.n_radial, cfg.sectors)
+    out = _outdir(cfg)
 
     with (out / "convergence.csv").open("w") as fh:
         fh.write("n_angular,n_radial,h,l2_error,observed_order\n")
@@ -287,6 +288,7 @@ def _fields_vtk_job(path, res) -> tuple:
 
 
 def cmd_analyze(cfg) -> int:
+    check_tau(cfg.tau)
     study = _load_study(cfg)
     ref_manifests = list(getattr(cfg, "reference_manifest", None) or [])
     references = [

@@ -357,16 +357,6 @@ def angular_permutation(contour: Contour, center) -> np.ndarray:
     return _checked_pass(contour, _as_point(center)).perm
 
 
-def order_by_angle(contour: Contour, center) -> Contour:
-    """Return the contour with vertices sorted by angle about the center.
-
-    The result starts at the smallest angle in [0, 2*pi). Use
-    :func:`angular_permutation` to recover the applied permutation.
-    """
-    perm = angular_permutation(contour, center)
-    return Contour(contour.points[perm], contour.label)
-
-
 def is_star_shaped(contour: Contour, center) -> bool:
     """True if traversing the polygon winds monotonically once about center.
 

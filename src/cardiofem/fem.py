@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 from scipy.sparse.linalg import cg as sparse_cg
 from scipy.sparse.linalg import splu
 
@@ -28,8 +27,6 @@ from .contours import BoundaryDisplacements
 from .errors import ConfigurationError, GeometryError, MeshError, SolverError
 from .materials import MaterialField, constitutive_matrices
 from .meshing import Mesh
-
-BC_MODES = ("nodal", "edge-average")
 
 
 @dataclass(frozen=True)
@@ -267,11 +264,10 @@ def boundary_dof_map(
     dof, the index of its value in the flattened sample vectors
     ``concatenate([inner_vectors, outer_vectors]).ravel()``.
 
-    ``match="position"`` pairs each boundary node with the sample at the same
-    location (the usual case: the mesh was built from the same resampled
-    contours, so node k of a loop sits on sample k; other orders fall back to
-    a nearest-sample search). Nodes farther than 1e-9 of the loop's extent
-    about ``center`` from their sample raise GeometryError.
+    ``match="position"`` pairs node k of each boundary loop with sample k,
+    which is where it sits when the mesh was built from the same resampled
+    contours. A node farther than 1e-9 of the loop's extent about ``center``
+    from its sample raises GeometryError.
     ``match="index"`` pairs by angular order about ``center``, for reusing a
     reference mesh with samples taken on a slightly different geometry
     (small-strain approximation). The two angular orders are cyclic and are
@@ -295,13 +291,10 @@ def boundary_dof_map(
         if match == "position":
             nearest = np.arange(len(node_ids))
             dist = np.linalg.norm(coords - positions, axis=1)
-            tol = 1e-9 * (float(np.max(np.abs(coords - c))) or 1.0)
-            if not np.all(dist <= tol):
-                dist, nearest = cKDTree(positions).query(coords)
-                if np.max(dist) > tol:
-                    raise GeometryError(
-                        f"{label} boundary nodes do not coincide with displacement samples"
-                    )
+            if not np.all(dist <= 1e-9 * (float(np.max(np.abs(coords - c))) or 1.0)):
+                raise GeometryError(
+                    f"{label} boundary nodes do not coincide with displacement samples"
+                )
         else:
             node_angles = np.mod(
                 np.arctan2(coords[:, 1] - c[1], coords[:, 0] - c[0]), 2.0 * np.pi
@@ -331,35 +324,18 @@ def boundary_dof_map(
 def boundary_conditions_from_displacements(
     mesh: Mesh,
     bd: BoundaryDisplacements,
-    mode: str = "nodal",
     match: str = "position",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dirichlet data of boundary displacement samples on the mesh.
 
     Returns the sorted dofs of all inner and outer boundary nodes and their
-    values, paired with the samples by :func:`boundary_dof_map` (``match`` is
-    ``"position"`` or ``"index"``). In ``edge-average`` mode the value at a
-    boundary node is the mean over its incident boundary edges of the edge
-    averages (value_a + value_b) / 2, instead of the node's own sample.
+    sampled values, paired with the samples by :func:`boundary_dof_map`
+    (``match`` is ``"position"`` or ``"index"``).
     """
-    if mode not in BC_MODES:
-        raise ConfigurationError(f"bc mode must be one of {BC_MODES}, got {mode!r}")
     dofs, take = boundary_dof_map(
         mesh, bd.inner_positions, bd.outer_positions, bd.reference_center, match
     )
-    values = np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]
-    if mode == "edge-average":
-        row = np.zeros(mesh.n_nodes, dtype=np.int64)
-        row[dofs[0::2] // 2] = np.arange(len(dofs) // 2)
-        a, b = row[mesh.boundary_edges.T]
-        nodal = values.reshape(-1, 2)
-        edge = 0.5 * (nodal[a] + nodal[b])
-        total = np.zeros_like(nodal)
-        np.add.at(total, a, edge)
-        np.add.at(total, b, edge)
-        count = np.bincount(np.concatenate([a, b]), minlength=len(nodal))
-        values = (total / count[:, None]).ravel()
-    return dofs, values
+    return dofs, np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,14 @@ def read_study_csv(csv_path, manifest_path) -> Study:
             Slice(index=sl_idx, spacing=float(manifest["slice_spacing_mm"]), frames=tuple(frames))
         )
     study = Study(str(manifest["subject_id"]), tuple(slices))
-    if study.n_frames != int(manifest["frames_per_cycle"]):
+    return _check_frame_count(study, manifest["frames_per_cycle"], "manifest")
+
+
+def _check_frame_count(study: Study, frames_per_cycle: int, where: str) -> Study:
+    """``study`` if it has the ``frames_per_cycle`` ``where`` declares, else ConfigurationError."""
+    if study.n_frames != frames_per_cycle:
         raise ConfigurationError(
-            f"manifest declares {manifest['frames_per_cycle']} frames per cycle, "
+            f"{where} declares {frames_per_cycle} frames per cycle, "
             f"contour file has {study.n_frames}"
         )
     return study
@@ -220,9 +225,10 @@ def _json_contour(points, label: str, where: str) -> Contour:
 def read_study_json(path) -> Study:
     """Ingest and validate a self-contained JSON study.
 
-    A missing key or a value of the wrong JSON type (``slice`` and ``frame``
-    must be integers, ``slices`` and ``frames`` lists, contours lists of
-    [x, y] pairs) raises ConfigurationError naming the file, slice and frame.
+    A missing key, a value of the wrong JSON type (``frames_per_cycle``,
+    ``slice`` and ``frame`` must be integers, ``slices`` and ``frames`` lists,
+    contours lists of [x, y] pairs) or a ``frames_per_cycle`` other than the
+    number of frames read raises ConfigurationError naming the file.
     """
     path = Path(path)
     if not path.exists():
@@ -231,6 +237,7 @@ def read_study_json(path) -> Study:
     if not isinstance(data, dict) or "subject_id" not in data:
         raise ConfigurationError(f"{path}: study JSON must be an object with 'subject_id'")
     spacing = float(_json_field(data, "slice_spacing_mm", _NUMBER, str(path)))
+    frames_per_cycle = _json_field(data, "frames_per_cycle", int, str(path))
     slices = []
     for sl in _json_field(data, "slices", list, str(path)):
         sl_idx = _json_field(sl, "slice", int, f"{path} slice")
@@ -250,7 +257,8 @@ def read_study_json(path) -> Study:
                 )
             )
         slices.append(Slice(index=sl_idx, spacing=spacing, frames=tuple(frames)))
-    return Study(str(data["subject_id"]), tuple(slices))
+    study = Study(str(data["subject_id"]), tuple(slices))
+    return _check_frame_count(study, frames_per_cycle, f"study JSON {path}")
 
 
 def read_study(path, manifest_path=None) -> Study:
@@ -412,10 +420,8 @@ def write_strain_csv(path, strain: StrainField) -> None:
         )
 
 
-def write_sector_csv(path, summaries: list[SectorSummary], frame_indices=None) -> None:
-    """Sector time series: one row per (frame, sector)."""
-    if frame_indices is None:
-        frame_indices = list(range(1, len(summaries) + 1))
+def write_sector_csv(path, summaries: list[SectorSummary], frame_indices) -> None:
+    """Sector time series: one row per (frame, sector), summaries[i] in frame_indices[i]."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "sector", "mean_displacement", "mean_effective", "count"])

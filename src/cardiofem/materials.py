@@ -62,7 +62,6 @@ class MaterialField:
 
     E: np.ndarray    # (F,)
     nu: np.ndarray   # (F,)
-    regions: tuple[AngularRegion, ...] = ()
 
     def __post_init__(self):
         e = np.array(self.E, dtype=float)
@@ -77,7 +76,6 @@ class MaterialField:
         nu.setflags(write=False)
         object.__setattr__(self, "E", e)
         object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "regions", tuple(self.regions))
 
     @property
     def n_elements(self) -> int:
@@ -175,4 +173,4 @@ def region_material_field(
         mask = _angles_in_region(angles_deg, region)
         e[mask] = region.material.E
         nu[mask] = region.material.nu
-    return MaterialField(e, nu, regions)
+    return MaterialField(e, nu)

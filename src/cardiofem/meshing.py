@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .contours import Contour
 from .errors import GeometryError, MeshError
 
-#: Default minimum interior angle (degrees) below which validate() warns.
+#: Minimum interior angle (degrees) below which validate() warns.
 QUALITY_ANGLE_DEG = 15.0
 
 
@@ -218,10 +218,10 @@ def min_interior_angle_deg(mesh: Mesh) -> float:
     return float(np.min(angles))
 
 
-def validate(mesh: Mesh, quality_angle_deg: float = QUALITY_ANGLE_DEG) -> ValidationReport:
+def validate(mesh: Mesh) -> ValidationReport:
     """Run consistency checks and return a pass/fail report.
 
-    A minimum interior angle below ``quality_angle_deg`` is reported as a
+    A minimum interior angle below :data:`QUALITY_ANGLE_DEG` is reported as a
     warning rather than a failure, since thin-walled frames can legitimately
     produce slivers.
     """
@@ -263,10 +263,10 @@ def validate(mesh: Mesh, quality_angle_deg: float = QUALITY_ANGLE_DEG) -> Valida
 
     warnings = []
     min_angle = min_interior_angle_deg(mesh)
-    if min_angle < quality_angle_deg:
+    if min_angle < QUALITY_ANGLE_DEG:
         warnings.append(
             f"minimum interior angle {min_angle:.2f} deg below quality "
-            f"threshold {quality_angle_deg:.2f} deg"
+            f"threshold {QUALITY_ANGLE_DEG:.2f} deg"
         )
     return ValidationReport(tuple(checks), tuple(warnings))
 

@@ -4,8 +4,7 @@ A strain field is computed for all elements at once as B . d, with the
 strain-displacement matrices that assembly uses. The per-element formula of
 the method (strain in a local frame with node 1 at the origin and node 2 on
 the positive x axis, tensor-rotated back to the global frame) lives in the
-test suite as the oracle the field is checked against. The local-frame
-values can be kept as debug output.
+test suite as the oracle the field is checked against.
 
 The effective strain scalar condenses the 2D strain state (with zero
 out-of-plane components) into one non-negative deformation intensity:
@@ -36,7 +35,6 @@ class StrainField:
     eps_y: np.ndarray
     gamma_xy: np.ndarray
     effective: np.ndarray
-    local: np.ndarray | None = None  # (F, 3) strain in the element-local frame
 
     def __post_init__(self):
         for name in ("eps_x", "eps_y", "gamma_xy", "effective"):
@@ -45,10 +43,6 @@ class StrainField:
                 raise GeometryError(f"{name} must be a finite 1D array")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.local is not None:
-            loc = np.array(self.local, dtype=float)
-            loc.setflags(write=False)
-            object.__setattr__(self, "local", loc)
 
     @property
     def n_elements(self) -> int:
@@ -92,27 +86,7 @@ def effective_strain(eps_x, eps_y, gamma_xy, nu):
     return out if out.ndim else float(out)
 
 
-def _edge_frame(mesh: Mesh, comps: np.ndarray) -> np.ndarray:
-    """Global (F, 3) strains rotated into each element's edge-1-2 frame."""
-    p = mesh.nodes[mesh.triangles]
-    e21 = p[:, 1] - p[:, 0]
-    length = np.hypot(e21[:, 0], e21[:, 1])
-    c, s = e21[:, 0] / length, e21[:, 1] / length
-    cc, ss, cs = c * c, s * s, c * s
-    ex, ey, g = comps.T
-    return np.column_stack([
-        cc * ex + ss * ey + cs * g,
-        ss * ex + cc * ey - cs * g,
-        2.0 * cs * (ey - ex) + (cc - ss) * g,
-    ])
-
-
-def strain_field(
-    mesh: Mesh,
-    disp: DisplacementField,
-    nu,
-    keep_local: bool = False,
-) -> StrainField:
+def strain_field(mesh: Mesh, disp: DisplacementField, nu) -> StrainField:
     """Element-wise strain of a displacement field plus effective strain.
 
     ``nu`` is the per-element Poisson's ratio (pass ``material_field.nu``);
@@ -126,9 +100,8 @@ def strain_field(
     nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), (nf,))
     bmat, _ = _element_matrices(mesh)
     comps = np.einsum("fij,fj->fi", bmat, disp.values[mesh.triangles].reshape(nf, 6))
-    local = _edge_frame(mesh, comps) if keep_local else None
     eff = effective_strain(comps[:, 0], comps[:, 1], comps[:, 2], nu_arr)
-    return StrainField(comps[:, 0], comps[:, 1], comps[:, 2], eff, local)
+    return StrainField(comps[:, 0], comps[:, 1], comps[:, 2], eff)
 
 
 def sector_index(angles_rad, n_sectors: int) -> np.ndarray:

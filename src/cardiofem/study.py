@@ -308,16 +308,22 @@ def average_sector_summaries(
     return out
 
 
+def check_tau(tau: float) -> None:
+    """Raise ConfigurationError unless the localization threshold ``tau`` is
+    finite and positive: a NaN threshold would flag no sector."""
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ConfigurationError(f"tau must be finite and positive, got {tau!r}")
+
+
 def infarct_localization(
     subject: Sequence[SectorSummary],
     reference: Sequence[SectorSummary],
     tau: float = 0.5,
 ) -> LocalizationResult:
     """Flag sectors whose time-averaged effective strain falls below
-    tau times the reference value for the same sector. ``tau`` must be finite
-    and positive: a NaN threshold would flag no sector."""
-    if not (np.isfinite(tau) and tau > 0.0):
-        raise ConfigurationError(f"tau must be finite and positive, got {tau!r}")
+    tau times the reference value for the same sector; ``tau`` is checked by
+    :func:`check_tau`."""
+    check_tau(tau)
     subj = _stack_sector_strain(subject)
     ref = _stack_sector_strain(reference)
     if subj.shape != ref.shape:

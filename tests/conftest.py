@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cardiofem import Contour, FrameContours, solve
+from cardiofem.contours import Contour, FrameContours
+from cardiofem.fem import solve
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,7 +36,8 @@ def circle_frame(frame_index=0, inner_r=1.0, outer_r=2.0, n=32, center=(0.0, 0.0
 
 @pytest.fixture
 def ring_mesh():
-    from cardiofem import RingSpec, make_ring
+    from cardiofem import RingSpec
+    from cardiofem.phantom import make_ring
 
     return make_ring(RingSpec(1.0, 2.0), 16, 2)
 

@@ -1,11 +1,12 @@
 """Oracles kept for the tests. Per element: the one-triangle strain-
 displacement matrix and stiffness, and the method's strain formula in the
-element's local edge-aligned frame; the library computes all of these for
-whole meshes at once, and the tests check it against these scalar forms. Per
-system: Dirichlet values as a per-node dict merged into a dof -> value map
-(nodal or edge-averaged), the identity-row system built from it, and the
-solve of that whole system; the library takes the values as (fixed dofs,
-values) arrays and solves only the free-dof block."""
+element's local edge-aligned frame, rotated back to global axes; the library
+computes the matrices, stiffnesses and global strains for whole meshes at
+once, and the tests check them against these scalar forms. Per system:
+Dirichlet values as a per-node dict merged into a dof -> value map, the
+identity-row system built from it, and the solve of that whole system; the
+library takes the values as (fixed dofs, values) arrays and solves only the
+free-dof block."""
 
 import numpy as np
 from scipy import sparse
@@ -81,37 +82,17 @@ def nodal_dirichlet(dofs, values) -> dict[int, tuple[float, float]]:
     return {n: (u, v) for n, (u, v) in zip(nodes, np.reshape(values, (-1, 2)).tolist())}
 
 
-def _edge_average_values(mesh, dirichlet) -> dict[int, tuple[float, float]]:
-    edge_vals = {}
-    incident: dict[int, list] = {}
-    for a, b in mesh.boundary_edges:
-        a, b = int(a), int(b)
-        if a in dirichlet and b in dirichlet:
-            ua, va = dirichlet[a]
-            ub, vb = dirichlet[b]
-            val = (0.5 * (ua + ub), 0.5 * (va + vb))
-            incident.setdefault(a, []).append(val)
-            incident.setdefault(b, []).append(val)
-    for node in dirichlet:
-        vals = np.asarray(incident[node], dtype=float)
-        edge_vals[node] = (float(vals[:, 0].mean()), float(vals[:, 1].mean()))
-    return edge_vals
-
-
-def constraint_values(dirichlet, mode="nodal", mesh=None) -> dict[int, float]:
-    """dof -> value map of a per-node (u, v) dict; in ``edge-average`` mode a
-    node takes the mean of its incident boundary edges' averages
-    (value_a + value_b) / 2."""
-    nodal = _edge_average_values(mesh, dirichlet) if mode == "edge-average" else dirichlet
+def constraint_values(dirichlet) -> dict[int, float]:
+    """dof -> value map of a per-node (u, v) dict."""
     return {2 * int(node) + comp: float(val)
-            for node, uv in nodal.items() for comp, val in enumerate(uv)}
+            for node, uv in dirichlet.items() for comp, val in enumerate(uv)}
 
 
-def identity_row_system(system, dirichlet, mode="nodal", mesh=None):
+def identity_row_system(system, dirichlet):
     """(eliminated system, fixed dofs, values) of a per-node dict: fixed rows
     and columns replaced by identity, the load corrected so interior
     equations see the fixed values."""
-    constraints = constraint_values(dirichlet, mode, mesh)
+    constraints = constraint_values(dirichlet)
     ndof = system.n_dofs
     fixed = np.fromiter(sorted(constraints), dtype=np.int64, count=len(constraints))
     values = np.array([constraints[int(i)] for i in fixed])

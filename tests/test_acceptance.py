@@ -7,26 +7,20 @@ import time
 import numpy as np
 
 from cardiofem import (
-    AngularRegion,
     CycleParams,
-    Material,
     RingSpec,
-    assemble,
     cycle_strain_analysis,
-    effective_strain,
     healthy_study,
     infarct_localization,
-    lame_displacement,
-    make_ring,
     mi_wedge_study,
     normalized_volume_curve,
-    sector_average,
-    solve_ring_traction,
-    strain_field,
 )
+from cardiofem.fem import assemble
+from cardiofem.materials import AngularRegion, Material
+from cardiofem.phantom import circle_contour, lame_displacement, make_ring, solve_ring_traction
+from cardiofem.strain import effective_strain, sector_average, strain_field
 from cardiofem.study import Slice, Study
 from cardiofem.contours import FrameContours
-from cardiofem.phantom import circle_contour
 
 from conftest import boundary_dirichlet, solve_one
 

@@ -149,11 +149,12 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _analyze_mi(healthy_dir, mi_dir, out, reference=None):
+def _analyze_mi(healthy_dir, mi_dir, out, *flags, reference=None):
     return run("analyze", "--study", str(mi_dir / "contours.csv"),
                "--manifest", str(mi_dir / "manifest.json"),
                "--reference", str(reference or healthy_dir / "contours.csv"),
-               "--reference-manifest", str(healthy_dir / "manifest.json"), "--out", str(out))
+               "--reference-manifest", str(healthy_dir / "manifest.json"), "--out", str(out),
+               *flags)
 
 
 def test_forked_and_in_process_exports_are_identical(tmp_path, synth_pair, monkeypatch):
@@ -179,6 +180,28 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     out = tmp_path / "res"
     assert _analyze_mi(healthy_dir, mi_dir, out, reference=tmp_path / "nope.csv") == 2
     assert "nope.csv" in _single_error_line(capsys)
+    assert forks == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, needle", [
+    ("analyze", ["--tau", "nan"], "tau must be finite and positive, got nan"),
+    ("analyze", ["--tau", "0"], "tau must be finite and positive, got 0.0"),
+    ("phantom-verify", ["--n-points", "30"], "n_angular must be divisible by 4"),
+])
+def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
+                                       command, flags, needle):
+    # the threshold and the ring are checked before --out is made or a writer forks
+    healthy_dir, mi_dir = synth_pair
+    forks = _cpus(monkeypatch, 2)
+    capsys.readouterr()
+    out = tmp_path / "res"
+    if command == "analyze":
+        code = _analyze_mi(healthy_dir, mi_dir, out, *flags)
+    else:
+        code = run(command, *flags, "--out", str(out))
+    assert code == 1
+    assert needle in _single_error_line(capsys)
     assert forks == []
     assert not out.exists()
 
@@ -475,7 +498,8 @@ def test_phantom_verify_needs_two_sectors(tmp_path, capsys):
 
 
 def test_phantom_csvs_are_numbers_of_the_report(tmp_path):
-    from cardiofem import Material, RingSpec, verify_ring
+    from cardiofem import RingSpec, verify_ring
+    from cardiofem.materials import Material
 
     out = tmp_path / "pv"
     assert run("phantom-verify", "--n-points", "32", "--n-radial", "4",

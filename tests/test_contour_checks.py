@@ -13,16 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardiofem import Contour, FrameContours, GeometryError, StarShapeError
-from cardiofem import contours
+from cardiofem import GeometryError, StarShapeError
 from cardiofem.contours import (
     ANGLE_TIE_TOL,
+    Contour,
+    FrameContours,
     RADIUS_TIE_RTOL,
     _is_simple_exact,
     is_simple_polygon,
     rotate_about,
     uniform_angle_walls,
 )
+from cardiofem import contours
 
 from conftest import star_contour
 

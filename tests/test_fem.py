@@ -4,33 +4,27 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from cardiofem import (
-    AngularRegion,
+from cardiofem import ConfigurationError, GeometryError, RingSpec, SolverError
+from cardiofem.contours import (
     BoundaryDisplacements,
-    ConfigurationError,
     Contour,
     FrameContours,
-    GeometryError,
-    Material,
-    MaterialField,
-    Mesh,
-    RingSpec,
-    SolverError,
+    boundary_displacements,
+    centroid,
+)
+from cardiofem.fem import (
     apply_dirichlet,
     apply_traction,
     assemble,
     boundary_conditions_from_displacements,
-    boundary_displacements,
-    centroid,
-    circle_contour,
     internal_pressure_tractions,
-    make_ring,
     rigid_body_modes,
     solve,
-    triangulate_annulus,
 )
+from cardiofem.materials import AngularRegion, Material, MaterialField
+from cardiofem.meshing import Mesh, triangulate_annulus
+from cardiofem.phantom import circle_contour, lame_displacement_at, make_ring, solve_ring_traction
 from cardiofem import fem
-from cardiofem.phantom import lame_displacement_at, solve_ring_traction
 
 from conftest import boundary_dirichlet, circle_frame, solve_one, star_contour
 from oracles import (
@@ -54,16 +48,6 @@ def _random_triangle(rng):
 def _affine_field(points, a=(0.003, 0.1, -0.04), b=(-0.002, 0.05, 0.07)):
     x, y = points[:, 0], points[:, 1]
     return np.column_stack([a[0] + a[1] * x + a[2] * y, b[0] + b[1] * x + b[2] * y])
-
-
-def _ring_samples(mesh, values):
-    """Boundary displacement samples at the ring's boundary nodes, taken from
-    the (V, 2) ``values``."""
-    walls = [mesh.boundary_nodes(label) for label in ("inner", "outer")]
-    return BoundaryDisplacements(
-        mesh.nodes[walls[0]], values[walls[0]], mesh.nodes[walls[1]], values[walls[1]],
-        np.zeros(2),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +117,7 @@ def test_assemble_single_element_equals_element_stiffness():
     mesh = _single_triangle_mesh()
     mats = MaterialField.uniform(mesh, Material(1e4, 0.3))
     system = assemble(mesh, mats, "as-printed")
-    from cardiofem import constitutive_matrix
+    from cardiofem.materials import constitutive_matrix
 
     ke = element_stiffness(mesh.nodes, constitutive_matrix(Material(1e4, 0.3)))
     assert_allclose(system.stiffness.toarray(), ke, rtol=1e-12)
@@ -144,7 +128,7 @@ def test_assemble_two_elements_scatter_add():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     mesh = Mesh(nodes, [[0, 1, 2], [0, 2, 3]], [[0, 1]], ("inner",))
     mats = MaterialField.uniform(mesh, Material(2.0, 0.25))
-    from cardiofem import constitutive_matrix
+    from cardiofem.materials import constitutive_matrix
 
     d = constitutive_matrix(Material(2.0, 0.25))
     k = np.zeros((8, 8))
@@ -160,7 +144,7 @@ def test_assemble_two_elements_scatter_add():
 
 def test_assemble_matches_element_loop_on_annulus():
     mesh, mats = make_ring(RingSpec(1.0, 2.0, material=Material(1e4, 0.3)), 8, 2)
-    from cardiofem import constitutive_matrix
+    from cardiofem.materials import constitutive_matrix
 
     d = constitutive_matrix(Material(1e4, 0.3), "plane-strain")
     n = 2 * mesh.n_nodes
@@ -255,58 +239,7 @@ def test_dirichlet_values_exact_at_constrained_nodes(ring_mesh):
     assert np.array_equal(disp.values.ravel()[fixed], values)
 
 
-def test_edge_average_equals_nodal_for_equal_values(ring_mesh):
-    mesh, mats = ring_mesh
-    system = assemble(mesh, mats)
-    bd = _ring_samples(mesh, np.tile([0.01, -0.02], (mesh.n_nodes, 1)))
-    nodal = solve_one(system, *boundary_conditions_from_displacements(mesh, bd))
-    averaged = solve_one(
-        system, *boundary_conditions_from_displacements(mesh, bd, mode="edge-average")
-    )
-    assert_allclose(averaged.values, nodal.values, atol=1e-12)
-
-
-def test_edge_average_smooths_nodal_values(ring_mesh):
-    mesh, _ = ring_mesh
-    values = _affine_field(mesh.nodes)
-    dofs, averaged = boundary_conditions_from_displacements(
-        mesh, _ring_samples(mesh, values), mode="edge-average"
-    )
-    node = int(mesh.boundary_nodes("inner")[0])
-    # expected: mean of the two incident edge averages (u_i + u_j) / 2
-    incident = [e for e in mesh.boundary_edges if node in e[:2]]
-    expected = np.mean(
-        [0.5 * (values[int(a)] + values[int(b)]) for a, b in incident], axis=0
-    )
-    at_node = averaged[np.searchsorted(dofs, 2 * node) + np.arange(2)]
-    assert_allclose(at_node, expected, rtol=1e-12)
-    assert at_node[0] != values[node, 0]
-
-
-def test_bc_modes_converge_under_refinement():
-    spec = RingSpec(1.0, 2.0, material=Material(1e4, 0.3))
-    from cardiofem import lame_displacement
-
-    gaps = []
-    for na, nr in [(16, 2), (32, 4), (64, 8)]:
-        mesh, mats = make_ring(spec, na, nr)
-        system = assemble(mesh, mats, "plane-strain")
-        radii = np.linalg.norm(mesh.nodes, axis=1)
-        exact = (lame_displacement(1.0, 2.0, 1.0, 1e4, 0.3, radii) / radii)[
-            :, None
-        ] * mesh.nodes
-        bd = _ring_samples(mesh, exact)
-        u_nodal = solve_one(system, *boundary_conditions_from_displacements(mesh, bd)).values
-        u_edge = solve_one(
-            system, *boundary_conditions_from_displacements(mesh, bd, mode="edge-average")
-        ).values
-        gaps.append(np.linalg.norm(u_edge - u_nodal) / np.linalg.norm(u_nodal))
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[2] < 0.5 * gaps[1] < 0.25 * gaps[0]
-
-
-@pytest.mark.parametrize("mode", ["nodal", "edge-average"])
-def test_apply_dirichlet_matches_dict_oracle(mode):
+def test_apply_dirichlet_matches_dict_oracle():
     # the per-node dict merged into a dof -> value map, then eliminated, is
     # the path the (fixed dofs, values) arrays replaced
     mesh, bd = _mesh_and_samples()
@@ -314,20 +247,13 @@ def test_apply_dirichlet_matches_dict_oracle(mode):
     load = np.random.default_rng(4).normal(size=system.n_dofs)
     system = fem.LinearSystem(system.stiffness, load)
     nodal = nodal_dirichlet(*boundary_conditions_from_displacements(mesh, bd))
-    expected, fixed, values = identity_row_system(system, nodal, mode, mesh)
-    dofs, got_values = boundary_conditions_from_displacements(mesh, bd, mode)
+    expected, fixed, values = identity_row_system(system, nodal)
+    dofs, got_values = boundary_conditions_from_displacements(mesh, bd)
     got = apply_dirichlet(system, dofs, got_values)
     assert np.array_equal(dofs, fixed)
     assert np.array_equal(got_values, values)
     assert np.array_equal(got.stiffness.toarray(), expected.stiffness.toarray())
     assert np.array_equal(got.load, expected.load)
-
-
-def test_bc_mode_checked(ring_mesh):
-    mesh, _ = ring_mesh
-    bd = _ring_samples(mesh, np.zeros((mesh.n_nodes, 2)))
-    with pytest.raises(ConfigurationError, match="bc mode"):
-        boundary_conditions_from_displacements(mesh, bd, mode="edge")
 
 
 def test_dirichlet_node_out_of_range(ring_mesh):
@@ -550,7 +476,7 @@ def test_bcs_from_displacements_position_match():
     frame0 = circle_frame(0)
     frame1 = circle_frame(1)
     bd = boundary_displacements(frame0, frame1, 16)
-    from cardiofem import resample_uniform_angle
+    from cardiofem.contours import resample_uniform_angle
 
     center = centroid(frame0.inner)
     inner = resample_uniform_angle(frame0.inner, center, 16)
@@ -576,7 +502,7 @@ def test_bcs_from_displacements_count_mismatch():
     frame0 = circle_frame(0)
     frame1 = circle_frame(1)
     bd = boundary_displacements(frame0, frame1, 24)
-    from cardiofem import resample_uniform_angle
+    from cardiofem.contours import resample_uniform_angle
 
     center = centroid(frame0.inner)
     inner = resample_uniform_angle(frame0.inner, center, 16)
@@ -599,28 +525,20 @@ def _mesh_and_samples(n=24):
     return mesh, bd
 
 
-def test_bcs_position_match_maps_rolled_samples():
+def test_bcs_position_match_rejects_rolled_samples():
+    # node k of a loop pairs with sample k only; samples in another order are
+    # off the nodes
     mesh, bd = _mesh_and_samples()
-    rolled = BoundaryDisplacements(
-        np.roll(bd.inner_positions, 5, axis=0), np.roll(bd.inner_vectors, 5, axis=0),
-        np.roll(bd.outer_positions, -3, axis=0), np.roll(bd.outer_vectors, -3, axis=0),
-        bd.reference_center,
-    )
-    dofs, values = boundary_conditions_from_displacements(mesh, bd)
-    rolled_dofs, rolled_values = boundary_conditions_from_displacements(mesh, rolled)
-    assert np.array_equal(rolled_dofs, dofs)
-    assert np.array_equal(rolled_values, values)
-    expected = nodal_dirichlet(dofs, values)
-    # both equal the nearest sample by brute force
-    for label, positions, vectors in (
-        ("inner", rolled.inner_positions, rolled.inner_vectors),
-        ("outer", rolled.outer_positions, rolled.outer_vectors),
-    ):
-        nodes = mesh.boundary_nodes(label)
-        dist = np.linalg.norm(mesh.nodes[nodes][:, None] - positions[None], axis=2)
-        for node, j in zip(nodes, np.argmin(dist, axis=1)):
-            assert expected[int(node)] == tuple(vectors[j])
-    assert len(set(expected.values())) == len(expected)  # a wrong pairing would show
+    for label, inner_shift, outer_shift in (("inner", 5, 0), ("outer", 0, -3)):
+        rolled = BoundaryDisplacements(
+            np.roll(bd.inner_positions, inner_shift, axis=0),
+            np.roll(bd.inner_vectors, inner_shift, axis=0),
+            np.roll(bd.outer_positions, outer_shift, axis=0),
+            np.roll(bd.outer_vectors, outer_shift, axis=0),
+            bd.reference_center,
+        )
+        with pytest.raises(GeometryError, match=f"{label} boundary nodes do not coincide"):
+            boundary_conditions_from_displacements(mesh, rolled)
 
 
 @pytest.mark.parametrize("offset, coincide", [(1e-12, True), (1e-6, False)])

@@ -8,20 +8,12 @@ from numpy.testing import assert_allclose
 from scipy.io import mmread
 
 import cardiofem.io as cfio
-from cardiofem import (
-    ConfigurationError,
-    DisplacementField,
-    Material,
-    RingSpec,
-    AngularRegion,
-    apply_dirichlet,
-    assemble,
-    healthy_study,
-    make_ring,
-    Mesh,
-    strain_field,
-    sector_average,
-)
+from cardiofem import ConfigurationError, RingSpec, healthy_study
+from cardiofem.fem import DisplacementField, apply_dirichlet, assemble
+from cardiofem.materials import Material, AngularRegion
+from cardiofem.meshing import Mesh
+from cardiofem.phantom import make_ring
+from cardiofem.strain import strain_field, sector_average
 
 
 @pytest.fixture
@@ -104,6 +96,28 @@ def test_manifest_frame_count_mismatch(tmp_path, study):
     manifest.write_text(json.dumps(payload))
     with pytest.raises(ConfigurationError):
         cfio.read_study_csv(csv_path, manifest)
+
+
+@pytest.mark.parametrize("value, needle", [
+    (99, "declares 99 frames per cycle, contour file has"),
+    (None, "missing 'frames_per_cycle'"),
+    ("6", "'frames_per_cycle' must be int"),
+    (6.0, "'frames_per_cycle' must be int"),
+    (True, "'frames_per_cycle' must be int"),
+])
+def test_study_json_frame_count_checked(tmp_path, study, value, needle):
+    # frames_per_cycle is a required int equal to the frames read, as in a manifest
+    path = tmp_path / "study.json"
+    cfio.write_study_json(path, study)
+    data = json.loads(path.read_text())
+    assert data["frames_per_cycle"] == study.n_frames
+    if value is None:
+        del data["frames_per_cycle"]
+    else:
+        data["frames_per_cycle"] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigurationError, match=needle):
+        cfio.read_study_json(path)
 
 
 def test_missing_files(tmp_path):
@@ -350,7 +364,7 @@ def test_phantom_spec_round_trip(tmp_path):
 
 
 def test_localization_json(tmp_path):
-    from cardiofem import LocalizationResult
+    from cardiofem.study import LocalizationResult
 
     result = LocalizationResult(
         flags=("normal", "suspected-infarct"),

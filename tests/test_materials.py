@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cardiofem import (
+from cardiofem import ConfigurationError, RingSpec
+from cardiofem.materials import (
     AngularRegion,
-    ConfigurationError,
     Material,
     MaterialField,
-    RingSpec,
+    constitutive_matrices,
     constitutive_matrix,
-    make_ring,
     region_material_field,
 )
-from cardiofem.materials import constitutive_matrices
+from cardiofem.phantom import make_ring
 
 
 def test_material_invariants():

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cardiofem import (
-    GeometryError,
-    Mesh,
-    MeshError,
-    circle_contour,
-    polygon_area,
-    triangulate_annulus,
-    validate,
-)
+from cardiofem import GeometryError, MeshError
+from cardiofem.contours import polygon_area
+from cardiofem.meshing import Mesh, triangulate_annulus, validate
+from cardiofem.phantom import circle_contour
 
 from conftest import star_contour
 
@@ -66,7 +61,7 @@ def test_degenerate_sector_rejected():
     inner, outer = _circles(16)
     pts = outer.points.copy()
     pts[3] = inner.points[3]  # zero thickness at one angle
-    from cardiofem import Contour
+    from cardiofem.contours import Contour
 
     with pytest.raises(MeshError):
         triangulate_annulus(inner, Contour(pts, "outer"), 16, 2)

@@ -4,28 +4,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cardiofem import (
-    AngularRegion,
-    ConfigurationError,
-    Contour,
-    FrameContours,
-    GeometryError,
-    Material,
-    RingSpec,
-    boundary_conditions_from_displacements,
-    boundary_displacements,
-    assemble,
+from cardiofem import ConfigurationError, GeometryError, RingSpec, verify_ring
+from cardiofem.contours import Contour, FrameContours, boundary_displacements
+from cardiofem.fem import boundary_conditions_from_displacements, assemble
+from cardiofem.materials import AngularRegion, Material
+from cardiofem.meshing import triangulate_annulus
+from cardiofem.phantom import (
     lame_displacement,
+    lame_displacement_at,
     lame_strain_polar,
     make_ring,
     pressure_load_cycle,
-    sector_average,
     solve_ring_traction,
-    strain_field,
-    triangulate_annulus,
-    verify_ring,
 )
-from cardiofem.phantom import lame_displacement_at
+from cardiofem.strain import sector_average, strain_field
 
 from conftest import boundary_dirichlet, solve_one
 

@@ -5,23 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from cardiofem import (
-    DisplacementField,
-    GeometryError,
-    Material,
-    Mesh,
-    RingSpec,
-    assemble,
-    effective_strain,
-    lame_displacement,
-    lame_strain_polar,
-    make_ring,
-    sector_average,
-    strain_field,
-)
+from cardiofem import GeometryError, RingSpec
+from cardiofem.fem import DisplacementField, assemble
+from cardiofem.materials import Material
+from cardiofem.meshing import Mesh
+from cardiofem.phantom import lame_displacement, lame_strain_polar, make_ring
+from cardiofem.strain import effective_strain, sector_average, sector_index, strain_field
 from cardiofem import fem
 from cardiofem import strain as strain_module
-from cardiofem.strain import sector_index
 
 from conftest import boundary_dirichlet, solve_one
 from oracles import element_strain, element_strain_local, strain_displacement_matrix
@@ -109,11 +100,10 @@ def test_affine_displacement_constant_strain(ring_mesh):
     disp = DisplacementField(
         np.column_stack([a[0] + a[1] * x + a[2] * y, b[0] + b[1] * x + b[2] * y])
     )
-    sf = strain_field(mesh, disp, mats.nu, keep_local=True)
+    sf = strain_field(mesh, disp, mats.nu)
     assert_allclose(sf.eps_x, a[1], rtol=1e-9)
     assert_allclose(sf.eps_y, b[2], rtol=1e-9)
     assert_allclose(sf.gamma_xy, a[2] + b[1], rtol=1e-9)
-    assert sf.local.shape == (mesh.n_triangles, 3)
 
 
 def _analytic_cartesian_strain(points, a_r, b_r, p, e_mod, nu):
@@ -200,14 +190,10 @@ def test_strain_field_matches_element_loop(seed):
     mesh = _perturbed_annulus(seed)
     rng = np.random.default_rng(100 + seed)
     disp = DisplacementField(rng.normal(scale=0.05, size=(mesh.n_nodes, 2)))
-    sf = strain_field(mesh, disp, 0.3, keep_local=True)
+    sf = strain_field(mesh, disp, 0.3)
     glob = np.array([element_strain(mesh.nodes[t], disp.values[t]) for t in mesh.triangles])
-    local = np.array(
-        [element_strain_local(mesh.nodes[t], disp.values[t]) for t in mesh.triangles]
-    )
     got = np.column_stack([sf.eps_x, sf.eps_y, sf.gamma_xy])
     assert np.max(np.abs(got - glob)) <= 1e-12 * np.max(np.abs(glob))
-    assert np.max(np.abs(sf.local - local)) <= 1e-12 * np.max(np.abs(local))
 
 
 def test_strain_field_rejects_clockwise_element():
@@ -352,7 +338,7 @@ def test_sector_indicator_field():
     centroids = mesh.triangle_centroids()
     sectors = sector_index(np.arctan2(centroids[:, 1], centroids[:, 0]), 16)
     # synthetic strain field: effective strain 1 in sector 0 elements
-    from cardiofem import StrainField
+    from cardiofem.strain import StrainField
 
     eff = (sectors == 0).astype(float)
     sf = StrainField(np.zeros_like(eff), np.zeros_like(eff), np.zeros_like(eff), eff)

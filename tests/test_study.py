@@ -6,35 +6,29 @@ from numpy.testing import assert_allclose
 
 from cardiofem import (
     ConfigurationError,
-    Contour,
     CycleParams,
-    DisplacementField,
-    FrameContours,
     GeometryError,
-    MaterialField,
-    SectorSummary,
-    Slice,
     SolverError,
-    Study,
-    assemble,
-    average_sector_summaries,
-    boundary_conditions_from_displacements,
-    boundary_displacements,
-    centroid,
-    circle_contour,
     cycle_strain_analysis,
-    effective_strain,
     healthy_study,
     infarct_localization,
     mi_wedge_study,
     normalized_volume_curve,
-    phantom_cycle_study,
-    resample_uniform_angle,
-    sector_average,
-    strain_field,
-    triangulate_annulus,
-    ventricle_volume,
 )
+from cardiofem.contours import (
+    Contour,
+    FrameContours,
+    boundary_displacements,
+    centroid,
+    resample_uniform_angle,
+)
+from cardiofem.fem import DisplacementField, assemble, boundary_conditions_from_displacements
+from cardiofem.materials import MaterialField
+from cardiofem.meshing import triangulate_annulus
+from cardiofem.phantom import circle_contour
+from cardiofem.strain import SectorSummary, effective_strain, sector_average, strain_field
+from cardiofem.study import Slice, Study, average_sector_summaries, ventricle_volume
+from cardiofem.synth import phantom_cycle_study
 from cardiofem import contours, fem, io
 from cardiofem import study as study_module
 
