@@ -10,10 +10,12 @@ Subcommands:
     strain           solve one frame pair and export strain + sector tables
     volume           volume curve of a study
 
-Exit codes: 0 success, 1 tolerance or validation failure, 2 usage or input
-error, including a file that cannot be read or written. A JSON config file
-(--config) may supply any long flag of the command by name (any other key is
-a usage error); explicit flags override config values.
+Each subcommand accepts only the flags it reads (``SUBCOMMANDS``). Exit
+codes: 0 success, 1 tolerance or validation failure, 2 usage or input error,
+including a file that cannot be read or written, or a flag the command does
+not take. A JSON config file (--config) may supply any long flag of the
+command by name (any other key is a usage error); explicit flags override
+config values. Input is read and checked before --out is made.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_stu
 
 VALIDATION_ERRORS = (GeometryError, StarShapeError, MeshError, SolverError, ConfigurationError)
 
-COMMON_DEFAULTS = {
+DEFAULTS = {
     "out": "cardiofem-out",
     "mode": "as-printed",
     "sectors": 16,
@@ -64,24 +66,57 @@ COMMON_DEFAULTS = {
     "seed": 0,
     "young": 1e4,
     "poisson": 0.3,
+    "kind": "healthy",
+    "n_frames": 20,
+    "contraction": 0.3,
 }
 
+# every flag by its long name, with its argparse keywords
+FLAGS = {
+    "config": {"help": "JSON file supplying any long flag of the command by name"},
+    "out": {"help": "output directory"},
+    "study": {"help": "study contour CSV or JSON"},
+    "manifest": {"help": "manifest JSON (for CSV studies)"},
+    "reference": {"action": "append", "help": "reference study (repeatable); enables localization"},
+    "reference-manifest": {"action": "append", "help": "manifest for the matching --reference CSV"},
+    "phantom-spec": {"help": "ring spec JSON (default: unit ring a=1 b=2)"},
+    "kind": {"choices": SYNTH_KINDS},
+    "n-frames": {"type": int},
+    "contraction": {"type": float, "help": "inner-wall radial contraction fraction over the cycle"},
+    "slice": {"dest": "slice_index", "type": int, "help": "slice index"},
+    "frame": {"type": int, "help": "target frame (reference is frame 0)"},
+    "dump-system": {"action": "store_true",
+                    "help": "also dump K and F in matrix-market format"},
+    "mode": {"choices": ("as-printed", "plane-strain")},
+    "sectors": {"type": int, "help": "number of angular sectors"},
+    "tau": {"type": float, "help": "localization threshold fraction"},
+    "n-points": {"type": int, "help": "boundary resampling count / mesh angular resolution"},
+    "n-radial": {"type": int, "help": "mesh radial resolution"},
+    "rotation-deg": {"type": float,
+                     "help": "total clockwise rotation over the cycle to compensate"},
+    "seed": {"type": int, "help": "seed for synthetic generation"},
+    "young": {"type": float, "help": "Young's modulus"},
+    "poisson": {"type": float, "help": "Poisson's ratio"},
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file supplying any long flag by name")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--mode", choices=("as-printed", "plane-strain"))
-    parser.add_argument("--sectors", type=int, help="number of angular sectors")
-    parser.add_argument("--tau", type=float, help="localization threshold fraction")
-    parser.add_argument("--n-points", dest="n_points", type=int,
-                        help="boundary resampling count / mesh angular resolution")
-    parser.add_argument("--n-radial", dest="n_radial", type=int,
-                        help="mesh radial resolution")
-    parser.add_argument("--rotation-deg", dest="rotation_deg", type=float,
-                        help="total clockwise rotation over the cycle to compensate")
-    parser.add_argument("--seed", type=int, help="seed for synthetic generation")
-    parser.add_argument("--young", type=float, help="Young's modulus")
-    parser.add_argument("--poisson", type=float, help="Poisson's ratio")
+# the flags _cycle_params reads
+_MODEL = ("mode", "sectors", "n-points", "n-radial", "rotation-deg", "young", "poisson")
+_STUDY = ("study", "manifest")
+
+# each subcommand's help and the flags it reads, besides --config and --out
+SUBCOMMANDS = {
+    "phantom-verify": ("run the ring verification suite",
+                       ("phantom-spec", "sectors", "n-points", "n-radial", "young", "poisson")),
+    "analyze": ("analyze a study end to end",
+                (*_STUDY, "reference", "reference-manifest", "tau", *_MODEL)),
+    "synth": ("generate a synthetic study",
+              ("kind", "n-frames", "contraction", "seed", "n-points", "rotation-deg")),
+    "mesh": ("mesh one frame and export it", (*_STUDY, "slice", "frame", "n-points", "n-radial")),
+    "solve": ("solve one frame pair and export displacements",
+              (*_STUDY, "slice", "frame", *_MODEL, "dump-system")),
+    "strain": ("solve one frame pair and export strain", (*_STUDY, "slice", "frame", *_MODEL)),
+    "volume": ("volume curve of a study", _STUDY),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,60 +126,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
-    # argument_default=argparse.SUPPRESS on every subcommand keeps unset flags
-    # out of the namespace so config values and defaults can be layered
-    # underneath explicit flags.
-    p = sub.add_parser("phantom-verify", help="run the ring verification suite",
-                       argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--phantom-spec", dest="phantom_spec",
-                   help="ring spec JSON (default: unit ring a=1 b=2)")
-
-    p = sub.add_parser("analyze", help="analyze a study end to end",
-                       argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--study", help="study contour CSV or JSON")
-    p.add_argument("--manifest", help="manifest JSON (for CSV studies)")
-    p.add_argument("--reference", action="append", default=argparse.SUPPRESS,
-                   help="reference study (repeatable); enables localization")
-    p.add_argument("--reference-manifest", dest="reference_manifest", action="append",
-                   default=argparse.SUPPRESS,
-                   help="manifest for the matching --reference CSV")
-
-    p = sub.add_parser("synth", help="generate a synthetic study",
-                       argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--kind", choices=SYNTH_KINDS)
-    p.add_argument("--n-frames", dest="n_frames", type=int)
-    p.add_argument("--contraction", type=float,
-                   help="inner-wall radial contraction fraction over the cycle")
-
-    for name, help_text in (
-        ("mesh", "mesh one frame and export it"),
-        ("solve", "solve one frame pair and export displacements"),
-        ("strain", "solve one frame pair and export strain"),
-        ("volume", "volume curve of a study"),
-    ):
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        _add_common(p)
-        p.add_argument("--study", help="study contour CSV or JSON")
-        p.add_argument("--manifest", help="manifest JSON (for CSV studies)")
-        p.add_argument("--slice", dest="slice_index", type=int, help="slice index")
-        if name != "volume":
-            p.add_argument("--frame", type=int, help="target frame (reference is frame 0)")
-        if name == "solve":
-            p.add_argument("--dump-system", dest="dump_system", action="store_true",
-                           default=argparse.SUPPRESS,
-                           help="also dump K and F in matrix-market format")
+    for command, (help_text, names) in SUBCOMMANDS.items():
+        # unset flags stay out of the namespace, so config values and defaults
+        # can be layered underneath explicit flags
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for name in ("config", "out", *names):
+            p.add_argument(f"--{name}", **FLAGS[name])
     return parser
 
 
 def _config_flags(parser: argparse.ArgumentParser, command: str) -> dict:
     """Config key -> flag action of one subcommand, keyed by each long flag's
-    name (``--n-points`` gives ``n_points``) and by its dest."""
+    name (``--n-points`` gives ``n_points``) and by its dest; ``--help`` is
+    no config key."""
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {}
     for action in subparsers.choices[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
         for name in action.option_strings:
             if name.startswith("--"):
                 flags[name[2:].replace("-", "_")] = action
@@ -189,7 +188,7 @@ def _merged_config(args: argparse.Namespace, flags: dict) -> SimpleNamespace:
     ``--slice`` sets) and its value is checked by :func:`_config_value`; any
     other key raises UsageError.
     """
-    merged = dict(COMMON_DEFAULTS)
+    merged = {dest: value for dest, value in DEFAULTS.items() if dest in flags}
     explicit = {k: v for k, v in vars(args).items() if k != "command"}
     config_path = explicit.pop("config", None)
     if config_path:
@@ -341,26 +340,16 @@ def cmd_analyze(cfg) -> int:
 
 
 def cmd_synth(cfg) -> int:
-    out = _outdir(cfg)
-    kind = getattr(cfg, "kind", "healthy")
-    n_frames = getattr(cfg, "n_frames", 20)
-    contraction = getattr(cfg, "contraction", 0.3)
-    if kind == "healthy":
-        study = healthy_study(
-            seed=cfg.seed, n_frames=n_frames, n_points=cfg.n_points,
-            contraction_inner=contraction, contraction_outer=contraction / 2.0,
-            rotation_deg_total=cfg.rotation_deg,
-        )
-    elif kind == "mi-wedge":
-        study = mi_wedge_study(
-            seed=cfg.seed, n_frames=n_frames, n_points=cfg.n_points,
-            contraction_inner=contraction, contraction_outer=contraction / 2.0,
-            rotation_deg_total=cfg.rotation_deg,
-        )
-    elif kind == "phantom-cycle":
-        study = phantom_cycle_study(n_points=cfg.n_points, n_steps=n_frames - 1)
+    if cfg.kind == "phantom-cycle":
+        study = phantom_cycle_study(n_points=cfg.n_points, n_steps=cfg.n_frames - 1)
     else:
-        raise ConfigurationError(f"unknown synth kind {kind!r}")
+        generator = healthy_study if cfg.kind == "healthy" else mi_wedge_study
+        study = generator(
+            seed=cfg.seed, n_frames=cfg.n_frames, n_points=cfg.n_points,
+            contraction_inner=cfg.contraction, contraction_outer=cfg.contraction / 2.0,
+            rotation_deg_total=cfg.rotation_deg,
+        )
+    out = _outdir(cfg)
     cfio.write_study_csv(out / "contours.csv", study)
     cfio.write_manifest(out / "manifest.json", study)
     cfio.write_study_json(out / "study.json", study)
@@ -405,7 +394,6 @@ def _constrained_system(cfg, res):
 
 
 def cmd_mesh(cfg) -> int:
-    out = _outdir(cfg)
     study = _load_study(cfg)
     sl = study.slices[_selected_slice(cfg, study)]
     frame = _selected_frame(cfg, sl, first=0, default=0)
@@ -413,6 +401,7 @@ def cmd_mesh(cfg) -> int:
     walls = uniform_angle_walls(fc, centroid(fc.inner), cfg.n_points, context=f"frame {frame}")
     mesh = triangulate_annulus(*walls, cfg.n_points, cfg.n_radial)
     report = validate(mesh)
+    out = _outdir(cfg)
     print(report)
     cfio.write_mesh_vtk(out / "mesh.vtk", mesh)
     cfio.write_mesh_csv(out / "nodes.csv", out / "elements.csv", mesh)
@@ -421,9 +410,8 @@ def cmd_mesh(cfg) -> int:
 
 
 def cmd_solve(cfg) -> int:
+    res = _frame_result(cfg, _load_study(cfg))
     out = _outdir(cfg)
-    study = _load_study(cfg)
-    res = _frame_result(cfg, study)
     frame = res.frame_index
     cfio.write_mesh_vtk(out / f"displacement_frame{frame}.vtk", res.mesh,
                         point_vectors={"displacement": res.displacement.values})
@@ -435,9 +423,8 @@ def cmd_solve(cfg) -> int:
 
 
 def cmd_strain(cfg) -> int:
+    res = _frame_result(cfg, _load_study(cfg))
     out = _outdir(cfg)
-    study = _load_study(cfg)
-    res = _frame_result(cfg, study)
     frame = res.frame_index
     cfio.write_mesh_vtk(*_fields_vtk_job(out / f"strain_frame{frame}.vtk", res))
     cfio.write_strain_csv(out / f"strain_frame{frame}.csv", res.strain)
@@ -447,9 +434,8 @@ def cmd_strain(cfg) -> int:
 
 
 def cmd_volume(cfg) -> int:
+    curve = normalized_volume_curve(_load_study(cfg))
     out = _outdir(cfg)
-    study = _load_study(cfg)
-    curve = normalized_volume_curve(study)
     cfio.write_volume_csv(out / "volume_curve.csv", curve)
     print(
         f"volume curve written to {out / 'volume_curve.csv'}; "

@@ -38,7 +38,7 @@ from scipy.io import mmwrite
 from .contours import Contour, FrameContours
 from .errors import ConfigurationError, GeometryError
 from .fem import DisplacementField, LinearSystem
-from .materials import AngularRegion, Material
+from .materials import Material
 from .meshing import Mesh
 from .phantom import RingSpec
 from .strain import SectorSummary, StrainField
@@ -89,21 +89,13 @@ def read_manifest(path) -> dict:
     return data
 
 
-def _rows_to_contour(rows, where: str) -> Contour:
-    rows = sorted(rows, key=lambda r: r[0])
-    indices = [r[0] for r in rows]
-    if indices != list(range(len(rows))):
-        raise ConfigurationError(f"{where}: point_index values must be 0..n-1")
-    pts = np.array([(r[1], r[2]) for r in rows], dtype=float)
-    label = rows[0][3]
-    contour = Contour(pts, label)
-    if not contour.is_simple():
-        raise GeometryError(f"{where}: contour is self-intersecting")
-    return contour
-
-
 def read_study_csv(csv_path, manifest_path) -> Study:
-    """Ingest and validate a study from the CSV + manifest pair."""
+    """Ingest and validate a study from the CSV + manifest pair.
+
+    The rows are grouped into the study-JSON shape and built by the same
+    checks as :func:`read_study_json`; only the header, the row fields, the
+    boundary labels and the ``point_index`` runs are checked here.
+    """
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise FileNotFoundError(f"contour file not found: {csv_path}")
@@ -121,51 +113,33 @@ def read_study_csv(csv_path, manifest_path) -> Study:
                 sl = int(row["slice"])
                 frame = int(row["frame"])
                 boundary = row["boundary"].strip()
-                idx = int(row["point_index"])
-                x = float(row["x"])
-                y = float(row["y"])
+                point = (int(row["point_index"]), float(row["x"]), float(row["y"]))
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"{csv_path}:{lineno}: malformed row ({exc})") from exc
             if boundary not in ("inner", "outer"):
                 raise ConfigurationError(
                     f"{csv_path}:{lineno}: boundary must be inner or outer, got {boundary!r}"
                 )
-            grouped.setdefault(sl, {}).setdefault(frame, {}).setdefault(boundary, []).append(
-                (idx, x, y, boundary)
-            )
+            grouped.setdefault(sl, {}).setdefault(frame, {}).setdefault(boundary, []).append(point)
     if not grouped:
         raise ConfigurationError(f"{csv_path}: no contour rows found")
 
     slices = []
-    for sl_idx in sorted(grouped):
-        frames = []
-        for frame_idx in sorted(grouped[sl_idx]):
-            pair = grouped[sl_idx][frame_idx]
-            where = f"{csv_path} slice {sl_idx} frame {frame_idx}"
-            if set(pair) != {"inner", "outer"}:
-                raise ConfigurationError(f"{where}: needs both inner and outer contours")
-            frames.append(
-                FrameContours(
-                    frame_idx,
-                    _rows_to_contour(pair["inner"], where + " inner"),
-                    _rows_to_contour(pair["outer"], where + " outer"),
-                )
-            )
-        slices.append(
-            Slice(index=sl_idx, spacing=float(manifest["slice_spacing_mm"]), frames=tuple(frames))
-        )
-    study = Study(str(manifest["subject_id"]), tuple(slices))
-    return _check_frame_count(study, manifest["frames_per_cycle"], "manifest")
-
-
-def _check_frame_count(study: Study, frames_per_cycle: int, where: str) -> Study:
-    """``study`` if it has the ``frames_per_cycle`` ``where`` declares, else ConfigurationError."""
-    if study.n_frames != frames_per_cycle:
-        raise ConfigurationError(
-            f"{where} declares {frames_per_cycle} frames per cycle, "
-            f"contour file has {study.n_frames}"
-        )
-    return study
+    for sl_idx, frames in sorted(grouped.items()):
+        json_frames = []
+        for frame_idx, walls in sorted(frames.items()):
+            frame = {"frame": frame_idx}
+            for boundary, rows in walls.items():
+                rows.sort(key=lambda r: r[0])
+                if [r[0] for r in rows] != list(range(len(rows))):
+                    raise ConfigurationError(
+                        f"{csv_path} slice {sl_idx} frame {frame_idx} {boundary}: "
+                        "point_index values must be 0..n-1"
+                    )
+                frame[boundary] = [r[1:] for r in rows]
+            json_frames.append(frame)
+        slices.append({"slice": sl_idx, "frames": json_frames})
+    return _build_study({**manifest, "slices": slices}, str(csv_path), "manifest")
 
 
 def write_study_json(path, study: Study) -> None:
@@ -211,54 +185,61 @@ def _json_field(obj, key: str, kind: type, where: str, default=_REQUIRED):
     return value
 
 
-def _json_contour(points, label: str, where: str) -> Contour:
-    try:
-        pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{where} {label}: points must be [x, y] pairs ({exc})") from None
-    contour = Contour(pts, label)
-    if not contour.is_simple():
-        raise GeometryError(f"{where} {label}: contour is self-intersecting")
-    return contour
-
-
-def read_study_json(path) -> Study:
-    """Ingest and validate a self-contained JSON study.
+def _build_study(data, where: str, declared_by: str) -> Study:
+    """The Study of study-JSON-shaped ``data`` read from ``where``.
 
     A missing key, a value of the wrong JSON type (``frames_per_cycle``,
     ``slice`` and ``frame`` must be integers, ``slices`` and ``frames`` lists,
-    contours lists of [x, y] pairs) or a ``frames_per_cycle`` other than the
-    number of frames read raises ConfigurationError naming the file.
+    contours lists of [x, y] pairs) or a frame without both walls raises
+    ConfigurationError, a self-intersecting wall GeometryError, each naming
+    ``where``. A ``frames_per_cycle`` other than the number of frames read
+    raises ConfigurationError naming ``declared_by``, its source.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"study file not found: {path}")
-    data = json.loads(path.read_text())
     if not isinstance(data, dict) or "subject_id" not in data:
-        raise ConfigurationError(f"{path}: study JSON must be an object with 'subject_id'")
-    spacing = float(_json_field(data, "slice_spacing_mm", _NUMBER, str(path)))
-    frames_per_cycle = _json_field(data, "frames_per_cycle", int, str(path))
+        raise ConfigurationError(f"{where}: study JSON must be an object with 'subject_id'")
+    spacing = float(_json_field(data, "slice_spacing_mm", _NUMBER, where))
+    frames_per_cycle = _json_field(data, "frames_per_cycle", int, where)
     slices = []
-    for sl in _json_field(data, "slices", list, str(path)):
-        sl_idx = _json_field(sl, "slice", int, f"{path} slice")
-        raw_frames = _json_field(sl, "frames", list, f"{path} slice {sl_idx}")
-        indexed = [(_json_field(fr, "frame", int, f"{path} slice {sl_idx}"), fr)
+    for sl in _json_field(data, "slices", list, where):
+        sl_idx = _json_field(sl, "slice", int, f"{where} slice")
+        raw_frames = _json_field(sl, "frames", list, f"{where} slice {sl_idx}")
+        indexed = [(_json_field(fr, "frame", int, f"{where} slice {sl_idx}"), fr)
                    for fr in raw_frames]
         frames = []
         for frame_idx, fr in sorted(indexed, key=lambda item: item[0]):
-            where = f"{path} slice {sl_idx} frame {frame_idx}"
+            at = f"{where} slice {sl_idx} frame {frame_idx}"
             if "inner" not in fr or "outer" not in fr:
-                raise ConfigurationError(f"{where}: needs both inner and outer contours")
-            frames.append(
-                FrameContours(
-                    frame_idx,
-                    _json_contour(fr["inner"], "inner", where),
-                    _json_contour(fr["outer"], "outer", where),
-                )
-            )
+                raise ConfigurationError(f"{at}: needs both inner and outer contours")
+            walls = []
+            for label in ("inner", "outer"):
+                try:
+                    pts = np.asarray(fr[label], dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigurationError(
+                        f"{at} {label}: points must be [x, y] pairs ({exc})"
+                    ) from None
+                walls.append(Contour(pts, label))
+                if not walls[-1].is_simple():
+                    raise GeometryError(f"{at} {label}: contour is self-intersecting")
+            frames.append(FrameContours(frame_idx, *walls))
         slices.append(Slice(index=sl_idx, spacing=spacing, frames=tuple(frames)))
     study = Study(str(data["subject_id"]), tuple(slices))
-    return _check_frame_count(study, frames_per_cycle, f"study JSON {path}")
+    if study.n_frames != frames_per_cycle:
+        raise ConfigurationError(
+            f"{declared_by} declares {frames_per_cycle} frames per cycle, "
+            f"contour file has {study.n_frames}"
+        )
+    return study
+
+
+def read_study_json(path) -> Study:
+    """Ingest and validate a self-contained JSON study (checks as in
+    :func:`_build_study`, the frame count against the file's own
+    ``frames_per_cycle``)."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"study file not found: {path}")
+    return _build_study(json.loads(path.read_text()), str(path), f"study JSON {path}")
 
 
 def read_study(path, manifest_path=None) -> Study:
@@ -465,23 +446,13 @@ def dump_system(prefix, system: LinearSystem) -> None:
 # phantom / material configuration
 
 
-def _json_numbers(obj, key: str, where: str, default, length: int | None = None) -> tuple:
-    """``obj[key]`` (``default`` when absent) checked to be a list of JSON
-    numbers, ``length`` of them when given, as floats."""
-    values = _json_field(obj, key, list, where, default)
-    if (length is not None and len(values) != length) or not all(
-        isinstance(v, _NUMBER) and not isinstance(v, bool) for v in values
-    ):
-        what = f"{length} numbers" if length is not None else "a list of numbers"
-        raise ConfigurationError(f"{where}: {key!r} must be {what}, got {values!r}")
-    return tuple(float(v) for v in values)
+_SPEC_KEYS = ("inner_radius", "outer_radius", "center", "material")
 
 
 def read_phantom_spec(path) -> RingSpec:
     """A ring spec JSON object: numbers ``inner_radius`` and ``outer_radius``;
-    optional ``center`` [x, y], ``material`` {"E", "nu"}, ``regions`` (objects
-    with ``start_deg``, ``end_deg`` and optional ``E``, ``nu``) and a
-    ``pressures`` list. A missing key or a value of the wrong JSON type raises
+    optional ``center`` [x, y] and ``material`` {"E", "nu"}. A missing key,
+    any other key or a value of the wrong JSON type raises
     ConfigurationError."""
     path = Path(path)
     if not path.exists():
@@ -490,26 +461,18 @@ def read_phantom_spec(path) -> RingSpec:
     where = f"phantom spec {path}"
     inner = float(_json_field(data, "inner_radius", _NUMBER, where))
     outer = float(_json_field(data, "outer_radius", _NUMBER, where))
+    unknown = [key for key in data if key not in _SPEC_KEYS]
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown key {unknown[0]!r}")
+    center = _json_field(data, "center", list, where, [0.0, 0.0])
+    if len(center) != 2 or not all(
+        isinstance(v, _NUMBER) and not isinstance(v, bool) for v in center
+    ):
+        raise ConfigurationError(f"{where}: 'center' must be 2 numbers, got {center!r}")
     base = _json_field(data, "material", dict, where, {})
     material = Material(float(_json_field(base, "E", _NUMBER, f"{where} material", 1e4)),
                         float(_json_field(base, "nu", _NUMBER, f"{where} material", 0.3)))
-    regions = []
-    for k, r in enumerate(_json_field(data, "regions", list, where, [])):
-        at = f"{where} region {k}"
-        regions.append(AngularRegion(
-            float(_json_field(r, "start_deg", _NUMBER, at)),
-            float(_json_field(r, "end_deg", _NUMBER, at)),
-            Material(float(_json_field(r, "E", _NUMBER, at, material.E)),
-                     float(_json_field(r, "nu", _NUMBER, at, material.nu))),
-        ))
-    return RingSpec(
-        inner_radius=inner,
-        outer_radius=outer,
-        center=_json_numbers(data, "center", where, [0.0, 0.0], 2),
-        material=material,
-        regions=tuple(regions),
-        pressures=_json_numbers(data, "pressures", where, []),
-    )
+    return RingSpec(inner, outer, center, material)
 
 
 def write_phantom_spec(path, spec: RingSpec) -> None:
@@ -518,11 +481,5 @@ def write_phantom_spec(path, spec: RingSpec) -> None:
         "outer_radius": spec.outer_radius,
         "center": [spec.center.x, spec.center.y],
         "material": {"E": spec.material.E, "nu": spec.material.nu},
-        "regions": [
-            {"start_deg": r.start_deg, "end_deg": r.end_deg,
-             "E": r.material.E, "nu": r.material.nu}
-            for r in spec.regions
-        ],
-        "pressures": list(spec.pressures),
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -3,16 +3,17 @@
 The phantom is a thick-walled ring under uniform internal pressure with a
 traction-free outer wall. Two mutually independent reference solutions are
 available: the closed-form plane-strain radial displacement of the
-homogeneous ring, and a traction-loaded finite-element solve that works for
-inhomogeneous (stiff-sector) rings as well. A pressure cycle turns either
-into a sequence of displaced wall contours, feeding the contour pipeline
-exactly like cardiac data. :func:`verify_ring` runs the verification suite.
+homogeneous ring, and a traction-loaded finite-element solve of an assembled
+ring, which works as well when a stiff-sector material field replaces the
+ring's uniform one. A pressure cycle displaces the circles by the closed form
+into a sequence of wall contours, feeding the contour pipeline exactly like
+cardiac data. :func:`verify_ring` runs the verification suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .fem import (
     remove_rigid_motion,
     solve,
 )
-from .materials import AngularRegion, Material, region_material_field
+from .materials import AngularRegion, Material, MaterialField, region_material_field
 from .meshing import triangulate_annulus
 from .strain import SectorSummary, sector_average, strain_field
 
@@ -45,14 +46,12 @@ def circle_contour(radius: float, center, n: int, label: str) -> Contour:
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Geometry, material, and load schedule of the verification ring."""
+    """Geometry and material of the verification ring."""
 
     inner_radius: float
     outer_radius: float
     center: Point2 = Point2(0.0, 0.0)
     material: Material = Material(1e4, 0.3)
-    regions: tuple[AngularRegion, ...] = ()
-    pressures: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if not (0.0 < self.inner_radius < self.outer_radius):
@@ -60,37 +59,17 @@ class RingSpec:
                 f"need 0 < inner radius < outer radius, got "
                 f"{self.inner_radius}, {self.outer_radius}"
             )
-        pressures = tuple(float(p) for p in self.pressures)
-        if any(not math.isfinite(p) for p in pressures):
-            raise ConfigurationError("pressures must be finite")
-        object.__setattr__(self, "pressures", pressures)
-        object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(
             self, "center", Point2(float(self.center[0]), float(self.center[1]))
         )
 
-    @property
-    def homogeneous(self) -> bool:
-        return len(self.regions) == 0
-
-    def with_pressure_ramp(self, p_max: float, n_steps: int) -> "RingSpec":
-        """Replace the load schedule with n_steps equal increments from zero."""
-        if n_steps < 1:
-            raise ConfigurationError("n_steps must be >= 1")
-        ramp = tuple(p_max * k / n_steps for k in range(n_steps + 1))
-        return RingSpec(
-            self.inner_radius, self.outer_radius, self.center, self.material,
-            self.regions, ramp,
-        )
-
 
 def make_ring(spec: RingSpec, n_angular: int = 64, n_radial: int = 8):
-    """Mesh the ring and assign its (possibly inhomogeneous) materials."""
+    """Mesh the ring and give every element the spec's material."""
     inner = circle_contour(spec.inner_radius, spec.center, n_angular, "inner")
     outer = circle_contour(spec.outer_radius, spec.center, n_angular, "outer")
     mesh = triangulate_annulus(inner, outer, n_angular, n_radial)
-    materials = region_material_field(mesh, spec.material, spec.regions, spec.center)
-    return mesh, materials
+    return mesh, MaterialField.uniform(mesh, spec.material)
 
 
 def lame_displacement(a: float, b: float, p: float, e_mod: float, nu: float, r):
@@ -137,18 +116,14 @@ def lame_displacement_at(spec: RingSpec, pressure: float, points) -> np.ndarray:
     return (u / r)[:, None] * rel
 
 
-def solve_ring_traction(
-    spec: RingSpec,
-    pressure: float,
-    n_angular: int = 64,
-    n_radial: int = 8,
-    anchor_deg: float | None = None,
-):
-    """Neumann-loaded plane-strain solve of the ring under internal pressure.
+def solve_ring_traction(mesh, system, pressure: float, anchor_deg: float | None = None):
+    """Neumann-loaded solve of a ring under internal pressure.
 
-    By default rigid modes are removed by pinning three symmetry dofs on the
-    inner boundary (v at angles 0 and pi, u at angle pi/2) and the
-    least-squares rigid motion is subtracted afterwards (strains are
+    ``mesh`` is a ring from :func:`make_ring` and ``system`` its assembled
+    stiffness (plane strain for the closed form to apply; any material
+    field). By default rigid modes are removed by pinning three symmetry
+    dofs on the inner boundary (v at angles 0 and pi, u at angle pi/2) and
+    the least-squares rigid motion is subtracted afterwards (strains are
     unaffected).
 
     ``anchor_deg`` instead supports the ring at one wall angle, mimicking a
@@ -158,76 +133,42 @@ def solve_ring_traction(
     must be a multiple of 90 degrees so the tangential direction is a
     coordinate axis; no rigid detrending is applied in this mode.
 
-    Requires n_angular divisible by 4. Returns (mesh, materials,
-    displacement).
+    Requires a number of nodes per wall divisible by 4. Returns the
+    displacement.
     """
-    mesh, materials = make_ring(spec, n_angular, n_radial)
-    system = assemble(mesh, materials, "plane-strain")
-    disp = _traction_solve(mesh, system, pressure, n_angular, n_radial, anchor_deg)
-    return mesh, materials, disp
-
-
-def _traction_solve(mesh, system, pressure, n_angular, n_radial, anchor_deg=None):
-    """The pinned solve of :func:`solve_ring_traction` on an assembled ring."""
+    inner, outer = mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")
+    n_angular = len(inner)
     if n_angular % 4 != 0:
         raise ConfigurationError("n_angular must be divisible by 4 for the pin layout")
     if anchor_deg is not None and anchor_deg % 90.0 != 0.0:
         raise ConfigurationError("anchor_deg must be a multiple of 90 degrees")
     system = apply_traction(system, internal_pressure_tractions(mesh, pressure), mesh)
     if anchor_deg is None:
-        quarter = n_angular // 4  # v at 0 (node 0), u at pi/2 (node quarter), v at pi
-        pins = [1, 2 * quarter, 4 * quarter + 1]
+        quarter = n_angular // 4  # v at 0, u at pi/2, v at pi
+        pins = [2 * inner[0] + 1, 2 * inner[quarter], 2 * inner[2 * quarter] + 1]
     else:
         j = int(round(anchor_deg % 360.0 / 360.0 * n_angular)) % n_angular
-        outer_node = n_radial * n_angular + j
         tangential_is_x = anchor_deg % 180.0 != 0.0  # at 90/270 deg tangent is +-x
-        pins = [2 * j, 2 * j + 1, 2 * outer_node + (0 if tangential_is_x else 1)]
+        pins = [2 * inner[j], 2 * inner[j] + 1, 2 * outer[j] + (0 if tangential_is_x else 1)]
     (disp,) = solve(system, pins, np.zeros((len(pins), 1)))
     if anchor_deg is None:
         disp = remove_rigid_motion(mesh, disp)
     return disp
 
 
-def pressure_load_cycle(
-    spec: RingSpec,
-    n_points: int = 64,
-    n_radial: int = 8,
-    method: str = "analytic",
-) -> list[FrameContours]:
-    """Wall contours of the ring at every pressure step of the schedule.
-
-    ``method="analytic"`` displaces the circles by the closed-form solution
-    (homogeneous rings only); ``method="fem"`` uses one traction-loaded unit
-    solve, scaled per step by linearity, and supports stiff regions. Frame 0
-    corresponds to the first scheduled pressure.
-    """
-    if not spec.pressures:
-        raise ConfigurationError("ring spec has no pressure schedule")
-    if method not in ("analytic", "fem"):
-        raise ConfigurationError(f"method must be 'analytic' or 'fem', got {method!r}")
-    if method == "analytic" and not spec.homogeneous:
-        raise ConfigurationError("analytic cycle requires a homogeneous ring; use method='fem'")
-
+def pressure_load_cycle(spec: RingSpec, pressures, n_points: int = 64) -> list[FrameContours]:
+    """Wall contours of the homogeneous ring under each of ``pressures``
+    (frame k under ``pressures[k]``), the circles displaced by the closed-form
+    solution."""
     inner0 = circle_contour(spec.inner_radius, spec.center, n_points, "inner")
     outer0 = circle_contour(spec.outer_radius, spec.center, n_points, "outer")
-
-    if method == "analytic":
-        unit_inner = lame_displacement_at(spec, 1.0, inner0.points)
-        unit_outer = lame_displacement_at(spec, 1.0, outer0.points)
-    else:
-        mesh, _, disp = solve_ring_traction(spec, 1.0, n_points, n_radial)
-        unit_inner = disp.values[mesh.boundary_nodes("inner")]
-        unit_outer = disp.values[mesh.boundary_nodes("outer")]
-        # layer ordering of the structured mesh matches the contour samples
-        if not np.allclose(mesh.nodes[mesh.boundary_nodes("inner")], inner0.points):
-            raise GeometryError("mesh boundary does not match the reference contours")
-
-    frames = []
-    for k, p in enumerate(spec.pressures):
-        inner = Contour(inner0.points + p * unit_inner, "inner")
-        outer = Contour(outer0.points + p * unit_outer, "outer")
-        frames.append(FrameContours(k, inner, outer))
-    return frames
+    unit_inner = lame_displacement_at(spec, 1.0, inner0.points)
+    unit_outer = lame_displacement_at(spec, 1.0, outer0.points)
+    return [
+        FrameContours(k, Contour(inner0.points + p * unit_inner, "inner"),
+                      Contour(outer0.points + p * unit_outer, "outer"))
+        for k, p in enumerate(pressures)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +273,7 @@ def verify_ring(
     oracle = [_oracle_values(spec, mesh) for mesh, _ in rings]
     (mesh, mats), fixed = rings[1], oracle[1][0]
 
-    disp = _traction_solve(mesh, systems[1], 1.0, n_points, n_radial)
+    disp = solve_ring_traction(mesh, systems[1], 1.0)
     columns = [[values] for _, values in oracle]
     columns[1].append(_pipeline_values(mesh, disp, n_points))
     solved = [solve(system, dofs, np.column_stack(cols))
@@ -343,7 +284,7 @@ def verify_ring(
 
     # independent traction-loaded cross-check of the oracle
     fine_mesh = rings[2][0]
-    fine = _traction_solve(fine_mesh, systems[2], 1.0, *resolutions[2])
+    fine = solve_ring_traction(fine_mesh, systems[2], 1.0)
     exact = lame_displacement_at(spec, 1.0, fine_mesh.nodes)
     traction_err = float(np.linalg.norm(fine.values - exact) / np.linalg.norm(exact))
 
@@ -360,7 +301,7 @@ def verify_ring(
     stiff = AngularRegion(225.0, 315.0, Material(spec.material.E * 10.0, spec.material.nu))
     stiff_mats = region_material_field(mesh, spec.material, (stiff,), spec.center)
     stiff_system = assemble(mesh, stiff_mats, "plane-strain")
-    stiff_disp = _traction_solve(mesh, stiff_system, 1.0, n_points, n_radial, anchor_deg=270.0)
+    stiff_disp = solve_ring_traction(mesh, stiff_system, 1.0, anchor_deg=270.0)
     values = _pipeline_values(mesh, stiff_disp, n_points)[:, None]
     (stiff_disp2,) = solve(stiff_system, fixed, values)
     traction, pipeline = summary(stiff_mats, stiff_disp), summary(stiff_mats, stiff_disp2)

@@ -4,7 +4,10 @@ Generators build near-circular wall contours with seeded low-order radial
 perturbation (angular modes 2..5 only, so the vertex centroid stays at the
 generation center) and deform them over the cycle by radial contraction,
 optional rigid rotation, and, for the infarct variant, an angular wedge
-whose boundary points barely move.
+whose boundary points barely move. A caller sets the seed, the sizes and the
+motion; the geometry, the subject ids and the wedge are the module constants
+below. :func:`phantom_cycle_study` packages the unit ring's pressure ramp as
+a study.
 """
 
 from __future__ import annotations
@@ -22,23 +25,31 @@ TWO_PI = 2.0 * math.pi
 
 SYNTH_KINDS = ("healthy", "mi-wedge", "phantom-cycle")
 
+INNER_RADIUS, OUTER_RADIUS = 30.0, 50.0
+CENTER = (128.0, 128.0)
+PERTURBATION = 0.02  # radial perturbation amplitude, a fraction of the radius
+SLICE_SPACING = 8.0
+HEALTHY_ID, MI_ID = "synthetic-healthy", "synthetic-mi"
+# mi_wedge_study's wedge: start and end angle (degrees), the fraction of the
+# healthy motion its points keep, and the transition and margin widths (degrees)
+WEDGE = (90.0, 180.0, 0.03, 12.0, 5.0)
 
-def _perturbed_radii(rng: np.random.Generator, base_radius: float, theta, amplitude: float):
+
+def _perturbed_radii(rng: np.random.Generator, base_radius: float, theta):
     radii = np.full(len(theta), float(base_radius))
     for mode in (2, 3, 4, 5):
-        amp = amplitude * base_radius * rng.uniform(0.2, 1.0) / 4.0
+        amp = PERTURBATION * base_radius * rng.uniform(0.2, 1.0) / 4.0
         phase = rng.uniform(0.0, TWO_PI)
         radii += amp * np.cos(mode * theta + phase)
     return radii
 
 
-def _base_walls(rng, n_points, inner_radius, outer_radius, center, perturbation):
+def _base_walls(rng, n_points, center):
     theta = TWO_PI * np.arange(n_points) / n_points
-    c = np.asarray(center, dtype=float)
-    r_in = _perturbed_radii(rng, inner_radius, theta, perturbation)
-    r_out = _perturbed_radii(rng, outer_radius, theta, perturbation)
+    r_in = _perturbed_radii(rng, INNER_RADIUS, theta)
+    r_out = _perturbed_radii(rng, OUTER_RADIUS, theta)
     unit = np.column_stack([np.cos(theta), np.sin(theta)])
-    return theta, c + r_in[:, None] * unit, c + r_out[:, None] * unit
+    return theta, center + r_in[:, None] * unit, center + r_out[:, None] * unit
 
 
 def _smoothstep(t):
@@ -75,15 +86,9 @@ def healthy_study(
     n_frames: int = 20,
     n_points: int = 64,
     n_slices: int = 1,
-    inner_radius: float = 30.0,
-    outer_radius: float = 50.0,
-    center=(128.0, 128.0),
-    perturbation: float = 0.02,
     contraction_inner: float = 0.3,
     contraction_outer: float = 0.15,
     rotation_deg_total: float = 0.0,
-    slice_spacing: float = 8.0,
-    subject_id: str = "synthetic-healthy",
 ) -> Study:
     """Contracting (and optionally rotating) synthetic left-ventricle study.
 
@@ -91,13 +96,8 @@ def healthy_study(
     1 - contraction * k / (n_frames - 1) and rotates them clockwise by
     rotation_deg_total * k / (n_frames - 1).
     """
-    return _modulated_study(
-        seed=seed, n_frames=n_frames, n_points=n_points, n_slices=n_slices,
-        inner_radius=inner_radius, outer_radius=outer_radius, center=center,
-        perturbation=perturbation, contraction_inner=contraction_inner,
-        contraction_outer=contraction_outer, rotation_deg_total=rotation_deg_total,
-        slice_spacing=slice_spacing, subject_id=subject_id, wedge=None,
-    )
+    return _modulated_study(HEALTHY_ID, None, seed, n_frames, n_points, n_slices,
+                            contraction_inner, contraction_outer, rotation_deg_total)
 
 
 def mi_wedge_study(
@@ -105,57 +105,29 @@ def mi_wedge_study(
     n_frames: int = 20,
     n_points: int = 64,
     n_slices: int = 1,
-    inner_radius: float = 30.0,
-    outer_radius: float = 50.0,
-    center=(128.0, 128.0),
-    perturbation: float = 0.02,
     contraction_inner: float = 0.3,
     contraction_outer: float = 0.15,
     rotation_deg_total: float = 0.0,
-    slice_spacing: float = 8.0,
-    subject_id: str = "synthetic-mi",
-    wedge_start_deg: float = 90.0,
-    wedge_end_deg: float = 180.0,
-    inert_factor: float = 0.03,
-    transition_deg: float = 12.0,
-    margin_deg: float = 5.0,
 ) -> Study:
     """Same study as :func:`healthy_study` for the same seed, except boundary
-    points inside the wedge move by only ``inert_factor`` of their healthy
+    points inside the 90-180 degree wedge move by only 3 % of their healthy
     displacement."""
-    if not (0.0 <= inert_factor < 1.0):
-        raise ConfigurationError("inert_factor must be in [0, 1)")
-    return _modulated_study(
-        seed=seed, n_frames=n_frames, n_points=n_points, n_slices=n_slices,
-        inner_radius=inner_radius, outer_radius=outer_radius, center=center,
-        perturbation=perturbation, contraction_inner=contraction_inner,
-        contraction_outer=contraction_outer, rotation_deg_total=rotation_deg_total,
-        slice_spacing=slice_spacing, subject_id=subject_id,
-        wedge=(wedge_start_deg, wedge_end_deg, inert_factor, transition_deg, margin_deg),
-    )
+    return _modulated_study(MI_ID, WEDGE, seed, n_frames, n_points, n_slices,
+                            contraction_inner, contraction_outer, rotation_deg_total)
 
 
-def _modulated_study(
-    *, seed, n_frames, n_points, n_slices, inner_radius, outer_radius, center,
-    perturbation, contraction_inner, contraction_outer, rotation_deg_total,
-    slice_spacing, subject_id, wedge,
-) -> Study:
+def _modulated_study(subject_id, wedge, seed, n_frames, n_points, n_slices,
+                     contraction_inner, contraction_outer, rotation_deg_total) -> Study:
     if n_frames < 2:
         raise ConfigurationError("need at least 2 frames")
     rng = np.random.default_rng(seed)
-    c = np.asarray(center, dtype=float)
+    c = np.asarray(CENTER, dtype=float)
     slices = []
     for s in range(n_slices):
-        theta, inner0, outer0 = _base_walls(
-            rng, n_points, inner_radius, outer_radius, c, perturbation
-        )
-        theta_deg = np.degrees(theta)
+        theta, inner0, outer0 = _base_walls(rng, n_points, c)
+        factor = np.ones(n_points)
         if wedge is not None:
-            start, end, inert, trans, margin = wedge
-            factor_in = _wedge_motion_factor(theta_deg, start, end, inert, trans, margin)
-            factor_out = factor_in
-        else:
-            factor_in = factor_out = np.ones(n_points)
+            factor = _wedge_motion_factor(np.degrees(theta), *wedge)
 
         frames = []
         for k in range(n_frames):
@@ -166,28 +138,20 @@ def _modulated_study(
                 rot = -math.radians(rotation_deg_total * t)  # clockwise
                 healthy_in = rotate_about(healthy_in, c, rot)
                 healthy_out = rotate_about(healthy_out, c, rot)
-            pts_in = inner0 + factor_in[:, None] * (healthy_in - inner0)
-            pts_out = outer0 + factor_out[:, None] * (healthy_out - outer0)
+            pts_in = inner0 + factor[:, None] * (healthy_in - inner0)
+            pts_out = outer0 + factor[:, None] * (healthy_out - outer0)
             frames.append(
                 FrameContours(k, Contour(pts_in, "inner"), Contour(pts_out, "outer"))
             )
-        slices.append(Slice(index=s, spacing=slice_spacing, frames=tuple(frames)))
+        slices.append(Slice(index=s, spacing=SLICE_SPACING, frames=tuple(frames)))
     return Study(subject_id, tuple(slices))
 
 
-def phantom_cycle_study(
-    spec: RingSpec | None = None,
-    n_points: int = 64,
-    n_steps: int = 10,
-    p_max: float = 1.0,
-    slice_spacing: float = 1.0,
-    subject_id: str = "phantom-cycle",
-    method: str = "analytic",
-) -> Study:
-    """Ring pressurization cycle packaged as a single-slice study."""
-    if spec is None:
-        spec = RingSpec(inner_radius=1.0, outer_radius=2.0)
-    if not spec.pressures:
-        spec = spec.with_pressure_ramp(p_max, n_steps)
-    frames = pressure_load_cycle(spec, n_points=n_points, method=method)
-    return Study(subject_id, (Slice(index=0, spacing=slice_spacing, frames=tuple(frames)),))
+def phantom_cycle_study(n_points: int = 64, n_steps: int = 10) -> Study:
+    """The unit ring (radii 1 and 2) under the pressures k / n_steps,
+    k = 0..n_steps, as a single-slice study."""
+    if n_steps < 1:
+        raise ConfigurationError("n_steps must be >= 1")
+    pressures = [k / n_steps for k in range(n_steps + 1)]
+    frames = pressure_load_cycle(RingSpec(inner_radius=1.0, outer_radius=2.0), pressures, n_points)
+    return Study("phantom-cycle", (Slice(index=0, spacing=1.0, frames=tuple(frames)),))

@@ -22,7 +22,7 @@ from cardiofem.strain import effective_strain, sector_average, strain_field
 from cardiofem.study import Slice, Study
 from cardiofem.contours import FrameContours
 
-from conftest import boundary_dirichlet, solve_one
+from conftest import boundary_dirichlet, region_ring, solve_one
 
 
 def _report(criterion, ok, detail):
@@ -108,7 +108,8 @@ def test_ac2_lame_convergence():
 
 def test_ac3_double_oracle_consistency():
     spec = RingSpec(1.0, 2.0, material=Material(1e4, 0.3))
-    mesh, _, disp = solve_ring_traction(spec, 1.0, 128, 16)
+    mesh, mats = make_ring(spec, 128, 16)
+    disp = solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0)
     exact = _lame_exact(mesh, spec)
     err = float(np.linalg.norm(disp.values - exact) / np.linalg.norm(exact))
     ok = err <= 0.02
@@ -186,10 +187,11 @@ def test_ac6_effective_strain_unit_suite():
 def test_ac7_inhomogeneous_direction_check():
     base = Material(1e4, 0.3)
     stiff = AngularRegion(225.0, 315.0, Material(base.E * 10.0, base.nu))
-    spec = RingSpec(1.0, 2.0, material=base, regions=(stiff,))
+    spec = RingSpec(1.0, 2.0, material=base)
+    mesh, mats = region_ring(spec, 64, 8, (stiff,))
     # support the ring at the stiff wedge (the infarct-like region anchors
     # the wall); rigid modes pinned at its mid angle
-    mesh, mats, disp = solve_ring_traction(spec, 1.0, 64, 8, anchor_deg=270.0)
+    disp = solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0, anchor_deg=270.0)
     sf = strain_field(mesh, disp, mats.nu)
     summary = sector_average(mesh, sf, disp, spec.center, 16)
     mids = (np.arange(16) + 0.5) * 22.5

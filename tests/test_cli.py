@@ -188,16 +188,24 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     ("analyze", ["--tau", "nan"], "tau must be finite and positive, got nan"),
     ("analyze", ["--tau", "0"], "tau must be finite and positive, got 0.0"),
     ("phantom-verify", ["--n-points", "30"], "n_angular must be divisible by 4"),
+    ("volume", [], "declares 99 frames per cycle, contour file has 6"),
+    ("synth", ["--kind", "phantom-cycle", "--n-frames", "1"], "n_steps must be >= 1"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
                                        command, flags, needle):
-    # the threshold and the ring are checked before --out is made or a writer forks
+    # the input is read and checked before --out is made or a writer forks
     healthy_dir, mi_dir = synth_pair
     forks = _cpus(monkeypatch, 2)
     capsys.readouterr()
     out = tmp_path / "res"
     if command == "analyze":
         code = _analyze_mi(healthy_dir, mi_dir, out, *flags)
+    elif command == "volume":
+        data = json.loads((healthy_dir / "study.json").read_text())
+        data["frames_per_cycle"] = 99
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = run("volume", "--study", str(bad), "--out", str(out))
     else:
         code = run(command, *flags, "--out", str(out))
     assert code == 1
@@ -254,7 +262,7 @@ def test_out_of_range_slice_or_frame(tmp_path, synth_pair, capsys, command, flag
     code = run(command, "--study", str(healthy_dir / "study.json"), *flags, "--out", str(out))
     assert code == 2
     assert needle in _single_error_line(capsys)
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("missing", ["inner", "outer"])
@@ -301,10 +309,12 @@ def test_study_json_wrong_types(tmp_path, synth_pair, capsys, edit, needle):
     ("phantom-verify", '{"inner_radius": 1, "outer_radius": 2, "center": [0]}',
      "'center' must be 2 numbers, got [0]"),
     ("phantom-verify", '{"inner_radius": 1, "outer_radius": 2, "regions": [{"start_deg": 0}]}',
-     "region 0: missing 'end_deg'"),
+     "unknown key 'regions'"),
+    ("phantom-verify", '{"inner_radius": 1, "outer_radius": 2, "pressures": [0, 1]}',
+     "unknown key 'pressures'"),
     ("analyze", "5", "expected a JSON object, got 5"),
 ], ids=["spec-not-an-object", "spec-missing-key", "spec-string-radius", "spec-short-center",
-        "region-missing-key", "manifest-not-an-object"])
+        "spec-regions-key", "spec-pressures-key", "manifest-not-an-object"])
 def test_malformed_spec_or_manifest_json(tmp_path, capsys, command, text, needle):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -322,7 +332,7 @@ def test_malformed_spec_or_manifest_json(tmp_path, capsys, command, text, needle
 def test_config_values_converted_like_flags(tmp_path, synth_pair):
     healthy_dir, _ = synth_pair
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n_points": "32", "n_radial": 2, "young": "2e4"}))
+    config.write_text(json.dumps({"n_points": "32", "n_radial": 2}))
     out = tmp_path / "res"
     assert run("mesh", "--study", str(healthy_dir / "study.json"),
                "--config", str(config), "--out", str(out)) == 0
@@ -333,7 +343,7 @@ def test_config_values_converted_like_flags(tmp_path, synth_pair):
 @pytest.mark.parametrize("values, needle", [
     ({"sectors": "x"}, "sectors must be int, got 'x'"),
     ({"n_points": 64.5}, "n_points must be int, got 64.5"),
-    ({"tau": [0.5]}, "tau must be float, got [0.5]"),
+    ({"poisson": [0.5]}, "poisson must be float, got [0.5]"),
     # the key names the --slice flag, whose dest is slice_index
     ({"slice": 7}, "--slice must be in 0..0, got 7"),
     ({"n_point": 32, "n_radial": 2}, "'n_point' names no flag of strain"),
@@ -364,6 +374,35 @@ def test_config_value_checked_like_its_flag(tmp_path, synth_pair, capsys, values
                "--config", str(config), "--out", str(tmp_path / "res"))
     assert code == 2
     assert needle in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["phantom-verify", "--mode", "as-printed"],
+    ["volume", "--study", "study.json", "--slice", "1"],
+    ["mesh", "--study", "study.json", "--young", "2e4"],
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "res"
+    with pytest.raises(SystemExit) as info:
+        run(*argv, "--out", str(out))
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, values", [
+    ("phantom-verify", {"mode": "as-printed"}),
+    ("volume", {"slice": 1}),
+    ("volume", {"help": "x"}),
+])
+def test_config_key_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command,
+                                                              values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    capsys.readouterr()
+    assert run(command, "--config", str(config), "--out", str(tmp_path / "res")) == 2
+    (key,) = values
+    assert f"{key!r} names no flag of {command}" in _single_error_line(capsys)
 
 
 def test_config_reference_may_be_one_string(tmp_path, synth_pair):
@@ -562,7 +601,7 @@ def test_mesh_checks_star_shape(tmp_path, synth_pair, capsys):
     assert run("mesh", "--study", str(bad), "--frame", "4", "--out", str(out)) == 1
     line = _single_error_line(capsys)
     assert "contour is not star-shaped" in line and "(frame 4 inner)" in line, line
-    assert not any(out.iterdir())
+    assert not out.exists()
     assert run("mesh", "--study", str(bad), "--frame", "3", "--out", str(out)) == 0
 
 

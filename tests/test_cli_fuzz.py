@@ -176,7 +176,7 @@ def test_out_of_range_slice_or_frame(study_files, command, flag):
 
 # flag name in a config file -> the type its command-line text is read as
 CONFIG_FLAGS = {
-    "sectors": int, "tau": float, "n_points": int, "n_radial": int, "rotation_deg": float,
+    "sectors": int, "n_points": int, "n_radial": int, "rotation_deg": float,
     "young": float, "poisson": float, "slice": int, "frame": int,
     "mode": ("as-printed", "plane-strain"), "out": str, "study": str, "manifest": str,
 }

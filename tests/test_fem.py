@@ -26,7 +26,7 @@ from cardiofem.meshing import Mesh, triangulate_annulus
 from cardiofem.phantom import circle_contour, lame_displacement_at, make_ring, solve_ring_traction
 from cardiofem import fem
 
-from conftest import boundary_dirichlet, circle_frame, solve_one, star_contour
+from conftest import boundary_dirichlet, circle_frame, region_ring, solve_one, star_contour
 from oracles import (
     element_stiffness,
     identity_row_solve,
@@ -574,9 +574,12 @@ def test_boundary_dof_map_pairs_sorted_dofs_with_samples():
 # high stiffness contrast, near-incompressible plane strain and a thin wall
 
 
-def _wedge_spec(contrast, nu, outer_radius=2.0):
+def _wedge_ring(contrast, nu, n_angular, n_radial, outer_radius=2.0):
+    """The ring spec and its mesh and materials with a 200-290 degree wedge
+    ``contrast`` times stiffer than the rest."""
+    spec = RingSpec(1.0, outer_radius, material=Material(1e4, nu))
     wedge = AngularRegion(200.0, 290.0, Material(1e4 * contrast, nu))
-    return RingSpec(1.0, outer_radius, material=Material(1e4, nu), regions=(wedge,))
+    return (spec, *region_ring(spec, n_angular, n_radial, (wedge,)))
 
 
 @pytest.mark.parametrize("n_angular, n_radial", [(128, 16), (256, 32)])
@@ -588,8 +591,7 @@ def _wedge_spec(contrast, nu, outer_radius=2.0):
     (1.0, 0.3, 1.02),
 ])
 def test_solves_match_colamd_reference(n_angular, n_radial, contrast, nu, outer_radius):
-    spec = _wedge_spec(contrast, nu, outer_radius)
-    mesh, mats = make_ring(spec, n_angular, n_radial)
+    spec, mesh, mats = _wedge_ring(contrast, nu, n_angular, n_radial, outer_radius)
     system = assemble(mesh, mats, "plane-strain")
     fixed, values = boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
     constrained = apply_dirichlet(system, fixed, values)
@@ -611,8 +613,9 @@ def test_solves_are_scale_invariant(young):
         spec = RingSpec(1.0, 2.0, material=Material(e_mod, 0.3))
         mesh, mats = make_ring(spec, 64, 8)
         fixed, values = boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
-        dirichlet = solve_one(assemble(mesh, mats, "plane-strain"), fixed, values)
-        _, _, traction = solve_ring_traction(spec, 1.0, 64, 8)
+        system = assemble(mesh, mats, "plane-strain")
+        dirichlet = solve_one(system, fixed, values)
+        traction = solve_ring_traction(mesh, system, 1.0)
         return e_mod * dirichlet.values, e_mod * traction.values
 
     for got, expected in zip(scaled_solutions(young), scaled_solutions(1e4)):
@@ -641,8 +644,10 @@ def test_each_solve_factorizes_once_through_module_splu(ring_mesh, monkeypatch):
 def test_ring_traction_residual_error_names_ill_conditioning():
     # three pins hold the ring and pass the pivot check, yet float64 rounding of
     # an E x 1000 wedge at nu 0.49 misses the 1e-10 residual contract
+    _, mesh, mats = _wedge_ring(1000.0, 0.49, 128, 16)
+    system = assemble(mesh, mats, "plane-strain")
     with pytest.raises(SolverError, match=r"relative residual \d\.\d\de-\d\d > 1e-10") as info:
-        solve_ring_traction(_wedge_spec(1000.0, 0.49), 1.0, 128, 16)
+        solve_ring_traction(mesh, system, 1.0)
     message = str(info.value)
     assert "ill-conditioned" in message
     assert "stiffness contrast" in message

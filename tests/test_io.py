@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 from scipy.io import mmread
 
 import cardiofem.io as cfio
-from cardiofem import ConfigurationError, RingSpec, healthy_study
+from cardiofem import ConfigurationError, GeometryError, RingSpec, healthy_study
 from cardiofem.fem import DisplacementField, apply_dirichlet, assemble
-from cardiofem.materials import Material, AngularRegion
+from cardiofem.materials import Material
 from cardiofem.meshing import Mesh
 from cardiofem.phantom import make_ring
 from cardiofem.strain import strain_field, sector_average
@@ -118,6 +118,56 @@ def test_study_json_frame_count_checked(tmp_path, study, value, needle):
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigurationError, match=needle):
         cfio.read_study_json(path)
+
+
+def _write_twins(tmp_path, data):
+    """``data``, a study in JSON shape, written as a study JSON and as a
+    contour CSV with its manifest: (csv, manifest, json) paths."""
+    json_path, csv_path, manifest = (tmp_path / n for n in ("twin.json", "twin.csv", "man.json"))
+    json_path.write_text(json.dumps(data))
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cfio.CONTOUR_CSV_COLUMNS)
+        for sl in data["slices"]:
+            for fr in sl["frames"]:
+                for boundary in ("inner", "outer"):
+                    writer.writerows(
+                        [data["subject_id"], sl["slice"], fr["frame"], boundary, i, x, y]
+                        for i, (x, y) in enumerate(fr.get(boundary, []))
+                    )
+    manifest.write_text(json.dumps(
+        {k: data[k] for k in ("subject_id", "slice_spacing_mm", "frames_per_cycle")}
+    ))
+    return csv_path, manifest, json_path
+
+
+def _frame(data, k):
+    return data["slices"][0]["frames"][k]
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda d: _frame(d, 2).pop("outer"), "frame 2: needs both inner and outer contours"),
+    (lambda d: _frame(d, 1).update(inner=[[0, 0], [1, 1], [1, 0], [0, 1]]),
+     "frame 1 inner: contour is self-intersecting"),
+    (lambda d: _frame(d, 3).update(outer=[[50, 0], [0, 50]]), "contour needs at least 3 points"),
+    (lambda d: d.update(frames_per_cycle=99), "declares 99 frames per cycle, contour file has 4"),
+], ids=["missing-wall", "self-intersecting-wall", "two-point-wall", "frame-count"])
+def test_csv_and_json_readers_share_their_checks(tmp_path, study, edit, needle):
+    # both readers build the study through one path, so a defect reads the same
+    cfio.write_study_json(tmp_path / "study.json", study)
+    data = json.loads((tmp_path / "study.json").read_text())
+    edit(data)
+    csv_path, manifest, json_path = _write_twins(tmp_path, data)
+    errors = []
+    for read, path in ((lambda: cfio.read_study_csv(csv_path, manifest), csv_path),
+                       (lambda: cfio.read_study_json(json_path), json_path)):
+        with pytest.raises((ConfigurationError, GeometryError), match=needle) as info:
+            read()
+        errors.append((type(info.value), str(info.value).replace(str(path), "<path>")))
+    (csv_type, csv_text), (json_type, json_text) = errors
+    assert csv_type is json_type
+    # the frame count is declared by the manifest or by the study JSON itself
+    assert csv_text.replace("manifest declares", "study JSON <path> declares") == json_text
 
 
 def test_missing_files(tmp_path):
@@ -349,18 +399,16 @@ def test_dump_system_matrix_market(tmp_path):
 
 
 def test_phantom_spec_round_trip(tmp_path):
-    spec = RingSpec(
-        1.0, 2.0, material=Material(2e4, 0.25),
-        regions=(AngularRegion(45.0, 135.0, Material(2e5, 0.25)),),
-        pressures=(0.0, 0.5, 1.0),
-    )
+    spec = RingSpec(1.0, 2.0, center=(0.5, -1.5), material=Material(2e4, 0.25))
     path = tmp_path / "phantom.json"
     cfio.write_phantom_spec(path, spec)
+    assert list(json.loads(path.read_text())) == [
+        "inner_radius", "outer_radius", "center", "material",
+    ]
     back = cfio.read_phantom_spec(path)
     assert back.inner_radius == spec.inner_radius
+    assert back.center == spec.center
     assert back.material == spec.material
-    assert back.regions == spec.regions
-    assert back.pressures == spec.pressures
 
 
 def test_localization_json(tmp_path):

@@ -19,7 +19,7 @@ from cardiofem.phantom import (
 )
 from cardiofem.strain import sector_average, strain_field
 
-from conftest import boundary_dirichlet, solve_one
+from conftest import boundary_dirichlet, region_ring, solve_one
 
 
 def test_ring_spec_validation():
@@ -27,13 +27,6 @@ def test_ring_spec_validation():
         RingSpec(2.0, 1.0)
     with pytest.raises(ConfigurationError):
         RingSpec(0.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        RingSpec(1.0, 2.0, pressures=(0.0, np.inf))
-
-
-def test_pressure_ramp():
-    spec = RingSpec(1.0, 2.0).with_pressure_ramp(2.0, 4)
-    assert spec.pressures == (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +76,8 @@ def test_lame_cross_validated_by_traction_fem():
     # the closed form must agree with the independent Neumann solve before
     # it may be used as the oracle elsewhere
     spec = RingSpec(1.0, 2.0, material=Material(1e4, 0.3))
-    mesh, _, disp = solve_ring_traction(spec, 1.0, 128, 16)
+    mesh, mats = make_ring(spec, 128, 16)
+    disp = solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0)
     radii = np.linalg.norm(mesh.nodes, axis=1)
     for r_test in (1.0, 1.5, 2.0):
         sel = np.abs(radii - r_test) < 1e-9
@@ -109,8 +103,7 @@ def test_make_ring_homogeneous():
 
 def test_make_ring_stiff_region_partition():
     stiff = AngularRegion(0.0, 90.0, Material(10.0, 0.3))
-    spec = RingSpec(1.0, 2.0, material=Material(1.0, 0.3), regions=(stiff,))
-    mesh, mats = make_ring(spec, 64, 8)
+    mesh, mats = region_ring(RingSpec(1.0, 2.0, material=Material(1.0, 0.3)), 64, 8, (stiff,))
     centroids = mesh.triangle_centroids()
     angles = np.degrees(np.mod(np.arctan2(centroids[:, 1], centroids[:, 0]), 2 * np.pi))
     expected = np.where((angles >= 0.0) & (angles < 90.0), 10.0, 1.0)
@@ -122,22 +115,19 @@ def test_make_ring_stiff_region_partition():
 
 
 def test_cycle_zero_pressure_frame_identical():
-    spec = RingSpec(1.0, 2.0, pressures=(0.0, 0.5))
-    frames = pressure_load_cycle(spec, n_points=32)
+    frames = pressure_load_cycle(RingSpec(1.0, 2.0), (0.0, 0.5), n_points=32)
     base_inner = np.linalg.norm(frames[0].inner.points, axis=1)
     assert_allclose(base_inner, 1.0, atol=1e-12)
 
 
 def test_cycle_monotone_inner_radius():
-    spec = RingSpec(1.0, 2.0).with_pressure_ramp(1.0, 5)
-    frames = pressure_load_cycle(spec, n_points=32)
+    frames = pressure_load_cycle(RingSpec(1.0, 2.0), [k / 5 for k in range(6)], n_points=32)
     radii = [float(np.linalg.norm(f.inner.points, axis=1).mean()) for f in frames]
     assert all(r1 < r2 for r1, r2 in zip(radii, radii[1:]))
 
 
 def test_cycle_superposition():
-    spec = RingSpec(1.0, 2.0).with_pressure_ramp(1.0, 10)
-    frames = pressure_load_cycle(spec, n_points=32)
+    frames = pressure_load_cycle(RingSpec(1.0, 2.0), [k / 10 for k in range(11)], n_points=32)
     u_full = frames[10].inner.points - frames[0].inner.points
     for k in range(11):
         u_k = frames[k].inner.points - frames[0].inner.points
@@ -145,26 +135,16 @@ def test_cycle_superposition():
 
 
 def test_cycle_fem_matches_analytic_for_homogeneous():
-    spec = RingSpec(1.0, 2.0, pressures=(0.0, 1.0))
-    analytic = pressure_load_cycle(spec, n_points=64, method="analytic")
-    fem = pressure_load_cycle(spec, n_points=64, n_radial=8, method="fem")
-    diff = np.abs(fem[1].inner.points - analytic[1].inner.points)
+    # the closed-form cycle's inner wall against the traction solve's
+    spec = RingSpec(1.0, 2.0)
+    analytic = pressure_load_cycle(spec, (0.0, 1.0), n_points=64)
+    mesh, mats = make_ring(spec, 64, 8)
+    disp = solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0)
+    inner = mesh.boundary_nodes("inner")
+    fem = mesh.nodes[inner] + disp.values[inner]
+    diff = np.abs(fem - analytic[1].inner.points)
     scale = np.max(np.abs(analytic[1].inner.points - analytic[0].inner.points))
     assert np.max(diff) < 0.02 * scale
-
-
-def test_cycle_analytic_rejects_inhomogeneous():
-    stiff = AngularRegion(0.0, 90.0, Material(1e5, 0.3))
-    spec = RingSpec(1.0, 2.0, regions=(stiff,), pressures=(0.0, 1.0))
-    with pytest.raises(ConfigurationError):
-        pressure_load_cycle(spec, method="analytic")
-    frames = pressure_load_cycle(spec, n_points=32, n_radial=4, method="fem")
-    assert len(frames) == 2
-
-
-def test_cycle_requires_pressures():
-    with pytest.raises(ConfigurationError):
-        pressure_load_cycle(RingSpec(1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +154,10 @@ def test_cycle_requires_pressures():
 def _pipeline_error(spec, n_angular, n_radial, pressure=1.0):
     """Contour pipeline (cycle frames -> boundary displacements -> Dirichlet
     solve) versus the analytic interior field; area-weighted L2."""
-    cycle = RingSpec(
-        spec.inner_radius, spec.outer_radius, spec.center, spec.material,
-        spec.regions, (0.0, pressure),
-    )
-    frames = pressure_load_cycle(cycle, n_points=n_angular)
+    frames = pressure_load_cycle(spec, (0.0, pressure), n_points=n_angular)
     bd = boundary_displacements(frames[0], frames[1], n_angular)
     mesh = triangulate_annulus(frames[0].inner, frames[0].outer, n_angular, n_radial)
-    mats_mesh, mats = make_ring(cycle, n_angular, n_radial)
+    mats_mesh, mats = make_ring(spec, n_angular, n_radial)
     disp = solve_one(
         assemble(mesh, mats, "plane-strain"), *boundary_conditions_from_displacements(mesh, bd)
     )
@@ -212,8 +188,9 @@ def test_end_to_end_pipeline_matches_oracle():
 
 def test_inhomogeneous_low_mobility_sectors():
     stiff = AngularRegion(225.0, 315.0, Material(1e5, 0.3))
-    spec = RingSpec(1.0, 2.0, material=Material(1e4, 0.3), regions=(stiff,))
-    mesh, mats, disp = solve_ring_traction(spec, 1.0, 64, 8, anchor_deg=270.0)
+    spec = RingSpec(1.0, 2.0, material=Material(1e4, 0.3))
+    mesh, mats = region_ring(spec, 64, 8, (stiff,))
+    disp = solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0, anchor_deg=270.0)
     sf = strain_field(mesh, disp, mats.nu)
     summary = sector_average(mesh, sf, disp, spec.center, 16)
     stiff_idx = np.array([10, 11, 12, 13])
@@ -226,10 +203,12 @@ def test_inhomogeneous_low_mobility_sectors():
 
 def test_anchor_requires_axis_aligned_angle():
     spec = RingSpec(1.0, 2.0)
-    with pytest.raises(ConfigurationError):
-        solve_ring_traction(spec, 1.0, 64, 8, anchor_deg=45.0)
-    with pytest.raises(ConfigurationError):
-        solve_ring_traction(spec, 1.0, 30, 8)  # not divisible by 4
+    mesh, mats = make_ring(spec, 64, 8)
+    with pytest.raises(ConfigurationError, match="anchor_deg must be a multiple of 90 degrees"):
+        solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0, anchor_deg=45.0)
+    mesh, mats = make_ring(spec, 30, 8)  # not divisible by 4
+    with pytest.raises(ConfigurationError, match="n_angular must be divisible by 4"):
+        solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +276,11 @@ def _old_verification(spec, n_points, n_radial, n_sectors):
     errors = [_old_lame_dirichlet_error(spec, na, nr) for na, nr in resolutions]
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     stiff = AngularRegion(225.0, 315.0, Material(spec.material.E * 10.0, spec.material.nu))
-    stiff_spec = RingSpec(
-        spec.inner_radius, spec.outer_radius, spec.center, spec.material, (stiff,)
-    )
-    mesh, mats, disp = solve_ring_traction(
-        stiff_spec, 1.0, n_points, n_radial, anchor_deg=270.0
-    )
-    traction = _old_sector_summary(mesh, mats, disp, stiff_spec, n_sectors)
+    mesh, mats = region_ring(spec, n_points, n_radial, (stiff,))
+    disp = solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0, anchor_deg=270.0)
+    traction = _old_sector_summary(mesh, mats, disp, spec, n_sectors)
     disp2 = _old_pipeline_resolve(mesh, mats, disp, n_points)
-    pipeline = _old_sector_summary(mesh, mats, disp2, stiff_spec, n_sectors)
+    pipeline = _old_sector_summary(mesh, mats, disp2, spec, n_sectors)
     return errors, orders, traction, pipeline
 
 
@@ -346,6 +321,22 @@ def test_verify_ring_builds_each_ring_once(monkeypatch):
     # three homogeneous rings plus the stiff wedge on the base mesh; the base
     # oracle solve and the pipeline re-solve share one factor
     assert calls == {"triangulate": 3, "assemble": 4, "splu": 7}
+
+
+def test_verify_ring_uses_the_public_traction_solve(monkeypatch):
+    import cardiofem.phantom as phantom_module
+
+    calls = []
+    solve_traction = phantom_module.solve_ring_traction
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("anchor_deg"))
+        return solve_traction(*args, **kwargs)
+
+    monkeypatch.setattr(phantom_module, "solve_ring_traction", counted)
+    verify_ring(RingSpec(1.0, 2.0), 32, 4, 16)
+    # the base and fine homogeneous rings, then the stiff wedge anchored at 270 degrees
+    assert calls == [None, None, 270.0]
 
 
 def test_verify_ring_coarse_base_fails_named_checks():
