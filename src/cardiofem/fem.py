@@ -5,10 +5,10 @@ per-element constitutive matrices and applies Neumann tractions by
 consistent edge lumping. Dirichlet data has one format: an array of strictly
 increasing fixed dofs and an array of their values. :func:`solve` takes an
 (n_fixed, n_sets) value array, fixes those dofs and solves only the free-dof
-block for every column, with one direct sparse factorization or optionally
-conjugate gradients. :func:`apply_dirichlet` builds the equivalent symmetric
-system with the fixed rows and columns eliminated (replaced by identity), for
-export.
+block for every column, with one banded Cholesky factorization in reverse
+Cuthill-McKee order or optionally conjugate gradients.
+:func:`apply_dirichlet` builds the equivalent symmetric system with the fixed
+rows and columns eliminated (replaced by identity), for export.
 
 Unknown ordering is interleaved: (u_0, v_0, u_1, v_1, ...), so dof 2*i is
 the x-displacement of node i and dof 2*i + 1 its y-displacement.
@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import cg as sparse_cg
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu  # noqa: F401  never called; bench/tracer.py wraps fem.splu
 
 from .contours import BoundaryDisplacements
 from .errors import ConfigurationError, GeometryError, MeshError, SolverError
@@ -342,24 +343,70 @@ def boundary_conditions_from_displacements(
 # solve
 
 
-def _factor(k: sparse.csc_matrix):
-    """Sparse LU factor of ``k``; a singular or near-singular ``k`` raises SolverError.
+@dataclass(frozen=True)
+class _BandedCholesky:
+    """Lower band Cholesky factor of P K P^T in LAPACK form, P the row order ``perm``."""
 
-    Columns are ordered by minimum degree on the pattern of K^T + K, which
-    SuperLU recommends for matrices with a symmetric nonzero pattern such as
-    a stiffness; it fills less than the default COLAMD ordering.
+    perm: np.ndarray
+    band: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """K^-1 rhs for a vector or for every column of an (n, r) array at once."""
+        x = np.empty_like(rhs)
+        x[self.perm] = cho_solve_banded(
+            (self.band, True), rhs[self.perm], overwrite_b=True, check_finite=False
+        )
+        return x
+
+
+def _factor(k: sparse.csc_matrix) -> _BandedCholesky:
+    """Banded Cholesky factor of the symmetric ``k``; a ``k`` that is not
+    positive definite, or nearly singular, raises SolverError.
+
+    Rows and columns are ordered by reverse Cuthill-McKee (Cuthill & McKee
+    1969), which narrows the band of a ring's stiffness, and the lower band
+    is factored in place by LAPACK ``dpbtrf``. A Cholesky breakdown means
+    ``k`` is not positive definite. It is numerically singular, with rigid
+    modes left unconstrained, when a squared Cholesky diagonal entry (a pivot
+    of the symmetric elimination) is at or below 1e-12 of the largest, or
+    when one inverse iteration ends on a vector whose Rayleigh quotient is at
+    or below 1e-14 of the largest diagonal entry of ``k``.
     """
+    # imported here: `import cardiofem` does not load scipy.sparse.csgraph (~20 ms)
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    perm = reverse_cuthill_mckee(k, symmetric_mode=True)
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(perm))
+    coo = k.tocoo()
+    coo.sum_duplicates()
+    row, col = rank[coo.row], rank[coo.col]
+    lower = row >= col
+    row, col = row[lower], col[lower]
+    # Fortran order, so that dpbtrf factors the band in place instead of a copy
+    band = np.zeros((int(np.max(row - col, initial=0)) + 1, k.shape[0]), order="F")
+    band[row - col, col] = coo.data[lower]
     try:
-        lu = splu(k, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SolverError(f"direct factorization failed: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() <= 1e-12 * pivots.max():
+        band = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
+    except LinAlgError as exc:
+        raise SolverError(
+            f"direct factorization failed: the stiffness is not positive definite ({exc})"
+        ) from exc
+    factor = _BandedCholesky(perm, band)
+    pivots = band[0] * band[0]
+    # A free rigid mode can leave every pivot far above rounding (up to 1e-8 of
+    # the largest with one node of a ring pinned), so one inverse iteration
+    # from a fixed random start looks for it too: it lands on the mode, whose
+    # Rayleigh quotient is at rounding level (~1e-17 of the largest diagonal
+    # entry; a three-pin thin ring's is 5.6e-11).
+    probe = factor.solve(np.random.default_rng(0).standard_normal(k.shape[0]))
+    if (pivots.min() <= 1e-12 * pivots.max()
+            or probe @ (k @ probe) <= 1e-14 * k.diagonal().max() * (probe @ probe)):
         raise SolverError(
             "numerically singular system: rigid modes are unconstrained "
             "(pin at least 3 dofs)"
         )
-    return lu
+    return factor
 
 
 def _check_columns(u: np.ndarray, residual: np.ndarray, f_norm: np.ndarray) -> None:
@@ -393,10 +440,12 @@ def solve(
     ``fixed_dofs`` are strictly increasing dof indices and ``values`` is an
     (n_fixed, n_sets) array whose column j holds set j's values on them.
     With free dofs f and fixed dofs b, each column leaves
-    K_ff u_f = F_f - K_fb u_b with the same K_ff, which ``method`` "direct"
-    factorizes once by sparse LU for all columns and "cg" solves per column
-    by Jacobi-preconditioned conjugate gradients. Column j must meet the
-    residual contract of the eliminated system,
+    K_ff u_f = F_f - K_fb u_b with the same symmetric positive definite K_ff,
+    which ``method`` "direct" factorizes once by banded Cholesky for all
+    columns and "cg" solves per column by Jacobi-preconditioned conjugate
+    gradients. The factor raises SolverError for a K_ff that is not positive
+    definite or is numerically singular (see :func:`_factor`). Column j must
+    meet the residual contract of the eliminated system,
     |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2)
     (absolute 1e-12 for a zero right-hand side); otherwise SolverError with
     ``column=j`` reports the system as singular or ill-conditioned: rigid

@@ -262,10 +262,15 @@ def verify_ring(
     fixes all boundary dofs is condensed: on the base ring the oracle solve
     and the pipeline re-solve are two columns of one factor. ``n_sectors``
     must be at least 2, so that the wedge and the rest of the ring both hold
-    a sector midpoint.
+    a sector midpoint, and ``n_points`` divisible by 4 for the traction
+    solve's pin layout; both are checked before any ring is built.
     """
     if n_sectors < 2:
         raise UsageError(f"sectors must be at least 2 for the stiff-wedge check, got {n_sectors}")
+    if n_points % 4 != 0:
+        raise UsageError(
+            f"n_points must be divisible by 4 for the traction solve's pin layout, got {n_points}"
+        )
     resolutions = ((n_points // 2, max(n_radial // 2, 1)), (n_points, n_radial),
                    (n_points * 2, n_radial * 2))
     rings = [make_ring(spec, na, nr) for na, nr in resolutions]

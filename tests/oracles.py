@@ -6,7 +6,8 @@ once, and the tests check them against these scalar forms. Per system:
 Dirichlet values as a per-node dict merged into a dof -> value map, the
 identity-row system built from it, and the solve of that whole system; the
 library takes the values as (fixed dofs, values) arrays and solves only the
-free-dof block."""
+free-dof block. Per factor: the free-dof block solved by SuperLU LU, the
+library's direct factor before its banded Cholesky."""
 
 import numpy as np
 from scipy import sparse
@@ -109,8 +110,8 @@ def identity_row_system(system, dirichlet):
 
 def identity_row_solve(system, fixed, values, method="direct") -> np.ndarray:
     """(V, 2) solution of an eliminated system's whole n_dofs x n_dofs matrix,
-    its unit rows included, by sparse LU (same ordering as the library) or
-    Jacobi-preconditioned CG, with the fixed values written back."""
+    its unit rows included, by SuperLU LU (minimum degree on the pattern of
+    K^T + K) or Jacobi-preconditioned CG, with the fixed values written back."""
     k = system.stiffness.tocsc()
     if method == "direct":
         u = splu(k, permc_spec="MMD_AT_PLUS_A").solve(system.load)
@@ -120,3 +121,19 @@ def identity_row_solve(system, fixed, values, method="direct") -> np.ndarray:
         assert info == 0, info
     u[fixed] = values
     return u.reshape(-1, 2)
+
+
+def superlu_free_solve(system, fixed, values) -> np.ndarray:
+    """(n_dofs, n_sets) solutions of K U = F with U fixed to the columns of the
+    (n_fixed, n_sets) ``values`` on the strictly increasing ``fixed`` dofs: the
+    free-dof block K_ff factored by SuperLU LU with partial pivoting and
+    minimum degree on the pattern of K^T + K."""
+    fixed = np.asarray(fixed, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
+    k_free = system.stiffness.tocsr()[free]
+    rhs = system.load[free, None] - k_free[:, fixed] @ values
+    u = np.empty((system.n_dofs, values.shape[1]))
+    u[fixed] = values
+    u[free] = splu(k_free[:, free].tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    return u

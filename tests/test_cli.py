@@ -187,7 +187,7 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
 @pytest.mark.parametrize("command, flags, needle", [
     ("analyze", ["--tau", "nan"], "tau must be finite and positive, got nan"),
     ("analyze", ["--tau", "0"], "tau must be finite and positive, got 0.0"),
-    ("phantom-verify", ["--n-points", "30"], "n_angular must be divisible by 4"),
+    ("phantom-verify", ["--poisson", "0.5"], "Poisson's ratio must be in [0, 0.5), got 0.5"),
     ("volume", [], "declares 99 frames per cycle, contour file has 6"),
     ("synth", ["--kind", "phantom-cycle", "--n-frames", "1"], "n_steps must be >= 1"),
 ])
@@ -534,6 +534,14 @@ def test_phantom_verify_needs_two_sectors(tmp_path, capsys):
     assert run("phantom-verify", "--sectors", "1", "--n-points", "16", "--n-radial", "2",
                "--out", str(tmp_path / "pv")) == 2
     assert "sectors must be at least 2" in _single_error_line(capsys)
+
+
+def test_phantom_verify_needs_n_points_divisible_by_4(tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "pv"
+    assert run("phantom-verify", "--n-points", "30", "--n-radial", "4", "--out", str(out)) == 2
+    assert "n_points must be divisible by 4" in _single_error_line(capsys)
+    assert not out.exists()
 
 
 def test_phantom_csvs_are_numbers_of_the_report(tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -33,6 +38,7 @@ from oracles import (
     identity_row_system,
     nodal_dirichlet,
     strain_displacement_matrix,
+    superlu_free_solve,
 )
 
 
@@ -622,15 +628,15 @@ def test_solves_are_scale_invariant(young):
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def test_each_solve_factorizes_once_through_module_splu(ring_mesh, monkeypatch):
-    # the benchmark's tracer counts factorizations and their fill by wrapping fem.splu
+def test_each_solve_factorizes_the_free_block_once(ring_mesh, monkeypatch):
     calls = []
+    real_factor = fem._factor
 
-    def counting_splu(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
+    def counting_factor(k):
+        calls.append(k.shape)
+        return real_factor(k)
 
-    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(fem, "_factor", counting_factor)
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     fixed, values = _random_boundary_sets(mesh, 3)
@@ -639,6 +645,117 @@ def test_each_solve_factorizes_once_through_module_splu(ring_mesh, monkeypatch):
     assert calls == [(system.n_dofs - len(fixed),) * 2]
     solve(system, fixed, values)
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# banded Cholesky against the SuperLU oracle
+
+
+def _ring_supports(spec, mesh, system, support, inner, outer):
+    """(system, fixed dofs, (n_fixed, 1) values) of the ring under unit
+    pressure; ``inner`` and ``outer`` are the wall nodes in angular order.
+
+    "all-boundary" fixes every boundary dof to the closed form. "three-pin"
+    (v at 0 and 180 degrees, u at 90, on the inner wall) and "anchored" (the
+    inner node at 270 degrees and the tangential u of the outer one) load the
+    inner wall by the pressure and pin their dofs at zero, as
+    ``solve_ring_traction`` does.
+    """
+    if support == "all-boundary":
+        fixed, values = boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
+        return system, fixed, values[:, None]
+    n = len(inner)
+    if support == "three-pin":
+        pins = [2 * inner[0] + 1, 2 * inner[n // 4], 2 * inner[n // 2] + 1]
+    else:
+        j = 3 * n // 4
+        pins = [2 * inner[j], 2 * inner[j] + 1, 2 * outer[j]]
+    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0), mesh)
+    return loaded, np.sort(pins), np.zeros((3, 1))
+
+
+SUPPORTS = ["three-pin", "anchored", "all-boundary"]
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
+def test_banded_cholesky_matches_superlu(n_angular, n_radial, support):
+    spec = RingSpec(1.0, 2.0)
+    mesh, mats = make_ring(spec, n_angular, n_radial)
+    system, fixed, values = _ring_supports(
+        spec, mesh, assemble(mesh, mats, "plane-strain"), support,
+        mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"),
+    )
+    expected = superlu_free_solve(system, fixed, values)[:, 0]
+    (got,) = solve(system, fixed, values)
+    assert np.linalg.norm(got.values.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_banded_cholesky_does_not_depend_on_node_numbering():
+    # the same ring with its nodes numbered at random: the bandwidth-reducing
+    # order is found from the matrix alone, so the solutions agree
+    spec = RingSpec(1.0, 2.0)
+    mesh, mats = make_ring(spec, 128, 16)
+    perm = np.random.default_rng(11).permutation(mesh.n_nodes)  # node i was node perm[i]
+    rank = np.argsort(perm)
+    shuffled = Mesh(mesh.nodes[perm], rank[mesh.triangles], rank[mesh.boundary_edges],
+                    mesh.boundary_labels)
+    walls = [mesh.boundary_nodes(label) for label in ("inner", "outer")]
+    for support in SUPPORTS:
+        ordered = _ring_supports(spec, mesh, assemble(mesh, mats, "plane-strain"),
+                                 support, *walls)
+        system, fixed, values = _ring_supports(
+            spec, shuffled,
+            assemble(shuffled, MaterialField.uniform(shuffled, spec.material), "plane-strain"),
+            support, *(rank[w] for w in walls),
+        )
+        (got,) = solve(system, fixed, values)
+        expected = superlu_free_solve(system, fixed, values)[:, 0]
+        assert np.linalg.norm(got.values.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
+        (reference,) = solve(*ordered)
+        assert np.linalg.norm(got.values - reference.values[perm]) <= (
+            1e-12 * np.linalg.norm(reference.values)
+        )
+
+
+@pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
+@pytest.mark.parametrize("pins", [
+    lambda inner, outer, n: [],
+    lambda inner, outer, n: [2 * inner[0] + 1],
+    lambda inner, outer, n: [2 * inner[0] + 1, 2 * inner[n // 2] + 1],
+    # one node pinned leaves the rotation about it free; with the banded
+    # Cholesky these keep every pivot above 1e-12 of the largest at some sizes
+    lambda inner, outer, n: [2 * inner[0], 2 * inner[0] + 1],
+    lambda inner, outer, n: [2 * inner[n // 4], 2 * inner[n // 4] + 1],
+    lambda inner, outer, n: [2 * outer[0], 2 * outer[0] + 1],
+], ids=["no pin", "one pin", "two pins on one axis", "inner node at 0 degrees",
+        "inner node at 90 degrees", "outer node at 0 degrees"])
+def test_under_pinned_ring_raises(n_angular, n_radial, pins):
+    mesh, mats = make_ring(RingSpec(1.0, 2.0), n_angular, n_radial)
+    system = assemble(mesh, mats, "plane-strain")
+    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0), mesh)
+    fixed = np.sort(pins(mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"), n_angular))
+    with pytest.raises(SolverError):
+        solve(loaded, fixed, np.zeros((len(fixed), 1)))
+
+
+def test_factor_rejects_an_indefinite_matrix():
+    k = sparse.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 2.0]]))
+    with pytest.raises(SolverError, match="not positive definite"):
+        fem._factor(k)
+
+
+def test_import_does_not_load_csgraph():
+    # _factor imports reverse_cuthill_mckee when it runs, so that loading
+    # scipy.sparse.csgraph stays out of the package import
+    src = str(Path(fem.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cardiofem; print('scipy.sparse.csgraph' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_ring_traction_residual_error_names_ill_conditioning():

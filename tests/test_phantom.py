@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cardiofem import ConfigurationError, GeometryError, RingSpec, verify_ring
+from cardiofem import ConfigurationError, GeometryError, RingSpec, UsageError, verify_ring
 from cardiofem.contours import Contour, FrameContours, boundary_displacements
 from cardiofem.fem import boundary_conditions_from_displacements, assemble
 from cardiofem.materials import AngularRegion, Material
@@ -305,7 +305,7 @@ def test_verify_ring_builds_each_ring_once(monkeypatch):
     import cardiofem.fem as fem_module
     import cardiofem.phantom as phantom_module
 
-    calls = {"triangulate": 0, "assemble": 0, "splu": 0}
+    calls = {"triangulate": 0, "assemble": 0, "factor": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -316,11 +316,24 @@ def test_verify_ring_builds_each_ring_once(monkeypatch):
     monkeypatch.setattr(phantom_module, "triangulate_annulus",
                         counted("triangulate", phantom_module.triangulate_annulus))
     monkeypatch.setattr(phantom_module, "assemble", counted("assemble", phantom_module.assemble))
-    monkeypatch.setattr(fem_module, "splu", counted("splu", fem_module.splu))
+    monkeypatch.setattr(fem_module, "_factor", counted("factor", fem_module._factor))
     verify_ring(RingSpec(1.0, 2.0), 64, 8, 16)
     # three homogeneous rings plus the stiff wedge on the base mesh; the base
     # oracle solve and the pipeline re-solve share one factor
-    assert calls == {"triangulate": 3, "assemble": 4, "splu": 7}
+    assert calls == {"triangulate": 3, "assemble": 4, "factor": 7}
+
+
+@pytest.mark.parametrize("n_points", [30, 254])
+def test_verify_ring_checks_n_points_before_meshing(monkeypatch, n_points):
+    import cardiofem.phantom as phantom_module
+
+    calls = []
+    make = phantom_module.make_ring
+    monkeypatch.setattr(phantom_module, "make_ring",
+                        lambda *args: calls.append(args) or make(*args))
+    with pytest.raises(UsageError, match=f"n_points must be divisible by 4.*got {n_points}"):
+        verify_ring(RingSpec(1.0, 2.0), n_points, 4, 16)
+    assert calls == []
 
 
 def test_verify_ring_uses_the_public_traction_solve(monkeypatch):
