@@ -135,60 +135,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(parser: argparse.ArgumentParser, command: str) -> dict:
-    """Config key -> flag action of one subcommand, keyed by each long flag's
-    name (``--n-points`` gives ``n_points``) and by its dest; ``--help`` is
-    no config key."""
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {}
-    for action in subparsers.choices[command]._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        for name in action.option_strings:
-            if name.startswith("--"):
-                flags[name[2:].replace("-", "_")] = action
-        flags[action.dest] = action
-    return flags
-
-
-def _config_value(action: argparse.Action, value, where: str):
-    """A --config value taken as its flag would take it from the command line.
+def _config_value(spec: dict, value, where: str):
+    """A --config value taken as the flag with ``FLAGS`` entry ``spec`` would
+    take it from the command line.
 
     A typed flag converts the value's text (``"64"`` and ``64`` both give
     64); a text flag needs a string, a repeatable flag a string or a list of
     strings, an on/off flag true or false, and a flag with choices one of
     them. Anything else raises UsageError.
     """
-    if isinstance(action, argparse._StoreTrueAction):
+    action, kind, choices = spec.get("action"), spec.get("type"), spec.get("choices")
+    if action == "store_true":
         if not isinstance(value, bool):
             raise UsageError(f"{where} must be true or false, got {value!r}")
         return value
-    if isinstance(action, argparse._AppendAction):
+    if action == "append":
         items = [value] if isinstance(value, str) else value
         if not (isinstance(items, list) and all(isinstance(v, str) for v in items)):
             raise UsageError(f"{where} must be a string or a list of strings, got {value!r}")
         return items
-    if action.type is None:
+    if kind is None:
         if not isinstance(value, str):
             raise UsageError(f"{where} must be a string, got {value!r}")
     else:
         try:
-            value = action.type(str(value))
+            value = kind(str(value))
         except ValueError:
-            raise UsageError(f"{where} must be {action.type.__name__}, got {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(f"{where} must be one of {list(action.choices)}, got {value!r}")
+            raise UsageError(f"{where} must be {kind.__name__}, got {value!r}") from None
+    if choices is not None and value not in choices:
+        raise UsageError(f"{where} must be one of {list(choices)}, got {value!r}")
     return value
 
 
-def _merged_config(args: argparse.Namespace, flags: dict) -> SimpleNamespace:
+def _merged_config(args: argparse.Namespace) -> SimpleNamespace:
     """Defaults, then --config values, then explicit flags.
 
-    A config key names a long flag of the command (``slice`` sets what
-    ``--slice`` sets) and its value is checked by :func:`_config_value`; any
-    other key raises UsageError.
+    A config key names a long flag of the command, with ``_`` for ``-``
+    (``n_points`` sets what ``--n-points`` sets), and its value is checked by
+    :func:`_config_value`; any other key raises UsageError.
     """
-    merged = {dest: value for dest, value in DEFAULTS.items() if dest in flags}
+    names = ("config", "out", *SUBCOMMANDS[args.command][1])
+    dests = {name: FLAGS[name].get("dest", name.replace("-", "_")) for name in names}
+    merged = {dest: DEFAULTS[dest] for dest in dests.values() if dest in DEFAULTS}
     explicit = {k: v for k, v in vars(args).items() if k != "command"}
     config_path = explicit.pop("config", None)
     if config_path:
@@ -199,11 +187,10 @@ def _merged_config(args: argparse.Namespace, flags: dict) -> SimpleNamespace:
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config {path} must be a JSON object")
         for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if key not in flags:
+            key, name = key.replace("-", "_"), key.replace("_", "-")
+            if name not in dests:
                 raise UsageError(f"config {path}: {key!r} names no flag of {args.command}")
-            action = flags[key]
-            merged[action.dest] = _config_value(action, value, f"config {path}: {key}")
+            merged[dests[name]] = _config_value(FLAGS[name], value, f"config {path}: {key}")
     merged.update(explicit)
     return SimpleNamespace(**merged)
 
@@ -462,7 +449,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        cfg = _merged_config(args, _config_flags(parser, args.command))
+        cfg = _merged_config(args)
         return COMMANDS[args.command](cfg)
     except (OSError, json.JSONDecodeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

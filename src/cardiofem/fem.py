@@ -6,9 +6,10 @@ consistent edge lumping. Dirichlet data has one format: an array of strictly
 increasing fixed dofs and an array of their values. :func:`solve` takes an
 (n_fixed, n_sets) value array, fixes those dofs and solves only the free-dof
 block for every column, with one banded Cholesky factorization in reverse
-Cuthill-McKee order or optionally conjugate gradients.
-:func:`apply_dirichlet` builds the equivalent symmetric system with the fixed
-rows and columns eliminated (replaced by identity), for export.
+Cuthill-McKee order. :func:`apply_dirichlet` builds the equivalent symmetric
+system with the fixed rows and columns eliminated (replaced by identity), for
+export. :func:`boundary_dof_map` pairs the boundary nodes with displacement
+samples by one rule, angular order about the reference center.
 
 Unknown ordering is interleaved: (u_0, v_0, u_1, v_1, ...), so dof 2*i is
 the x-displacement of node i and dof 2*i + 1 its y-displacement.
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import cg as sparse_cg
 from scipy.sparse.linalg import splu  # noqa: F401  never called; bench/tracer.py wraps fem.splu
 
 from .contours import BoundaryDisplacements
@@ -62,17 +62,6 @@ class DisplacementField:
             raise SolverError("displacement field contains non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.values[:, 0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.values[:, 1]
-
-    def magnitude(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +242,7 @@ def internal_pressure_tractions(mesh: Mesh, pressure: float) -> dict:
 
 
 def boundary_dof_map(
-    mesh: Mesh,
-    inner_positions,
-    outer_positions,
-    center,
-    match: str = "position",
+    mesh: Mesh, inner_positions, outer_positions, center
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pair the dofs of both boundary loops with displacement samples.
 
@@ -265,18 +250,13 @@ def boundary_dof_map(
     dof, the index of its value in the flattened sample vectors
     ``concatenate([inner_vectors, outer_vectors]).ravel()``.
 
-    ``match="position"`` pairs node k of each boundary loop with sample k,
-    which is where it sits when the mesh was built from the same resampled
-    contours. A node farther than 1e-9 of the loop's extent about ``center``
-    from its sample raises GeometryError.
-    ``match="index"`` pairs by angular order about ``center``, for reusing a
-    reference mesh with samples taken on a slightly different geometry
-    (small-strain approximation). The two angular orders are cyclic and are
-    aligned at the sample nearest to the first node, so the seam at angle 0
-    does not shift the pairing by one.
+    Nodes and samples of each loop are paired in angular order about
+    ``center``, so a reference mesh can take samples from a slightly
+    different geometry (small-strain approximation); on samples at the nodes
+    themselves node k pairs with sample k. The two angular orders are cyclic
+    and are aligned at the sample nearest to the first node, so the seam at
+    angle 0 does not shift the pairing by one.
     """
-    if match not in ("position", "index"):
-        raise ConfigurationError(f"match must be 'position' or 'index', got {match!r}")
     c = np.asarray(center, dtype=float)
     nodes, samples = [], []
     offset = 0
@@ -289,29 +269,19 @@ def boundary_dof_map(
                 f"{len(positions)} displacement samples"
             )
         coords = mesh.nodes[node_ids]
-        if match == "position":
-            nearest = np.arange(len(node_ids))
-            dist = np.linalg.norm(coords - positions, axis=1)
-            if not np.all(dist <= 1e-9 * (float(np.max(np.abs(coords - c))) or 1.0)):
-                raise GeometryError(
-                    f"{label} boundary nodes do not coincide with displacement samples"
-                )
-        else:
-            node_angles = np.mod(
-                np.arctan2(coords[:, 1] - c[1], coords[:, 0] - c[0]), 2.0 * np.pi
-            )
-            sample_angles = np.mod(
-                np.arctan2(positions[:, 1] - c[1], positions[:, 0] - c[0]), 2.0 * np.pi
-            )
-            node_order = np.argsort(node_angles, kind="stable")
-            sample_order = np.argsort(sample_angles, kind="stable")
-            # Both orders are cyclic: align them at the sample nearest (in
-            # circular distance) to the first node, so that a node whose
-            # angle rounds to just below 2*pi meets the sample at 0.
-            gap = np.abs(sample_angles[sample_order] - node_angles[node_order[0]])
-            shift = int(np.argmin(np.minimum(gap, 2.0 * np.pi - gap)))
-            nearest = np.empty(len(node_ids), dtype=np.int64)
-            nearest[node_order] = np.roll(sample_order, -shift)
+        node_angles = np.mod(np.arctan2(coords[:, 1] - c[1], coords[:, 0] - c[0]), 2.0 * np.pi)
+        sample_angles = np.mod(
+            np.arctan2(positions[:, 1] - c[1], positions[:, 0] - c[0]), 2.0 * np.pi
+        )
+        node_order = np.argsort(node_angles, kind="stable")
+        sample_order = np.argsort(sample_angles, kind="stable")
+        # Both orders are cyclic: align them at the sample nearest (in
+        # circular distance) to the first node, so that a node whose angle
+        # rounds to just below 2*pi meets the sample at 0.
+        gap = np.abs(sample_angles[sample_order] - node_angles[node_order[0]])
+        shift = int(np.argmin(np.minimum(gap, 2.0 * np.pi - gap)))
+        nearest = np.empty(len(node_ids), dtype=np.int64)
+        nearest[node_order] = np.roll(sample_order, -shift)
         nodes.append(node_ids)
         samples.append(offset + nearest)
         offset += len(positions)
@@ -323,18 +293,15 @@ def boundary_dof_map(
 
 
 def boundary_conditions_from_displacements(
-    mesh: Mesh,
-    bd: BoundaryDisplacements,
-    match: str = "position",
+    mesh: Mesh, bd: BoundaryDisplacements
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dirichlet data of boundary displacement samples on the mesh.
 
     Returns the sorted dofs of all inner and outer boundary nodes and their
-    sampled values, paired with the samples by :func:`boundary_dof_map`
-    (``match`` is ``"position"`` or ``"index"``).
+    sampled values, paired with the samples by :func:`boundary_dof_map`.
     """
     dofs, take = boundary_dof_map(
-        mesh, bd.inner_positions, bd.outer_positions, bd.reference_center, match
+        mesh, bd.inner_positions, bd.outer_positions, bd.reference_center
     )
     return dofs, np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]
 
@@ -432,19 +399,16 @@ def _check_columns(u: np.ndarray, residual: np.ndarray, f_norm: np.ndarray) -> N
             )
 
 
-def solve(
-    system: LinearSystem, fixed_dofs, values, method: str = "direct"
-) -> list[DisplacementField]:
+def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
     """Solutions of K U = F with U fixed on ``fixed_dofs``, one per set of values.
 
     ``fixed_dofs`` are strictly increasing dof indices and ``values`` is an
     (n_fixed, n_sets) array whose column j holds set j's values on them.
     With free dofs f and fixed dofs b, each column leaves
     K_ff u_f = F_f - K_fb u_b with the same symmetric positive definite K_ff,
-    which ``method`` "direct" factorizes once by banded Cholesky for all
-    columns and "cg" solves per column by Jacobi-preconditioned conjugate
-    gradients. The factor raises SolverError for a K_ff that is not positive
-    definite or is numerically singular (see :func:`_factor`). Column j must
+    which is factorized once by banded Cholesky for all columns. The factor
+    raises SolverError for a K_ff that is not positive definite or is
+    numerically singular (see :func:`_factor`). Column j must
     meet the residual contract of the eliminated system,
     |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2)
     (absolute 1e-12 for a zero right-hand side); otherwise SolverError with
@@ -452,8 +416,6 @@ def solve(
     modes left unconstrained, or float64 rounding of a stiffness with a large
     contrast or near-incompressible material.
     """
-    if method not in ("direct", "cg"):
-        raise ConfigurationError(f"unknown solve method {method!r}")
     fixed = _fixed_dofs(system, fixed_dofs)
     u_b = np.asarray(values, dtype=float)
     if u_b.ndim != 2 or len(u_b) != len(fixed):
@@ -471,21 +433,8 @@ def solve(
 
     u = np.empty((system.n_dofs, u_b.shape[1]))
     u[fixed] = u_b
-    if not len(free):
-        u[free] = rhs  # a mesh whose nodes are all constrained leaves nothing to solve
-    elif method == "direct":
-        u[free] = _factor(k_ff).solve(rhs)
-    else:
-        diag = k_ff.diagonal()
-        if np.any(diag <= 0.0):
-            raise SolverError("non-positive diagonal; system is not positive definite")
-        precond = sparse.diags(1.0 / diag)
-        for j in range(rhs.shape[1]):
-            u[free, j], info = sparse_cg(
-                k_ff, rhs[:, j], rtol=1e-12, atol=0.0, maxiter=20 * len(free), M=precond
-            )
-            if info != 0:
-                raise SolverError(f"conjugate gradients did not converge (info={info})", j)
+    # a mesh whose nodes are all constrained leaves nothing to solve
+    u[free] = _factor(k_ff).solve(rhs) if len(free) else rhs
     residual = np.linalg.norm(k_ff @ u[free] - rhs, axis=0)
     f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(u_b * u_b, axis=0))
     _check_columns(u, residual, f_norm)

@@ -256,14 +256,14 @@ def read_study(path, manifest_path=None) -> Study:
 # mesh / field exports
 
 
-def _vtk_geometry(mesh: Mesh, title: str) -> str:
+def _vtk_geometry(mesh: Mesh) -> str:
     """Header and POINTS/CELLS/CELL_TYPES block of a legacy VTK file,
-    formatted once per mesh and title and kept on the mesh."""
+    formatted once per mesh and kept on the mesh."""
 
     def compute() -> str:
         lines = [
             "# vtk DataFile Version 3.0",
-            title,
+            "cardiofem output",
             "ASCII",
             "DATASET UNSTRUCTURED_GRID",
             f"POINTS {mesh.n_nodes} double",
@@ -275,7 +275,7 @@ def _vtk_geometry(mesh: Mesh, title: str) -> str:
         lines += ["5"] * mesh.n_triangles
         return "\n".join(lines) + "\n"
 
-    return mesh.cached(("vtk_geometry", title), compute)
+    return mesh.cached("vtk_geometry", compute)
 
 
 def write_mesh_vtk(
@@ -283,7 +283,6 @@ def write_mesh_vtk(
     mesh: Mesh,
     point_vectors: dict[str, np.ndarray] | None = None,
     cell_scalars: dict[str, np.ndarray] | None = None,
-    title: str = "cardiofem output",
 ) -> None:
     """Legacy ASCII VTK unstructured grid with triangle cells (type 5)."""
     lines = []
@@ -299,7 +298,7 @@ def write_mesh_vtk(
             lines.append("LOOKUP_TABLE default")
             lines += map(repr, np.asarray(arr, dtype=float).tolist())
     with Path(path).open("w") as fh:
-        fh.write(_vtk_geometry(mesh, title))
+        fh.write(_vtk_geometry(mesh))
         if lines:
             fh.write("\n".join(lines) + "\n")
 

@@ -225,7 +225,7 @@ def _pipeline_values(mesh, disp, n_points: int) -> np.ndarray:
         FrameContours(1, Contour(inner + du_inner, "inner"), Contour(outer + du_outer, "outer")),
         n_points,
     )
-    return boundary_conditions_from_displacements(mesh, bd, match="index")[1]
+    return boundary_conditions_from_displacements(mesh, bd)[1]
 
 
 def _centroid_l2_error(spec: RingSpec, mesh, disp) -> float:
@@ -262,11 +262,19 @@ def verify_ring(
     fixes all boundary dofs is condensed: on the base ring the oracle solve
     and the pipeline re-solve are two columns of one factor. ``n_sectors``
     must be at least 2, so that the wedge and the rest of the ring both hold
-    a sector midpoint, and ``n_points`` divisible by 4 for the traction
-    solve's pin layout; both are checked before any ring is built.
+    a sector midpoint, ``n_points`` at least 8, so that the half-resolution
+    ring is a contour, and divisible by 4 for the traction solve's pin
+    layout, and ``n_radial`` at least 1; all are checked before any ring is
+    built.
     """
     if n_sectors < 2:
         raise UsageError(f"sectors must be at least 2 for the stiff-wedge check, got {n_sectors}")
+    if n_points < 8:
+        raise UsageError(
+            f"n_points must be at least 8 for the half-resolution ring, got {n_points}"
+        )
+    if n_radial < 1:
+        raise UsageError(f"n_radial must be at least 1, got {n_radial}")
     if n_points % 4 != 0:
         raise UsageError(
             f"n_points must be divisible by 4 for the traction solve's pin layout, got {n_points}"

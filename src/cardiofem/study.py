@@ -9,12 +9,14 @@ assumption); frame pairs are (0 -> k) in the default cumulative mode or
 linear ramp that totals the configured systolic rotation.
 
 Frame 0 is checked for star shape and resampled once per slice; its walls
-are the mesh boundary. In cumulative mode each later frame is resampled once
-and its boundary values are the differences to those walls; in incremental
-mode each pair has its own reference frame and is matched to the mesh by
-angular index. Every frame pair fixes the same dofs (both components of all
-inner and outer boundary nodes) and only their values change, so one map
-from dofs to samples (``fem.boundary_dof_map``) gathers the values of all
+are the mesh boundary. Samples meet boundary nodes by one rule, angular
+order about the reference center (``fem.boundary_dof_map``). In cumulative
+mode each later frame is resampled once and its boundary values are the
+differences to those walls, whose samples are the nodes themselves; in
+incremental mode each pair has its own reference frame, whose samples meet
+the mesh's nodes by angle. Every frame pair fixes the same dofs (both
+components of all inner and outer boundary nodes) and only their values
+change, so one map from dofs to samples gathers the values of all
 pairs into one (fixed dofs, pairs) array, the stiffness is condensed onto its
 free dofs and factorized once per slice, and all pairs are solved as one
 multi-column right-hand side (``fem.solve``). Strain is then one
@@ -256,7 +258,7 @@ def cycle_strain_analysis(
             else:
                 bd = boundary_displacements(frames[k - 1], frames[k], params.n_points, step_rot)
                 _, take = boundary_dof_map(
-                    mesh, bd.inner_positions, bd.outer_positions, bd.reference_center, "index"
+                    mesh, bd.inner_positions, bd.outer_positions, bd.reference_center
                 )
                 vectors = np.concatenate([bd.inner_vectors, bd.outer_vectors])
         values[:, k - 1] = vectors.ravel()[take]

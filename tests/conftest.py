@@ -59,7 +59,7 @@ def boundary_dirichlet(mesh, values):
     return fixed, np.asarray(values, dtype=float).ravel()[fixed]
 
 
-def solve_one(system, fixed, values, method="direct"):
+def solve_one(system, fixed, values):
     """The solution of ``system`` with the one set ``values`` on the dofs ``fixed``."""
-    (disp,) = solve(system, fixed, np.asarray(values, dtype=float)[:, None], method)
+    (disp,) = solve(system, fixed, np.asarray(values, dtype=float)[:, None])
     return disp

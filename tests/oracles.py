@@ -7,7 +7,11 @@ Dirichlet values as a per-node dict merged into a dof -> value map, the
 identity-row system built from it, and the solve of that whole system; the
 library takes the values as (fixed dofs, values) arrays and solves only the
 free-dof block. Per factor: the free-dof block solved by SuperLU LU, the
-library's direct factor before its banded Cholesky."""
+library's direct factor before its banded Cholesky. The identity-row solve
+also runs by Jacobi-preconditioned conjugate gradients, the library's former
+iterative option. Per boundary: the former position pairing of nodes
+with displacement samples (node k of a loop on sample k), which the library's
+angular pairing reproduces on samples taken at the nodes."""
 
 import numpy as np
 from scipy import sparse
@@ -137,3 +141,34 @@ def superlu_free_solve(system, fixed, values) -> np.ndarray:
     u[fixed] = values
     u[free] = splu(k_free[:, free].tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
     return u
+
+
+def position_dof_map(mesh, inner_positions, outer_positions, center):
+    """``fem.boundary_dof_map``'s (dofs, take) by position: node k of each
+    boundary loop pairs with sample k, and a node farther than 1e-9 of the
+    loop's extent about ``center`` from its sample raises GeometryError."""
+    c = np.asarray(center, dtype=float)
+    nodes, samples = [], []
+    offset = 0
+    for label, positions in (("inner", inner_positions), ("outer", outer_positions)):
+        node_ids = mesh.boundary_nodes(label)
+        coords = mesh.nodes[node_ids]
+        dist = np.linalg.norm(coords - np.asarray(positions, dtype=float), axis=1)
+        if not np.all(dist <= 1e-9 * (float(np.max(np.abs(coords - c))) or 1.0)):
+            raise GeometryError(f"{label} boundary nodes do not coincide with displacement samples")
+        nodes.append(node_ids)
+        samples.append(offset + np.arange(len(node_ids)))
+        offset += len(node_ids)
+    node_ids = np.concatenate(nodes)
+    order = np.argsort(node_ids, kind="stable")
+    dofs = (2 * node_ids[order, None] + np.arange(2)).ravel()
+    take = (2 * np.concatenate(samples)[order, None] + np.arange(2)).ravel()
+    return dofs, take
+
+
+def position_conditions(mesh, bd):
+    """(dofs, values) of ``BoundaryDisplacements`` on the mesh, paired by
+    :func:`position_dof_map`."""
+    dofs, take = position_dof_map(mesh, bd.inner_positions, bd.outer_positions,
+                                  bd.reference_center)
+    return dofs, np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]

@@ -190,10 +190,15 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     ("phantom-verify", ["--poisson", "0.5"], "Poisson's ratio must be in [0, 0.5), got 0.5"),
     ("volume", [], "declares 99 frames per cycle, contour file has 6"),
     ("synth", ["--kind", "phantom-cycle", "--n-frames", "1"], "n_steps must be >= 1"),
+    ("phantom-verify", ["--n-points", "4"], "n_points must be at least 8"),
+    ("phantom-verify", ["--n-points", "0"], "n_points must be at least 8"),
+    ("phantom-verify", ["--n-points", "-8"], "n_points must be at least 8"),
+    ("phantom-verify", ["--n-radial", "0"], "n_radial must be at least 1, got 0"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
                                        command, flags, needle):
-    # the input is read and checked before --out is made or a writer forks
+    # the input is read and checked before --out is made or a writer forks; a
+    # phantom ring too coarse to build is a usage error, the rest fail validation
     healthy_dir, mi_dir = synth_pair
     forks = _cpus(monkeypatch, 2)
     capsys.readouterr()
@@ -208,7 +213,7 @@ def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys
         code = run("volume", "--study", str(bad), "--out", str(out))
     else:
         code = run(command, *flags, "--out", str(out))
-    assert code == 1
+    assert code == (2 if needle.startswith(("n_points", "n_radial")) else 1)
     assert needle in _single_error_line(capsys)
     assert forks == []
     assert not out.exists()
@@ -347,6 +352,8 @@ def test_config_values_converted_like_flags(tmp_path, synth_pair):
     # the key names the --slice flag, whose dest is slice_index
     ({"slice": 7}, "--slice must be in 0..0, got 7"),
     ({"n_point": 32, "n_radial": 2}, "'n_point' names no flag of strain"),
+    # a dest that is no flag name is no key
+    ({"slice_index": 0}, "'slice_index' names no flag of strain"),
 ])
 def test_bad_config_value(tmp_path, synth_pair, capsys, values, needle):
     healthy_dir, _ = synth_pair

@@ -16,6 +16,7 @@ from cardiofem.contours import (
     FrameContours,
     boundary_displacements,
     centroid,
+    uniform_angle_walls,
 )
 from cardiofem.fem import (
     apply_dirichlet,
@@ -28,7 +29,8 @@ from cardiofem.fem import (
 )
 from cardiofem.materials import AngularRegion, Material, MaterialField
 from cardiofem.meshing import Mesh, triangulate_annulus
-from cardiofem.phantom import circle_contour, lame_displacement_at, make_ring, solve_ring_traction
+from cardiofem.phantom import lame_displacement_at, make_ring, solve_ring_traction
+from cardiofem.synth import mi_wedge_study
 from cardiofem import fem
 
 from conftest import boundary_dirichlet, circle_frame, region_ring, solve_one, star_contour
@@ -37,6 +39,8 @@ from oracles import (
     identity_row_solve,
     identity_row_system,
     nodal_dirichlet,
+    position_conditions,
+    position_dof_map,
     strain_displacement_matrix,
     superlu_free_solve,
 )
@@ -219,8 +223,8 @@ def test_rigid_translation_reproduced(ring_mesh):
     values = np.full((mesh.n_nodes, 2), 0.0)
     values[:, 0] = c
     disp = solve_one(system, *boundary_dirichlet(mesh, values))
-    assert np.max(np.abs(disp.u - c)) < 1e-10
-    assert np.max(np.abs(disp.v)) < 1e-10
+    assert np.max(np.abs(disp.values[:, 0] - c)) < 1e-10
+    assert np.max(np.abs(disp.values[:, 1])) < 1e-10
 
 
 def test_solution_linear_in_boundary_data(ring_mesh):
@@ -347,20 +351,22 @@ def test_unpinned_traction_system_is_singular():
 
 
 def test_cg_matches_direct(ring_mesh):
+    # the Jacobi-preconditioned CG oracle against the direct solve
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     fixed, values = boundary_dirichlet(mesh, _affine_field(mesh.nodes))
-    direct = solve_one(system, fixed, values, method="direct")
-    iterative = solve_one(system, fixed, values, method="cg")
-    assert np.max(np.abs(direct.values - iterative.values)) < 1e-8 * np.max(
-        np.abs(direct.values)
+    direct = solve_one(system, fixed, values).values
+    iterative = identity_row_solve(
+        *identity_row_system(system, nodal_dirichlet(fixed, values)), method="cg"
     )
+    assert np.max(np.abs(direct - iterative)) < 1e-8 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("method", ["direct", "cg"])
 @pytest.mark.parametrize("field", ["affine", "random", "random with load"])
 def test_solve_matches_identity_row_oracle(ring_mesh, method, field):
-    # solve factors only the free-dof block; the whole identity-row solve is the oracle
+    # solve factors only the free-dof block; the whole identity-row solve, by
+    # SuperLU or by CG (``method``), is the oracle
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     if field == "affine":
@@ -373,15 +379,8 @@ def test_solve_matches_identity_row_oracle(ring_mesh, method, field):
         system = fem.LinearSystem(system.stiffness, load)
     expected = identity_row_solve(*identity_row_system(system, nodal_dirichlet(fixed, values)),
                                   method)
-    got = solve_one(system, fixed, values, method).values
+    got = solve_one(system, fixed, values).values
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-
-
-def test_solve_unknown_method(ring_mesh):
-    mesh, mats = ring_mesh
-    system = assemble(mesh, mats)
-    with pytest.raises(ConfigurationError):
-        solve(system, [], np.zeros((0, 1)), method="multigrid")
 
 
 def test_residual_contract(ring_mesh):
@@ -493,17 +492,6 @@ def test_bcs_from_displacements_position_match():
     assert np.all(values == 0.0)
 
 
-def test_bcs_from_displacements_mismatched_mesh():
-    frame0 = circle_frame(0)
-    frame1 = circle_frame(1)
-    bd = boundary_displacements(frame0, frame1, 16)
-    inner = circle_contour(5.0, (0.0, 0.0), 16, "inner")
-    outer = circle_contour(9.0, (0.0, 0.0), 16, "outer")
-    mesh = triangulate_annulus(inner, outer, 16, 2)
-    with pytest.raises(GeometryError):
-        boundary_conditions_from_displacements(mesh, bd, match="position")
-
-
 def test_bcs_from_displacements_count_mismatch():
     frame0 = circle_frame(0)
     frame1 = circle_frame(1)
@@ -532,9 +520,11 @@ def _mesh_and_samples(n=24):
 
 
 def test_bcs_position_match_rejects_rolled_samples():
-    # node k of a loop pairs with sample k only; samples in another order are
-    # off the nodes
+    # the position oracle pairs node k of a loop with sample k only, so samples
+    # in another order are off its nodes; the angular rule pairs each node with
+    # the sample at its angle, so rolled samples give the same Dirichlet data
     mesh, bd = _mesh_and_samples()
+    expected = boundary_conditions_from_displacements(mesh, bd)
     for label, inner_shift, outer_shift in (("inner", 5, 0), ("outer", 0, -3)):
         rolled = BoundaryDisplacements(
             np.roll(bd.inner_positions, inner_shift, axis=0),
@@ -544,25 +534,51 @@ def test_bcs_position_match_rejects_rolled_samples():
             bd.reference_center,
         )
         with pytest.raises(GeometryError, match=f"{label} boundary nodes do not coincide"):
-            boundary_conditions_from_displacements(mesh, rolled)
+            position_conditions(mesh, rolled)
+        for got, want in zip(boundary_conditions_from_displacements(mesh, rolled), expected):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("offset, coincide", [(1e-12, True), (1e-6, False)])
 def test_bcs_position_match_tolerance(offset, coincide):
+    # the position oracle takes samples within 1e-9 (of the loop's extent) of
+    # their nodes and rejects samples farther off; neither offset changes the
+    # angular pairing
     mesh, bd = _mesh_and_samples()
     shifted = BoundaryDisplacements(
         bd.inner_positions + offset, bd.inner_vectors,
         bd.outer_positions, bd.outer_vectors, bd.reference_center,
     )
+    expected = boundary_conditions_from_displacements(mesh, bd)
+    for got, want in zip(boundary_conditions_from_displacements(mesh, shifted), expected):
+        assert np.array_equal(got, want)
     if coincide:
-        for got, expected in zip(
-            boundary_conditions_from_displacements(mesh, shifted),
-            boundary_conditions_from_displacements(mesh, bd),
-        ):
-            assert np.array_equal(got, expected)
+        for got, want in zip(position_conditions(mesh, shifted), expected):
+            assert np.array_equal(got, want)
     else:
         with pytest.raises(GeometryError, match="inner boundary nodes do not coincide"):
-            boundary_conditions_from_displacements(mesh, shifted)
+            position_conditions(mesh, shifted)
+
+
+@pytest.mark.parametrize("n_points, n_radial", [(64, 8), (128, 16), (256, 32)])
+def test_boundary_dof_map_equals_position_oracle_on_mesh_samples(n_points, n_radial):
+    # samples at the mesh's own boundary nodes, as the study's frame-0 map and
+    # the phantom's oracle values take them: node k pairs with sample k
+    frame0 = mi_wedge_study(seed=3, n_frames=2, n_points=80).slices[0].frames[0]
+    center = centroid(frame0.inner)
+    inner, outer = uniform_angle_walls(frame0, center, n_points)
+    ring, _ = make_ring(RingSpec(1.0, 2.0), n_points, n_radial)
+    cases = [
+        (triangulate_annulus(inner, outer, n_points, n_radial), inner.points, outer.points,
+         center),
+        (ring, *(ring.nodes[ring.boundary_nodes(label)] for label in ("inner", "outer")),
+         (0.0, 0.0)),
+    ]
+    for mesh, *samples in cases:
+        got = fem.boundary_dof_map(mesh, *samples)
+        expected = position_dof_map(mesh, *samples)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
 
 
 def test_boundary_dof_map_pairs_sorted_dofs_with_samples():
@@ -784,7 +800,7 @@ def test_boundary_dof_map_index_match_across_the_seam(ring_mesh):
         nodes.append(center + rel)
         samples.append(center + radii[:, None] * np.column_stack([np.cos(theta), np.sin(theta)]))
         assert np.mod(np.arctan2(rel[0, 1], rel[0, 0]), 2.0 * np.pi) > 2.0 * np.pi - 2e-9
-    dofs, take = fem.boundary_dof_map(mesh, *samples, center, "index")
+    dofs, take = fem.boundary_dof_map(mesh, *samples, center)
     expected_dofs, expected_take = fem.boundary_dof_map(mesh, *nodes, center)
     assert np.array_equal(dofs, expected_dofs)
     assert np.array_equal(take, expected_take)

@@ -227,7 +227,7 @@ def test_vtk_export_structure(tmp_path):
     assert "SCALARS effective double 1" in lines
 
 
-def _oracle_vtk_text(mesh, point_vectors=None, cell_scalars=None, title="cardiofem output"):
+def _oracle_vtk_text(mesh, point_vectors=None, cell_scalars=None):
     """The writer's former per-value line builder: every number through
     repr(float(x)) while iterating numpy rows, the whole file rebuilt per call."""
 
@@ -236,7 +236,7 @@ def _oracle_vtk_text(mesh, point_vectors=None, cell_scalars=None, title="cardiof
 
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "cardiofem output",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_nodes} double",
@@ -295,10 +295,6 @@ def test_vtk_matches_per_value_oracle(tmp_path):
         ("fields_b", mesh_b, {"point_vectors": vec_b, "cell_scalars": sca_b}),
         ("fields_a_again", mesh_a, {"point_vectors": vec_a, "cell_scalars": sca_a}),
         ("geometry_b", mesh_b, {}),
-        # same mesh, other titles: the title is part of the memoised block
-        ("titled_a", mesh_a, {"point_vectors": vec_a, "title": "frame 7 of slice 2"}),
-        ("untitled_a", mesh_a, {"point_vectors": vec_a}),
-        ("empty_title_a", mesh_a, {"cell_scalars": sca_a, "title": ""}),
     ]
     for name, mesh, kwargs in cases:
         path = tmp_path / f"{name}.vtk"

@@ -237,7 +237,7 @@ def _old_pipeline_resolve(mesh, mats, disp, n_points):
     )
     bd = boundary_displacements(frame0, frame1, n_points)
     system = assemble(mesh, mats, "plane-strain")
-    return solve_one(system, *boundary_conditions_from_displacements(mesh, bd, match="index"))
+    return solve_one(system, *boundary_conditions_from_displacements(mesh, bd))
 
 
 def _old_lame_dirichlet_error(spec, n_angular, n_radial):
@@ -333,6 +333,25 @@ def test_verify_ring_checks_n_points_before_meshing(monkeypatch, n_points):
                         lambda *args: calls.append(args) or make(*args))
     with pytest.raises(UsageError, match=f"n_points must be divisible by 4.*got {n_points}"):
         verify_ring(RingSpec(1.0, 2.0), n_points, 4, 16)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_points, n_radial, needle", [
+    (4, 4, "n_points must be at least 8 for the half-resolution ring, got 4"),
+    (0, 4, "n_points must be at least 8 for the half-resolution ring, got 0"),
+    (-8, 4, "n_points must be at least 8 for the half-resolution ring, got -8"),
+    (32, 0, "n_radial must be at least 1, got 0"),
+])
+def test_verify_ring_checks_ring_size_before_meshing(monkeypatch, n_points, n_radial, needle):
+    import cardiofem.phantom as phantom_module
+
+    calls = []
+    make = phantom_module.make_ring
+    monkeypatch.setattr(phantom_module, "make_ring",
+                        lambda *args: calls.append(args) or make(*args))
+    with pytest.raises(UsageError) as info:
+        verify_ring(RingSpec(1.0, 2.0), n_points, n_radial, 16)
+    assert str(info.value) == needle
     assert calls == []
 
 

@@ -22,13 +22,25 @@ def _public_definitions():
                 yield f"{path.stem}.{node.name}", node.name
 
 
-def _names_used_in_src() -> set[str]:
-    """Every name that code in src/ reads, bare or as an attribute; names in
-    docstrings, comments and import lists do not count."""
+def _public_members():
+    """``module.Class.name`` of each public method and property of a public
+    class, and its name."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def _names_used_in_src(attributes_only: bool = False) -> set[str]:
+    """Every name that code in src/ reads, bare or as an attribute (only as
+    an attribute with ``attributes_only``); names in docstrings, comments and
+    import lists do not count."""
     used = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not attributes_only:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -60,3 +72,11 @@ def test_every_public_name_has_a_caller(monkeypatch):
     assert uncalled == [], f"public names with no caller in src/: {uncalled}"
     for qual in ALLOWED:
         assert qual.split(".")[1] not in used, f"{qual} has a caller; drop its allowance"
+
+
+def test_every_public_member_has_a_reader():
+    # a method or property is reached through its object, so src/ must read
+    # it as an attribute somewhere
+    used = _names_used_in_src(attributes_only=True)
+    unread = sorted(qual for qual, name in _public_members() if name not in used)
+    assert unread == [], f"public methods and properties never read in src/: {unread}"
