@@ -14,8 +14,8 @@ Each subcommand accepts only the flags it reads (``SUBCOMMANDS``). Exit
 codes: 0 success, 1 tolerance or validation failure, 2 usage or input error,
 including a file that cannot be read or written, or a flag the command does
 not take. A JSON config file (--config) may supply any long flag of the
-command by name (any other key is a usage error); explicit flags override
-config values. Input is read and checked before --out is made.
+command but --config by name (any other key is a usage error); explicit flags
+override config values. Input is read and checked before --out is made.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import io as cfio
-from .contours import centroid, uniform_angle_walls
 from .errors import (
     ConfigurationError,
     GeometryError,
@@ -38,15 +37,16 @@ from .errors import (
     StarShapeError,
     UsageError,
 )
-from .fem import apply_dirichlet, assemble
-from .materials import Material, MaterialField
-from .meshing import triangulate_annulus, validate
+from .fem import apply_dirichlet
+from .materials import Material
+from .meshing import validate
 from .phantom import RingSpec, verify_ring
 from .study import (
     CycleParams,
     average_sector_summaries,
     check_tau,
     cycle_strain_analysis,
+    frame_mesh,
     infarct_localization,
     normalized_volume_curve,
 )
@@ -170,11 +170,11 @@ def _config_value(spec: dict, value, where: str):
 def _merged_config(args: argparse.Namespace) -> SimpleNamespace:
     """Defaults, then --config values, then explicit flags.
 
-    A config key names a long flag of the command, with ``_`` for ``-``
-    (``n_points`` sets what ``--n-points`` sets), and its value is checked by
-    :func:`_config_value`; any other key raises UsageError.
+    A config key names a long flag of the command other than ``--config``,
+    with ``_`` for ``-`` (``n_points`` sets what ``--n-points`` sets), and its
+    value is checked by :func:`_config_value`; any other key raises UsageError.
     """
-    names = ("config", "out", *SUBCOMMANDS[args.command][1])
+    names = ("out", *SUBCOMMANDS[args.command][1])
     dests = {name: FLAGS[name].get("dest", name.replace("-", "_")) for name in names}
     merged = {dest: DEFAULTS[dest] for dest in dests.values() if dest in DEFAULTS}
     explicit = {k: v for k, v in vars(args).items() if k != "command"}
@@ -267,7 +267,7 @@ def _fields_vtk_job(path, res) -> tuple:
     strain fields on its mesh."""
     sf = res.strain
     return (
-        path, res.mesh, {"displacement": res.displacement.values},
+        path, res.model.mesh, {"displacement": res.displacement.values},
         {"eps_x": sf.eps_x, "eps_y": sf.eps_y, "gamma_xy": sf.gamma_xy,
          "effective": sf.effective},
     )
@@ -275,13 +275,15 @@ def _fields_vtk_job(path, res) -> tuple:
 
 def cmd_analyze(cfg) -> int:
     check_tau(cfg.tau)
-    study = _load_study(cfg)
+    ref_paths = getattr(cfg, "reference", None) or []
     ref_manifests = list(getattr(cfg, "reference_manifest", None) or [])
-    references = [
-        cfio.read_study(path, ref_manifests[i] if i < len(ref_manifests)
-                        else getattr(cfg, "manifest", None))
-        for i, path in enumerate(getattr(cfg, "reference", None) or [])
-    ]
+    if len(ref_manifests) > len(ref_paths):
+        raise UsageError(f"more --reference-manifest files ({len(ref_manifests)}) "
+                         f"than --reference studies ({len(ref_paths)})")
+    study = _load_study(cfg)
+    # a reference without its own manifest takes the subject's
+    ref_manifests += [getattr(cfg, "manifest", None)] * (len(ref_paths) - len(ref_manifests))
+    references = [cfio.read_study(path, m) for path, m in zip(ref_paths, ref_manifests)]
     out = _outdir(cfg)
     params = _cycle_params(cfg)
 
@@ -344,49 +346,31 @@ def cmd_synth(cfg) -> int:
     return 0
 
 
-def _selected_slice(cfg, study) -> int:
-    """The position of the slice chosen by --slice (default 0)."""
-    slice_index = getattr(cfg, "slice_index", 0)
-    if not isinstance(slice_index, int) or not 0 <= slice_index < len(study.slices):
-        raise UsageError(f"--slice must be in 0..{len(study.slices) - 1}, got {slice_index!r}")
-    return slice_index
-
-
-def _selected_frame(cfg, sl, first: int, default: int) -> int:
-    """The frame chosen by --frame, checked against first..n_frames-1."""
-    frame = getattr(cfg, "frame", default)
-    if not isinstance(frame, int) or not first <= frame < sl.n_frames:
-        raise UsageError(f"--frame must be in {first}..{sl.n_frames - 1}, got {frame!r}")
-    return frame
+def _selected_frame(cfg, study, first: int, default: int) -> tuple[int, int]:
+    """The slice position chosen by --slice (default 0) and the frame chosen by
+    --frame, in first..n_frames-1 (default ``default``, negative from the end)."""
+    position = getattr(cfg, "slice_index", 0)
+    if not isinstance(position, int) or not 0 <= position < len(study.slices):
+        raise UsageError(f"--slice must be in 0..{len(study.slices) - 1}, got {position!r}")
+    n = study.slices[position].n_frames
+    frame = getattr(cfg, "frame", default % n)
+    if not isinstance(frame, int) or not first <= frame < n:
+        raise UsageError(f"--frame must be in {first}..{n - 1}, got {frame!r}")
+    return position, frame
 
 
 def _frame_result(cfg, study):
     """The --frame result of the --slice cycle analysis, the frame-0 model
     that ``analyze`` solves on; every frame of the slice is checked."""
-    position = _selected_slice(cfg, study)
-    sl = study.slices[position]
-    frame = _selected_frame(cfg, sl, first=1, default=sl.n_frames - 1)
+    position, frame = _selected_frame(cfg, study, first=1, default=-1)
     return cycle_strain_analysis(study, _cycle_params(cfg), position)[frame - 1]
-
-
-def _constrained_system(cfg, res):
-    """The frame's stiffness system with its boundary values eliminated."""
-    mesh = res.mesh
-    nodes = np.union1d(mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"))
-    fixed = (2 * nodes[:, None] + np.arange(2)).ravel()
-    materials = MaterialField.uniform(mesh, Material(cfg.young, cfg.poisson))
-    return apply_dirichlet(
-        assemble(mesh, materials, cfg.mode), fixed, res.displacement.values.ravel()[fixed]
-    )
 
 
 def cmd_mesh(cfg) -> int:
     study = _load_study(cfg)
-    sl = study.slices[_selected_slice(cfg, study)]
-    frame = _selected_frame(cfg, sl, first=0, default=0)
-    fc = sl.frames[frame]
-    walls = uniform_angle_walls(fc, centroid(fc.inner), cfg.n_points, context=f"frame {frame}")
-    mesh = triangulate_annulus(*walls, cfg.n_points, cfg.n_radial)
+    position, frame = _selected_frame(cfg, study, first=0, default=0)
+    fc = study.slices[position].frames[frame]
+    *_, mesh = frame_mesh(fc, cfg.n_points, cfg.n_radial, f"frame {frame}")
     report = validate(mesh)
     out = _outdir(cfg)
     print(report)
@@ -399,12 +383,14 @@ def cmd_mesh(cfg) -> int:
 def cmd_solve(cfg) -> int:
     res = _frame_result(cfg, _load_study(cfg))
     out = _outdir(cfg)
-    frame = res.frame_index
-    cfio.write_mesh_vtk(out / f"displacement_frame{frame}.vtk", res.mesh,
+    frame, m = res.frame_index, res.model
+    cfio.write_mesh_vtk(out / f"displacement_frame{frame}.vtk", m.mesh,
                         point_vectors={"displacement": res.displacement.values})
-    cfio.write_displacement_csv(out / f"displacement_frame{frame}.csv", res.mesh, res.displacement)
+    cfio.write_displacement_csv(out / f"displacement_frame{frame}.csv", m.mesh, res.displacement)
     if getattr(cfg, "dump_system", False):
-        cfio.dump_system(out / f"system_frame{frame}", _constrained_system(cfg, res))
+        # the frame's boundary values eliminated from the model's stiffness
+        values = res.displacement.values.ravel()[m.fixed]
+        cfio.dump_system(out / f"system_frame{frame}", apply_dirichlet(m.system, m.fixed, values))
     print(f"artifacts written to {out}")
     return 0
 

@@ -11,9 +11,10 @@ format mirrors the same fields in nested form and is self-contained.
 Field exports use legacy ASCII VTK (unstructured grid, triangle cells) plus
 plain CSV tables, so results can be inspected without extra dependencies.
 Every float is written as ``repr`` of the Python float, the shortest text that
-reads back to the same value. A cycle writes one VTK per frame on the same
-frame-0 mesh, so the header and the POINTS/CELLS/CELL_TYPES block are
-formatted once per mesh and reused; each file is byte-identical to one
+reads back to the same value. Every CSV table goes through one writer,
+:func:`_write_csv`, with CRLF line ends. A cycle writes one VTK per frame on
+the same frame-0 mesh, so the header and the POINTS/CELLS/CELL_TYPES block
+are formatted once per mesh and reused; each file is byte-identical to one
 formatted from scratch.
 
 Formatting those floats is the cost of an export, so
@@ -51,19 +52,22 @@ CONTOUR_CSV_COLUMNS = ("subject_id", "slice", "frame", "boundary", "point_index"
 # study ingest / emit
 
 
-def write_study_csv(path, study: Study) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def _write_csv(path, header, rows) -> None:
+    """A CSV table of the ``header`` row and then ``rows``; the ``csv`` module
+    ends lines with CRLF and writes a float as its ``repr``."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CONTOUR_CSV_COLUMNS)
-        for sl in study.slices:
-            for fc in sl.frames:
-                for boundary, contour in (("inner", fc.inner), ("outer", fc.outer)):
-                    writer.writerows(
-                        [study.subject_id, sl.index, fc.frame_index, boundary,
-                         i, repr(x), repr(y)]
-                        for i, (x, y) in enumerate(contour.points.tolist())
-                    )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_study_csv(path, study: Study) -> None:
+    _write_csv(path, CONTOUR_CSV_COLUMNS, (
+        [study.subject_id, sl.index, fc.frame_index, boundary, i, x, y]
+        for sl in study.slices for fc in sl.frames
+        for boundary, contour in (("inner", fc.inner), ("outer", fc.outer))
+        for i, (x, y) in enumerate(contour.points.tolist())
+    ))
 
 
 def write_manifest(path, study: Study) -> None:
@@ -369,58 +373,38 @@ def field_vtk_export(jobs):
 
 
 def write_mesh_csv(nodes_path, elements_path, mesh: Mesh) -> None:
-    with Path(nodes_path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "x", "y"])
-        writer.writerows([i, repr(x), repr(y)] for i, (x, y) in enumerate(mesh.nodes.tolist()))
-    with Path(elements_path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element_id", "n0", "n1", "n2"])
-        writer.writerows([i, a, b, c] for i, (a, b, c) in enumerate(mesh.triangles.tolist()))
+    _write_csv(nodes_path, ["node_id", "x", "y"],
+               ([i, *xy] for i, xy in enumerate(mesh.nodes.tolist())))
+    _write_csv(elements_path, ["element_id", "n0", "n1", "n2"],
+               ([i, *tri] for i, tri in enumerate(mesh.triangles.tolist())))
 
 
 def write_displacement_csv(path, mesh: Mesh, disp: DisplacementField) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "x", "y", "u", "v"])
-        writer.writerows(
-            [i, repr(x), repr(y), repr(u), repr(v)]
-            for i, ((x, y), (u, v)) in enumerate(zip(mesh.nodes.tolist(), disp.values.tolist()))
-        )
+    _write_csv(path, ["node_id", "x", "y", "u", "v"], (
+        [i, *xy, *uv] for i, (xy, uv) in enumerate(zip(mesh.nodes.tolist(), disp.values.tolist()))
+    ))
 
 
 def write_strain_csv(path, strain: StrainField) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element_id", "eps_x", "eps_y", "gamma_xy", "effective"])
-        rows = zip(strain.eps_x.tolist(), strain.eps_y.tolist(),
-                   strain.gamma_xy.tolist(), strain.effective.tolist())
-        writer.writerows(
-            [i, repr(ex), repr(ey), repr(g), repr(e)] for i, (ex, ey, g, e) in enumerate(rows)
-        )
+    columns = (strain.eps_x, strain.eps_y, strain.gamma_xy, strain.effective)
+    _write_csv(path, ["element_id", "eps_x", "eps_y", "gamma_xy", "effective"],
+               ([i, *row] for i, row in enumerate(zip(*(c.tolist() for c in columns)))))
 
 
 def write_sector_csv(path, summaries: list[SectorSummary], frame_indices) -> None:
     """Sector time series: one row per (frame, sector), summaries[i] in frame_indices[i]."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "sector", "mean_displacement", "mean_effective", "count"])
-        for frame, summary in zip(frame_indices, summaries):
-            rows = zip(summary.mean_displacement.tolist(), summary.mean_effective.tolist(),
-                       summary.counts.tolist())
-            writer.writerows(
-                [frame, s, repr(md), repr(me), count] for s, (md, me, count) in enumerate(rows)
-            )
+    _write_csv(path, ["frame", "sector", "mean_displacement", "mean_effective", "count"], (
+        [frame, s, *row]
+        for frame, sm in zip(frame_indices, summaries)
+        for s, row in enumerate(zip(sm.mean_displacement.tolist(), sm.mean_effective.tolist(),
+                                    sm.counts.tolist()))
+    ))
 
 
 def write_volume_csv(path, curve: VolumeCurve) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "volume", "normalized"])
-        writer.writerows(
-            [k, repr(raw), repr(norm)]
-            for k, (raw, norm) in enumerate(zip(curve.raw.tolist(), curve.normalized.tolist()))
-        )
+    _write_csv(path, ["frame", "volume", "normalized"],
+               ([k, *row] for k, row in enumerate(zip(curve.raw.tolist(),
+                                                      curve.normalized.tolist()))))
 
 
 def write_localization_json(path, result: LocalizationResult) -> None:

@@ -1,4 +1,6 @@
-"""Elastic constants, constitutive matrices, and inhomogeneous fields.
+"""Elastic constants, constitutive matrices, and per-element material fields:
+uniform, or a base material with one angular stiff region
+(:func:`region_material_field`).
 
 Two constitutive modes are available for isotropic 2D elasticity:
 
@@ -127,50 +129,15 @@ def _region_intervals(region: AngularRegion) -> list[tuple[float, float]]:
     return [(s, 360.0), (0.0, e)]
 
 
-def _angles_in_region(angles_deg: np.ndarray, region: AngularRegion) -> np.ndarray:
-    mask = np.zeros(len(angles_deg), dtype=bool)
-    for s, e in _region_intervals(region):
-        mask |= (angles_deg >= s) & (angles_deg < e)
-    return mask
-
-
-def _check_non_overlapping(regions) -> None:
-    intervals = []
-    for r in regions:
-        intervals.extend((s, e, r) for s, e in _region_intervals(r))
-    for i in range(len(intervals)):
-        for j in range(i + 1, len(intervals)):
-            s1, e1, r1 = intervals[i]
-            s2, e2, r2 = intervals[j]
-            if r1 is r2:
-                continue
-            if min(e1, e2) - max(s1, s2) > 1e-9:
-                raise ConfigurationError(
-                    f"angular regions overlap: [{r1.start_deg}, {r1.end_deg}) and "
-                    f"[{r2.start_deg}, {r2.end_deg})"
-                )
-
-
-def region_material_field(
-    mesh: Mesh,
-    base: Material,
-    regions,
-    center,
-) -> MaterialField:
-    """Assign materials by the angle of each element centroid about center.
-
-    Elements whose centroid angle falls in no region get the base material.
-    Regions must be non-overlapping modulo 2*pi.
-    """
-    regions = tuple(regions)
-    _check_non_overlapping(regions)
+def region_material_field(mesh: Mesh, base: Material, region: AngularRegion,
+                          center) -> MaterialField:
+    """``region``'s material on the elements whose centroid angle about
+    ``center`` falls in the region, ``base`` on all others."""
     c = _as_point(center)
     cen = mesh.triangle_centroids() - c
     angles_deg = np.degrees(np.mod(np.arctan2(cen[:, 1], cen[:, 0]), 2.0 * math.pi))
-    e = np.full(mesh.n_triangles, base.E)
-    nu = np.full(mesh.n_triangles, base.nu)
-    for region in regions:
-        mask = _angles_in_region(angles_deg, region)
-        e[mask] = region.material.E
-        nu[mask] = region.material.nu
-    return MaterialField(e, nu)
+    inside = np.zeros(mesh.n_triangles, dtype=bool)
+    for s, e in _region_intervals(region):
+        inside |= (angles_deg >= s) & (angles_deg < e)
+    return MaterialField(np.where(inside, region.material.E, base.E),
+                         np.where(inside, region.material.nu, base.nu))

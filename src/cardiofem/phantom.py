@@ -312,7 +312,7 @@ def verify_ring(
 
     # stiff wedge anchored at its mid angle
     stiff = AngularRegion(225.0, 315.0, Material(spec.material.E * 10.0, spec.material.nu))
-    stiff_mats = region_material_field(mesh, spec.material, (stiff,), spec.center)
+    stiff_mats = region_material_field(mesh, spec.material, stiff, spec.center)
     stiff_system = assemble(mesh, stiff_mats, "plane-strain")
     stiff_disp = solve_ring_traction(mesh, stiff_system, 1.0, anchor_deg=270.0)
     values = _pipeline_values(mesh, stiff_disp, n_points)[:, None]

@@ -2,27 +2,27 @@
 the cycle, and infarct localization from sector strain comparisons.
 
 A study holds one or more slices, each an ordered sequence of frame contours
-with frame 0 at begin systole. The deformation mesh and stiffness are built
-once on frame-0 geometry and reused for every frame pair (small-strain
-assumption); frame pairs are (0 -> k) in the default cumulative mode or
-(k-1 -> k) in incremental mode. Rotation compensation per pair follows a
-linear ramp that totals the configured systolic rotation.
+with frame 0 at begin systole. Each slice builds one frame-0 reference model,
+a ``SliceModel``: :func:`frame_mesh` resamples both walls about the centroid
+of the inner wall and meshes the wall between them, and the model holds that
+mesh, its stiffness and the dofs every frame pair fixes (both components of
+all boundary nodes). The CLI's ``mesh`` meshes a frame by :func:`frame_mesh`,
+and ``solve`` and ``strain`` read the model from their frame's result. Frame
+pairs are (0 -> k) in the default cumulative mode or (k-1 -> k) in
+incremental mode, all solved on the frame-0 model (small-strain assumption);
+rotation compensation per pair follows a linear ramp that totals the
+configured systolic rotation.
 
-Frame 0 is checked for star shape and resampled once per slice; its walls
-are the mesh boundary. Samples meet boundary nodes by one rule, angular
-order about the reference center (``fem.boundary_dof_map``). In cumulative
-mode each later frame is resampled once and its boundary values are the
-differences to those walls, whose samples are the nodes themselves; in
-incremental mode each pair has its own reference frame, whose samples meet
-the mesh's nodes by angle. Every frame pair fixes the same dofs (both
-components of all inner and outer boundary nodes) and only their values
-change, so one map from dofs to samples gathers the values of all
-pairs into one (fixed dofs, pairs) array, the stiffness is condensed onto its
-free dofs and factorized once per slice, and all pairs are solved as one
-multi-column right-hand side (``fem.solve``). Strain is then one
-vectorised B . d per frame, with the B matrices and sector bins of the shared
-mesh computed once and kept on it; the per-element local-frame formula of the
-method is the test oracle for the strain.
+Samples meet boundary nodes by one rule, angular order about the reference
+center (``fem.boundary_dof_map``). In cumulative mode each later frame is
+resampled once and its boundary values are the differences to the frame-0
+walls, whose samples are the nodes themselves; in incremental mode each pair
+has its own reference frame, whose samples meet the mesh's nodes by angle.
+The values of all pairs form one (fixed dofs, pairs) array, the stiffness is
+condensed onto its free dofs and factorized once per slice, and all pairs are
+solved as one multi-column right-hand side (``fem.solve``). Strain is one
+vectorised B . d per frame, with the B matrices and sector bins of the mesh
+computed once and kept on it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .contours import (
     uniform_angle_walls,
 )
 from .errors import ConfigurationError, GeometryError, SolverError
-from .fem import DisplacementField, assemble, boundary_dof_map, solve
+from .fem import DisplacementField, LinearSystem, assemble, boundary_dof_map, solve
 from .materials import Material, MaterialField
 from .meshing import Mesh, triangulate_annulus
 from .strain import SectorSummary, StrainField, sector_average, strain_field
@@ -141,14 +141,24 @@ class CycleParams:
 
 
 @dataclass(frozen=True)
+class SliceModel:
+    """A slice's frame-0 reference model: its mesh, the assembled stiffness
+    system and the strictly increasing dofs that every frame pair fixes."""
+
+    mesh: Mesh
+    system: LinearSystem
+    fixed: np.ndarray
+
+
+@dataclass(frozen=True)
 class FrameResult:
-    """One frame pair's fields, on the frame-0 mesh shared by the whole slice."""
+    """One frame pair's fields, on the frame-0 model shared by the whole slice."""
 
     frame_index: int
     displacement: DisplacementField
     strain: StrainField
     sectors: SectorSummary
-    mesh: Mesh
+    model: SliceModel
 
 
 @dataclass(frozen=True)
@@ -216,6 +226,15 @@ def _frame_errors(k: int):
         raise type(exc)(f"frame {k}: {exc}") from exc
 
 
+def frame_mesh(fc: FrameContours, n_points: int, n_radial: int, context: str = "frame 0"):
+    """(center, inner, outer, mesh) of one frame: the centroid of its inner
+    wall, both walls resampled onto ``n_points`` uniform angles about it (a
+    failure names ``context``) and the annular mesh between them."""
+    center = centroid(fc.inner)
+    inner, outer = uniform_angle_walls(fc, center, n_points, context=context)
+    return center, inner, outer, triangulate_annulus(inner, outer, n_points, n_radial)
+
+
 def cycle_strain_analysis(
     study: Study,
     params: CycleParams = CycleParams(),
@@ -223,11 +242,11 @@ def cycle_strain_analysis(
 ) -> list[FrameResult]:
     """Solve the deformation of one slice for every frame pair of the cycle.
 
-    Returns one result per target frame 1..n-1. All solves reuse the mesh
-    and the factorized stiffness built on frame-0 geometry, and every result
-    carries that one mesh object for export; in incremental
-    mode the boundary samples of later reference frames are mapped onto it by
-    angular index. Errors name the frame they belong to.
+    Returns one result per target frame 1..n-1. All solves reuse the
+    ``SliceModel`` built on frame-0 geometry and its one factorization, and
+    every result carries that one model; in incremental mode the boundary
+    samples of later reference frames are mapped onto its mesh by angle.
+    Errors name the frame they belong to.
     """
     if slice_index < 0 or slice_index >= len(study.slices):
         raise ConfigurationError(f"slice index {slice_index} outside study")
@@ -235,14 +254,11 @@ def cycle_strain_analysis(
     frames = sl.frames
     n = len(frames)
 
-    frame0 = frames[0]
-    center = centroid(frame0.inner)
     with _frame_errors(1):
-        inner0, outer0 = uniform_angle_walls(frame0, center, params.n_points)
-    mesh = triangulate_annulus(inner0, outer0, params.n_points, params.n_radial)
+        center, inner0, outer0, mesh = frame_mesh(frames[0], params.n_points, params.n_radial)
     materials = MaterialField.uniform(mesh, params.material)
-    base_system = assemble(mesh, materials, params.mode)
     fixed, take = boundary_dof_map(mesh, inner0.points, outer0.points, center)
+    model = SliceModel(mesh, assemble(mesh, materials, params.mode), fixed)
 
     step_rot = params.rotation_deg_total / (n - 1) if n > 1 else 0.0
     walls0 = np.concatenate([inner0.points, outer0.points])
@@ -263,7 +279,7 @@ def cycle_strain_analysis(
                 vectors = np.concatenate([bd.inner_vectors, bd.outer_vectors])
         values[:, k - 1] = vectors.ravel()[take]
     try:
-        disps = solve(base_system, fixed, values)
+        disps = solve(model.system, fixed, values)
     except SolverError as exc:
         where = f"frame {exc.column + 1}" if exc.column is not None else f"frames 1-{n - 1}"
         raise SolverError(f"{where}: {exc}", exc.column) from exc
@@ -272,7 +288,7 @@ def cycle_strain_analysis(
     for k, disp in enumerate(disps, start=1):
         sf = strain_field(mesh, disp, materials.nu)
         sectors = sector_average(mesh, sf, disp, center, params.n_sectors)
-        results.append(FrameResult(k, disp, sf, sectors, mesh))
+        results.append(FrameResult(k, disp, sf, sectors, model))
     return results
 
 

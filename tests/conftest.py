@@ -42,14 +42,14 @@ def ring_mesh():
     return make_ring(RingSpec(1.0, 2.0), 16, 2)
 
 
-def region_ring(spec, n_angular, n_radial, regions):
-    """``make_ring``'s mesh of ``spec`` with ``regions`` assigned over its base
+def region_ring(spec, n_angular, n_radial, region):
+    """``make_ring``'s mesh of ``spec`` with ``region`` assigned over its base
     material by ``region_material_field``: (mesh, materials)."""
     from cardiofem.materials import region_material_field
     from cardiofem.phantom import make_ring
 
     mesh, _ = make_ring(spec, n_angular, n_radial)
-    return mesh, region_material_field(mesh, spec.material, regions, spec.center)
+    return mesh, region_material_field(mesh, spec.material, region, spec.center)
 
 
 def boundary_dirichlet(mesh, values):

@@ -11,14 +11,20 @@ library's direct factor before its banded Cholesky. The identity-row solve
 also runs by Jacobi-preconditioned conjugate gradients, the library's former
 iterative option. Per boundary: the former position pairing of nodes
 with displacement samples (node k of a loop on sample k), which the library's
-angular pairing reproduces on samples taken at the nodes."""
+angular pairing reproduces on samples taken at the nodes. Per CLI command:
+the former ``mesh --frame`` mesh and ``solve --dump-system`` system, each
+built by the CLI itself; the CLI now takes both from ``study``'s frame-0
+model."""
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg, splu
 
+from cardiofem.contours import centroid, uniform_angle_walls
 from cardiofem.errors import GeometryError
-from cardiofem.fem import LinearSystem, strain_displacement_matrices
+from cardiofem.fem import LinearSystem, apply_dirichlet, assemble, strain_displacement_matrices
+from cardiofem.materials import MaterialField
+from cardiofem.meshing import triangulate_annulus
 
 
 def strain_displacement_matrix(coords) -> tuple[np.ndarray, float]:
@@ -172,3 +178,20 @@ def position_conditions(mesh, bd):
     dofs, take = position_dof_map(mesh, bd.inner_positions, bd.outer_positions,
                                   bd.reference_center)
     return dofs, np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]
+
+
+def cli_frame_mesh(fc, n_points, n_radial):
+    """The former ``mesh --frame`` mesh: the frame's walls resampled about the
+    centroid of its inner wall and triangulated between."""
+    walls = uniform_angle_walls(fc, centroid(fc.inner), n_points,
+                                context=f"frame {fc.frame_index}")
+    return triangulate_annulus(*walls, n_points, n_radial)
+
+
+def cli_constrained_system(mesh, disp, material, mode):
+    """The former ``solve --dump-system`` system: a second assembly on the
+    frame's mesh with every boundary node's dofs fixed to ``disp``."""
+    nodes = np.union1d(mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"))
+    fixed = (2 * nodes[:, None] + np.arange(2)).ravel()
+    materials = MaterialField.uniform(mesh, material)
+    return apply_dirichlet(assemble(mesh, materials, mode), fixed, disp.values.ravel()[fixed])

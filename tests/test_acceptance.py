@@ -188,7 +188,7 @@ def test_ac7_inhomogeneous_direction_check():
     base = Material(1e4, 0.3)
     stiff = AngularRegion(225.0, 315.0, Material(base.E * 10.0, base.nu))
     spec = RingSpec(1.0, 2.0, material=base)
-    mesh, mats = region_ring(spec, 64, 8, (stiff,))
+    mesh, mats = region_ring(spec, 64, 8, stiff)
     # support the ring at the stiff wedge (the infarct-like region anchors
     # the wall); rigid modes pinned at its mid angle
     disp = solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0, anchor_deg=270.0)

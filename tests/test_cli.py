@@ -5,7 +5,14 @@ import os
 import numpy as np
 import pytest
 
+import cardiofem.io as cfio
+from cardiofem import CycleParams, cycle_strain_analysis
+from cardiofem import cli, fem
+from cardiofem import study as study_module
 from cardiofem.cli import main
+from cardiofem.materials import Material
+
+from oracles import cli_constrained_system, cli_frame_mesh
 
 
 def run(*argv):
@@ -104,27 +111,19 @@ def test_analyze_mi_flags_wedge(tmp_path, synth_pair):
 
 
 def test_analyze_exports_the_cycle_mesh(tmp_path, synth_pair, monkeypatch):
-    import cardiofem.cli as cli
-    import cardiofem.study as study_mod
-
-    calls = {"cli": 0, "study": 0}
-
-    def counted(where, fn):
-        def wrapper(*args, **kwargs):
-            calls[where] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(cli, "triangulate_annulus", counted("cli", cli.triangulate_annulus))
-    monkeypatch.setattr(
-        study_mod, "triangulate_annulus", counted("study", study_mod.triangulate_annulus)
-    )
+    meshes = []
+    for module in (cli, study_module):
+        if hasattr(module, "triangulate_annulus"):
+            def counted(*args, _triangulate=module.triangulate_annulus, **kwargs):
+                meshes.append(1)
+                return _triangulate(*args, **kwargs)
+            monkeypatch.setattr(module, "triangulate_annulus", counted)
     healthy_dir, mi_dir = synth_pair
     out = tmp_path / "res"
     assert run("analyze", "--study", str(mi_dir / "study.json"),
                "--reference", str(healthy_dir / "study.json"), "--out", str(out)) == 0
     # one frame-0 mesh per cycle analysis (subject and reference), none for export
-    assert calls == {"cli": 0, "study": 2}
+    assert len(meshes) == 2
     assert len(list(out.glob("fields_slice0_frame*.vtk"))) == 5
 
 
@@ -194,11 +193,14 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     ("phantom-verify", ["--n-points", "0"], "n_points must be at least 8"),
     ("phantom-verify", ["--n-points", "-8"], "n_points must be at least 8"),
     ("phantom-verify", ["--n-radial", "0"], "n_radial must be at least 1, got 0"),
+    ("analyze", ["--reference-manifest", "nonexistent.json"],
+     "more --reference-manifest files (2) than --reference studies (1)"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
                                        command, flags, needle):
     # the input is read and checked before --out is made or a writer forks; a
-    # phantom ring too coarse to build is a usage error, the rest fail validation
+    # phantom ring too coarse to build and a surplus reference manifest are
+    # usage errors, the rest fail validation
     healthy_dir, mi_dir = synth_pair
     forks = _cpus(monkeypatch, 2)
     capsys.readouterr()
@@ -213,7 +215,7 @@ def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys
         code = run("volume", "--study", str(bad), "--out", str(out))
     else:
         code = run(command, *flags, "--out", str(out))
-    assert code == (2 if needle.startswith(("n_points", "n_radial")) else 1)
+    assert code == (2 if needle.startswith(("n_points", "n_radial", "more")) else 1)
     assert needle in _single_error_line(capsys)
     assert forks == []
     assert not out.exists()
@@ -401,6 +403,7 @@ def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv)
     ("phantom-verify", {"mode": "as-printed"}),
     ("volume", {"slice": 1}),
     ("volume", {"help": "x"}),
+    ("strain", {"config": "nonexistent.json"}),
 ])
 def test_config_key_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command,
                                                               values):
@@ -496,6 +499,48 @@ def test_mesh_solve_strain_volume_commands(tmp_path, synth_pair):
     out = tmp_path / "volume"
     assert run("volume", "--study", study, "--out", str(out)) == 0
     assert (out / "volume_curve.csv").exists()
+
+
+@pytest.mark.parametrize("frame", [0, 5])
+def test_mesh_frame_is_the_former_cli_mesh(tmp_path, synth_pair, frame):
+    healthy_dir, _ = synth_pair
+    out, expected = tmp_path / "mesh", tmp_path / "expected"
+    assert run("mesh", "--study", str(healthy_dir / "study.json"), "--frame", str(frame),
+               "--n-points", "32", "--n-radial", "3", "--out", str(out)) == 0
+    fc = cfio.read_study(healthy_dir / "study.json").slices[0].frames[frame]
+    mesh = cli_frame_mesh(fc, 32, 3)
+    expected.mkdir()
+    cfio.write_mesh_vtk(expected / "mesh.vtk", mesh)
+    cfio.write_mesh_csv(expected / "nodes.csv", expected / "elements.csv", mesh)
+    for name in ("mesh.vtk", "nodes.csv", "elements.csv"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes()
+
+
+def test_dump_system_is_the_former_cli_system_and_assembles_once(tmp_path, synth_pair,
+                                                                  monkeypatch):
+    _, mi_dir = synth_pair
+    assemblies = []
+    for module in (fem, study_module, cli):
+        if hasattr(module, "assemble"):
+            def counted(*args, _assemble=module.assemble, **kwargs):
+                assemblies.append(1)
+                return _assemble(*args, **kwargs)
+            monkeypatch.setattr(module, "assemble", counted)
+    study = [str(mi_dir / "contours.csv"), "--manifest", str(mi_dir / "manifest.json")]
+    out = tmp_path / "solve"
+    assert run("solve", "--study", *study, "--frame", "3", "--mode", "plane-strain",
+               "--young", "3e4", "--poisson", "0.45", "--dump-system", "--out", str(out)) == 0
+    assert len(assemblies) == 1
+    monkeypatch.undo()
+
+    material = Material(3e4, 0.45)
+    loaded = cfio.read_study(study[0], study[2])
+    res = cycle_strain_analysis(loaded, CycleParams(material=material, mode="plane-strain"))[2]
+    system = cli_constrained_system(res.model.mesh, res.displacement, material, "plane-strain")
+    cfio.dump_system(tmp_path / "expected", system)
+    for part in ("K", "F"):
+        expected = (tmp_path / f"expected_{part}.mtx").read_bytes()
+        assert (out / f"system_frame3_{part}.mtx").read_bytes() == expected
 
 
 def test_phantom_verify_default(tmp_path):

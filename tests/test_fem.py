@@ -601,7 +601,7 @@ def _wedge_ring(contrast, nu, n_angular, n_radial, outer_radius=2.0):
     ``contrast`` times stiffer than the rest."""
     spec = RingSpec(1.0, outer_radius, material=Material(1e4, nu))
     wedge = AngularRegion(200.0, 290.0, Material(1e4 * contrast, nu))
-    return (spec, *region_ring(spec, n_angular, n_radial, (wedge,)))
+    return (spec, *region_ring(spec, n_angular, n_radial, wedge))
 
 
 @pytest.mark.parametrize("n_angular, n_radial", [(128, 16), (256, 32)])

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 from scipy.io import mmread
 
 import cardiofem.io as cfio
-from cardiofem import ConfigurationError, GeometryError, RingSpec, healthy_study
+from cardiofem import (
+    ConfigurationError, GeometryError, RingSpec, healthy_study, normalized_volume_curve,
+)
 from cardiofem.fem import DisplacementField, apply_dirichlet, assemble
 from cardiofem.materials import Material
 from cardiofem.meshing import Mesh
@@ -361,26 +363,65 @@ def test_field_vtk_export_body_error_wins(tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_mesh_and_field_csv(tmp_path):
-    mesh, mats = make_ring(RingSpec(1.0, 2.0), 8, 1)
-    cfio.write_mesh_csv(tmp_path / "nodes.csv", tmp_path / "elements.csv", mesh)
-    nodes = (tmp_path / "nodes.csv").read_text().splitlines()
-    elements = (tmp_path / "elements.csv").read_text().splitlines()
-    assert len(nodes) == mesh.n_nodes + 1
-    assert len(elements) == mesh.n_triangles + 1
+def _csv_oracle(header, rows) -> bytes:
+    """A CSV table formatted value by value: ints and text as ``str``, floats
+    as ``repr``, comma separated, every line ended by CRLF."""
+    lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+             for row in [header, *rows]]
+    return "".join(line + "\r\n" for line in lines).encode()
 
+
+def test_mesh_and_field_csv(tmp_path, study):
+    # every CSV writer of io against the value-by-value oracle
+    mesh, mats = make_ring(RingSpec(1.0, 2.0), 8, 1)
     rng = np.random.default_rng(0)
     disp = DisplacementField(rng.normal(size=(mesh.n_nodes, 2)))
-    cfio.write_displacement_csv(tmp_path / "disp.csv", mesh, disp)
-    assert len((tmp_path / "disp.csv").read_text().splitlines()) == mesh.n_nodes + 1
-
     sf = strain_field(mesh, disp, mats.nu)
-    cfio.write_strain_csv(tmp_path / "strain.csv", sf)
-    assert len((tmp_path / "strain.csv").read_text().splitlines()) == mesh.n_triangles + 1
+    summaries = [sector_average(mesh, sf, disp, (0.0, 0.0), 4),
+                 sector_average(mesh, sf, disp, (0.1, -0.2), 4)]
+    curve = normalized_volume_curve(study)
+    nodes, tris = mesh.nodes, mesh.triangles
 
-    summary = sector_average(mesh, sf, disp, (0.0, 0.0), 4)
-    cfio.write_sector_csv(tmp_path / "sector.csv", [summary], [1])
-    assert len((tmp_path / "sector.csv").read_text().splitlines()) == 5
+    cfio.write_study_csv(tmp_path / "study.csv", study)
+    cfio.write_mesh_csv(tmp_path / "nodes.csv", tmp_path / "elements.csv", mesh)
+    cfio.write_displacement_csv(tmp_path / "disp.csv", mesh, disp)
+    cfio.write_strain_csv(tmp_path / "strain.csv", sf)
+    cfio.write_sector_csv(tmp_path / "sector.csv", summaries, [1, 3])
+    cfio.write_volume_csv(tmp_path / "volume.csv", curve)
+    expected = {
+        "study.csv": _csv_oracle(cfio.CONTOUR_CSV_COLUMNS, [
+            [study.subject_id, sl.index, fc.frame_index, label, i,
+             float(wall.points[i, 0]), float(wall.points[i, 1])]
+            for sl in study.slices for fc in sl.frames
+            for label, wall in (("inner", fc.inner), ("outer", fc.outer))
+            for i in range(len(wall))
+        ]),
+        "nodes.csv": _csv_oracle(["node_id", "x", "y"], [
+            [i, float(nodes[i, 0]), float(nodes[i, 1])] for i in range(mesh.n_nodes)
+        ]),
+        "elements.csv": _csv_oracle(["element_id", "n0", "n1", "n2"], [
+            [i, *(int(n) for n in tris[i])] for i in range(mesh.n_triangles)
+        ]),
+        "disp.csv": _csv_oracle(["node_id", "x", "y", "u", "v"], [
+            [i, float(nodes[i, 0]), float(nodes[i, 1]),
+             float(disp.values[i, 0]), float(disp.values[i, 1])] for i in range(mesh.n_nodes)
+        ]),
+        "strain.csv": _csv_oracle(["element_id", "eps_x", "eps_y", "gamma_xy", "effective"], [
+            [i, float(sf.eps_x[i]), float(sf.eps_y[i]), float(sf.gamma_xy[i]),
+             float(sf.effective[i])] for i in range(mesh.n_triangles)
+        ]),
+        "sector.csv": _csv_oracle(
+            ["frame", "sector", "mean_displacement", "mean_effective", "count"], [
+                [frame, k, float(sm.mean_displacement[k]), float(sm.mean_effective[k]),
+                 int(sm.counts[k])]
+                for frame, sm in zip([1, 3], summaries) for k in range(4)
+            ]),
+        "volume.csv": _csv_oracle(["frame", "volume", "normalized"], [
+            [k, float(curve.raw[k]), float(curve.normalized[k])] for k in range(study.n_frames)
+        ]),
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text, name
 
 
 def test_dump_system_matrix_market(tmp_path):

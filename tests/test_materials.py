@@ -79,65 +79,40 @@ def test_uniform_field(ring_mesh):
     assert np.all(field.nu == 0.25)
 
 
-def test_region_field_no_regions(ring_mesh):
-    mesh, _ = ring_mesh
-    field = region_material_field(mesh, Material(3.0, 0.2), [], (0.0, 0.0))
-    assert np.all(field.E == 3.0)
-
-
 def test_region_field_full_cover(ring_mesh):
     mesh, _ = ring_mesh
     region = AngularRegion(0.0, 360.0, Material(9.0, 0.1))
-    field = region_material_field(mesh, Material(3.0, 0.2), [region], (0.0, 0.0))
+    field = region_material_field(mesh, Material(3.0, 0.2), region, (0.0, 0.0))
     assert np.all(field.E == 9.0)
     assert np.all(field.nu == 0.1)
 
 
 def test_region_field_quarter_brute_force():
     mesh, _ = make_ring(RingSpec(1.0, 2.0), 64, 8)
-    region = AngularRegion(0.0, 90.0, Material(7.0, 0.3))
-    field = region_material_field(mesh, Material(1.0, 0.3), [region], (0.0, 0.0))
+    region = AngularRegion(0.0, 90.0, Material(7.0, 0.4))
+    field = region_material_field(mesh, Material(1.0, 0.3), region, (0.0, 0.0))
     centroids = mesh.triangle_centroids()
     angles = np.degrees(np.mod(np.arctan2(centroids[:, 1], centroids[:, 0]), 2 * np.pi))
-    expected = np.where((angles >= 0.0) & (angles < 90.0), 7.0, 1.0)
-    assert np.array_equal(field.E, expected)
+    inside = (angles >= 0.0) & (angles < 90.0)
+    assert np.array_equal(field.E, np.where(inside, 7.0, 1.0))
+    assert np.array_equal(field.nu, np.where(inside, 0.4, 0.3))
 
 
 def test_region_field_wraparound():
     mesh, _ = make_ring(RingSpec(1.0, 2.0), 64, 4)
     region = AngularRegion(350.0, 10.0, Material(7.0, 0.3))
-    field = region_material_field(mesh, Material(1.0, 0.3), [region], (0.0, 0.0))
+    field = region_material_field(mesh, Material(1.0, 0.3), region, (0.0, 0.0))
     centroids = mesh.triangle_centroids()
     angles = np.degrees(np.mod(np.arctan2(centroids[:, 1], centroids[:, 0]), 2 * np.pi))
     expected = np.where((angles >= 350.0) | (angles < 10.0), 7.0, 1.0)
     assert np.array_equal(field.E, expected)
 
 
-def test_overlapping_regions_rejected(ring_mesh):
-    mesh, _ = ring_mesh
-    regions = [
-        AngularRegion(0.0, 90.0, Material(7.0, 0.3)),
-        AngularRegion(45.0, 120.0, Material(9.0, 0.3)),
-    ]
-    with pytest.raises(ConfigurationError):
-        region_material_field(mesh, Material(1.0, 0.3), regions, (0.0, 0.0))
-
-
-def test_adjacent_regions_ok(ring_mesh):
-    mesh, _ = ring_mesh
-    regions = [
-        AngularRegion(0.0, 90.0, Material(7.0, 0.3)),
-        AngularRegion(90.0, 180.0, Material(9.0, 0.3)),
-    ]
-    field = region_material_field(mesh, Material(1.0, 0.3), regions, (0.0, 0.0))
-    assert set(np.unique(field.E)) == {1.0, 7.0, 9.0}
-
-
 def test_batch_matrices_match_single(ring_mesh):
     mesh, _ = ring_mesh
     field = region_material_field(
         mesh, Material(2.0, 0.2),
-        [AngularRegion(10.0, 200.0, Material(11.0, 0.4))], (0.0, 0.0),
+        AngularRegion(10.0, 200.0, Material(11.0, 0.4)), (0.0, 0.0),
     )
     for mode in ("as-printed", "plane-strain"):
         batch = constitutive_matrices(field, mode)

@@ -103,7 +103,7 @@ def test_make_ring_homogeneous():
 
 def test_make_ring_stiff_region_partition():
     stiff = AngularRegion(0.0, 90.0, Material(10.0, 0.3))
-    mesh, mats = region_ring(RingSpec(1.0, 2.0, material=Material(1.0, 0.3)), 64, 8, (stiff,))
+    mesh, mats = region_ring(RingSpec(1.0, 2.0, material=Material(1.0, 0.3)), 64, 8, stiff)
     centroids = mesh.triangle_centroids()
     angles = np.degrees(np.mod(np.arctan2(centroids[:, 1], centroids[:, 0]), 2 * np.pi))
     expected = np.where((angles >= 0.0) & (angles < 90.0), 10.0, 1.0)
@@ -189,7 +189,7 @@ def test_end_to_end_pipeline_matches_oracle():
 def test_inhomogeneous_low_mobility_sectors():
     stiff = AngularRegion(225.0, 315.0, Material(1e5, 0.3))
     spec = RingSpec(1.0, 2.0, material=Material(1e4, 0.3))
-    mesh, mats = region_ring(spec, 64, 8, (stiff,))
+    mesh, mats = region_ring(spec, 64, 8, stiff)
     disp = solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0, anchor_deg=270.0)
     sf = strain_field(mesh, disp, mats.nu)
     summary = sector_average(mesh, sf, disp, spec.center, 16)
@@ -276,7 +276,7 @@ def _old_verification(spec, n_points, n_radial, n_sectors):
     errors = [_old_lame_dirichlet_error(spec, na, nr) for na, nr in resolutions]
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     stiff = AngularRegion(225.0, 315.0, Material(spec.material.E * 10.0, spec.material.nu))
-    mesh, mats = region_ring(spec, n_points, n_radial, (stiff,))
+    mesh, mats = region_ring(spec, n_points, n_radial, stiff)
     disp = solve_ring_traction(mesh, assemble(mesh, mats, "plane-strain"), 1.0, anchor_deg=270.0)
     traction = _old_sector_summary(mesh, mats, disp, spec, n_sectors)
     disp2 = _old_pipeline_resolve(mesh, mats, disp, n_points)

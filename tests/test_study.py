@@ -399,8 +399,14 @@ def test_cycle_results_share_frame0_mesh():
     study = mi_wedge_study(seed=4, n_frames=5, n_points=40)
     params = CycleParams(n_points=24, n_radial=3)
     results = cycle_strain_analysis(study, params)
-    mesh = results[0].mesh
-    assert all(res.mesh is mesh for res in results)
+    model = results[0].model
+    assert all(res.model is model for res in results)
+    mesh = model.mesh
+    nodes = np.union1d(mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"))
+    assert np.array_equal(model.fixed, (2 * nodes[:, None] + np.arange(2)).ravel())
+    system = assemble(mesh, MaterialField.uniform(mesh, params.material), params.mode)
+    assert (model.system.stiffness != system.stiffness).nnz == 0
+    assert np.array_equal(model.system.load, system.load)
     frame0 = study.slices[0].frames[0]
     center = centroid(frame0.inner)
     expected = triangulate_annulus(
