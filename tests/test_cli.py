@@ -526,15 +526,16 @@ def test_dump_system_is_the_former_cli_system_and_assembles_once(tmp_path, synth
                 assemblies.append(1)
                 return _assemble(*args, **kwargs)
             monkeypatch.setattr(module, "assemble", counted)
-    study = [str(mi_dir / "contours.csv"), "--manifest", str(mi_dir / "manifest.json")]
+    csv_path, manifest = str(mi_dir / "contours.csv"), str(mi_dir / "manifest.json")
     out = tmp_path / "solve"
-    assert run("solve", "--study", *study, "--frame", "3", "--mode", "plane-strain",
-               "--young", "3e4", "--poisson", "0.45", "--dump-system", "--out", str(out)) == 0
+    assert run("solve", "--study", csv_path, "--manifest", manifest, "--frame", "3",
+               "--mode", "plane-strain", "--young", "3e4", "--poisson", "0.45",
+               "--dump-system", "--out", str(out)) == 0
     assert len(assemblies) == 1
     monkeypatch.undo()
 
     material = Material(3e4, 0.45)
-    loaded = cfio.read_study(study[0], study[2])
+    loaded = cfio.read_study(csv_path, manifest)
     res = cycle_strain_analysis(loaded, CycleParams(material=material, mode="plane-strain"))[2]
     system = cli_constrained_system(res.model.mesh, res.displacement, material, "plane-strain")
     cfio.dump_system(tmp_path / "expected", system)
