@@ -319,11 +319,8 @@ def cmd_analyze(cfg) -> int:
                 loc = infarct_localization([r.sectors for r in results], reference, cfg.tau)
                 cfio.write_localization_json(out / f"localization_slice{sl.index}.json", loc)
                 flagged = loc.suspected_sectors
-                print(
-                    f"slice {sl.index}: suspected sectors {list(flagged)}"
-                    if flagged
-                    else f"slice {sl.index}: no suspected sectors"
-                )
+                print(f"slice {sl.index}: " + (f"suspected sectors {list(flagged)}"
+                                               if flagged else "no suspected sectors"))
     print(f"artifacts written to {out}")
     return 0
 
@@ -410,10 +407,8 @@ def cmd_volume(cfg) -> int:
     curve = normalized_volume_curve(_load_study(cfg))
     out = _outdir(cfg)
     cfio.write_volume_csv(out / "volume_curve.csv", curve)
-    print(
-        f"volume curve written to {out / 'volume_curve.csv'}; "
-        f"min/max ratio {curve.min_over_max:.4f}"
-    )
+    print(f"volume curve written to {out / 'volume_curve.csv'}; "
+          f"min/max ratio {curve.min_over_max:.4f}")
     return 0
 
 

@@ -5,11 +5,18 @@ per-element constitutive matrices and applies Neumann tractions by
 consistent edge lumping. Dirichlet data has one format: an array of strictly
 increasing fixed dofs and an array of their values. :func:`solve` takes an
 (n_fixed, n_sets) value array, fixes those dofs and solves only the free-dof
-block for every column, with one banded Cholesky factorization in reverse
-Cuthill-McKee order. :func:`apply_dirichlet` builds the equivalent symmetric
+block for every column, with one banded Cholesky factorization in the
+system's fold order. :func:`apply_dirichlet` builds the equivalent symmetric
 system with the fixed rows and columns eliminated (replaced by identity), for
 export. :func:`boundary_dof_map` pairs the boundary nodes with displacement
 samples by one rule, angular order about the reference center.
+
+The fold order, a band order for a periodic ring (George & Liu, *Computer
+Solution of Large Sparse Positive Definite Systems*, 1981), takes the nodes
+by angle about their centroid folded about angle 0, then by radius, so that
+angular columns j and n - j sit side by side. A three-pin (all-boundary)
+ring's band has 140 (132) rows at 256x32, 76 (68) at 128x16 and 44 (36) at
+64x8, where reverse Cuthill-McKee's has 200 (188), 104 (92) and 56 (44).
 
 Unknown ordering is interleaved: (u_0, v_0, u_1, v_1, ...), so dof 2*i is
 the x-displacement of node i and dof 2*i + 1 its y-displacement.
@@ -32,16 +39,20 @@ from .meshing import Mesh
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Sparse stiffness matrix and load vector."""
+    """Sparse stiffness matrix, load vector and the node order in which
+    :func:`solve` factors the stiffness; :func:`assemble` gives the fold order."""
 
     stiffness: sparse.csr_matrix
     load: np.ndarray
+    node_order: np.ndarray
 
     def __post_init__(self):
         if self.stiffness.shape[0] != self.stiffness.shape[1]:
             raise MeshError("stiffness matrix must be square")
         if self.stiffness.shape[0] != len(self.load):
             raise MeshError("stiffness/load size mismatch")
+        if 2 * len(self.node_order) != len(self.load):
+            raise MeshError("node order must list every node once")
 
     @property
     def n_dofs(self) -> int:
@@ -123,6 +134,19 @@ def rigid_body_modes(nodes) -> np.ndarray:
 # assembly
 
 
+def _fold_order(nodes: np.ndarray) -> np.ndarray:
+    """The fold order of ``nodes`` (see the module docstring)."""
+    rel = nodes - nodes.mean(axis=0)
+    theta = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
+    fold = np.minimum(theta, 2.0 * np.pi - theta)
+    # a fold angle within 1e-9 of the next smaller one ties with it, so that
+    # a column's nodes, equal in angle up to rounding, go by radius
+    by_fold = np.argsort(fold)
+    tier = np.empty_like(by_fold)
+    tier[by_fold] = np.cumsum(np.diff(fold[by_fold], prepend=0.0) > 1e-9)
+    return np.lexsort((np.hypot(rel[:, 0], rel[:, 1]), tier))
+
+
 def assemble(mesh: Mesh, materials: MaterialField, mode: str = "as-printed") -> LinearSystem:
     """Scatter-add all element stiffnesses into the global sparse system.
 
@@ -152,7 +176,8 @@ def assemble(mesh: Mesh, materials: MaterialField, mode: str = "as-printed") -> 
     cols = np.tile(dofs, (1, 6)).ravel()
     ndof = 2 * mesh.n_nodes
     k = sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
-    return LinearSystem(k, np.zeros(ndof))
+    order = mesh.cached("fold_order", lambda: _fold_order(mesh.nodes))
+    return LinearSystem(k, np.zeros(ndof), order)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +219,7 @@ def apply_dirichlet(system: LinearSystem, fixed_dofs, values) -> LinearSystem:
     proj = sparse.diags(free_mask)
     k_new = (proj @ k @ proj + sparse.diags(1.0 - free_mask)).tocsr()
     f_new = free_mask * (system.load - k @ z) + z
-    return LinearSystem(k_new, f_new)
+    return LinearSystem(k_new, f_new, system.node_order)
 
 
 def apply_traction(system: LinearSystem, tractions, mesh: Mesh) -> LinearSystem:
@@ -217,7 +242,7 @@ def apply_traction(system: LinearSystem, tractions, mesh: Mesh) -> LinearSystem:
         f[2 * a + 1] += half * ty
         f[2 * b] += half * tx
         f[2 * b + 1] += half * ty
-    return LinearSystem(system.stiffness, f)
+    return LinearSystem(system.stiffness, f, system.node_order)
 
 
 def internal_pressure_tractions(mesh: Mesh, pressure: float) -> dict:
@@ -326,33 +351,28 @@ class _BandedCholesky:
         return x
 
 
-def _factor(k: sparse.csc_matrix) -> _BandedCholesky:
-    """Banded Cholesky factor of the symmetric ``k``; a ``k`` that is not
-    positive definite, or nearly singular, raises SolverError.
+def _factor(k: sparse.csc_matrix, perm: np.ndarray) -> _BandedCholesky:
+    """Banded Cholesky factor of the symmetric ``k`` in row order ``perm``;
+    a ``k`` that is not positive definite, or nearly singular, raises
+    SolverError.
 
-    Rows and columns are ordered by reverse Cuthill-McKee (Cuthill & McKee
-    1969), which narrows the band of a ring's stiffness, and the lower band
-    is factored in place by LAPACK ``dpbtrf``. A Cholesky breakdown means
+    ``perm`` is the system's fold order on the free dofs (George & Liu 1981).
+    The lower band of P K P^T is scattered straight from the arrays of ``k``,
+    which must be canonical CSC as the free-dof block of :func:`solve` is,
+    and factored in place by LAPACK ``dpbtrf``. A Cholesky breakdown means
     ``k`` is not positive definite. It is numerically singular, with rigid
     modes left unconstrained, when a squared Cholesky diagonal entry (a pivot
     of the symmetric elimination) is at or below 1e-12 of the largest, or
     when one inverse iteration ends on a vector whose Rayleigh quotient is at
     or below 1e-14 of the largest diagonal entry of ``k``.
     """
-    # imported here: `import cardiofem` does not load scipy.sparse.csgraph (~20 ms)
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    perm = reverse_cuthill_mckee(k, symmetric_mode=True)
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(len(perm))
-    coo = k.tocoo()
-    coo.sum_duplicates()
-    row, col = rank[coo.row], rank[coo.col]
+    rank = np.argsort(perm)
+    row, col = rank[k.indices], np.repeat(rank, np.diff(k.indptr))
     lower = row >= col
     row, col = row[lower], col[lower]
     # Fortran order, so that dpbtrf factors the band in place instead of a copy
     band = np.zeros((int(np.max(row - col, initial=0)) + 1, k.shape[0]), order="F")
-    band[row - col, col] = coo.data[lower]
+    band[row - col, col] = k.data[lower]
     try:
         band = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
     except LinAlgError as exc:
@@ -426,6 +446,8 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
     if not u_b.shape[1]:
         return []
     free = np.setdiff1d(np.arange(system.n_dofs), fixed)
+    # the free dofs in the system's node order, as indices into ``free``
+    perm = np.argsort(2 * np.argsort(system.node_order)[free // 2] + free % 2)
     k_free = system.stiffness.tocsr()[free]
     k_ff = k_free[:, free].tocsc()
     rhs = system.load[free, None] - k_free[:, fixed] @ u_b
@@ -434,7 +456,7 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
     u = np.empty((system.n_dofs, u_b.shape[1]))
     u[fixed] = u_b
     # a mesh whose nodes are all constrained leaves nothing to solve
-    u[free] = _factor(k_ff).solve(rhs) if len(free) else rhs
+    u[free] = _factor(k_ff, perm).solve(rhs) if len(free) else rhs
     residual = np.linalg.norm(k_ff @ u[free] - rhs, axis=0)
     f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(u_b * u_b, axis=0))
     _check_columns(u, residual, f_norm)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .contours import Contour
 from .errors import GeometryError, MeshError
@@ -175,47 +174,28 @@ def triangulate_annulus(
 
 
 def _boundary_loop_closed(edges: np.ndarray) -> bool:
-    """Edges form exactly one closed loop visiting each node twice."""
-    if len(edges) == 0:
+    """At least three edges form exactly one closed loop visiting each node twice."""
+    flat = edges.ravel()
+    _, counts = np.unique(flat, return_counts=True)
+    if len(edges) < 3 or not np.all(counts == 2):
         return False
-    nodes, counts = np.unique(edges, return_counts=True)
-    if not np.all(counts == 2):
-        return False
-    # walk the loop from the first edge
-    succ = {}
-    for a, b in edges:
-        succ.setdefault(int(a), []).append(int(b))
-        succ.setdefault(int(b), []).append(int(a))
-    start = int(edges[0, 0])
-    prev, cur = None, start
-    visited = 0
-    while True:
-        nxt = [n for n in succ[cur] if n != prev]
-        if not nxt:
-            return False
-        prev, cur = cur, nxt[0]
-        visited += 1
-        if cur == start:
-            break
-        if visited > len(edges):
-            return False
-    return visited == len(edges)
+    # end 2*i + s is side s of edge i and other[e] the other end at its node;
+    # the walk crosses an edge, moves on at its node and stops back at end 0
+    pairs = np.argsort(flat, kind="stable").reshape(-1, 2)
+    other = np.empty_like(flat)
+    other[pairs[:, 0]], other[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    end, crossed = other[1], 1
+    while end != 0:
+        end, crossed = other[end ^ 1], crossed + 1
+    return crossed == len(edges)
 
 
 def min_interior_angle_deg(mesh: Mesh) -> float:
     p = mesh.nodes[mesh.triangles]
-    angles = []
-    for i in range(3):
-        a = p[:, i]
-        b = p[:, (i + 1) % 3]
-        c = p[:, (i + 2) % 3]
-        u = b - a
-        v = c - a
-        cosang = np.einsum("ij,ij->i", u, v) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-    return float(np.min(angles))
+    u, v = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+    norms = np.linalg.norm(u, axis=2) * np.linalg.norm(v, axis=2)
+    cosang = np.einsum("fij,fij->fi", u, v) / norms
+    return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).min())
 
 
 def validate(mesh: Mesh) -> ValidationReport:
@@ -255,6 +235,10 @@ def validate(mesh: Mesh) -> ValidationReport:
             f"V - E + F = {mesh.n_nodes} - {n_edges} + {mesh.n_triangles} = {euler}",
         )
     )
+
+    # imported here: only the mesh command validates, and `import cardiofem`
+    # does not load scipy.spatial (~0.1 s)
+    from scipy.spatial import cKDTree
 
     dup_pairs = cKDTree(mesh.nodes).query_pairs(r=1e-12)
     checks.append(

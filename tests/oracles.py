@@ -7,7 +7,9 @@ Dirichlet values as a per-node dict merged into a dof -> value map, the
 identity-row system built from it, and the solve of that whole system; the
 library takes the values as (fixed dofs, values) arrays and solves only the
 free-dof block. Per factor: the free-dof block solved by SuperLU LU, the
-library's direct factor before its banded Cholesky. The identity-row solve
+library's direct factor before its banded Cholesky, and the banded Cholesky
+in reverse Cuthill-McKee order with the band built through COO, as the
+library factored before it took the fold order. The identity-row solve
 also runs by Jacobi-preconditioned conjugate gradients, the library's former
 iterative option. Per boundary: the former position pairing of nodes
 with displacement samples (node k of a loop on sample k), which the library's
@@ -18,6 +20,8 @@ model."""
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import cg, splu
 
 from cardiofem.contours import centroid, uniform_angle_walls
@@ -115,7 +119,7 @@ def identity_row_system(system, dirichlet):
     proj = sparse.diags(free_mask)
     k_new = (proj @ k @ proj + sparse.diags(1.0 - free_mask)).tocsr()
     f_new = free_mask * (system.load - k @ z) + z
-    return LinearSystem(k_new, f_new), fixed, values
+    return LinearSystem(k_new, f_new, system.node_order), fixed, values
 
 
 def identity_row_solve(system, fixed, values, method="direct") -> np.ndarray:
@@ -133,20 +137,48 @@ def identity_row_solve(system, fixed, values, method="direct") -> np.ndarray:
     return u.reshape(-1, 2)
 
 
+def _free_block(system, fixed, values):
+    """(free dofs, K_ff in CSC, right-hand sides F_f - K_fb U_b, solutions with
+    their fixed rows set) of K U = F with U fixed to the columns of the
+    (n_fixed, n_sets) ``values`` on the strictly increasing ``fixed`` dofs."""
+    fixed = np.asarray(fixed, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
+    k_free = system.stiffness.tocsr()[free]
+    u = np.empty((system.n_dofs, values.shape[1]))
+    u[fixed] = values
+    return free, k_free[:, free].tocsc(), system.load[free, None] - k_free[:, fixed] @ values, u
+
+
 def superlu_free_solve(system, fixed, values) -> np.ndarray:
     """(n_dofs, n_sets) solutions of K U = F with U fixed to the columns of the
     (n_fixed, n_sets) ``values`` on the strictly increasing ``fixed`` dofs: the
     free-dof block K_ff factored by SuperLU LU with partial pivoting and
     minimum degree on the pattern of K^T + K."""
-    fixed = np.asarray(fixed, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
-    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
-    k_free = system.stiffness.tocsr()[free]
-    rhs = system.load[free, None] - k_free[:, fixed] @ values
-    u = np.empty((system.n_dofs, values.shape[1]))
-    u[fixed] = values
-    u[free] = splu(k_free[:, free].tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    free, k_ff, rhs, u = _free_block(system, fixed, values)
+    u[free] = splu(k_ff, permc_spec="MMD_AT_PLUS_A").solve(rhs)
     return u
+
+
+def rcm_banded_solve(system, fixed, values) -> tuple[np.ndarray, int]:
+    """``superlu_free_solve``'s solutions and the number of band rows, with
+    K_ff factored by banded Cholesky in reverse Cuthill-McKee order (Cuthill
+    & McKee 1969): the lower band is scattered from K_ff's COO form with its
+    duplicates summed and factored by LAPACK ``dpbtrf``."""
+    free, k_ff, rhs, u = _free_block(system, fixed, values)
+    perm = reverse_cuthill_mckee(k_ff, symmetric_mode=True)
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(perm))
+    coo = k_ff.tocoo()
+    coo.sum_duplicates()
+    row, col = rank[coo.row], rank[coo.col]
+    lower = row >= col
+    row, col = row[lower], col[lower]
+    band = np.zeros((int(np.max(row - col, initial=0)) + 1, k_ff.shape[0]))
+    band[row - col, col] = coo.data[lower]
+    band = cholesky_banded(band, lower=True)
+    u[free[perm]] = cho_solve_banded((band, True), rhs[perm])
+    return u, band.shape[0]
 
 
 def position_dof_map(mesh, inner_positions, outer_positions, center):

@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from cardiofem import ConfigurationError, GeometryError, RingSpec, SolverError
+from cardiofem import (
+    ConfigurationError, CycleParams, GeometryError, RingSpec, SolverError, cycle_strain_analysis,
+)
 from cardiofem.contours import (
     BoundaryDisplacements,
     Contour,
@@ -41,6 +43,7 @@ from oracles import (
     nodal_dirichlet,
     position_conditions,
     position_dof_map,
+    rcm_banded_solve,
     strain_displacement_matrix,
     superlu_free_solve,
 )
@@ -255,7 +258,7 @@ def test_apply_dirichlet_matches_dict_oracle():
     mesh, bd = _mesh_and_samples()
     system = assemble(mesh, MaterialField.uniform(mesh, Material(1e4, 0.3)))
     load = np.random.default_rng(4).normal(size=system.n_dofs)
-    system = fem.LinearSystem(system.stiffness, load)
+    system = fem.LinearSystem(system.stiffness, load, system.node_order)
     nodal = nodal_dirichlet(*boundary_conditions_from_displacements(mesh, bd))
     expected, fixed, values = identity_row_system(system, nodal)
     dofs, got_values = boundary_conditions_from_displacements(mesh, bd)
@@ -376,7 +379,7 @@ def test_solve_matches_identity_row_oracle(ring_mesh, method, field):
         values = values[:, 0]
     if field == "random with load":
         load = np.random.default_rng(2).normal(size=system.n_dofs)
-        system = fem.LinearSystem(system.stiffness, load)
+        system = fem.LinearSystem(system.stiffness, load, system.node_order)
     expected = identity_row_solve(*identity_row_system(system, nodal_dirichlet(fixed, values)),
                                   method)
     got = solve_one(system, fixed, values).values
@@ -412,7 +415,7 @@ def test_solve_condensed_matches_per_set_solve(ring_mesh):
     system = assemble(mesh, mats)
     # a load on the free dofs exercises the F_f term of the condensed right-hand side
     system = fem.LinearSystem(
-        system.stiffness, np.random.default_rng(1).normal(size=system.n_dofs)
+        system.stiffness, np.random.default_rng(1).normal(size=system.n_dofs), system.node_order
     )
     fixed, values = _random_boundary_sets(mesh, 4)
     batched = solve(system, fixed, values)
@@ -449,6 +452,7 @@ def test_solve_condensed_singular_free_block(ring_mesh):
     padded = fem.LinearSystem(
         sparse.block_diag([system.stiffness, sparse.csr_matrix((2, 2))]).tocsr(),
         np.zeros(system.n_dofs + 2),
+        np.append(system.node_order, mesh.n_nodes),
     )
     with pytest.raises(SolverError):
         solve(padded, *_random_boundary_sets(mesh, 3))
@@ -467,7 +471,7 @@ def test_solve_condensed_names_failing_column(ring_mesh, monkeypatch):
             u[:, 1] *= 1.0 + 1e-6
             return u
 
-    monkeypatch.setattr(fem, "_factor", lambda k: CorruptColumnOne(real_factor(k)))
+    monkeypatch.setattr(fem, "_factor", lambda k, perm: CorruptColumnOne(real_factor(k, perm)))
     with pytest.raises(SolverError, match="residual contract") as info:
         solve(assemble(mesh, mats), *_random_boundary_sets(mesh, 3))
     assert info.value.column == 1
@@ -648,9 +652,9 @@ def test_each_solve_factorizes_the_free_block_once(ring_mesh, monkeypatch):
     calls = []
     real_factor = fem._factor
 
-    def counting_factor(k):
+    def counting_factor(k, perm):
         calls.append(k.shape)
-        return real_factor(k)
+        return real_factor(k, perm)
 
     monkeypatch.setattr(fem, "_factor", counting_factor)
     mesh, mats = ring_mesh
@@ -707,9 +711,62 @@ def test_banded_cholesky_matches_superlu(n_angular, n_radial, support):
     assert np.linalg.norm(got.values.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def test_banded_cholesky_does_not_depend_on_node_numbering():
-    # the same ring with its nodes numbered at random: the bandwidth-reducing
-    # order is found from the matrix alone, so the solutions agree
+def _band_rows(monkeypatch) -> list[int]:
+    """The band row counts of every factor ``solve`` makes from here on."""
+    rows, real_factor = [], fem._factor
+
+    def recording_factor(k, perm):
+        factor = real_factor(k, perm)
+        rows.append(factor.band.shape[0])
+        return factor
+
+    monkeypatch.setattr(fem, "_factor", recording_factor)
+    return rows
+
+
+def _assert_fold_matches_rcm(monkeypatch, system, fixed, values, rigid_mesh=None):
+    """Solutions within 1e-12 of the RCM oracle, and a band no wider; with
+    ``rigid_mesh``, the differences are compared without their least-squares
+    rigid motion on that mesh."""
+    rows = _band_rows(monkeypatch)
+    got = solve(system, fixed, values)
+    expected, rcm_rows = rcm_banded_solve(system, fixed, values)
+    for disp, column in zip(got, expected.T):
+        diff = disp.values - column.reshape(-1, 2)
+        if rigid_mesh is not None:
+            diff = fem.remove_rigid_motion(rigid_mesh, fem.DisplacementField(diff)).values
+        assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(column)
+    assert rows[0] <= rcm_rows
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
+def test_fold_order_matches_rcm_oracle(n_angular, n_radial, support, monkeypatch):
+    spec = RingSpec(1.0, 2.0)
+    mesh, mats = make_ring(spec, n_angular, n_radial)
+    # One anchor node holds the ring's rotation only weakly, so rounding turns
+    # the anchored ring by up to ~1e-12 of its displacement in either order:
+    # at 128x16 the two solutions are 1.19e-12 apart, and 92 % of that is a
+    # rigid motion. Their deformations agree to 9.4e-14.
+    _assert_fold_matches_rcm(monkeypatch, *_ring_supports(
+        spec, mesh, assemble(mesh, mats, "plane-strain"), support,
+        mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"),
+    ), rigid_mesh=mesh if support == "anchored" else None)
+
+
+def test_fold_order_matches_rcm_oracle_on_a_study_mesh(monkeypatch):
+    # a frame-0 model of a non-circular study, every boundary dof fixed to
+    # each frame's samples
+    study = mi_wedge_study(seed=5, n_frames=4)
+    results = cycle_strain_analysis(study, CycleParams(n_points=128, n_radial=16))
+    model = results[0].model
+    values = np.column_stack([r.displacement.values.ravel()[model.fixed] for r in results])
+    _assert_fold_matches_rcm(monkeypatch, model.system, model.fixed, values)
+
+
+def test_banded_cholesky_does_not_depend_on_node_numbering(monkeypatch):
+    # the same ring with its nodes numbered at random: the fold order comes
+    # from the node coordinates, so the band and the solutions agree
     spec = RingSpec(1.0, 2.0)
     mesh, mats = make_ring(spec, 128, 16)
     perm = np.random.default_rng(11).permutation(mesh.n_nodes)  # node i was node perm[i]
@@ -717,6 +774,7 @@ def test_banded_cholesky_does_not_depend_on_node_numbering():
     shuffled = Mesh(mesh.nodes[perm], rank[mesh.triangles], rank[mesh.boundary_edges],
                     mesh.boundary_labels)
     walls = [mesh.boundary_nodes(label) for label in ("inner", "outer")]
+    rows = _band_rows(monkeypatch)
     for support in SUPPORTS:
         ordered = _ring_supports(spec, mesh, assemble(mesh, mats, "plane-strain"),
                                  support, *walls)
@@ -732,6 +790,7 @@ def test_banded_cholesky_does_not_depend_on_node_numbering():
         assert np.linalg.norm(got.values - reference.values[perm]) <= (
             1e-12 * np.linalg.norm(reference.values)
         )
+        assert rows[-2] == rows[-1]
 
 
 @pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
@@ -758,20 +817,24 @@ def test_under_pinned_ring_raises(n_angular, n_radial, pins):
 def test_factor_rejects_an_indefinite_matrix():
     k = sparse.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 2.0]]))
     with pytest.raises(SolverError, match="not positive definite"):
-        fem._factor(k)
+        fem._factor(k, np.arange(3))
 
 
-def test_import_does_not_load_csgraph():
-    # _factor imports reverse_cuthill_mckee when it runs, so that loading
-    # scipy.sparse.csgraph stays out of the package import
+def test_import_and_ring_solves_do_not_load_csgraph_or_spatial():
+    # the package import loads neither scipy.sparse.csgraph nor scipy.spatial
+    # (only the mesh command's validate imports it), and the fold order needs
+    # no graph algorithm, so solving rings does not load csgraph either
     src = str(Path(fem.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cardiofem; print('scipy.sparse.csgraph' in sys.modules)"],
+         "import sys, cardiofem\n"
+         "print(*(m in sys.modules for m in ('scipy.sparse.csgraph', 'scipy.spatial')))\n"
+         "cardiofem.verify_ring(cardiofem.RingSpec(1.0, 2.0), 16, 2, 4)\n"
+         "print('scipy.sparse.csgraph' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 def test_ring_traction_residual_error_names_ill_conditioning():

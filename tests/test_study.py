@@ -330,7 +330,9 @@ def _dict_condensed_solve(system, bcs_sets):
     rhs = system.load[free, None] - k_free[:, fixed] @ u_b
     u = np.empty((system.n_dofs, len(constraints)))
     u[fixed] = u_b
-    u[free] = fem._factor(k_ff).solve(rhs)
+    # the free dofs in the system's node order, as the library factors them
+    perm = np.argsort(2 * np.argsort(system.node_order)[free // 2] + free % 2)
+    u[free] = fem._factor(k_ff, perm).solve(rhs)
     return [DisplacementField(u[:, j].reshape(-1, 2)) for j in range(u.shape[1])]
 
 
@@ -432,7 +434,7 @@ def test_cycle_solver_error_names_frame(monkeypatch):
             u[:, 2] *= 1.0 + 1e-6
             return u
 
-    monkeypatch.setattr(fem, "_factor", lambda k: CorruptColumnTwo(real_factor(k)))
+    monkeypatch.setattr(fem, "_factor", lambda k, perm: CorruptColumnTwo(real_factor(k, perm)))
     study = healthy_study(seed=2, n_frames=5)
     with pytest.raises(SolverError, match=r"^frame 3: residual contract"):
         cycle_strain_analysis(study, CycleParams(n_points=32, n_radial=4))
