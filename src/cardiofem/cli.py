@@ -29,27 +29,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import io as cfio
-from .errors import (
-    ConfigurationError,
-    GeometryError,
-    MeshError,
-    SolverError,
-    StarShapeError,
-    UsageError,
-)
+from .errors import (ConfigurationError, GeometryError, MeshError, SolverError,
+                     StarShapeError, UsageError)
 from .fem import apply_dirichlet
 from .materials import Material
 from .meshing import validate
 from .phantom import RingSpec, verify_ring
-from .study import (
-    CycleParams,
-    average_sector_summaries,
-    check_tau,
-    cycle_strain_analysis,
-    frame_mesh,
-    infarct_localization,
-    normalized_volume_curve,
-)
+from .study import (CycleParams, average_sector_summaries, check_tau, cycle_strain_analysis,
+                    frame_mesh, infarct_localization, normalized_volume_curve)
 from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_study
 
 

@@ -325,9 +325,7 @@ def boundary_conditions_from_displacements(
     Returns the sorted dofs of all inner and outer boundary nodes and their
     sampled values, paired with the samples by :func:`boundary_dof_map`.
     """
-    dofs, take = boundary_dof_map(
-        mesh, bd.inner_positions, bd.outer_positions, bd.reference_center
-    )
+    dofs, take = boundary_dof_map(mesh, bd.inner_positions, bd.outer_positions, bd.reference_center)
     return dofs, np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]
 
 
@@ -445,7 +443,7 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
         )
     if not u_b.shape[1]:
         return []
-    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
+    free = np.flatnonzero(np.bincount(fixed, minlength=system.n_dofs) == 0)
     # the free dofs in the system's node order, as indices into ``free``
     perm = np.argsort(2 * np.argsort(system.node_order)[free // 2] + free % 2)
     k_free = system.stiffness.tocsr()[free]

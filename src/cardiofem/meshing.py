@@ -112,16 +112,12 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def __str__(self) -> str:
-        lines = [
-            f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in self.checks
-        ]
+        lines = [f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in self.checks]
         lines += [f"[WARN] {w}" for w in self.warnings]
         return "\n".join(lines)
 
 
-def triangulate_annulus(
-    inner: Contour, outer: Contour, n_angular: int, n_radial: int
-) -> Mesh:
+def triangulate_annulus(inner: Contour, outer: Contour, n_angular: int, n_radial: int) -> Mesh:
     """Mesh the region between two angularly matched contours.
 
     Both contours must already be resampled to the same ``n_angular`` uniform
@@ -160,9 +156,7 @@ def triangulate_annulus(
     triangles = np.stack([a, d, cc, a, cc, b], axis=1).reshape(-1, 3)
 
     last = n_radial * n_angular
-    edges = np.concatenate(
-        [np.column_stack([j, jp]), np.column_stack([last + j, last + jp])]
-    )
+    edges = np.concatenate([np.column_stack([j, jp]), np.column_stack([last + j, last + jp])])
     labels = ("inner",) * n_angular + ("outer",) * n_angular
 
     mesh = Mesh(nodes, triangles, edges, labels)
@@ -208,13 +202,8 @@ def validate(mesh: Mesh) -> ValidationReport:
     checks = []
     areas = mesh.triangle_areas()
     n_bad = int(np.count_nonzero(areas <= 0.0))
-    checks.append(
-        CheckResult(
-            "positive_areas",
-            n_bad == 0,
-            f"{n_bad} of {mesh.n_triangles} triangles non-positive",
-        )
-    )
+    checks.append(CheckResult("positive_areas", n_bad == 0,
+                              f"{n_bad} of {mesh.n_triangles} triangles non-positive"))
 
     labels = np.array(mesh.boundary_labels)
     loops_ok = True
@@ -228,13 +217,9 @@ def validate(mesh: Mesh) -> ValidationReport:
 
     n_edges = len(mesh.unique_edges())
     euler = mesh.n_nodes - n_edges + mesh.n_triangles
-    checks.append(
-        CheckResult(
-            "euler_characteristic",
-            euler == 0,
-            f"V - E + F = {mesh.n_nodes} - {n_edges} + {mesh.n_triangles} = {euler}",
-        )
-    )
+    checks.append(CheckResult(
+        "euler_characteristic", euler == 0,
+        f"V - E + F = {mesh.n_nodes} - {n_edges} + {mesh.n_triangles} = {euler}"))
 
     # imported here: only the mesh command validates, and `import cardiofem`
     # does not load scipy.spatial (~0.1 s)

@@ -7,27 +7,23 @@ homogeneous ring, and a traction-loaded finite-element solve of an assembled
 ring, which works as well when a stiff-sector material field replaces the
 ring's uniform one. A pressure cycle displaces the circles by the closed form
 into a sequence of wall contours, feeding the contour pipeline exactly like
-cardiac data. :func:`verify_ring` runs the verification suite.
+cardiac data. :func:`verify_ring` runs the verification suite, its fine ring
+in a forked child when the process may use more than one CPU.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import forked
 from .contours import Contour, FrameContours, Point2, boundary_displacements
 from .errors import ConfigurationError, GeometryError, UsageError
-from .fem import (
-    apply_traction,
-    assemble,
-    boundary_conditions_from_displacements,
-    boundary_dof_map,
-    internal_pressure_tractions,
-    remove_rigid_motion,
-    solve,
-)
+from .fem import (apply_traction, assemble, boundary_conditions_from_displacements,
+                  boundary_dof_map, internal_pressure_tractions, remove_rigid_motion, solve)
 from .materials import AngularRegion, Material, MaterialField, region_material_field
 from .meshing import triangulate_annulus
 from .strain import SectorSummary, sector_average, strain_field
@@ -59,9 +55,7 @@ class RingSpec:
                 f"need 0 < inner radius < outer radius, got "
                 f"{self.inner_radius}, {self.outer_radius}"
             )
-        object.__setattr__(
-            self, "center", Point2(float(self.center[0]), float(self.center[1]))
-        )
+        object.__setattr__(self, "center", Point2(float(self.center[0]), float(self.center[1])))
 
 
 def make_ring(spec: RingSpec, n_angular: int = 64, n_radial: int = 8):
@@ -249,6 +243,20 @@ def _centroid_l2_error(spec: RingSpec, mesh, disp) -> float:
     return float(np.sqrt(np.sum(areas * diff2) / np.sum(areas * ref2)))
 
 
+def _fine_ring(spec: RingSpec, n_angular: int, n_radial: int) -> tuple[float, float]:
+    """The centroid L2 error of the condensed oracle solve and the relative
+    error of the traction solve against the oracle (an independent
+    cross-check) on the homogeneous ring at ``n_angular`` x ``n_radial``."""
+    mesh, mats = make_ring(spec, n_angular, n_radial)
+    system = assemble(mesh, mats, "plane-strain")
+    fixed, values = _oracle_values(spec, mesh)
+    (disp,) = solve(system, fixed, values[:, None])
+    traction = solve_ring_traction(mesh, system, 1.0)
+    exact = lame_displacement_at(spec, 1.0, mesh.nodes)
+    return (_centroid_l2_error(spec, mesh, disp),
+            float(np.linalg.norm(traction.values - exact) / np.linalg.norm(exact)))
+
+
 def verify_ring(
     spec: RingSpec, n_points: int = 64, n_radial: int = 8, n_sectors: int = 16
 ) -> RingVerification:
@@ -265,7 +273,10 @@ def verify_ring(
     a sector midpoint, ``n_points`` at least 8, so that the half-resolution
     ring is a contour, and divisible by 4 for the traction solve's pin
     layout, and ``n_radial`` at least 1; all are checked before any ring is
-    built.
+    built. The fine ring, the costliest, is verified in one forked child
+    (``_fork.forked``) while this process verifies the rest, so a library
+    caller forks when it may use more than one CPU; on one CPU it is
+    verified inline first, with the same results.
     """
     if n_sectors < 2:
         raise UsageError(f"sectors must be at least 2 for the stiff-wedge check, got {n_sectors}")
@@ -281,43 +292,41 @@ def verify_ring(
         )
     resolutions = ((n_points // 2, max(n_radial // 2, 1)), (n_points, n_radial),
                    (n_points * 2, n_radial * 2))
-    rings = [make_ring(spec, na, nr) for na, nr in resolutions]
-    systems = [assemble(mesh, mats, "plane-strain") for mesh, mats in rings]
-    oracle = [_oracle_values(spec, mesh) for mesh, _ in rings]
-    (mesh, mats), fixed = rings[1], oracle[1][0]
+    with forked([functools.partial(_fine_ring, spec, *resolutions[2])]) as fine:
+        rings = [make_ring(spec, na, nr) for na, nr in resolutions[:2]]
+        systems = [assemble(mesh, mats, "plane-strain") for mesh, mats in rings]
+        oracle = [_oracle_values(spec, mesh) for mesh, _ in rings]
+        (mesh, mats), fixed = rings[1], oracle[1][0]
 
-    disp = solve_ring_traction(mesh, systems[1], 1.0)
-    columns = [[values] for _, values in oracle]
-    columns[1].append(_pipeline_values(mesh, disp, n_points))
-    solved = [solve(system, dofs, np.column_stack(cols))
-              for system, (dofs, _), cols in zip(systems, oracle, columns)]
-    errors = [_centroid_l2_error(spec, m, d[0]) for (m, _), d in zip(rings, solved)]
+        disp = solve_ring_traction(mesh, systems[1], 1.0)
+        columns = [[values] for _, values in oracle]
+        columns[1].append(_pipeline_values(mesh, disp, n_points))
+        solved = [solve(system, dofs, np.column_stack(cols))
+                  for system, (dofs, _), cols in zip(systems, oracle, columns)]
+        errors = [_centroid_l2_error(spec, m, d[0]) for (m, _), d in zip(rings, solved)]
+
+        def summary(materials, u):
+            sf = strain_field(mesh, u, materials.nu)
+            return sector_average(mesh, sf, u, spec.center, n_sectors)
+
+        # the homogeneous field is purely radial, so the angular matching of the
+        # deformed contours is exact up to interpolation
+        md = summary(mats, disp).mean_displacement
+        md2 = summary(mats, solved[1][1]).mean_displacement
+        route_gap = float(np.max(np.abs(md2 - md)) / np.max(md))
+
+        # stiff wedge anchored at its mid angle
+        stiff = AngularRegion(225.0, 315.0, Material(spec.material.E * 10.0, spec.material.nu))
+        stiff_mats = region_material_field(mesh, spec.material, stiff, spec.center)
+        stiff_system = assemble(mesh, stiff_mats, "plane-strain")
+        stiff_disp = solve_ring_traction(mesh, stiff_system, 1.0, anchor_deg=270.0)
+        values = _pipeline_values(mesh, stiff_disp, n_points)[:, None]
+        (stiff_disp2,) = solve(stiff_system, fixed, values)
+        traction, pipeline = summary(stiff_mats, stiff_disp), summary(stiff_mats, stiff_disp2)
+    ((fine_error, traction_err),) = fine
+    errors.append(fine_error)
     orders = [math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0.0 else math.inf
               for i in range(len(errors) - 1)]
-
-    # independent traction-loaded cross-check of the oracle
-    fine_mesh = rings[2][0]
-    fine = solve_ring_traction(fine_mesh, systems[2], 1.0)
-    exact = lame_displacement_at(spec, 1.0, fine_mesh.nodes)
-    traction_err = float(np.linalg.norm(fine.values - exact) / np.linalg.norm(exact))
-
-    def summary(materials, u):
-        sf = strain_field(mesh, u, materials.nu)
-        return sector_average(mesh, sf, u, spec.center, n_sectors)
-
-    # the homogeneous field is purely radial, so the angular matching of the
-    # deformed contours is exact up to interpolation
-    md, md2 = summary(mats, disp).mean_displacement, summary(mats, solved[1][1]).mean_displacement
-    route_gap = float(np.max(np.abs(md2 - md)) / np.max(md))
-
-    # stiff wedge anchored at its mid angle
-    stiff = AngularRegion(225.0, 315.0, Material(spec.material.E * 10.0, spec.material.nu))
-    stiff_mats = region_material_field(mesh, spec.material, stiff, spec.center)
-    stiff_system = assemble(mesh, stiff_mats, "plane-strain")
-    stiff_disp = solve_ring_traction(mesh, stiff_system, 1.0, anchor_deg=270.0)
-    values = _pipeline_values(mesh, stiff_disp, n_points)[:, None]
-    (stiff_disp2,) = solve(stiff_system, fixed, values)
-    traction, pipeline = summary(stiff_mats, stiff_disp), summary(stiff_mats, stiff_disp2)
     mids = (np.arange(n_sectors) + 0.5) * (360.0 / n_sectors)
     stiff_sectors = (mids >= 225.0) & (mids < 315.0)
     stiff_sectors.setflags(write=False)

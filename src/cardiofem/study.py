@@ -33,13 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .contours import (
-    FrameContours,
-    boundary_displacements,
-    centroid,
-    polygon_area,
-    uniform_angle_walls,
-)
+from .contours import (FrameContours, boundary_displacements, centroid, polygon_area,
+                       uniform_angle_walls)
 from .errors import ConfigurationError, GeometryError, SolverError
 from .fem import DisplacementField, LinearSystem, assemble, boundary_dof_map, solve
 from .materials import Material, MaterialField
@@ -196,9 +191,7 @@ def ventricle_volume(study: Study, frame: int) -> float:
             raise ConfigurationError(f"frame {frame} outside study range")
         inner = sl.frames[frame].inner
         if not inner.is_simple():
-            raise GeometryError(
-                f"slice {sl.index} frame {frame}: inner contour self-intersects"
-            )
+            raise GeometryError(f"slice {sl.index} frame {frame}: inner contour self-intersects")
         total += abs(polygon_area(inner.points)) * sl.spacing
     return total
 
@@ -315,14 +308,11 @@ def average_sector_summaries(
         widths = {s.n_sectors for s in per_frame}
         if len(widths) != 1:
             raise ConfigurationError(f"inconsistent sector counts: {widths}")
-        out.append(
-            SectorSummary(
-                n_sectors=per_frame[0].n_sectors,
-                mean_displacement=np.mean([s.mean_displacement for s in per_frame], axis=0),
-                mean_effective=np.mean([s.mean_effective for s in per_frame], axis=0),
-                counts=per_frame[0].counts,
-            )
-        )
+        out.append(SectorSummary(
+            n_sectors=per_frame[0].n_sectors,
+            mean_displacement=np.mean([s.mean_displacement for s in per_frame], axis=0),
+            mean_effective=np.mean([s.mean_effective for s in per_frame], axis=0),
+            counts=per_frame[0].counts))
     return out
 
 
@@ -350,8 +340,6 @@ def infarct_localization(
         )
     subj_avg = subj.mean(axis=0)
     ref_avg = ref.mean(axis=0)
-    flags = tuple(
-        "suspected-infarct" if s < tau * r else "normal"
-        for s, r in zip(subj_avg, ref_avg)
-    )
+    flags = tuple("suspected-infarct" if s < tau * r else "normal"
+                  for s, r in zip(subj_avg, ref_avg))
     return LocalizationResult(flags, subj, ref, tau)

@@ -140,9 +140,7 @@ def _modulated_study(subject_id, wedge, seed, n_frames, n_points, n_slices,
                 healthy_out = rotate_about(healthy_out, c, rot)
             pts_in = inner0 + factor[:, None] * (healthy_in - inner0)
             pts_out = outer0 + factor[:, None] * (healthy_out - outer0)
-            frames.append(
-                FrameContours(k, Contour(pts_in, "inner"), Contour(pts_out, "outer"))
-            )
+            frames.append(FrameContours(k, Contour(pts_in, "inner"), Contour(pts_out, "outer")))
         slices.append(Slice(index=s, spacing=SLICE_SPACING, frames=tuple(frames)))
     return Study(subject_id, tuple(slices))
 

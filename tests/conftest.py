@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -63,3 +64,24 @@ def solve_one(system, fixed, values):
     """The solution of ``system`` with the one set ``values`` on the dofs ``fixed``."""
     (disp,) = solve(system, fixed, np.asarray(values, dtype=float)[:, None])
     return disp
+
+
+def cpus(monkeypatch, n):
+    """Pretend the process may run on ``n`` CPUs; returns the list of fork pids."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

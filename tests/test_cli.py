@@ -1,17 +1,17 @@
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
 
 import cardiofem.io as cfio
-from cardiofem import CycleParams, cycle_strain_analysis
-from cardiofem import cli, fem
+from cardiofem import CycleParams, SolverError, cycle_strain_analysis
+from cardiofem import cli, fem, phantom
 from cardiofem import study as study_module
 from cardiofem.cli import main
 from cardiofem.materials import Material
 
+from conftest import assert_no_child_left, cpus
 from oracles import cli_constrained_system, cli_frame_mesh
 
 
@@ -127,27 +127,6 @@ def test_analyze_exports_the_cycle_mesh(tmp_path, synth_pair, monkeypatch):
     assert len(list(out.glob("fields_slice0_frame*.vtk"))) == 5
 
 
-def _cpus(monkeypatch, n):
-    """Pretend the process may run on ``n`` CPUs; returns the list of fork pids."""
-    forks = []
-    real_fork = os.fork
-
-    def counted_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _analyze_mi(healthy_dir, mi_dir, out, *flags, reference=None):
     return run("analyze", "--study", str(mi_dir / "contours.csv"),
                "--manifest", str(mi_dir / "manifest.json"),
@@ -160,12 +139,12 @@ def test_forked_and_in_process_exports_are_identical(tmp_path, synth_pair, monke
     healthy_dir, mi_dir = synth_pair
     trees, fork_counts = [], []
     for n_cpus in (1, 3):
-        forks = _cpus(monkeypatch, n_cpus)
+        forks = cpus(monkeypatch, n_cpus)
         out = tmp_path / f"cpus{n_cpus}"
         assert _analyze_mi(healthy_dir, mi_dir, out) == 0
         trees.append({p.name: p.read_bytes() for p in out.iterdir()})
         fork_counts.append(len(forks))
-        _assert_no_child_left()
+        assert_no_child_left()
     assert fork_counts == [0, 2]
     assert len(trees[0]) == len(trees[1]) == 9  # 5 VTKs, 3 CSVs, 1 JSON
     assert trees[0] == trees[1]
@@ -174,7 +153,7 @@ def test_forked_and_in_process_exports_are_identical(tmp_path, synth_pair, monke
 def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, capsys):
     # the references are read right after the subject, before any fork or write
     healthy_dir, mi_dir = synth_pair
-    forks = _cpus(monkeypatch, 2)
+    forks = cpus(monkeypatch, 2)
     capsys.readouterr()
     out = tmp_path / "res"
     assert _analyze_mi(healthy_dir, mi_dir, out, reference=tmp_path / "nope.csv") == 2
@@ -202,7 +181,7 @@ def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys
     # phantom ring too coarse to build and a surplus reference manifest are
     # usage errors, the rest fail validation
     healthy_dir, mi_dir = synth_pair
-    forks = _cpus(monkeypatch, 2)
+    forks = cpus(monkeypatch, 2)
     capsys.readouterr()
     out = tmp_path / "res"
     if command == "analyze":
@@ -223,7 +202,7 @@ def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys
 
 def test_failed_export_child_is_one_error_line(tmp_path, synth_pair, monkeypatch, capsys):
     healthy_dir, mi_dir = synth_pair
-    forks = _cpus(monkeypatch, 2)
+    forks = cpus(monkeypatch, 2)
     out = tmp_path / "res"
     # the first job, frame 1, belongs to the child on two CPUs
     (out / "fields_slice0_frame1.vtk").mkdir(parents=True)
@@ -232,7 +211,40 @@ def test_failed_export_child_is_one_error_line(tmp_path, synth_pair, monkeypatch
     line = _single_error_line(capsys)
     assert "Is a directory" in line and "fields_slice0_frame1.vtk" in line, line
     assert len(forks) == 1
-    _assert_no_child_left()
+    assert_no_child_left()
+
+
+def test_forked_and_in_process_phantom_verify_are_identical(tmp_path, monkeypatch, capsys):
+    runs = []
+    for n_cpus in (1, 2):
+        forks = cpus(monkeypatch, n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        capsys.readouterr()
+        assert run("phantom-verify", "--n-points", "32", "--n-radial", "4", "--out", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("wrote ") for line in lines) == 1
+        runs.append(([line for line in lines if not line.startswith("wrote ")],
+                     {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert len(forks) == n_cpus - 1
+        assert_no_child_left()
+    assert sorted(runs[0][1]) == ["convergence.csv", "sector_comparison.csv"]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_fine_ring_solver_error_is_one_error_line(tmp_path, monkeypatch, capsys, n_cpus):
+    def singular(*args):
+        raise SolverError("fine ring is singular", 0)
+
+    monkeypatch.setattr(phantom, "_fine_ring", singular)
+    forks = cpus(monkeypatch, n_cpus)
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert run("phantom-verify", "--n-points", "32", "--n-radial", "4", "--out", str(out)) == 1
+    assert _single_error_line(capsys) == "error: fine ring is singular"
+    assert len(forks) == n_cpus - 1
+    assert_no_child_left()
+    assert not out.exists()
 
 
 def test_unwritable_output_path(tmp_path, capsys):
@@ -241,7 +253,7 @@ def test_unwritable_output_path(tmp_path, capsys):
     capsys.readouterr()
     assert run("synth", "--kind", "healthy", "--out", str(blocker / "x")) == 2
     assert "Not a directory" in _single_error_line(capsys)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _single_error_line(capsys):

@@ -19,7 +19,7 @@ from cardiofem.phantom import (
 )
 from cardiofem.strain import sector_average, strain_field
 
-from conftest import boundary_dirichlet, region_ring, solve_one
+from conftest import assert_no_child_left, boundary_dirichlet, cpus, region_ring, solve_one
 
 
 def test_ring_spec_validation():
@@ -301,7 +301,8 @@ def test_verify_ring_matches_eliminated_route(spec, n_points, n_radial):
     assert len(report.checks) == 6
 
 
-def test_verify_ring_builds_each_ring_once(monkeypatch):
+def _count_ring_work(monkeypatch):
+    """Counts of this process's triangulations, assemblies and factorizations."""
     import cardiofem.fem as fem_module
     import cardiofem.phantom as phantom_module
 
@@ -317,10 +318,28 @@ def test_verify_ring_builds_each_ring_once(monkeypatch):
                         counted("triangulate", phantom_module.triangulate_annulus))
     monkeypatch.setattr(phantom_module, "assemble", counted("assemble", phantom_module.assemble))
     monkeypatch.setattr(fem_module, "_factor", counted("factor", fem_module._factor))
+    return calls
+
+
+def test_verify_ring_builds_each_ring_once(monkeypatch):
+    forks = cpus(monkeypatch, 1)
+    calls = _count_ring_work(monkeypatch)
     verify_ring(RingSpec(1.0, 2.0), 64, 8, 16)
     # three homogeneous rings plus the stiff wedge on the base mesh; the base
     # oracle solve and the pipeline re-solve share one factor
     assert calls == {"triangulate": 3, "assemble": 4, "factor": 7}
+    assert forks == []
+
+
+def test_verify_ring_verifies_the_fine_ring_in_one_child(monkeypatch):
+    forks = cpus(monkeypatch, 2)
+    calls = _count_ring_work(monkeypatch)
+    verify_ring(RingSpec(1.0, 2.0), 64, 8, 16)
+    # the child meshes, assembles and factors the fine ring twice; this
+    # process does the coarse and base rings and the stiff wedge
+    assert calls == {"triangulate": 2, "assemble": 3, "factor": 5}
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("n_points", [30, 254])
@@ -355,7 +374,8 @@ def test_verify_ring_checks_ring_size_before_meshing(monkeypatch, n_points, n_ra
     assert calls == []
 
 
-def test_verify_ring_uses_the_public_traction_solve(monkeypatch):
+def _count_traction_solves(monkeypatch):
+    """The ``anchor_deg`` of each traction solve this process makes."""
     import cardiofem.phantom as phantom_module
 
     calls = []
@@ -366,9 +386,25 @@ def test_verify_ring_uses_the_public_traction_solve(monkeypatch):
         return solve_traction(*args, **kwargs)
 
     monkeypatch.setattr(phantom_module, "solve_ring_traction", counted)
+    return calls
+
+
+def test_verify_ring_uses_the_public_traction_solve(monkeypatch):
+    cpus(monkeypatch, 1)
+    calls = _count_traction_solves(monkeypatch)
     verify_ring(RingSpec(1.0, 2.0), 32, 4, 16)
     # the base and fine homogeneous rings, then the stiff wedge anchored at 270 degrees
     assert calls == [None, None, 270.0]
+
+
+def test_verify_ring_leaves_the_fine_traction_solve_to_the_child(monkeypatch):
+    forks = cpus(monkeypatch, 2)
+    calls = _count_traction_solves(monkeypatch)
+    verify_ring(RingSpec(1.0, 2.0), 32, 4, 16)
+    # this process: the base ring, then the stiff wedge anchored at 270 degrees
+    assert calls == [None, 270.0]
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def test_verify_ring_coarse_base_fails_named_checks():
