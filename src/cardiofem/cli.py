@@ -16,6 +16,8 @@ including a file that cannot be read or written, or a flag the command does
 not take. A JSON config file (--config) may supply any long flag of the
 command but --config by name (any other key is a usage error); explicit flags
 override config values. Input is read and checked before --out is made.
+The commands parse, dispatch and print: the library computes and ``io``
+writes every file.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import io as cfio
 from .errors import (ConfigurationError, GeometryError, MeshError, SolverError,
                      StarShapeError, UsageError)
@@ -35,8 +35,8 @@ from .fem import apply_dirichlet
 from .materials import Material
 from .meshing import validate
 from .phantom import RingSpec, verify_ring
-from .study import (CycleParams, average_sector_summaries, check_tau, cycle_strain_analysis,
-                    frame_mesh, infarct_localization, normalized_volume_curve)
+from .study import (CycleParams, check_tau, cycle_strain_analysis, frame_mesh,
+                    normalized_volume_curve, reference_localization)
 from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_study
 
 
@@ -159,13 +159,15 @@ def _merged_config(args: argparse.Namespace) -> SimpleNamespace:
 
     A config key names a long flag of the command other than ``--config``,
     with ``_`` for ``-`` (``n_points`` sets what ``--n-points`` sets), and its
-    value is checked by :func:`_config_value`; any other key raises UsageError.
+    value is checked by :func:`_config_value`; any other key raises UsageError,
+    as does ``--phantom-spec`` given with ``--young`` or ``--poisson``.
     """
     names = ("out", *SUBCOMMANDS[args.command][1])
     dests = {name: FLAGS[name].get("dest", name.replace("-", "_")) for name in names}
     merged = {dest: DEFAULTS[dest] for dest in dests.values() if dest in DEFAULTS}
     explicit = {k: v for k, v in vars(args).items() if k != "command"}
     config_path = explicit.pop("config", None)
+    given = set(explicit)
     if config_path:
         path = Path(config_path)
         if not path.exists():
@@ -178,7 +180,12 @@ def _merged_config(args: argparse.Namespace) -> SimpleNamespace:
             if name not in dests:
                 raise UsageError(f"config {path}: {key!r} names no flag of {args.command}")
             merged[dests[name]] = _config_value(FLAGS[name], value, f"config {path}: {key}")
+            given.add(dests[name])
     merged.update(explicit)
+    # a phantom spec's material sets E and nu, so these flags would be ignored
+    for name in ("young", "poisson"):
+        if {"phantom_spec", name} <= given:
+            raise UsageError(f"--phantom-spec excludes --{name}: the spec sets the material")
     return SimpleNamespace(**merged)
 
 
@@ -215,30 +222,12 @@ def cmd_phantom_verify(cfg) -> int:
     else:
         spec = RingSpec(1.0, 2.0, material=Material(cfg.young, cfg.poisson))
     report = verify_ring(spec, cfg.n_points, cfg.n_radial, cfg.sectors)
-    out = _outdir(cfg)
-
-    with (out / "convergence.csv").open("w") as fh:
-        fh.write("n_angular,n_radial,h,l2_error,observed_order\n")
-        for i, ((na, nr), err) in enumerate(zip(report.resolutions, report.l2_errors)):
-            h = (spec.outer_radius - spec.inner_radius) / nr
-            order = "" if i == 0 else repr(report.orders[i - 1])
-            fh.write(f"{na},{nr},{h!r},{err!r},{order}\n")
+    convergence, sectors = cfio.write_ring_verification(_outdir(cfg), spec, report)
     print(f"[convergence] L2 errors: {['%.3e' % e for e in report.l2_errors]}")
     print(f"[convergence] observed orders: {['%.3f' % o for o in report.orders]}")
     for check in report.checks:
         print(check.line)
-
-    t, p = report.traction, report.pipeline
-    columns = zip(t.mean_displacement.tolist(), p.mean_displacement.tolist(),
-                  t.mean_effective.tolist(), p.mean_effective.tolist(),
-                  report.stiff_sectors.tolist())
-    with (out / "sector_comparison.csv").open("w") as fh:
-        fh.write("sector,mean_disp_traction,mean_disp_pipeline,"
-                 "mean_effective_traction,mean_effective_pipeline,stiff\n")
-        for s, (md_t, md_p, me_t, me_p, stiff) in enumerate(columns):
-            fh.write(f"{s},{md_t!r},{md_p!r},{me_t!r},{me_p!r},{int(stiff)}\n")
-
-    print(f"wrote {out / 'convergence.csv'} and {out / 'sector_comparison.csv'}")
+    print(f"wrote {convergence} and {sectors}")
     if report.failures:
         print(f"FAILED checks: {', '.join(report.failures)}")
         return 1
@@ -247,17 +236,6 @@ def cmd_phantom_verify(cfg) -> int:
 
 # ---------------------------------------------------------------------------
 # analyze and the small single-step commands
-
-
-def _fields_vtk_job(path, res) -> tuple:
-    """``write_mesh_vtk`` arguments of one frame result's displacement and
-    strain fields on its mesh."""
-    sf = res.strain
-    return (
-        path, res.model.mesh, {"displacement": res.displacement.values},
-        {"eps_x": sf.eps_x, "eps_y": sf.eps_y, "gamma_xy": sf.gamma_xy,
-         "effective": sf.effective},
-    )
 
 
 def cmd_analyze(cfg) -> int:
@@ -278,32 +256,17 @@ def cmd_analyze(cfg) -> int:
     cfio.write_volume_csv(out / "volume_curve.csv", curve)
 
     per_slice = [cycle_strain_analysis(study, params, i) for i in range(len(study.slices))]
-    jobs = [_fields_vtk_job(out / f"fields_slice{sl.index}_frame{res.frame_index}.vtk", res)
+    jobs = [cfio.fields_vtk_job(out / f"fields_slice{sl.index}_frame{res.frame_index}.vtk", res)
             for sl, results in zip(study.slices, per_slice) for res in results]
-    # the VTK writers run while the tables are written and the reference analysed
+    # the VTK writers run while the tables are written and the references analysed
     with cfio.field_vtk_export(jobs):
-        for sl, results in zip(study.slices, per_slice):
-            cfio.write_sector_csv(
-                out / f"sector_timeseries_slice{sl.index}.csv",
-                [r.sectors for r in results],
-                [r.frame_index for r in results],
-            )
-            with (out / f"strain_aggregates_slice{sl.index}.csv").open("w") as fh:
-                fh.write("frame,mean_effective,max_effective\n")
-                for r in results:
-                    fh.write(
-                        f"{r.frame_index},{float(np.mean(r.strain.effective))!r},"
-                        f"{float(np.max(r.strain.effective))!r}\n"
-                    )
-
-        if references:
-            for sl_pos, (sl, results) in enumerate(zip(study.slices, per_slice)):
-                ref_runs = []
-                for ref_study in references:
-                    ref_results = cycle_strain_analysis(ref_study, params, slice_index=sl_pos)
-                    ref_runs.append([r.sectors for r in ref_results])
-                reference = average_sector_summaries(ref_runs)
-                loc = infarct_localization([r.sectors for r in results], reference, cfg.tau)
+        for position, (sl, results) in enumerate(zip(study.slices, per_slice)):
+            cfio.write_sector_csv(out / f"sector_timeseries_slice{sl.index}.csv",
+                                  [r.sectors for r in results], [r.frame_index for r in results])
+            cfio.write_strain_aggregates_csv(out / f"strain_aggregates_slice{sl.index}.csv",
+                                             results)
+            if references:
+                loc = reference_localization(results, references, params, position, cfg.tau)
                 cfio.write_localization_json(out / f"localization_slice{sl.index}.json", loc)
                 flagged = loc.suspected_sectors
                 print(f"slice {sl.index}: " + (f"suspected sectors {list(flagged)}"
@@ -383,7 +346,7 @@ def cmd_strain(cfg) -> int:
     res = _frame_result(cfg, _load_study(cfg))
     out = _outdir(cfg)
     frame = res.frame_index
-    cfio.write_mesh_vtk(*_fields_vtk_job(out / f"strain_frame{frame}.vtk", res))
+    cfio.write_mesh_vtk(*cfio.fields_vtk_job(out / f"strain_frame{frame}.vtk", res))
     cfio.write_strain_csv(out / f"strain_frame{frame}.csv", res.strain)
     cfio.write_sector_csv(out / f"sectors_frame{frame}.csv", [res.sectors], [frame])
     print(f"artifacts written to {out}")

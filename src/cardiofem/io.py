@@ -34,7 +34,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmwrite
 
 from ._fork import forked, usable_cpus
 from .contours import Contour, FrameContours
@@ -42,9 +41,9 @@ from .errors import ConfigurationError, GeometryError
 from .fem import DisplacementField, LinearSystem
 from .materials import Material
 from .meshing import Mesh
-from .phantom import RingSpec
+from .phantom import RingSpec, RingVerification
 from .strain import SectorSummary, StrainField
-from .study import LocalizationResult, Slice, Study, VolumeCurve
+from .study import FrameResult, LocalizationResult, Slice, Study, VolumeCurve
 
 CONTOUR_CSV_COLUMNS = ("subject_id", "slice", "frame", "boundary", "point_index", "x", "y")
 
@@ -308,6 +307,15 @@ def write_mesh_vtk(
             fh.write("\n".join(lines) + "\n")
 
 
+def fields_vtk_job(path, result: FrameResult) -> tuple:
+    """``write_mesh_vtk`` arguments of one frame result's displacement and
+    strain fields on its mesh."""
+    sf = result.strain
+    return (path, result.model.mesh, {"displacement": result.displacement.values},
+            {"eps_x": sf.eps_x, "eps_y": sf.eps_y, "gamma_xy": sf.gamma_xy,
+             "effective": sf.effective})
+
+
 def _write_share(jobs) -> None:
     for job in jobs:
         write_mesh_vtk(*job)
@@ -360,6 +368,14 @@ def write_sector_csv(path, summaries: list[SectorSummary], frame_indices) -> Non
     ))
 
 
+def write_strain_aggregates_csv(path, results: list[FrameResult]) -> None:
+    """Each frame result's mean and maximum effective strain, one row per frame."""
+    _write_csv(path, ["frame", "mean_effective", "max_effective"], (
+        [r.frame_index, float(np.mean(r.strain.effective)), float(np.max(r.strain.effective))]
+        for r in results
+    ))
+
+
 def write_volume_csv(path, curve: VolumeCurve) -> None:
     _write_csv(path, ["frame", "volume", "normalized"],
                ([k, *row] for k, row in enumerate(zip(curve.raw.tolist(),
@@ -379,6 +395,8 @@ def write_localization_json(path, result: LocalizationResult) -> None:
 
 def dump_system(prefix, system: LinearSystem) -> None:
     """Matrix-market dump of K and F for debugging."""
+    from scipy.io import mmwrite  # only ``solve --dump-system`` needs scipy.io
+
     prefix = Path(prefix)
     mmwrite(str(prefix) + "_K.mtx", system.stiffness)
     mmwrite(str(prefix) + "_F.mtx", system.load.reshape(-1, 1))
@@ -415,6 +433,26 @@ def read_phantom_spec(path) -> RingSpec:
     material = Material(float(_json_field(base, "E", _NUMBER, f"{where} material", 1e4)),
                         float(_json_field(base, "nu", _NUMBER, f"{where} material", 0.3)))
     return RingSpec(inner, outer, center, material)
+
+
+def write_ring_verification(out, spec: RingSpec, report: RingVerification) -> tuple[Path, Path]:
+    """``convergence.csv`` (each homogeneous ring's size, h = wall thickness
+    / n_radial, L2 error and observed order, empty on the first row) and
+    ``sector_comparison.csv`` (the stiff-wedge ring's sector means on both
+    routes) of ``report`` in directory ``out``; returns both paths."""
+    paths = Path(out, "convergence.csv"), Path(out, "sector_comparison.csv")
+    thickness = spec.outer_radius - spec.inner_radius
+    _write_csv(paths[0], ["n_angular", "n_radial", "h", "l2_error", "observed_order"], (
+        [na, nr, thickness / nr, err, order] for (na, nr), err, order
+        in zip(report.resolutions, report.l2_errors, ("", *report.orders))
+    ))
+    t, p = report.traction, report.pipeline
+    columns = (t.mean_displacement, p.mean_displacement, t.mean_effective, p.mean_effective,
+               report.stiff_sectors.astype(int))
+    _write_csv(paths[1], ["sector", "mean_disp_traction", "mean_disp_pipeline",
+                          "mean_effective_traction", "mean_effective_pipeline", "stiff"],
+               ([s, *row] for s, row in enumerate(zip(*(c.tolist() for c in columns)))))
+    return paths
 
 
 def write_phantom_spec(path, spec: RingSpec) -> None:

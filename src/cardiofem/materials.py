@@ -27,11 +27,6 @@ from .meshing import Mesh
 MODES = ("as-printed", "plane-strain")
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 @dataclass(frozen=True)
 class Material:
     """Isotropic linear elastic material (Young's modulus, Poisson's ratio)."""
@@ -91,24 +86,19 @@ class MaterialField:
 
 def constitutive_matrices(field: MaterialField, mode: str = "as-printed") -> np.ndarray:
     """(F, 3, 3) stack of per-element constitutive matrices."""
-    _check_mode(mode)
-    e = field.E
-    nu = field.nu
-    out = np.zeros((len(e), 3, 3))
+    if mode not in MODES:
+        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+    e, nu = field.E, field.nu
     if mode == "as-printed":
         f = e / (1.0 - nu * nu)
-        out[:, 0, 0] = f
-        out[:, 1, 1] = f
-        out[:, 0, 1] = f * nu
-        out[:, 1, 0] = f * nu
-        out[:, 2, 2] = f * (1.0 - nu) / 2.0
+        diagonal, shear = f, f * (1.0 - nu) / 2.0
     else:
         f = e / ((1.0 + nu) * (1.0 - 2.0 * nu))
-        out[:, 0, 0] = f * (1.0 - nu)
-        out[:, 1, 1] = f * (1.0 - nu)
-        out[:, 0, 1] = f * nu
-        out[:, 1, 0] = f * nu
-        out[:, 2, 2] = f * (1.0 - 2.0 * nu) / 2.0
+        diagonal, shear = f * (1.0 - nu), f * (1.0 - 2.0 * nu) / 2.0
+    out = np.zeros((len(e), 3, 3))
+    out[:, 0, 0] = out[:, 1, 1] = diagonal
+    out[:, 0, 1] = out[:, 1, 0] = f * nu
+    out[:, 2, 2] = shear
     return out
 
 

@@ -98,12 +98,10 @@ class VolumeCurve:
     normalized: np.ndarray
 
     def __post_init__(self):
-        raw = np.array(self.raw, dtype=float)
-        norm = np.array(self.normalized, dtype=float)
-        raw.setflags(write=False)
-        norm.setflags(write=False)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "normalized", norm)
+        for name in ("raw", "normalized"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def min_over_max(self) -> float:
@@ -166,12 +164,10 @@ class LocalizationResult:
     tau: float
 
     def __post_init__(self):
-        subj = np.array(self.subject_strain, dtype=float)
-        ref = np.array(self.reference_strain, dtype=float)
-        subj.setflags(write=False)
-        ref.setflags(write=False)
-        object.__setattr__(self, "subject_strain", subj)
-        object.__setattr__(self, "reference_strain", ref)
+        for name in ("subject_strain", "reference_strain"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "flags", tuple(self.flags))
 
     @property
@@ -343,3 +339,15 @@ def infarct_localization(
     flags = tuple("suspected-infarct" if s < tau * r else "normal"
                   for s, r in zip(subj_avg, ref_avg))
     return LocalizationResult(flags, subj, ref, tau)
+
+
+def reference_localization(results: Sequence[FrameResult], references: Sequence[Study],
+                           params: CycleParams, slice_index: int,
+                           tau: float) -> LocalizationResult:
+    """Localize one slice's cycle ``results`` against the mean sector
+    summaries of the ``references``' cycle analyses of the slice at position
+    ``slice_index``, with the same ``params``."""
+    reference = average_sector_summaries(
+        [[r.sectors for r in cycle_strain_analysis(ref, params, slice_index)] for ref in references]
+    )
+    return infarct_localization([r.sectors for r in results], reference, tau)

@@ -16,7 +16,10 @@ with displacement samples (node k of a loop on sample k), which the library's
 angular pairing reproduces on samples taken at the nodes. Per CLI command:
 the former ``mesh --frame`` mesh and ``solve --dump-system`` system, each
 built by the CLI itself; the CLI now takes both from ``study``'s frame-0
-model."""
+model. Per CLI table: the former hand-written ``phantom-verify`` and
+``analyze`` tables, with LF line ends, and the former inline reference
+localization of ``analyze``; ``io`` now writes the tables (CRLF) and
+``study.reference_localization`` localizes."""
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +32,8 @@ from cardiofem.errors import GeometryError
 from cardiofem.fem import LinearSystem, apply_dirichlet, assemble, strain_displacement_matrices
 from cardiofem.materials import MaterialField
 from cardiofem.meshing import triangulate_annulus
+from cardiofem.study import (average_sector_summaries, cycle_strain_analysis,
+                             infarct_localization)
 
 
 def strain_displacement_matrix(coords) -> tuple[np.ndarray, float]:
@@ -227,3 +232,44 @@ def cli_constrained_system(mesh, disp, material, mode):
     fixed = (2 * nodes[:, None] + np.arange(2)).ravel()
     materials = MaterialField.uniform(mesh, material)
     return apply_dirichlet(assemble(mesh, materials, mode), fixed, disp.values.ravel()[fixed])
+
+
+def cli_ring_tables(out, spec, report) -> None:
+    """The former ``phantom-verify`` tables, written line by line with LF."""
+    with (out / "convergence.csv").open("w") as fh:
+        fh.write("n_angular,n_radial,h,l2_error,observed_order\n")
+        for i, ((na, nr), err) in enumerate(zip(report.resolutions, report.l2_errors)):
+            h = (spec.outer_radius - spec.inner_radius) / nr
+            order = "" if i == 0 else repr(report.orders[i - 1])
+            fh.write(f"{na},{nr},{h!r},{err!r},{order}\n")
+    t, p = report.traction, report.pipeline
+    columns = zip(t.mean_displacement.tolist(), p.mean_displacement.tolist(),
+                  t.mean_effective.tolist(), p.mean_effective.tolist(),
+                  report.stiff_sectors.tolist())
+    with (out / "sector_comparison.csv").open("w") as fh:
+        fh.write("sector,mean_disp_traction,mean_disp_pipeline,"
+                 "mean_effective_traction,mean_effective_pipeline,stiff\n")
+        for s, (md_t, md_p, me_t, me_p, stiff) in enumerate(columns):
+            fh.write(f"{s},{md_t!r},{md_p!r},{me_t!r},{me_p!r},{int(stiff)}\n")
+
+
+def cli_strain_aggregates(path, results) -> None:
+    """The former ``analyze`` strain aggregates table, written with LF."""
+    with path.open("w") as fh:
+        fh.write("frame,mean_effective,max_effective\n")
+        for r in results:
+            fh.write(
+                f"{r.frame_index},{float(np.mean(r.strain.effective))!r},"
+                f"{float(np.max(r.strain.effective))!r}\n"
+            )
+
+
+def cli_reference_localization(results, references, params, slice_index, tau):
+    """The former inline localization of ``analyze``: each reference's cycle
+    analysis of the slice, their average, and the subject against it."""
+    ref_runs = []
+    for ref_study in references:
+        ref_results = cycle_strain_analysis(ref_study, params, slice_index=slice_index)
+        ref_runs.append([r.sectors for r in ref_results])
+    reference = average_sector_summaries(ref_runs)
+    return infarct_localization([r.sectors for r in results], reference, tau)

@@ -1,5 +1,7 @@
+import ast
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,6 +596,47 @@ def test_phantom_verify_custom_spec(tmp_path):
                "--out", str(out)) == 0
 
 
+def _ring_spec(tmp_path):
+    spec_path = tmp_path / "ring.json"
+    spec_path.write_text(json.dumps({"inner_radius": 1.0, "outer_radius": 2.0}))
+    return spec_path
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--young", "5e6"], "young"),
+    (["--poisson", "0.25"], "poisson"),
+    (["--young", "5e6", "--poisson", "0.25"], "young"),
+])
+def test_phantom_spec_excludes_modulus_flags(tmp_path, capsys, flags, name):
+    # the spec's material sets E and nu, so the flags would be ignored
+    out = tmp_path / "pv"
+    capsys.readouterr()
+    assert run("phantom-verify", "--phantom-spec", str(_ring_spec(tmp_path)), *flags,
+               "--out", str(out)) == 2
+    assert _single_error_line(capsys) == (
+        f"error: --phantom-spec excludes --{name}: the spec sets the material")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values, flags, name", [
+    ({"young": 5e6}, ["--phantom-spec", "SPEC"], "young"),
+    ({"phantom_spec": "SPEC", "poisson": 0.25}, [], "poisson"),
+    ({"phantom-spec": "SPEC"}, ["--young", "5e6"], "young"),
+])
+def test_phantom_spec_excludes_modulus_config_keys(tmp_path, capsys, values, flags, name):
+    # a config key counts as its flag, whether it gives the spec or the modulus
+    spec = str(_ring_spec(tmp_path))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({k: spec if v == "SPEC" else v for k, v in values.items()}))
+    flags = [spec if flag == "SPEC" else flag for flag in flags]
+    out = tmp_path / "pv"
+    capsys.readouterr()
+    assert run("phantom-verify", "--config", str(config), *flags, "--out", str(out)) == 2
+    assert _single_error_line(capsys) == (
+        f"error: --phantom-spec excludes --{name}: the spec sets the material")
+    assert not out.exists()
+
+
 def test_phantom_verify_needs_two_sectors(tmp_path, capsys):
     capsys.readouterr()
     assert run("phantom-verify", "--sectors", "1", "--n-points", "16", "--n-radial", "2",
@@ -631,6 +674,42 @@ def test_phantom_csvs_are_numbers_of_the_report(tmp_path):
          p.mean_effective[s], float(report.stiff_sectors[s])]
         for s in range(16)
     ]
+
+
+def test_every_table_ends_lines_with_crlf(tmp_path, synth_pair):
+    # every CSV goes through io's one writer, the analyze and phantom-verify
+    # tables included
+    healthy_dir, mi_dir = synth_pair
+    assert _analyze_mi(healthy_dir, mi_dir, tmp_path / "analysis") == 0
+    assert run("phantom-verify", "--n-points", "32", "--n-radial", "4",
+               "--out", str(tmp_path / "pv")) == 0
+    tables = sorted(tmp_path.glob("analysis/*.csv")) + sorted(tmp_path.glob("pv/*.csv"))
+    assert [p.name for p in tables] == [
+        "sector_timeseries_slice0.csv", "strain_aggregates_slice0.csv", "volume_curve.csv",
+        "convergence.csv", "sector_comparison.csv",
+    ]
+    for path in tables:
+        data = path.read_bytes()
+        assert data.count(b"\n") == data.count(b"\r\n") > 0, path.name
+
+
+def test_cli_computes_and_writes_nothing_itself():
+    # the CLI parses, dispatches and prints: it imports no numpy, opens or
+    # writes no file (io does), and leaves localization to study
+    tree = ast.parse(Path(cli.__file__).read_text())
+    nodes = list(ast.walk(tree))
+    modules = {alias.name for node in nodes if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module}
+    assert "numpy" not in {name.split(".")[0] for name in modules}
+    called = {getattr(node.func, "attr", getattr(node.func, "id", ""))
+              for node in nodes if isinstance(node, ast.Call)}
+    assert not called & {"open", "write", "write_text", "write_bytes", "writelines"}
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not names & {"average_sector_summaries", "infarct_localization"}
 
 
 def _hooked_inner(center, n=60):

@@ -823,18 +823,21 @@ def test_factor_rejects_an_indefinite_matrix():
 def test_import_and_ring_solves_do_not_load_csgraph_or_spatial():
     # the package import loads neither scipy.sparse.csgraph nor scipy.spatial
     # (only the mesh command's validate imports it), and the fold order needs
-    # no graph algorithm, so solving rings does not load csgraph either
+    # no graph algorithm, so solving rings does not load csgraph either; the
+    # command line loads no scipy.io (only solve --dump-system imports it)
     src = str(Path(fem.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, cardiofem\n"
          "print(*(m in sys.modules for m in ('scipy.sparse.csgraph', 'scipy.spatial')))\n"
          "cardiofem.verify_ring(cardiofem.RingSpec(1.0, 2.0), 16, 2, 4)\n"
-         "print('scipy.sparse.csgraph' in sys.modules)"],
+         "print('scipy.sparse.csgraph' in sys.modules)\n"
+         "import cardiofem.cli\n"
+         "print('scipy.io' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.split() == ["False", "False", "False"]
+    assert out.stdout.split() == ["False", "False", "False", "False"]
 
 
 def test_ring_traction_residual_error_names_ill_conditioning():

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -9,13 +10,16 @@ from scipy.io import mmread
 
 import cardiofem.io as cfio
 from cardiofem import (
-    ConfigurationError, GeometryError, RingSpec, healthy_study, normalized_volume_curve,
+    ConfigurationError, CycleParams, GeometryError, RingSpec, cycle_strain_analysis,
+    healthy_study, normalized_volume_curve, verify_ring,
 )
 from cardiofem.fem import DisplacementField, apply_dirichlet, assemble
 from cardiofem.materials import Material
 from cardiofem.meshing import Mesh
-from cardiofem.phantom import make_ring
+from cardiofem.phantom import RingVerification, make_ring
 from cardiofem.strain import strain_field, sector_average
+
+from oracles import cli_ring_tables, cli_strain_aggregates
 
 
 @pytest.fixture
@@ -381,6 +385,11 @@ def test_mesh_and_field_csv(tmp_path, study):
                  sector_average(mesh, sf, disp, (0.1, -0.2), 4)]
     curve = normalized_volume_curve(study)
     nodes, tris = mesh.nodes, mesh.triangles
+    results = cycle_strain_analysis(study, CycleParams(n_points=16, n_radial=2))
+    spec = RingSpec(1.0, 2.5)
+    report = RingVerification(((8, 1), (16, 2), (32, 4)), (0.03, 0.008, 0.0), (1.9, math.inf),
+                              summaries[0], summaries[1], np.array([False, True, True, False]),
+                              ())
 
     cfio.write_study_csv(tmp_path / "study.csv", study)
     cfio.write_mesh_csv(tmp_path / "nodes.csv", tmp_path / "elements.csv", mesh)
@@ -388,6 +397,10 @@ def test_mesh_and_field_csv(tmp_path, study):
     cfio.write_strain_csv(tmp_path / "strain.csv", sf)
     cfio.write_sector_csv(tmp_path / "sector.csv", summaries, [1, 3])
     cfio.write_volume_csv(tmp_path / "volume.csv", curve)
+    cfio.write_strain_aggregates_csv(tmp_path / "aggregates.csv", results)
+    assert cfio.write_ring_verification(tmp_path, spec, report) == (
+        tmp_path / "convergence.csv", tmp_path / "sector_comparison.csv")
+    t, p = report.traction, report.pipeline
     expected = {
         "study.csv": _csv_oracle(cfio.CONTOUR_CSV_COLUMNS, [
             [study.subject_id, sl.index, fc.frame_index, label, i,
@@ -419,9 +432,47 @@ def test_mesh_and_field_csv(tmp_path, study):
         "volume.csv": _csv_oracle(["frame", "volume", "normalized"], [
             [k, float(curve.raw[k]), float(curve.normalized[k])] for k in range(study.n_frames)
         ]),
+        "aggregates.csv": _csv_oracle(["frame", "mean_effective", "max_effective"], [
+            [r.frame_index, float(np.mean(r.strain.effective)), float(np.max(r.strain.effective))]
+            for r in results
+        ]),
+        # h = (2.5 - 1.0) / n_radial; the first row has no observed order
+        "convergence.csv": _csv_oracle(
+            ["n_angular", "n_radial", "h", "l2_error", "observed_order"],
+            [[8, 1, 1.5, 0.03, ""], [16, 2, 0.75, 0.008, 1.9], [32, 4, 0.375, 0.0, math.inf]]),
+        "sector_comparison.csv": _csv_oracle(
+            ["sector", "mean_disp_traction", "mean_disp_pipeline", "mean_effective_traction",
+             "mean_effective_pipeline", "stiff"],
+            [[k, float(t.mean_displacement[k]), float(p.mean_displacement[k]),
+              float(t.mean_effective[k]), float(p.mean_effective[k]), int(k in (1, 2))]
+             for k in range(4)]),
     }
     for name, text in expected.items():
         assert (tmp_path / name).read_bytes() == text, name
+
+
+def _cells(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_tables_are_the_former_cli_tables(tmp_path, study):
+    # the former CLI writers ended lines with LF; io's end them with CRLF
+    # and hold the same cells
+    spec = RingSpec(1.0, 2.5, material=Material(2e4, 0.25))
+    report = verify_ring(spec, 16, 2, 4)
+    results = cycle_strain_analysis(study, CycleParams(n_points=16, n_radial=2))
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir()
+    old.mkdir()
+    cfio.write_ring_verification(new, spec, report)
+    cfio.write_strain_aggregates_csv(new / "aggregates.csv", results)
+    cli_ring_tables(old, spec, report)
+    cli_strain_aggregates(old / "aggregates.csv", results)
+    for name in ("convergence.csv", "sector_comparison.csv", "aggregates.csv"):
+        assert _cells(new / name) == _cells(old / name), name
+        assert b"\r" not in (old / name).read_bytes()
+        assert (new / name).read_bytes().replace(b"\r\n", b"\n") == (old / name).read_bytes()
 
 
 def test_dump_system_matrix_market(tmp_path):

@@ -33,7 +33,8 @@ from cardiofem import contours, fem, io
 from cardiofem import study as study_module
 
 from conftest import circle_frame, solve_one, star_contour
-from oracles import constraint_values, element_strain, nodal_dirichlet, position_conditions
+from oracles import (cli_reference_localization, constraint_values, element_strain,
+                     nodal_dirichlet, position_conditions)
 
 
 def _single_slice_study(frames, spacing=8.0, subject="s"):
@@ -468,6 +469,21 @@ def test_localization_zero_sector_flagged():
     ref = _summaries([[1.0, 2.0], [1.0, 2.0]])
     loc = infarct_localization(subj, ref, tau=0.01)
     assert loc.suspected_sectors == (0,)
+
+
+@pytest.mark.parametrize("slice_index", [0, 1])
+def test_reference_localization_is_the_former_cli_loop(slice_index):
+    # two references of two slices each, as analyze localized them inline
+    kw = dict(n_frames=4, n_points=24, n_slices=2)
+    subject = mi_wedge_study(seed=5, **kw)
+    references = [healthy_study(seed=seed, **kw) for seed in (5, 6)]
+    params = CycleParams(n_points=24, n_radial=3, n_sectors=8)
+    results = cycle_strain_analysis(subject, params, slice_index)
+    loc = study_module.reference_localization(results, references, params, slice_index, 0.5)
+    old = cli_reference_localization(results, references, params, slice_index, 0.5)
+    assert loc.flags == old.flags
+    assert np.array_equal(loc.subject_strain, old.subject_strain)
+    assert np.array_equal(loc.reference_strain, old.reference_strain)
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.5])
