@@ -10,12 +10,13 @@ Subcommands:
     strain           solve one frame pair and export strain + sector tables
     volume           volume curve of a study
 
-Each subcommand accepts only the flags it reads (``SUBCOMMANDS``). Exit
+Each subcommand accepts only the flags its ``COMMANDS`` entry names. Exit
 codes: 0 success, 1 tolerance or validation failure, 2 usage or input error,
 including a file that cannot be read or written, or a flag the command does
 not take. A JSON config file (--config) may supply any long flag of the
-command but --config by name (any other key is a usage error); explicit flags
-override config values. Input is read and checked before --out is made.
+command but --config by name (any other key is a usage error); argparse parses
+each value as that flag's command-line text, and explicit flags override
+config values. Input is read and checked before --out is made.
 The commands parse, dispatch and print: the library computes and ``io``
 writes every file.
 """
@@ -32,7 +33,7 @@ from . import io as cfio
 from .errors import (ConfigurationError, GeometryError, MeshError, SolverError,
                      StarShapeError, UsageError)
 from .fem import apply_dirichlet
-from .materials import Material
+from .materials import MODES, Material
 from .meshing import validate
 from .phantom import RingSpec, verify_ring
 from .study import (CycleParams, check_tau, cycle_strain_analysis, frame_mesh,
@@ -42,151 +43,43 @@ from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_stu
 
 VALIDATION_ERRORS = (GeometryError, StarShapeError, MeshError, SolverError, ConfigurationError)
 
-DEFAULTS = {
-    "out": "cardiofem-out",
-    "mode": "as-printed",
-    "sectors": 16,
-    "tau": 0.5,
-    "n_points": 64,
-    "n_radial": 8,
-    "rotation_deg": 0.0,
-    "seed": 0,
-    "young": 1e4,
-    "poisson": 0.3,
-    "kind": "healthy",
-    "n_frames": 20,
-    "contraction": 0.3,
-}
-
-# every flag by its long name, with its argparse keywords
+# every flag by its long name: its argparse keywords, with the default a run
+# takes when neither the command line nor --config gives the flag
 FLAGS = {
     "config": {"help": "JSON file supplying any long flag of the command by name"},
-    "out": {"help": "output directory"},
-    "study": {"help": "study contour CSV or JSON"},
-    "manifest": {"help": "manifest JSON (for CSV studies)"},
-    "reference": {"action": "append", "help": "reference study (repeatable); enables localization"},
-    "reference-manifest": {"action": "append", "help": "manifest for the matching --reference CSV"},
-    "phantom-spec": {"help": "ring spec JSON (default: unit ring a=1 b=2)"},
-    "kind": {"choices": SYNTH_KINDS},
-    "n-frames": {"type": int},
-    "contraction": {"type": float, "help": "inner-wall radial contraction fraction over the cycle"},
-    "slice": {"dest": "slice_index", "type": int, "help": "slice index"},
-    "frame": {"type": int, "help": "target frame (reference is frame 0)"},
-    "dump-system": {"action": "store_true",
+    "out": {"default": "cardiofem-out", "help": "output directory"},
+    "study": {"default": None, "help": "study contour CSV or JSON"},
+    "manifest": {"default": None, "help": "manifest JSON (for CSV studies)"},
+    "reference": {"action": "append", "default": (),
+                  "help": "reference study (repeatable); enables localization"},
+    "reference-manifest": {"action": "append", "default": (),
+                           "help": "manifest for the matching --reference CSV"},
+    "phantom-spec": {"default": None, "help": "ring spec JSON (default: unit ring a=1 b=2)"},
+    "kind": {"choices": SYNTH_KINDS, "default": "healthy"},
+    "n-frames": {"type": int, "default": 20},
+    "contraction": {"type": float, "default": 0.3,
+                    "help": "inner-wall radial contraction fraction over the cycle"},
+    "slice": {"type": int, "default": 0, "metavar": "SLICE_INDEX", "help": "slice index"},
+    # None: the command's own default frame
+    "frame": {"type": int, "default": None, "help": "target frame (reference is frame 0)"},
+    "dump-system": {"action": "store_true", "default": False,
                     "help": "also dump K and F in matrix-market format"},
-    "mode": {"choices": ("as-printed", "plane-strain")},
-    "sectors": {"type": int, "help": "number of angular sectors"},
-    "tau": {"type": float, "help": "localization threshold fraction"},
-    "n-points": {"type": int, "help": "boundary resampling count / mesh angular resolution"},
-    "n-radial": {"type": int, "help": "mesh radial resolution"},
-    "rotation-deg": {"type": float,
+    "mode": {"choices": MODES, "default": "as-printed"},
+    "sectors": {"type": int, "default": 16, "help": "number of angular sectors"},
+    "tau": {"type": float, "default": 0.5, "help": "localization threshold fraction"},
+    "n-points": {"type": int, "default": 64,
+                 "help": "boundary resampling count / mesh angular resolution"},
+    "n-radial": {"type": int, "default": 8, "help": "mesh radial resolution"},
+    "rotation-deg": {"type": float, "default": 0.0,
                      "help": "total clockwise rotation over the cycle to compensate"},
-    "seed": {"type": int, "help": "seed for synthetic generation"},
-    "young": {"type": float, "help": "Young's modulus"},
-    "poisson": {"type": float, "help": "Poisson's ratio"},
+    "seed": {"type": int, "default": 0, "help": "seed for synthetic generation"},
+    "young": {"type": float, "default": 1e4, "help": "Young's modulus"},
+    "poisson": {"type": float, "default": 0.3, "help": "Poisson's ratio"},
 }
 
 # the flags _cycle_params reads
 _MODEL = ("mode", "sectors", "n-points", "n-radial", "rotation-deg", "young", "poisson")
 _STUDY = ("study", "manifest")
-
-# each subcommand's help and the flags it reads, besides --config and --out
-SUBCOMMANDS = {
-    "phantom-verify": ("run the ring verification suite",
-                       ("phantom-spec", "sectors", "n-points", "n-radial", "young", "poisson")),
-    "analyze": ("analyze a study end to end",
-                (*_STUDY, "reference", "reference-manifest", "tau", *_MODEL)),
-    "synth": ("generate a synthetic study",
-              ("kind", "n-frames", "contraction", "seed", "n-points", "rotation-deg")),
-    "mesh": ("mesh one frame and export it", (*_STUDY, "slice", "frame", "n-points", "n-radial")),
-    "solve": ("solve one frame pair and export displacements",
-              (*_STUDY, "slice", "frame", *_MODEL, "dump-system")),
-    "strain": ("solve one frame pair and export strain", (*_STUDY, "slice", "frame", *_MODEL)),
-    "volume": ("volume curve of a study", _STUDY),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cardiofem",
-        description="2D finite-element myocardial deformation and strain analysis",
-    )
-    parser.set_defaults(command=None)
-    sub = parser.add_subparsers(dest="command")
-    for command, (help_text, names) in SUBCOMMANDS.items():
-        # unset flags stay out of the namespace, so config values and defaults
-        # can be layered underneath explicit flags
-        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
-        for name in ("config", "out", *names):
-            p.add_argument(f"--{name}", **FLAGS[name])
-    return parser
-
-
-def _config_value(spec: dict, value, where: str):
-    """A --config value taken as the flag with ``FLAGS`` entry ``spec`` would
-    take it from the command line.
-
-    A typed flag converts the value's text (``"64"`` and ``64`` both give
-    64); a text flag needs a string, a repeatable flag a string or a list of
-    strings, an on/off flag true or false, and a flag with choices one of
-    them. Anything else raises UsageError.
-    """
-    action, kind, choices = spec.get("action"), spec.get("type"), spec.get("choices")
-    if action == "store_true":
-        if not isinstance(value, bool):
-            raise UsageError(f"{where} must be true or false, got {value!r}")
-        return value
-    if action == "append":
-        items = [value] if isinstance(value, str) else value
-        if not (isinstance(items, list) and all(isinstance(v, str) for v in items)):
-            raise UsageError(f"{where} must be a string or a list of strings, got {value!r}")
-        return items
-    if kind is None:
-        if not isinstance(value, str):
-            raise UsageError(f"{where} must be a string, got {value!r}")
-    else:
-        try:
-            value = kind(str(value))
-        except ValueError:
-            raise UsageError(f"{where} must be {kind.__name__}, got {value!r}") from None
-    if choices is not None and value not in choices:
-        raise UsageError(f"{where} must be one of {list(choices)}, got {value!r}")
-    return value
-
-
-def _merged_config(args: argparse.Namespace) -> SimpleNamespace:
-    """Defaults, then --config values, then explicit flags.
-
-    A config key names a long flag of the command other than ``--config``,
-    with ``_`` for ``-`` (``n_points`` sets what ``--n-points`` sets), and its
-    value is checked by :func:`_config_value`; any other key raises UsageError,
-    as does ``--phantom-spec`` given with ``--young`` or ``--poisson``.
-    """
-    names = ("out", *SUBCOMMANDS[args.command][1])
-    dests = {name: FLAGS[name].get("dest", name.replace("-", "_")) for name in names}
-    merged = {dest: DEFAULTS[dest] for dest in dests.values() if dest in DEFAULTS}
-    explicit = {k: v for k, v in vars(args).items() if k != "command"}
-    config_path = explicit.pop("config", None)
-    given = set(explicit)
-    if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise FileNotFoundError(f"config file not found: {path}")
-        loaded = json.loads(path.read_text())
-        if not isinstance(loaded, dict):
-            raise ConfigurationError(f"config {path} must be a JSON object")
-        for key, value in loaded.items():
-            key, name = key.replace("-", "_"), key.replace("_", "-")
-            if name not in dests:
-                raise UsageError(f"config {path}: {key!r} names no flag of {args.command}")
-            merged[dests[name]] = _config_value(FLAGS[name], value, f"config {path}: {key}")
-            given.add(dests[name])
-    merged.update(explicit)
-    # a phantom spec's material sets E and nu, so these flags would be ignored
-    for name in ("young", "poisson"):
-        if {"phantom_spec", name} <= given:
-            raise UsageError(f"--phantom-spec excludes --{name}: the spec sets the material")
-    return SimpleNamespace(**merged)
 
 
 def _outdir(cfg) -> Path:
@@ -196,9 +89,9 @@ def _outdir(cfg) -> Path:
 
 
 def _load_study(cfg):
-    if getattr(cfg, "study", None) is None:
+    if cfg.study is None:
         raise FileNotFoundError("--study is required")
-    return cfio.read_study(cfg.study, getattr(cfg, "manifest", None))
+    return cfio.read_study(cfg.study, cfg.manifest)
 
 
 def _cycle_params(cfg) -> CycleParams:
@@ -217,7 +110,7 @@ def _cycle_params(cfg) -> CycleParams:
 
 
 def cmd_phantom_verify(cfg) -> int:
-    if getattr(cfg, "phantom_spec", None):
+    if cfg.phantom_spec:
         spec = cfio.read_phantom_spec(cfg.phantom_spec)
     else:
         spec = RingSpec(1.0, 2.0, material=Material(cfg.young, cfg.poisson))
@@ -240,15 +133,20 @@ def cmd_phantom_verify(cfg) -> int:
 
 def cmd_analyze(cfg) -> int:
     check_tau(cfg.tau)
-    ref_paths = getattr(cfg, "reference", None) or []
-    ref_manifests = list(getattr(cfg, "reference_manifest", None) or [])
+    ref_paths, ref_manifests = cfg.reference, list(cfg.reference_manifest)
     if len(ref_manifests) > len(ref_paths):
         raise UsageError(f"more --reference-manifest files ({len(ref_manifests)}) "
                          f"than --reference studies ({len(ref_paths)})")
     study = _load_study(cfg)
     # a reference without its own manifest takes the subject's
-    ref_manifests += [getattr(cfg, "manifest", None)] * (len(ref_paths) - len(ref_manifests))
+    ref_manifests += [cfg.manifest] * (len(ref_paths) - len(ref_manifests))
     references = [cfio.read_study(path, m) for path, m in zip(ref_paths, ref_manifests)]
+    # each slice is localized against the reference slice at its position
+    for path, ref in zip(ref_paths, references):
+        if len(ref.slices) < len(study.slices) or ref.n_frames != study.n_frames:
+            raise ConfigurationError(
+                f"reference {path} has {len(ref.slices)} slice(s) of {ref.n_frames} frames, "
+                f"the subject {len(study.slices)} of {study.n_frames}")
     out = _outdir(cfg)
     params = _cycle_params(cfg)
 
@@ -296,12 +194,12 @@ def cmd_synth(cfg) -> int:
 def _selected_frame(cfg, study, first: int, default: int) -> tuple[int, int]:
     """The slice position chosen by --slice (default 0) and the frame chosen by
     --frame, in first..n_frames-1 (default ``default``, negative from the end)."""
-    position = getattr(cfg, "slice_index", 0)
-    if not isinstance(position, int) or not 0 <= position < len(study.slices):
+    position = cfg.slice
+    if not 0 <= position < len(study.slices):
         raise UsageError(f"--slice must be in 0..{len(study.slices) - 1}, got {position!r}")
     n = study.slices[position].n_frames
-    frame = getattr(cfg, "frame", default % n)
-    if not isinstance(frame, int) or not first <= frame < n:
+    frame = default % n if cfg.frame is None else cfg.frame
+    if not first <= frame < n:
         raise UsageError(f"--frame must be in {first}..{n - 1}, got {frame!r}")
     return position, frame
 
@@ -317,7 +215,7 @@ def cmd_mesh(cfg) -> int:
     study = _load_study(cfg)
     position, frame = _selected_frame(cfg, study, first=0, default=0)
     fc = study.slices[position].frames[frame]
-    *_, mesh = frame_mesh(fc, cfg.n_points, cfg.n_radial, f"frame {frame}")
+    *_, mesh = frame_mesh(fc, cfg.n_points, cfg.n_radial)
     report = validate(mesh)
     out = _outdir(cfg)
     print(report)
@@ -334,7 +232,7 @@ def cmd_solve(cfg) -> int:
     cfio.write_mesh_vtk(out / f"displacement_frame{frame}.vtk", m.mesh,
                         point_vectors={"displacement": res.displacement.values})
     cfio.write_displacement_csv(out / f"displacement_frame{frame}.csv", m.mesh, res.displacement)
-    if getattr(cfg, "dump_system", False):
+    if cfg.dump_system:
         # the frame's boundary values eliminated from the model's stiffness
         values = res.displacement.values.ravel()[m.fixed]
         cfio.dump_system(out / f"system_frame{frame}", apply_dirichlet(m.system, m.fixed, values))
@@ -362,15 +260,109 @@ def cmd_volume(cfg) -> int:
     return 0
 
 
+# each subcommand's function, help and the flags it reads besides --config and --out
 COMMANDS = {
-    "phantom-verify": cmd_phantom_verify,
-    "analyze": cmd_analyze,
-    "synth": cmd_synth,
-    "mesh": cmd_mesh,
-    "solve": cmd_solve,
-    "strain": cmd_strain,
-    "volume": cmd_volume,
+    "phantom-verify": (cmd_phantom_verify, "run the ring verification suite",
+                       ("phantom-spec", "sectors", "n-points", "n-radial", "young", "poisson")),
+    "analyze": (cmd_analyze, "analyze a study end to end",
+                (*_STUDY, "reference", "reference-manifest", "tau", *_MODEL)),
+    "synth": (cmd_synth, "generate a synthetic study",
+              ("kind", "n-frames", "contraction", "seed", "n-points", "rotation-deg")),
+    "mesh": (cmd_mesh, "mesh one frame and export it",
+             (*_STUDY, "slice", "frame", "n-points", "n-radial")),
+    "solve": (cmd_solve, "solve one frame pair and export displacements",
+              (*_STUDY, "slice", "frame", *_MODEL, "dump-system")),
+    "strain": (cmd_strain, "solve one frame pair and export strain",
+               (*_STUDY, "slice", "frame", *_MODEL)),
+    "volume": (cmd_volume, "volume curve of a study", _STUDY),
 }
+
+
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """``parser`` with the flags of ``command``. Unset flags stay out of the
+    namespace, so config values and defaults can be layered underneath."""
+    for name in ("config", "out", *COMMANDS[command][2]):
+        parser.add_argument(f"--{name}", **{**FLAGS[name], "default": argparse.SUPPRESS})
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cardiofem",
+        description="2D finite-element myocardial deformation and strain analysis",
+    )
+    parser.set_defaults(command=None)
+    sub = parser.add_subparsers(dest="command")
+    for command, (_, help_text, _) in COMMANDS.items():
+        _command_parser(sub.add_parser(command, help=help_text), command)
+    return parser
+
+
+def _config_values(path: Path, command: str) -> dict:
+    """The flag values the --config file ``path`` gives ``command``.
+
+    A key names a long flag of the command other than ``--config``, with
+    ``_`` for ``-`` (``n_points`` sets what ``--n-points`` sets); any other
+    key raises UsageError. Each value becomes the flag's command-line text,
+    ``--name=value``: one per string of a list given to a repeatable flag,
+    and the bare flag for ``true``. argparse parses that text as it parses
+    the command line, so only what text cannot carry is checked first: an
+    on/off flag takes true or false, and a flag without a ``type`` strings.
+    """
+    if not path.exists():
+        raise FileNotFoundError(f"config file not found: {path}")
+    loaded = json.loads(path.read_text())
+    if not isinstance(loaded, dict):
+        raise ConfigurationError(f"config {path} must be a JSON object")
+    argv = []
+    for name, value in {key.replace("_", "-"): value for key, value in loaded.items()}.items():
+        key = name.replace("-", "_")
+        if name not in ("out", *COMMANDS[command][2]):
+            raise UsageError(f"config {path}: {key!r} names no flag of {command}")
+        where, action = f"config {path}: {key}", FLAGS[name].get("action")
+        if action == "store_true":
+            if not isinstance(value, bool):
+                raise UsageError(f"{where} must be true or false, got {value!r}")
+            argv += [f"--{name}"] if value else []
+            continue
+        items = value if action == "append" and isinstance(value, list) else [value]
+        if "type" not in FLAGS[name] and not all(isinstance(item, str) for item in items):
+            kind = "a string or a list of strings" if action == "append" else "a string"
+            raise UsageError(f"{where} must be {kind}, got {value!r}")
+        argv += [f"--{name}={item}" for item in items]
+    parser = _command_parser(argparse.ArgumentParser(exit_on_error=False), command)
+    try:
+        return vars(parser.parse_args(argv))
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"config {path}: {exc}") from None
+
+
+def _excluded(given, cause: str, names, reason: str) -> None:
+    for name in names:
+        if name.replace("-", "_") in given:
+            raise UsageError(f"{cause} excludes --{name}: {reason}")
+
+
+def _merged_config(args: argparse.Namespace) -> SimpleNamespace:
+    """Defaults, then --config values (:func:`_config_values`), then explicit
+    flags. A flag that another choice of the run would make it ignore raises
+    UsageError, whether a flag or a config key gives either."""
+    given = {k: v for k, v in vars(args).items() if k != "command"}
+    config = given.pop("config", None)
+    if config:
+        given = {**_config_values(Path(config), args.command), **given}
+    for dest, value in given.items():
+        # argparse takes a "--" value for the end of the options, leaving a list
+        if value == [] or isinstance(value, list) and [] in value:
+            raise UsageError(f"argument --{dest.replace('_', '-')}: expected one argument")
+    names = ("out", *COMMANDS[args.command][2])
+    cfg = SimpleNamespace(**{**{n.replace("-", "_"): FLAGS[n]["default"] for n in names}, **given})
+    if "phantom_spec" in given:
+        _excluded(given, "--phantom-spec", ("young", "poisson"), "the spec sets the material")
+    if given.get("kind") == "phantom-cycle":
+        _excluded(given, "--kind phantom-cycle", ("seed", "contraction", "rotation-deg"),
+                  "the phantom cycle is the unit ring under pressure")
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -381,13 +373,10 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = _merged_config(args)
-        return COMMANDS[args.command](cfg)
-    except (OSError, json.JSONDecodeError, UsageError) as exc:
+        return COMMANDS[args.command][0](cfg)
+    except (OSError, json.JSONDecodeError, UsageError, *VALIDATION_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, VALIDATION_ERRORS) else 2
 
 
 def entry_point() -> None:

@@ -407,14 +407,14 @@ def uniform_angle_walls(
     center,
     n: int,
     rotation_deg: float | None = None,
-    context: str = "frame 0",
 ) -> tuple[Contour, Contour]:
     """Both walls of one frame resampled onto n uniform angles about center.
 
-    Each wall must be star-shaped about the center; a failure names
-    ``context``. With ``rotation_deg`` given, the walls are first rotated
-    counter-clockwise by that angle about the center (the removal of a known
-    clockwise rotation), even for 0, whose rotation can still round.
+    Each wall must be star-shaped about the center; a failure names the
+    wall and the frame's ``frame_index``. With ``rotation_deg`` given, the
+    walls are first rotated counter-clockwise by that angle about the center
+    (the removal of a known clockwise rotation), even for 0, whose rotation
+    can still round.
     """
     c = _as_point(center)
     inner, outer = frame.inner, frame.outer
@@ -425,8 +425,8 @@ def uniform_angle_walls(
     # Checked on the walls that are resampled, so that the check and the
     # resampling share one angular pass; a rotation about the center keeps
     # a wall star-shaped.
-    require_star_shaped(inner, c, f"{context} inner")
-    require_star_shaped(outer, c, f"{context} outer")
+    require_star_shaped(inner, c, f"frame {frame.frame_index} inner")
+    require_star_shaped(outer, c, f"frame {frame.frame_index} outer")
     return resample_uniform_angle(inner, c, n), resample_uniform_angle(outer, c, n)
 
 
@@ -447,7 +447,7 @@ def boundary_displacements(
     """
     center = centroid(frame0.inner)
     i0, o0 = uniform_angle_walls(frame0, center, n)
-    i1, o1 = uniform_angle_walls(frame1, center, n, rotation_deg, "frame 1")
+    i1, o1 = uniform_angle_walls(frame1, center, n, rotation_deg)
     return BoundaryDisplacements(
         inner_positions=i0.points,
         inner_vectors=i1.points - i0.points,

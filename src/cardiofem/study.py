@@ -215,12 +215,12 @@ def _frame_errors(k: int):
         raise type(exc)(f"frame {k}: {exc}") from exc
 
 
-def frame_mesh(fc: FrameContours, n_points: int, n_radial: int, context: str = "frame 0"):
+def frame_mesh(fc: FrameContours, n_points: int, n_radial: int):
     """(center, inner, outer, mesh) of one frame: the centroid of its inner
     wall, both walls resampled onto ``n_points`` uniform angles about it (a
-    failure names ``context``) and the annular mesh between them."""
+    failure names the frame) and the annular mesh between them."""
     center = centroid(fc.inner)
-    inner, outer = uniform_angle_walls(fc, center, n_points, context=context)
+    inner, outer = uniform_angle_walls(fc, center, n_points)
     return center, inner, outer, triangulate_annulus(inner, outer, n_points, n_radial)
 
 
@@ -255,10 +255,7 @@ def cycle_strain_analysis(
     for k in range(1, n):
         with _frame_errors(k):
             if params.reference == "cumulative":
-                # a failure names the pair's target as boundary_displacements does
-                inner, outer = uniform_angle_walls(
-                    frames[k], center, params.n_points, step_rot * k, "frame 1"
-                )
+                inner, outer = uniform_angle_walls(frames[k], center, params.n_points, step_rot * k)
                 vectors = np.concatenate([inner.points, outer.points]) - walls0
             else:
                 bd = boundary_displacements(frames[k - 1], frames[k], params.n_points, step_rot)

@@ -19,7 +19,9 @@ built by the CLI itself; the CLI now takes both from ``study``'s frame-0
 model. Per CLI table: the former hand-written ``phantom-verify`` and
 ``analyze`` tables, with LF line ends, and the former inline reference
 localization of ``analyze``; ``io`` now writes the tables (CRLF) and
-``study.reference_localization`` localizes."""
+``study.reference_localization`` localizes. Per CLI config value: the former
+checker and converter of a ``--config`` value by its flag's argparse
+keywords; argparse now parses each value as the flag's command-line text."""
 
 import numpy as np
 from scipy import sparse
@@ -28,7 +30,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import cg, splu
 
 from cardiofem.contours import centroid, uniform_angle_walls
-from cardiofem.errors import GeometryError
+from cardiofem.errors import GeometryError, UsageError
 from cardiofem.fem import LinearSystem, apply_dirichlet, assemble, strain_displacement_matrices
 from cardiofem.materials import MaterialField
 from cardiofem.meshing import triangulate_annulus
@@ -220,8 +222,7 @@ def position_conditions(mesh, bd):
 def cli_frame_mesh(fc, n_points, n_radial):
     """The former ``mesh --frame`` mesh: the frame's walls resampled about the
     centroid of its inner wall and triangulated between."""
-    walls = uniform_angle_walls(fc, centroid(fc.inner), n_points,
-                                context=f"frame {fc.frame_index}")
+    walls = uniform_angle_walls(fc, centroid(fc.inner), n_points)
     return triangulate_annulus(*walls, n_points, n_radial)
 
 
@@ -273,3 +274,35 @@ def cli_reference_localization(results, references, params, slice_index, tau):
         ref_runs.append([r.sectors for r in ref_results])
     reference = average_sector_summaries(ref_runs)
     return infarct_localization([r.sectors for r in results], reference, tau)
+
+
+def cli_config_value(spec: dict, value, where: str):
+    """The former ``--config`` value check: ``value`` taken as the flag with
+    argparse keywords ``spec`` would take it from the command line.
+
+    A typed flag converts the value's text (``"64"`` and ``64`` both give
+    64); a text flag needs a string, a repeatable flag a string or a list of
+    strings, an on/off flag true or false, and a flag with choices one of
+    them. Anything else raises UsageError.
+    """
+    action, kind, choices = spec.get("action"), spec.get("type"), spec.get("choices")
+    if action == "store_true":
+        if not isinstance(value, bool):
+            raise UsageError(f"{where} must be true or false, got {value!r}")
+        return value
+    if action == "append":
+        items = [value] if isinstance(value, str) else value
+        if not (isinstance(items, list) and all(isinstance(v, str) for v in items)):
+            raise UsageError(f"{where} must be a string or a list of strings, got {value!r}")
+        return items
+    if kind is None:
+        if not isinstance(value, str):
+            raise UsageError(f"{where} must be a string, got {value!r}")
+    else:
+        try:
+            value = kind(str(value))
+        except ValueError:
+            raise UsageError(f"{where} must be {kind.__name__}, got {value!r}") from None
+    if choices is not None and value not in choices:
+        raise UsageError(f"{where} must be one of {list(choices)}, got {value!r}")
+    return value

@@ -362,13 +362,13 @@ def test_config_values_converted_like_flags(tmp_path, synth_pair):
 
 
 @pytest.mark.parametrize("values, needle", [
-    ({"sectors": "x"}, "sectors must be int, got 'x'"),
-    ({"n_points": 64.5}, "n_points must be int, got 64.5"),
-    ({"poisson": [0.5]}, "poisson must be float, got [0.5]"),
-    # the key names the --slice flag, whose dest is slice_index
+    ({"sectors": "x"}, "argument --sectors: invalid int value: 'x'"),
+    ({"n_points": 64.5}, "argument --n-points: invalid int value: '64.5'"),
+    ({"poisson": [0.5]}, "argument --poisson: invalid float value: '[0.5]'"),
+    # the key names the --slice flag
     ({"slice": 7}, "--slice must be in 0..0, got 7"),
     ({"n_point": 32, "n_radial": 2}, "'n_point' names no flag of strain"),
-    # a dest that is no flag name is no key
+    # the flag's former dest is no key
     ({"slice_index": 0}, "'slice_index' names no flag of strain"),
 ])
 def test_bad_config_value(tmp_path, synth_pair, capsys, values, needle):
@@ -383,7 +383,7 @@ def test_bad_config_value(tmp_path, synth_pair, capsys, values, needle):
 
 
 @pytest.mark.parametrize("values, needle", [
-    ({"mode": "plane-stress"}, "mode must be one of ['as-printed', 'plane-strain']"),
+    ({"mode": "plane-stress"}, "argument --mode: invalid choice: 'plane-stress'"),
     ({"out": 5}, "out must be a string, got 5"),
     ({"manifest": None}, "manifest must be a string, got None"),
     ({"dump_system": "no"}, "dump_system must be true or false, got 'no'"),
@@ -635,6 +635,61 @@ def test_phantom_spec_excludes_modulus_config_keys(tmp_path, capsys, values, fla
     assert _single_error_line(capsys) == (
         f"error: --phantom-spec excludes --{name}: the spec sets the material")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("name, value", [
+    ("seed", "9"), ("contraction", "0.7"), ("rotation-deg", "30"),
+])
+def test_phantom_cycle_excludes_motion_flags(tmp_path, capsys, route, name, value):
+    # the phantom cycle is the unit ring under pressure: it has no seed and
+    # no motion, so the flags would be ignored
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name.replace("-", "_"): value} if route == "config" else {}))
+    flags = [f"--{name}", value] if route == "flag" else []
+    out = tmp_path / "ph"
+    capsys.readouterr()
+    assert run("synth", "--kind", "phantom-cycle", "--config", str(config), *flags,
+               "--out", str(out)) == 2
+    assert _single_error_line(capsys) == (
+        f"error: --kind phantom-cycle excludes --{name}: "
+        "the phantom cycle is the unit ring under pressure")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_slices, n_frames", [(1, 6), (2, 5)])
+def test_mismatched_reference_fails_before_any_work(tmp_path, monkeypatch, capsys,
+                                                    n_slices, n_frames):
+    # each subject slice is localized against the reference slice at its
+    # position, over the same frames, so the counts are checked on reading
+    from cardiofem.synth import healthy_study, mi_wedge_study
+
+    cfio.write_study_json(tmp_path / "mi.json", mi_wedge_study(seed=5, n_frames=6, n_slices=2))
+    reference = tmp_path / "reference.json"
+    cfio.write_study_json(reference, healthy_study(seed=5, n_frames=n_frames, n_slices=n_slices))
+    forks = cpus(monkeypatch, 2)
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert run("analyze", "--study", str(tmp_path / "mi.json"), "--reference", str(reference),
+               "--n-points", "32", "--n-radial", "4", "--out", str(out)) == 1
+    assert _single_error_line(capsys) == (
+        f"error: reference {reference} has {n_slices} slice(s) of {n_frames} frames, "
+        "the subject 2 of 6")
+    assert forks == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("name", ["out", "sectors", "reference"])
+def test_end_of_options_is_no_flag_value(tmp_path, capsys, route, name):
+    # argparse reads "--" as the end of the options, so no flag takes it as
+    # its value, from the command line or from a config
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: "--"} if route == "config" else {}))
+    flags = [f"--{name}=--"] if route == "flag" else []
+    capsys.readouterr()
+    assert run("analyze", "--config", str(config), *flags) == 2
+    assert _single_error_line(capsys) == f"error: argument --{name}: expected one argument"
 
 
 def test_phantom_verify_needs_two_sectors(tmp_path, capsys):

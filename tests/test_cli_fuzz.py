@@ -15,9 +15,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cardiofem import synth
+from cardiofem import cli, synth
 from cardiofem import io as cfio
 from cardiofem.cli import main
+from cardiofem.errors import UsageError
+
+from oracles import cli_config_value
 
 FUZZ = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -202,3 +205,55 @@ def test_badly_typed_config_value(study_files, data):
         config = Path(out) / "config.json"
         config.write_text(json.dumps({"study": str(root / "study.json"), "out": out, key: value}))
         _assert_one_error(*_run(["strain", "--config", str(config)]))
+
+
+# every config key of every command: --out and the flags the command reads
+CONFIG_KEYS = sorted((command, name) for command, (_, _, names) in cli.COMMANDS.items()
+                     for name in ("out", *names))
+
+
+def _flag_values(spec):
+    """JSON values of every kind, with numbers, numeric text, the flag's
+    choices and lists of text common enough that many are accepted."""
+    choices = st.sampled_from(spec["choices"]) if "choices" in spec else st.nothing()
+    numbers = st.integers(-10**6, 10**6) | st.floats()
+    return st.one_of(JSON_VALUES, numbers, numbers.map(str), choices, st.booleans(),
+                     st.lists(TEXT | choices, max_size=3), st.just("--"), st.just(["a", "--"]))
+
+
+def _same(got, expected):
+    if isinstance(expected, list):
+        return list(got) == expected
+    nan = isinstance(got, float) and got != got
+    return type(got) is type(expected) and (got == expected or nan and expected != expected)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_config_value_parsed_as_the_former_check_took_it(data):
+    # argparse parses a config value as its flag's command-line text: a value
+    # the former check accepted gives the same value, one it rejected exits 2
+    command, name = data.draw(st.sampled_from(CONFIG_KEYS))
+    spec = cli.FLAGS[name]
+    key = data.draw(st.sampled_from([name, name.replace("-", "_")]))
+    value = data.draw(_flag_values(spec))
+    try:
+        expected = cli_config_value(spec, value, key)
+    except UsageError:
+        expected = UsageError
+    runs = []
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setitem(cli.COMMANDS, command,
+                   (lambda cfg: runs.append(cfg) or 0, *cli.COMMANDS[command][1:]))
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, err = _run([command, "--config", str(config)])
+    # argparse reads "--" as the end of the options, so no flag takes it as
+    # its value, on the command line or in a config
+    if expected is UsageError or value == "--" or isinstance(value, list) and "--" in value:
+        _assert_one_error(code, err)
+        assert code == 2 and runs == []
+    else:
+        assert (code, err) == (0, "")
+        got = getattr(runs[0], name.replace("-", "_"))
+        assert _same(got, expected), (got, expected)

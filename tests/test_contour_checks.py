@@ -268,8 +268,8 @@ def frames(draw):
 def test_walls_match_the_separate_passes(frame, rotation_deg, n, offset):
     c = contours.centroid(frame.inner)
     c = np.array([c.x + offset, c.y])
-    expected = _outcome(_old_walls, frame, c, n, rotation_deg, "frame 1")
-    got = _outcome(uniform_angle_walls, frame, c, n, rotation_deg, "frame 1")
+    expected = _outcome(_old_walls, frame, c, n, rotation_deg, f"frame {frame.frame_index}")
+    got = _outcome(uniform_angle_walls, frame, c, n, rotation_deg)
     if isinstance(expected, tuple) and isinstance(expected[0], type):
         assert got == expected
     else:
@@ -296,8 +296,8 @@ def test_tied_vertices_unchanged(scale):
     inner = np.insert(inner, 4, scale * inner[3], axis=0)
     frame = FrameContours(0, Contour(inner, "inner"), star_contour(16, 2.0, label="outer"))
     c = np.zeros(2)
-    expected = _outcome(_old_walls, frame, c, 24, 0.0, "frame 1")
-    got = _outcome(uniform_angle_walls, frame, c, 24, 0.0, "frame 1")
+    expected = _outcome(_old_walls, frame, c, 24, 0.0, f"frame {frame.frame_index}")
+    got = _outcome(uniform_angle_walls, frame, c, 24, 0.0)
     if scale == 1.1:
         assert got == expected == (StarShapeError, (
             "multiple boundary points share an angle at different radii; "

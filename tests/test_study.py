@@ -398,6 +398,28 @@ def test_cycle_non_star_frame0_names_frame_1(reference):
         cycle_strain_analysis(study, CycleParams(n_points=16, n_radial=2, reference=reference))
 
 
+def _non_star_inner():
+    theta = np.array([0.0, 0.8, 0.4, 1.6, 2.4, 3.2, 4.0, 4.8, 5.6])
+    return Contour(np.column_stack([np.cos(theta), np.sin(theta)]), "inner")
+
+
+@pytest.mark.parametrize("reference", ["cumulative", "incremental"])
+def test_cycle_non_star_later_frame_names_its_frame(reference):
+    # the wall is named by its own frame in both modes, not by the pair's slot
+    frames = [circle_frame(k) for k in range(4)]
+    frames[2] = FrameContours(2, _non_star_inner(), frames[2].outer)
+    study = _single_slice_study(frames)
+    with pytest.raises(GeometryError, match=r"^frame 2: .*\(frame 2 inner\)$"):
+        cycle_strain_analysis(study, CycleParams(n_points=16, n_radial=2, reference=reference))
+
+
+def test_boundary_displacements_name_the_reference_frame():
+    # an incremental pair's reference frame k-1 is named as frame k-1
+    reference = FrameContours(3, _non_star_inner(), circle_frame(3).outer)
+    with pytest.raises(GeometryError, match=r"\(frame 3 inner\)$"):
+        boundary_displacements(reference, circle_frame(4), 16)
+
+
 def test_cycle_results_share_frame0_mesh():
     study = mi_wedge_study(seed=4, n_frames=5, n_points=40)
     params = CycleParams(n_points=24, n_radial=3)
