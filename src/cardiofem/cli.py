@@ -159,8 +159,7 @@ def cmd_analyze(cfg) -> int:
     # the VTK writers run while the tables are written and the references analysed
     with cfio.field_vtk_export(jobs):
         for position, (sl, results) in enumerate(zip(study.slices, per_slice)):
-            cfio.write_sector_csv(out / f"sector_timeseries_slice{sl.index}.csv",
-                                  [r.sectors for r in results], [r.frame_index for r in results])
+            cfio.write_sector_csv(out / f"sector_timeseries_slice{sl.index}.csv", results)
             cfio.write_strain_aggregates_csv(out / f"strain_aggregates_slice{sl.index}.csv",
                                              results)
             if references:
@@ -180,8 +179,7 @@ def cmd_synth(cfg) -> int:
         generator = healthy_study if cfg.kind == "healthy" else mi_wedge_study
         study = generator(
             seed=cfg.seed, n_frames=cfg.n_frames, n_points=cfg.n_points,
-            contraction_inner=cfg.contraction, contraction_outer=cfg.contraction / 2.0,
-            rotation_deg_total=cfg.rotation_deg,
+            contraction=cfg.contraction, rotation_deg_total=cfg.rotation_deg,
         )
     out = _outdir(cfg)
     cfio.write_study_csv(out / "contours.csv", study)
@@ -246,7 +244,7 @@ def cmd_strain(cfg) -> int:
     frame = res.frame_index
     cfio.write_mesh_vtk(*cfio.fields_vtk_job(out / f"strain_frame{frame}.vtk", res))
     cfio.write_strain_csv(out / f"strain_frame{frame}.csv", res.strain)
-    cfio.write_sector_csv(out / f"sectors_frame{frame}.csv", [res.sectors], [frame])
+    cfio.write_sector_csv(out / f"sectors_frame{frame}.csv", [res])
     print(f"artifacts written to {out}")
     return 0
 

@@ -5,8 +5,9 @@ Contour CSV schema (header required, rows may be unordered):
     subject_id,slice,frame,boundary,point_index,x,y
 
 with boundary in {inner, outer}. A study additionally needs a manifest JSON
-carrying subject_id, slice_spacing_mm, and frames_per_cycle. The JSON study
-format mirrors the same fields in nested form and is self-contained.
+carrying subject_id, slice_spacing_mm (the study's one slice spacing, finite
+and > 0) and frames_per_cycle. The JSON study format mirrors the same fields
+in nested form and is self-contained.
 
 Field exports use legacy ASCII VTK (unstructured grid, triangle cells) plus
 plain CSV tables, so results can be inspected without extra dependencies.
@@ -42,7 +43,7 @@ from .fem import DisplacementField, LinearSystem
 from .materials import Material
 from .meshing import Mesh
 from .phantom import RingSpec, RingVerification
-from .strain import SectorSummary, StrainField
+from .strain import StrainField
 from .study import FrameResult, LocalizationResult, Slice, Study, VolumeCurve
 
 CONTOUR_CSV_COLUMNS = ("subject_id", "slice", "frame", "boundary", "point_index", "x", "y")
@@ -70,13 +71,14 @@ def write_study_csv(path, study: Study) -> None:
     ))
 
 
+def _study_header(study: Study) -> dict:
+    """The keys a manifest and a study JSON share, in their file order."""
+    return {"subject_id": study.subject_id, "slice_spacing_mm": study.spacing,
+            "frames_per_cycle": study.n_frames}
+
+
 def write_manifest(path, study: Study) -> None:
-    payload = {
-        "subject_id": study.subject_id,
-        "slice_spacing_mm": study.slices[0].spacing,
-        "frames_per_cycle": study.n_frames,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(_study_header(study), indent=2) + "\n")
 
 
 def read_manifest(path) -> dict:
@@ -148,9 +150,7 @@ def read_study_csv(csv_path, manifest_path) -> Study:
 
 def write_study_json(path, study: Study) -> None:
     payload = {
-        "subject_id": study.subject_id,
-        "slice_spacing_mm": study.slices[0].spacing,
-        "frames_per_cycle": study.n_frames,
+        **_study_header(study),
         "slices": [
             {
                 "slice": sl.index,
@@ -226,8 +226,8 @@ def _build_study(data, where: str, declared_by: str) -> Study:
                 if not walls[-1].is_simple():
                     raise GeometryError(f"{at} {label}: contour is self-intersecting")
             frames.append(FrameContours(frame_idx, *walls))
-        slices.append(Slice(index=sl_idx, spacing=spacing, frames=tuple(frames)))
-    study = Study(str(data["subject_id"]), tuple(slices))
+        slices.append(Slice(index=sl_idx, frames=tuple(frames)))
+    study = Study(str(data["subject_id"]), tuple(slices), spacing)
     if study.n_frames != frames_per_cycle:
         raise ConfigurationError(
             f"{declared_by} declares {frames_per_cycle} frames per cycle, "
@@ -358,13 +358,13 @@ def write_strain_csv(path, strain: StrainField) -> None:
                ([i, *row] for i, row in enumerate(zip(*(c.tolist() for c in columns)))))
 
 
-def write_sector_csv(path, summaries: list[SectorSummary], frame_indices) -> None:
-    """Sector time series: one row per (frame, sector), summaries[i] in frame_indices[i]."""
+def write_sector_csv(path, results: list[FrameResult]) -> None:
+    """Sector time series: one row per (frame, sector) of each frame result's sectors."""
     _write_csv(path, ["frame", "sector", "mean_displacement", "mean_effective", "count"], (
-        [frame, s, *row]
-        for frame, sm in zip(frame_indices, summaries)
-        for s, row in enumerate(zip(sm.mean_displacement.tolist(), sm.mean_effective.tolist(),
-                                    sm.counts.tolist()))
+        [r.frame_index, s, *row]
+        for r in results
+        for s, row in enumerate(zip(r.sectors.mean_displacement.tolist(),
+                                    r.sectors.mean_effective.tolist(), r.sectors.counts.tolist()))
     ))
 
 

@@ -2,27 +2,27 @@
 the cycle, and infarct localization from sector strain comparisons.
 
 A study holds one or more slices, each an ordered sequence of frame contours
-with frame 0 at begin systole. Each slice builds one frame-0 reference model,
-a ``SliceModel``: :func:`frame_mesh` resamples both walls about the centroid
-of the inner wall and meshes the wall between them, and the model holds that
-mesh, its stiffness and the dofs every frame pair fixes (both components of
-all boundary nodes). The CLI's ``mesh`` meshes a frame by :func:`frame_mesh`,
-and ``solve`` and ``strain`` read the model from their frame's result. Frame
-pairs are (0 -> k) in the default cumulative mode or (k-1 -> k) in
-incremental mode, all solved on the frame-0 model (small-strain assumption);
-rotation compensation per pair follows a linear ramp that totals the
-configured systolic rotation.
+with frame 0 at begin systole, and one slice spacing (mm) that all its slices
+share. Each slice builds one frame-0 reference model, a ``SliceModel``:
+:func:`frame_mesh` resamples both walls about the centroid of the inner wall
+and meshes the wall between them, and the model holds that mesh, its stiffness
+and the dofs every frame pair fixes (both components of all boundary nodes).
+The CLI's ``mesh`` meshes a frame by :func:`frame_mesh`, and ``solve`` and
+``strain`` read the model from their frame's result. Frame pairs are (0 -> k)
+in the default cumulative mode or (k-1 -> k) in incremental mode, all solved
+on the frame-0 model (small-strain assumption); rotation compensation per pair
+follows a linear ramp that totals the configured systolic rotation.
 
 Samples meet boundary nodes by one rule, angular order about the reference
 center (``fem.boundary_dof_map``). In cumulative mode each later frame is
 resampled once and its boundary values are the differences to the frame-0
 walls, whose samples are the nodes themselves; in incremental mode each pair
-has its own reference frame, whose samples meet the mesh's nodes by angle.
-The values of all pairs form one (fixed dofs, pairs) array, the stiffness is
-condensed onto its free dofs and factorized once per slice, and all pairs are
-solved as one multi-column right-hand side (``fem.solve``). Strain is one
-vectorised B . d per frame, with the B matrices and sector bins of the mesh
-computed once and kept on it.
+has its own reference frame, whose samples meet the mesh's nodes by angle
+(``fem.boundary_conditions_from_displacements``). The values of all pairs form
+one (fixed dofs, pairs) array, the stiffness is condensed onto its free dofs
+and factorized once per slice, and all pairs are solved as one multi-column
+right-hand side (``fem.solve``). Strain is one vectorised B . d per frame,
+with the B matrices and sector bins of the mesh computed once and kept on it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import numpy as np
 from .contours import (FrameContours, boundary_displacements, centroid, polygon_area,
                        uniform_angle_walls)
 from .errors import ConfigurationError, GeometryError, SolverError
-from .fem import DisplacementField, LinearSystem, assemble, boundary_dof_map, solve
+from .fem import (DisplacementField, LinearSystem, assemble, boundary_conditions_from_displacements,
+                  boundary_dof_map, solve)
 from .materials import Material, MaterialField
 from .meshing import Mesh, triangulate_annulus
 from .strain import SectorSummary, StrainField, sector_average, strain_field
@@ -46,15 +47,12 @@ REFERENCE_MODES = ("cumulative", "incremental")
 
 @dataclass(frozen=True)
 class Slice:
-    """One short-axis slice: its spacing and the frames of one cycle."""
+    """One short-axis slice: the frames of one cycle."""
 
     index: int
-    spacing: float  # slab thickness contribution, mm
     frames: tuple[FrameContours, ...]
 
     def __post_init__(self):
-        if self.spacing <= 0.0:
-            raise ConfigurationError(f"slice spacing must be positive, got {self.spacing}")
         frames = tuple(self.frames)
         if not frames:
             raise ConfigurationError("slice has no frames")
@@ -73,10 +71,14 @@ class Slice:
 
 @dataclass(frozen=True)
 class Study:
+    """A subject's slices and the one slice spacing (mm) they share."""
+
     subject_id: str
     slices: tuple[Slice, ...]
+    spacing: float
 
     def __post_init__(self):
+        _check_finite_positive("slice spacing", self.spacing)
         slices = tuple(self.slices)
         if not slices:
             raise ConfigurationError("study has no slices")
@@ -188,7 +190,7 @@ def ventricle_volume(study: Study, frame: int) -> float:
         inner = sl.frames[frame].inner
         if not inner.is_simple():
             raise GeometryError(f"slice {sl.index} frame {frame}: inner contour self-intersects")
-        total += abs(polygon_area(inner.points)) * sl.spacing
+        total += abs(polygon_area(inner.points)) * study.spacing
     return total
 
 
@@ -257,13 +259,10 @@ def cycle_strain_analysis(
             if params.reference == "cumulative":
                 inner, outer = uniform_angle_walls(frames[k], center, params.n_points, step_rot * k)
                 vectors = np.concatenate([inner.points, outer.points]) - walls0
+                values[:, k - 1] = vectors.ravel()[take]
             else:
                 bd = boundary_displacements(frames[k - 1], frames[k], params.n_points, step_rot)
-                _, take = boundary_dof_map(
-                    mesh, bd.inner_positions, bd.outer_positions, bd.reference_center
-                )
-                vectors = np.concatenate([bd.inner_vectors, bd.outer_vectors])
-        values[:, k - 1] = vectors.ravel()[take]
+                values[:, k - 1] = boundary_conditions_from_displacements(mesh, bd)[1]
     try:
         disps = solve(model.system, fixed, values)
     except SolverError as exc:
@@ -309,11 +308,15 @@ def average_sector_summaries(
     return out
 
 
+def _check_finite_positive(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
+
+
 def check_tau(tau: float) -> None:
     """Raise ConfigurationError unless the localization threshold ``tau`` is
     finite and positive: a NaN threshold would flag no sector."""
-    if not (np.isfinite(tau) and tau > 0.0):
-        raise ConfigurationError(f"tau must be finite and positive, got {tau!r}")
+    _check_finite_positive("tau", tau)
 
 
 def infarct_localization(

@@ -86,18 +86,18 @@ def healthy_study(
     n_frames: int = 20,
     n_points: int = 64,
     n_slices: int = 1,
-    contraction_inner: float = 0.3,
-    contraction_outer: float = 0.15,
+    contraction: float = 0.3,
     rotation_deg_total: float = 0.0,
 ) -> Study:
     """Contracting (and optionally rotating) synthetic left-ventricle study.
 
-    Frame k scales wall points radially about the center by
-    1 - contraction * k / (n_frames - 1) and rotates them clockwise by
+    Frame k scales inner-wall points radially about the center by
+    1 - contraction * k / (n_frames - 1), outer-wall points by half that
+    contraction, and rotates them clockwise by
     rotation_deg_total * k / (n_frames - 1).
     """
     return _modulated_study(HEALTHY_ID, None, seed, n_frames, n_points, n_slices,
-                            contraction_inner, contraction_outer, rotation_deg_total)
+                            contraction, rotation_deg_total)
 
 
 def mi_wedge_study(
@@ -105,19 +105,18 @@ def mi_wedge_study(
     n_frames: int = 20,
     n_points: int = 64,
     n_slices: int = 1,
-    contraction_inner: float = 0.3,
-    contraction_outer: float = 0.15,
+    contraction: float = 0.3,
     rotation_deg_total: float = 0.0,
 ) -> Study:
     """Same study as :func:`healthy_study` for the same seed, except boundary
     points inside the 90-180 degree wedge move by only 3 % of their healthy
     displacement."""
     return _modulated_study(MI_ID, WEDGE, seed, n_frames, n_points, n_slices,
-                            contraction_inner, contraction_outer, rotation_deg_total)
+                            contraction, rotation_deg_total)
 
 
 def _modulated_study(subject_id, wedge, seed, n_frames, n_points, n_slices,
-                     contraction_inner, contraction_outer, rotation_deg_total) -> Study:
+                     contraction, rotation_deg_total) -> Study:
     if n_frames < 2:
         raise ConfigurationError("need at least 2 frames")
     rng = np.random.default_rng(seed)
@@ -132,8 +131,8 @@ def _modulated_study(subject_id, wedge, seed, n_frames, n_points, n_slices,
         frames = []
         for k in range(n_frames):
             t = k / (n_frames - 1)
-            healthy_in = c + (1.0 - contraction_inner * t) * (inner0 - c)
-            healthy_out = c + (1.0 - contraction_outer * t) * (outer0 - c)
+            healthy_in = c + (1.0 - contraction * t) * (inner0 - c)
+            healthy_out = c + (1.0 - contraction / 2.0 * t) * (outer0 - c)
             if rotation_deg_total != 0.0:
                 rot = -math.radians(rotation_deg_total * t)  # clockwise
                 healthy_in = rotate_about(healthy_in, c, rot)
@@ -141,8 +140,8 @@ def _modulated_study(subject_id, wedge, seed, n_frames, n_points, n_slices,
             pts_in = inner0 + factor[:, None] * (healthy_in - inner0)
             pts_out = outer0 + factor[:, None] * (healthy_out - outer0)
             frames.append(FrameContours(k, Contour(pts_in, "inner"), Contour(pts_out, "outer")))
-        slices.append(Slice(index=s, spacing=SLICE_SPACING, frames=tuple(frames)))
-    return Study(subject_id, tuple(slices))
+        slices.append(Slice(index=s, frames=tuple(frames)))
+    return Study(subject_id, tuple(slices), SLICE_SPACING)
 
 
 def phantom_cycle_study(n_points: int = 64, n_steps: int = 10) -> Study:
@@ -152,4 +151,4 @@ def phantom_cycle_study(n_points: int = 64, n_steps: int = 10) -> Study:
         raise ConfigurationError("n_steps must be >= 1")
     pressures = [k / n_steps for k in range(n_steps + 1)]
     frames = pressure_load_cycle(RingSpec(inner_radius=1.0, outer_radius=2.0), pressures, n_points)
-    return Study("phantom-cycle", (Slice(index=0, spacing=1.0, frames=tuple(frames)),))
+    return Study("phantom-cycle", (Slice(index=0, frames=tuple(frames)),), spacing=1.0)

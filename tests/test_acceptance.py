@@ -221,7 +221,7 @@ def test_ac8_volume_analytics():
                 circle_contour(30.0, (0.0, 0.0), 64, "outer"),
             )
         )
-    study = Study("shrink", (Slice(index=0, spacing=7.0, frames=tuple(frames)),))
+    study = Study("shrink", (Slice(index=0, frames=tuple(frames)),), spacing=7.0)
     curve = normalized_volume_curve(study)
     expected = (1.0 - 0.05 * np.arange(11)) ** 2
     worst = float(np.max(np.abs(curve.normalized - expected)))
@@ -260,8 +260,7 @@ def test_ac9_localization_ground_truth():
 
 def test_ac10_rotation_compensation():
     study = healthy_study(
-        seed=3, n_frames=6, contraction_inner=0.0, contraction_outer=0.0,
-        rotation_deg_total=7.0,
+        seed=3, n_frames=6, contraction=0.0, rotation_deg_total=7.0,
     )
     params = CycleParams(n_points=64, n_radial=8, rotation_deg_total=7.0)
     results = cycle_strain_analysis(study, params)

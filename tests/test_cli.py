@@ -679,6 +679,37 @@ def test_mismatched_reference_fails_before_any_work(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spacing, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("0", "0.0"), ("-8.0", "-8.0"),
+])
+@pytest.mark.parametrize("command, fmt", [
+    ("volume", "manifest"), ("volume", "study JSON"),
+    ("analyze", "manifest"), ("analyze", "study JSON"),
+])
+def test_bad_slice_spacing_fails_before_any_work(tmp_path, synth_pair, monkeypatch, capsys,
+                                                spacing, shown, command, fmt):
+    # Python's json reads NaN and Infinity; a study's one spacing must be
+    # finite and positive, whichever format carries it
+    healthy_dir, mi_dir = synth_pair
+    name = "manifest.json" if fmt == "manifest" else "study.json"
+    text = (mi_dir / name).read_text()
+    bad = tmp_path / name
+    bad.write_text(text.replace('"slice_spacing_mm": 8.0', f'"slice_spacing_mm": {spacing}', 1))
+    argv = ["--study", str(mi_dir / "contours.csv"), "--manifest", str(bad)]
+    if fmt == "study JSON":
+        argv = ["--study", str(bad)]
+    if command == "analyze":
+        argv += ["--reference", str(healthy_dir / "study.json")]
+    forks = cpus(monkeypatch, 2)
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert run(command, *argv, "--out", str(out)) == 1
+    assert _single_error_line(capsys) == (
+        f"error: slice spacing must be finite and positive, got {shown}")
+    assert forks == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("route", ["flag", "config"])
 @pytest.mark.parametrize("name", ["out", "sectors", "reference"])
 def test_end_of_options_is_no_flag_value(tmp_path, capsys, route, name):

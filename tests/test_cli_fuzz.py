@@ -9,6 +9,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -138,14 +139,22 @@ def test_gap_in_point_index(study_files, data):
     _assert_one_error(*_run_csv(study_files, header, rows))
 
 
+def _bad_manifest_value(key, value):
+    """Whether ``value`` is no valid ``key`` of a manifest: a frame count is an
+    integer, a slice spacing a finite number > 0."""
+    if isinstance(value, bool) or not isinstance(
+        value, int if key == "frames_per_cycle" else (int, float)
+    ):
+        return True
+    return key == "slice_spacing_mm" and not (math.isfinite(value) and value > 0)
+
+
 @FUZZ
 @given(st.sampled_from(["slice_spacing_mm", "frames_per_cycle"]), JSON_VALUES)
 def test_badly_typed_manifest_value(study_files, key, value):
     root, header, rows = study_files
     manifest = json.loads((root / "manifest.json").read_text())
-    if isinstance(value, bool) or not isinstance(
-        value, int if key == "frames_per_cycle" else (int, float)
-    ):
+    if _bad_manifest_value(key, value):
         manifest[key] = value
     else:
         del manifest[key]

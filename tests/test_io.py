@@ -18,6 +18,7 @@ from cardiofem.materials import Material
 from cardiofem.meshing import Mesh
 from cardiofem.phantom import RingVerification, make_ring
 from cardiofem.strain import strain_field, sector_average
+from cardiofem.study import FrameResult, Study
 
 from oracles import cli_ring_tables, cli_strain_aggregates
 
@@ -35,12 +36,30 @@ def test_csv_round_trip(tmp_path, study):
     back = cfio.read_study_csv(csv_path, manifest)
     assert back.subject_id == study.subject_id
     assert back.n_frames == study.n_frames
+    assert back.spacing == study.spacing
     for sl_a, sl_b in zip(study.slices, back.slices):
-        assert sl_a.spacing == sl_b.spacing
         for fa, fb in zip(sl_a.frames, sl_b.frames):
             # repr round trip preserves the exact float values
             assert np.array_equal(fa.inner.points, fb.inner.points)
             assert np.array_equal(fa.outer.points, fb.outer.points)
+
+
+def test_two_slice_study_round_trips_in_both_formats(tmp_path):
+    # a study's one spacing is written once, in both formats, and scales
+    # every slice's volume
+    made = healthy_study(seed=4, n_frames=5, n_points=20, n_slices=2)
+    made = Study(made.subject_id, made.slices, 4.5)
+    cfio.write_study_csv(tmp_path / "contours.csv", made)
+    cfio.write_manifest(tmp_path / "manifest.json", made)
+    cfio.write_study_json(tmp_path / "study.json", made)
+    curve = normalized_volume_curve(made)
+    for back in (cfio.read_study(tmp_path / "contours.csv", tmp_path / "manifest.json"),
+                 cfio.read_study(tmp_path / "study.json")):
+        assert back.spacing == 4.5
+        assert len(back.slices) == 2
+        back_curve = normalized_volume_curve(back)
+        assert np.array_equal(back_curve.raw, curve.raw)
+        assert np.array_equal(back_curve.normalized, curve.normalized)
 
 
 def test_csv_deterministic_bytes(tmp_path):
@@ -395,7 +414,8 @@ def test_mesh_and_field_csv(tmp_path, study):
     cfio.write_mesh_csv(tmp_path / "nodes.csv", tmp_path / "elements.csv", mesh)
     cfio.write_displacement_csv(tmp_path / "disp.csv", mesh, disp)
     cfio.write_strain_csv(tmp_path / "strain.csv", sf)
-    cfio.write_sector_csv(tmp_path / "sector.csv", summaries, [1, 3])
+    cfio.write_sector_csv(tmp_path / "sector.csv", [
+        FrameResult(frame, disp, sf, sm, results[0].model) for frame, sm in zip([1, 3], summaries)])
     cfio.write_volume_csv(tmp_path / "volume.csv", curve)
     cfio.write_strain_aggregates_csv(tmp_path / "aggregates.csv", results)
     assert cfio.write_ring_verification(tmp_path, spec, report) == (

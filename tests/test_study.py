@@ -38,7 +38,7 @@ from oracles import (cli_reference_localization, constraint_values, element_stra
 
 
 def _single_slice_study(frames, spacing=8.0, subject="s"):
-    return Study(subject, (Slice(index=0, spacing=spacing, frames=tuple(frames)),))
+    return Study(subject, (Slice(index=0, frames=tuple(frames)),), spacing)
 
 
 def _repeat_frame(fc, n):
@@ -70,10 +70,16 @@ def test_study_requires_contiguous_frames():
 
 
 def test_study_requires_consistent_counts():
-    s1 = Slice(index=0, spacing=8.0, frames=(circle_frame(0), circle_frame(1)))
-    s2 = Slice(index=1, spacing=8.0, frames=(circle_frame(0),))
+    s1 = Slice(index=0, frames=(circle_frame(0), circle_frame(1)))
+    s2 = Slice(index=1, frames=(circle_frame(0),))
     with pytest.raises(ConfigurationError):
-        Study("x", (s1, s2))
+        Study("x", (s1, s2), 8.0)
+
+
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf, 0.0, -8.0])
+def test_study_requires_finite_positive_spacing(spacing):
+    with pytest.raises(ConfigurationError, match="slice spacing must be finite and positive"):
+        _single_slice_study([circle_frame(0)], spacing=spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +95,8 @@ def test_volume_circle():
 
 def test_volume_two_slices_additive():
     frames = tuple(circle_frame(k) for k in range(2))
-    one = Study("x", (Slice(0, 5.0, frames),))
-    two = Study("x", (Slice(0, 5.0, frames), Slice(1, 5.0, frames)))
+    one = Study("x", (Slice(0, frames),), 5.0)
+    two = Study("x", (Slice(0, frames), Slice(1, frames)), 5.0)
     assert ventricle_volume(two, 0) == pytest.approx(2.0 * ventricle_volume(one, 0))
 
 
@@ -223,8 +229,8 @@ def test_translation_invariant_strain():
             )
             for fc in sl.frames
         )
-        moved_slices.append(Slice(sl.index, sl.spacing, frames))
-    moved = Study(base.subject_id, tuple(moved_slices))
+        moved_slices.append(Slice(sl.index, frames))
+    moved = Study(base.subject_id, tuple(moved_slices), base.spacing)
     params = CycleParams(n_points=32, n_radial=4)
     res_a = cycle_strain_analysis(base, params)
     res_b = cycle_strain_analysis(moved, params)
