@@ -147,10 +147,9 @@ def cmd_analyze(cfg) -> int:
             raise ConfigurationError(
                 f"reference {path} has {len(ref.slices)} slice(s) of {ref.n_frames} frames, "
                 f"the subject {len(study.slices)} of {study.n_frames}")
-    out = _outdir(cfg)
     params = _cycle_params(cfg)
-
     curve = normalized_volume_curve(study)
+    out = _outdir(cfg)
     cfio.write_volume_csv(out / "volume_curve.csv", curve)
 
     per_slice = [cycle_strain_analysis(study, params, i) for i in range(len(study.slices))]

@@ -4,12 +4,14 @@ Assembles the sparse symmetric stiffness system K U = F over a mesh with
 per-element constitutive matrices and applies Neumann tractions by
 consistent edge lumping. Dirichlet data has one format: an array of strictly
 increasing fixed dofs and an array of their values. :func:`solve` takes an
-(n_fixed, n_sets) value array, fixes those dofs and solves only the free-dof
-block for every column, with one banded Cholesky factorization in the
-system's fold order. :func:`apply_dirichlet` builds the equivalent symmetric
-system with the fixed rows and columns eliminated (replaced by identity), for
-export. :func:`boundary_dof_map` pairs the boundary nodes with displacement
-samples by one rule, angular order about the reference center.
+(n_fixed, n_sets) value array, fixes those dofs and solves for the free dofs
+of every column with one banded Cholesky factorization in the system's fold
+order, its band read from the assembled CSR stiffness through each free dof's
+band position, with no copy of the free-dof block. :func:`apply_dirichlet`
+builds the equivalent symmetric system with the fixed rows and columns
+eliminated (replaced by identity), for export. :func:`boundary_dof_map`
+pairs the boundary nodes with displacement samples by one rule, angular
+order about the reference center.
 
 The fold order, a band order for a periodic ring (George & Liu, *Computer
 Solution of Large Sparse Positive Definite Systems*, 1981), takes the nodes
@@ -51,7 +53,8 @@ class LinearSystem:
             raise MeshError("stiffness matrix must be square")
         if self.stiffness.shape[0] != len(self.load):
             raise MeshError("stiffness/load size mismatch")
-        if 2 * len(self.node_order) != len(self.load):
+        order = np.sort(self.node_order)
+        if 2 * len(order) != len(self.load) or np.any(order != np.arange(len(order))):
             raise MeshError("node order must list every node once")
 
     @property
@@ -333,65 +336,52 @@ def boundary_conditions_from_displacements(
 # solve
 
 
-@dataclass(frozen=True)
-class _BandedCholesky:
-    """Lower band Cholesky factor of P K P^T in LAPACK form, P the row order ``perm``."""
+def _factor(k: sparse.csr_matrix, band_dofs: np.ndarray) -> np.ndarray:
+    """Lower band Cholesky factor, in LAPACK form, of the symmetric CSR ``k``
+    on the free dofs ``band_dofs`` in that row order, the system's fold order
+    (George & Liu 1981); a block that is not positive definite, or nearly
+    singular, raises SolverError.
 
-    perm: np.ndarray
-    band: np.ndarray
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """K^-1 rhs for a vector or for every column of an (n, r) array at once."""
-        x = np.empty_like(rhs)
-        x[self.perm] = cho_solve_banded(
-            (self.band, True), rhs[self.perm], overwrite_b=True, check_finite=False
-        )
-        return x
-
-
-def _factor(k: sparse.csc_matrix, perm: np.ndarray) -> _BandedCholesky:
-    """Banded Cholesky factor of the symmetric ``k`` in row order ``perm``;
-    a ``k`` that is not positive definite, or nearly singular, raises
-    SolverError.
-
-    ``perm`` is the system's fold order on the free dofs (George & Liu 1981).
-    The lower band of P K P^T is scattered straight from the arrays of ``k``,
-    which must be canonical CSC as the free-dof block of :func:`solve` is,
-    and factored in place by LAPACK ``dpbtrf``. A Cholesky breakdown means
-    ``k`` is not positive definite. It is numerically singular, with rigid
+    The band is summed straight from the arrays of ``k`` through each free
+    dof's band position (-1 for a fixed dof), with no copy of the block, and
+    factored in place by LAPACK ``dpbtrf``. A Cholesky breakdown means the
+    block is not positive definite. It is numerically singular, with rigid
     modes left unconstrained, when a squared Cholesky diagonal entry (a pivot
-    of the symmetric elimination) is at or below 1e-12 of the largest, or
-    when one inverse iteration ends on a vector whose Rayleigh quotient is at
-    or below 1e-14 of the largest diagonal entry of ``k``.
-    """
-    rank = np.argsort(perm)
-    row, col = rank[k.indices], np.repeat(rank, np.diff(k.indptr))
-    lower = row >= col
-    row, col = row[lower], col[lower]
+    of the symmetric elimination) is at or below 1e-12 of the largest, or when
+    one inverse iteration ends on a vector whose Rayleigh quotient is at or
+    below 1e-14 of the block's largest diagonal entry."""
+    n = len(band_dofs)
+    position = np.full(k.shape[0], -1)
+    position[band_dofs] = np.arange(n)
+    row, col = np.repeat(position, np.diff(k.indptr)), position[k.indices]
+    lower = (col >= 0) & (row >= col)
+    depth, col = row[lower] - col[lower], col[lower]
+    rows = int(np.max(depth, initial=0)) + 1
     # Fortran order, so that dpbtrf factors the band in place instead of a copy
-    band = np.zeros((int(np.max(row - col, initial=0)) + 1, k.shape[0]), order="F")
-    band[row - col, col] = k.data[lower]
+    band = np.bincount(depth + rows * col, k.data[lower], rows * n).reshape((rows, n), order="F")
     try:
         band = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
     except LinAlgError as exc:
         raise SolverError(
             f"direct factorization failed: the stiffness is not positive definite ({exc})"
         ) from exc
-    factor = _BandedCholesky(perm, band)
     pivots = band[0] * band[0]
     # A free rigid mode can leave every pivot far above rounding (up to 1e-8 of
     # the largest with one node of a ring pinned), so one inverse iteration
     # from a fixed random start looks for it too: it lands on the mode, whose
     # Rayleigh quotient is at rounding level (~1e-17 of the largest diagonal
     # entry; a three-pin thin ring's is 5.6e-11).
-    probe = factor.solve(np.random.default_rng(0).standard_normal(k.shape[0]))
+    probe = np.zeros(k.shape[0])
+    probe[band_dofs] = cho_solve_banded(
+        (band, True), np.random.default_rng(0).standard_normal(n), check_finite=False
+    )
     if (pivots.min() <= 1e-12 * pivots.max()
-            or probe @ (k @ probe) <= 1e-14 * k.diagonal().max() * (probe @ probe)):
+            or probe @ (k @ probe) <= 1e-14 * k.diagonal()[band_dofs].max() * (probe @ probe)):
         raise SolverError(
             "numerically singular system: rigid modes are unconstrained "
             "(pin at least 3 dofs)"
         )
-    return factor
+    return band
 
 
 def _check_columns(u: np.ndarray, residual: np.ndarray, f_norm: np.ndarray) -> None:
@@ -424,10 +414,13 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
     (n_fixed, n_sets) array whose column j holds set j's values on them.
     With free dofs f and fixed dofs b, each column leaves
     K_ff u_f = F_f - K_fb u_b with the same symmetric positive definite K_ff,
-    which is factorized once by banded Cholesky for all columns. The factor
-    raises SolverError for a K_ff that is not positive definite or is
-    numerically singular (see :func:`_factor`). Column j must
-    meet the residual contract of the eliminated system,
+    which is factorized once by banded Cholesky for all columns. All of it
+    is read from the assembled K in place, with no copy of K_ff: the
+    right-hand sides are (F - K u_0) on the free dofs in the system's fold
+    order, u_0 holding the fixed values and zeros elsewhere, and
+    :func:`_factor` reads the band from K's CSR arrays; it raises SolverError
+    for a K_ff that is not positive definite or is numerically singular.
+    Column j must meet the residual contract of the eliminated system,
     |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2)
     (absolute 1e-12 for a zero right-hand side); otherwise SolverError with
     ``column=j`` reports the system as singular or ill-conditioned: rigid
@@ -443,20 +436,18 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
         )
     if not u_b.shape[1]:
         return []
-    free = np.flatnonzero(np.bincount(fixed, minlength=system.n_dofs) == 0)
-    # the free dofs in the system's node order, as indices into ``free``
-    perm = np.argsort(2 * np.argsort(system.node_order)[free // 2] + free % 2)
-    k_free = system.stiffness.tocsr()[free]
-    k_ff = k_free[:, free].tocsc()
-    rhs = system.load[free, None] - k_free[:, fixed] @ u_b
-    del k_free  # so that K_ff is not factorized beside a second stiffness-sized copy
-
-    u = np.empty((system.n_dofs, u_b.shape[1]))
+    k, load = system.stiffness.tocsr(), system.load[:, None]
+    band_dofs = np.setdiff1d(2 * system.node_order[:, None] + np.arange(2), fixed, True)
+    u = np.zeros((system.n_dofs, u_b.shape[1]))
     u[fixed] = u_b
-    # a mesh whose nodes are all constrained leaves nothing to solve
-    u[free] = _factor(k_ff, perm).solve(rhs) if len(free) else rhs
-    residual = np.linalg.norm(k_ff @ u[free] - rhs, axis=0)
+    rhs = (load - k @ u)[band_dofs]
     f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(u_b * u_b, axis=0))
+    # a mesh whose nodes are all constrained leaves nothing to solve
+    if len(band_dofs):
+        u[band_dofs] = cho_solve_banded(
+            (_factor(k, band_dofs), True), rhs, overwrite_b=True, check_finite=False
+        )
+    residual = np.linalg.norm((k @ u - load)[band_dofs], axis=0)
     _check_columns(u, residual, f_norm)
     return [DisplacementField(u[:, j].reshape(-1, 2)) for j in range(u.shape[1])]
 

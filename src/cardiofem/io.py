@@ -421,15 +421,16 @@ def read_phantom_spec(path) -> RingSpec:
     where = f"phantom spec {path}"
     inner = float(_json_field(data, "inner_radius", _NUMBER, where))
     outer = float(_json_field(data, "outer_radius", _NUMBER, where))
-    unknown = [key for key in data if key not in _SPEC_KEYS]
-    if unknown:
-        raise ConfigurationError(f"{where}: unknown key {unknown[0]!r}")
     center = _json_field(data, "center", list, where, [0.0, 0.0])
     if len(center) != 2 or not all(
         isinstance(v, _NUMBER) and not isinstance(v, bool) for v in center
     ):
         raise ConfigurationError(f"{where}: 'center' must be 2 numbers, got {center!r}")
     base = _json_field(data, "material", dict, where, {})
+    for obj, keys, name in ((data, _SPEC_KEYS, where), (base, ("E", "nu"), f"{where} material")):
+        unknown = [key for key in obj if key not in keys]
+        if unknown:
+            raise ConfigurationError(f"{name}: unknown key {unknown[0]!r}")
     material = Material(float(_json_field(base, "E", _NUMBER, f"{where} material", 1e4)),
                         float(_json_field(base, "nu", _NUMBER, f"{where} material", 0.3)))
     return RingSpec(inner, outer, center, material)

@@ -129,6 +129,9 @@ class CycleParams:
             raise ConfigurationError("n_radial must be >= 1")
         if self.n_sectors < 1:
             raise ConfigurationError("n_sectors must be >= 1")
+        if not np.isfinite(self.rotation_deg_total):
+            raise ConfigurationError(
+                f"rotation_deg_total must be finite, got {self.rotation_deg_total!r}")
         if self.reference not in REFERENCE_MODES:
             raise ConfigurationError(
                 f"reference must be one of {REFERENCE_MODES}, got {self.reference!r}"
@@ -182,7 +185,8 @@ class LocalizationResult:
 
 
 def ventricle_volume(study: Study, frame: int) -> float:
-    """Slab-summed cavity volume of one frame: sum of |inner area| * spacing."""
+    """Slab-summed cavity volume of one frame: sum of |inner area| * spacing.
+    A volume that overflows to infinity raises GeometryError."""
     total = 0.0
     for sl in study.slices:
         if frame < 0 or frame >= sl.n_frames:
@@ -191,6 +195,9 @@ def ventricle_volume(study: Study, frame: int) -> float:
         if not inner.is_simple():
             raise GeometryError(f"slice {sl.index} frame {frame}: inner contour self-intersects")
         total += abs(polygon_area(inner.points)) * study.spacing
+    if not np.isfinite(total):
+        raise GeometryError(f"frame {frame}: volume {total} is not finite "
+                            f"(slice spacing {study.spacing!r})")
     return total
 
 

@@ -7,9 +7,11 @@ Dirichlet values as a per-node dict merged into a dof -> value map, the
 identity-row system built from it, and the solve of that whole system; the
 library takes the values as (fixed dofs, values) arrays and solves only the
 free-dof block. Per factor: the free-dof block solved by SuperLU LU, the
-library's direct factor before its banded Cholesky, and the banded Cholesky
+library's direct factor before its banded Cholesky, the banded Cholesky
 in reverse Cuthill-McKee order with the band built through COO, as the
-library factored before it took the fold order. The identity-row solve
+library factored before it took the fold order, and the fold-order banded
+Cholesky of a copied free-dof block, as the library solved before it read
+the band and the right-hand sides from the assembled stiffness in place. The identity-row solve
 also runs by Jacobi-preconditioned conjugate gradients, the library's former
 iterative option. Per boundary: the former position pairing of nodes
 with displacement samples (node k of a loop on sample k), which the library's
@@ -25,13 +27,14 @@ keywords; argparse now parses each value as the flag's command-line text."""
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import cg, splu
 
 from cardiofem.contours import centroid, uniform_angle_walls
-from cardiofem.errors import GeometryError, UsageError
-from cardiofem.fem import LinearSystem, apply_dirichlet, assemble, strain_displacement_matrices
+from cardiofem.errors import GeometryError, SolverError, UsageError
+from cardiofem.fem import (LinearSystem, _check_columns, apply_dirichlet, assemble,
+                           strain_displacement_matrices)
 from cardiofem.materials import MaterialField
 from cardiofem.meshing import triangulate_annulus
 from cardiofem.study import (average_sector_summaries, cycle_strain_analysis,
@@ -155,6 +158,51 @@ def _free_block(system, fixed, values):
     u = np.empty((system.n_dofs, values.shape[1]))
     u[fixed] = values
     return free, k_free[:, free].tocsc(), system.load[free, None] - k_free[:, fixed] @ values, u
+
+
+def fold_free_block_solve(system, fixed, values) -> np.ndarray:
+    """``fem.solve``'s (n_dofs, n_sets) solutions as it computed them before it
+    read everything from K in place: K_ff and K_fb copied out of K, the lower
+    band of K_ff in the system's fold order scattered from K_ff's CSC arrays
+    through the inverse permutation and factored by LAPACK ``dpbtrf``, and the
+    right-hand sides and residuals on the copies. It raises the same
+    SolverErrors, from the same pivot and inverse-iteration checks (its
+    random start indexed in sorted free-dof order) and residual contract."""
+    values = np.asarray(values, dtype=float)
+    free, k_ff, rhs, u = _free_block(system, fixed, values)
+    perm = np.argsort(2 * np.argsort(system.node_order)[free // 2] + free % 2)
+    rank = np.argsort(perm)
+    row, col = rank[k_ff.indices], np.repeat(rank, np.diff(k_ff.indptr))
+    lower = row >= col
+    row, col = row[lower], col[lower]
+    band = np.zeros((int(np.max(row - col, initial=0)) + 1, k_ff.shape[0]), order="F")
+    band[row - col, col] = k_ff.data[lower]
+
+    def band_solve(b):
+        x = np.empty_like(b)
+        x[perm] = cho_solve_banded((band, True), b[perm], overwrite_b=True, check_finite=False)
+        return x
+
+    if len(free):
+        try:
+            band = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
+        except LinAlgError as exc:
+            raise SolverError(
+                f"direct factorization failed: the stiffness is not positive definite ({exc})"
+            ) from exc
+        pivots = band[0] * band[0]
+        probe = band_solve(np.random.default_rng(0).standard_normal(len(free)))
+        if (pivots.min() <= 1e-12 * pivots.max()
+                or probe @ (k_ff @ probe) <= 1e-14 * k_ff.diagonal().max() * (probe @ probe)):
+            raise SolverError(
+                "numerically singular system: rigid modes are unconstrained "
+                "(pin at least 3 dofs)"
+            )
+        u[free] = band_solve(rhs)
+    residual = np.linalg.norm(k_ff @ u[free] - rhs, axis=0)
+    f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(values * values, axis=0))
+    _check_columns(u, residual, f_norm)
+    return u
 
 
 def superlu_free_solve(system, fixed, values) -> np.ndarray:

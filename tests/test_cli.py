@@ -176,6 +176,9 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     ("phantom-verify", ["--n-radial", "0"], "n_radial must be at least 1, got 0"),
     ("analyze", ["--reference-manifest", "nonexistent.json"],
      "more --reference-manifest files (2) than --reference studies (1)"),
+    ("analyze", ["--sectors", "0"], "n_sectors must be >= 1"),
+    ("analyze", ["--poisson", "0.7"], "Poisson's ratio must be in [0, 0.5), got 0.7"),
+    ("analyze", ["--rotation-deg", "nan"], "rotation_deg_total must be finite, got nan"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
                                        command, flags, needle):
@@ -333,9 +336,11 @@ def test_study_json_wrong_types(tmp_path, synth_pair, capsys, edit, needle):
      "unknown key 'regions'"),
     ("phantom-verify", '{"inner_radius": 1, "outer_radius": 2, "pressures": [0, 1]}',
      "unknown key 'pressures'"),
+    ("phantom-verify", '{"inner_radius": 1, "outer_radius": 2, "material": {"E": 1e4, "Nu": 0.45}}',
+     "material: unknown key 'Nu'"),
     ("analyze", "5", "expected a JSON object, got 5"),
 ], ids=["spec-not-an-object", "spec-missing-key", "spec-string-radius", "spec-short-center",
-        "spec-regions-key", "spec-pressures-key", "manifest-not-an-object"])
+        "spec-regions-key", "spec-pressures-key", "spec-material-key", "manifest-not-an-object"])
 def test_malformed_spec_or_manifest_json(tmp_path, capsys, command, text, needle):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -706,6 +711,27 @@ def test_bad_slice_spacing_fails_before_any_work(tmp_path, synth_pair, monkeypat
     assert run(command, *argv, "--out", str(out)) == 1
     assert _single_error_line(capsys) == (
         f"error: slice spacing must be finite and positive, got {shown}")
+    assert forks == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["volume", "analyze"])
+def test_overflowing_volume_fails_before_any_work(tmp_path, synth_pair, monkeypatch, capsys,
+                                                  command):
+    # a finite spacing whose volumes overflow would give an inf/nan curve
+    healthy_dir, mi_dir = synth_pair
+    bad = tmp_path / "study.json"
+    bad.write_text((mi_dir / "study.json").read_text().replace(
+        '"slice_spacing_mm": 8.0', '"slice_spacing_mm": 1e307', 1))
+    argv = ["--study", str(bad)]
+    if command == "analyze":
+        argv += ["--reference", str(healthy_dir / "study.json")]
+    forks = cpus(monkeypatch, 2)
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert run(command, *argv, "--out", str(out)) == 1
+    assert _single_error_line(capsys) == (
+        "error: frame 0: volume inf is not finite (slice spacing 1e+307)")
     assert forks == []
     assert not out.exists()
 

@@ -12,6 +12,7 @@ from scipy.sparse.linalg import splu
 from cardiofem import (
     ConfigurationError, CycleParams, GeometryError, RingSpec, SolverError, cycle_strain_analysis,
 )
+from cardiofem.errors import MeshError
 from cardiofem.contours import (
     BoundaryDisplacements,
     Contour,
@@ -38,6 +39,7 @@ from cardiofem import fem
 from conftest import boundary_dirichlet, circle_frame, region_ring, solve_one, star_contour
 from oracles import (
     element_stiffness,
+    fold_free_block_solve,
     identity_row_solve,
     identity_row_system,
     nodal_dirichlet,
@@ -454,24 +456,25 @@ def test_solve_condensed_singular_free_block(ring_mesh):
         np.zeros(system.n_dofs + 2),
         np.append(system.node_order, mesh.n_nodes),
     )
-    with pytest.raises(SolverError):
-        solve(padded, *_random_boundary_sets(mesh, 3))
+    fixed, values = _random_boundary_sets(mesh, 3)
+    with pytest.raises(SolverError) as info:
+        solve(padded, fixed, values)
+    with pytest.raises(SolverError) as expected:
+        fold_free_block_solve(padded, fixed, values)
+    assert str(info.value) == str(expected.value)
 
 
 def test_solve_condensed_names_failing_column(ring_mesh, monkeypatch):
     mesh, mats = ring_mesh
-    real_factor = fem._factor
+    real_solve = fem.cho_solve_banded
 
-    class CorruptColumnOne:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, rhs):
-            u = self.lu.solve(rhs)
+    def corrupt_column_one(factor, rhs, **kwargs):
+        u = real_solve(factor, rhs, **kwargs)
+        if u.ndim == 2:
             u[:, 1] *= 1.0 + 1e-6
-            return u
+        return u
 
-    monkeypatch.setattr(fem, "_factor", lambda k, perm: CorruptColumnOne(real_factor(k, perm)))
+    monkeypatch.setattr(fem, "cho_solve_banded", corrupt_column_one)
     with pytest.raises(SolverError, match="residual contract") as info:
         solve(assemble(mesh, mats), *_random_boundary_sets(mesh, 3))
     assert info.value.column == 1
@@ -652,17 +655,18 @@ def test_each_solve_factorizes_the_free_block_once(ring_mesh, monkeypatch):
     calls = []
     real_factor = fem._factor
 
-    def counting_factor(k, perm):
-        calls.append(k.shape)
-        return real_factor(k, perm)
+    def counting_factor(k, band_dofs):
+        calls.append((k is system.stiffness, len(band_dofs)))
+        return real_factor(k, band_dofs)
 
     monkeypatch.setattr(fem, "_factor", counting_factor)
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     fixed, values = _random_boundary_sets(mesh, 3)
     solve(system, fixed, values[:, :1])
-    # solve factors the free-dof block, not the whole eliminated matrix
-    assert calls == [(system.n_dofs - len(fixed),) * 2]
+    # solve factors the free-dof block, read from the assembled stiffness in
+    # place, not the whole eliminated matrix
+    assert calls == [(True, system.n_dofs - len(fixed))]
     solve(system, fixed, values)
     assert len(calls) == 2
 
@@ -709,16 +713,18 @@ def test_banded_cholesky_matches_superlu(n_angular, n_radial, support):
     expected = superlu_free_solve(system, fixed, values)[:, 0]
     (got,) = solve(system, fixed, values)
     assert np.linalg.norm(got.values.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
+    # reading K in place changes no bit of the former free-block copies' solution
+    assert np.array_equal(got.values.ravel(), fold_free_block_solve(system, fixed, values)[:, 0])
 
 
 def _band_rows(monkeypatch) -> list[int]:
     """The band row counts of every factor ``solve`` makes from here on."""
     rows, real_factor = [], fem._factor
 
-    def recording_factor(k, perm):
-        factor = real_factor(k, perm)
-        rows.append(factor.band.shape[0])
-        return factor
+    def recording_factor(k, band_dofs):
+        band = real_factor(k, band_dofs)
+        rows.append(band.shape[0])
+        return band
 
     monkeypatch.setattr(fem, "_factor", recording_factor)
     return rows
@@ -810,14 +816,39 @@ def test_under_pinned_ring_raises(n_angular, n_radial, pins):
     system = assemble(mesh, mats, "plane-strain")
     loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0), mesh)
     fixed = np.sort(pins(mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"), n_angular))
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError) as info:
         solve(loaded, fixed, np.zeros((len(fixed), 1)))
+    with pytest.raises(SolverError) as expected:
+        fold_free_block_solve(loaded, fixed, np.zeros((len(fixed), 1)))
+    assert str(info.value) == str(expected.value)
 
 
 def test_factor_rejects_an_indefinite_matrix():
-    k = sparse.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 2.0]]))
+    k = sparse.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 2.0]]))
     with pytest.raises(SolverError, match="not positive definite"):
         fem._factor(k, np.arange(3))
+
+
+@pytest.mark.parametrize("order, n_dofs", [([0, 1], 5), ([1, 1], 4), ([0, 2], 4), ([0], 4)],
+                         ids=["odd dof count", "repeated node", "no such node", "short"])
+def test_linear_system_node_order_lists_every_node_once(order, n_dofs):
+    # solve reads the free dofs' band positions from the node order, so a
+    # repeated node would leave an empty band column
+    with pytest.raises(MeshError, match="node order must list every node once"):
+        fem.LinearSystem(sparse.identity(n_dofs, format="csr"), np.zeros(n_dofs), np.array(order))
+
+
+def test_indefinite_system_raises_the_free_block_oracles_error():
+    k = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, -3.0, 1.0, 0.0],
+                  [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
+    system = fem.LinearSystem(sparse.csr_matrix(k), np.ones(4), np.array([1, 0]))
+    for fixed in ([], [3]):
+        values = np.ones((len(fixed), 1))
+        with pytest.raises(SolverError, match="not positive definite") as info:
+            solve(system, fixed, values)
+        with pytest.raises(SolverError) as expected:
+            fold_free_block_solve(system, fixed, values)
+        assert str(info.value) == str(expected.value)
 
 
 def test_import_and_ring_solves_do_not_load_csgraph_or_spatial():

@@ -519,6 +519,16 @@ def test_phantom_spec_round_trip(tmp_path):
     assert back.material == spec.material
 
 
+@pytest.mark.parametrize("material", [{"E": 1e4, "Nu": 0.45}, {"e": 2e4}])
+def test_phantom_spec_rejects_unknown_material_keys(tmp_path, material):
+    # a misspelt key would otherwise fall back to the default silently
+    path = tmp_path / "phantom.json"
+    path.write_text(json.dumps({"inner_radius": 1, "outer_radius": 2, "material": material}))
+    name = next(key for key in material if key not in ("E", "nu"))
+    with pytest.raises(ConfigurationError, match=rf"material: unknown key '{name}'$"):
+        cfio.read_phantom_spec(path)
+
+
 def test_localization_json(tmp_path):
     from cardiofem.study import LocalizationResult
 

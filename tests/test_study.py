@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import cho_solve_banded
 
 from cardiofem import (
     ConfigurationError,
@@ -23,18 +25,19 @@ from cardiofem.contours import (
     resample_uniform_angle,
 )
 from cardiofem.fem import DisplacementField, assemble, boundary_conditions_from_displacements
-from cardiofem.materials import MaterialField
+from cardiofem.materials import MODES, MaterialField
 from cardiofem.meshing import triangulate_annulus
 from cardiofem.phantom import circle_contour
 from cardiofem.strain import SectorSummary, effective_strain, sector_average, strain_field
-from cardiofem.study import Slice, Study, average_sector_summaries, ventricle_volume
-from cardiofem.synth import phantom_cycle_study
+from cardiofem.study import (REFERENCE_MODES, Slice, Study, average_sector_summaries,
+                             ventricle_volume)
+from cardiofem.synth import HEALTHY_ID, MI_ID, WEDGE, _modulated_study, phantom_cycle_study
 from cardiofem import contours, fem, io
 from cardiofem import study as study_module
 
 from conftest import circle_frame, solve_one, star_contour
 from oracles import (cli_reference_localization, constraint_values, element_strain,
-                     nodal_dirichlet, position_conditions)
+                     fold_free_block_solve, nodal_dirichlet, position_conditions)
 
 
 def _single_slice_study(frames, spacing=8.0, subject="s"):
@@ -195,6 +198,21 @@ def test_normalized_curve_needs_two_frames():
         normalized_volume_curve(_shrinking_circle_study(n_frames=1))
 
 
+def test_overflowing_volume_names_its_frame():
+    # every frame's volume overflows to inf; normalized by frame 0 it was nan
+    study = _single_slice_study([circle_frame(k) for k in range(3)], spacing=1e308)
+    with pytest.raises(GeometryError, match=r"^frame 0: volume inf is not finite"):
+        normalized_volume_curve(study)
+    with pytest.raises(GeometryError, match=r"^frame 2: volume inf is not finite"):
+        ventricle_volume(study, 2)
+
+
+def test_cycle_params_rejects_non_finite_rotation():
+    for rotation in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match="rotation_deg_total must be finite"):
+            CycleParams(rotation_deg_total=rotation)
+
+
 def test_degenerate_zero_volume_study():
     line = Contour(np.array([[4.0, 5.0], [5.0, 5.0], [6.0, 5.0]]), "inner")
     outer = circle_contour(20.0, (5.0, 5.0), 32, "outer")
@@ -331,15 +349,13 @@ def _dict_condensed_solve(system, bcs_sets):
     fixed = np.array(sorted(constraints[0]), dtype=np.int64)
     assert all(c.keys() == constraints[0].keys() for c in constraints)
     u_b = np.array([[c[int(dof)] for dof in fixed] for c in constraints]).T
-    free = np.setdiff1d(np.arange(system.n_dofs), fixed)
-    k_free = system.stiffness.tocsr()[free]
-    k_ff = k_free[:, free].tocsc()
-    rhs = system.load[free, None] - k_free[:, fixed] @ u_b
-    u = np.empty((system.n_dofs, len(constraints)))
+    u = np.zeros((system.n_dofs, len(constraints)))
     u[fixed] = u_b
     # the free dofs in the system's node order, as the library factors them
-    perm = np.argsort(2 * np.argsort(system.node_order)[free // 2] + free % 2)
-    u[free] = fem._factor(k_ff, perm).solve(rhs)
+    band_dofs = np.array([dof for node in system.node_order for dof in (2 * node, 2 * node + 1)
+                          if dof not in constraints[0]])
+    rhs = (system.load[:, None] - system.stiffness @ u)[band_dofs]
+    u[band_dofs] = cho_solve_banded((fem._factor(system.stiffness, band_dofs), True), rhs)
     return [DisplacementField(u[:, j].reshape(-1, 2)) for j in range(u.shape[1])]
 
 
@@ -391,6 +407,26 @@ def test_cycle_equals_per_pair_path(n_points, n_radial, reference, rotation):
             assert np.array_equal(getattr(res.strain, name), getattr(sf, name))
         for name in ("mean_displacement", "mean_effective", "counts"):
             assert np.array_equal(getattr(res.sectors, name), getattr(sectors, name))
+
+
+@pytest.mark.parametrize("reference", ["cumulative", "incremental"])
+def test_cycle_solve_equals_the_free_block_oracle(reference, monkeypatch):
+    # the 19-column solve of a 20-frame slice at 128x16, read from K in place,
+    # equals bit for bit the former solve on copies of the free-dof block
+    solved = []
+
+    def checked_solve(system, fixed, values):
+        disps = fem.solve(system, fixed, values)
+        expected = fold_free_block_solve(system, fixed, values)
+        assert np.array_equal(np.column_stack([d.values.ravel() for d in disps]), expected)
+        solved.append(values.shape[1])
+        return disps
+
+    monkeypatch.setattr(study_module, "solve", checked_solve)
+    cycle_strain_analysis(mi_wedge_study(seed=4, rotation_deg_total=6.0),
+                          CycleParams(n_points=128, n_radial=16, reference=reference,
+                                      rotation_deg_total=6.0))
+    assert solved == [19]
 
 
 @pytest.mark.parametrize("reference", ["cumulative", "incremental"])
@@ -452,18 +488,15 @@ def test_cycle_results_share_frame0_mesh():
 
 
 def test_cycle_solver_error_names_frame(monkeypatch):
-    real_factor = fem._factor
+    real_solve = fem.cho_solve_banded
 
-    class CorruptColumnTwo:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, rhs):
-            u = self.lu.solve(rhs)
+    def corrupt_column_two(factor, rhs, **kwargs):
+        u = real_solve(factor, rhs, **kwargs)
+        if u.ndim == 2:
             u[:, 2] *= 1.0 + 1e-6
-            return u
+        return u
 
-    monkeypatch.setattr(fem, "_factor", lambda k, perm: CorruptColumnTwo(real_factor(k, perm)))
+    monkeypatch.setattr(fem, "cho_solve_banded", corrupt_column_two)
     study = healthy_study(seed=2, n_frames=5)
     with pytest.raises(SolverError, match=r"^frame 3: residual contract"):
         cycle_strain_analysis(study, CycleParams(n_points=32, n_radial=4))
@@ -483,6 +516,48 @@ def _summaries(matrix):
         )
         for row in matrix
     ]
+
+
+# synth's wedge keeps its inert motion for WEDGE[4] degrees past each edge and
+# ramps back to full motion over the next WEDGE[3] degrees
+_WEDGE_REACH = WEDGE[3] + WEDGE[4]
+
+
+@st.composite
+def _wedges(draw):
+    """(n_sectors, wedge start and width in degrees): a wedge of at least two
+    sectors anywhere on the circle, across the 0/360 degree seam or not."""
+    n_sectors = draw(st.sampled_from([8, 16]))
+    width = 360.0 / n_sectors * draw(st.floats(2.0, 0.8 * n_sectors))
+    return n_sectors, draw(st.floats(0.0, 360.0, exclude_max=True)), width
+
+
+@settings(max_examples=60, deadline=None)
+@given(wedge=_wedges(), mode=st.sampled_from(MODES), reference=st.sampled_from(REFERENCE_MODES),
+       mesh=st.sampled_from([(32, 4), (48, 6), (64, 8)]), seed=st.integers(0, 50))
+@example(wedge=(8, 315.0, 90.0), mode="as-printed", reference="cumulative", mesh=(64, 8), seed=7)
+@example(wedge=(16, 330.0, 60.0), mode="plane-strain", reference="incremental", mesh=(32, 4),
+         seed=7)
+def test_localization_flags_the_wedge_wherever_it_lies(wedge, mode, reference, mesh, seed):
+    # AC9's verdict for any wedge: every sector inside the wedge is flagged,
+    # and none clear of the wedge's inert margin and transition
+    n_sectors, start, width = wedge
+    args = (seed, 6, 64, 1, 0.3, 0.0)  # seed, frames, vertices, slices, contraction, rotation
+    mi = _modulated_study(MI_ID, (start, (start + width) % 360.0, *WEDGE[2:]), *args)
+    params = CycleParams(n_points=mesh[0], n_radial=mesh[1], n_sectors=n_sectors, mode=mode,
+                         reference=reference)
+    flagged = set(infarct_localization(
+        [r.sectors for r in cycle_strain_analysis(mi, params)],
+        [r.sectors for r in cycle_strain_analysis(_modulated_study(HEALTHY_ID, None, *args),
+                                                  params)],
+    ).suspected_sectors)
+    sector_width = 360.0 / n_sectors
+    lower_edges = sector_width * np.arange(n_sectors)
+    inside = np.flatnonzero(np.mod(lower_edges - start, 360.0) + sector_width <= width)
+    past = np.mod(lower_edges - start + _WEDGE_REACH, 360.0)
+    clear = np.flatnonzero((past >= width + 2 * _WEDGE_REACH) & (past + sector_width <= 360.0))
+    assert set(inside.tolist()) <= flagged
+    assert not set(clear.tolist()) & flagged
 
 
 def test_localization_self_reference_no_flags():
