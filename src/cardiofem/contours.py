@@ -256,7 +256,7 @@ class _AngularPass(NamedTuple):
     angles: np.ndarray  # in [0, 2*pi), sorted
     radii: np.ndarray  # in angle order
     gaps: np.ndarray  # from each sorted angle to the next, the last one wrapping
-    star: bool  # the is_star_shaped verdict
+    star: bool  # the polygon winds monotonically once about the center, off its edges
 
 
 def _winds_once_monotonically(th: np.ndarray) -> bool:
@@ -267,12 +267,9 @@ def _winds_once_monotonically(th: np.ndarray) -> bool:
 
 
 def _angular_pass(contour: Contour, c: np.ndarray) -> _AngularPass:
-    """The contour's angular pass about ``c``; the last one is kept on the
-    frozen contour, as :meth:`Contour.is_simple` keeps its verdict."""
-    key = c.tobytes()
-    memo = contour.__dict__.get("_angular")
-    if memo is not None and memo[0] == key:
-        return memo[1]
+    """The contour's angular pass about ``c``; ``star`` holds if the polygon,
+    in vertex order, winds monotonically once about ``c`` (up to tied
+    duplicates, in either direction) and ``c`` lies off its edges."""
     d = contour.points - c
     angles = np.mod(np.arctan2(d[:, 1], d[:, 0]), TWO_PI)
     radii = np.linalg.norm(d, axis=1)
@@ -284,7 +281,6 @@ def _angular_pass(contour: Contour, c: np.ndarray) -> _AngularPass:
     result = _AngularPass(perm, th, radii[perm], gaps, star)
     for arr in result[:4]:
         arr.setflags(write=False)
-    object.__setattr__(contour, "_angular", (key, result))
     return result
 
 
@@ -319,10 +315,9 @@ def _check_center_inside(points_sorted: np.ndarray, center: np.ndarray) -> None:
         raise GeometryError("center lies outside the contour")
 
 
-def _checked_pass(contour: Contour, c: np.ndarray) -> _AngularPass:
-    """The angular pass about ``c`` once the center and tie checks of
-    :func:`angular_permutation` hold."""
-    ap = _angular_pass(contour, c)
+def _checked_pass(contour: Contour, c: np.ndarray, ap: _AngularPass) -> _AngularPass:
+    """The contour's angular pass ``ap`` about ``c`` once the center and tie
+    checks of :func:`angular_permutation` hold."""
     perm = ap.perm
     # A star-shaped contour whose angular order is a cyclic shift of its
     # vertex order sorts into the same polygon, edge for edge: the star check
@@ -334,9 +329,8 @@ def _checked_pass(contour: Contour, c: np.ndarray) -> _AngularPass:
     radii = ap.radii
     tied = ap.gaps <= ANGLE_TIE_TOL
     if np.any(tied):
-        r_next = _next(radii)
         r_scale = max(float(np.max(radii)), 1e-300)
-        mismatched = tied & (np.abs(r_next - radii) > RADIUS_TIE_RTOL * r_scale)
+        mismatched = tied & (np.abs(_next(radii) - radii) > RADIUS_TIE_RTOL * r_scale)
         if np.any(mismatched):
             raise StarShapeError(
                 "multiple boundary points share an angle at different radii; "
@@ -354,37 +348,15 @@ def angular_permutation(contour: Contour, center) -> np.ndarray:
     which violates the star-shape requirement. The returned array is
     read-only.
     """
-    return _checked_pass(contour, _as_point(center)).perm
+    c = _as_point(center)
+    return _checked_pass(contour, c, _angular_pass(contour, c)).perm
 
 
-def is_star_shaped(contour: Contour, center) -> bool:
-    """True if traversing the polygon winds monotonically once about center.
-
-    Treats the vertex order as the polygon traversal order; a star-shaped
-    contour visits angles monotonically (up to tied duplicates) with total
-    winding of one full turn in either direction, and the center lies off
-    its edges.
-    """
-    return _angular_pass(contour, _as_point(center)).star
-
-
-def require_star_shaped(contour: Contour, center, context: str = "") -> None:
-    if not is_star_shaped(contour, center):
-        where = f" ({context})" if context else ""
-        raise StarShapeError(f"contour is not star-shaped about the reference center{where}")
-
-
-def resample_uniform_angle(contour: Contour, center, n: int) -> Contour:
-    """Resample onto n uniform angles about the center.
-
-    Radii are linearly interpolated against angle between the (angle-ordered)
-    input vertices, with periodic wrap-around. Output point k sits exactly at
-    angle 2*pi*k/n.
-    """
+def _resample(contour: Contour, c: np.ndarray, ap: _AngularPass, n: int) -> Contour:
+    """:func:`resample_uniform_angle` on the contour's angular pass about ``c``."""
     if n < 3:
         raise GeometryError("resampling needs n >= 3")
-    c = _as_point(center)
-    ap = _checked_pass(contour, c)
+    _checked_pass(contour, c, ap)
     perm, gaps = ap.perm, ap.gaps
 
     # Duplicate angular samples: keep the first in input order (stable sort
@@ -402,6 +374,17 @@ def resample_uniform_angle(contour: Contour, center, n: int) -> Contour:
     return Contour(out, contour.label)
 
 
+def resample_uniform_angle(contour: Contour, center, n: int) -> Contour:
+    """Resample onto n uniform angles about the center.
+
+    Radii are linearly interpolated against angle between the (angle-ordered)
+    input vertices, with periodic wrap-around. Output point k sits exactly at
+    angle 2*pi*k/n.
+    """
+    c = _as_point(center)
+    return _resample(contour, c, _angular_pass(contour, c), n)
+
+
 def uniform_angle_walls(
     frame: FrameContours,
     center,
@@ -410,24 +393,26 @@ def uniform_angle_walls(
 ) -> tuple[Contour, Contour]:
     """Both walls of one frame resampled onto n uniform angles about center.
 
-    Each wall must be star-shaped about the center; a failure names the
-    wall and the frame's ``frame_index``. With ``rotation_deg`` given, the
-    walls are first rotated counter-clockwise by that angle about the center
-    (the removal of a known clockwise rotation), even for 0, whose rotation
-    can still round.
+    Each wall must be star-shaped about the center, checked for both before
+    either is resampled; a failure names the wall and ``frame.frame_index``.
+    With ``rotation_deg`` given, the walls are first rotated counter-clockwise
+    by that angle about the center (the removal of a known clockwise
+    rotation), even for 0, whose rotation can still round.
     """
     c = _as_point(center)
-    inner, outer = frame.inner, frame.outer
+    walls = (frame.inner, frame.outer)
     if rotation_deg is not None:
         derot = math.radians(rotation_deg)
-        inner = Contour(rotate_about(inner.points, c, derot), "inner")
-        outer = Contour(rotate_about(outer.points, c, derot), "outer")
+        walls = tuple(Contour(rotate_about(w.points, c, derot), w.label) for w in walls)
     # Checked on the walls that are resampled, so that the check and the
     # resampling share one angular pass; a rotation about the center keeps
     # a wall star-shaped.
-    require_star_shaped(inner, c, f"frame {frame.frame_index} inner")
-    require_star_shaped(outer, c, f"frame {frame.frame_index} outer")
-    return resample_uniform_angle(inner, c, n), resample_uniform_angle(outer, c, n)
+    passes = [_angular_pass(w, c) for w in walls]
+    for wall, ap in zip(walls, passes):
+        if not ap.star:
+            raise StarShapeError("contour is not star-shaped about the reference center "
+                                 f"(frame {frame.frame_index} {wall.label})")
+    return tuple(_resample(w, c, ap, n) for w, ap in zip(walls, passes))
 
 
 def boundary_displacements(

@@ -192,12 +192,15 @@ def _json_field(obj, key: str, kind: type, where: str, default=_REQUIRED):
 def _build_study(data, where: str, declared_by: str) -> Study:
     """The Study of study-JSON-shaped ``data`` read from ``where``.
 
-    A missing key, a value of the wrong JSON type (``frames_per_cycle``,
-    ``slice`` and ``frame`` must be integers, ``slices`` and ``frames`` lists,
-    contours lists of [x, y] pairs) or a frame without both walls raises
-    ConfigurationError, a self-intersecting wall GeometryError, each naming
-    ``where``. A ``frames_per_cycle`` other than the number of frames read
-    raises ConfigurationError naming ``declared_by``, its source.
+    Slices are kept in index order, frames in frame order. A missing key, a
+    value of the wrong JSON type (``frames_per_cycle``, ``slice`` and
+    ``frame`` must be integers, ``slices`` and ``frames`` lists, contours
+    lists of [x, y] pairs), a frame without both walls or a slice whose
+    frames are not 0..n-1 raises ConfigurationError, a degenerate or
+    self-intersecting wall or an inner wall not inside the outer one
+    GeometryError, each naming ``where`` and the slice. A ``frames_per_cycle``
+    other than the number of frames read raises ConfigurationError naming
+    ``declared_by``, its source.
     """
     if not isinstance(data, dict) or "subject_id" not in data:
         raise ConfigurationError(f"{where}: study JSON must be an object with 'subject_id'")
@@ -217,16 +220,23 @@ def _build_study(data, where: str, declared_by: str) -> Study:
             walls = []
             for label in ("inner", "outer"):
                 try:
-                    pts = np.asarray(fr[label], dtype=float)
+                    walls.append(Contour(np.asarray(fr[label], dtype=float), label))
+                except GeometryError as exc:
+                    raise GeometryError(f"{at} {label}: {exc}") from None
                 except (TypeError, ValueError) as exc:
-                    raise ConfigurationError(
-                        f"{at} {label}: points must be [x, y] pairs ({exc})"
-                    ) from None
-                walls.append(Contour(pts, label))
+                    msg = f"{at} {label}: points must be [x, y] pairs ({exc})"
+                    raise ConfigurationError(msg) from None
                 if not walls[-1].is_simple():
                     raise GeometryError(f"{at} {label}: contour is self-intersecting")
-            frames.append(FrameContours(frame_idx, *walls))
-        slices.append(Slice(index=sl_idx, frames=tuple(frames)))
+            try:
+                frames.append(FrameContours(frame_idx, *walls))
+            except GeometryError as exc:
+                raise GeometryError(f"{at}: {exc}") from None
+        try:
+            slices.append(Slice(index=sl_idx, frames=tuple(frames)))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where} {exc}") from None
+    slices.sort(key=lambda s: s.index)
     study = Study(str(data["subject_id"]), tuple(slices), spacing)
     if study.n_frames != frames_per_cycle:
         raise ConfigurationError(

@@ -55,7 +55,7 @@ class Slice:
     def __post_init__(self):
         frames = tuple(self.frames)
         if not frames:
-            raise ConfigurationError("slice has no frames")
+            raise ConfigurationError(f"slice {self.index} has no frames")
         for k, fc in enumerate(frames):
             if fc.frame_index != k:
                 raise ConfigurationError(
@@ -71,7 +71,7 @@ class Slice:
 
 @dataclass(frozen=True)
 class Study:
-    """A subject's slices and the one slice spacing (mm) they share."""
+    """A subject's slices (distinct indices) and the one slice spacing (mm) they share."""
 
     subject_id: str
     slices: tuple[Slice, ...]
@@ -82,6 +82,9 @@ class Study:
         slices = tuple(self.slices)
         if not slices:
             raise ConfigurationError("study has no slices")
+        indices = [s.index for s in slices]
+        if len(set(indices)) != len(indices):
+            raise ConfigurationError(f"slice indices must be distinct, got {indices}")
         counts = {s.n_frames for s in slices}
         if len(counts) != 1:
             raise ConfigurationError(f"inconsistent frame counts across slices: {counts}")

@@ -716,6 +716,28 @@ def test_bad_slice_spacing_fails_before_any_work(tmp_path, synth_pair, monkeypat
 
 
 @pytest.mark.parametrize("command", ["volume", "analyze"])
+def test_repeated_slice_index_fails_before_any_work(tmp_path, synth_pair, monkeypatch, capsys,
+                                                    command):
+    # a slice listed twice would count twice in the volume curve, and its
+    # field exports would overwrite each other
+    healthy_dir, mi_dir = synth_pair
+    data = json.loads((mi_dir / "study.json").read_text())
+    data["slices"].append(data["slices"][0])
+    bad = tmp_path / "study.json"
+    bad.write_text(json.dumps(data))
+    argv = ["--study", str(bad)]
+    if command == "analyze":
+        argv += ["--reference", str(healthy_dir / "study.json")]
+    forks = cpus(monkeypatch, 2)
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert run(command, *argv, "--out", str(out)) == 1
+    assert _single_error_line(capsys) == "error: slice indices must be distinct, got [0, 0]"
+    assert forks == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["volume", "analyze"])
 def test_overflowing_volume_fails_before_any_work(tmp_path, synth_pair, monkeypatch, capsys,
                                                   command):
     # a finite spacing whose volumes overflow would give an inf/nan curve

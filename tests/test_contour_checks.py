@@ -321,3 +321,19 @@ def test_one_angular_pass_per_wall(monkeypatch):
     # center check of the angular sort is implied by it and skipped
     assert calls == [64, 64]
     assert len(inner) == len(outer) == 128
+
+
+@pytest.mark.parametrize("tied_inner, n", [(True, 24), (False, 2)])
+def test_outer_star_check_comes_before_any_resampling(tied_inner, n):
+    # the inner wall would fail its own resampling (a second ray crossing, or
+    # n < 3); the outer wall's star check must still be the error raised
+    inner = star_contour(16, 1.0, seed=3).points
+    if tied_inner:
+        inner = np.insert(inner, 4, 1.1 * inner[3], axis=0)
+    outer = star_contour(16, 2.0, seed=4).points.copy()
+    outer[5] = 1.2 * outer[3]  # moved back past its predecessor
+    frame = FrameContours(7, Contour(inner, "inner"), Contour(outer, "outer"))
+    with pytest.raises(StarShapeError) as err:
+        uniform_angle_walls(frame, (0.0, 0.0), n)
+    assert str(err.value) == (
+        "contour is not star-shaped about the reference center (frame 7 outer)")

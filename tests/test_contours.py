@@ -9,15 +9,16 @@ from cardiofem import GeometryError, StarShapeError
 from cardiofem.contours import (
     Contour,
     FrameContours,
+    _angular_pass,
     angular_permutation,
     boundary_displacements,
     centroid,
     is_simple_polygon,
-    is_star_shaped,
     points_in_polygon,
     polygon_area,
     resample_uniform_angle,
     rotate_about,
+    uniform_angle_walls,
 )
 
 from conftest import circle_frame, star_contour
@@ -140,20 +141,27 @@ def test_duplicate_point_tolerated():
 # star-shape test
 
 
+def _star(contour, center):
+    return _angular_pass(contour, np.asarray(center, dtype=float)).star
+
+
 def test_is_star_shaped_circle():
-    assert is_star_shaped(star_contour(32, seed=2), (0.0, 0.0))
+    assert _star(star_contour(32, seed=2), (0.0, 0.0))
 
 
 def test_is_star_shaped_rejects_backtracking():
     theta = np.array([0.0, 0.8, 0.4, 1.6, 2.4, 3.2, 4.0, 4.8, 5.6])
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    assert not is_star_shaped(Contour(pts, "inner"), (0.0, 0.0))
+    assert not _star(Contour(pts, "inner"), (0.0, 0.0))
+    frame = FrameContours(4, Contour(pts, "inner"), star_contour(16, 2.0, label="outer"))
+    with pytest.raises(StarShapeError, match=r"reference center \(frame 4 inner\)$"):
+        uniform_angle_walls(frame, (0.0, 0.0), 16)
 
 
 def test_is_star_shaped_clockwise_ok():
     c = star_contour(16)
     reversed_pts = Contour(c.points[::-1], "inner")
-    assert is_star_shaped(reversed_pts, (0.0, 0.0))
+    assert _star(reversed_pts, (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,55 @@ def test_csv_and_json_readers_share_their_checks(tmp_path, study, edit, needle):
     assert csv_text.replace("manifest declares", "study JSON <path> declares") == json_text
 
 
+def _scale_inner(data, k, factor):
+    fr = _frame(data, k)
+    fr["inner"] = [[factor * x, factor * y] for x, y in fr["inner"]]
+
+
+@pytest.mark.parametrize("edit, error, text", [
+    (lambda d: _scale_inner(d, 1, 10.0), GeometryError,
+     "slice 0 frame 1: inner contour must lie strictly inside the outer contour"),
+    (lambda d: _frame(d, 2).update(frame=7), ConfigurationError,
+     "slice 0: frame indices must be contiguous from 0, found 3 at position 2"),
+], ids=["inner-outside-outer", "frame-gap"])
+def test_frame_and_slice_errors_name_their_file(tmp_path, study, edit, error, text):
+    cfio.write_study_json(tmp_path / "study.json", study)
+    data = json.loads((tmp_path / "study.json").read_text())
+    edit(data)
+    csv_path, manifest, json_path = _write_twins(tmp_path, data)
+    for read, path in ((lambda: cfio.read_study_csv(csv_path, manifest), csv_path),
+                       (lambda: cfio.read_study_json(json_path), json_path)):
+        with pytest.raises(error) as info:
+            read()
+        assert str(info.value) == f"{path} {text}"
+
+
+def test_json_and_csv_forms_read_slices_in_index_order(tmp_path):
+    # analyze pairs subject and reference slices by position, so both forms
+    # of one study must list its slices in one order
+    study = healthy_study(seed=3, n_frames=3, n_points=24, n_slices=2)
+    cfio.write_study_json(tmp_path / "study.json", study)
+    data = json.loads((tmp_path / "study.json").read_text())
+    data["slices"].reverse()
+    csv_path, manifest, json_path = _write_twins(tmp_path, data)
+    for back in (cfio.read_study_csv(csv_path, manifest), cfio.read_study_json(json_path)):
+        assert [sl.index for sl in back.slices] == [0, 1]
+        for sl, expected in zip(back.slices, study.slices):
+            for fc, fe in zip(sl.frames, expected.frames):
+                assert np.array_equal(fc.inner.points, fe.inner.points)
+                assert np.array_equal(fc.outer.points, fe.outer.points)
+
+
+def test_repeated_slice_index_is_rejected(tmp_path, study):
+    path = tmp_path / "study.json"
+    cfio.write_study_json(path, study)
+    data = json.loads(path.read_text())
+    data["slices"].append(data["slices"][0])
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigurationError, match=r"^slice indices must be distinct, got \[0, 0\]$"):
+        cfio.read_study_json(path)
+
+
 def test_missing_files(tmp_path):
     with pytest.raises(FileNotFoundError):
         cfio.read_study_csv(tmp_path / "none.csv", tmp_path / "none.json")
