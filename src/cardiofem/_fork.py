@@ -6,6 +6,8 @@ import contextlib
 import os
 import pickle
 
+from .fem import _one_blas_thread
+
 
 def usable_cpus() -> int:
     """The CPUs this process may run on; 1 where it cannot fork."""
@@ -74,21 +76,23 @@ def forked(tasks):
     the first failed task's exception is raised again with its own type and
     message. An exception that cannot be pickled arrives as a
     ChildProcessError of its text, as does a child that dies without a
-    payload, naming its pid and exit status.
+    payload, naming its pid and exit status. numpy's OpenBLAS keeps to one
+    thread meanwhile, so that its pool does not contend with the children.
     """
     parallel = usable_cpus() > 1
     outcomes, children, results = [None] * len(tasks), [], []
-    try:
-        for i, task in enumerate(tasks):
-            child = _start(task) if parallel else None
-            if child is None:
-                outcomes[i] = _run(task)
-            else:
-                children.append((i, *child))
-        yield results
-    finally:
-        for i, pid, fd in children:
-            outcomes[i] = _reap(pid, fd)
+    with _one_blas_thread():
+        try:
+            for i, task in enumerate(tasks):
+                child = _start(task) if parallel else None
+                if child is None:
+                    outcomes[i] = _run(task)
+                else:
+                    children.append((i, *child))
+            yield results
+        finally:
+            for i, pid, fd in children:
+                outcomes[i] = _reap(pid, fd)
     for ok, value in outcomes:
         if not ok:
             raise value

@@ -1,17 +1,18 @@
 """Linear triangular finite elements for 2D elasticity.
 
-Assembles the sparse symmetric stiffness system K U = F over a mesh with
-per-element constitutive matrices and applies Neumann tractions by
-consistent edge lumping. Dirichlet data has one format: an array of strictly
-increasing fixed dofs and an array of their values. :func:`solve` takes an
-(n_fixed, n_sets) value array, fixes those dofs and solves for the free dofs
-of every column with one banded Cholesky factorization in the system's fold
-order, its band read from the assembled CSR stiffness through each free dof's
-band position, with no copy of the free-dof block. :func:`apply_dirichlet`
-builds the equivalent symmetric system with the fixed rows and columns
-eliminated (replaced by identity), for export. :func:`boundary_dof_map`
-pairs the boundary nodes with displacement samples by one rule, angular
-order about the reference center.
+Assembles the symmetric stiffness system K U = F over a mesh with
+per-element constitutive matrices, K in the padded-row form of
+:class:`Stiffness`, and applies Neumann tractions by consistent edge lumping.
+Dirichlet data has one format: an array of strictly increasing fixed dofs and
+an array of their values. :func:`solve` takes an (n_fixed, n_sets) value
+array and solves for the free dofs of every column with one banded Cholesky
+factorization in the system's fold order, its band read from the assembled K
+through each free dof's band position. LAPACK comes from the OpenBLAS that
+numpy's wheel bundles, through ``ctypes``; scipy.linalg serves a numpy
+without it. :func:`apply_dirichlet` builds the equivalent system with the
+fixed rows and columns eliminated (replaced by identity), for export.
+:func:`boundary_dof_map` pairs the boundary nodes with displacement samples
+by one rule, angular order about the reference center.
 
 The fold order, a band order for a periodic ring (George & Liu, *Computer
 Solution of Large Sparse Positive Definite Systems*, 1981), takes the nodes
@@ -26,12 +27,12 @@ the x-displacement of node i and dof 2*i + 1 its y-displacement.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import splu  # noqa: F401  never called; bench/tracer.py wraps fem.splu
+from numpy.linalg import _umath_linalg
 
 from .contours import BoundaryDisplacements
 from .errors import ConfigurationError, GeometryError, MeshError, SolverError
@@ -40,17 +41,48 @@ from .meshing import Mesh
 
 
 @dataclass(frozen=True)
+class Stiffness:
+    """A sparse n x n matrix in padded-row form: ``vals[s, i]`` sits in row i,
+    column ``cols[s, i]``. A row's columns increase with the slot s, then pad
+    with zeros in the row's own column; ``nnz`` does not count the padding."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+    nnz: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.cols.shape[1],) * 2
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        # summed slot by slot, so each row in column order, as a CSR product
+        # sums it; every column is in range, so "clip" only spares a copy
+        out, term = np.zeros(u.shape), np.empty(u.shape)
+        for cols, vals in zip(self.cols, self.vals.reshape(self.vals.shape + (1,) * (u.ndim - 1))):
+            out += np.multiply(vals, np.take(u, cols, axis=0, out=term, mode="clip"), out=term)
+        return out
+
+    def tocsr(self):
+        """The matrix as a scipy CSR matrix without stored zeros."""
+        from scipy import sparse  # only the matrix-market export needs scipy's matrix
+
+        n, w = self.shape[0], len(self.cols)
+        k = sparse.csr_matrix((self.vals.T.ravel(), self.cols.T.ravel(),
+                               np.arange(0, n * w + 1, w)), shape=self.shape)
+        k.eliminate_zeros()
+        return k
+
+
+@dataclass(frozen=True)
 class LinearSystem:
-    """Sparse stiffness matrix, load vector and the node order in which
+    """Stiffness matrix, load vector and the node order in which
     :func:`solve` factors the stiffness; :func:`assemble` gives the fold order."""
 
-    stiffness: sparse.csr_matrix
+    stiffness: Stiffness
     load: np.ndarray
     node_order: np.ndarray
 
     def __post_init__(self):
-        if self.stiffness.shape[0] != self.stiffness.shape[1]:
-            raise MeshError("stiffness matrix must be square")
         if self.stiffness.shape[0] != len(self.load):
             raise MeshError("stiffness/load size mismatch")
         order = np.sort(self.node_order)
@@ -151,7 +183,8 @@ def _fold_order(nodes: np.ndarray) -> np.ndarray:
 
 
 def assemble(mesh: Mesh, materials: MaterialField, mode: str = "as-printed") -> LinearSystem:
-    """Scatter-add all element stiffnesses into the global sparse system.
+    """Scatter-add all element stiffnesses into the global sparse system,
+    summing each entry's element contributions in element order.
 
     The load vector starts at zero (no body forces in the static model).
     """
@@ -161,8 +194,6 @@ def assemble(mesh: Mesh, materials: MaterialField, mode: str = "as-printed") -> 
             f"mesh has {mesh.n_triangles}"
         )
     tri = mesh.triangles
-    if len(tri) and tri.max() >= mesh.n_nodes:
-        raise MeshError("triangle node index out of range")
     try:
         bmat, area = _element_matrices(mesh)
     except GeometryError as exc:
@@ -171,16 +202,23 @@ def assemble(mesh: Mesh, materials: MaterialField, mode: str = "as-printed") -> 
     d = constitutive_matrices(materials, mode)
     ke = np.matmul(bmat.transpose(0, 2, 1), d @ bmat) * area[:, None, None]
 
-    nf = len(tri)
-    dofs = np.empty((nf, 6), dtype=np.int64)
-    dofs[:, 0::2] = 2 * tri
-    dofs[:, 1::2] = 2 * tri + 1
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    ndof = 2 * mesh.n_nodes
-    k = sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    # each distinct node pair (a, b) of an element is one 2 x 2 block of K, in
+    # slot p of node a's blocks (b ascending, then a's own index as padding);
+    # its entry (2a + i, 2b + j) sits in slot 2p + j of dof row 2a + i
+    nn = mesh.n_nodes
+    pairs, pair = np.unique((tri[:, :, None] * nn + tri[:, None, :]).ravel(), return_inverse=True)
+    a, b = np.divmod(pairs, nn)
+    counts = np.bincount(a, minlength=nn)
+    p = np.arange(len(pairs)) - (np.cumsum(counts) - counts)[a]
+    blocks = np.tile(np.arange(nn), (max(counts.max(initial=0), 1), 1))
+    blocks[p, a] = b
+    cols = np.repeat(2 * blocks[:, None] + np.arange(2)[:, None], 2, axis=2).reshape(-1, 2 * nn)
+    vals = np.zeros(cols.shape)
+    for i in range(2):
+        for j in range(2):
+            vals[2 * p + j, 2 * a + i] = np.bincount(pair, ke[:, i::2, j::2].ravel(), len(pairs))
     order = mesh.cached("fold_order", lambda: _fold_order(mesh.nodes))
-    return LinearSystem(k, np.zeros(ndof), order)
+    return LinearSystem(Stiffness(cols, vals, 4 * len(pairs)), np.zeros(2 * nn), order)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +237,11 @@ def _fixed_dofs(system: LinearSystem, fixed_dofs) -> np.ndarray:
 
 
 def apply_dirichlet(system: LinearSystem, fixed_dofs, values) -> LinearSystem:
-    """The system with ``values`` imposed on the strictly increasing
-    ``fixed_dofs`` by symmetric row/column elimination.
-
-    Returns a new system; the input is left untouched. Eliminated rows and
-    columns are replaced by identity, with the load corrected so interior
-    equations see the fixed values. :func:`solve` does not need this system:
-    it solves the free-dof block directly.
+    """A new system with ``values`` imposed on the strictly increasing
+    ``fixed_dofs`` by symmetric row/column elimination: eliminated rows and
+    columns become identity, with the load corrected so interior equations
+    see the fixed values. :func:`solve` does not need it: it solves the
+    free-dof block directly.
     """
     fixed = _fixed_dofs(system, fixed_dofs)
     values = np.asarray(values, dtype=float)
@@ -213,16 +249,15 @@ def apply_dirichlet(system: LinearSystem, fixed_dofs, values) -> LinearSystem:
         raise ConfigurationError(
             f"values must be ({len(fixed)},) for {len(fixed)} fixed dofs, got {values.shape}"
         )
-    ndof = system.n_dofs
-    z = np.zeros(ndof)
-    z[fixed] = values
-    free_mask = np.ones(ndof)
-    free_mask[fixed] = 0.0
     k = system.stiffness
-    proj = sparse.diags(free_mask)
-    k_new = (proj @ k @ proj + sparse.diags(1.0 - free_mask)).tocsr()
-    f_new = free_mask * (system.load - k @ z) + z
-    return LinearSystem(k_new, f_new, system.node_order)
+    z = np.zeros(system.n_dofs)
+    z[fixed] = values
+    free = np.ones(system.n_dofs, dtype=bool)
+    free[fixed] = False
+    vals = np.where(free & free[k.cols], k.vals, 0.0)
+    vals[np.argmax(k.cols[:, fixed] == fixed, axis=0), fixed] = 1.0
+    load = np.where(free, system.load - k @ z, z)
+    return LinearSystem(Stiffness(k.cols, vals, k.nnz), load, system.node_order)
 
 
 def apply_traction(system: LinearSystem, tractions, mesh: Mesh) -> LinearSystem:
@@ -272,18 +307,13 @@ def internal_pressure_tractions(mesh: Mesh, pressure: float) -> dict:
 def boundary_dof_map(
     mesh: Mesh, inner_positions, outer_positions, center
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pair the dofs of both boundary loops with displacement samples.
-
-    Returns the sorted dofs of all inner and outer boundary nodes and, per
-    dof, the index of its value in the flattened sample vectors
-    ``concatenate([inner_vectors, outer_vectors]).ravel()``.
+    """The sorted dofs of both boundary loops and, per dof, the index of its
+    value in the flattened samples ``concatenate([inner, outer]).ravel()``.
 
     Nodes and samples of each loop are paired in angular order about
     ``center``, so a reference mesh can take samples from a slightly
     different geometry (small-strain approximation); on samples at the nodes
-    themselves node k pairs with sample k. The two angular orders are cyclic
-    and are aligned at the sample nearest to the first node, so the seam at
-    angle 0 does not shift the pairing by one.
+    themselves node k pairs with sample k.
     """
     c = np.asarray(center, dtype=float)
     nodes, samples = [], []
@@ -292,20 +322,16 @@ def boundary_dof_map(
         positions = np.asarray(positions, dtype=float)
         node_ids = mesh.boundary_nodes(label)
         if len(node_ids) != len(positions):
-            raise GeometryError(
-                f"{label} boundary has {len(node_ids)} nodes but "
-                f"{len(positions)} displacement samples"
-            )
-        coords = mesh.nodes[node_ids]
-        node_angles = np.mod(np.arctan2(coords[:, 1] - c[1], coords[:, 0] - c[0]), 2.0 * np.pi)
-        sample_angles = np.mod(
-            np.arctan2(positions[:, 1] - c[1], positions[:, 0] - c[0]), 2.0 * np.pi
-        )
+            raise GeometryError(f"{label} boundary has {len(node_ids)} nodes but "
+                                f"{len(positions)} displacement samples")
+        node_angles, sample_angles = (
+            np.mod(np.arctan2(p[:, 1] - c[1], p[:, 0] - c[0]), 2.0 * np.pi)
+            for p in (mesh.nodes[node_ids], positions))
         node_order = np.argsort(node_angles, kind="stable")
         sample_order = np.argsort(sample_angles, kind="stable")
         # Both orders are cyclic: align them at the sample nearest (in
-        # circular distance) to the first node, so that a node whose angle
-        # rounds to just below 2*pi meets the sample at 0.
+        # circular distance) to the first node, so that the seam at angle 0
+        # does not shift the pairing by one.
         gap = np.abs(sample_angles[sample_order] - node_angles[node_order[0]])
         shift = int(np.argmin(np.minimum(gap, 2.0 * np.pi - gap)))
         nearest = np.empty(len(node_ids), dtype=np.int64)
@@ -336,47 +362,99 @@ def boundary_conditions_from_displacements(
 # solve
 
 
-def _factor(k: sparse.csr_matrix, band_dofs: np.ndarray) -> np.ndarray:
-    """Lower band Cholesky factor, in LAPACK form, of the symmetric CSR ``k``
-    on the free dofs ``band_dofs`` in that row order, the system's fold order
+def _openblas():
+    """numpy's OpenBLAS, found by its symbols among the libraries numpy's
+    LAPACK module links: ILP64 ``dpbtrf``/``dpbtrs`` (LAPACKE's work forms, with
+    no NaN scan, as scipy calls them) and the thread count; None without them."""
+    lib, i64 = ctypes.CDLL(_umath_linalg.__file__), ctypes.c_int64
+    try:
+        lib.trf, lib.trs = lib.scipy_LAPACKE_dpbtrf_work64_, lib.scipy_LAPACKE_dpbtrs_work64_
+        lib.get_threads = lib.scipy_openblas_get_num_threads64_
+        lib.set_threads = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    band = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+    lib.trf.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, band, i64]
+    lib.trs.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, i64, band, i64, band, i64]
+    lib.trf.restype = lib.trs.restype = i64
+    lib.get_threads.argtypes, lib.get_threads.restype = [], ctypes.c_int
+    lib.set_threads.argtypes, lib.set_threads.restype = [ctypes.c_int], None
+    return lib
+
+
+_LAPACK = _openblas()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count."""
+    set_threads = _LAPACK.set_threads if _LAPACK else lambda n: None
+    before = _LAPACK.get_threads() if _LAPACK else 1
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def _band_solve(band: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``dpbtrs``'s solutions for the (n,) or (n, r) right-hand sides ``b``
+    (overwritten) of the system whose factor is ``band``."""
+    if _LAPACK is None:
+        from scipy.linalg.lapack import dpbtrs
+
+        return dpbtrs(band, b, lower=1, overwrite_b=1)[0]
+    x, n = np.asfortranarray(b), band.shape[1]
+    _LAPACK.trs(102, b"L", n, len(band) - 1, x.size // n, band, len(band), x, n)
+    return x
+
+
+def _factor(k: Stiffness, band_dofs: np.ndarray) -> np.ndarray:
+    """Lower band Cholesky factor, in LAPACK form, of the symmetric ``k`` on
+    the free dofs ``band_dofs`` in that row order, the system's fold order
     (George & Liu 1981); a block that is not positive definite, or nearly
     singular, raises SolverError.
 
     The band is summed straight from the arrays of ``k`` through each free
-    dof's band position (-1 for a fixed dof), with no copy of the block, and
-    factored in place by LAPACK ``dpbtrf``. A Cholesky breakdown means the
-    block is not positive definite. It is numerically singular, with rigid
-    modes left unconstrained, when a squared Cholesky diagonal entry (a pivot
-    of the symmetric elimination) is at or below 1e-12 of the largest, or when
-    one inverse iteration ends on a vector whose Rayleigh quotient is at or
-    below 1e-14 of the block's largest diagonal entry."""
+    dof's band position (-1 for a fixed dof) and factored in place by LAPACK
+    ``dpbtrf``. The block is not positive definite when the Cholesky breaks
+    down at a pivot below -1e-8 of its largest diagonal entry. It is
+    numerically singular, rigid modes left unconstrained, when it breaks down
+    at a pivot nearer zero, whose sign is rounding's, when a squared Cholesky
+    diagonal entry (a pivot) is at or below 1e-12 of the largest, or when one
+    inverse iteration ends on a vector whose Rayleigh quotient is at or below
+    1e-14 of the block's largest diagonal entry."""
     n = len(band_dofs)
     position = np.full(k.shape[0], -1)
     position[band_dofs] = np.arange(n)
-    row, col = np.repeat(position, np.diff(k.indptr)), position[k.indices]
+    row, col = np.broadcast_to(position, k.cols.shape), position[k.cols]
     lower = (col >= 0) & (row >= col)
     depth, col = row[lower] - col[lower], col[lower]
     rows = int(np.max(depth, initial=0)) + 1
     # Fortran order, so that dpbtrf factors the band in place instead of a copy
-    band = np.bincount(depth + rows * col, k.data[lower], rows * n).reshape((rows, n), order="F")
-    try:
-        band = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
-    except LinAlgError as exc:
-        raise SolverError(
-            f"direct factorization failed: the stiffness is not positive definite ({exc})"
-        ) from exc
-    pivots = band[0] * band[0]
+    band = np.bincount(depth + rows * col, k.vals[lower], rows * n).reshape((rows, n), order="F")
+    diagonal = band[0].max()
+    if _LAPACK is None:
+        from scipy.linalg.lapack import dpbtrf
+
+        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    else:
+        info = _LAPACK.trf(102, b"L", n, rows - 1, band, rows)
+    # on a breakdown at pivot j = info, dpbtrf leaves that pivot on the diagonal
+    if info and not abs(band[0, info - 1]) <= 1e-8 * diagonal:
+        raise SolverError("direct factorization failed: the stiffness is not positive "
+                          f"definite ({info}-th leading minor not positive definite)")
     # A free rigid mode can leave every pivot far above rounding (up to 1e-8 of
     # the largest with one node of a ring pinned), so one inverse iteration
     # from a fixed random start looks for it too: it lands on the mode, whose
     # Rayleigh quotient is at rounding level (~1e-17 of the largest diagonal
     # entry; a three-pin thin ring's is 5.6e-11).
-    probe = np.zeros(k.shape[0])
-    probe[band_dofs] = cho_solve_banded(
-        (band, True), np.random.default_rng(0).standard_normal(n), check_finite=False
-    )
-    if (pivots.min() <= 1e-12 * pivots.max()
-            or probe @ (k @ probe) <= 1e-14 * k.diagonal()[band_dofs].max() * (probe @ probe)):
+    if not info:
+        pivots = band[0] * band[0]
+        probe = np.zeros(k.shape[0])
+        probe[band_dofs] = _band_solve(band, np.random.default_rng(0).standard_normal(n))
+    if (info or pivots.min() <= 1e-12 * pivots.max()
+            or probe @ (k @ probe) <= 1e-14 * diagonal * (probe @ probe)):
         raise SolverError(
             "numerically singular system: rigid modes are unconstrained "
             "(pin at least 3 dofs)"
@@ -414,12 +492,10 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
     (n_fixed, n_sets) array whose column j holds set j's values on them.
     With free dofs f and fixed dofs b, each column leaves
     K_ff u_f = F_f - K_fb u_b with the same symmetric positive definite K_ff,
-    which is factorized once by banded Cholesky for all columns. All of it
-    is read from the assembled K in place, with no copy of K_ff: the
-    right-hand sides are (F - K u_0) on the free dofs in the system's fold
-    order, u_0 holding the fixed values and zeros elsewhere, and
-    :func:`_factor` reads the band from K's CSR arrays; it raises SolverError
-    for a K_ff that is not positive definite or is numerically singular.
+    which :func:`_factor` reads from K in place and factorizes once for all
+    columns; it raises SolverError for a K_ff that is not positive definite
+    or is numerically singular. The right-hand sides are (F - K u_0) on the
+    free dofs in the system's fold order, u_0 holding the fixed values.
     Column j must meet the residual contract of the eliminated system,
     |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2)
     (absolute 1e-12 for a zero right-hand side); otherwise SolverError with
@@ -436,7 +512,7 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
         )
     if not u_b.shape[1]:
         return []
-    k, load = system.stiffness.tocsr(), system.load[:, None]
+    k, load = system.stiffness, system.load[:, None]
     band_dofs = np.setdiff1d(2 * system.node_order[:, None] + np.arange(2), fixed, True)
     u = np.zeros((system.n_dofs, u_b.shape[1]))
     u[fixed] = u_b
@@ -444,22 +520,26 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
     f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(u_b * u_b, axis=0))
     # a mesh whose nodes are all constrained leaves nothing to solve
     if len(band_dofs):
-        u[band_dofs] = cho_solve_banded(
-            (_factor(k, band_dofs), True), rhs, overwrite_b=True, check_finite=False
-        )
+        u[band_dofs] = _band_solve(_factor(k, band_dofs), rhs)
     residual = np.linalg.norm((k @ u - load)[band_dofs], axis=0)
     _check_columns(u, residual, f_norm)
     return [DisplacementField(u[:, j].reshape(-1, 2)) for j in range(u.shape[1])]
 
 
 def remove_rigid_motion(mesh: Mesh, disp: DisplacementField) -> DisplacementField:
-    """Subtract the least-squares rigid motion (translation + rotation).
-
-    Useful to canonicalize pure-traction solutions, whose displacement is
-    only determined up to a rigid motion by the pinning choice. Strains are
-    unaffected.
-    """
+    """Subtract the least-squares rigid motion (translation + rotation), which
+    a pure-traction solution's pins choose; strains are unaffected."""
     modes = rigid_body_modes(mesh.nodes)
     flat = disp.values.ravel()
     coeffs, *_ = np.linalg.lstsq(modes.T, flat, rcond=None)
     return DisplacementField((flat - modes.T @ coeffs).reshape(-1, 2))
+
+
+def __getattr__(name: str):
+    # bench/tracer.py wraps ``fem.splu``, which nothing here calls; it loads
+    # scipy only when read
+    if name != "splu":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.sparse.linalg import splu
+
+    return splu

@@ -10,20 +10,13 @@ and > 0) and frames_per_cycle. The JSON study format mirrors the same fields
 in nested form and is self-contained.
 
 Field exports use legacy ASCII VTK (unstructured grid, triangle cells) plus
-plain CSV tables, so results can be inspected without extra dependencies.
-Every float is written as ``repr`` of the Python float, the shortest text that
-reads back to the same value. Every CSV table goes through one writer,
-:func:`_write_csv`, with CRLF line ends. A cycle writes one VTK per frame on
-the same frame-0 mesh, so the header and the POINTS/CELLS/CELL_TYPES block
-are formatted once per mesh and reused; each file is byte-identical to one
-formatted from scratch.
-
-Formatting those floats is the cost of an export, so
-:func:`field_vtk_export` spreads a batch of VTK files over the CPUs the
-process may use: through ``_fork.forked``, the package's one fork helper,
-it forks one writer process per extra CPU and writes its own share while the
-caller goes on with other work, then reaps the writers. The bytes of every
-file are the same as when written in-process, as on one CPU.
+plain CSV tables, all through :func:`_write_csv` with CRLF line ends. Every
+float is written as ``repr`` of the Python float, the shortest text that
+reads back to the same value. A cycle's VTK files share one frame-0 mesh,
+whose geometry block is formatted once and reused. Formatting floats is the
+cost of an export, so :func:`field_vtk_export` spreads a batch of VTK files
+over forked writers (``_fork.forked``) while the caller goes on; every file
+holds the same bytes as one written in-process.
 """
 
 from __future__ import annotations
@@ -44,7 +37,8 @@ from .materials import Material
 from .meshing import Mesh
 from .phantom import RingSpec, RingVerification
 from .strain import StrainField
-from .study import FrameResult, LocalizationResult, Slice, Study, VolumeCurve
+from .study import (FrameResult, LocalizationResult, Slice, Study, VolumeCurve,
+                    check_finite_positive)
 
 CONTOUR_CSV_COLUMNS = ("subject_id", "slice", "frame", "boundary", "point_index", "x", "y")
 
@@ -195,16 +189,19 @@ def _build_study(data, where: str, declared_by: str) -> Study:
     Slices are kept in index order, frames in frame order. A missing key, a
     value of the wrong JSON type (``frames_per_cycle``, ``slice`` and
     ``frame`` must be integers, ``slices`` and ``frames`` lists, contours
-    lists of [x, y] pairs), a frame without both walls or a slice whose
-    frames are not 0..n-1 raises ConfigurationError, a degenerate or
-    self-intersecting wall or an inner wall not inside the outer one
-    GeometryError, each naming ``where`` and the slice. A ``frames_per_cycle``
-    other than the number of frames read raises ConfigurationError naming
+    lists of [x, y] pairs), a frame without both walls, a slice whose frames
+    are not 0..n-1, repeated slice indices or unequal frame counts raise
+    ConfigurationError naming ``where``, a degenerate or self-intersecting
+    wall or an inner wall not inside the outer one GeometryError naming it;
+    a spacing that is not finite and positive raises one naming no file, and
+    a ``frames_per_cycle`` other than the frames read one naming
     ``declared_by``, its source.
     """
     if not isinstance(data, dict) or "subject_id" not in data:
         raise ConfigurationError(f"{where}: study JSON must be an object with 'subject_id'")
     spacing = float(_json_field(data, "slice_spacing_mm", _NUMBER, where))
+    # checked first and named by no file: a manifest may declare it
+    check_finite_positive("slice spacing", spacing)
     frames_per_cycle = _json_field(data, "frames_per_cycle", int, where)
     slices = []
     for sl in _json_field(data, "slices", list, where):
@@ -237,7 +234,10 @@ def _build_study(data, where: str, declared_by: str) -> Study:
         except ConfigurationError as exc:
             raise ConfigurationError(f"{where} {exc}") from None
     slices.sort(key=lambda s: s.index)
-    study = Study(str(data["subject_id"]), tuple(slices), spacing)
+    try:
+        study = Study(str(data["subject_id"]), tuple(slices), spacing)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
     if study.n_frames != frames_per_cycle:
         raise ConfigurationError(
             f"{declared_by} declares {frames_per_cycle} frames per cycle, "
@@ -405,10 +405,10 @@ def write_localization_json(path, result: LocalizationResult) -> None:
 
 def dump_system(prefix, system: LinearSystem) -> None:
     """Matrix-market dump of K and F for debugging."""
-    from scipy.io import mmwrite  # only ``solve --dump-system`` needs scipy.io
+    from scipy.io import mmwrite  # only ``solve --dump-system`` needs scipy
 
     prefix = Path(prefix)
-    mmwrite(str(prefix) + "_K.mtx", system.stiffness)
+    mmwrite(str(prefix) + "_K.mtx", system.stiffness.tocsr())
     mmwrite(str(prefix) + "_F.mtx", system.load.reshape(-1, 1))
 
 

@@ -10,8 +10,11 @@ free-dof block. Per factor: the free-dof block solved by SuperLU LU, the
 library's direct factor before its banded Cholesky, the banded Cholesky
 in reverse Cuthill-McKee order with the band built through COO, as the
 library factored before it took the fold order, and the fold-order banded
-Cholesky of a copied free-dof block, as the library solved before it read
-the band and the right-hand sides from the assembled stiffness in place. The identity-row solve
+Cholesky of a copied free-dof block by scipy's LAPACK, as the library solved
+before it read the band and the right-hand sides from the assembled
+stiffness in place and took LAPACK from numpy. Per stiffness: the scipy CSR
+assembly the library's padded-row form replaced, and any matrix turned into
+that form (``padded_rows``) for the solves. The identity-row solve
 also runs by Jacobi-preconditioned conjugate gradients, the library's former
 iterative option. Per boundary: the former position pairing of nodes
 with displacement samples (node k of a loop on sample k), which the library's
@@ -27,15 +30,16 @@ keywords; argparse now parses each value as the flag's command-line text."""
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import cg, splu
 
 from cardiofem.contours import centroid, uniform_angle_walls
 from cardiofem.errors import GeometryError, SolverError, UsageError
-from cardiofem.fem import (LinearSystem, _check_columns, apply_dirichlet, assemble,
+from cardiofem.fem import (LinearSystem, Stiffness, _check_columns, apply_dirichlet, assemble,
                            strain_displacement_matrices)
-from cardiofem.materials import MaterialField
+from cardiofem.materials import MaterialField, constitutive_matrices
 from cardiofem.meshing import triangulate_annulus
 from cardiofem.study import (average_sector_summaries, cycle_strain_analysis,
                              infarct_localization)
@@ -107,6 +111,36 @@ def nodal_dirichlet(dofs, values) -> dict[int, tuple[float, float]]:
     return {n: (u, v) for n, (u, v) in zip(nodes, np.reshape(values, (-1, 2)).tolist())}
 
 
+def csr_stiffness(mesh, materials, mode="as-printed"):
+    """``fem.assemble``'s stiffness as the library built it before it held K
+    in numpy arrays: every element entry through scipy's COO to CSR, which
+    sums the duplicates in its own order and keeps the pattern's zeros."""
+    bmat, area = strain_displacement_matrices(mesh.nodes, mesh.triangles)
+    ke = np.matmul(bmat.transpose(0, 2, 1), constitutive_matrices(materials, mode) @ bmat)
+    ke *= area[:, None, None]
+    dofs = np.empty((mesh.n_triangles, 6), dtype=np.int64)
+    dofs[:, 0::2] = 2 * mesh.triangles
+    dofs[:, 1::2] = 2 * mesh.triangles + 1
+    rows, cols = np.repeat(dofs, 6, axis=1).ravel(), np.tile(dofs, (1, 6)).ravel()
+    n = 2 * mesh.n_nodes
+    return sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def padded_rows(k) -> Stiffness:
+    """The dense or scipy sparse square matrix ``k`` in ``fem``'s padded-row
+    form, its stored entries (duplicates summed) kept as they are."""
+    k = sparse.csr_matrix(k)
+    k.sum_duplicates()
+    n, counts = k.shape[0], np.diff(k.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    slots = np.arange(k.nnz) - k.indptr[rows]
+    cols = np.tile(np.arange(n), (max(int(counts.max(initial=0)), 1), 1))
+    vals = np.zeros(cols.shape)
+    cols[slots, rows] = k.indices
+    vals[slots, rows] = k.data
+    return Stiffness(cols, vals, k.nnz)
+
+
 def constraint_values(dirichlet) -> dict[int, float]:
     """dof -> value map of a per-node (u, v) dict."""
     return {2 * int(node) + comp: float(val)
@@ -125,7 +159,7 @@ def identity_row_system(system, dirichlet):
     z[fixed] = values
     free_mask = np.ones(ndof)
     free_mask[fixed] = 0.0
-    k = system.stiffness
+    k = system.stiffness.tocsr()
     proj = sparse.diags(free_mask)
     k_new = (proj @ k @ proj + sparse.diags(1.0 - free_mask)).tocsr()
     f_new = free_mask * (system.load - k @ z) + z
@@ -136,7 +170,7 @@ def identity_row_solve(system, fixed, values, method="direct") -> np.ndarray:
     """(V, 2) solution of an eliminated system's whole n_dofs x n_dofs matrix,
     its unit rows included, by SuperLU LU (minimum degree on the pattern of
     K^T + K) or Jacobi-preconditioned CG, with the fixed values written back."""
-    k = system.stiffness.tocsc()
+    k = system.stiffness.tocsr().tocsc()
     if method == "direct":
         u = splu(k, permc_spec="MMD_AT_PLUS_A").solve(system.load)
     else:
@@ -164,10 +198,11 @@ def fold_free_block_solve(system, fixed, values) -> np.ndarray:
     """``fem.solve``'s (n_dofs, n_sets) solutions as it computed them before it
     read everything from K in place: K_ff and K_fb copied out of K, the lower
     band of K_ff in the system's fold order scattered from K_ff's CSC arrays
-    through the inverse permutation and factored by LAPACK ``dpbtrf``, and the
-    right-hand sides and residuals on the copies. It raises the same
-    SolverErrors, from the same pivot and inverse-iteration checks (its
-    random start indexed in sorted free-dof order) and residual contract."""
+    through the inverse permutation and factored by scipy's LAPACK
+    ``dpbtrf``, and the right-hand sides and residuals on the copies. It
+    raises the same SolverErrors, from the same breakdown, pivot and
+    inverse-iteration checks (its random start indexed in sorted free-dof
+    order) and residual contract."""
     values = np.asarray(values, dtype=float)
     free, k_ff, rhs, u = _free_block(system, fixed, values)
     perm = np.argsort(2 * np.argsort(system.node_order)[free // 2] + free % 2)
@@ -184,15 +219,14 @@ def fold_free_block_solve(system, fixed, values) -> np.ndarray:
         return x
 
     if len(free):
-        try:
-            band = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
-        except LinAlgError as exc:
-            raise SolverError(
-                f"direct factorization failed: the stiffness is not positive definite ({exc})"
-            ) from exc
-        pivots = band[0] * band[0]
-        probe = band_solve(np.random.default_rng(0).standard_normal(len(free)))
-        if (pivots.min() <= 1e-12 * pivots.max()
+        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info and not abs(band[0, info - 1]) <= 1e-8 * k_ff.diagonal().max():
+            raise SolverError("direct factorization failed: the stiffness is not positive "
+                              f"definite ({info}-th leading minor not positive definite)")
+        if not info:
+            pivots = band[0] * band[0]
+            probe = band_solve(np.random.default_rng(0).standard_normal(len(free)))
+        if (info or pivots.min() <= 1e-12 * pivots.max()
                 or probe @ (k_ff @ probe) <= 1e-14 * k_ff.diagonal().max() * (probe @ probe)):
             raise SolverError(
                 "numerically singular system: rigid modes are unconstrained "

@@ -133,7 +133,7 @@ def test_ac4_rigid_motion_nullity():
 def test_ac5_stiffness_structure():
     mesh, mats = make_ring(RingSpec(1.0, 2.0, material=Material(1e4, 0.3)), 16, 2)
     system = assemble(mesh, mats, "plane-strain")
-    k = system.stiffness.toarray()
+    k = system.stiffness.tocsr().toarray()
     asym = np.max(np.abs(k - k.T)) / np.max(np.abs(k))
     eigvals = np.sort(np.abs(np.linalg.eigvalsh(k)))
     null_gap_low = eigvals[2] / eigvals[-1]

@@ -732,9 +732,24 @@ def test_repeated_slice_index_fails_before_any_work(tmp_path, synth_pair, monkey
     capsys.readouterr()
     out = tmp_path / "res"
     assert run(command, *argv, "--out", str(out)) == 1
-    assert _single_error_line(capsys) == "error: slice indices must be distinct, got [0, 0]"
+    assert _single_error_line(capsys) == f"error: {bad}: slice indices must be distinct, got [0, 0]"
     assert forks == []
     assert not out.exists()
+
+
+def test_unequal_frame_counts_fail_naming_the_file(tmp_path, synth_pair, capsys):
+    healthy_dir, _ = synth_pair
+    data = json.loads((healthy_dir / "study.json").read_text())
+    data["slices"].append({**data["slices"][0], "slice": 1,
+                           "frames": data["slices"][0]["frames"][:-1]})
+    bad = tmp_path / "study.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("volume", "--study", str(bad), "--out", str(tmp_path / "res")) == 1
+    n = len(data["slices"][0]["frames"])
+    assert _single_error_line(capsys) == (
+        f"error: {bad}: inconsistent frame counts across slices: {set((n - 1, n))}")
+    assert not (tmp_path / "res").exists()
 
 
 @pytest.mark.parametrize("command", ["volume", "analyze"])

@@ -38,11 +38,13 @@ from cardiofem import fem
 
 from conftest import boundary_dirichlet, circle_frame, region_ring, solve_one, star_contour
 from oracles import (
+    csr_stiffness,
     element_stiffness,
     fold_free_block_solve,
     identity_row_solve,
     identity_row_system,
     nodal_dirichlet,
+    padded_rows,
     position_conditions,
     position_dof_map,
     rcm_banded_solve,
@@ -135,7 +137,7 @@ def test_assemble_single_element_equals_element_stiffness():
     from cardiofem.materials import constitutive_matrix
 
     ke = element_stiffness(mesh.nodes, constitutive_matrix(Material(1e4, 0.3)))
-    assert_allclose(system.stiffness.toarray(), ke, rtol=1e-12)
+    assert_allclose(system.stiffness.tocsr().toarray(), ke, rtol=1e-12)
     assert np.all(system.load == 0.0)
 
 
@@ -154,7 +156,7 @@ def test_assemble_two_elements_scatter_add():
         dofs[1::2] = 2 * tri + 1
         k[np.ix_(dofs, dofs)] += ke
     system = assemble(mesh, mats)
-    assert_allclose(system.stiffness.toarray(), k, rtol=1e-12)
+    assert_allclose(system.stiffness.tocsr().toarray(), k, rtol=1e-12)
 
 
 def test_assemble_matches_element_loop_on_annulus():
@@ -171,7 +173,7 @@ def test_assemble_matches_element_loop_on_annulus():
         dofs[1::2] = 2 * tri + 1
         k[np.ix_(dofs, dofs)] += ke
     system = assemble(mesh, mats, "plane-strain")
-    assert_allclose(system.stiffness.toarray(), k, rtol=1e-10, atol=1e-10)
+    assert_allclose(system.stiffness.tocsr().toarray(), k, rtol=1e-10, atol=1e-10)
 
 
 def test_assemble_material_count_mismatch(ring_mesh):
@@ -181,10 +183,31 @@ def test_assemble_material_count_mismatch(ring_mesh):
         assemble(mesh, bad)
 
 
+@pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
+def test_assemble_matches_the_csr_oracle(n_angular, n_radial):
+    # the padded-row form holds the CSR assembly's pattern and its values up
+    # to the order in which duplicates are summed; its products are summed
+    # row by row in column order, as a CSR product sums them
+    spec = RingSpec(1.0, 2.0)
+    wedge = AngularRegion(200.0, 290.0, Material(1e6, 0.3))
+    for mesh, mats in (make_ring(spec, n_angular, n_radial),
+                       region_ring(spec, n_angular, n_radial, wedge)):
+        k = assemble(mesh, mats, "plane-strain").stiffness
+        expected = csr_stiffness(mesh, mats, "plane-strain")
+        got = k.tocsr()
+        assert k.nnz == got.nnz == expected.nnz
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert np.max(np.abs(got.data - expected.data)) <= 1e-15 * np.max(np.abs(expected.data))
+        u = np.random.default_rng(2).standard_normal((k.shape[0], 3))
+        assert np.array_equal(k @ u, got @ u)
+        assert np.array_equal(k @ u[:, 0], got @ u[:, 0])
+
+
 def test_stiffness_symmetry_and_nullspace_4x1():
     mesh, mats = make_ring(RingSpec(1.0, 2.0), 4, 1)
     system = assemble(mesh, mats)
-    k = system.stiffness.toarray()
+    k = system.stiffness.tocsr().toarray()
     assert np.max(np.abs(k - k.T)) < 1e-12 * np.max(np.abs(k))
     eigvals = np.sort(np.abs(np.linalg.eigvalsh(k)))
     assert eigvals[2] < 1e-9 * eigvals[-1]
@@ -195,7 +218,7 @@ def test_rigid_modes_annihilated():
     mesh, mats = make_ring(RingSpec(1.0, 2.0), 32, 4)
     system = assemble(mesh, mats)
     k = system.stiffness
-    k_scale = np.max(np.abs(k.data))
+    k_scale = np.max(np.abs(k.vals))
     for mode in rigid_body_modes(mesh.nodes):
         residual = np.max(np.abs(k @ mode))
         assert residual < 1e-8 * k_scale * max(np.max(np.abs(mode)), 1.0)
@@ -267,7 +290,7 @@ def test_apply_dirichlet_matches_dict_oracle():
     got = apply_dirichlet(system, dofs, got_values)
     assert np.array_equal(dofs, fixed)
     assert np.array_equal(got_values, values)
-    assert np.array_equal(got.stiffness.toarray(), expected.stiffness.toarray())
+    assert np.array_equal(got.stiffness.tocsr().toarray(), expected.stiffness.toarray())
     assert np.array_equal(got.load, expected.load)
 
 
@@ -300,9 +323,9 @@ def test_apply_dirichlet_checks_values_shape(ring_mesh):
 def test_apply_dirichlet_preserves_input(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    before = system.stiffness.toarray().copy()
+    before = system.stiffness.tocsr().toarray().copy()
     apply_dirichlet(system, *boundary_dirichlet(mesh, np.ones((mesh.n_nodes, 2))))
-    assert np.array_equal(system.stiffness.toarray(), before)
+    assert np.array_equal(system.stiffness.tocsr().toarray(), before)
     assert np.all(system.load == 0.0)
 
 
@@ -452,7 +475,7 @@ def test_solve_condensed_singular_free_block(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     padded = fem.LinearSystem(
-        sparse.block_diag([system.stiffness, sparse.csr_matrix((2, 2))]).tocsr(),
+        padded_rows(sparse.block_diag([system.stiffness.tocsr(), sparse.csr_matrix((2, 2))])),
         np.zeros(system.n_dofs + 2),
         np.append(system.node_order, mesh.n_nodes),
     )
@@ -466,15 +489,15 @@ def test_solve_condensed_singular_free_block(ring_mesh):
 
 def test_solve_condensed_names_failing_column(ring_mesh, monkeypatch):
     mesh, mats = ring_mesh
-    real_solve = fem.cho_solve_banded
+    real_solve = fem._band_solve
 
-    def corrupt_column_one(factor, rhs, **kwargs):
-        u = real_solve(factor, rhs, **kwargs)
+    def corrupt_column_one(band, b):
+        u = real_solve(band, b)
         if u.ndim == 2:
             u[:, 1] *= 1.0 + 1e-6
         return u
 
-    monkeypatch.setattr(fem, "cho_solve_banded", corrupt_column_one)
+    monkeypatch.setattr(fem, "_band_solve", corrupt_column_one)
     with pytest.raises(SolverError, match="residual contract") as info:
         solve(assemble(mesh, mats), *_random_boundary_sets(mesh, 3))
     assert info.value.column == 1
@@ -624,7 +647,7 @@ def test_solves_match_colamd_reference(n_angular, n_radial, contrast, nu, outer_
     system = assemble(mesh, mats, "plane-strain")
     fixed, values = boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
     constrained = apply_dirichlet(system, fixed, values)
-    reference = splu(constrained.stiffness.tocsc(), permc_spec="COLAMD").solve(
+    reference = splu(constrained.stiffness.tocsr().tocsc(), permc_spec="COLAMD").solve(
         constrained.load
     ).reshape(-1, 2)
     scale = np.linalg.norm(reference)
@@ -703,7 +726,7 @@ SUPPORTS = ["three-pin", "anchored", "all-boundary"]
 
 @pytest.mark.parametrize("support", SUPPORTS)
 @pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
-def test_banded_cholesky_matches_superlu(n_angular, n_radial, support):
+def test_banded_cholesky_matches_superlu(n_angular, n_radial, support, monkeypatch):
     spec = RingSpec(1.0, 2.0)
     mesh, mats = make_ring(spec, n_angular, n_radial)
     system, fixed, values = _ring_supports(
@@ -713,8 +736,13 @@ def test_banded_cholesky_matches_superlu(n_angular, n_radial, support):
     expected = superlu_free_solve(system, fixed, values)[:, 0]
     (got,) = solve(system, fixed, values)
     assert np.linalg.norm(got.values.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
-    # reading K in place changes no bit of the former free-block copies' solution
-    assert np.array_equal(got.values.ravel(), fold_free_block_solve(system, fixed, values)[:, 0])
+    oracle = fold_free_block_solve(system, fixed, values)[:, 0]
+    assert np.linalg.norm(got.values.ravel() - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    # on the same LAPACK, scipy's, reading K in place changes no bit of the
+    # former free-block copies' solution
+    monkeypatch.setattr(fem, "_LAPACK", None)
+    (got,) = solve(system, fixed, values)
+    assert np.array_equal(got.values.ravel(), oracle)
 
 
 def _band_rows(monkeypatch) -> list[int]:
@@ -824,7 +852,7 @@ def test_under_pinned_ring_raises(n_angular, n_radial, pins):
 
 
 def test_factor_rejects_an_indefinite_matrix():
-    k = sparse.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 2.0]]))
+    k = padded_rows(np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, 2.0]]))
     with pytest.raises(SolverError, match="not positive definite"):
         fem._factor(k, np.arange(3))
 
@@ -841,7 +869,7 @@ def test_linear_system_node_order_lists_every_node_once(order, n_dofs):
 def test_indefinite_system_raises_the_free_block_oracles_error():
     k = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, -3.0, 1.0, 0.0],
                   [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
-    system = fem.LinearSystem(sparse.csr_matrix(k), np.ones(4), np.array([1, 0]))
+    system = fem.LinearSystem(padded_rows(k), np.ones(4), np.array([1, 0]))
     for fixed in ([], [3]):
         values = np.ones((len(fixed), 1))
         with pytest.raises(SolverError, match="not positive definite") as info:
@@ -851,24 +879,67 @@ def test_indefinite_system_raises_the_free_block_oracles_error():
         assert str(info.value) == str(expected.value)
 
 
-def test_import_and_ring_solves_do_not_load_csgraph_or_spatial():
-    # the package import loads neither scipy.sparse.csgraph nor scipy.spatial
-    # (only the mesh command's validate imports it), and the fold order needs
-    # no graph algorithm, so solving rings does not load csgraph either; the
-    # command line loads no scipy.io (only solve --dump-system imports it)
+def test_import_cli_cycle_and_ring_solves_load_no_scipy():
+    # K is held in numpy arrays and LAPACK comes from numpy's OpenBLAS, so the
+    # package, the command line, a cycle analysis and a ring verification (its
+    # fine ring inline) load no scipy module; only mesh's validate, solve
+    # --dump-system and a numpy without that OpenBLAS import one. fem.splu,
+    # which the benchmark's tracer wraps, loads scipy's SuperLU when read.
     src = str(Path(fem.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, cardiofem\n"
-         "print(*(m in sys.modules for m in ('scipy.sparse.csgraph', 'scipy.spatial')))\n"
+         "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+         "print(scipy())\n"
+         "import cardiofem.cli, cardiofem._fork\n"
+         "print(scipy())\n"
+         "cardiofem.cycle_strain_analysis(cardiofem.mi_wedge_study(seed=1, n_frames=3),\n"
+         "                                cardiofem.CycleParams(n_points=32, n_radial=4))\n"
+         "print(scipy())\n"
+         "cardiofem._fork.usable_cpus = lambda: 1\n"
          "cardiofem.verify_ring(cardiofem.RingSpec(1.0, 2.0), 16, 2, 4)\n"
-         "print('scipy.sparse.csgraph' in sys.modules)\n"
-         "import cardiofem.cli\n"
-         "print('scipy.io' in sys.modules)"],
+         "print(scipy())\n"
+         "print(cardiofem.fem.splu.__module__)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.split() == ["False", "False", "False", "False"]
+    assert out.stdout.split("\n") == ["[]"] * 4 + ["scipy.sparse.linalg._dsolve.linsolve", ""]
+
+
+@pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
+def test_scipy_lapack_fallback_matches_numpy_openblas(n_angular, n_radial, monkeypatch):
+    # a numpy without its bundled OpenBLAS factors by scipy.linalg's LAPACK:
+    # the same solutions to rounding and the same errors
+    spec = RingSpec(1.0, 2.0)
+    mesh, mats = make_ring(spec, n_angular, n_radial)
+    system = assemble(mesh, mats, "plane-strain")
+    walls = mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")
+    cases = [_ring_supports(spec, mesh, system, support, *walls) for support in SUPPORTS]
+    loaded = cases[0][0]
+    inner = walls[0]
+    for pins in ([], [2 * inner[0] + 1], [2 * inner[0], 2 * inner[0] + 1],
+                 [2 * walls[1][0], 2 * walls[1][0] + 1]):
+        cases.append((loaded, np.array(pins, dtype=np.int64), np.zeros((len(pins), 1))))
+    indefinite = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, -3.0, 1.0, 0.0],
+                           [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
+    cases.append((fem.LinearSystem(padded_rows(indefinite), np.ones(4), np.array([1, 0])),
+                  np.array([3]), np.ones((1, 1))))
+
+    def outcomes():
+        for case in cases:
+            try:
+                yield np.column_stack([d.values.ravel() for d in solve(*case)])
+            except SolverError as exc:
+                yield str(exc)
+
+    expected = list(outcomes())
+    assert sum(isinstance(e, str) for e in expected) == 5
+    monkeypatch.setattr(fem, "_LAPACK", None)
+    for got, want in zip(outcomes(), expected):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_ring_traction_residual_error_names_ill_conditioning():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cardiofem import SolverError
+from cardiofem import SolverError, fem
 from cardiofem._fork import forked
 
 from conftest import assert_no_child_left, cpus
@@ -16,6 +16,37 @@ def test_results_come_back_in_task_order(monkeypatch):
     (text, pid), floats = results
     assert (text, floats) == ("a", [1.5, 2])
     assert len(forks) == 2 and forks[0] == pid
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(fem._LAPACK is None, reason="numpy without its bundled OpenBLAS")
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_numpy_openblas_keeps_to_one_thread_while_children_run(monkeypatch, n_cpus):
+    # its thread pool would contend with the children for the CPUs
+    lapack, before = fem._LAPACK, fem._LAPACK.get_threads()
+    lapack.set_threads(2)
+    try:
+        cpus(monkeypatch, n_cpus)
+        with forked([lapack.get_threads]) as results:
+            assert lapack.get_threads() == 1
+        assert results == [1]
+        assert lapack.get_threads() == 2
+        with pytest.raises(SolverError):
+            with forked([lapack.get_threads]):
+                raise SolverError("the block failed")
+        assert lapack.get_threads() == 2
+    finally:
+        lapack.set_threads(before)
+    assert_no_child_left()
+
+
+def test_forked_runs_without_numpy_openblas(monkeypatch):
+    # a numpy without its bundled OpenBLAS has no thread count to pin
+    monkeypatch.setattr(fem, "_LAPACK", None)
+    cpus(monkeypatch, 2)
+    with forked([os.getpid]) as results:
+        pass
+    assert len(results) == 1 and results[0] != os.getpid()
     assert_no_child_left()
 
 

@@ -6,21 +6,23 @@ import os
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.io import mmread
+from scipy.io import mmread, mmwrite
 
 import cardiofem.io as cfio
 from cardiofem import (
     ConfigurationError, CycleParams, GeometryError, RingSpec, cycle_strain_analysis,
     healthy_study, normalized_volume_curve, verify_ring,
 )
-from cardiofem.fem import DisplacementField, apply_dirichlet, assemble
+from cardiofem.fem import DisplacementField, LinearSystem, apply_dirichlet, assemble
 from cardiofem.materials import Material
 from cardiofem.meshing import Mesh
 from cardiofem.phantom import RingVerification, make_ring
 from cardiofem.strain import strain_field, sector_average
 from cardiofem.study import FrameResult, Study
 
-from oracles import cli_ring_tables, cli_strain_aggregates
+from conftest import boundary_dirichlet
+from oracles import (cli_ring_tables, cli_strain_aggregates, csr_stiffness, identity_row_system,
+                     nodal_dirichlet)
 
 
 @pytest.fixture
@@ -240,8 +242,32 @@ def test_repeated_slice_index_is_rejected(tmp_path, study):
     data = json.loads(path.read_text())
     data["slices"].append(data["slices"][0])
     path.write_text(json.dumps(data))
-    with pytest.raises(ConfigurationError, match=r"^slice indices must be distinct, got \[0, 0\]$"):
+    with pytest.raises(ConfigurationError) as info:
         cfio.read_study_json(path)
+    assert str(info.value) == f"{path}: slice indices must be distinct, got [0, 0]"
+
+
+@pytest.mark.parametrize("fmt", ["study JSON", "CSV"])
+def test_unequal_frame_counts_name_the_file(tmp_path, fmt):
+    # slice 1 one frame short of slice 0: the error names the contour file
+    two = healthy_study(seed=3, n_frames=4, n_points=24, n_slices=2)
+    if fmt == "study JSON":
+        path = tmp_path / "study.json"
+        cfio.write_study_json(path, two)
+        data = json.loads(path.read_text())
+        data["slices"][1]["frames"].pop()
+        path.write_text(json.dumps(data))
+        args = (path,)
+    else:
+        path, manifest = tmp_path / "contours.csv", tmp_path / "manifest.json"
+        cfio.write_study_csv(path, two)
+        cfio.write_manifest(manifest, two)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if ",1,3," not in line))
+        args = (path, manifest)
+    with pytest.raises(ConfigurationError) as info:
+        cfio.read_study(*args)
+    assert str(info.value) == f"{path}: inconsistent frame counts across slices: {{3, 4}}"
 
 
 def test_missing_files(tmp_path):
@@ -551,8 +577,28 @@ def test_dump_system_matrix_market(tmp_path):
     cfio.dump_system(tmp_path / "sys", constrained)
     k = mmread(tmp_path / "sys_K.mtx").toarray()
     f = np.asarray(mmread(tmp_path / "sys_F.mtx")).ravel()
-    assert_allclose(k, constrained.stiffness.toarray(), rtol=1e-15)
+    assert_allclose(k, constrained.stiffness.tocsr().toarray(), rtol=1e-15)
     assert_allclose(f, constrained.load, rtol=1e-15)
+
+
+def test_dump_system_matches_the_scipy_path(tmp_path):
+    # K and F as dumped when scipy assembled K and eliminated the fixed dofs:
+    # the same entries in the same order, with values equal up to the order
+    # in which scipy summed each entry's element contributions
+    mesh, mats = make_ring(RingSpec(1.0, 2.0), 32, 4)
+    system = assemble(mesh, mats, "plane-strain")
+    rng = np.random.default_rng(0)
+    fixed, values = boundary_dirichlet(mesh, rng.normal(scale=0.01, size=(mesh.n_nodes, 2)))
+    cfio.dump_system(tmp_path / "got", apply_dirichlet(system, fixed, values))
+    parent = LinearSystem(csr_stiffness(mesh, mats, "plane-strain"), system.load, system.node_order)
+    expected = identity_row_system(parent, nodal_dirichlet(fixed, values))[0]
+    mmwrite(tmp_path / "want_K.mtx", expected.stiffness)
+    mmwrite(tmp_path / "want_F.mtx", expected.load.reshape(-1, 1))
+    got, want = mmread(tmp_path / "got_K.mtx"), mmread(tmp_path / "want_K.mtx")
+    assert np.array_equal(got.row, want.row) and np.array_equal(got.col, want.col)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(np.abs(want.data))
+    got, want = (np.asarray(mmread(tmp_path / f"{name}_F.mtx")) for name in ("got", "want"))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_phantom_spec_round_trip(tmp_path):
