@@ -1,4 +1,14 @@
-"""Command-line interface: the subcommands of ``COMMANDS``.
+"""Command-line interface.
+
+Subcommands:
+
+    phantom-verify   pressurized-ring verification suite (oracle + sectors)
+    analyze          full study analysis: volumes, fields, sectors, flags
+    synth            deterministic synthetic study generator
+    mesh             mesh one frame and export it
+    solve            solve one frame pair and export the displacement field
+    strain           solve one frame pair and export strain + sector tables
+    volume           volume curve of a study
 
 Each subcommand accepts only the flags its ``COMMANDS`` entry names. Exit
 codes: 0 success, 1 tolerance or validation failure, 2 usage or input error,

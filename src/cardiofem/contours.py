@@ -73,8 +73,12 @@ class Contour:
         return len(self.points)
 
     def is_simple(self) -> bool:
-        """True if no two non-adjacent edges intersect or touch; checked
-        once by :func:`is_simple_polygon` and kept."""
+        """True if no two non-adjacent edges intersect or touch.
+
+        Checked once per contour by :func:`is_simple_polygon` (an O(n)
+        star-shape certificate about the vertex centroid, with the exact
+        O(n^2) edge-pair test as the fallback); the result is kept.
+        """
         simple = self.__dict__.get("_simple")
         if simple is None:
             simple = is_simple_polygon(self.points)
@@ -196,13 +200,16 @@ def _is_simple_exact(pts: np.ndarray) -> bool:
 
 
 def _is_star_about_centroid(pts: np.ndarray) -> bool:
-    """O(n) certificate of simplicity: every step between consecutive
-    centroid-relative vertices turns the same way by less than pi and the
-    turns add up to one full turn, so the polygon is star-shaped about its
-    vertex centroid and hence simple (Preparata & Shamos, *Computational
-    Geometry*, 1985). Each turn's cross product must clear a relative margin
-    of 1e-9 |d_i| |d_i+1|, so rounding cannot fake a turn; the radii carry
-    1e-6 of the largest coordinate, for contours far from the origin.
+    """O(n) certificate of simplicity: the polygon winds once, strictly
+    monotonically, about its vertex centroid.
+
+    Every step between consecutive centroid-relative vertices must turn the
+    same way by less than pi, and the turns must add up to one full turn;
+    such a polygon is star-shaped about the centroid and hence simple
+    (Preparata & Shamos, *Computational Geometry*, 1985). Each turn's cross
+    product must clear a relative margin of 1e-9 |d_i| |d_i+1|, so rounding
+    cannot fake a turn; the radii carry 1e-6 of the largest coordinate, which
+    covers the rounding of ``d`` on contours far from the origin.
     """
     d = pts - pts.mean(axis=0)
     d_next = _next(d)
@@ -216,9 +223,12 @@ def _is_star_about_centroid(pts: np.ndarray) -> bool:
 
 
 def is_simple_polygon(points) -> bool:
-    """True if no two non-adjacent edges of the closed polygon intersect or
-    touch: O(n) for a polygon :func:`_is_star_about_centroid` certifies, the
-    exact O(n^2) test of all edge pairs for any other.
+    """True if no two non-adjacent edges of the closed polygon intersect or touch.
+
+    Runs in O(n) for a polygon that winds strictly monotonically once about
+    its vertex centroid (:func:`_is_star_about_centroid`); any other polygon,
+    including one inside that certificate's margin, gets the exact O(n^2)
+    test of all edge pairs.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) < 3:
@@ -330,9 +340,13 @@ def _checked_pass(contour: Contour, c: np.ndarray, ap: _AngularPass) -> _Angular
 
 
 def angular_permutation(contour: Contour, center) -> np.ndarray:
-    """Read-only indices that sort the contour vertices stably by angle about
-    the center. Vertices at one angle (within ``ANGLE_TIE_TOL``) but at
-    different radii, a ray crossing the boundary twice, raise StarShapeError.
+    """Indices that sort the contour vertices by angle about the center.
+
+    The sort is stable, so vertices sharing an angle keep their input order.
+    Vertices at the same angle (within ``ANGLE_TIE_TOL``) but at different
+    radii mean a ray from the center crosses the boundary more than once,
+    which violates the star-shape requirement. The returned array is
+    read-only.
     """
     c = _as_point(center)
     return _checked_pass(contour, c, _angular_pass(contour, c)).perm
@@ -377,11 +391,13 @@ def uniform_angle_walls(
     n: int,
     rotation_deg: float | None = None,
 ) -> tuple[Contour, Contour]:
-    """Both walls of one frame resampled onto n uniform angles about center,
-    each checked star-shaped about it before either is resampled (a failure
-    names the wall and ``frame.frame_index``). With ``rotation_deg`` given,
-    both are first rotated counter-clockwise by it about the center, removing
-    a known clockwise rotation, even for 0, whose rotation can still round.
+    """Both walls of one frame resampled onto n uniform angles about center.
+
+    Each wall must be star-shaped about the center, checked for both before
+    either is resampled; a failure names the wall and ``frame.frame_index``.
+    With ``rotation_deg`` given, the walls are first rotated counter-clockwise
+    by that angle about the center (the removal of a known clockwise
+    rotation), even for 0, whose rotation can still round.
     """
     c = _as_point(center)
     walls = (frame.inner, frame.outer)
@@ -405,10 +421,14 @@ def boundary_displacements(
     n: int,
     rotation_deg: float = 0.0,
 ) -> BoundaryDisplacements:
-    """Displacement vectors between matched boundary points of two frames,
-    about the vertex centroid of the frame-0 inner wall for both. The known
-    clockwise rotation ``rotation_deg`` of frame 1 is removed before the
-    uniform-angle matching, so a purely rotated frame yields zero displacement.
+    """Displacement vectors between matched boundary points of two frames.
+
+    The reference center is the vertex centroid of the frame-0 inner contour
+    and is held fixed for both frames. ``rotation_deg`` is the known clockwise
+    rigid rotation of frame-1 relative to frame-0; it is removed (frame-1 is
+    rotated counter-clockwise by that amount about the reference center)
+    before the uniform-angle matching, so that a purely rotated frame yields
+    zero displacement.
     """
     center = centroid(frame0.inner)
     i0, o0 = uniform_angle_walls(frame0, center, n)

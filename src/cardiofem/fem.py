@@ -50,6 +50,12 @@ class Stiffness:
     vals: np.ndarray
     nnz: int
 
+    def __post_init__(self):
+        n = self.cols.shape[-1]
+        if (self.cols.ndim != 2 or self.vals.shape != self.cols.shape
+                or n and not 0 <= self.cols.min() <= self.cols.max() < n):
+            raise MeshError("stiffness needs (w, n) columns in 0..n-1 and values of their shape")
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.cols.shape[1],) * 2
@@ -237,11 +243,13 @@ def _fixed_dofs(system: LinearSystem, fixed_dofs) -> np.ndarray:
 
 
 def apply_dirichlet(system: LinearSystem, fixed_dofs, values) -> LinearSystem:
-    """A new system with ``values`` imposed on the strictly increasing
-    ``fixed_dofs`` by symmetric row/column elimination: eliminated rows and
-    columns become identity, with the load corrected so interior equations
-    see the fixed values. :func:`solve` does not need it: it solves the
-    free-dof block directly.
+    """The system with ``values`` imposed on the strictly increasing
+    ``fixed_dofs`` by symmetric row/column elimination.
+
+    Returns a new system; the input is left untouched. Eliminated rows and
+    columns are replaced by identity, with the load corrected so interior
+    equations see the fixed values. :func:`solve` does not need this system:
+    it solves the free-dof block directly.
     """
     fixed = _fixed_dofs(system, fixed_dofs)
     values = np.asarray(values, dtype=float)
@@ -255,7 +263,10 @@ def apply_dirichlet(system: LinearSystem, fixed_dofs, values) -> LinearSystem:
     free = np.ones(system.n_dofs, dtype=bool)
     free[fixed] = False
     vals = np.where(free & free[k.cols], k.vals, 0.0)
-    vals[np.argmax(k.cols[:, fixed] == fixed, axis=0), fixed] = 1.0
+    diagonal = k.cols[:, fixed] == fixed
+    if not diagonal.any(axis=0).all():
+        raise MeshError("every fixed row of the stiffness must store its diagonal")
+    vals[np.argmax(diagonal, axis=0), fixed] = 1.0
     load = np.where(free, system.load - k @ z, z)
     return LinearSystem(Stiffness(k.cols, vals, k.nnz), load, system.node_order)
 
@@ -307,13 +318,18 @@ def internal_pressure_tractions(mesh: Mesh, pressure: float) -> dict:
 def boundary_dof_map(
     mesh: Mesh, inner_positions, outer_positions, center
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted dofs of both boundary loops and, per dof, the index of its
-    value in the flattened samples ``concatenate([inner, outer]).ravel()``.
+    """Pair the dofs of both boundary loops with displacement samples.
+
+    Returns the sorted dofs of all inner and outer boundary nodes and, per
+    dof, the index of its value in the flattened sample vectors
+    ``concatenate([inner_vectors, outer_vectors]).ravel()``.
 
     Nodes and samples of each loop are paired in angular order about
     ``center``, so a reference mesh can take samples from a slightly
     different geometry (small-strain approximation); on samples at the nodes
-    themselves node k pairs with sample k.
+    themselves node k pairs with sample k. The two angular orders are cyclic
+    and are aligned at the sample nearest to the first node, so the seam at
+    angle 0 does not shift the pairing by one.
     """
     c = np.asarray(center, dtype=float)
     nodes, samples = [], []
@@ -322,16 +338,20 @@ def boundary_dof_map(
         positions = np.asarray(positions, dtype=float)
         node_ids = mesh.boundary_nodes(label)
         if len(node_ids) != len(positions):
-            raise GeometryError(f"{label} boundary has {len(node_ids)} nodes but "
-                                f"{len(positions)} displacement samples")
-        node_angles, sample_angles = (
-            np.mod(np.arctan2(p[:, 1] - c[1], p[:, 0] - c[0]), 2.0 * np.pi)
-            for p in (mesh.nodes[node_ids], positions))
+            raise GeometryError(
+                f"{label} boundary has {len(node_ids)} nodes but "
+                f"{len(positions)} displacement samples"
+            )
+        coords = mesh.nodes[node_ids]
+        node_angles = np.mod(np.arctan2(coords[:, 1] - c[1], coords[:, 0] - c[0]), 2.0 * np.pi)
+        sample_angles = np.mod(
+            np.arctan2(positions[:, 1] - c[1], positions[:, 0] - c[0]), 2.0 * np.pi
+        )
         node_order = np.argsort(node_angles, kind="stable")
         sample_order = np.argsort(sample_angles, kind="stable")
         # Both orders are cyclic: align them at the sample nearest (in
-        # circular distance) to the first node, so that the seam at angle 0
-        # does not shift the pairing by one.
+        # circular distance) to the first node, so that a node whose angle
+        # rounds to just below 2*pi meets the sample at 0.
         gap = np.abs(sample_angles[sample_order] - node_angles[node_order[0]])
         shift = int(np.argmin(np.minimum(gap, 2.0 * np.pi - gap)))
         nearest = np.empty(len(node_ids), dtype=np.int64)
@@ -416,14 +436,14 @@ def _factor(k: Stiffness, band_dofs: np.ndarray) -> np.ndarray:
     singular, raises SolverError.
 
     The band is summed straight from the arrays of ``k`` through each free
-    dof's band position (-1 for a fixed dof) and factored in place by LAPACK
-    ``dpbtrf``. The block is not positive definite when the Cholesky breaks
-    down at a pivot below -1e-8 of its largest diagonal entry. It is
-    numerically singular, rigid modes left unconstrained, when it breaks down
-    at a pivot nearer zero, whose sign is rounding's, when a squared Cholesky
-    diagonal entry (a pivot) is at or below 1e-12 of the largest, or when one
-    inverse iteration ends on a vector whose Rayleigh quotient is at or below
-    1e-14 of the block's largest diagonal entry."""
+    dof's band position (-1 for a fixed dof), with no copy of the block, and
+    factored in place by LAPACK ``dpbtrf``: numpy's bundled OpenBLAS, or
+    scipy.linalg's where numpy has none. A Cholesky breakdown means the
+    block is not positive definite. It is numerically singular, with rigid
+    modes left unconstrained, when a squared Cholesky diagonal entry (a pivot
+    of the symmetric elimination) is at or below 1e-12 of the largest, or when
+    one inverse iteration ends on a vector whose Rayleigh quotient is at or
+    below 1e-14 of the block's largest diagonal entry."""
     n = len(band_dofs)
     position = np.full(k.shape[0], -1)
     position[band_dofs] = np.arange(n)
@@ -440,20 +460,18 @@ def _factor(k: Stiffness, band_dofs: np.ndarray) -> np.ndarray:
         band, info = dpbtrf(band, lower=1, overwrite_ab=1)
     else:
         info = _LAPACK.trf(102, b"L", n, rows - 1, band, rows)
-    # on a breakdown at pivot j = info, dpbtrf leaves that pivot on the diagonal
-    if info and not abs(band[0, info - 1]) <= 1e-8 * diagonal:
+    if info:
         raise SolverError("direct factorization failed: the stiffness is not positive "
                           f"definite ({info}-th leading minor not positive definite)")
+    pivots = band[0] * band[0]
     # A free rigid mode can leave every pivot far above rounding (up to 1e-8 of
     # the largest with one node of a ring pinned), so one inverse iteration
     # from a fixed random start looks for it too: it lands on the mode, whose
     # Rayleigh quotient is at rounding level (~1e-17 of the largest diagonal
     # entry; a three-pin thin ring's is 5.6e-11).
-    if not info:
-        pivots = band[0] * band[0]
-        probe = np.zeros(k.shape[0])
-        probe[band_dofs] = _band_solve(band, np.random.default_rng(0).standard_normal(n))
-    if (info or pivots.min() <= 1e-12 * pivots.max()
+    probe = np.zeros(k.shape[0])
+    probe[band_dofs] = _band_solve(band, np.random.default_rng(0).standard_normal(n))
+    if (pivots.min() <= 1e-12 * pivots.max()
             or probe @ (k @ probe) <= 1e-14 * diagonal * (probe @ probe)):
         raise SolverError(
             "numerically singular system: rigid modes are unconstrained "
@@ -492,10 +510,12 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
     (n_fixed, n_sets) array whose column j holds set j's values on them.
     With free dofs f and fixed dofs b, each column leaves
     K_ff u_f = F_f - K_fb u_b with the same symmetric positive definite K_ff,
-    which :func:`_factor` reads from K in place and factorizes once for all
-    columns; it raises SolverError for a K_ff that is not positive definite
-    or is numerically singular. The right-hand sides are (F - K u_0) on the
-    free dofs in the system's fold order, u_0 holding the fixed values.
+    which is factorized once by banded Cholesky for all columns. All of it
+    is read from the assembled K in place, with no copy of K_ff: the
+    right-hand sides are (F - K u_0) on the free dofs in the system's fold
+    order, u_0 holding the fixed values and zeros elsewhere, and
+    :func:`_factor` reads the band from K's arrays; it raises SolverError
+    for a K_ff that is not positive definite or is numerically singular.
     Column j must meet the residual contract of the eliminated system,
     |K_ff u_f + K_fb u_b - F_f| <= 1e-10 * sqrt(|F_f - K_fb u_b|^2 + |u_b|^2)
     (absolute 1e-12 for a zero right-hand side); otherwise SolverError with
@@ -527,8 +547,12 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
 
 
 def remove_rigid_motion(mesh: Mesh, disp: DisplacementField) -> DisplacementField:
-    """Subtract the least-squares rigid motion (translation + rotation), which
-    a pure-traction solution's pins choose; strains are unaffected."""
+    """Subtract the least-squares rigid motion (translation + rotation).
+
+    Useful to canonicalize pure-traction solutions, whose displacement is
+    only determined up to a rigid motion by the pinning choice. Strains are
+    unaffected.
+    """
     modes = rigid_body_modes(mesh.nodes)
     flat = disp.values.ravel()
     coeffs, *_ = np.linalg.lstsq(modes.T, flat, rcond=None)

@@ -10,13 +10,20 @@ and > 0) and frames_per_cycle. The JSON study format mirrors the same fields
 in nested form and is self-contained.
 
 Field exports use legacy ASCII VTK (unstructured grid, triangle cells) plus
-plain CSV tables, all through :func:`_write_csv` with CRLF line ends. Every
-float is written as ``repr`` of the Python float, the shortest text that
-reads back to the same value. A cycle's VTK files share one frame-0 mesh,
-whose geometry block is formatted once and reused. Formatting floats is the
-cost of an export, so :func:`field_vtk_export` spreads a batch of VTK files
-over forked writers (``_fork.forked``) while the caller goes on; every file
-holds the same bytes as one written in-process.
+plain CSV tables, so results can be inspected without extra dependencies.
+Every float is written as ``repr`` of the Python float, the shortest text that
+reads back to the same value. Every CSV table goes through one writer,
+:func:`_write_csv`, with CRLF line ends. A cycle writes one VTK per frame on
+the same frame-0 mesh, so the header and the POINTS/CELLS/CELL_TYPES block
+are formatted once per mesh and reused; each file is byte-identical to one
+formatted from scratch.
+
+Formatting those floats is the cost of an export, so
+:func:`field_vtk_export` spreads a batch of VTK files over the CPUs the
+process may use: through ``_fork.forked``, the package's one fork helper,
+it forks one writer process per extra CPU and writes its own share while the
+caller goes on with other work, then reaps the writers. The bytes of every
+file are the same as when written in-process, as on one CPU.
 """
 
 from __future__ import annotations

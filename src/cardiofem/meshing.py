@@ -118,9 +118,11 @@ class ValidationReport:
 
 
 def triangulate_annulus(inner: Contour, outer: Contour, n_angular: int, n_radial: int) -> Mesh:
-    """Mesh the region between two contours resampled to the same
-    ``n_angular`` uniform angles about one center, points of equal index
-    corresponding; node layers interpolate linearly between matched points.
+    """Mesh the region between two angularly matched contours.
+
+    Both contours must already be resampled to the same ``n_angular`` uniform
+    angles about a common center, so that points with equal index correspond.
+    Node layers are linear interpolations between matched point pairs.
     """
     if n_angular < 3:
         raise MeshError("n_angular must be >= 3")
@@ -191,9 +193,11 @@ def min_interior_angle_deg(mesh: Mesh) -> float:
 
 
 def validate(mesh: Mesh) -> ValidationReport:
-    """Run consistency checks and return a pass/fail report. A minimum
-    interior angle below :data:`QUALITY_ANGLE_DEG` is only a warning: thin
-    walls can legitimately produce slivers.
+    """Run consistency checks and return a pass/fail report.
+
+    A minimum interior angle below :data:`QUALITY_ANGLE_DEG` is reported as a
+    warning rather than a failure, since thin-walled frames can legitimately
+    produce slivers.
     """
     checks = []
     areas = mesh.triangle_areas()

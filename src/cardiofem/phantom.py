@@ -111,16 +111,24 @@ def lame_displacement_at(spec: RingSpec, pressure: float, points) -> np.ndarray:
 
 
 def solve_ring_traction(mesh, system, pressure: float, anchor_deg: float | None = None):
-    """The displacement of a ring from :func:`make_ring` under internal
-    pressure, ``system`` its assembled stiffness (plane strain for the closed
-    form to apply; any material field), with a wall node count divisible by 4.
+    """Neumann-loaded solve of a ring under internal pressure.
 
-    By default three symmetry dofs on the inner wall are pinned (v at angles
-    0 and pi, u at pi/2) and the least-squares rigid motion is subtracted
-    afterwards. ``anchor_deg``, a multiple of 90 degrees, instead holds the
-    wall at that angle as a stiff (infarct-like) region would: the inner node
-    there is fixed and the tangential dof of the matching outer node removes
-    the rotation, with no rigid detrending.
+    ``mesh`` is a ring from :func:`make_ring` and ``system`` its assembled
+    stiffness (plane strain for the closed form to apply; any material
+    field). By default rigid modes are removed by pinning three symmetry
+    dofs on the inner boundary (v at angles 0 and pi, u at angle pi/2) and
+    the least-squares rigid motion is subtracted afterwards (strains are
+    unaffected).
+
+    ``anchor_deg`` instead supports the ring at one wall angle, mimicking a
+    stiff (infarct-like) region that holds the wall in place: the inner node
+    at that angle is fixed and the tangential dof of the matching outer node
+    removes the remaining rotation, leaving radial straining free. The angle
+    must be a multiple of 90 degrees so the tangential direction is a
+    coordinate axis; no rigid detrending is applied in this mode.
+
+    Requires a number of nodes per wall divisible by 4. Returns the
+    displacement.
     """
     inner, outer = mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer")
     n_angular = len(inner)
@@ -258,12 +266,17 @@ def verify_ring(
     double resolution, the traction solve against the oracle, the contour
     pipeline against the traction route, and a 10x stiffer 225-315 degree
     wedge as the strict sector minima on both routes. Each ring is meshed and
-    assembled once (the wedge ring on the base mesh); on the base ring the
-    oracle solve and the pipeline re-solve are two columns of one factor. The
-    arguments are checked before any ring is built. The fine ring, the
-    costliest, is verified in a forked child (``_fork.forked``) while this
-    process verifies the rest; on one CPU it is verified inline first, with
-    the same results.
+    assembled once (the wedge ring on the base mesh), and every solve that
+    fixes all boundary dofs is condensed: on the base ring the oracle solve
+    and the pipeline re-solve are two columns of one factor. ``n_sectors``
+    must be at least 2, so that the wedge and the rest of the ring both hold
+    a sector midpoint, ``n_points`` at least 8, so that the half-resolution
+    ring is a contour, and divisible by 4 for the traction solve's pin
+    layout, and ``n_radial`` at least 1; all are checked before any ring is
+    built. The fine ring, the costliest, is verified in one forked child
+    (``_fork.forked``) while this process verifies the rest, so a library
+    caller forks when it may use more than one CPU; on one CPU it is
+    verified inline first, with the same results.
     """
     if n_sectors < 2:
         raise UsageError(f"sectors must be at least 2 for the stiff-wedge check, got {n_sectors}")

@@ -139,9 +139,12 @@ def sector_average(
     center,
     n_sectors: int = 16,
 ) -> SectorSummary:
-    """Average displacement magnitude and effective strain per angular sector,
-    elements binned by centroid angle about the center, each displacement
-    taken at the centroid (mean of the three nodal vectors)."""
+    """Average displacement magnitude and effective strain per angular sector.
+
+    Elements are binned by centroid angle about the center; the displacement
+    at each element is interpolated to its centroid (mean of the three nodal
+    vectors) before taking magnitudes.
+    """
     if n_sectors < 1:
         raise GeometryError("n_sectors must be >= 1")
     if strain.n_elements != mesh.n_triangles:

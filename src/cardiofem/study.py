@@ -3,19 +3,26 @@ the cycle, and infarct localization from sector strain comparisons.
 
 A study holds one or more slices, each an ordered sequence of frame contours
 with frame 0 at begin systole, and one slice spacing (mm) that all its slices
-share. Each slice builds one frame-0 reference model, a ``SliceModel``: the
-mesh :func:`frame_mesh` builds between both walls resampled about the
-centroid of the inner wall, its stiffness and the dofs every frame pair fixes
-(both components of all boundary nodes). Frame pairs are (0 -> k) in the
-default cumulative mode or (k-1 -> k) in incremental mode, all solved on the
-frame-0 model (small-strain assumption); rotation compensation per pair
+share. Each slice builds one frame-0 reference model, a ``SliceModel``:
+:func:`frame_mesh` resamples both walls about the centroid of the inner wall
+and meshes the wall between them, and the model holds that mesh, its stiffness
+and the dofs every frame pair fixes (both components of all boundary nodes).
+The CLI's ``mesh`` meshes a frame by :func:`frame_mesh`, and ``solve`` and
+``strain`` read the model from their frame's result. Frame pairs are (0 -> k)
+in the default cumulative mode or (k-1 -> k) in incremental mode, all solved
+on the frame-0 model (small-strain assumption); rotation compensation per pair
 follows a linear ramp that totals the configured systolic rotation.
 
-Samples meet boundary nodes by angular order about the reference center
-(``fem.boundary_dof_map``). The values of all pairs form one (fixed dofs,
-pairs) array, solved as one multi-column right-hand side on one
-factorization per slice (``fem.solve``). Strain is one vectorised B . d per
-frame, with the B matrices and sector bins of the mesh kept on it.
+Samples meet boundary nodes by one rule, angular order about the reference
+center (``fem.boundary_dof_map``). In cumulative mode each later frame is
+resampled once and its boundary values are the differences to the frame-0
+walls, whose samples are the nodes themselves; in incremental mode each pair
+has its own reference frame, whose samples meet the mesh's nodes by angle
+(``fem.boundary_conditions_from_displacements``). The values of all pairs form
+one (fixed dofs, pairs) array, the stiffness is condensed onto its free dofs
+and factorized once per slice, and all pairs are solved as one multi-column
+right-hand side (``fem.solve``). Strain is one vectorised B . d per frame,
+with the B matrices and sector bins of the mesh computed once and kept on it.
 """
 
 from __future__ import annotations
@@ -234,10 +241,13 @@ def cycle_strain_analysis(
     params: CycleParams = CycleParams(),
     slice_index: int = 0,
 ) -> list[FrameResult]:
-    """One result per target frame 1..n-1 of one slice's cycle, all solved on
-    the one frame-0 ``SliceModel`` and factorization that each result
-    carries; in incremental mode the samples of later reference frames meet
-    its mesh by angle. Errors name the frame they belong to.
+    """Solve the deformation of one slice for every frame pair of the cycle.
+
+    Returns one result per target frame 1..n-1. All solves reuse the
+    ``SliceModel`` built on frame-0 geometry and its one factorization, and
+    every result carries that one model; in incremental mode the boundary
+    samples of later reference frames are mapped onto its mesh by angle.
+    Errors name the frame they belong to.
     """
     if slice_index < 0 or slice_index >= len(study.slices):
         raise ConfigurationError(f"slice index {slice_index} outside study")

@@ -58,9 +58,12 @@ def _smoothstep(t):
 
 
 def _wedge_motion_factor(theta_deg, start_deg, end_deg, inert, transition_deg, margin_deg):
-    """Motion scale: `inert` on [start, end) widened by ``margin_deg`` on both
-    sides, ramping smoothly to 1 outside that, so every wedge point moves by
-    exactly the inert fraction and the steep gradient stays clear of it.
+    """Motion scale: `inert` inside [start, end), ramping to 1 outside.
+
+    The inert plateau extends ``margin_deg`` past the wedge on both sides and
+    the smooth transitions sit entirely outside that, so every wedge point
+    moves by exactly the inert fraction and the steep strain gradient stays
+    clear of the wedge sectors.
     """
     a = np.mod(theta_deg - start_deg, 360.0)
     span = (end_deg - start_deg) % 360.0 or 360.0
@@ -86,10 +89,12 @@ def healthy_study(
     contraction: float = 0.3,
     rotation_deg_total: float = 0.0,
 ) -> Study:
-    """Contracting (and optionally rotating) synthetic left-ventricle study:
-    frame k scales inner-wall points radially about the center by
+    """Contracting (and optionally rotating) synthetic left-ventricle study.
+
+    Frame k scales inner-wall points radially about the center by
     1 - contraction * k / (n_frames - 1), outer-wall points by half that
-    contraction, and rotates them clockwise by rotation_deg_total * k / (n_frames - 1).
+    contraction, and rotates them clockwise by
+    rotation_deg_total * k / (n_frames - 1).
     """
     return _modulated_study(HEALTHY_ID, None, seed, n_frames, n_points, n_slices,
                             contraction, rotation_deg_total)

@@ -30,8 +30,7 @@ keywords; argparse now parses each value as the flag's command-line text."""
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import cg, splu
 
@@ -198,11 +197,11 @@ def fold_free_block_solve(system, fixed, values) -> np.ndarray:
     """``fem.solve``'s (n_dofs, n_sets) solutions as it computed them before it
     read everything from K in place: K_ff and K_fb copied out of K, the lower
     band of K_ff in the system's fold order scattered from K_ff's CSC arrays
-    through the inverse permutation and factored by scipy's LAPACK
-    ``dpbtrf``, and the right-hand sides and residuals on the copies. It
-    raises the same SolverErrors, from the same breakdown, pivot and
-    inverse-iteration checks (its random start indexed in sorted free-dof
-    order) and residual contract."""
+    through the inverse permutation and factored by scipy's
+    ``cholesky_banded`` (LAPACK ``dpbtrf``), and the right-hand sides and
+    residuals on the copies. It raises the same SolverErrors, from the same
+    pivot and inverse-iteration checks (its random start indexed in sorted
+    free-dof order) and residual contract."""
     values = np.asarray(values, dtype=float)
     free, k_ff, rhs, u = _free_block(system, fixed, values)
     perm = np.argsort(2 * np.argsort(system.node_order)[free // 2] + free % 2)
@@ -219,14 +218,15 @@ def fold_free_block_solve(system, fixed, values) -> np.ndarray:
         return x
 
     if len(free):
-        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info and not abs(band[0, info - 1]) <= 1e-8 * k_ff.diagonal().max():
-            raise SolverError("direct factorization failed: the stiffness is not positive "
-                              f"definite ({info}-th leading minor not positive definite)")
-        if not info:
-            pivots = band[0] * band[0]
-            probe = band_solve(np.random.default_rng(0).standard_normal(len(free)))
-        if (info or pivots.min() <= 1e-12 * pivots.max()
+        try:
+            band = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
+        except LinAlgError as exc:
+            raise SolverError(
+                f"direct factorization failed: the stiffness is not positive definite ({exc})"
+            ) from exc
+        pivots = band[0] * band[0]
+        probe = band_solve(np.random.default_rng(0).standard_normal(len(free)))
+        if (pivots.min() <= 1e-12 * pivots.max()
                 or probe @ (k_ff @ probe) <= 1e-14 * k_ff.diagonal().max() * (probe @ probe)):
             raise SolverError(
                 "numerically singular system: rigid modes are unconstrained "

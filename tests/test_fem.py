@@ -839,11 +839,17 @@ def test_banded_cholesky_does_not_depend_on_node_numbering(monkeypatch):
     lambda inner, outer, n: [2 * outer[0], 2 * outer[0] + 1],
 ], ids=["no pin", "one pin", "two pins on one axis", "inner node at 0 degrees",
         "inner node at 90 degrees", "outer node at 0 degrees"])
-def test_under_pinned_ring_raises(n_angular, n_radial, pins):
+def test_under_pinned_ring_raises(n_angular, n_radial, pins, monkeypatch):
     mesh, mats = make_ring(RingSpec(1.0, 2.0), n_angular, n_radial)
     system = assemble(mesh, mats, "plane-strain")
     loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0), mesh)
     fixed = np.sort(pins(mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"), n_angular))
+    # the sign of a rounding-level pivot, and so which of the two errors a
+    # free rigid mode raises, differs between OpenBLAS builds: the message is
+    # compared on the oracle's LAPACK, scipy's
+    with pytest.raises(SolverError):
+        solve(loaded, fixed, np.zeros((len(fixed), 1)))
+    monkeypatch.setattr(fem, "_LAPACK", None)
     with pytest.raises(SolverError) as info:
         solve(loaded, fixed, np.zeros((len(fixed), 1)))
     with pytest.raises(SolverError) as expected:
@@ -866,19 +872,44 @@ def test_linear_system_node_order_lists_every_node_once(order, n_dofs):
         fem.LinearSystem(sparse.identity(n_dofs, format="csr"), np.zeros(n_dofs), np.array(order))
 
 
-def test_indefinite_system_raises_the_free_block_oracles_error():
+@pytest.mark.parametrize("cols, vals", [
+    (np.array([[0, 1, 2], [1, 2, 3]]), np.ones((2, 3))),
+    (np.array([[0, 1, -1]]), np.ones((1, 3))),
+    (np.array([[0, 1, 2]]), np.ones((2, 3))),
+    (np.array([0, 1, 2]), np.ones(3)),
+], ids=["column past the last row", "negative column", "values of another shape", "one row"])
+def test_stiffness_rejects_malformed_arrays(cols, vals):
+    with pytest.raises(MeshError, match="columns in 0..n-1"):
+        fem.Stiffness(cols, vals, cols.size)
+
+
+def test_apply_dirichlet_needs_the_fixed_rows_diagonals():
+    # row 1 stores columns 0 and 2 only: there is no slot for its unit entry
+    k = fem.Stiffness(np.array([[0, 0, 2, 2], [1, 2, 3, 3]]), np.ones((2, 4)), 8)
+    system = fem.LinearSystem(k, np.zeros(4), np.array([0, 1]))
+    with pytest.raises(MeshError, match="store its diagonal"):
+        apply_dirichlet(system, [1], [0.0])
+    assert apply_dirichlet(system, [0], [0.0]).stiffness.vals[0, 0] == 1.0
+
+
+def test_indefinite_system_raises_the_free_block_oracles_error(monkeypatch):
+    # a clearly negative pivot breaks the Cholesky down at the same minor on
+    # either LAPACK, numpy's OpenBLAS or the oracle's, scipy's
     k = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, -3.0, 1.0, 0.0],
                   [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
     system = fem.LinearSystem(padded_rows(k), np.ones(4), np.array([1, 0]))
-    for fixed in ([], [3]):
-        values = np.ones((len(fixed), 1))
-        with pytest.raises(SolverError, match="not positive definite") as info:
-            solve(system, fixed, values)
-        with pytest.raises(SolverError) as expected:
-            fold_free_block_solve(system, fixed, values)
-        assert str(info.value) == str(expected.value)
+    for lapack in (fem._LAPACK, None):
+        monkeypatch.setattr(fem, "_LAPACK", lapack)
+        for fixed in ([], [3]):
+            values = np.ones((len(fixed), 1))
+            with pytest.raises(SolverError, match="not positive definite") as info:
+                solve(system, fixed, values)
+            with pytest.raises(SolverError) as expected:
+                fold_free_block_solve(system, fixed, values)
+            assert str(info.value) == str(expected.value)
 
 
+@pytest.mark.skipif(fem._LAPACK is None, reason="numpy without its bundled OpenBLAS")
 def test_import_cli_cycle_and_ring_solves_load_no_scipy():
     # K is held in numpy arrays and LAPACK comes from numpy's OpenBLAS, so the
     # package, the command line, a cycle analysis and a ring verification (its
@@ -909,7 +940,9 @@ def test_import_cli_cycle_and_ring_solves_load_no_scipy():
 @pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
 def test_scipy_lapack_fallback_matches_numpy_openblas(n_angular, n_radial, monkeypatch):
     # a numpy without its bundled OpenBLAS factors by scipy.linalg's LAPACK:
-    # the same solutions to rounding and the same errors
+    # the same solutions to rounding, and the same cases fail, with the free-
+    # block oracle's messages (on numpy's OpenBLAS a rigid mode's rounding-
+    # level pivot may take the other sign, and so the other message)
     spec = RingSpec(1.0, 2.0)
     mesh, mats = make_ring(spec, n_angular, n_radial)
     system = assemble(mesh, mats, "plane-strain")
@@ -925,19 +958,23 @@ def test_scipy_lapack_fallback_matches_numpy_openblas(n_angular, n_radial, monke
     cases.append((fem.LinearSystem(padded_rows(indefinite), np.ones(4), np.array([1, 0])),
                   np.array([3]), np.ones((1, 1))))
 
-    def outcomes():
+    def library_solve(*case):
+        return np.column_stack([d.values.ravel() for d in solve(*case)])
+
+    def outcomes(solver):
         for case in cases:
             try:
-                yield np.column_stack([d.values.ravel() for d in solve(*case)])
+                yield solver(*case)
             except SolverError as exc:
                 yield str(exc)
 
-    expected = list(outcomes())
-    assert sum(isinstance(e, str) for e in expected) == 5
+    expected = list(outcomes(library_solve))
+    assert [isinstance(e, str) for e in expected] == [False] * 3 + [True] * 5
+    oracle = list(outcomes(fold_free_block_solve))
     monkeypatch.setattr(fem, "_LAPACK", None)
-    for got, want in zip(outcomes(), expected):
+    for got, want, message in zip(outcomes(library_solve), expected, oracle):
         if isinstance(want, str):
-            assert got == want
+            assert got == message
         else:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
