@@ -1,12 +1,11 @@
 """The package's one fork helper: zero-argument tasks run in forked children
 beside the caller, as ``io.field_vtk_export`` writes its VTK shares and
-``phantom.verify_ring`` verifies its fine ring."""
+``phantom.verify_ring`` verifies its fine ring. It leaves BLAS threads
+alone: ``fem`` pins its two LAPACK calls to one OpenBLAS thread itself."""
 
 import contextlib
 import os
 import pickle
-
-from .fem import _one_blas_thread
 
 
 def usable_cpus() -> int:
@@ -76,23 +75,21 @@ def forked(tasks):
     the first failed task's exception is raised again with its own type and
     message. An exception that cannot be pickled arrives as a
     ChildProcessError of its text, as does a child that dies without a
-    payload, naming its pid and exit status. numpy's OpenBLAS keeps to one
-    thread meanwhile, so that its pool does not contend with the children.
+    payload, naming its pid and exit status.
     """
     parallel = usable_cpus() > 1
     outcomes, children, results = [None] * len(tasks), [], []
-    with _one_blas_thread():
-        try:
-            for i, task in enumerate(tasks):
-                child = _start(task) if parallel else None
-                if child is None:
-                    outcomes[i] = _run(task)
-                else:
-                    children.append((i, *child))
-            yield results
-        finally:
-            for i, pid, fd in children:
-                outcomes[i] = _reap(pid, fd)
+    try:
+        for i, task in enumerate(tasks):
+            child = _start(task) if parallel else None
+            if child is None:
+                outcomes[i] = _run(task)
+            else:
+                children.append((i, *child))
+        yield results
+    finally:
+        for i, pid, fd in children:
+            outcomes[i] = _reap(pid, fd)
     for ok, value in outcomes:
         if not ok:
             raise value

@@ -36,8 +36,8 @@ from .fem import apply_dirichlet
 from .materials import MODES, Material
 from .meshing import validate
 from .phantom import RingSpec, verify_ring
-from .study import (CycleParams, check_tau, cycle_strain_analysis, frame_mesh,
-                    normalized_volume_curve, reference_localization)
+from .study import (CycleParams, check_finite_positive, cycle_strain_analysis,
+                    frame_mesh, normalized_volume_curve, reference_localization)
 from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_study
 
 
@@ -119,7 +119,7 @@ def cmd_phantom_verify(cfg) -> int:
     print(f"[convergence] L2 errors: {['%.3e' % e for e in report.l2_errors]}")
     print(f"[convergence] observed orders: {['%.3f' % o for o in report.orders]}")
     for check in report.checks:
-        print(check.line)
+        print(f"[{'PASS' if check.passed else 'FAIL'}] {check.detail}")
     print(f"wrote {convergence} and {sectors}")
     if report.failures:
         print(f"FAILED checks: {', '.join(report.failures)}")
@@ -132,7 +132,7 @@ def cmd_phantom_verify(cfg) -> int:
 
 
 def cmd_analyze(cfg) -> int:
-    check_tau(cfg.tau)
+    check_finite_positive("tau", cfg.tau)
     ref_paths, ref_manifests = cfg.reference, list(cfg.reference_manifest)
     if len(ref_manifests) > len(ref_paths):
         raise UsageError(f"more --reference-manifest files ({len(ref_manifests)}) "
@@ -376,9 +376,5 @@ def main(argv=None) -> int:
         return 1 if isinstance(exc, VALIDATION_ERRORS) else 2
 
 
-def entry_point() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entry_point()
+    raise SystemExit(main())

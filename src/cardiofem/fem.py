@@ -8,9 +8,10 @@ an array of their values. :func:`solve` takes an (n_fixed, n_sets) value
 array and solves for the free dofs of every column with one banded Cholesky
 factorization in the system's fold order, its band read from the assembled K
 through each free dof's band position. LAPACK comes from the OpenBLAS that
-numpy's wheel bundles, through ``ctypes``; scipy.linalg serves a numpy
-without it. :func:`apply_dirichlet` builds the equivalent system with the
-fixed rows and columns eliminated (replaced by identity), for export.
+numpy's wheel bundles, through ``ctypes``, each of its two calls pinned to
+one OpenBLAS thread; scipy.linalg serves a numpy without it.
+:func:`apply_dirichlet` builds the equivalent system with the fixed rows and
+columns eliminated (replaced by identity), for export.
 :func:`boundary_dof_map` pairs the boundary nodes with displacement samples
 by one rule, angular order about the reference center.
 
@@ -27,7 +28,6 @@ the x-displacement of node i and dof 2*i + 1 its y-displacement.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 from dataclasses import dataclass
 
@@ -385,7 +385,9 @@ def boundary_conditions_from_displacements(
 def _openblas():
     """numpy's OpenBLAS, found by its symbols among the libraries numpy's
     LAPACK module links: ILP64 ``dpbtrf``/``dpbtrs`` (LAPACKE's work forms, with
-    no NaN scan, as scipy calls them) and the thread count; None without them."""
+    no NaN scan, as scipy calls them) and the thread count; None without them.
+    ``trf`` and ``trs`` run on one thread and then restore the caller's count,
+    since the thread pool slows a lone banded factorization."""
     lib, i64 = ctypes.CDLL(_umath_linalg.__file__), ctypes.c_int64
     try:
         lib.trf, lib.trs = lib.scipy_LAPACKE_dpbtrf_work64_, lib.scipy_LAPACKE_dpbtrs_work64_
@@ -399,22 +401,22 @@ def _openblas():
     lib.trf.restype = lib.trs.restype = i64
     lib.get_threads.argtypes, lib.get_threads.restype = [], ctypes.c_int
     lib.set_threads.argtypes, lib.set_threads.restype = [ctypes.c_int], None
+
+    def one_thread(routine):
+        def call(*args):
+            before = lib.get_threads()
+            lib.set_threads(1)
+            try:
+                return routine(*args)
+            finally:
+                lib.set_threads(before)
+        return call
+
+    lib.trf, lib.trs = one_thread(lib.trf), one_thread(lib.trs)
     return lib
 
 
 _LAPACK = _openblas()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore its count."""
-    set_threads = _LAPACK.set_threads if _LAPACK else lambda n: None
-    before = _LAPACK.get_threads() if _LAPACK else 1
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
 
 
 def _band_solve(band: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .errors import ConfigurationError, GeometryError, UsageError
 from .fem import (apply_traction, assemble, boundary_conditions_from_displacements,
                   boundary_dof_map, internal_pressure_tractions, remove_rigid_motion, solve)
 from .materials import AngularRegion, Material, MaterialField, region_material_field
-from .meshing import triangulate_annulus
+from .meshing import CheckResult, triangulate_annulus
 from .strain import SectorSummary, sector_average, strain_field
 
 TWO_PI = 2.0 * math.pi
@@ -170,19 +170,6 @@ def pressure_load_cycle(spec: RingSpec, pressures, n_points: int = 64) -> list[F
 
 
 @dataclass(frozen=True)
-class RingCheck:
-    """One named pass/fail check of :func:`verify_ring` and its report line."""
-
-    name: str
-    passed: bool
-    line: str
-
-
-def _check(name: str, passed, text: str) -> RingCheck:
-    return RingCheck(name, bool(passed), f"[{'PASS' if passed else 'FAIL'}] {text}")
-
-
-@dataclass(frozen=True)
 class RingVerification:
     """L2 errors and orders of the homogeneous rings at ``resolutions``, the
     stiff-wedge ring's sector summaries on both routes, and the checks."""
@@ -193,7 +180,7 @@ class RingVerification:
     traction: SectorSummary
     pipeline: SectorSummary
     stiff_sectors: np.ndarray
-    checks: tuple[RingCheck, ...]
+    checks: tuple[CheckResult, ...]
 
     @property
     def failures(self) -> list[str]:
@@ -332,20 +319,21 @@ def verify_ring(
     stiff_sectors.setflags(write=False)
 
     checks = [
-        _check("L2 error", errors[1] <= 0.01, f"mid-resolution L2 error {errors[1]:.3e} <= 1e-2"),
-        _check("convergence order", min(orders) >= 1.7,
-               f"min observed order {min(orders):.3f} >= 1.7"),
-        _check("traction cross-check", traction_err <= 0.02,
-               f"traction cross-check L2 {traction_err:.3e} <= 2e-2"),
-        _check("route agreement", route_gap <= 0.05,
-               f"pipeline/traction sector agreement {route_gap:.3e} <= 5e-2"),
+        CheckResult("L2 error", errors[1] <= 0.01,
+                    f"mid-resolution L2 error {errors[1]:.3e} <= 1e-2"),
+        CheckResult("convergence order", min(orders) >= 1.7,
+                    f"min observed order {min(orders):.3f} >= 1.7"),
+        CheckResult("traction cross-check", traction_err <= 0.02,
+                    f"traction cross-check L2 {traction_err:.3e} <= 2e-2"),
+        CheckResult("route agreement", route_gap <= 0.05,
+                    f"pipeline/traction sector agreement {route_gap:.3e} <= 5e-2"),
     ]
     for route, summ in (("traction", traction), ("pipeline", pipeline)):
         md, me = summ.mean_displacement, summ.mean_effective
-        checks.append(_check(
+        checks.append(CheckResult(
             f"stiff-sector minima ({route})",
-            md[stiff_sectors].max() < md[~stiff_sectors].min()
-            and me[stiff_sectors].max() < me[~stiff_sectors].min(),
+            bool(md[stiff_sectors].max() < md[~stiff_sectors].min()
+                 and me[stiff_sectors].max() < me[~stiff_sectors].min()),
             f"stiff-sector displacement and strain strict minima ({route} route)",
         ))
     return RingVerification(resolutions, tuple(errors), tuple(orders), traction, pipeline,

@@ -324,21 +324,15 @@ def check_finite_positive(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
 
 
-def check_tau(tau: float) -> None:
-    """Raise ConfigurationError unless the localization threshold ``tau`` is
-    finite and positive: a NaN threshold would flag no sector."""
-    check_finite_positive("tau", tau)
-
-
 def infarct_localization(
     subject: Sequence[SectorSummary],
     reference: Sequence[SectorSummary],
     tau: float = 0.5,
 ) -> LocalizationResult:
     """Flag sectors whose time-averaged effective strain falls below
-    tau times the reference value for the same sector; ``tau`` is checked by
-    :func:`check_tau`."""
-    check_tau(tau)
+    tau times the reference value for the same sector; ``tau`` must be finite
+    and positive, as a NaN threshold would flag no sector."""
+    check_finite_positive("tau", tau)
     subj = _stack_sector_strain(subject)
     ref = _stack_sector_strain(reference)
     if subj.shape != ref.shape:

@@ -94,7 +94,8 @@ def healthy_study(
     Frame k scales inner-wall points radially about the center by
     1 - contraction * k / (n_frames - 1), outer-wall points by half that
     contraction, and rotates them clockwise by
-    rotation_deg_total * k / (n_frames - 1).
+    rotation_deg_total * k / (n_frames - 1). The contraction must be finite
+    and below 1 (at 1 the inner wall shrinks to its center), the rotation finite.
     """
     return _modulated_study(HEALTHY_ID, None, seed, n_frames, n_points, n_slices,
                             contraction, rotation_deg_total)
@@ -119,6 +120,10 @@ def _modulated_study(subject_id, wedge, seed, n_frames, n_points, n_slices,
                      contraction, rotation_deg_total) -> Study:
     if n_frames < 2:
         raise ConfigurationError("need at least 2 frames")
+    if not (math.isfinite(contraction) and contraction < 1.0):
+        raise ConfigurationError(f"contraction must be finite and below 1, got {contraction!r}")
+    if not math.isfinite(rotation_deg_total):
+        raise ConfigurationError(f"rotation_deg_total must be finite, got {rotation_deg_total!r}")
     rng = np.random.default_rng(seed)
     c = np.asarray(CENTER, dtype=float)
     slices = []

@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib
 import json
 from pathlib import Path
 
@@ -179,6 +180,11 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     ("analyze", ["--sectors", "0"], "n_sectors must be >= 1"),
     ("analyze", ["--poisson", "0.7"], "Poisson's ratio must be in [0, 0.5), got 0.7"),
     ("analyze", ["--rotation-deg", "nan"], "rotation_deg_total must be finite, got nan"),
+    ("synth", ["--contraction", "1"], "contraction must be finite and below 1, got 1.0"),
+    ("synth", ["--contraction", "1.5"], "contraction must be finite and below 1, got 1.5"),
+    ("synth", ["--contraction", "nan"], "contraction must be finite and below 1, got nan"),
+    ("synth", ["--kind", "mi-wedge", "--rotation-deg", "nan"],
+     "rotation_deg_total must be finite, got nan"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
                                        command, flags, needle):
@@ -859,6 +865,16 @@ def test_cli_computes_and_writes_nothing_itself():
     names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert not names & {"average_sector_summaries", "infarct_localization"}
+
+
+def test_console_scripts_import_and_are_callable():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, attr = target.split(":")
+        assert callable(getattr(importlib.import_module(module), attr)), target
 
 
 def _hooked_inner(center, n=60):

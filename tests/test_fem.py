@@ -910,6 +910,44 @@ def test_indefinite_system_raises_the_free_block_oracles_error(monkeypatch):
 
 
 @pytest.mark.skipif(fem._LAPACK is None, reason="numpy without its bundled OpenBLAS")
+def test_numpy_openblas_runs_each_lapack_call_on_one_thread():
+    # OpenBLAS's pool slows a lone banded factorization, so each dpbtrf and
+    # dpbtrs runs on one thread, and the caller's count is back after the
+    # solve, also when the factorization raises
+    lapack, before = fem._LAPACK, fem._LAPACK.get_threads()
+    routines = lapack.scipy_LAPACKE_dpbtrf_work64_, lapack.scipy_LAPACKE_dpbtrs_work64_
+    seen = []
+
+    def record(result, routine, args):  # ctypes calls it as the routine returns
+        seen.append((routine.__name__.split("_")[2], lapack.get_threads()))
+        return result
+
+    spec = RingSpec(1.0, 2.0)
+    mesh, mats = make_ring(spec, 16, 2)
+    system = assemble(mesh, mats, "plane-strain")
+    fixed, values = boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
+    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0), mesh)
+    pin = 2 * mesh.boundary_nodes("inner")[:1]
+    lapack.set_threads(2)
+    try:
+        for routine in routines:
+            routine.errcheck = record
+        solve(system, fixed, values[:, None])
+        # the factor, then the inverse-iteration probe and the load
+        assert seen == [("dpbtrf", 1), ("dpbtrs", 1), ("dpbtrs", 1)]
+        assert lapack.get_threads() == 2
+        seen.clear()
+        with pytest.raises(SolverError):
+            solve(loaded, pin, np.zeros((1, 1)))
+        assert seen[0] == ("dpbtrf", 1) and {n for _, n in seen} == {1}
+        assert lapack.get_threads() == 2
+    finally:
+        for routine in routines:
+            del routine.errcheck
+        lapack.set_threads(before)
+
+
+@pytest.mark.skipif(fem._LAPACK is None, reason="numpy without its bundled OpenBLAS")
 def test_import_cli_cycle_and_ring_solves_load_no_scipy():
     # K is held in numpy arrays and LAPACK comes from numpy's OpenBLAS, so the
     # package, the command line, a cycle analysis and a ring verification (its

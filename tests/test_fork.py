@@ -1,9 +1,11 @@
+import ast
 import os
 import time
+from pathlib import Path
 
 import pytest
 
-from cardiofem import SolverError, fem
+from cardiofem import SolverError, _fork, fem
 from cardiofem._fork import forked
 
 from conftest import assert_no_child_left, cpus
@@ -21,15 +23,16 @@ def test_results_come_back_in_task_order(monkeypatch):
 
 @pytest.mark.skipif(fem._LAPACK is None, reason="numpy without its bundled OpenBLAS")
 @pytest.mark.parametrize("n_cpus", [1, 2])
-def test_numpy_openblas_keeps_to_one_thread_while_children_run(monkeypatch, n_cpus):
-    # its thread pool would contend with the children for the CPUs
+def test_forked_leaves_the_openblas_thread_count_as_it_found_it(monkeypatch, n_cpus):
+    # fem pins its own LAPACK calls, so the block and its children keep the
+    # caller's count
     lapack, before = fem._LAPACK, fem._LAPACK.get_threads()
     lapack.set_threads(2)
     try:
         cpus(monkeypatch, n_cpus)
         with forked([lapack.get_threads]) as results:
-            assert lapack.get_threads() == 1
-        assert results == [1]
+            assert lapack.get_threads() == 2
+        assert results == [2]
         assert lapack.get_threads() == 2
         with pytest.raises(SolverError):
             with forked([lapack.get_threads]):
@@ -40,14 +43,14 @@ def test_numpy_openblas_keeps_to_one_thread_while_children_run(monkeypatch, n_cp
     assert_no_child_left()
 
 
-def test_forked_runs_without_numpy_openblas(monkeypatch):
-    # a numpy without its bundled OpenBLAS has no thread count to pin
-    monkeypatch.setattr(fem, "_LAPACK", None)
-    cpus(monkeypatch, 2)
-    with forked([os.getpid]) as results:
-        pass
-    assert len(results) == 1 and results[0] != os.getpid()
-    assert_no_child_left()
+def test_fork_helper_imports_nothing_from_the_package():
+    # a process utility only: nothing of the package's numerics reaches it
+    nodes = list(ast.walk(ast.parse(Path(_fork.__file__).read_text())))
+    modules = {alias.name for node in nodes if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {"." * node.level + (node.module or "") for node in nodes
+                if isinstance(node, ast.ImportFrom)}
+    assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "cardiofem"]
 
 
 def test_one_cpu_runs_every_task_inline(monkeypatch):
