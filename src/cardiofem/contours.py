@@ -72,19 +72,6 @@ class Contour:
     def __len__(self) -> int:
         return len(self.points)
 
-    def is_simple(self) -> bool:
-        """True if no two non-adjacent edges intersect or touch.
-
-        Checked once per contour by :func:`is_simple_polygon` (an O(n)
-        star-shape certificate about the vertex centroid, with the exact
-        O(n^2) edge-pair test as the fallback); the result is kept.
-        """
-        simple = self.__dict__.get("_simple")
-        if simple is None:
-            simple = is_simple_polygon(self.points)
-            object.__setattr__(self, "_simple", simple)
-        return simple
-
 
 @dataclass(frozen=True)
 class FrameContours:
@@ -278,10 +265,8 @@ def _angular_pass(contour: Contour, c: np.ndarray) -> _AngularPass:
     gaps = np.concatenate([th[1:], [th[0] + TWO_PI]]) - th
     scale = float(np.abs(d).max()) or 1.0
     star = _distance_to_edges(d) > 1e-12 * scale and _winds_once_monotonically(angles)
-    result = _AngularPass(perm, th, radii[perm], gaps, star)
-    for arr in result[:4]:
-        arr.setflags(write=False)
-    return result
+    perm.setflags(write=False)
+    return _AngularPass(perm, th, radii[perm], gaps, star)
 
 
 def rotate_about(points, center, angle_rad: float) -> np.ndarray:
@@ -318,13 +303,9 @@ def _check_center_inside(points_sorted: np.ndarray, center: np.ndarray) -> None:
 def _checked_pass(contour: Contour, c: np.ndarray, ap: _AngularPass) -> _AngularPass:
     """The contour's angular pass ``ap`` about ``c`` once the center and tie
     checks of :func:`angular_permutation` hold."""
-    perm = ap.perm
-    # A star-shaped contour whose angular order is a cyclic shift of its
-    # vertex order sorts into the same polygon, edge for edge: the star check
-    # found the center off those edges, and one monotone turn about the
-    # center puts it inside. Any other order gets the full check.
-    if not (ap.star and ((_next(perm) - perm) % len(perm) == 1).all()):
-        _check_center_inside(contour.points[perm], c)
+    # the star check found the center off the edges and wound once about it
+    if not ap.star:
+        _check_center_inside(contour.points[ap.perm], c)
 
     radii = ap.radii
     tied = ap.gaps <= ANGLE_TIE_TOL

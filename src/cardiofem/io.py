@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fork import forked, usable_cpus
-from .contours import Contour, FrameContours
+from .contours import Contour, FrameContours, is_simple_polygon
 from .errors import ConfigurationError, GeometryError
 from .fem import DisplacementField, LinearSystem
 from .materials import Material
@@ -230,7 +230,7 @@ def _build_study(data, where: str, declared_by: str) -> Study:
                 except (TypeError, ValueError) as exc:
                     msg = f"{at} {label}: points must be [x, y] pairs ({exc})"
                     raise ConfigurationError(msg) from None
-                if not walls[-1].is_simple():
+                if not is_simple_polygon(walls[-1].points):
                     raise GeometryError(f"{at} {label}: contour is self-intersecting")
             try:
                 frames.append(FrameContours(frame_idx, *walls))

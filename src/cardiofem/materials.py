@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import _as_point
+from .contours import TWO_PI, _as_point
 from .errors import ConfigurationError
 from .meshing import Mesh
 
@@ -108,26 +108,15 @@ def constitutive_matrix(material: Material, mode: str = "as-printed") -> np.ndar
     return constitutive_matrices(MaterialField([material.E], [material.nu]), mode)[0]
 
 
-def _region_intervals(region: AngularRegion) -> list[tuple[float, float]]:
-    s = region.start_deg % 360.0
-    e = region.end_deg % 360.0
-    span = (region.end_deg - region.start_deg) % 360.0
-    if span == 0.0:
-        return [(0.0, 360.0)]
-    if s < e:
-        return [(s, e)]
-    return [(s, 360.0), (0.0, e)]
-
-
 def region_material_field(mesh: Mesh, base: Material, region: AngularRegion,
                           center) -> MaterialField:
     """``region``'s material on the elements whose centroid angle about
     ``center`` falls in the region, ``base`` on all others."""
     c = _as_point(center)
     cen = mesh.triangle_centroids() - c
-    angles_deg = np.degrees(np.mod(np.arctan2(cen[:, 1], cen[:, 0]), 2.0 * math.pi))
-    inside = np.zeros(mesh.n_triangles, dtype=bool)
-    for s, e in _region_intervals(region):
-        inside |= (angles_deg >= s) & (angles_deg < e)
+    angles_deg = np.degrees(np.mod(np.arctan2(cen[:, 1], cen[:, 0]), TWO_PI))
+    # the full circle's span is inf, since np.mod rounds an offset of -1 ulp up to 360
+    span = (region.end_deg - region.start_deg) % 360.0 or math.inf
+    inside = np.mod(angles_deg - region.start_deg, 360.0) < span
     return MaterialField(np.where(inside, region.material.E, base.E),
                          np.where(inside, region.material.nu, base.nu))

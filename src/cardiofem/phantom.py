@@ -20,15 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import forked
-from .contours import Contour, FrameContours, Point2, boundary_displacements
+from .contours import TWO_PI, Contour, FrameContours, Point2, boundary_displacements
 from .errors import ConfigurationError, GeometryError, UsageError
 from .fem import (apply_traction, assemble, boundary_conditions_from_displacements,
                   boundary_dof_map, internal_pressure_tractions, remove_rigid_motion, solve)
 from .materials import AngularRegion, Material, MaterialField, region_material_field
 from .meshing import CheckResult, triangulate_annulus
 from .strain import SectorSummary, sector_average, strain_field
-
-TWO_PI = 2.0 * math.pi
 
 
 def circle_contour(radius: float, center, n: int, label: str) -> Contour:

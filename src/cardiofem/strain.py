@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import _as_point
+from .contours import TWO_PI, _as_point
 from .errors import GeometryError
 from .fem import DisplacementField, _element_matrices
 from .meshing import Mesh
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .contours import (FrameContours, boundary_displacements, centroid, polygon_area,
-                       uniform_angle_walls)
+from .contours import (FrameContours, boundary_displacements, centroid, is_simple_polygon,
+                       polygon_area, uniform_angle_walls)
 from .errors import ConfigurationError, GeometryError, SolverError
 from .fem import (DisplacementField, LinearSystem, assemble, boundary_conditions_from_displacements,
                   boundary_dof_map, solve)
@@ -195,7 +195,7 @@ def ventricle_volume(study: Study, frame: int) -> float:
         if frame < 0 or frame >= sl.n_frames:
             raise ConfigurationError(f"frame {frame} outside study range")
         inner = sl.frames[frame].inner
-        if not inner.is_simple():
+        if not is_simple_polygon(inner.points):
             raise GeometryError(f"slice {sl.index} frame {frame}: inner contour self-intersects")
         total += abs(polygon_area(inner.points)) * study.spacing
     if not np.isfinite(total):

@@ -16,12 +16,10 @@ import math
 
 import numpy as np
 
-from .contours import Contour, FrameContours, rotate_about
-from .errors import ConfigurationError
+from .contours import TWO_PI, Contour, FrameContours, rotate_about
+from .errors import ConfigurationError, GeometryError
 from .phantom import RingSpec, pressure_load_cycle
 from .study import Slice, Study
-
-TWO_PI = 2.0 * math.pi
 
 SYNTH_KINDS = ("healthy", "mi-wedge", "phantom-cycle")
 
@@ -52,11 +50,6 @@ def _base_walls(rng, n_points, center):
     return theta, center + r_in[:, None] * unit, center + r_out[:, None] * unit
 
 
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
 def _wedge_motion_factor(theta_deg, start_deg, end_deg, inert, transition_deg, margin_deg):
     """Motion scale: `inert` inside [start, end), ramping to 1 outside.
 
@@ -67,18 +60,10 @@ def _wedge_motion_factor(theta_deg, start_deg, end_deg, inert, transition_deg, m
     """
     a = np.mod(theta_deg - start_deg, 360.0)
     span = (end_deg - start_deg) % 360.0 or 360.0
-    factor = np.ones(len(a))
-    factor[a < span + margin_deg] = inert
-    rise = (a >= span + margin_deg) & (a < span + margin_deg + transition_deg)
-    factor[rise] = inert + (1.0 - inert) * _smoothstep(
-        (a[rise] - span - margin_deg) / transition_deg
-    )
-    factor[a >= 360.0 - margin_deg] = inert
-    fall = (a >= 360.0 - margin_deg - transition_deg) & (a < 360.0 - margin_deg)
-    factor[fall] = inert + (1.0 - inert) * _smoothstep(
-        (360.0 - margin_deg - a[fall]) / transition_deg
-    )
-    return factor
+    # each point's distance past the nearer end of the inert plateau
+    past = np.minimum(a - span - margin_deg, 360.0 - margin_deg - a)
+    t = np.clip(past / transition_deg, 0.0, 1.0)
+    return inert + (1.0 - inert) * (t * t * (3.0 - 2.0 * t))  # a smoothstep ramp
 
 
 def healthy_study(
@@ -124,6 +109,8 @@ def _modulated_study(subject_id, wedge, seed, n_frames, n_points, n_slices,
         raise ConfigurationError(f"contraction must be finite and below 1, got {contraction!r}")
     if not math.isfinite(rotation_deg_total):
         raise ConfigurationError(f"rotation_deg_total must be finite, got {rotation_deg_total!r}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     c = np.asarray(CENTER, dtype=float)
     slices = []
@@ -144,7 +131,11 @@ def _modulated_study(subject_id, wedge, seed, n_frames, n_points, n_slices,
                 healthy_out = rotate_about(healthy_out, c, rot)
             pts_in = inner0 + factor[:, None] * (healthy_in - inner0)
             pts_out = outer0 + factor[:, None] * (healthy_out - outer0)
-            frames.append(FrameContours(k, Contour(pts_in, "inner"), Contour(pts_out, "outer")))
+            try:
+                frames.append(FrameContours(k, Contour(pts_in, "inner"), Contour(pts_out, "outer")))
+            except GeometryError:
+                raise ConfigurationError(f"contraction {contraction!r} moves the inner wall out "
+                                         f"of the outer wall at frame {k}") from None
         slices.append(Slice(index=s, frames=tuple(frames)))
     return Study(subject_id, tuple(slices), SLICE_SPACING)
 

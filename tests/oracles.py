@@ -26,7 +26,12 @@ model. Per CLI table: the former hand-written ``phantom-verify`` and
 localization of ``analyze``; ``io`` now writes the tables (CRLF) and
 ``study.reference_localization`` localizes. Per CLI config value: the former
 checker and converter of a ``--config`` value by its flag's argparse
-keywords; argparse now parses each value as the flag's command-line text."""
+keywords; argparse now parses each value as the flag's command-line text.
+Per angular rule: the former interval list of a material region (one [s, e)
+interval, two across 0 degrees, or the full circle) and the former synthetic
+wedge motion factor with separate rise and fall branches; the library now
+tests each angle's offset from the start modulo 360 and each point's distance
+past the nearer end of the inert plateau."""
 
 import numpy as np
 from scipy import sparse
@@ -38,7 +43,7 @@ from cardiofem.contours import centroid, uniform_angle_walls
 from cardiofem.errors import GeometryError, SolverError, UsageError
 from cardiofem.fem import (LinearSystem, Stiffness, _check_columns, apply_dirichlet, assemble,
                            strain_displacement_matrices)
-from cardiofem.materials import MaterialField, constitutive_matrices
+from cardiofem.materials import AngularRegion, Material, MaterialField, constitutive_matrices
 from cardiofem.meshing import triangulate_annulus
 from cardiofem.study import (average_sector_summaries, cycle_strain_analysis,
                              infarct_localization)
@@ -388,3 +393,52 @@ def cli_config_value(spec: dict, value, where: str):
     if choices is not None and value not in choices:
         raise UsageError(f"{where} must be one of {list(choices)}, got {value!r}")
     return value
+
+
+def _region_intervals(region: AngularRegion) -> list[tuple[float, float]]:
+    s = region.start_deg % 360.0
+    e = region.end_deg % 360.0
+    span = (region.end_deg - region.start_deg) % 360.0
+    if span == 0.0:
+        return [(0.0, 360.0)]
+    if s < e:
+        return [(s, e)]
+    return [(s, 360.0), (0.0, e)]
+
+
+def interval_region_material_field(mesh, base: Material, region: AngularRegion,
+                                   center) -> MaterialField:
+    """The former ``region_material_field``: ``region``'s material on the
+    elements whose centroid angle falls in one of the region's intervals."""
+    cen = mesh.triangle_centroids() - np.asarray(center, dtype=float)
+    angles_deg = np.degrees(np.mod(np.arctan2(cen[:, 1], cen[:, 0]), 2.0 * np.pi))
+    inside = np.zeros(mesh.n_triangles, dtype=bool)
+    for s, e in _region_intervals(region):
+        inside |= (angles_deg >= s) & (angles_deg < e)
+    return MaterialField(np.where(inside, region.material.E, base.E),
+                         np.where(inside, region.material.nu, base.nu))
+
+
+def _smoothstep(t):
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * (3.0 - 2.0 * t)
+
+
+def two_branch_wedge_factor(theta_deg, start_deg, end_deg, inert, transition_deg, margin_deg):
+    """The former ``synth._wedge_motion_factor``: ``inert`` on the wedge and
+    its margins, a rise after the wedge and a fall before it, each written
+    into the factor in turn (the fall last), 1 elsewhere."""
+    a = np.mod(theta_deg - start_deg, 360.0)
+    span = (end_deg - start_deg) % 360.0 or 360.0
+    factor = np.ones(len(a))
+    factor[a < span + margin_deg] = inert
+    rise = (a >= span + margin_deg) & (a < span + margin_deg + transition_deg)
+    factor[rise] = inert + (1.0 - inert) * _smoothstep(
+        (a[rise] - span - margin_deg) / transition_deg
+    )
+    factor[a >= 360.0 - margin_deg] = inert
+    fall = (a >= 360.0 - margin_deg - transition_deg) & (a < 360.0 - margin_deg)
+    factor[fall] = inert + (1.0 - inert) * _smoothstep(
+        (360.0 - margin_deg - a[fall]) / transition_deg
+    )
+    return factor

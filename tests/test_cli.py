@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import cardiofem.io as cfio
 from cardiofem import CycleParams, SolverError, cycle_strain_analysis
@@ -45,6 +46,17 @@ def test_synth_deterministic(tmp_path):
                    "--out", str(out)) == 0
     assert (a / "contours.csv").read_bytes() == (b / "contours.csv").read_bytes()
     assert (a / "study.json").read_bytes() == (b / "study.json").read_bytes()
+
+
+def test_synth_expanding_walls(tmp_path):
+    # a negative contraction expands both walls, the outer one by half as
+    # much; at -3 the inner wall stays inside the outer one in every frame
+    out = tmp_path / "expanding"
+    assert run("synth", "--contraction", "-3", "--out", str(out)) == 0
+    study = cfio.read_study(out / "study.json")
+    assert study.n_frames == 20
+    first, last = study.slices[0].frames[0], study.slices[0].frames[-1]
+    assert_allclose(last.inner.points - (128.0, 128.0), 4.0 * (first.inner.points - 128.0))
 
 
 def test_synth_phantom_cycle(tmp_path):
@@ -185,6 +197,9 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     ("synth", ["--contraction", "nan"], "contraction must be finite and below 1, got nan"),
     ("synth", ["--kind", "mi-wedge", "--rotation-deg", "nan"],
      "rotation_deg_total must be finite, got nan"),
+    ("synth", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    ("synth", ["--contraction", "-5"],
+     "contraction -5.0 moves the inner wall out of the outer wall at frame 14"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
                                        command, flags, needle):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cardiofem import GeometryError, StarShapeError
 from cardiofem.contours import (
@@ -19,6 +19,8 @@ from cardiofem.contours import (
     Contour,
     FrameContours,
     RADIUS_TIE_RTOL,
+    _angular_pass,
+    _check_center_inside,
     _is_simple_exact,
     is_simple_polygon,
     rotate_about,
@@ -141,7 +143,7 @@ def test_polygons_off_the_certificate(points, simple, exact_calls):
 
 def test_dense_star_contour_takes_the_linear_path(exact_calls):
     contour = star_contour(2048, radius=25.0, center=(80.0, 60.0), seed=4)
-    assert contour.is_simple()
+    assert is_simple_polygon(contour.points)
     assert is_simple_polygon(contour.points[::-1])
     assert exact_calls == []
 
@@ -275,6 +277,27 @@ def test_walls_match_the_separate_passes(frame, rotation_deg, n, offset):
     else:
         assert np.array_equal(got[0].points, expected[0])
         assert np.array_equal(got[1].points, expected[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(8, 96), seed=st.integers(0, 2**16), amplitude=st.floats(0.0, 0.1),
+       kind=st.sampled_from(["clockwise", "repeated vertex", "both"]), k=st.integers(0, 95),
+       offset=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_star_pass_puts_the_center_inside_its_sorted_polygon(n, seed, amplitude, kind, k,
+                                                             offset):
+    # why the angular sort checks the center only for walls that are not
+    # star-shaped: a star pass, whatever the vertex order and its ties, has
+    # the center off the sorted polygon's edges and inside it
+    center = np.array([40.0, -25.0])
+    pts = star_contour(n, 10.0, center, seed, amplitude).points
+    if kind != "repeated vertex":
+        pts = pts[::-1]
+    if kind != "clockwise":
+        pts = np.insert(pts, k % n, pts[k % n], axis=0)
+    c = center + np.asarray(offset)
+    ap = _angular_pass(Contour(pts, "inner"), c)
+    assume(ap.star)
+    _check_center_inside(pts[ap.perm], c)
 
 
 @pytest.mark.parametrize("center, error", [

@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cardiofem import ConfigurationError, RingSpec
@@ -12,6 +15,8 @@ from cardiofem.materials import (
     region_material_field,
 )
 from cardiofem.phantom import make_ring
+
+from oracles import interval_region_material_field
 
 
 def test_material_invariants():
@@ -106,6 +111,88 @@ def test_region_field_wraparound():
     angles = np.degrees(np.mod(np.arctan2(centroids[:, 1], centroids[:, 0]), 2 * np.pi))
     expected = np.where((angles >= 350.0) | (angles < 10.0), 7.0, 1.0)
     assert np.array_equal(field.E, expected)
+
+
+@functools.lru_cache(maxsize=None)
+def _ring(n_angular, n_radial):
+    return make_ring(RingSpec(1.0, 2.0), n_angular, n_radial)[0]
+
+
+@st.composite
+def _regions(draw):
+    """A ring mesh from 8x1 to 128x16 and a region on it whose ends lie within
+    +-720 degrees: anywhere, on a multiple of the mesh's angular step, or one
+    whole number of turns past the start (the full circle)."""
+    n_angular, n_radial = draw(st.integers(8, 128)), draw(st.integers(1, 16))
+    step = 360.0 / n_angular
+    ends = st.one_of(st.floats(-720.0, 720.0),
+                     st.integers(-2 * n_angular, 2 * n_angular).map(lambda k: k * step))
+    start = draw(ends)
+    end = draw(st.one_of(ends, st.integers(-1, 1).map(lambda turns: start + 360.0 * turns)))
+    return n_angular, n_radial, start, end
+
+
+def _centroid_degrees(mesh, center):
+    cen = mesh.triangle_centroids() - np.asarray(center)
+    return np.degrees(np.mod(np.arctan2(cen[:, 1], cen[:, 0]), 2 * np.pi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regions(), st.sampled_from([(0.0, 0.0), (0.3, -0.2)]))
+def test_region_field_matches_the_interval_oracle(case, center):
+    n_angular, n_radial, start, end = case
+    mesh = _ring(n_angular, n_radial)
+    base, region = Material(1.0, 0.3), AngularRegion(start, end, Material(7.0, 0.2))
+    field = region_material_field(mesh, base, region, center)
+    expected = interval_region_material_field(mesh, base, region, center)
+    if start < end and start % 360.0 == end % 360.0 == 360.0:
+        # both ends lie within rounding below 0, which the oracle's modulo
+        # turns into 360 and so into the full circle
+        expected = MaterialField.uniform(mesh, base)
+    # Compared on every element but those whose centroid angle lies within
+    # rounding of an end: the oracle compares the angle with each end, the
+    # library its offset from the start with the span, and the two round
+    # differently there (a centroid at 224.99999999999997 degrees is inside
+    # the region from -32 to -135 for the oracle, outside for the library).
+    # An angle within rounding below 0 reads 360.0, which none of the
+    # oracle's intervals holds (test_region_seam_and_full_circle_cover_every_element).
+    angles = _centroid_degrees(mesh, center)
+    near = [np.minimum(d, 360.0 - d) < 1e-9 for d in (np.mod(angles - start, 360.0),
+                                                     np.mod(angles - end, 360.0))]
+    clear = ~(near[0] | near[1] | (angles == 360.0))
+    assert np.array_equal(field.E[clear], expected.E[clear])
+    assert np.array_equal(field.nu[clear], expected.nu[clear])
+
+
+def test_region_just_below_zero_is_not_the_full_circle(ring_mesh):
+    # -1e-14 % 360 rounds to 360.0; the former interval list then read this
+    # region, narrower than any element, as the whole ring
+    mesh, _ = ring_mesh
+    region = AngularRegion(-2e-14, -1e-14, Material(9.0, 0.1))
+    field = region_material_field(mesh, Material(3.0, 0.2), region, (0.0, 0.0))
+    assert np.all(field.E == 3.0)
+    former = interval_region_material_field(mesh, Material(3.0, 0.2), region, (0.0, 0.0))
+    assert np.all(former.E == 9.0)
+
+
+def test_region_seam_and_full_circle_cover_every_element():
+    # this ring has one element centroid 1.7e-16 below the x axis through the
+    # center, whose angle reads 360.0; a full circle starting one ulp above
+    # an element's angle puts that angle's offset at -1 ulp, which np.mod
+    # rounds to 360.0
+    mesh, center = _ring(12, 5), (0.3, -0.2)
+    angles = _centroid_degrees(mesh, center)
+    seam = np.flatnonzero(angles == 360.0)
+    assert len(seam) == 1
+    base, stiff = Material(1.0, 0.3), Material(7.0, 0.2)
+    for start in (0.0, 45.0, float(np.nextafter(angles[0], 360.0))):
+        field = region_material_field(mesh, base, AngularRegion(start, start, stiff), center)
+        assert np.all(field.E == 7.0)
+    across = region_material_field(mesh, base, AngularRegion(350.0, 10.0, stiff), center)
+    assert across.E[seam] == 7.0
+    # the former interval list left the seam element out of the full circle
+    former = interval_region_material_field(mesh, base, AngularRegion(0.0, 0.0, stiff), center)
+    assert former.E[seam] == 1.0
 
 
 def test_batch_matrices_match_single(ring_mesh):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import cho_solve_banded
 
 from cardiofem import (
@@ -18,6 +18,7 @@ from cardiofem import (
     normalized_volume_curve,
 )
 from cardiofem.contours import (
+    TWO_PI,
     Contour,
     FrameContours,
     boundary_displacements,
@@ -31,13 +32,15 @@ from cardiofem.phantom import circle_contour
 from cardiofem.strain import SectorSummary, effective_strain, sector_average, strain_field
 from cardiofem.study import (REFERENCE_MODES, Slice, Study, average_sector_summaries,
                              ventricle_volume)
-from cardiofem.synth import HEALTHY_ID, MI_ID, WEDGE, _modulated_study, phantom_cycle_study
+from cardiofem.synth import (HEALTHY_ID, MI_ID, WEDGE, _modulated_study, _wedge_motion_factor,
+                            phantom_cycle_study)
 from cardiofem import contours, fem, io
 from cardiofem import study as study_module
 
 from conftest import circle_frame, solve_one, star_contour
 from oracles import (cli_reference_localization, constraint_values, element_strain,
-                     fold_free_block_solve, nodal_dirichlet, position_conditions)
+                     fold_free_block_solve, nodal_dirichlet, position_conditions,
+                     two_branch_wedge_factor)
 
 
 def _single_slice_study(frames, spacing=8.0, subject="s"):
@@ -133,7 +136,7 @@ def test_volume_rejects_self_intersection():
 
 
 def _count_simplicity_checks(monkeypatch):
-    """Record the size of every O(n^2) simplicity check, wherever the package binds it."""
+    """Record the size of every simplicity check, wherever the package binds it."""
     calls = []
     real = contours.is_simple_polygon
 
@@ -147,16 +150,21 @@ def _count_simplicity_checks(monkeypatch):
     return calls
 
 
-def test_volume_checks_each_contour_once(monkeypatch, tmp_path):
+def test_ingest_and_each_volume_curve_certify_their_walls(monkeypatch, tmp_path):
+    # a contour keeps no verdict: ingest certifies both walls of each frame,
+    # and each volume curve certifies each inner wall again (linear time)
     calls = _count_simplicity_checks(monkeypatch)
     study = healthy_study(seed=3, n_frames=4)
     normalized_volume_curve(study)
     normalized_volume_curve(study)
-    assert len(calls) == 4  # in memory: each inner contour checked once
+    assert calls == [64] * 8
     io.write_study_json(tmp_path / "study.json", study)
     calls.clear()
-    normalized_volume_curve(io.read_study(tmp_path / "study.json"))
-    assert len(calls) == 8  # ingest checks both walls of each frame; volume reuses it
+    read = io.read_study(tmp_path / "study.json")
+    assert calls == [64] * 8
+    calls.clear()
+    normalized_volume_curve(read)
+    assert calls == [64] * 4
 
 
 def test_normalized_curve_constant_study():
@@ -565,6 +573,36 @@ def test_localization_flags_the_wedge_wherever_it_lies(wedge, mode, reference, m
     clear = np.flatnonzero((past >= width + 2 * _WEDGE_REACH) & (past + sector_width <= 360.0))
     assert set(inside.tolist()) <= flagged
     assert not set(clear.tolist()) & flagged
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-1e4, 1e4), span=st.floats(0.0, 326.0), inert=st.floats(0.0, 1.0),
+       n_points=st.integers(8, 4096))
+@example(start=WEDGE[0], span=WEDGE[1] - WEDGE[0], inert=WEDGE[2], n_points=64)
+def test_wedge_factor_matches_the_two_branch_oracle(start, span, inert, n_points):
+    # up to 326 = 360 - 2 * (transition + margin) degrees the former rise and
+    # fall ramps never overlap
+    end = start + span
+    assume(0.0 < (end - start) % 360.0 <= 326.0)
+    theta = np.degrees(TWO_PI * np.arange(n_points) / n_points)
+    wedge = (start, end, inert, *WEDGE[3:])
+    assert np.array_equal(_wedge_motion_factor(theta, *wedge),
+                          two_branch_wedge_factor(theta, *wedge))
+
+
+@pytest.mark.parametrize("span", [340.0, 350.0])
+@pytest.mark.parametrize("start", [0.0, 30.0, 271.5])
+def test_wide_wedge_keeps_its_whole_plateau_inert(start, span):
+    # the inert plateau is the wedge and WEDGE[4] degrees on each side; the
+    # former fall ramp, written last, reached into it from 343 degrees past
+    # the start (into the margin for 340, into the wedge itself for 350)
+    inert, transition, margin = WEDGE[2:]
+    theta = np.degrees(TWO_PI * np.arange(4096) / 4096)
+    factor = _wedge_motion_factor(theta, start, start + span, inert, transition, margin)
+    plateau = np.mod(theta - start + margin, 360.0) < span + 2 * margin
+    assert plateau.sum() > 3800
+    assert np.all(factor[plateau] == inert)
+    assert np.all((factor[~plateau] > inert) & (factor[~plateau] < 1.0))
 
 
 def test_localization_self_reference_no_flags():
