@@ -28,12 +28,17 @@ ANGLE_TIE_TOL = 1e-10
 #: distinct boundary crossings rather than duplicated points.
 RADIUS_TIE_RTOL = 1e-9
 
-CONTOUR_LABELS = ("inner", "outer")
-
 
 class Point2(NamedTuple):
     x: float
     y: float
+
+
+def _read_only(record, **arrays) -> None:
+    """Store each of ``arrays`` on the frozen ``record`` under its name, read-only."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
 
 
 def _as_point(p) -> np.ndarray:
@@ -45,14 +50,13 @@ def _as_point(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed polygon with an inner/outer wall label.
+    """Closed polygon; the ``FrameContours`` slot that holds it names its wall.
 
     The vertex array is copied and frozen at construction; instances are
     immutable and safe to share between threads.
     """
 
     points: np.ndarray
-    label: str
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -64,10 +68,7 @@ class Contour:
             raise GeometryError("contour contains non-finite coordinates")
         if (pts[0] == pts[-1]).all():
             raise GeometryError("closed contours must not repeat the first vertex")
-        if self.label not in CONTOUR_LABELS:
-            raise GeometryError(f"contour label must be one of {CONTOUR_LABELS}")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        _read_only(self, points=pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -84,8 +85,6 @@ class FrameContours:
     def __post_init__(self):
         if self.frame_index < 0:
             raise GeometryError("frame_index must be >= 0")
-        if self.inner.label != "inner" or self.outer.label != "outer":
-            raise GeometryError("frame contours must carry matching inner/outer labels")
         if not np.all(points_in_polygon(self.inner.points, self.outer.points)):
             raise GeometryError("inner contour must lie strictly inside the outer contour")
 
@@ -105,12 +104,12 @@ class BoundaryDisplacements:
     reference_center: Point2
 
     def __post_init__(self):
-        for name in ("inner_positions", "inner_vectors", "outer_positions", "outer_vectors"):
-            arr = np.array(getattr(self, name), dtype=float)
+        names = ("inner_positions", "inner_vectors", "outer_positions", "outer_vectors")
+        arrays = {name: np.array(getattr(self, name), dtype=float) for name in names}
+        for name, arr in arrays.items():
             if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
                 raise GeometryError(f"{name} must be a finite (n, 2) array")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _read_only(self, **arrays)
         if len(self.inner_positions) != len(self.inner_vectors):
             raise GeometryError("inner positions/vectors length mismatch")
         if len(self.outer_positions) != len(self.outer_vectors):
@@ -352,7 +351,7 @@ def _resample(contour: Contour, c: np.ndarray, ap: _AngularPass, n: int) -> Cont
     grid = TWO_PI * np.arange(n) / n
     r = np.interp(grid, th, radii, period=TWO_PI)
     out = c + r[:, None] * np.column_stack([np.cos(grid), np.sin(grid)])
-    return Contour(out, contour.label)
+    return Contour(out)
 
 
 def resample_uniform_angle(contour: Contour, center, n: int) -> Contour:
@@ -384,15 +383,15 @@ def uniform_angle_walls(
     walls = (frame.inner, frame.outer)
     if rotation_deg is not None:
         derot = math.radians(rotation_deg)
-        walls = tuple(Contour(rotate_about(w.points, c, derot), w.label) for w in walls)
+        walls = tuple(Contour(rotate_about(w.points, c, derot)) for w in walls)
     # Checked on the walls that are resampled, so that the check and the
     # resampling share one angular pass; a rotation about the center keeps
     # a wall star-shaped.
     passes = [_angular_pass(w, c) for w in walls]
-    for wall, ap in zip(walls, passes):
+    for label, ap in zip(("inner", "outer"), passes):
         if not ap.star:
             raise StarShapeError("contour is not star-shaped about the reference center "
-                                 f"(frame {frame.frame_index} {wall.label})")
+                                 f"(frame {frame.frame_index} {label})")
     return tuple(_resample(w, c, ap, n) for w, ap in zip(walls, passes))
 
 

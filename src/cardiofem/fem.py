@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contours import BoundaryDisplacements
+from .contours import BoundaryDisplacements, _read_only
 from .errors import ConfigurationError, GeometryError, MeshError, SolverError
 from .materials import MaterialField, constitutive_matrices
 from .meshing import Mesh
@@ -112,8 +112,7 @@ class DisplacementField:
             raise SolverError("displacement values must be (V, 2)")
         if not np.all(np.isfinite(vals)):
             raise SolverError("displacement field contains non-finite values")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _read_only(self, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +278,7 @@ def apply_traction(system: LinearSystem, tractions, mesh: Mesh) -> LinearSystem:
     loaded edge contributes length * traction / 2 to both endpoints. Apply
     tractions before :func:`apply_dirichlet` so its load correction sees them.
     """
-    boundary = {frozenset(map(int, e)) for e in mesh.boundary_edges}
+    boundary = {frozenset(e) for e in np.concatenate([mesh.inner_edges, mesh.outer_edges]).tolist()}
     f = system.load.copy()
     for (a, b), (tx, ty) in sorted(tractions.items()):
         a, b = int(a), int(b)
@@ -300,12 +299,8 @@ def internal_pressure_tractions(mesh: Mesh, pressure: float) -> dict:
     The traction on each inner edge is the pressure times the unit normal
     pointing into the wall (away from the cavity).
     """
-    labels = np.array(mesh.boundary_labels)
     tractions = {}
-    for (a, b), lab in zip(mesh.boundary_edges, labels):
-        if lab != "inner":
-            continue
-        a, b = int(a), int(b)
+    for a, b in mesh.inner_edges.tolist():
         e = mesh.nodes[b] - mesh.nodes[a]
         length = float(np.linalg.norm(e))
         if length == 0.0:

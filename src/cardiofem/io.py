@@ -224,7 +224,7 @@ def _build_study(data, where: str, declared_by: str) -> Study:
             walls = []
             for label in ("inner", "outer"):
                 try:
-                    walls.append(Contour(np.asarray(fr[label], dtype=float), label))
+                    walls.append(Contour(np.asarray(fr[label], dtype=float)))
                 except GeometryError as exc:
                     raise GeometryError(f"{at} {label}: {exc}") from None
                 except (TypeError, ValueError) as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import TWO_PI, _as_point
+from .contours import TWO_PI, _as_point, _read_only
 from .errors import ConfigurationError
 from .meshing import Mesh
 
@@ -69,10 +69,7 @@ class MaterialField:
             raise ConfigurationError("all element E values must be finite and positive")
         if np.any(~np.isfinite(nu)) or np.any(nu < 0.0) or np.any(nu >= 0.5):
             raise ConfigurationError("all element nu values must be in [0, 0.5)")
-        e.setflags(write=False)
-        nu.setflags(write=False)
-        object.__setattr__(self, "E", e)
-        object.__setattr__(self, "nu", nu)
+        _read_only(self, E=e, nu=nu)
 
     @property
     def n_elements(self) -> int:

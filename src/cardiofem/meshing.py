@@ -4,7 +4,7 @@ The mesh interpolates ``n_radial + 1`` node layers between angularly matched
 inner and outer contour samples and splits each quad into two triangles along
 the diagonal anchored at the node with the lower (angular, radial) indices.
 The construction is deterministic, all triangles are counter-clockwise, and
-the inner/outer boundary loops are labeled by layer.
+the inner and outer boundary loops are the edges of the first and last layer.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import Contour
+from .contours import Contour, _read_only
 from .errors import GeometryError, MeshError
 
 #: Minimum interior angle (degrees) below which validate() warns.
@@ -22,36 +22,30 @@ QUALITY_ANGLE_DEG = 15.0
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangle mesh of an annulus with labeled boundary edges."""
+    """Immutable triangle mesh of an annulus with its two boundary loops."""
 
     nodes: np.ndarray          # (V, 2) float
     triangles: np.ndarray      # (F, 3) int, counter-clockwise
-    boundary_edges: np.ndarray  # (B, 2) int node pairs, loop traversal order
-    boundary_labels: tuple[str, ...]  # per edge, "inner" or "outer"
+    inner_edges: np.ndarray    # (B, 2) int node pairs of the inner loop, traversal order
+    outer_edges: np.ndarray    # (B, 2) int node pairs of the outer loop, traversal order
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
         tris = np.array(self.triangles, dtype=np.int64)
-        edges = np.array(self.boundary_edges, dtype=np.int64)
+        loops = {name: np.array(getattr(self, name), dtype=np.int64)
+                 for name in ("inner_edges", "outer_edges")}
         if nodes.ndim != 2 or nodes.shape[1] != 2 or not np.all(np.isfinite(nodes)):
             raise MeshError("nodes must be a finite (V, 2) array")
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise MeshError("triangles must be (F, 3)")
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise MeshError("boundary_edges must be (B, 2)")
-        if len(edges) != len(self.boundary_labels):
-            raise MeshError("boundary edge/label length mismatch")
-        for lab in self.boundary_labels:
-            if lab not in ("inner", "outer"):
-                raise MeshError(f"unknown boundary label {lab!r}")
         if len(tris) and (tris.min() < 0 or tris.max() >= len(nodes)):
             raise MeshError("triangle node index out of range")
-        if len(edges) and (edges.min() < 0 or edges.max() >= len(nodes)):
-            raise MeshError("boundary edge node index out of range")
-        for arr, name in ((nodes, "nodes"), (tris, "triangles"), (edges, "boundary_edges")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "boundary_labels", tuple(self.boundary_labels))
+        for name, edges in loops.items():
+            if edges.ndim != 2 or edges.shape[1] != 2:
+                raise MeshError(f"{name} must be (B, 2)")
+            if len(edges) and (edges.min() < 0 or edges.max() >= len(nodes)):
+                raise MeshError(f"{name} node index out of range")
+        _read_only(self, nodes=nodes, triangles=tris, **loops)
 
     @property
     def n_nodes(self) -> int:
@@ -90,9 +84,8 @@ class Mesh:
         return np.unique(pairs, axis=0)
 
     def boundary_nodes(self, label: str) -> np.ndarray:
-        """Sorted unique node indices on the named boundary loop."""
-        mask = np.array([lab == label for lab in self.boundary_labels])
-        return np.unique(self.boundary_edges[mask])
+        """Sorted unique node indices on the "inner" or "outer" boundary loop."""
+        return np.unique({"inner": self.inner_edges, "outer": self.outer_edges}[label])
 
 
 @dataclass(frozen=True)
@@ -155,11 +148,8 @@ def triangulate_annulus(inner: Contour, outer: Contour, n_angular: int, n_radial
     d = a + n_angular
     triangles = np.stack([a, d, cc, a, cc, b], axis=1).reshape(-1, 3)
 
-    last = n_radial * n_angular
-    edges = np.concatenate([np.column_stack([j, jp]), np.column_stack([last + j, last + jp])])
-    labels = ("inner",) * n_angular + ("outer",) * n_angular
-
-    mesh = Mesh(nodes, triangles, edges, labels)
+    inner_edges = np.column_stack([j, jp])
+    mesh = Mesh(nodes, triangles, inner_edges, inner_edges + n_radial * n_angular)
     if np.any(mesh.triangle_areas() <= 0.0):
         raise GeometryError(
             "non-positive triangle area: contours cross or are inconsistently ordered"
@@ -205,11 +195,9 @@ def validate(mesh: Mesh) -> ValidationReport:
     checks.append(CheckResult("positive_areas", n_bad == 0,
                               f"{n_bad} of {mesh.n_triangles} triangles non-positive"))
 
-    labels = np.array(mesh.boundary_labels)
     loops_ok = True
     details = []
-    for lab in ("inner", "outer"):
-        edges = mesh.boundary_edges[labels == lab]
+    for lab, edges in (("inner", mesh.inner_edges), ("outer", mesh.outer_edges)):
         closed = _boundary_loop_closed(edges)
         loops_ok &= closed
         details.append(f"{lab}: {'closed' if closed else 'broken'} ({len(edges)} edges)")

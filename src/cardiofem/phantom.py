@@ -29,13 +29,13 @@ from .meshing import CheckResult, triangulate_annulus
 from .strain import SectorSummary, sector_average, strain_field
 
 
-def circle_contour(radius: float, center, n: int, label: str) -> Contour:
+def circle_contour(radius: float, center, n: int) -> Contour:
     if radius <= 0.0:
         raise GeometryError(f"circle radius must be positive, got {radius}")
     c = np.asarray(center, dtype=float).reshape(2)
     theta = TWO_PI * np.arange(n) / n
     pts = c + radius * np.column_stack([np.cos(theta), np.sin(theta)])
-    return Contour(pts, label)
+    return Contour(pts)
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class RingSpec:
 
 def make_ring(spec: RingSpec, n_angular: int = 64, n_radial: int = 8):
     """Mesh the ring and give every element the spec's material."""
-    inner = circle_contour(spec.inner_radius, spec.center, n_angular, "inner")
-    outer = circle_contour(spec.outer_radius, spec.center, n_angular, "outer")
+    inner = circle_contour(spec.inner_radius, spec.center, n_angular)
+    outer = circle_contour(spec.outer_radius, spec.center, n_angular)
     mesh = triangulate_annulus(inner, outer, n_angular, n_radial)
     return mesh, MaterialField.uniform(mesh, spec.material)
 
@@ -152,13 +152,13 @@ def pressure_load_cycle(spec: RingSpec, pressures, n_points: int = 64) -> list[F
     """Wall contours of the homogeneous ring under each of ``pressures``
     (frame k under ``pressures[k]``), the circles displaced by the closed-form
     solution."""
-    inner0 = circle_contour(spec.inner_radius, spec.center, n_points, "inner")
-    outer0 = circle_contour(spec.outer_radius, spec.center, n_points, "outer")
+    inner0 = circle_contour(spec.inner_radius, spec.center, n_points)
+    outer0 = circle_contour(spec.outer_radius, spec.center, n_points)
     unit_inner = lame_displacement_at(spec, 1.0, inner0.points)
     unit_outer = lame_displacement_at(spec, 1.0, outer0.points)
     return [
-        FrameContours(k, Contour(inner0.points + p * unit_inner, "inner"),
-                      Contour(outer0.points + p * unit_outer, "outer"))
+        FrameContours(k, Contour(inner0.points + p * unit_inner),
+                      Contour(outer0.points + p * unit_outer))
         for k, p in enumerate(pressures)
     ]
 
@@ -200,8 +200,8 @@ def _pipeline_values(mesh, disp, n_points: int) -> np.ndarray:
     """The values the contour pipeline reads off the walls deformed by ``disp``."""
     (inner, outer), (du_inner, du_outer) = _walls(mesh, mesh.nodes), _walls(mesh, disp.values)
     bd = boundary_displacements(
-        FrameContours(0, Contour(inner, "inner"), Contour(outer, "outer")),
-        FrameContours(1, Contour(inner + du_inner, "inner"), Contour(outer + du_outer, "outer")),
+        FrameContours(0, Contour(inner), Contour(outer)),
+        FrameContours(1, Contour(inner + du_inner), Contour(outer + du_outer)),
         n_points,
     )
     return boundary_conditions_from_displacements(mesh, bd)[1]
@@ -275,6 +275,9 @@ def verify_ring(
         raise UsageError(
             f"n_points must be divisible by 4 for the traction solve's pin layout, got {n_points}"
         )
+    if n_sectors > 2 * n_points * n_radial:
+        raise UsageError(f"sectors must be at most the base ring's element count "
+                         f"{2 * n_points * n_radial}, got {n_sectors}")
     resolutions = ((n_points // 2, max(n_radial // 2, 1)), (n_points, n_radial),
                    (n_points * 2, n_radial * 2))
     with forked([functools.partial(_fine_ring, spec, *resolutions[2])]) as fine:

@@ -15,11 +15,11 @@ out-of-plane components) into one non-negative deformation intensity:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .contours import TWO_PI, _as_point
+from .contours import TWO_PI, _as_point, _read_only
 from .errors import GeometryError
 from .fem import DisplacementField, _element_matrices
 from .meshing import Mesh
@@ -35,12 +35,11 @@ class StrainField:
     effective: np.ndarray
 
     def __post_init__(self):
-        for name in ("eps_x", "eps_y", "gamma_xy", "effective"):
-            arr = np.array(getattr(self, name), dtype=float)
+        arrays = {f.name: np.array(getattr(self, f.name), dtype=float) for f in fields(self)}
+        for name, arr in arrays.items():
             if arr.ndim != 1 or not np.all(np.isfinite(arr)):
                 raise GeometryError(f"{name} must be a finite 1D array")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _read_only(self, **arrays)
 
     @property
     def n_elements(self) -> int:
@@ -49,22 +48,20 @@ class StrainField:
 
 @dataclass(frozen=True)
 class SectorSummary:
-    """Per-sector means of displacement magnitude and effective strain."""
+    """Per-sector means of displacement magnitude and effective strain, and element counts."""
 
-    n_sectors: int
     mean_displacement: np.ndarray
     mean_effective: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        md = np.array(self.mean_displacement, dtype=float)
-        me = np.array(self.mean_effective, dtype=float)
-        ct = np.array(self.counts, dtype=np.int64)
-        if not (len(md) == len(me) == len(ct) == self.n_sectors):
-            raise GeometryError("sector summary arrays must all have n_sectors entries")
-        for arr, name in ((md, "mean_displacement"), (me, "mean_effective"), (ct, "counts")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _read_only(self, mean_displacement=np.array(self.mean_displacement, dtype=float),
+                   mean_effective=np.array(self.mean_effective, dtype=float),
+                   counts=np.array(self.counts, dtype=np.int64))
+
+    @property
+    def n_sectors(self) -> int:
+        return len(self.counts)
 
 
 def effective_strain(eps_x, eps_y, gamma_xy, nu):
@@ -155,9 +152,4 @@ def sector_average(
     sum_disp = np.bincount(sectors, weights=disp_mag, minlength=n_sectors)
     sum_eff = np.bincount(sectors, weights=strain.effective, minlength=n_sectors)
     denom = np.maximum(counts, 1)
-    return SectorSummary(
-        n_sectors=n_sectors,
-        mean_displacement=sum_disp / denom,
-        mean_effective=sum_eff / denom,
-        counts=counts,
-    )
+    return SectorSummary(sum_disp / denom, sum_eff / denom, counts)

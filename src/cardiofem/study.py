@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .contours import (FrameContours, boundary_displacements, centroid, is_simple_polygon,
-                       polygon_area, uniform_angle_walls)
+from .contours import (FrameContours, _read_only, boundary_displacements, centroid,
+                       is_simple_polygon, polygon_area, uniform_angle_walls)
 from .errors import ConfigurationError, GeometryError, SolverError
 from .fem import (DisplacementField, LinearSystem, assemble, boundary_conditions_from_displacements,
                   boundary_dof_map, solve)
@@ -97,16 +97,16 @@ class Study:
 
 @dataclass(frozen=True)
 class VolumeCurve:
-    """Raw and frame-0-normalized cavity volumes over the cycle."""
+    """Cavity volumes over the cycle, raw and normalized by frame 0's."""
 
     raw: np.ndarray
-    normalized: np.ndarray
 
     def __post_init__(self):
-        for name in ("raw", "normalized"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _read_only(self, raw=np.array(self.raw, dtype=float))
+
+    @property
+    def normalized(self) -> np.ndarray:
+        return self.raw / self.raw[0]
 
     @property
     def min_over_max(self) -> float:
@@ -132,6 +132,9 @@ class CycleParams:
             raise ConfigurationError("n_radial must be >= 1")
         if self.n_sectors < 1:
             raise ConfigurationError("n_sectors must be >= 1")
+        if self.n_sectors > 2 * self.n_points * self.n_radial:
+            raise ConfigurationError(f"n_sectors must be at most the mesh's element count "
+                                     f"{2 * self.n_points * self.n_radial}, got {self.n_sectors}")
         if not np.isfinite(self.rotation_deg_total):
             raise ConfigurationError(
                 f"rotation_deg_total must be finite, got {self.rotation_deg_total!r}")
@@ -164,19 +167,22 @@ class FrameResult:
 
 @dataclass(frozen=True)
 class LocalizationResult:
-    """Per-sector infarct flags plus the strain matrices behind them."""
+    """A localization's strain matrices and threshold, and the sector flags they give."""
 
-    flags: tuple[str, ...]  # "normal" | "suspected-infarct"
     subject_strain: np.ndarray    # (frames, sectors) sector-mean effective strain
     reference_strain: np.ndarray
     tau: float
 
     def __post_init__(self):
-        for name in ("subject_strain", "reference_strain"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "flags", tuple(self.flags))
+        _read_only(self, subject_strain=np.array(self.subject_strain, dtype=float),
+                   reference_strain=np.array(self.reference_strain, dtype=float))
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """Per sector "suspected-infarct" if its mean strain is below tau times the reference's."""
+        subj, ref = self.subject_strain.mean(axis=0), self.reference_strain.mean(axis=0)
+        return tuple("suspected-infarct" if s < self.tau * r else "normal"
+                     for s, r in zip(subj, ref))
 
     @property
     def suspected_sectors(self) -> tuple[int, ...]:
@@ -211,7 +217,7 @@ def normalized_volume_curve(study: Study) -> VolumeCurve:
     raw = np.array([ventricle_volume(study, k) for k in range(study.n_frames)])
     if raw[0] == 0.0:
         raise GeometryError("degenerate study: zero volume at frame 0")
-    return VolumeCurve(raw, raw / raw[0])
+    return VolumeCurve(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +317,6 @@ def average_sector_summaries(
         if len(widths) != 1:
             raise ConfigurationError(f"inconsistent sector counts: {widths}")
         out.append(SectorSummary(
-            n_sectors=per_frame[0].n_sectors,
             mean_displacement=np.mean([s.mean_displacement for s in per_frame], axis=0),
             mean_effective=np.mean([s.mean_effective for s in per_frame], axis=0),
             counts=per_frame[0].counts))
@@ -339,11 +344,7 @@ def infarct_localization(
         raise ConfigurationError(
             f"subject {subj.shape} and reference {ref.shape} summaries do not match"
         )
-    subj_avg = subj.mean(axis=0)
-    ref_avg = ref.mean(axis=0)
-    flags = tuple("suspected-infarct" if s < tau * r else "normal"
-                  for s, r in zip(subj_avg, ref_avg))
-    return LocalizationResult(flags, subj, ref, tau)
+    return LocalizationResult(subj, ref, tau)
 
 
 def reference_localization(results: Sequence[FrameResult], references: Sequence[Study],

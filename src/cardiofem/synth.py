@@ -131,8 +131,9 @@ def _modulated_study(subject_id, wedge, seed, n_frames, n_points, n_slices,
                 healthy_out = rotate_about(healthy_out, c, rot)
             pts_in = inner0 + factor[:, None] * (healthy_in - inner0)
             pts_out = outer0 + factor[:, None] * (healthy_out - outer0)
+            walls = Contour(pts_in), Contour(pts_out)
             try:
-                frames.append(FrameContours(k, Contour(pts_in, "inner"), Contour(pts_out, "outer")))
+                frames.append(FrameContours(k, *walls))
             except GeometryError:
                 raise ConfigurationError(f"contraction {contraction!r} moves the inner wall out "
                                          f"of the outer wall at frame {k}") from None

@@ -10,8 +10,7 @@ from cardiofem.fem import solve
 TWO_PI = 2.0 * math.pi
 
 
-def star_contour(n=32, radius=10.0, center=(0.0, 0.0), seed=None, amplitude=0.05,
-                 label="inner"):
+def star_contour(n=32, radius=10.0, center=(0.0, 0.0), seed=None, amplitude=0.05):
     """Star-shaped test contour; modes 2..5 keep the vertex centroid at center."""
     theta = TWO_PI * np.arange(n) / n
     r = np.full(n, radius)
@@ -24,14 +23,14 @@ def star_contour(n=32, radius=10.0, center=(0.0, 0.0), seed=None, amplitude=0.05
     pts = np.asarray(center, dtype=float) + r[:, None] * np.column_stack(
         [np.cos(theta), np.sin(theta)]
     )
-    return Contour(pts, label)
+    return Contour(pts)
 
 
 def circle_frame(frame_index=0, inner_r=1.0, outer_r=2.0, n=32, center=(0.0, 0.0)):
     return FrameContours(
         frame_index,
-        star_contour(n, inner_r, center, label="inner"),
-        star_contour(n, outer_r, center, label="outer"),
+        star_contour(n, inner_r, center),
+        star_contour(n, outer_r, center),
     )
 
 

@@ -217,8 +217,8 @@ def test_ac8_volume_analytics():
         frames.append(
             FrameContours(
                 k,
-                circle_contour(10.0 * factor, (0.0, 0.0), 64, "inner"),
-                circle_contour(30.0, (0.0, 0.0), 64, "outer"),
+                circle_contour(10.0 * factor, (0.0, 0.0), 64),
+                circle_contour(30.0, (0.0, 0.0), 64),
             )
         )
     study = Study("shrink", (Slice(index=0, frames=tuple(frames)),), spacing=7.0)

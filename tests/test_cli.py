@@ -200,6 +200,10 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     ("synth", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ("synth", ["--contraction", "-5"],
      "contraction -5.0 moves the inner wall out of the outer wall at frame 14"),
+    ("synth", ["--n-points", "2"], "contour needs at least 3 points"),
+    ("synth", ["--n-points", "1"], "contour needs at least 3 points"),
+    # one more sector than the 64x8 mesh has elements
+    ("analyze", ["--sectors", "1025"], "n_sectors must be at most the mesh's element count 1024"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
                                        command, flags, needle):
@@ -812,6 +816,16 @@ def test_phantom_verify_needs_two_sectors(tmp_path, capsys):
     assert run("phantom-verify", "--sectors", "1", "--n-points", "16", "--n-radial", "2",
                "--out", str(tmp_path / "pv")) == 2
     assert "sectors must be at least 2" in _single_error_line(capsys)
+
+
+def test_phantom_verify_takes_no_more_sectors_than_base_elements(tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "pv"
+    assert run("phantom-verify", "--sectors", "65", "--n-points", "16", "--n-radial", "2",
+               "--out", str(out)) == 2
+    assert _single_error_line(capsys) == (
+        "error: sectors must be at most the base ring's element count 64, got 65")
+    assert not out.exists()
 
 
 def test_phantom_verify_needs_n_points_divisible_by_4(tmp_path, capsys):

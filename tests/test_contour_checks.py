@@ -224,15 +224,15 @@ def _old_resample(contour, c, n):
 
 
 def _old_walls(frame, c, n, rotation_deg, context):
-    for wall in (frame.inner, frame.outer):
+    for label, wall in (("inner", frame.inner), ("outer", frame.outer)):
         if not _old_is_star_shaped(wall, c):
             raise StarShapeError(
-                f"contour is not star-shaped about the reference center ({context} {wall.label})"
+                f"contour is not star-shaped about the reference center ({context} {label})"
             )
     walls = (frame.inner.points, frame.outer.points)
     if rotation_deg is not None:
         walls = [rotate_about(w, c, math.radians(rotation_deg)) for w in walls]
-    return tuple(_old_resample(Contour(w, "inner"), c, n) for w in walls)
+    return tuple(_old_resample(Contour(w), c, n) for w in walls)
 
 
 def _outcome(fn, *args):
@@ -248,8 +248,8 @@ def frames(draw):
     seed = draw(st.integers(0, 2**16))
     amplitude = draw(st.floats(0.0, 0.1))
     center = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
-    inner = star_contour(n, 10.0, center, seed, amplitude, "inner").points
-    outer = star_contour(n + 3, 20.0, center, seed + 1, amplitude, "outer").points
+    inner = star_contour(n, 10.0, center, seed, amplitude).points
+    outer = star_contour(n + 3, 20.0, center, seed + 1, amplitude).points
     if draw(st.booleans()):
         inner = inner[::-1]
     if draw(st.booleans()):
@@ -261,7 +261,7 @@ def frames(draw):
         k = draw(st.integers(2, n - 1))
         inner = inner.copy()
         inner[k] = inner[k - 2] + 0.2 * (inner[k - 2] - np.asarray(center))
-    return FrameContours(0, Contour(inner, "inner"), Contour(outer, "outer"))
+    return FrameContours(0, Contour(inner), Contour(outer))
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,7 +295,7 @@ def test_star_pass_puts_the_center_inside_its_sorted_polygon(n, seed, amplitude,
     if kind != "clockwise":
         pts = np.insert(pts, k % n, pts[k % n], axis=0)
     c = center + np.asarray(offset)
-    ap = _angular_pass(Contour(pts, "inner"), c)
+    ap = _angular_pass(Contour(pts), c)
     assume(ap.star)
     _check_center_inside(pts[ap.perm], c)
 
@@ -317,7 +317,7 @@ def test_tied_vertices_unchanged(scale):
     # another radius is a second crossing of the ray
     inner = star_contour(16, 1.0, seed=3).points
     inner = np.insert(inner, 4, scale * inner[3], axis=0)
-    frame = FrameContours(0, Contour(inner, "inner"), star_contour(16, 2.0, label="outer"))
+    frame = FrameContours(0, Contour(inner), star_contour(16, 2.0))
     c = np.zeros(2)
     expected = _outcome(_old_walls, frame, c, 24, 0.0, f"frame {frame.frame_index}")
     got = _outcome(uniform_angle_walls, frame, c, 24, 0.0)
@@ -337,7 +337,7 @@ def test_one_angular_pass_per_wall(monkeypatch):
         contours, "_distance_to_edges", lambda rel: calls.append(len(rel)) or distance(rel)
     )
     frame = FrameContours(
-        3, star_contour(64, 10.0, seed=1), star_contour(64, 20.0, seed=2, label="outer")
+        3, star_contour(64, 10.0, seed=1), star_contour(64, 20.0, seed=2)
     )
     inner, outer = uniform_angle_walls(frame, (0.0, 0.0), 128, rotation_deg=2.0)
     # the star check measures each wall's distance to the center once; the
@@ -355,7 +355,7 @@ def test_outer_star_check_comes_before_any_resampling(tied_inner, n):
         inner = np.insert(inner, 4, 1.1 * inner[3], axis=0)
     outer = star_contour(16, 2.0, seed=4).points.copy()
     outer[5] = 1.2 * outer[3]  # moved back past its predecessor
-    frame = FrameContours(7, Contour(inner, "inner"), Contour(outer, "outer"))
+    frame = FrameContours(7, Contour(inner), Contour(outer))
     with pytest.raises(StarShapeError) as err:
         uniform_angle_walls(frame, (0.0, 0.0), n)
     assert str(err.value) == (

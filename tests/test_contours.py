@@ -28,14 +28,12 @@ TWO_PI = 2.0 * math.pi
 
 def test_contour_validation():
     with pytest.raises(GeometryError):
-        Contour(np.array([[0.0, 0.0], [1.0, 0.0]]), "inner")
+        Contour(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(GeometryError):
-        Contour(np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]]), "inner")
-    with pytest.raises(GeometryError):
-        Contour(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), "wall")
+        Contour(np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]]))
     with pytest.raises(GeometryError):
         # repeated closing vertex
-        Contour(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), "inner")
+        Contour(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_contour_points_immutable():
@@ -49,7 +47,7 @@ def test_contour_points_immutable():
 
 
 def test_centroid_unit_square():
-    c = Contour(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), "inner")
+    c = Contour(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     assert centroid(c) == (0.5, 0.5)
 
 
@@ -64,7 +62,7 @@ def test_centroid_circle_samples():
 )
 def test_centroid_translation_equivariant(dx, dy):
     base = star_contour(20, seed=1)
-    moved = Contour(base.points + np.array([dx, dy]), "inner")
+    moved = Contour(base.points + np.array([dx, dy]))
     c0 = np.asarray(centroid(base))
     c1 = np.asarray(centroid(moved))
     assert_allclose(c1, c0 + np.array([dx, dy]), atol=1e-9)
@@ -73,7 +71,7 @@ def test_centroid_translation_equivariant(dx, dy):
 def test_centroid_permutation_invariant():
     base = star_contour(24, seed=3, center=(7.0, -3.0))
     rng = np.random.default_rng(0)
-    shuffled = Contour(base.points[rng.permutation(len(base))], "inner")
+    shuffled = Contour(base.points[rng.permutation(len(base))])
     assert_allclose(np.asarray(centroid(shuffled)), np.asarray(centroid(base)), atol=1e-12)
 
 
@@ -82,11 +80,11 @@ def test_centroid_permutation_invariant():
 
 
 def _ordered(contour, center):
-    return Contour(contour.points[angular_permutation(contour, center)], contour.label)
+    return Contour(contour.points[angular_permutation(contour, center)])
 
 
 def test_order_by_angle_cardinal_points():
-    c = Contour(np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), "inner")
+    c = Contour(np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]))
     assert angular_permutation(c, (0.0, 0.0)).tolist() == [1, 0, 2, 3]
 
 
@@ -99,7 +97,7 @@ def test_order_by_angle_idempotent():
 def test_order_by_angle_shuffle_invariant(seed):
     base = star_contour(32, seed=7)
     rng = np.random.default_rng(seed)
-    shuffled = Contour(base.points[rng.permutation(len(base))], "inner")
+    shuffled = Contour(base.points[rng.permutation(len(base))])
     assert_allclose(
         _ordered(shuffled, (0.0, 0.0)).points, _ordered(base, (0.0, 0.0)).points
     )
@@ -126,14 +124,14 @@ def test_order_by_angle_center_on_boundary():
 
 def test_order_by_angle_duplicate_angle_distinct_radius():
     pts = star_contour(16, radius=1.0).points
-    bad = Contour(np.vstack([pts, [2.0, 0.0]]), "inner")  # second point at angle 0
+    bad = Contour(np.vstack([pts, [2.0, 0.0]]))  # second point at angle 0
     with pytest.raises(StarShapeError):
         angular_permutation(bad, (0.0, 0.0))
 
 
 def test_duplicate_point_tolerated():
     pts = star_contour(16, radius=1.0).points
-    dup = Contour(np.vstack([pts, pts[3]]), "inner")
+    dup = Contour(np.vstack([pts, pts[3]]))
     assert len(angular_permutation(dup, (0.0, 0.0))) == 17
 
 
@@ -152,15 +150,15 @@ def test_is_star_shaped_circle():
 def test_is_star_shaped_rejects_backtracking():
     theta = np.array([0.0, 0.8, 0.4, 1.6, 2.4, 3.2, 4.0, 4.8, 5.6])
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    assert not _star(Contour(pts, "inner"), (0.0, 0.0))
-    frame = FrameContours(4, Contour(pts, "inner"), star_contour(16, 2.0, label="outer"))
+    assert not _star(Contour(pts), (0.0, 0.0))
+    frame = FrameContours(4, Contour(pts), star_contour(16, 2.0))
     with pytest.raises(StarShapeError, match=r"reference center \(frame 4 inner\)$"):
         uniform_angle_walls(frame, (0.0, 0.0), 16)
 
 
 def test_is_star_shaped_clockwise_ok():
     c = star_contour(16)
-    reversed_pts = Contour(c.points[::-1], "inner")
+    reversed_pts = Contour(c.points[::-1])
     assert _star(reversed_pts, (0.0, 0.0))
 
 
@@ -193,7 +191,7 @@ def test_resample_ellipse_against_polar_formula():
     a, b, n_in, n_out = 2.0, 1.0, 512, 64
     theta = TWO_PI * np.arange(n_in) / n_in
     pts = np.column_stack([a * np.cos(theta), b * np.sin(theta)])
-    out = resample_uniform_angle(Contour(pts, "inner"), (0.0, 0.0), n_out)
+    out = resample_uniform_angle(Contour(pts), (0.0, 0.0), n_out)
     phi = TWO_PI * np.arange(n_out) / n_out
     analytic = a * b / np.sqrt((b * np.cos(phi)) ** 2 + (a * np.sin(phi)) ** 2)
     radii = np.linalg.norm(out.points, axis=1)
@@ -219,14 +217,14 @@ def test_boundary_displacements_identity():
 
 
 def test_boundary_displacements_uniform_contraction():
-    inner = star_contour(32, 1.0, seed=4, label="inner")
-    outer = star_contour(32, 2.0, seed=5, label="outer")
+    inner = star_contour(32, 1.0, seed=4)
+    outer = star_contour(32, 2.0, seed=5)
     f0 = FrameContours(0, inner, outer)
     c = np.asarray(centroid(inner))
     f1 = FrameContours(
         1,
-        Contour(c + 0.9 * (inner.points - c), "inner"),
-        Contour(c + 0.9 * (outer.points - c), "outer"),
+        Contour(c + 0.9 * (inner.points - c)),
+        Contour(c + 0.9 * (outer.points - c)),
     )
     bd = boundary_displacements(f0, f1, 64)
     for pos, vec in ((bd.inner_positions, bd.inner_vectors),
@@ -243,8 +241,8 @@ def test_boundary_displacements_rotation_compensation():
     rot = -math.radians(7.0)  # 7 degrees clockwise
     f1 = FrameContours(
         1,
-        Contour(rotate_about(f0.inner.points, c, rot), "inner"),
-        Contour(rotate_about(f0.outer.points, c, rot), "outer"),
+        Contour(rotate_about(f0.inner.points, c, rot)),
+        Contour(rotate_about(f0.outer.points, c, rot)),
     )
     bd = boundary_displacements(f0, f1, 32, rotation_deg=7.0)
     assert np.max(np.abs(bd.inner_vectors)) < 1e-9
@@ -253,20 +251,20 @@ def test_boundary_displacements_rotation_compensation():
 
 @pytest.mark.parametrize("theta_deg", [3.0, 7.0, 15.0])
 def test_boundary_displacements_rotation_invariance(theta_deg):
-    inner = star_contour(32, 1.0, seed=6, label="inner")
-    outer = star_contour(32, 2.0, seed=8, label="outer")
+    inner = star_contour(32, 1.0, seed=6)
+    outer = star_contour(32, 2.0, seed=8)
     f0 = FrameContours(0, inner, outer)
     c = np.asarray(centroid(inner))
     deformed = FrameContours(
         1,
-        Contour(c + 0.93 * (inner.points - c), "inner"),
-        Contour(c + 0.96 * (outer.points - c), "outer"),
+        Contour(c + 0.93 * (inner.points - c)),
+        Contour(c + 0.96 * (outer.points - c)),
     )
     rot = -math.radians(theta_deg)
     rotated = FrameContours(
         1,
-        Contour(rotate_about(deformed.inner.points, c, rot), "inner"),
-        Contour(rotate_about(deformed.outer.points, c, rot), "outer"),
+        Contour(rotate_about(deformed.inner.points, c, rot)),
+        Contour(rotate_about(deformed.outer.points, c, rot)),
     )
     plain = boundary_displacements(f0, deformed, 32, rotation_deg=0.0)
     comp = boundary_displacements(f0, rotated, 32, rotation_deg=theta_deg)
@@ -278,23 +276,16 @@ def test_boundary_displacements_star_violation():
     theta = np.array([0.0, 0.8, 0.4, 1.6, 2.4, 3.2, 4.0, 4.8, 5.6])
     bad_pts = 1.2 * np.column_stack([np.cos(theta), np.sin(theta)])
     f0 = circle_frame(0, inner_r=1.0, outer_r=2.0, n=9)
-    bad = FrameContours(1, Contour(bad_pts, "inner"), f0.outer)
+    bad = FrameContours(1, Contour(bad_pts), f0.outer)
     with pytest.raises(StarShapeError):
         boundary_displacements(f0, bad, 16)
 
 
 def test_frame_contours_containment():
-    inner = star_contour(16, 2.0, label="inner")
-    outer = star_contour(16, 1.0, label="outer")
+    inner = star_contour(16, 2.0)
+    outer = star_contour(16, 1.0)
     with pytest.raises(GeometryError):
         FrameContours(0, inner, outer)
-
-
-def test_frame_contours_label_mismatch():
-    a = star_contour(16, 1.0, label="outer")
-    b = star_contour(16, 2.0, label="outer")
-    with pytest.raises(GeometryError):
-        FrameContours(0, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_element_stiffness_degenerate():
 
 def _single_triangle_mesh():
     nodes = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    return Mesh(nodes, [[0, 1, 2]], [[0, 1]], ("inner",))
+    return Mesh(nodes, [[0, 1, 2]], [[0, 1]], np.zeros((0, 2)))
 
 
 def test_assemble_single_element_equals_element_stiffness():
@@ -143,7 +143,7 @@ def test_assemble_single_element_equals_element_stiffness():
 
 def test_assemble_two_elements_scatter_add():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    mesh = Mesh(nodes, [[0, 1, 2], [0, 2, 3]], [[0, 1]], ("inner",))
+    mesh = Mesh(nodes, [[0, 1, 2], [0, 2, 3]], [[0, 1]], np.zeros((0, 2)))
     mats = MaterialField.uniform(mesh, Material(2.0, 0.25))
     from cardiofem.materials import constitutive_matrix
 
@@ -336,14 +336,14 @@ def test_apply_dirichlet_preserves_input(ring_mesh):
 def test_zero_traction_keeps_load(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    edges = {tuple(map(int, e)): (0.0, 0.0) for e in mesh.boundary_edges[:4]}
+    edges = {tuple(map(int, e)): (0.0, 0.0) for e in mesh.inner_edges[:4]}
     out = apply_traction(system, edges, mesh)
     assert np.all(out.load == 0.0)
 
 
 def test_single_edge_traction_lumping():
     nodes = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    mesh = Mesh(nodes, [[0, 1, 2]], [[0, 1]], ("inner",))
+    mesh = Mesh(nodes, [[0, 1, 2]], [[0, 1]], np.zeros((0, 2)))
     system = assemble(mesh, MaterialField.uniform(mesh, Material(1.0, 0.0)))
     f = apply_traction(system, {(0, 1): (1.0, 0.0)}, mesh).load
     assert f[0] == pytest.approx(1.0)
@@ -540,11 +540,11 @@ def _mesh_and_samples(n=24):
     """A frame-0 mesh and the displacement samples of a deformed frame on it."""
     frame0 = circle_frame(0)
     frame1 = FrameContours(
-        1, star_contour(32, 0.9, seed=1), star_contour(32, 1.9, seed=2, label="outer")
+        1, star_contour(32, 0.9, seed=1), star_contour(32, 1.9, seed=2)
     )
     bd = boundary_displacements(frame0, frame1, n)
     mesh = triangulate_annulus(
-        Contour(bd.inner_positions, "inner"), Contour(bd.outer_positions, "outer"), n, 2
+        Contour(bd.inner_positions), Contour(bd.outer_positions), n, 2
     )
     return mesh, bd
 
@@ -805,8 +805,8 @@ def test_banded_cholesky_does_not_depend_on_node_numbering(monkeypatch):
     mesh, mats = make_ring(spec, 128, 16)
     perm = np.random.default_rng(11).permutation(mesh.n_nodes)  # node i was node perm[i]
     rank = np.argsort(perm)
-    shuffled = Mesh(mesh.nodes[perm], rank[mesh.triangles], rank[mesh.boundary_edges],
-                    mesh.boundary_labels)
+    shuffled = Mesh(mesh.nodes[perm], rank[mesh.triangles], rank[mesh.inner_edges],
+                    rank[mesh.outer_edges])
     walls = [mesh.boundary_nodes(label) for label in ("inner", "outer")]
     rows = _band_rows(monkeypatch)
     for support in SUPPORTS:

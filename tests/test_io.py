@@ -365,7 +365,7 @@ def _perturbed_ring(seed, n_angular, n_radial):
     mesh, mats = make_ring(RingSpec(1.0, 2.0), n_angular, n_radial)
     rng = np.random.default_rng(seed)
     nodes = mesh.nodes * (1.0 + rng.uniform(-1e-3, 1e-3, mesh.nodes.shape))
-    return Mesh(nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_labels), mats
+    return Mesh(nodes, mesh.triangles, mesh.inner_edges, mesh.outer_edges), mats
 
 
 def _fields(mesh, seed):
@@ -404,7 +404,7 @@ def test_vtk_matches_per_value_oracle(tmp_path):
 
 def test_vtk_geometry_follows_an_equal_but_distinct_mesh(tmp_path):
     mesh, _ = _perturbed_ring(5, 8, 1)
-    moved = Mesh(mesh.nodes + 1.0, mesh.triangles, mesh.boundary_edges, mesh.boundary_labels)
+    moved = Mesh(mesh.nodes + 1.0, mesh.triangles, mesh.inner_edges, mesh.outer_edges)
     cfio.write_mesh_vtk(tmp_path / "a.vtk", mesh)
     cfio.write_mesh_vtk(tmp_path / "b.vtk", moved)
     assert (tmp_path / "b.vtk").read_bytes() == _oracle_vtk_text(moved)
@@ -628,7 +628,6 @@ def test_localization_json(tmp_path):
     from cardiofem.study import LocalizationResult
 
     result = LocalizationResult(
-        flags=("normal", "suspected-infarct"),
         subject_strain=np.array([[1.0, 0.1]]),
         reference_strain=np.array([[1.0, 1.0]]),
         tau=0.5,

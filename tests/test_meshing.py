@@ -12,8 +12,8 @@ from conftest import star_contour
 
 def _circles(n, r_in=1.0, r_out=2.0):
     return (
-        circle_contour(r_in, (0.0, 0.0), n, "inner"),
-        circle_contour(r_out, (0.0, 0.0), n, "outer"),
+        circle_contour(r_in, (0.0, 0.0), n),
+        circle_contour(r_out, (0.0, 0.0), n),
     )
 
 
@@ -29,8 +29,8 @@ def test_structured_counts_4x1():
 
 def test_all_areas_positive_for_perturbed_contours():
     for seed in range(4):
-        inner = star_contour(24, 1.0, seed=seed, label="inner")
-        outer = star_contour(24, 2.0, seed=seed + 50, label="outer")
+        inner = star_contour(24, 1.0, seed=seed)
+        outer = star_contour(24, 2.0, seed=seed + 50)
         mesh = triangulate_annulus(inner, outer, 24, 3)
         assert np.all(mesh.triangle_areas() > 0.0)
 
@@ -43,16 +43,16 @@ def test_annulus_area_64x8():
 
 
 def test_triangle_areas_sum_to_polygon_area():
-    inner = star_contour(32, 1.0, seed=2, label="inner")
-    outer = star_contour(32, 2.0, seed=3, label="outer")
+    inner = star_contour(32, 1.0, seed=2)
+    outer = star_contour(32, 2.0, seed=3)
     mesh = triangulate_annulus(inner, outer, 32, 4)
     poly = abs(polygon_area(outer.points)) - abs(polygon_area(inner.points))
     assert_allclose(mesh.triangle_areas().sum(), poly, rtol=1e-9)
 
 
 def test_crossing_contours_rejected():
-    inner = circle_contour(2.0, (0.0, 0.0), 16, "inner")
-    outer = circle_contour(1.0, (0.0, 0.0), 16, "outer")
+    inner = circle_contour(2.0, (0.0, 0.0), 16)
+    outer = circle_contour(1.0, (0.0, 0.0), 16)
     with pytest.raises(GeometryError):
         triangulate_annulus(inner, outer, 16, 2)
 
@@ -64,7 +64,7 @@ def test_degenerate_sector_rejected():
     from cardiofem.contours import Contour
 
     with pytest.raises(MeshError):
-        triangulate_annulus(inner, Contour(pts, "outer"), 16, 2)
+        triangulate_annulus(inner, Contour(pts), 16, 2)
 
 
 def test_point_count_mismatch_rejected():
@@ -89,7 +89,7 @@ def test_validate_flags_flipped_triangle(ring_mesh):
     mesh, _ = ring_mesh
     tris = np.array(mesh.triangles)
     tris[0] = tris[0][::-1]
-    flipped = Mesh(mesh.nodes, tris, mesh.boundary_edges, mesh.boundary_labels)
+    flipped = Mesh(mesh.nodes, tris, mesh.inner_edges, mesh.outer_edges)
     report = validate(flipped)
     failed = {c.name for c in report.checks if not c.passed}
     assert "positive_areas" in failed
@@ -103,7 +103,7 @@ def test_validate_flags_deleted_triangle():
     areas_mid = 16 * 2  # first layer has 32 triangles
     keep = np.ones(mesh.n_triangles, dtype=bool)
     keep[areas_mid + 3] = False
-    broken = Mesh(mesh.nodes, mesh.triangles[keep], mesh.boundary_edges, mesh.boundary_labels)
+    broken = Mesh(mesh.nodes, mesh.triangles[keep], mesh.inner_edges, mesh.outer_edges)
     report = validate(broken)
     failed = {c.name for c in report.checks if not c.passed}
     assert "euler_characteristic" in failed
@@ -111,17 +111,15 @@ def test_validate_flags_deleted_triangle():
 
 def test_validate_flags_broken_boundary_loop(ring_mesh):
     mesh, _ = ring_mesh
-    broken = Mesh(
-        mesh.nodes, mesh.triangles, mesh.boundary_edges[1:], mesh.boundary_labels[1:]
-    )
+    broken = Mesh(mesh.nodes, mesh.triangles, mesh.inner_edges[1:], mesh.outer_edges)
     report = validate(broken)
     failed = {c.name for c in report.checks if not c.passed}
     assert "boundary_loops" in failed
 
 
 def test_validate_warns_on_slivers():
-    inner = circle_contour(1.0, (0.0, 0.0), 16, "inner")
-    outer = circle_contour(1.01, (0.0, 0.0), 16, "outer")
+    inner = circle_contour(1.0, (0.0, 0.0), 16)
+    outer = circle_contour(1.01, (0.0, 0.0), 16)
     mesh = triangulate_annulus(inner, outer, 16, 1)
     report = validate(mesh)
     assert report.passed
@@ -139,7 +137,7 @@ def test_boundary_nodes(ring_mesh):
 
 
 def _triangulate_loop_oracle(inner, outer, n_angular, n_radial):
-    """Nodes, triangles, boundary edges and labels built quad by quad."""
+    """Nodes, triangles and inner and outer boundary edges built quad by quad."""
     fractions = np.arange(n_radial + 1)[:, None, None] / n_radial
     layers = inner.points[None, :, :] * (1.0 - fractions) + outer.points[None, :, :] * fractions
     nodes = layers.reshape(-1, 2)
@@ -157,24 +155,19 @@ def _triangulate_loop_oracle(inner, outer, n_angular, n_radial):
             d = idx(k + 1, j)
             tris.append((a, d, cc))
             tris.append((a, cc, b))
-    edges = []
-    labels = []
-    for k, label in ((0, "inner"), (n_radial, "outer")):
-        for j in range(n_angular):
-            edges.append((idx(k, j), idx(k, (j + 1) % n_angular)))
-            labels.append(label)
+    loops = [[(idx(k, j), idx(k, (j + 1) % n_angular)) for j in range(n_angular)]
+             for k in (0, n_radial)]
     return (
         nodes,
         np.asarray(tris, dtype=np.int64),
-        np.asarray(edges, dtype=np.int64),
-        tuple(labels),
+        *(np.asarray(edges, dtype=np.int64) for edges in loops),
     )
 
 
 def _perturbed(n, seed):
     return (
-        star_contour(n, 1.0, seed=seed, label="inner"),
-        star_contour(n, 2.0, seed=seed + 50, label="outer"),
+        star_contour(n, 1.0, seed=seed),
+        star_contour(n, 2.0, seed=seed + 50),
     )
 
 
@@ -190,10 +183,10 @@ def _perturbed(n, seed):
 def test_triangulation_matches_loop_oracle(contours, n_angular, n_radial):
     inner, outer = contours
     mesh = triangulate_annulus(inner, outer, n_angular, n_radial)
-    nodes, tris, edges, labels = _triangulate_loop_oracle(inner, outer, n_angular, n_radial)
+    nodes, tris, inner_edges, outer_edges = _triangulate_loop_oracle(inner, outer, n_angular,
+                                                                     n_radial)
     for got, expected in ((mesh.nodes, nodes), (mesh.triangles, tris),
-                          (mesh.boundary_edges, edges)):
+                          (mesh.inner_edges, inner_edges), (mesh.outer_edges, outer_edges)):
         assert got.dtype == expected.dtype
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
-    assert mesh.boundary_labels == labels

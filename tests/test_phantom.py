@@ -17,7 +17,7 @@ from cardiofem.phantom import (
     pressure_load_cycle,
     solve_ring_traction,
 )
-from cardiofem.strain import sector_average, strain_field
+from cardiofem.strain import effective_strain, sector_average, strain_field
 
 from conftest import assert_no_child_left, boundary_dirichlet, cpus, region_ring, solve_one
 
@@ -186,6 +186,54 @@ def test_end_to_end_pipeline_matches_oracle():
     assert min(orders) >= 1.7
 
 
+def _strain_errors(spec, n_angular, n_radial):
+    """The Lame-valued Dirichlet solve of the plane-strain ring against the
+    closed-form strain at element centroids: area-weighted relative L2 errors
+    of the strain tensor and of the effective strain, and the largest error of
+    the 16 sector means of effective strain relative to the analytic sector
+    mean. The analytic effective strain depends on the radius alone and every
+    sector holds the same radial layers, so each analytic sector mean is the
+    element mean of the analytic effective strain."""
+    mesh, mats = make_ring(spec, n_angular, n_radial)
+    system = assemble(mesh, mats, "plane-strain")
+    disp = solve_one(system, *boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes)))
+    sf = strain_field(mesh, disp, mats.nu)
+
+    centroids = mesh.triangle_centroids()
+    r = np.linalg.norm(centroids, axis=1)
+    cos, sin = centroids[:, 0] / r, centroids[:, 1] / r
+    a, b, m = spec.inner_radius, spec.outer_radius, spec.material
+    eps_r, eps_t = lame_strain_polar(a, b, 1.0, m.E, m.nu, np.clip(r, a, b))
+    exact = (eps_r * cos * cos + eps_t * sin * sin, eps_r * sin * sin + eps_t * cos * cos,
+             2.0 * (eps_r - eps_t) * sin * cos)
+    exact_eff = effective_strain(*exact, m.nu)
+
+    areas = mesh.triangle_areas()
+    # the tensor norm: a shear strain gamma_xy is two tensor entries of gamma_xy / 2
+    weights = (1.0, 1.0, 0.5)
+    diff2 = sum(w * (got - want) ** 2
+                for w, got, want in zip(weights, (sf.eps_x, sf.eps_y, sf.gamma_xy), exact))
+    ref2 = sum(w * want ** 2 for w, want in zip(weights, exact))
+    tensor = math.sqrt(np.sum(areas * diff2) / np.sum(areas * ref2))
+    eff = math.sqrt(np.sum(areas * (sf.effective - exact_eff) ** 2)
+                    / np.sum(areas * exact_eff ** 2))
+    sectors = sector_average(mesh, sf, disp, spec.center, 16).mean_effective
+    sector = float(np.max(np.abs(sectors - exact_eff.mean())) / exact_eff.mean())
+    return tensor, eff, sector
+
+
+def test_strain_converges_to_lame():
+    # measured at 32x4, 64x8, 128x16: tensor 1.07e-1, 5.35e-2, 2.68e-2 (orders
+    # 1.00, 1.00); effective 4.03e-2, 1.92e-2, 9.50e-3 (1.07, 1.02); sector means
+    # 1.31e-2, 3.33e-3, 8.36e-4 (1.98, 1.99). Bounds: 64x8 errors at 1.1x the
+    # measured value, orders at 0.9x the smaller measured order
+    spec = RingSpec(1.0, 2.0, material=Material(1e4, 0.3))
+    errors = np.array([_strain_errors(spec, na, nr) for na, nr in [(32, 4), (64, 8), (128, 16)]])
+    orders = np.log2(errors[:-1] / errors[1:]).min(axis=0)
+    assert np.all(errors[1] <= [0.059, 0.0212, 0.0037]), errors
+    assert np.all(orders >= [0.9, 0.9, 1.78]), orders
+
+
 def test_inhomogeneous_low_mobility_sectors():
     stiff = AngularRegion(225.0, 315.0, Material(1e5, 0.3))
     spec = RingSpec(1.0, 2.0, material=Material(1e4, 0.3))
@@ -227,13 +275,13 @@ def _old_pipeline_resolve(mesh, mats, disp, n_points):
     outer_nodes = mesh.boundary_nodes("outer")
     frame0 = FrameContours(
         0,
-        Contour(mesh.nodes[inner_nodes], "inner"),
-        Contour(mesh.nodes[outer_nodes], "outer"),
+        Contour(mesh.nodes[inner_nodes]),
+        Contour(mesh.nodes[outer_nodes]),
     )
     frame1 = FrameContours(
         1,
-        Contour(mesh.nodes[inner_nodes] + disp.values[inner_nodes], "inner"),
-        Contour(mesh.nodes[outer_nodes] + disp.values[outer_nodes], "outer"),
+        Contour(mesh.nodes[inner_nodes] + disp.values[inner_nodes]),
+        Contour(mesh.nodes[outer_nodes] + disp.values[outer_nodes]),
     )
     bd = boundary_displacements(frame0, frame1, n_points)
     system = assemble(mesh, mats, "plane-strain")
@@ -371,6 +419,17 @@ def test_verify_ring_checks_ring_size_before_meshing(monkeypatch, n_points, n_ra
     with pytest.raises(UsageError) as info:
         verify_ring(RingSpec(1.0, 2.0), n_points, n_radial, 16)
     assert str(info.value) == needle
+    assert calls == []
+
+
+def test_verify_ring_takes_no_more_sectors_than_base_elements(monkeypatch):
+    import cardiofem.phantom as phantom_module
+
+    calls = []
+    monkeypatch.setattr(phantom_module, "make_ring", lambda *args: calls.append(args))
+    with pytest.raises(UsageError) as info:
+        verify_ring(RingSpec(1.0, 2.0), 16, 2, 65)
+    assert str(info.value) == "sectors must be at most the base ring's element count 64, got 65"
     assert calls == []
 
 

@@ -180,7 +180,7 @@ def _perturbed_annulus(seed):
     perimeter = sum(np.linalg.norm(p[:, i] - p[:, (i + 1) % 3], axis=1) for i in range(3))
     step = 0.15 * np.min(2.0 * mesh.triangle_areas() / perimeter)
     nodes = mesh.nodes + rng.uniform(-step, step, mesh.nodes.shape)
-    moved = Mesh(nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_labels)
+    moved = Mesh(nodes, mesh.triangles, mesh.inner_edges, mesh.outer_edges)
     assert np.all(moved.triangle_areas() > 0.0)
     return moved
 
@@ -198,7 +198,7 @@ def test_strain_field_matches_element_loop(seed):
 
 def test_strain_field_rejects_clockwise_element():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mesh = Mesh(nodes, [[0, 2, 1]], [[0, 1]], ("inner",))
+    mesh = Mesh(nodes, [[0, 2, 1]], [[0, 1]], np.zeros((0, 2)))
     disp = DisplacementField(np.zeros((3, 2)))
     with pytest.raises(GeometryError):
         strain_field(mesh, disp, 0.3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -58,8 +59,8 @@ def _shrinking_circle_study(n_frames=11, shrink=0.05, r=10.0, n=64, spacing=7.0)
         frames.append(
             FrameContours(
                 k,
-                circle_contour(r * f, (0.0, 0.0), n, "inner"),
-                circle_contour(3 * r, (0.0, 0.0), n, "outer"),
+                circle_contour(r * f, (0.0, 0.0), n),
+                circle_contour(3 * r, (0.0, 0.0), n),
             )
         )
     return _single_slice_study(frames, spacing=spacing)
@@ -107,19 +108,19 @@ def test_volume_two_slices_additive():
 
 
 def test_volume_orientation_invariant():
-    inner = circle_contour(3.0, (0.0, 0.0), 32, "inner")
-    outer = circle_contour(6.0, (0.0, 0.0), 32, "outer")
+    inner = circle_contour(3.0, (0.0, 0.0), 32)
+    outer = circle_contour(6.0, (0.0, 0.0), 32)
     fwd = FrameContours(0, inner, outer)
-    rev = FrameContours(0, Contour(inner.points[::-1], "inner"), outer)
+    rev = FrameContours(0, Contour(inner.points[::-1]), outer)
     a = _single_slice_study(_repeat_frame(fwd, 2))
     b = _single_slice_study(_repeat_frame(rev, 2))
     assert ventricle_volume(a, 0) == pytest.approx(ventricle_volume(b, 0))
 
 
 def test_volume_cyclic_shift_invariant():
-    inner = star_contour(32, 3.0, seed=1, label="inner")
-    outer = star_contour(32, 6.0, seed=2, label="outer")
-    shifted = Contour(np.roll(inner.points, 7, axis=0), "inner")
+    inner = star_contour(32, 3.0, seed=1)
+    outer = star_contour(32, 6.0, seed=2)
+    shifted = Contour(np.roll(inner.points, 7, axis=0))
     a = _single_slice_study(_repeat_frame(FrameContours(0, inner, outer), 2))
     b = _single_slice_study(_repeat_frame(FrameContours(0, shifted, outer), 2))
     assert ventricle_volume(a, 0) == pytest.approx(ventricle_volume(b, 0))
@@ -127,9 +128,8 @@ def test_volume_cyclic_shift_invariant():
 
 def test_volume_rejects_self_intersection():
     bow = Contour(
-        np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]) + 5.0, "inner"
-    )
-    outer = circle_contour(20.0, (6.0, 6.0), 32, "outer")
+        np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]]) + 5.0)
+    outer = circle_contour(20.0, (6.0, 6.0), 32)
     study = _single_slice_study(_repeat_frame(FrameContours(0, bow, outer), 2))
     with pytest.raises(GeometryError):
         ventricle_volume(study, 0)
@@ -190,8 +190,8 @@ def test_normalized_curve_min_over_max_report():
         frames.append(
             FrameContours(
                 k,
-                circle_contour(10.0 * s, (0.0, 0.0), 64, "inner"),
-                circle_contour(30.0, (0.0, 0.0), 64, "outer"),
+                circle_contour(10.0 * s, (0.0, 0.0), 64),
+                circle_contour(30.0, (0.0, 0.0), 64),
             )
         )
     curve = normalized_volume_curve(_single_slice_study(frames))
@@ -222,8 +222,8 @@ def test_cycle_params_rejects_non_finite_rotation():
 
 
 def test_degenerate_zero_volume_study():
-    line = Contour(np.array([[4.0, 5.0], [5.0, 5.0], [6.0, 5.0]]), "inner")
-    outer = circle_contour(20.0, (5.0, 5.0), 32, "outer")
+    line = Contour(np.array([[4.0, 5.0], [5.0, 5.0], [6.0, 5.0]]))
+    outer = circle_contour(20.0, (5.0, 5.0), 32)
     study = _single_slice_study(_repeat_frame(FrameContours(0, line, outer), 2))
     with pytest.raises(GeometryError):
         normalized_volume_curve(study)
@@ -250,8 +250,8 @@ def test_translation_invariant_strain():
         frames = tuple(
             FrameContours(
                 fc.frame_index,
-                Contour(fc.inner.points + shift, "inner"),
-                Contour(fc.outer.points + shift, "outer"),
+                Contour(fc.inner.points + shift),
+                Contour(fc.outer.points + shift),
             )
             for fc in sl.frames
         )
@@ -288,12 +288,23 @@ def test_cycle_params_validation():
         CycleParams(n_points=2)
     with pytest.raises(ConfigurationError):
         CycleParams(reference="backward")
+    CycleParams(n_points=8, n_radial=2, n_sectors=32)  # one sector per element
+    with pytest.raises(ConfigurationError, match="^n_sectors must be at most the mesh's "
+                                                 "element count 32, got 33$"):
+        CycleParams(n_points=8, n_radial=2, n_sectors=33)
+
+
+@pytest.mark.parametrize("n_points", [1, 2])
+def test_synth_reports_a_too_short_wall_as_the_contours_error(n_points):
+    # the contraction message is for walls that cross, not for walls too short to build
+    with pytest.raises(GeometryError, match="^contour needs at least 3 points$"):
+        healthy_study(n_frames=3, n_points=n_points)
 
 
 def test_cycle_error_carries_frame_index():
     frames = [circle_frame(0), circle_frame(1)]
     theta = np.array([0.0, 0.8, 0.4, 1.6, 2.4, 3.2, 4.0, 4.8, 5.6])
-    bad_inner = Contour(np.column_stack([np.cos(theta), np.sin(theta)]), "inner")
+    bad_inner = Contour(np.column_stack([np.cos(theta), np.sin(theta)]))
     frames[1] = FrameContours(1, bad_inner, frames[1].outer)
     study = _single_slice_study(frames)
     with pytest.raises(GeometryError, match="frame 1"):
@@ -447,7 +458,7 @@ def test_cycle_solve_equals_the_free_block_oracle(reference, monkeypatch):
 def test_cycle_non_star_frame0_names_frame_1(reference):
     frames = [circle_frame(k) for k in range(3)]
     theta = np.array([0.0, 0.8, 0.4, 1.6, 2.4, 3.2, 4.0, 4.8, 5.6])
-    bad_inner = Contour(np.column_stack([np.cos(theta), np.sin(theta)]), "inner")
+    bad_inner = Contour(np.column_stack([np.cos(theta), np.sin(theta)]))
     frames[0] = FrameContours(0, bad_inner, frames[0].outer)
     study = _single_slice_study(frames)
     with pytest.raises(GeometryError, match=r"^frame 1: .*\(frame 0 inner\)$"):
@@ -456,7 +467,7 @@ def test_cycle_non_star_frame0_names_frame_1(reference):
 
 def _non_star_inner():
     theta = np.array([0.0, 0.8, 0.4, 1.6, 2.4, 3.2, 4.0, 4.8, 5.6])
-    return Contour(np.column_stack([np.cos(theta), np.sin(theta)]), "inner")
+    return Contour(np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
 @pytest.mark.parametrize("reference", ["cumulative", "incremental"])
@@ -524,7 +535,6 @@ def test_cycle_solver_error_names_frame(monkeypatch):
 def _summaries(matrix):
     return [
         SectorSummary(
-            n_sectors=len(row),
             mean_displacement=np.zeros(len(row)),
             mean_effective=np.asarray(row, dtype=float),
             counts=np.ones(len(row), dtype=int),
@@ -706,3 +716,45 @@ def test_incremental_frames_add_up_to_cumulative(n_points):
         total += inc.displacement.values
         expected = cum.displacement.values
         assert np.max(np.abs(total - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def _arrays(obj, path="result"):
+    """(path, array) of every ndarray field reachable through the dataclass
+    records, tuples and lists in ``obj``. Of a ``SliceModel`` only the mesh is
+    walked: its stiffness system and fixed dofs are not among the records
+    that copy and freeze their arrays."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from _arrays(item, f"{path}[{i}]")
+    elif isinstance(obj, study_module.SliceModel):
+        yield from _arrays(obj.mesh, f"{path}.mesh")
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name), f"{path}.{field.name}")
+
+
+def test_every_record_array_is_read_only():
+    # the records copy their arrays and store them read-only, so that no caller
+    # can change a result that another result shares (one mesh per slice)
+    from cardiofem import RingSpec, verify_ring
+
+    params = CycleParams(n_points=16, n_radial=2)
+    subject, reference = mi_wedge_study(seed=5, n_frames=4), healthy_study(seed=5, n_frames=4)
+    results = cycle_strain_analysis(subject, params)
+    localization = infarct_localization(
+        [r.sectors for r in results],
+        [r.sectors for r in cycle_strain_analysis(reference, params)])
+    frames = subject.slices[0].frames
+    records = (subject, results, localization, normalized_volume_curve(subject),
+               verify_ring(RingSpec(1.0, 2.0), 16, 2), boundary_displacements(*frames[:2], 16),
+               MaterialField.uniform(results[0].model.mesh, params.material))
+    found = dict(_arrays(records))
+    # one array of each of the nine records that copy theirs
+    for name in ("result[0].slices[0].frames[0].inner.points", "result[1][0].model.mesh.nodes",
+                 "result[1][2].displacement.values", "result[1][2].strain.effective",
+                 "result[1][2].sectors.counts", "result[2].reference_strain", "result[3].raw",
+                 "result[5].outer_vectors", "result[6].nu"):
+        assert name in found
+    assert [path for path, arr in found.items() if arr.flags.writeable] == []
