@@ -55,6 +55,7 @@ class Stiffness:
         if (self.cols.ndim != 2 or self.vals.shape != self.cols.shape
                 or n and not 0 <= self.cols.min() <= self.cols.max() < n):
             raise MeshError("stiffness needs (w, n) columns in 0..n-1 and values of their shape")
+        _read_only(self, cols=self.cols, vals=self.vals)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -94,6 +95,7 @@ class LinearSystem:
         order = np.sort(self.node_order)
         if 2 * len(order) != len(self.load) or np.any(order != np.arange(len(order))):
             raise MeshError("node order must list every node once")
+        _read_only(self, load=self.load, node_order=self.node_order)
 
     @property
     def n_dofs(self) -> int:
@@ -148,14 +150,8 @@ def strain_displacement_matrices(nodes, triangles) -> tuple[np.ndarray, np.ndarr
 def _element_matrices(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Read-only B matrices and areas of a mesh's elements, computed once per
     mesh so that assembly and every frame's strain of a cycle share them."""
-
-    def compute():
-        bmat, area = strain_displacement_matrices(mesh.nodes, mesh.triangles)
-        bmat.setflags(write=False)
-        area.setflags(write=False)
-        return bmat, area
-
-    return mesh.cached("element_matrices", compute)
+    return mesh.cached("element_matrices",
+                       lambda: strain_displacement_matrices(mesh.nodes, mesh.triangles))
 
 
 def rigid_body_modes(nodes) -> np.ndarray:

@@ -19,11 +19,12 @@ are formatted once per mesh and reused; each file is byte-identical to one
 formatted from scratch.
 
 Formatting those floats is the cost of an export, so
-:func:`field_vtk_export` spreads a batch of VTK files over the CPUs the
-process may use: through ``_fork.forked``, the package's one fork helper,
-it forks one writer process per extra CPU and writes its own share while the
-caller goes on with other work, then reaps the writers. The bytes of every
-file are the same as when written in-process, as on one CPU.
+:func:`field_vtk_export` formats each mesh's geometry block and then spreads
+the batch of VTK files over the CPUs the process may use: through
+``_fork.forked``, the package's one fork helper, it forks one writer process
+per extra CPU, which inherits the formatted geometry, and writes its own
+share while the caller goes on with other work, then reaps the writers. The
+bytes of every file are the same as when written in-process, as on one CPU.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import contextlib
 import csv
 import functools
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -101,51 +103,50 @@ def read_study_csv(csv_path, manifest_path) -> Study:
 
     The rows are grouped into the study-JSON shape and built by the same
     checks as :func:`read_study_json`; only the header, the row fields, the
-    boundary labels and the ``point_index`` runs are checked here.
+    boundary labels and the ``point_index`` runs are checked here, an error
+    in a row naming its physical line in the file.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise FileNotFoundError(f"contour file not found: {csv_path}")
     manifest = read_manifest(manifest_path)
 
-    grouped: dict[int, dict[int, dict[str, list]]] = {}
+    grouped: dict[tuple[int, int], dict[str, list]] = {}
     with csv_path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(CONTOUR_CSV_COLUMNS) <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not set(CONTOUR_CSV_COLUMNS) <= set(header):
             raise ConfigurationError(
-                f"{csv_path}: header must contain columns {CONTOUR_CSV_COLUMNS}"
-            )
-        for lineno, row in enumerate(reader, start=2):
+                f"{csv_path}: header must contain columns {CONTOUR_CSV_COLUMNS}")
+        fields = operator.itemgetter(*map(header.index, CONTOUR_CSV_COLUMNS[1:]))
+        for row in filter(None, reader):  # a blank line is an empty row
             try:
-                sl = int(row["slice"])
-                frame = int(row["frame"])
-                boundary = row["boundary"].strip()
-                point = (int(row["point_index"]), float(row["x"]), float(row["y"]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"{csv_path}:{lineno}: malformed row ({exc})") from exc
-            if boundary not in ("inner", "outer"):
+                sl, frame, boundary, index, x, y = fields(row)
+                sl, frame, boundary = int(sl), int(frame), boundary.strip()
+                point = (int(index), float(x), float(y))
+            except (IndexError, ValueError) as exc:  # IndexError: a row short of a column
+                why = exc if isinstance(exc, ValueError) else f"{len(row)} of {len(header)} fields"
                 raise ConfigurationError(
-                    f"{csv_path}:{lineno}: boundary must be inner or outer, got {boundary!r}"
-                )
-            grouped.setdefault(sl, {}).setdefault(frame, {}).setdefault(boundary, []).append(point)
+                    f"{csv_path}:{reader.line_num}: malformed row ({why})") from exc
+            if boundary not in ("inner", "outer"):
+                raise ConfigurationError(f"{csv_path}:{reader.line_num}: "
+                                         f"boundary must be inner or outer, got {boundary!r}")
+            grouped.setdefault((sl, frame), {}).setdefault(boundary, []).append(point)
     if not grouped:
         raise ConfigurationError(f"{csv_path}: no contour rows found")
 
-    slices = []
-    for sl_idx, frames in sorted(grouped.items()):
-        json_frames = []
-        for frame_idx, walls in sorted(frames.items()):
-            frame = {"frame": frame_idx}
-            for boundary, rows in walls.items():
-                rows.sort(key=lambda r: r[0])
-                if [r[0] for r in rows] != list(range(len(rows))):
-                    raise ConfigurationError(
-                        f"{csv_path} slice {sl_idx} frame {frame_idx} {boundary}: "
-                        "point_index values must be 0..n-1"
-                    )
-                frame[boundary] = [r[1:] for r in rows]
-            json_frames.append(frame)
-        slices.append({"slice": sl_idx, "frames": json_frames})
+    by_slice: dict[int, list] = {}
+    for (sl_idx, frame_idx), walls in sorted(grouped.items()):
+        for boundary, rows in walls.items():
+            rows.sort(key=lambda r: r[0])
+            if [r[0] for r in rows] != list(range(len(rows))):
+                raise ConfigurationError(
+                    f"{csv_path} slice {sl_idx} frame {frame_idx} {boundary}: "
+                    "point_index values must be 0..n-1"
+                )
+            walls[boundary] = [r[1:] for r in rows]
+        by_slice.setdefault(sl_idx, []).append({"frame": frame_idx, **walls})
+    slices = [{"slice": sl_idx, "frames": frames} for sl_idx, frames in by_slice.items()]
     return _build_study({**manifest, "slices": slices}, str(csv_path), "manifest")
 
 
@@ -342,14 +343,17 @@ def _write_share(jobs) -> None:
 def field_vtk_export(jobs):
     """Write ``write_mesh_vtk(*job)`` for every job, spread over the CPUs.
 
-    With k = min(usable CPUs, len(jobs)), k - 1 forked children write
-    ``jobs[i::k]`` (i = 0..k-2) and this process writes the last share, the
-    smallest, before the body runs. Leaving the block waits for every child,
+    Each job's mesh geometry is formatted before any fork, so no child formats
+    it again. With k = min(usable CPUs, len(jobs)), k - 1 forked children
+    write ``jobs[i::k]`` (i = 0..k-2) and this process writes the last share,
+    the smallest, before the body runs. Leaving the block waits for every child,
     also when the body raised; if it did not, the first failed child's error
     is raised again. On one CPU, without ``os.fork``, or when a fork fails,
     a child's share is written here, so every job is written once.
     """
     jobs = list(jobs)
+    for job in jobs:
+        _vtk_geometry(job[1])
     k = max(1, min(usable_cpus(), len(jobs)))
     with forked([functools.partial(_write_share, jobs[i::k]) for i in range(k - 1)]):
         _write_share(jobs[k - 1::k])

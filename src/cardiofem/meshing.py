@@ -59,11 +59,15 @@ class Mesh:
         """``compute()``, evaluated once per ``key`` and kept on this mesh.
 
         The mesh is read-only, so values derived from its geometry stay
-        valid for its lifetime; callers must not modify what is returned.
+        valid for its lifetime; an array, or each array of a tuple, is kept
+        read-only.
         """
         memo = self.__dict__.setdefault("_memo", {})
         if key not in memo:
-            memo[key] = compute()
+            memo[key] = value = compute()
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
         return memo[key]
 
     def triangle_areas(self) -> np.ndarray:
@@ -73,8 +77,13 @@ class Mesh:
         v2 = p[:, 2] - p[:, 0]
         return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
 
+    def at_centroids(self, values: np.ndarray) -> np.ndarray:
+        """The mean of nodal ``values`` (one row per node) over each triangle's three nodes."""
+        t = self.triangles
+        return (values[t[:, 0]] + values[t[:, 1]] + values[t[:, 2]]) / 3
+
     def triangle_centroids(self) -> np.ndarray:
-        return self.nodes[self.triangles].mean(axis=1)
+        return self.at_centroids(self.nodes)
 
     def unique_edges(self) -> np.ndarray:
         """All undirected edges of the triangulation, one row per edge."""

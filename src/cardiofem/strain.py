@@ -119,10 +119,7 @@ def _element_sectors(mesh: Mesh, center, n_sectors: int) -> tuple[np.ndarray, np
     def compute():
         cen = mesh.triangle_centroids() - c
         sectors = sector_index(np.arctan2(cen[:, 1], cen[:, 0]), n_sectors)
-        counts = np.bincount(sectors, minlength=n_sectors)
-        sectors.setflags(write=False)
-        counts.setflags(write=False)
-        return sectors, counts
+        return sectors, np.bincount(sectors, minlength=n_sectors)
 
     return mesh.cached(("sectors", c.tobytes(), n_sectors), compute)
 
@@ -146,8 +143,8 @@ def sector_average(
         raise GeometryError("strain field does not match mesh")
     sectors, counts = _element_sectors(mesh, center, n_sectors)
 
-    disp_at_centroid = disp.values[mesh.triangles].mean(axis=1)
-    disp_mag = np.linalg.norm(disp_at_centroid, axis=1)
+    u = mesh.at_centroids(disp.values)
+    disp_mag = np.sqrt(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1])
 
     sum_disp = np.bincount(sectors, weights=disp_mag, minlength=n_sectors)
     sum_eff = np.bincount(sectors, weights=strain.effective, minlength=n_sectors)

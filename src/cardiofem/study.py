@@ -153,6 +153,9 @@ class SliceModel:
     system: LinearSystem
     fixed: np.ndarray
 
+    def __post_init__(self):
+        _read_only(self, fixed=self.fixed)
+
 
 @dataclass(frozen=True)
 class FrameResult:

@@ -31,7 +31,17 @@ Per angular rule: the former interval list of a material region (one [s, e)
 interval, two across 0 degrees, or the full circle) and the former synthetic
 wedge motion factor with separate rise and fall branches; the library now
 tests each angle's offset from the start modulo 360 and each point's distance
-past the nearer end of the inert plateau."""
+past the nearer end of the inert plateau. Per centroid: the mean of nodal
+values over each triangle by a ``(F, 3, 2)`` gather and ``mean``, and the
+sector average that took its displacement magnitudes by ``np.linalg.norm``
+of those means; ``Mesh.at_centroids`` now sums the three node rows and the
+magnitude is written out. Per ingest: the contour CSV read by
+``csv.DictReader``, its line numbers counted over the rows it yields; the
+library now reads rows by ``csv.reader`` and takes each column at its index
+in the header."""
+
+import csv
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -40,11 +50,13 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import cg, splu
 
 from cardiofem.contours import centroid, uniform_angle_walls
-from cardiofem.errors import GeometryError, SolverError, UsageError
+from cardiofem.errors import ConfigurationError, GeometryError, SolverError, UsageError
 from cardiofem.fem import (LinearSystem, Stiffness, _check_columns, apply_dirichlet, assemble,
                            strain_displacement_matrices)
 from cardiofem.materials import AngularRegion, Material, MaterialField, constitutive_matrices
+from cardiofem.io import CONTOUR_CSV_COLUMNS, _build_study, read_manifest
 from cardiofem.meshing import triangulate_annulus
+from cardiofem.strain import SectorSummary, sector_index
 from cardiofem.study import (average_sector_summaries, cycle_strain_analysis,
                              infarct_localization)
 
@@ -442,3 +454,66 @@ def two_branch_wedge_factor(theta_deg, start_deg, end_deg, inert, transition_deg
         (360.0 - margin_deg - a[fall]) / transition_deg
     )
     return factor
+
+
+def gather_centroids(mesh, values) -> np.ndarray:
+    """The former centroid mean: ``values`` gathered per triangle and averaged."""
+    return values[mesh.triangles].mean(axis=1)
+
+
+def gather_sector_average(mesh, strain, disp, center, n_sectors) -> SectorSummary:
+    """The former ``sector_average``: elements binned by the angle of their
+    gathered centroid, displacement magnitudes by ``np.linalg.norm`` of the
+    gathered centroid displacements."""
+    cen = gather_centroids(mesh, mesh.nodes) - np.asarray(center, dtype=float)
+    sectors = sector_index(np.arctan2(cen[:, 1], cen[:, 0]), n_sectors)
+    counts = np.bincount(sectors, minlength=n_sectors)
+    disp_mag = np.linalg.norm(gather_centroids(mesh, disp.values), axis=1)
+    denom = np.maximum(counts, 1)
+    return SectorSummary(np.bincount(sectors, weights=disp_mag, minlength=n_sectors) / denom,
+                         np.bincount(sectors, weights=strain.effective, minlength=n_sectors)
+                         / denom, counts)
+
+
+def dictreader_read_study_csv(csv_path, manifest_path):
+    """The former ``io.read_study_csv``, which read rows by ``csv.DictReader``."""
+    csv_path = Path(csv_path)
+    manifest = read_manifest(manifest_path)
+    grouped = {}
+    with csv_path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(CONTOUR_CSV_COLUMNS) <= set(reader.fieldnames):
+            raise ConfigurationError(
+                f"{csv_path}: header must contain columns {CONTOUR_CSV_COLUMNS}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                sl = int(row["slice"])
+                frame = int(row["frame"])
+                boundary = row["boundary"].strip()
+                point = (int(row["point_index"]), float(row["x"]), float(row["y"]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{csv_path}:{lineno}: malformed row ({exc})") from exc
+            if boundary not in ("inner", "outer"):
+                raise ConfigurationError(
+                    f"{csv_path}:{lineno}: boundary must be inner or outer, got {boundary!r}"
+                )
+            grouped.setdefault(sl, {}).setdefault(frame, {}).setdefault(boundary, []).append(point)
+    if not grouped:
+        raise ConfigurationError(f"{csv_path}: no contour rows found")
+    slices = []
+    for sl_idx, frames in sorted(grouped.items()):
+        json_frames = []
+        for frame_idx, walls in sorted(frames.items()):
+            frame = {"frame": frame_idx}
+            for boundary, rows in walls.items():
+                rows.sort(key=lambda r: r[0])
+                if [r[0] for r in rows] != list(range(len(rows))):
+                    raise ConfigurationError(
+                        f"{csv_path} slice {sl_idx} frame {frame_idx} {boundary}: "
+                        "point_index values must be 0..n-1"
+                    )
+                frame[boundary] = [r[1:] for r in rows]
+            json_frames.append(frame)
+        slices.append({"slice": sl_idx, "frames": json_frames})
+    return _build_study({**manifest, "slices": slices}, str(csv_path), "manifest")

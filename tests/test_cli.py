@@ -294,6 +294,36 @@ def _single_error_line(capsys):
     return lines[0]
 
 
+def _short_row(lines):
+    lines.insert(3, "s,0,0")
+
+
+def _bad_x_after_blank_lines(lines):
+    lines[1:1] = ["", ""]
+    fields = lines[7].split(",")
+    fields[5] = "abc"
+    lines[7] = ",".join(fields)
+
+
+@pytest.mark.parametrize("edit, text", [
+    (_short_row, ":4: malformed row (3 of 7 fields)"),
+    (_bad_x_after_blank_lines, ":8: malformed row (could not convert string to float: 'abc')"),
+], ids=["row-without-boundary", "line-after-blank-lines"])
+def test_malformed_csv_row_is_one_error_line_naming_its_line(tmp_path, synth_pair, capsys,
+                                                             edit, text):
+    # the line is the row's physical line in the file, blank lines counted
+    healthy_dir, mi_dir = synth_pair
+    path = mi_dir / "contours.csv"
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert _analyze_mi(healthy_dir, mi_dir, out) == 1
+    assert _single_error_line(capsys) == f"error: {path}{text}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags, needle", [
     ("mesh", ["--slice", "3"], "--slice must be in 0..0, got 3"),
     ("mesh", ["--slice", "-1"], "--slice must be in 0..0, got -1"),

@@ -21,8 +21,8 @@ from cardiofem.strain import strain_field, sector_average
 from cardiofem.study import FrameResult, Study
 
 from conftest import boundary_dirichlet
-from oracles import (cli_ring_tables, cli_strain_aggregates, csr_stiffness, identity_row_system,
-                     nodal_dirichlet)
+from oracles import (cli_ring_tables, cli_strain_aggregates, csr_stiffness,
+                     dictreader_read_study_csv, identity_row_system, nodal_dirichlet)
 
 
 @pytest.fixture
@@ -90,6 +90,46 @@ def test_csv_accepts_shuffled_rows(tmp_path, study):
     assert np.array_equal(
         back.slices[0].frames[1].inner.points, study.slices[0].frames[1].inner.points
     )
+
+
+def _rewrite_csv(path, edit, lineterminator="\r\n"):
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator=lineterminator).writerows(edit(rows))
+
+
+def _contents(study):
+    return (study.subject_id, study.spacing, [
+        (sl.index, fc.frame_index, fc.inner.points.tolist(), fc.outer.points.tolist())
+        for sl in study.slices for fc in sl.frames])
+
+
+def _shuffle_columns(rows):
+    order = [3, 6, 0, 5, 1, 4, 2]
+    return [[row[i] for i in order] for row in rows]
+
+
+def _extra_column(rows):
+    return [[*row[:2], "note" if k == 0 else f"n{k}", *row[2:]] for k, row in enumerate(rows)]
+
+
+def _blank_lines(rows):
+    return [rows[0], [], [], *(r for row in rows[1:] for r in (row, []))]
+
+
+@pytest.mark.parametrize("edit, lineterminator", [
+    (list, "\r\n"), (list, "\n"), (_shuffle_columns, "\r\n"), (_extra_column, "\n"),
+    (_blank_lines, "\r\n"), (_blank_lines, "\n"),
+], ids=["crlf", "lf", "shuffled-columns", "extra-column", "blank-lines-crlf", "blank-lines-lf"])
+def test_csv_reader_gives_the_dictreader_study(tmp_path, study, edit, lineterminator):
+    csv_path, manifest = tmp_path / "contours.csv", tmp_path / "manifest.json"
+    cfio.write_study_csv(csv_path, study)
+    cfio.write_manifest(manifest, study)
+    _rewrite_csv(csv_path, edit, lineterminator)
+    back, want = cfio.read_study_csv(csv_path, manifest), dictreader_read_study_csv(csv_path,
+                                                                                    manifest)
+    assert _contents(back) == _contents(want) == _contents(study)
 
 
 def test_csv_missing_column(tmp_path):

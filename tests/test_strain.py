@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from cardiofem import GeometryError, RingSpec
+from cardiofem import CycleParams, GeometryError, RingSpec, cycle_strain_analysis, mi_wedge_study
 from cardiofem.fem import DisplacementField, assemble
 from cardiofem.materials import Material
 from cardiofem.meshing import Mesh
-from cardiofem.phantom import lame_displacement, lame_strain_polar, make_ring
+from cardiofem.phantom import lame_displacement, lame_displacement_at, lame_strain_polar, make_ring
 from cardiofem.strain import effective_strain, sector_average, sector_index, strain_field
 from cardiofem import fem
 from cardiofem import strain as strain_module
+from cardiofem.study import frame_mesh
 
 from conftest import boundary_dirichlet, solve_one
-from oracles import element_strain, element_strain_local, strain_displacement_matrix
+from oracles import (element_strain, element_strain_local, gather_centroids,
+                     gather_sector_average, strain_displacement_matrix)
 
 TWO_PI = 2.0 * math.pi
 
@@ -347,6 +349,34 @@ def test_sector_indicator_field():
     assert summary.mean_effective[0] == pytest.approx(1.0)
     assert np.all(summary.mean_effective[1:] == 0.0)
     assert summary.counts.sum() == mesh.n_triangles
+
+
+def _assert_gather_oracle(mesh, sf, disp, center, summary):
+    assert np.array_equal(mesh.triangle_centroids(), gather_centroids(mesh, mesh.nodes))
+    assert np.array_equal(mesh.at_centroids(disp.values), gather_centroids(mesh, disp.values))
+    want = gather_sector_average(mesh, sf, disp, center, summary.n_sectors)
+    for name in ("mean_displacement", "mean_effective", "counts"):
+        assert np.array_equal(getattr(summary, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
+def test_centroid_means_are_bitwise_the_gather_oracle_on_rings(n_angular, n_radial):
+    # the three node rows are summed in the order mean() reduces them, and the
+    # magnitude takes the two squares in the order norm() sums them
+    spec = RingSpec(1.0, 2.0, (0.3, -0.2))
+    mesh, mats = make_ring(spec, n_angular, n_radial)
+    disp = DisplacementField(lame_displacement_at(spec, 1.0, mesh.nodes))
+    sf = strain_field(mesh, disp, mats.nu)
+    _assert_gather_oracle(mesh, sf, disp, spec.center,
+                          sector_average(mesh, sf, disp, spec.center, 16))
+
+
+def test_centroid_means_are_bitwise_the_gather_oracle_on_a_study_mesh():
+    study = mi_wedge_study(seed=5, n_frames=4)
+    center = frame_mesh(study.slices[0].frames[0], 128, 16)[0]
+    for result in cycle_strain_analysis(study, CycleParams(n_points=128, n_radial=16)):
+        _assert_gather_oracle(result.model.mesh, result.strain, result.displacement, center,
+                              result.sectors)
 
 
 def test_mesh_geometry_computed_once_per_mesh(monkeypatch):

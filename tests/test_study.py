@@ -720,24 +720,20 @@ def test_incremental_frames_add_up_to_cumulative(n_points):
 
 def _arrays(obj, path="result"):
     """(path, array) of every ndarray field reachable through the dataclass
-    records, tuples and lists in ``obj``. Of a ``SliceModel`` only the mesh is
-    walked: its stiffness system and fixed dofs are not among the records
-    that copy and freeze their arrays."""
+    records, tuples and lists in ``obj``."""
     if isinstance(obj, np.ndarray):
         yield path, obj
     elif isinstance(obj, (tuple, list)):
         for i, item in enumerate(obj):
             yield from _arrays(item, f"{path}[{i}]")
-    elif isinstance(obj, study_module.SliceModel):
-        yield from _arrays(obj.mesh, f"{path}.mesh")
     elif dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
             yield from _arrays(getattr(obj, field.name), f"{path}.{field.name}")
 
 
 def test_every_record_array_is_read_only():
-    # the records copy their arrays and store them read-only, so that no caller
-    # can change a result that another result shares (one mesh per slice)
+    # the records store their arrays read-only, so that no caller can change a
+    # result that another result shares (one mesh and one stiffness per slice)
     from cardiofem import RingSpec, verify_ring
 
     params = CycleParams(n_points=16, n_radial=2)
@@ -751,10 +747,14 @@ def test_every_record_array_is_read_only():
                verify_ring(RingSpec(1.0, 2.0), 16, 2), boundary_displacements(*frames[:2], 16),
                MaterialField.uniform(results[0].model.mesh, params.material))
     found = dict(_arrays(records))
-    # one array of each of the nine records that copy theirs
+    # one array of each of the nine records that copy theirs and of the three
+    # (SliceModel, LinearSystem, Stiffness) that freeze theirs in place
     for name in ("result[0].slices[0].frames[0].inner.points", "result[1][0].model.mesh.nodes",
                  "result[1][2].displacement.values", "result[1][2].strain.effective",
                  "result[1][2].sectors.counts", "result[2].reference_strain", "result[3].raw",
-                 "result[5].outer_vectors", "result[6].nu"):
+                 "result[5].outer_vectors", "result[6].nu", "result[1][2].model.fixed",
+                 "result[1][2].model.system.load", "result[1][2].model.system.node_order",
+                 "result[1][2].model.system.stiffness.cols",
+                 "result[1][2].model.system.stiffness.vals"):
         assert name in found
     assert [path for path, arr in found.items() if arr.flags.writeable] == []
