@@ -234,12 +234,18 @@ def _distance_to_edges(rel: np.ndarray) -> float:
     return math.sqrt(float(np.einsum("ij,ij->i", gap, gap).min()))
 
 
+def _polar_angles(rel: np.ndarray) -> np.ndarray:
+    """Polar angle of each point of ``rel`` (relative to a center) in [0, 2*pi];
+    2*pi only for an angle that rounds up from just below the +x axis."""
+    return np.mod(np.arctan2(rel[:, 1], rel[:, 0]), TWO_PI)
+
+
 class _AngularPass(NamedTuple):
     """A contour's vertices about one center, computed once and shared by the
     star, center and tie checks and the uniform-angle resampling."""
 
     perm: np.ndarray  # stable sort of the vertices by angle
-    angles: np.ndarray  # in [0, 2*pi), sorted
+    angles: np.ndarray  # in [0, 2*pi] (see _polar_angles), sorted
     radii: np.ndarray  # in angle order
     gaps: np.ndarray  # from each sorted angle to the next, the last one wrapping
     star: bool  # the polygon winds monotonically once about the center, off its edges
@@ -257,7 +263,7 @@ def _angular_pass(contour: Contour, c: np.ndarray) -> _AngularPass:
     in vertex order, winds monotonically once about ``c`` (up to tied
     duplicates, in either direction) and ``c`` lies off its edges."""
     d = contour.points - c
-    angles = np.mod(np.arctan2(d[:, 1], d[:, 0]), TWO_PI)
+    angles = _polar_angles(d)
     radii = np.linalg.norm(d, axis=1)
     perm = np.argsort(angles, kind="stable")
     th = angles[perm]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contours import BoundaryDisplacements, _read_only
+from .contours import TWO_PI, BoundaryDisplacements, _polar_angles, _read_only
 from .errors import ConfigurationError, GeometryError, MeshError, SolverError
 from .materials import MaterialField, constitutive_matrices
 from .meshing import Mesh
@@ -173,8 +173,8 @@ def rigid_body_modes(nodes) -> np.ndarray:
 def _fold_order(nodes: np.ndarray) -> np.ndarray:
     """The fold order of ``nodes`` (see the module docstring)."""
     rel = nodes - nodes.mean(axis=0)
-    theta = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
-    fold = np.minimum(theta, 2.0 * np.pi - theta)
+    theta = _polar_angles(rel)
+    fold = np.minimum(theta, TWO_PI - theta)
     # a fold angle within 1e-9 of the next smaller one ties with it, so that
     # a column's nodes, equal in angle up to rounding, go by radius
     by_fold = np.argsort(fold)
@@ -326,25 +326,21 @@ def boundary_dof_map(
     nodes, samples = [], []
     offset = 0
     for label, positions in (("inner", inner_positions), ("outer", outer_positions)):
-        positions = np.asarray(positions, dtype=float)
         node_ids = mesh.boundary_nodes(label)
         if len(node_ids) != len(positions):
             raise GeometryError(
                 f"{label} boundary has {len(node_ids)} nodes but "
                 f"{len(positions)} displacement samples"
             )
-        coords = mesh.nodes[node_ids]
-        node_angles = np.mod(np.arctan2(coords[:, 1] - c[1], coords[:, 0] - c[0]), 2.0 * np.pi)
-        sample_angles = np.mod(
-            np.arctan2(positions[:, 1] - c[1], positions[:, 0] - c[0]), 2.0 * np.pi
-        )
+        node_angles = _polar_angles(mesh.nodes[node_ids] - c)
+        sample_angles = _polar_angles(positions - c)
         node_order = np.argsort(node_angles, kind="stable")
         sample_order = np.argsort(sample_angles, kind="stable")
         # Both orders are cyclic: align them at the sample nearest (in
         # circular distance) to the first node, so that a node whose angle
         # rounds to just below 2*pi meets the sample at 0.
         gap = np.abs(sample_angles[sample_order] - node_angles[node_order[0]])
-        shift = int(np.argmin(np.minimum(gap, 2.0 * np.pi - gap)))
+        shift = int(np.argmin(np.minimum(gap, TWO_PI - gap)))
         nearest = np.empty(len(node_ids), dtype=np.int64)
         nearest[node_order] = np.roll(sample_order, -shift)
         nodes.append(node_ids)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import TWO_PI, _as_point, _read_only
+from .contours import _as_point, _polar_angles, _read_only
 from .errors import ConfigurationError
 from .meshing import Mesh
 
@@ -51,6 +51,12 @@ class AngularRegion:
     start_deg: float
     end_deg: float
     material: Material
+
+    def contains(self, angles_deg) -> np.ndarray:
+        """Whether each angle (degrees) lies in the wedge, by its offset from the start."""
+        # the full circle's span is inf, since np.mod rounds an offset of -1 ulp up to 360
+        span = (self.end_deg - self.start_deg) % 360.0 or math.inf
+        return np.mod(np.asarray(angles_deg, dtype=float) - self.start_deg, 360.0) < span
 
 
 @dataclass(frozen=True)
@@ -109,11 +115,7 @@ def region_material_field(mesh: Mesh, base: Material, region: AngularRegion,
                           center) -> MaterialField:
     """``region``'s material on the elements whose centroid angle about
     ``center`` falls in the region, ``base`` on all others."""
-    c = _as_point(center)
-    cen = mesh.triangle_centroids() - c
-    angles_deg = np.degrees(np.mod(np.arctan2(cen[:, 1], cen[:, 0]), TWO_PI))
-    # the full circle's span is inf, since np.mod rounds an offset of -1 ulp up to 360
-    span = (region.end_deg - region.start_deg) % 360.0 or math.inf
-    inside = np.mod(angles_deg - region.start_deg, 360.0) < span
+    cen = mesh.triangle_centroids() - _as_point(center)
+    inside = region.contains(np.degrees(_polar_angles(cen)))
     return MaterialField(np.where(inside, region.material.E, base.E),
                          np.where(inside, region.material.nu, base.nu))

@@ -21,12 +21,13 @@ import numpy as np
 
 from ._fork import forked
 from .contours import TWO_PI, Contour, FrameContours, Point2, boundary_displacements
-from .errors import ConfigurationError, GeometryError, UsageError
+from .errors import ConfigurationError, GeometryError
 from .fem import (apply_traction, assemble, boundary_conditions_from_displacements,
                   boundary_dof_map, internal_pressure_tractions, remove_rigid_motion, solve)
 from .materials import AngularRegion, Material, MaterialField, region_material_field
 from .meshing import CheckResult, triangulate_annulus
 from .strain import SectorSummary, sector_average, strain_field
+from .study import CycleParams
 
 
 def circle_contour(radius: float, center, n: int) -> Contour:
@@ -254,30 +255,26 @@ def verify_ring(
     assembled once (the wedge ring on the base mesh), and every solve that
     fixes all boundary dofs is condensed: on the base ring the oracle solve
     and the pipeline re-solve are two columns of one factor. ``n_sectors``
-    must be at least 2, so that the wedge and the rest of the ring both hold
-    a sector midpoint, ``n_points`` at least 8, so that the half-resolution
-    ring is a contour, and divisible by 4 for the traction solve's pin
-    layout, and ``n_radial`` at least 1; all are checked before any ring is
-    built. The fine ring, the costliest, is verified in one forked child
-    (``_fork.forked``) while this process verifies the rest, so a library
-    caller forks when it may use more than one CPU; on one CPU it is
-    verified inline first, with the same results.
+    must be at least 2, so that the wedge and the rest of the ring both hold a
+    sector midpoint, ``n_points`` at least 8, so that the half-resolution ring
+    is a contour, and divisible by 4 for the traction solve's pin layout, and
+    :class:`CycleParams` bounds ``n_radial`` and the sector count; all raise
+    ``ConfigurationError`` before any ring is built. The fine ring, the
+    costliest, is verified in one forked child (``_fork.forked``) while this
+    process verifies the rest, so a library caller forks when it may use more
+    than one CPU; on one CPU it is verified inline first, with the same
+    results.
     """
     if n_sectors < 2:
-        raise UsageError(f"sectors must be at least 2 for the stiff-wedge check, got {n_sectors}")
+        raise ConfigurationError(
+            f"sectors must be at least 2 for the stiff-wedge check, got {n_sectors}")
     if n_points < 8:
-        raise UsageError(
-            f"n_points must be at least 8 for the half-resolution ring, got {n_points}"
-        )
-    if n_radial < 1:
-        raise UsageError(f"n_radial must be at least 1, got {n_radial}")
+        raise ConfigurationError(
+            f"n_points must be at least 8 for the half-resolution ring, got {n_points}")
     if n_points % 4 != 0:
-        raise UsageError(
-            f"n_points must be divisible by 4 for the traction solve's pin layout, got {n_points}"
-        )
-    if n_sectors > 2 * n_points * n_radial:
-        raise UsageError(f"sectors must be at most the base ring's element count "
-                         f"{2 * n_points * n_radial}, got {n_sectors}")
+        raise ConfigurationError("n_points must be divisible by 4 for the traction solve's "
+                                 f"pin layout, got {n_points}")
+    CycleParams(n_points=n_points, n_radial=n_radial, n_sectors=n_sectors)
     resolutions = ((n_points // 2, max(n_radial // 2, 1)), (n_points, n_radial),
                    (n_points * 2, n_radial * 2))
     with forked([functools.partial(_fine_ring, spec, *resolutions[2])]) as fine:
@@ -315,8 +312,7 @@ def verify_ring(
     errors.append(fine_error)
     orders = [math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0.0 else math.inf
               for i in range(len(errors) - 1)]
-    mids = (np.arange(n_sectors) + 0.5) * (360.0 / n_sectors)
-    stiff_sectors = (mids >= 225.0) & (mids < 315.0)
+    stiff_sectors = stiff.contains((np.arange(n_sectors) + 0.5) * (360.0 / n_sectors))
     stiff_sectors.setflags(write=False)
 
     checks = [

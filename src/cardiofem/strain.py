@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .contours import TWO_PI, _as_point, _read_only
+from .contours import TWO_PI, _as_point, _polar_angles, _read_only
 from .errors import GeometryError
 from .fem import DisplacementField, _element_matrices
 from .meshing import Mesh
@@ -100,10 +100,10 @@ def strain_field(mesh: Mesh, disp: DisplacementField, nu) -> StrainField:
 
 
 def sector_index(angles_rad, n_sectors: int) -> np.ndarray:
-    """Sector of each angle; exact sector boundaries go to the lower sector."""
-    angles = np.mod(np.asarray(angles_rad, dtype=float), TWO_PI)
-    width = TWO_PI / n_sectors
-    q = angles / width
+    """Sector of each angle; exact sector boundaries, 2*pi included, go to the lower sector."""
+    angles = np.asarray(angles_rad, dtype=float)
+    angles = np.where(angles == TWO_PI, angles, np.mod(angles, TWO_PI))
+    q = angles / (TWO_PI / n_sectors)
     s = np.floor(q).astype(np.int64)
     on_boundary = (q == s) & (s > 0)
     s[on_boundary] -= 1
@@ -117,8 +117,7 @@ def _element_sectors(mesh: Mesh, center, n_sectors: int) -> tuple[np.ndarray, np
     c = _as_point(center)
 
     def compute():
-        cen = mesh.triangle_centroids() - c
-        sectors = sector_index(np.arctan2(cen[:, 1], cen[:, 0]), n_sectors)
+        sectors = sector_index(_polar_angles(mesh.triangle_centroids() - c), n_sectors)
         return sectors, np.bincount(sectors, minlength=n_sectors)
 
     return mesh.cached(("sectors", c.tobytes(), n_sectors), compute)

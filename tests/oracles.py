@@ -38,9 +38,13 @@ of those means; ``Mesh.at_centroids`` now sums the three node rows and the
 magnitude is written out. Per ingest: the contour CSV read by
 ``csv.DictReader``, its line numbers counted over the rows it yields; the
 library now reads rows by ``csv.reader`` and takes each column at its index
-in the header."""
+in the header. Per polar angle: each site's own angle expression, the
+former ``sector_index`` that wrapped 2*pi to 0 and the former midpoint rule of
+the phantom's stiff sectors; ``contours._polar_angles`` now computes every
+angle and ``AngularRegion.contains`` decides wedge membership."""
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +477,40 @@ def gather_sector_average(mesh, strain, disp, center, n_sectors) -> SectorSummar
     return SectorSummary(np.bincount(sectors, weights=disp_mag, minlength=n_sectors) / denom,
                          np.bincount(sectors, weights=strain.effective, minlength=n_sectors)
                          / denom, counts)
+
+
+def site_polar_angles(points, center) -> dict[str, np.ndarray]:
+    """Each former site's angle of ``points`` about ``center``, by the
+    expression the site spelled out itself (the materials site's in degrees)."""
+    c = np.asarray(center, dtype=float)
+    rel = points - c
+    return {
+        "contours._angular_pass": np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi),
+        "fem._fold_order": np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi),
+        "fem.boundary_dof_map": np.mod(
+            np.arctan2(points[:, 1] - c[1], points[:, 0] - c[0]), 2.0 * np.pi),
+        "materials.region_material_field": np.degrees(
+            np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * math.pi)),
+    }
+
+
+def mod_sector_index(angles_rad, n_sectors: int) -> np.ndarray:
+    """The former ``sector_index``, which wrapped every angle by ``np.mod``
+    (2*pi to 0); ``_element_sectors`` passed it the bare ``np.arctan2``."""
+    angles = np.mod(np.asarray(angles_rad, dtype=float), 2.0 * math.pi)
+    width = 2.0 * math.pi / n_sectors
+    q = angles / width
+    s = np.floor(q).astype(np.int64)
+    on_boundary = (q == s) & (s > 0)
+    s[on_boundary] -= 1
+    s[s >= n_sectors] = n_sectors - 1
+    return s
+
+
+def midpoint_stiff_sectors(n_sectors: int) -> np.ndarray:
+    """The former stiff sectors of ``verify_ring``: midpoints in [225, 315) degrees."""
+    mids = (np.arange(n_sectors) + 0.5) * (360.0 / n_sectors)
+    return (mids >= 225.0) & (mids < 315.0)
 
 
 def dictreader_read_study_csv(csv_path, manifest_path):

@@ -186,7 +186,7 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     ("phantom-verify", ["--n-points", "4"], "n_points must be at least 8"),
     ("phantom-verify", ["--n-points", "0"], "n_points must be at least 8"),
     ("phantom-verify", ["--n-points", "-8"], "n_points must be at least 8"),
-    ("phantom-verify", ["--n-radial", "0"], "n_radial must be at least 1, got 0"),
+    ("phantom-verify", ["--n-radial", "0"], "n_radial must be >= 1"),
     ("analyze", ["--reference-manifest", "nonexistent.json"],
      "more --reference-manifest files (2) than --reference studies (1)"),
     ("analyze", ["--sectors", "0"], "n_sectors must be >= 1"),
@@ -204,12 +204,12 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     ("synth", ["--n-points", "1"], "contour needs at least 3 points"),
     # one more sector than the 64x8 mesh has elements
     ("analyze", ["--sectors", "1025"], "n_sectors must be at most the mesh's element count 1024"),
+    ("phantom-verify", ["--sectors", "0"], "sectors must be at least 2 for the stiff-wedge check"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
                                        command, flags, needle):
     # the input is read and checked before --out is made or a writer forks; a
-    # phantom ring too coarse to build and a surplus reference manifest are
-    # usage errors, the rest fail validation
+    # surplus reference manifest is a usage error, the rest fail validation
     healthy_dir, mi_dir = synth_pair
     forks = cpus(monkeypatch, 2)
     capsys.readouterr()
@@ -224,7 +224,7 @@ def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys
         code = run("volume", "--study", str(bad), "--out", str(out))
     else:
         code = run(command, *flags, "--out", str(out))
-    assert code == (2 if needle.startswith(("n_points", "n_radial", "more")) else 1)
+    assert code == (2 if needle.startswith("more") else 1)
     assert needle in _single_error_line(capsys)
     assert forks == []
     assert not out.exists()
@@ -844,7 +844,7 @@ def test_end_of_options_is_no_flag_value(tmp_path, capsys, route, name):
 def test_phantom_verify_needs_two_sectors(tmp_path, capsys):
     capsys.readouterr()
     assert run("phantom-verify", "--sectors", "1", "--n-points", "16", "--n-radial", "2",
-               "--out", str(tmp_path / "pv")) == 2
+               "--out", str(tmp_path / "pv")) == 1
     assert "sectors must be at least 2" in _single_error_line(capsys)
 
 
@@ -852,16 +852,28 @@ def test_phantom_verify_takes_no_more_sectors_than_base_elements(tmp_path, capsy
     capsys.readouterr()
     out = tmp_path / "pv"
     assert run("phantom-verify", "--sectors", "65", "--n-points", "16", "--n-radial", "2",
-               "--out", str(out)) == 2
+               "--out", str(out)) == 1
     assert _single_error_line(capsys) == (
-        "error: sectors must be at most the base ring's element count 64, got 65")
+        "error: n_sectors must be at most the mesh's element count 64, got 65")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--n-radial", "0"], ["--n-radial", "2", "--sectors", "65"]])
+def test_strain_and_phantom_verify_reject_a_mesh_size_alike(tmp_path, synth_pair, capsys, flags):
+    # CycleParams bounds the ring size and sector count of both commands
+    healthy_dir, _ = synth_pair
+    capsys.readouterr()
+    lines = []
+    for command in (["strain", "--study", str(healthy_dir / "study.json")], ["phantom-verify"]):
+        assert run(*command, "--n-points", "16", *flags, "--out", str(tmp_path / command[0])) == 1
+        lines.append(_single_error_line(capsys))
+    assert lines[0] == lines[1]
 
 
 def test_phantom_verify_needs_n_points_divisible_by_4(tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "pv"
-    assert run("phantom-verify", "--n-points", "30", "--n-radial", "4", "--out", str(out)) == 2
+    assert run("phantom-verify", "--n-points", "30", "--n-radial", "4", "--out", str(out)) == 1
     assert "n_points must be divisible by 4" in _single_error_line(capsys)
     assert not out.exists()
 

@@ -10,6 +10,7 @@ from cardiofem.contours import (
     Contour,
     FrameContours,
     _angular_pass,
+    _polar_angles,
     angular_permutation,
     boundary_displacements,
     centroid,
@@ -21,7 +22,9 @@ from cardiofem.contours import (
     uniform_angle_walls,
 )
 
+from cardiofem.strain import sector_index
 from conftest import circle_frame, star_contour
+from oracles import mod_sector_index, site_polar_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -309,3 +312,28 @@ def test_points_in_polygon():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     inside = points_in_polygon([[0.5, 0.5], [2.0, 0.5], [0.9, 0.1]], square)
     assert inside.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (128.0, 128.0), (-0.3, 2.5)])
+def test_polar_angles_equal_each_former_site_expression(center):
+    # random points, and points a few ulps either side of the +x axis, where
+    # np.mod rounds an angle just below it up to exactly 2*pi
+    c = np.asarray(center)
+    k = np.arange(-8, 9)[:, None]
+    dx = np.array([1e-3, 1.0, 37.5, 1e3, 1e5])
+    near = [np.stack(np.broadcast_arrays(c[0] + dx, c[1] + dy), axis=-1).reshape(-1, 2)
+            for dy in (k * np.spacing(c[1]), k * 2.0**-53 * dx)]
+    rng = np.random.default_rng(11)
+    points = np.vstack([c + 10.0 * rng.normal(size=(2000, 2)), *near])
+    angles = _polar_angles(points - c)
+    assert (angles == TWO_PI).any() and (angles == 0.0).any()
+    for site, former in site_polar_angles(points, c).items():
+        new = np.degrees(angles) if site.startswith("materials") else angles
+        assert new.tobytes() == former.tobytes(), site
+    theta = site_polar_angles(points, c)["fem._fold_order"]
+    assert np.array_equal(np.minimum(theta, TWO_PI - theta), np.minimum(theta, 2.0 * np.pi - theta))
+    # _element_sectors gave the former sector_index the bare arctan2
+    rel = points - c
+    for n_sectors in (1, 2, 3, 7, 16, 1024):
+        assert np.array_equal(sector_index(angles, n_sectors),
+                              mod_sector_index(np.arctan2(rel[:, 1], rel[:, 0]), n_sectors))

@@ -16,7 +16,7 @@ from cardiofem.materials import (
 )
 from cardiofem.phantom import make_ring
 
-from oracles import interval_region_material_field
+from oracles import interval_region_material_field, midpoint_stiff_sectors
 
 
 def test_material_invariants():
@@ -206,3 +206,12 @@ def test_batch_matrices_match_single(ring_mesh):
         for i in range(field.n_elements):
             single = constitutive_matrix(Material(field.E[i], field.nu[i]), mode)
             assert_allclose(batch[i], single, rtol=1e-15)
+
+
+def test_contains_on_sector_midpoints_matches_the_former_midpoint_rule():
+    # verify_ring's stiff sectors: the wedge's own test, as region_material_field
+    # applies it, on the sector midpoints, for every sector count
+    stiff = AngularRegion(225.0, 315.0, Material(7.0, 0.3))
+    for n_sectors in range(2, 4097):
+        mids = (np.arange(n_sectors) + 0.5) * (360.0 / n_sectors)
+        assert np.array_equal(stiff.contains(mids), midpoint_stiff_sectors(n_sectors)), n_sectors

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cardiofem import ConfigurationError, GeometryError, RingSpec, UsageError, verify_ring
+from cardiofem import ConfigurationError, GeometryError, RingSpec, verify_ring
 from cardiofem.contours import Contour, FrameContours, boundary_displacements
 from cardiofem.fem import boundary_conditions_from_displacements, assemble
 from cardiofem.materials import AngularRegion, Material
@@ -398,7 +398,8 @@ def test_verify_ring_checks_n_points_before_meshing(monkeypatch, n_points):
     make = phantom_module.make_ring
     monkeypatch.setattr(phantom_module, "make_ring",
                         lambda *args: calls.append(args) or make(*args))
-    with pytest.raises(UsageError, match=f"n_points must be divisible by 4.*got {n_points}"):
+    with pytest.raises(ConfigurationError,
+                       match=f"n_points must be divisible by 4.*got {n_points}"):
         verify_ring(RingSpec(1.0, 2.0), n_points, 4, 16)
     assert calls == []
 
@@ -407,7 +408,7 @@ def test_verify_ring_checks_n_points_before_meshing(monkeypatch, n_points):
     (4, 4, "n_points must be at least 8 for the half-resolution ring, got 4"),
     (0, 4, "n_points must be at least 8 for the half-resolution ring, got 0"),
     (-8, 4, "n_points must be at least 8 for the half-resolution ring, got -8"),
-    (32, 0, "n_radial must be at least 1, got 0"),
+    (32, 0, "n_radial must be >= 1"),
 ])
 def test_verify_ring_checks_ring_size_before_meshing(monkeypatch, n_points, n_radial, needle):
     import cardiofem.phantom as phantom_module
@@ -416,7 +417,7 @@ def test_verify_ring_checks_ring_size_before_meshing(monkeypatch, n_points, n_ra
     make = phantom_module.make_ring
     monkeypatch.setattr(phantom_module, "make_ring",
                         lambda *args: calls.append(args) or make(*args))
-    with pytest.raises(UsageError) as info:
+    with pytest.raises(ConfigurationError) as info:
         verify_ring(RingSpec(1.0, 2.0), n_points, n_radial, 16)
     assert str(info.value) == needle
     assert calls == []
@@ -427,9 +428,9 @@ def test_verify_ring_takes_no_more_sectors_than_base_elements(monkeypatch):
 
     calls = []
     monkeypatch.setattr(phantom_module, "make_ring", lambda *args: calls.append(args))
-    with pytest.raises(UsageError) as info:
+    with pytest.raises(ConfigurationError) as info:
         verify_ring(RingSpec(1.0, 2.0), 16, 2, 65)
-    assert str(info.value) == "sectors must be at most the base ring's element count 64, got 65"
+    assert str(info.value) == "n_sectors must be at most the mesh's element count 64, got 65"
     assert calls == []
 
 

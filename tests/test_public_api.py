@@ -80,3 +80,22 @@ def test_every_public_member_has_a_reader():
     used = _names_used_in_src(attributes_only=True)
     unread = sorted(qual for qual, name in _public_members() if name not in used)
     assert unread == [], f"public methods and properties never read in src/: {unread}"
+
+
+def test_only_contours_spells_the_polar_angle_and_pi():
+    # contours owns the polar angle (_polar_angles) and 2*pi (TWO_PI); every
+    # other module calls them, so the angular convention has one owner
+    def spelled(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy", "math")
+                    and node.attr in ("arctan2", "pi")):
+                yield f"{path.stem}:{node.lineno} {node.value.id}.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "math"):
+                yield from (f"{path.stem}:{node.lineno} from {node.module} import {a.name}"
+                            for a in node.names if a.name in ("arctan2", "pi"))
+
+    assert list(spelled(SRC / "contours.py")), "the scan finds contours' own uses"
+    others = [hit for path in sorted(SRC.glob("*.py")) if path.stem != "contours"
+              for hit in spelled(path)]
+    assert others == [], f"polar angle or pi outside contours: {others}"

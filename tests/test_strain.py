@@ -310,8 +310,9 @@ def test_effective_strain_nonnegative_and_zero_iff_zero():
 
 def test_sector_index_boundaries():
     width = TWO_PI / 16
-    angles = np.array([0.0, 0.5 * width, width, width + 1e-9, 15.5 * width])
-    assert sector_index(angles, 16).tolist() == [0, 0, 0, 1, 15]
+    # 2*pi, a polar angle just below the +x axis, is the last sector's upper boundary
+    angles = np.array([0.0, 0.5 * width, width, width + 1e-9, 15.5 * width, TWO_PI])
+    assert sector_index(angles, 16).tolist() == [0, 0, 0, 1, 15, 15]
 
 
 def test_sector_single_covers_global_mean(ring_mesh):
