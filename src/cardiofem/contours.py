@@ -29,11 +29,6 @@ ANGLE_TIE_TOL = 1e-10
 RADIUS_TIE_RTOL = 1e-9
 
 
-class Point2(NamedTuple):
-    x: float
-    y: float
-
-
 def _read_only(record, **arrays) -> None:
     """Store each of ``arrays`` on the frozen ``record`` under its name, read-only."""
     for name, arr in arrays.items():
@@ -101,7 +96,7 @@ class BoundaryDisplacements:
     inner_vectors: np.ndarray
     outer_positions: np.ndarray
     outer_vectors: np.ndarray
-    reference_center: Point2
+    reference_center: tuple[float, float]
 
     def __post_init__(self):
         names = ("inner_positions", "inner_vectors", "outer_positions", "outer_vectors")
@@ -290,10 +285,9 @@ def rotate_about(points, center, angle_rad: float) -> np.ndarray:
 # operations
 
 
-def centroid(contour: Contour) -> Point2:
-    """Vertex centroid (arithmetic mean of the contour points)."""
-    m = contour.points.mean(axis=0)
-    return Point2(float(m[0]), float(m[1]))
+def centroid(contour: Contour) -> tuple[float, float]:
+    """Vertex centroid (arithmetic mean of the contour points) as an (x, y) pair."""
+    return tuple(contour.points.mean(axis=0).tolist())
 
 
 def _check_center_inside(points_sorted: np.ndarray, center: np.ndarray) -> None:

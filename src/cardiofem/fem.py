@@ -1,19 +1,19 @@
 """Linear triangular finite elements for 2D elasticity.
 
-Assembles the symmetric stiffness system K U = F over a mesh with
-per-element constitutive matrices, K in the padded-row form of
-:class:`Stiffness`, and applies Neumann tractions by consistent edge lumping.
-Dirichlet data has one format: an array of strictly increasing fixed dofs and
-an array of their values. :func:`solve` takes an (n_fixed, n_sets) value
-array and solves for the free dofs of every column with one banded Cholesky
-factorization in the system's fold order, its band read from the assembled K
-through each free dof's band position. LAPACK comes from the OpenBLAS that
-numpy's wheel bundles, through ``ctypes``, each of its two calls pinned to
-one OpenBLAS thread; scipy.linalg serves a numpy without it.
-:func:`apply_dirichlet` builds the equivalent system with the fixed rows and
-columns eliminated (replaced by identity), for export.
-:func:`boundary_dof_map` pairs the boundary nodes with displacement samples
-by one rule, angular order about the reference center.
+Assembles the symmetric stiffness system K U = F over a mesh with per-element
+constitutive matrices, K in the padded-row form of :class:`Stiffness`. Neumann
+data is one nodal load vector added to F, such as the consistent loads of a
+uniform inner-wall pressure. Dirichlet data has one format: an array of
+strictly increasing fixed dofs and an array of their values. :func:`solve`
+takes an (n_fixed, n_sets) value array and solves for the free dofs of every
+column with one banded Cholesky factorization in the system's fold order, its
+band read from the assembled K through each free dof's band position. LAPACK
+comes from the OpenBLAS that numpy's wheel bundles, through ``ctypes``, each
+of its two calls pinned to one OpenBLAS thread; scipy.linalg serves a numpy
+without it. :func:`apply_dirichlet` builds the equivalent system with the
+fixed rows and columns eliminated (replaced by identity), for export.
+:func:`boundary_dof_map` pairs the boundary nodes with displacement samples by
+one rule, angular order about the reference center.
 
 The fold order, a band order for a periodic ring (George & Liu, *Computer
 Solution of Large Sparse Positive Definite Systems*, 1981), takes the nodes
@@ -266,44 +266,29 @@ def apply_dirichlet(system: LinearSystem, fixed_dofs, values) -> LinearSystem:
     return LinearSystem(Stiffness(k.cols, vals, k.nnz), load, system.node_order)
 
 
-def apply_traction(system: LinearSystem, tractions, mesh: Mesh) -> LinearSystem:
-    """Add consistent loads for constant per-edge tractions.
+def apply_traction(system: LinearSystem, loads) -> LinearSystem:
+    """The system with the nodal ``loads`` (2V,) added to its load vector,
+    such as :func:`internal_pressure_tractions` returns. Apply them before
+    :func:`apply_dirichlet` so its load correction sees them."""
+    if np.shape(loads) != system.load.shape:
+        raise ConfigurationError(f"loads must be ({system.n_dofs},), got {np.shape(loads)}")
+    return LinearSystem(system.stiffness, system.load + loads, system.node_order)
 
-    ``tractions`` maps a boundary edge (node pair) to a constant force per
-    unit length on it, as :func:`internal_pressure_tractions` returns. Each
-    loaded edge contributes length * traction / 2 to both endpoints. Apply
-    tractions before :func:`apply_dirichlet` so its load correction sees them.
+
+def internal_pressure_tractions(mesh: Mesh, pressure: float) -> np.ndarray:
+    """Consistent nodal loads (2V,) of a uniform pressure on the inner wall.
+
+    An inner edge e = x_b - x_a carries the pressure times the unit normal
+    into the wall, (e_y, -e_x) / |e|, and each end takes |e| / 2 of it, in
+    which |e| cancels: 0.5 * pressure * (e_y, -e_x).
     """
-    boundary = {frozenset(e) for e in np.concatenate([mesh.inner_edges, mesh.outer_edges]).tolist()}
-    f = system.load.copy()
-    for (a, b), (tx, ty) in sorted(tractions.items()):
-        a, b = int(a), int(b)
-        if frozenset((a, b)) not in boundary:
-            raise ConfigurationError(f"traction on non-boundary edge ({a}, {b})")
-        length = float(np.linalg.norm(mesh.nodes[b] - mesh.nodes[a]))
-        half = 0.5 * length
-        f[2 * a] += half * tx
-        f[2 * a + 1] += half * ty
-        f[2 * b] += half * tx
-        f[2 * b + 1] += half * ty
-    return LinearSystem(system.stiffness, f, system.node_order)
-
-
-def internal_pressure_tractions(mesh: Mesh, pressure: float) -> dict:
-    """Uniform radial pressure on the inner boundary as per-edge tractions.
-
-    The traction on each inner edge is the pressure times the unit normal
-    pointing into the wall (away from the cavity).
-    """
-    tractions = {}
-    for a, b in mesh.inner_edges.tolist():
-        e = mesh.nodes[b] - mesh.nodes[a]
-        length = float(np.linalg.norm(e))
-        if length == 0.0:
-            raise GeometryError(f"zero-length boundary edge ({a}, {b})")
-        # inward normal of the cavity = -90 deg rotation of the CCW tangent
-        tractions[(a, b)] = (pressure * e[1] / length, -pressure * e[0] / length)
-    return tractions
+    a, b = mesh.inner_edges.T
+    e = mesh.nodes[b] - mesh.nodes[a]
+    half = 0.5 * pressure * np.column_stack([e[:, 1], -e[:, 0]])
+    loads = np.zeros((mesh.n_nodes, 2))
+    np.add.at(loads, a, half)
+    np.add.at(loads, b, half)
+    return loads.ravel()
 
 
 def boundary_dof_map(

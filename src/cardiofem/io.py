@@ -102,14 +102,15 @@ def read_study_csv(csv_path, manifest_path) -> Study:
     """Ingest and validate a study from the CSV + manifest pair.
 
     The rows are grouped into the study-JSON shape and built by the same
-    checks as :func:`read_study_json`; only the header, the row fields, the
-    boundary labels and the ``point_index`` runs are checked here, an error
-    in a row naming its physical line in the file.
+    checks as :func:`read_study_json`; only the header, the row fields and
+    ``subject_id``, the boundary labels and the ``point_index`` runs are
+    checked here, an error in a row naming its physical line in the file.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise FileNotFoundError(f"contour file not found: {csv_path}")
     manifest = read_manifest(manifest_path)
+    subject_id = str(manifest["subject_id"])
 
     grouped: dict[tuple[int, int], dict[str, list]] = {}
     with csv_path.open(newline="") as fh:
@@ -118,16 +119,19 @@ def read_study_csv(csv_path, manifest_path) -> Study:
         if not set(CONTOUR_CSV_COLUMNS) <= set(header):
             raise ConfigurationError(
                 f"{csv_path}: header must contain columns {CONTOUR_CSV_COLUMNS}")
-        fields = operator.itemgetter(*map(header.index, CONTOUR_CSV_COLUMNS[1:]))
+        fields = operator.itemgetter(*map(header.index, CONTOUR_CSV_COLUMNS))
         for row in filter(None, reader):  # a blank line is an empty row
             try:
-                sl, frame, boundary, index, x, y = fields(row)
+                subject, sl, frame, boundary, index, x, y = fields(row)
                 sl, frame, boundary = int(sl), int(frame), boundary.strip()
                 point = (int(index), float(x), float(y))
             except (IndexError, ValueError) as exc:  # IndexError: a row short of a column
                 why = exc if isinstance(exc, ValueError) else f"{len(row)} of {len(header)} fields"
                 raise ConfigurationError(
                     f"{csv_path}:{reader.line_num}: malformed row ({why})") from exc
+            if subject.strip() != subject_id:
+                raise ConfigurationError(f"{csv_path}:{reader.line_num}: subject_id "
+                                         f"{subject!r} is not the manifest's {subject_id!r}")
             if boundary not in ("inner", "outer"):
                 raise ConfigurationError(f"{csv_path}:{reader.line_num}: "
                                          f"boundary must be inner or outer, got {boundary!r}")
@@ -481,7 +485,7 @@ def write_phantom_spec(path, spec: RingSpec) -> None:
     payload = {
         "inner_radius": spec.inner_radius,
         "outer_radius": spec.outer_radius,
-        "center": [spec.center.x, spec.center.y],
+        "center": list(spec.center),
         "material": {"E": spec.material.E, "nu": spec.material.nu},
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -119,22 +119,19 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def triangulate_annulus(inner: Contour, outer: Contour, n_angular: int, n_radial: int) -> Mesh:
+def triangulate_annulus(inner: Contour, outer: Contour, n_radial: int) -> Mesh:
     """Mesh the region between two angularly matched contours.
 
-    Both contours must already be resampled to the same ``n_angular`` uniform
-    angles about a common center, so that points with equal index correspond.
-    Node layers are linear interpolations between matched point pairs.
+    Both contours must already be resampled to the same uniform angles about
+    a common center, so that points with equal index correspond; their point
+    count is the mesh's. Node layers interpolate linearly between the pairs.
     """
-    if n_angular < 3:
-        raise MeshError("n_angular must be >= 3")
     if n_radial < 1:
         raise MeshError("n_radial must be >= 1")
-    if len(inner) != n_angular or len(outer) != n_angular:
-        raise MeshError(
-            f"contours must have exactly n_angular={n_angular} points "
-            f"(got {len(inner)} inner, {len(outer)} outer)"
-        )
+    n_angular = len(inner)
+    if len(outer) != n_angular:
+        raise MeshError(f"contours must have equal point counts "
+                        f"(got {n_angular} inner, {len(outer)} outer)")
     pi = inner.points
     po = outer.points
     thickness = np.linalg.norm(po - pi, axis=1)

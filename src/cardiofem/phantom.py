@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import forked
-from .contours import TWO_PI, Contour, FrameContours, Point2, boundary_displacements
+from .contours import TWO_PI, Contour, FrameContours, boundary_displacements
 from .errors import ConfigurationError, GeometryError
 from .fem import (apply_traction, assemble, boundary_conditions_from_displacements,
                   boundary_dof_map, internal_pressure_tractions, remove_rigid_motion, solve)
@@ -45,7 +45,7 @@ class RingSpec:
 
     inner_radius: float
     outer_radius: float
-    center: Point2 = Point2(0.0, 0.0)
+    center: tuple[float, float] = (0.0, 0.0)
     material: Material = Material(1e4, 0.3)
 
     def __post_init__(self):
@@ -54,14 +54,14 @@ class RingSpec:
                 f"need 0 < inner radius < outer radius, got "
                 f"{self.inner_radius}, {self.outer_radius}"
             )
-        object.__setattr__(self, "center", Point2(float(self.center[0]), float(self.center[1])))
+        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
 
 def make_ring(spec: RingSpec, n_angular: int = 64, n_radial: int = 8):
     """Mesh the ring and give every element the spec's material."""
     inner = circle_contour(spec.inner_radius, spec.center, n_angular)
     outer = circle_contour(spec.outer_radius, spec.center, n_angular)
-    mesh = triangulate_annulus(inner, outer, n_angular, n_radial)
+    mesh = triangulate_annulus(inner, outer, n_radial)
     return mesh, MaterialField.uniform(mesh, spec.material)
 
 
@@ -135,7 +135,7 @@ def solve_ring_traction(mesh, system, pressure: float, anchor_deg: float | None 
         raise ConfigurationError("n_angular must be divisible by 4 for the pin layout")
     if anchor_deg is not None and anchor_deg % 90.0 != 0.0:
         raise ConfigurationError("anchor_deg must be a multiple of 90 degrees")
-    system = apply_traction(system, internal_pressure_tractions(mesh, pressure), mesh)
+    system = apply_traction(system, internal_pressure_tractions(mesh, pressure))
     if anchor_deg is None:
         quarter = n_angular // 4  # v at 0, u at pi/2, v at pi
         pins = [2 * inner[0] + 1, 2 * inner[quarter], 2 * inner[2 * quarter] + 1]

@@ -242,7 +242,7 @@ def frame_mesh(fc: FrameContours, n_points: int, n_radial: int):
     failure names the frame) and the annular mesh between them."""
     center = centroid(fc.inner)
     inner, outer = uniform_angle_walls(fc, center, n_points)
-    return center, inner, outer, triangulate_annulus(inner, outer, n_points, n_radial)
+    return center, inner, outer, triangulate_annulus(inner, outer, n_radial)
 
 
 def cycle_strain_analysis(

@@ -1,8 +1,20 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+
+# hypothesis writes a failing example's patch through libcst, whose import
+# warns through the deprecated mypy_extensions.TypedDict; under the suite's
+# filterwarnings = error that warning would abort the run with an
+# INTERNALERROR, so the patch writer is imported once here with it ignored
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from cardiofem.contours import Contour, FrameContours
 from cardiofem.fem import solve

@@ -41,7 +41,10 @@ library now reads rows by ``csv.reader`` and takes each column at its index
 in the header. Per polar angle: each site's own angle expression, the
 former ``sector_index`` that wrapped 2*pi to 0 and the former midpoint rule of
 the phantom's stiff sectors; ``contours._polar_angles`` now computes every
-angle and ``AngularRegion.contains`` decides wedge membership."""
+angle and ``AngularRegion.contains`` decides wedge membership. Per pressure
+load: the former map from each inner edge to its traction and the sorted loop
+that lumped length * traction / 2 onto both ends of each edge; the library now
+scatters 0.5 * pressure * (e_y, -e_x) of each inner edge e to its ends."""
 
 import csv
 import math
@@ -322,11 +325,41 @@ def position_conditions(mesh, bd):
     return dofs, np.concatenate([bd.inner_vectors, bd.outer_vectors]).ravel()[take]
 
 
+def edge_pressure_tractions(mesh, pressure) -> dict:
+    """The former pressure load: a map from each inner edge (a, b) to its
+    constant traction, the pressure times the unit normal into the wall."""
+    tractions = {}
+    for a, b in mesh.inner_edges.tolist():
+        e = mesh.nodes[b] - mesh.nodes[a]
+        length = float(np.linalg.norm(e))
+        if length == 0.0:
+            raise GeometryError(f"zero-length boundary edge ({a}, {b})")
+        # inward normal of the cavity = -90 deg rotation of the CCW tangent
+        tractions[(a, b)] = (pressure * e[1] / length, -pressure * e[0] / length)
+    return tractions
+
+
+def edge_traction_load(mesh, tractions, load) -> np.ndarray:
+    """The former ``apply_traction``'s load: ``load`` plus, for each boundary
+    edge of ``tractions`` in sorted order, length * traction / 2 at both ends."""
+    boundary = {frozenset(e) for e in np.concatenate([mesh.inner_edges, mesh.outer_edges]).tolist()}
+    f = np.array(load, dtype=float)
+    for (a, b), (tx, ty) in sorted(tractions.items()):
+        if frozenset((a, b)) not in boundary:
+            raise ConfigurationError(f"traction on non-boundary edge ({a}, {b})")
+        half = 0.5 * float(np.linalg.norm(mesh.nodes[b] - mesh.nodes[a]))
+        f[2 * a] += half * tx
+        f[2 * a + 1] += half * ty
+        f[2 * b] += half * tx
+        f[2 * b + 1] += half * ty
+    return f
+
+
 def cli_frame_mesh(fc, n_points, n_radial):
     """The former ``mesh --frame`` mesh: the frame's walls resampled about the
     centroid of its inner wall and triangulated between."""
     walls = uniform_angle_walls(fc, centroid(fc.inner), n_points)
-    return triangulate_annulus(*walls, n_points, n_radial)
+    return triangulate_annulus(*walls, n_radial)
 
 
 def cli_constrained_system(mesh, disp, material, mode):

@@ -324,6 +324,39 @@ def test_malformed_csv_row_is_one_error_line_naming_its_line(tmp_path, synth_pai
     assert not out.exists()
 
 
+def _rows_of_another_subject(healthy_dir, lines):
+    for i in range(1, len(lines)):
+        lines[i] = "synthetic-healthy" + lines[i][len("synthetic-mi"):]
+    return 2
+
+
+def _second_subject_appended_as_slice_1(healthy_dir, lines):
+    # each of its rows a well-formed slice 1 row, which was read as the
+    # manifest subject's second slice
+    appended = (healthy_dir / "contours.csv").read_text().splitlines()[1:]
+    first = len(lines) + 1
+    lines += [row.replace(",0,", ",1,", 1) for row in appended]
+    return first
+
+
+@pytest.mark.parametrize("edit", [_rows_of_another_subject, _second_subject_appended_as_slice_1],
+                         ids=["every-row", "appended-slice"])
+def test_csv_row_of_another_subject_is_one_error_line(tmp_path, synth_pair, capsys, edit):
+    healthy_dir, mi_dir = synth_pair
+    path = mi_dir / "contours.csv"
+    lines = path.read_text().splitlines()
+    line = edit(healthy_dir, lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert run("volume", "--study", str(path), "--manifest", str(mi_dir / "manifest.json"),
+               "--out", str(out)) == 1
+    assert _single_error_line(capsys) == (
+        f"error: {path}:{line}: subject_id 'synthetic-healthy' is not the manifest's "
+        "'synthetic-mi'")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags, needle", [
     ("mesh", ["--slice", "3"], "--slice must be in 0..0, got 3"),
     ("mesh", ["--slice", "-1"], "--slice must be in 0..0, got -1"),

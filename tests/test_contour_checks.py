@@ -269,7 +269,7 @@ def frames(draw):
        st.floats(-2.0, 2.0))
 def test_walls_match_the_separate_passes(frame, rotation_deg, n, offset):
     c = contours.centroid(frame.inner)
-    c = np.array([c.x + offset, c.y])
+    c = np.array([c[0] + offset, c[1]])
     expected = _outcome(_old_walls, frame, c, n, rotation_deg, f"frame {frame.frame_index}")
     got = _outcome(uniform_angle_walls, frame, c, n, rotation_deg)
     if isinstance(expected, tuple) and isinstance(expected[0], type):

@@ -39,6 +39,8 @@ from cardiofem import fem
 from conftest import boundary_dirichlet, circle_frame, region_ring, solve_one, star_contour
 from oracles import (
     csr_stiffness,
+    edge_pressure_tractions,
+    edge_traction_load,
     element_stiffness,
     fold_free_block_solve,
     identity_row_solve,
@@ -336,34 +338,53 @@ def test_apply_dirichlet_preserves_input(ring_mesh):
 def test_zero_traction_keeps_load(ring_mesh):
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    edges = {tuple(map(int, e)): (0.0, 0.0) for e in mesh.inner_edges[:4]}
-    out = apply_traction(system, edges, mesh)
-    assert np.all(out.load == 0.0)
+    load = np.random.default_rng(3).standard_normal(system.n_dofs)
+    system = fem.LinearSystem(system.stiffness, load, system.node_order)
+    out = apply_traction(system, internal_pressure_tractions(mesh, 0.0))
+    assert np.array_equal(out.load, load)
 
 
 def test_single_edge_traction_lumping():
+    # pressure 1.5 on the edge e = (-2, 2) from node 1 to node 2: each end
+    # takes 1.5 * |e| / 2 along e turned -90 degrees, (1, 1) / sqrt(2)
     nodes = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    mesh = Mesh(nodes, [[0, 1, 2]], [[0, 1]], np.zeros((0, 2)))
+    mesh = Mesh(nodes, [[0, 1, 2]], [[1, 2]], np.zeros((0, 2)))
     system = assemble(mesh, MaterialField.uniform(mesh, Material(1.0, 0.0)))
-    f = apply_traction(system, {(0, 1): (1.0, 0.0)}, mesh).load
-    assert f[0] == pytest.approx(1.0)
-    assert f[2] == pytest.approx(1.0)
-    assert np.all(f[[1, 3, 4, 5]] == 0.0)
+    f = apply_traction(system, internal_pressure_tractions(mesh, 1.5)).load
+    assert_allclose(f, [0.0, 0.0, 1.5, 1.5, 1.5, 1.5], rtol=1e-15)
 
 
 def test_radial_pressure_net_force_zero():
     mesh, mats = make_ring(RingSpec(1.0, 2.0), 64, 4)
     system = assemble(mesh, mats)
-    out = apply_traction(system, internal_pressure_tractions(mesh, 2.5), mesh)
+    out = apply_traction(system, internal_pressure_tractions(mesh, 2.5))
     net = np.array([out.load[0::2].sum(), out.load[1::2].sum()])
     assert np.max(np.abs(net)) < 1e-9 * 2.5 * 2 * np.pi
 
 
-def test_traction_on_non_boundary_edge(ring_mesh):
+def test_traction_loads_must_be_one_vector(ring_mesh):
+    # a column of loads would broadcast against the load vector into a
+    # matrix, and one value or a pressure would be added to every dof
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
-    with pytest.raises(ConfigurationError):
-        apply_traction(system, {(0, 17): (1.0, 0.0)}, mesh)
+    loads = internal_pressure_tractions(mesh, 1.0)
+    for bad in (loads[:, None], loads[:1], 1.0):
+        with pytest.raises(ConfigurationError, match=r"loads must be \(96,\), got "):
+            apply_traction(system, bad)
+
+
+@pytest.mark.parametrize("n_angular, n_radial, bitwise",
+                         [(32, 4, True), (64, 8, True), (128, 16, False), (256, 32, False)])
+def test_pressure_loads_match_edge_dict_oracle(n_angular, n_radial, bitwise):
+    # the edge-dict path divides each edge's traction by its length and
+    # multiplies the length back, which can round the last bit differently
+    mesh, mats = make_ring(RingSpec(1.0, 2.0), n_angular, n_radial)
+    system = assemble(mesh, mats)
+    got = apply_traction(system, internal_pressure_tractions(mesh, 1.0)).load
+    expected = edge_traction_load(mesh, edge_pressure_tractions(mesh, 1.0), system.load)
+    if bitwise:
+        assert np.array_equal(got, expected)
+    assert np.max(np.abs(got - expected)) <= np.spacing(np.max(np.abs(expected)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +394,7 @@ def test_traction_on_non_boundary_edge(ring_mesh):
 def test_unpinned_traction_system_is_singular():
     mesh, mats = make_ring(RingSpec(1.0, 2.0), 16, 2)
     system = assemble(mesh, mats)
-    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0), mesh)
+    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0))
     with pytest.raises(SolverError):
         solve(loaded, [], np.zeros((0, 1)))
 
@@ -516,7 +537,7 @@ def test_bcs_from_displacements_position_match():
     center = centroid(frame0.inner)
     inner = resample_uniform_angle(frame0.inner, center, 16)
     outer = resample_uniform_angle(frame0.outer, center, 16)
-    mesh = triangulate_annulus(inner, outer, 16, 2)
+    mesh = triangulate_annulus(inner, outer, 2)
     dofs, values = boundary_conditions_from_displacements(mesh, bd)
     assert len(dofs) == 64
     assert np.all(values == 0.0)
@@ -531,7 +552,7 @@ def test_bcs_from_displacements_count_mismatch():
     center = centroid(frame0.inner)
     inner = resample_uniform_angle(frame0.inner, center, 16)
     outer = resample_uniform_angle(frame0.outer, center, 16)
-    mesh = triangulate_annulus(inner, outer, 16, 2)
+    mesh = triangulate_annulus(inner, outer, 2)
     with pytest.raises(GeometryError):
         boundary_conditions_from_displacements(mesh, bd)
 
@@ -544,7 +565,7 @@ def _mesh_and_samples(n=24):
     )
     bd = boundary_displacements(frame0, frame1, n)
     mesh = triangulate_annulus(
-        Contour(bd.inner_positions), Contour(bd.outer_positions), n, 2
+        Contour(bd.inner_positions), Contour(bd.outer_positions), 2
     )
     return mesh, bd
 
@@ -599,7 +620,7 @@ def test_boundary_dof_map_equals_position_oracle_on_mesh_samples(n_points, n_rad
     inner, outer = uniform_angle_walls(frame0, center, n_points)
     ring, _ = make_ring(RingSpec(1.0, 2.0), n_points, n_radial)
     cases = [
-        (triangulate_annulus(inner, outer, n_points, n_radial), inner.points, outer.points,
+        (triangulate_annulus(inner, outer, n_radial), inner.points, outer.points,
          center),
         (ring, *(ring.nodes[ring.boundary_nodes(label)] for label in ("inner", "outer")),
          (0.0, 0.0)),
@@ -717,7 +738,7 @@ def _ring_supports(spec, mesh, system, support, inner, outer):
     else:
         j = 3 * n // 4
         pins = [2 * inner[j], 2 * inner[j] + 1, 2 * outer[j]]
-    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0), mesh)
+    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0))
     return loaded, np.sort(pins), np.zeros((3, 1))
 
 
@@ -842,7 +863,7 @@ def test_banded_cholesky_does_not_depend_on_node_numbering(monkeypatch):
 def test_under_pinned_ring_raises(n_angular, n_radial, pins, monkeypatch):
     mesh, mats = make_ring(RingSpec(1.0, 2.0), n_angular, n_radial)
     system = assemble(mesh, mats, "plane-strain")
-    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0), mesh)
+    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0))
     fixed = np.sort(pins(mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"), n_angular))
     # the sign of a rounding-level pivot, and so which of the two errors a
     # free rigid mode raises, differs between OpenBLAS builds: the message is
@@ -926,7 +947,7 @@ def test_numpy_openblas_runs_each_lapack_call_on_one_thread():
     mesh, mats = make_ring(spec, 16, 2)
     system = assemble(mesh, mats, "plane-strain")
     fixed, values = boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
-    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0), mesh)
+    loaded = apply_traction(system, internal_pressure_tractions(mesh, 1.0))
     pin = 2 * mesh.boundary_nodes("inner")[:1]
     lapack.set_threads(2)
     try:

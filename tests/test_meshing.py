@@ -19,7 +19,7 @@ def _circles(n, r_in=1.0, r_out=2.0):
 
 def test_structured_counts_4x1():
     inner, outer = _circles(4)
-    mesh = triangulate_annulus(inner, outer, 4, 1)
+    mesh = triangulate_annulus(inner, outer, 1)
     assert mesh.n_nodes == 8
     assert mesh.n_triangles == 8
     n_edges = len(mesh.unique_edges())
@@ -31,13 +31,13 @@ def test_all_areas_positive_for_perturbed_contours():
     for seed in range(4):
         inner = star_contour(24, 1.0, seed=seed)
         outer = star_contour(24, 2.0, seed=seed + 50)
-        mesh = triangulate_annulus(inner, outer, 24, 3)
+        mesh = triangulate_annulus(inner, outer, 3)
         assert np.all(mesh.triangle_areas() > 0.0)
 
 
 def test_annulus_area_64x8():
     inner, outer = _circles(64)
-    mesh = triangulate_annulus(inner, outer, 64, 8)
+    mesh = triangulate_annulus(inner, outer, 8)
     total = float(mesh.triangle_areas().sum())
     assert abs(total - 3.0 * np.pi) / (3.0 * np.pi) < 0.005
 
@@ -45,7 +45,7 @@ def test_annulus_area_64x8():
 def test_triangle_areas_sum_to_polygon_area():
     inner = star_contour(32, 1.0, seed=2)
     outer = star_contour(32, 2.0, seed=3)
-    mesh = triangulate_annulus(inner, outer, 32, 4)
+    mesh = triangulate_annulus(inner, outer, 4)
     poly = abs(polygon_area(outer.points)) - abs(polygon_area(inner.points))
     assert_allclose(mesh.triangle_areas().sum(), poly, rtol=1e-9)
 
@@ -54,7 +54,7 @@ def test_crossing_contours_rejected():
     inner = circle_contour(2.0, (0.0, 0.0), 16)
     outer = circle_contour(1.0, (0.0, 0.0), 16)
     with pytest.raises(GeometryError):
-        triangulate_annulus(inner, outer, 16, 2)
+        triangulate_annulus(inner, outer, 2)
 
 
 def test_degenerate_sector_rejected():
@@ -64,14 +64,14 @@ def test_degenerate_sector_rejected():
     from cardiofem.contours import Contour
 
     with pytest.raises(MeshError):
-        triangulate_annulus(inner, Contour(pts), 16, 2)
+        triangulate_annulus(inner, Contour(pts), 2)
 
 
 def test_point_count_mismatch_rejected():
     inner, _ = _circles(16)
     _, outer = _circles(32)
     with pytest.raises(MeshError):
-        triangulate_annulus(inner, outer, 16, 2)
+        triangulate_annulus(inner, outer, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_validate_flags_flipped_triangle(ring_mesh):
 
 def test_validate_flags_deleted_triangle():
     inner, outer = _circles(16)
-    mesh = triangulate_annulus(inner, outer, 16, 3)
+    mesh = triangulate_annulus(inner, outer, 3)
     # drop an interior (middle layer) triangle: all its edges are shared, so
     # only the Euler count breaks
     areas_mid = 16 * 2  # first layer has 32 triangles
@@ -120,7 +120,7 @@ def test_validate_flags_broken_boundary_loop(ring_mesh):
 def test_validate_warns_on_slivers():
     inner = circle_contour(1.0, (0.0, 0.0), 16)
     outer = circle_contour(1.01, (0.0, 0.0), 16)
-    mesh = triangulate_annulus(inner, outer, 16, 1)
+    mesh = triangulate_annulus(inner, outer, 1)
     report = validate(mesh)
     assert report.passed
     assert report.warnings
@@ -182,7 +182,7 @@ def _perturbed(n, seed):
 ])
 def test_triangulation_matches_loop_oracle(contours, n_angular, n_radial):
     inner, outer = contours
-    mesh = triangulate_annulus(inner, outer, n_angular, n_radial)
+    mesh = triangulate_annulus(inner, outer, n_radial)
     nodes, tris, inner_edges, outer_edges = _triangulate_loop_oracle(inner, outer, n_angular,
                                                                      n_radial)
     for got, expected in ((mesh.nodes, nodes), (mesh.triangles, tris),

@@ -156,7 +156,7 @@ def _pipeline_error(spec, n_angular, n_radial, pressure=1.0):
     solve) versus the analytic interior field; area-weighted L2."""
     frames = pressure_load_cycle(spec, (0.0, pressure), n_points=n_angular)
     bd = boundary_displacements(frames[0], frames[1], n_angular)
-    mesh = triangulate_annulus(frames[0].inner, frames[0].outer, n_angular, n_radial)
+    mesh = triangulate_annulus(frames[0].inner, frames[0].outer, n_radial)
     mats_mesh, mats = make_ring(spec, n_angular, n_radial)
     disp = solve_one(
         assemble(mesh, mats, "plane-strain"), *boundary_conditions_from_displacements(mesh, bd)

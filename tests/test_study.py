@@ -320,7 +320,7 @@ def _per_frame_cycle(study, params):
     center = centroid(frames[0].inner)
     inner0 = resample_uniform_angle(frames[0].inner, center, params.n_points)
     outer0 = resample_uniform_angle(frames[0].outer, center, params.n_points)
-    mesh = triangulate_annulus(inner0, outer0, params.n_points, params.n_radial)
+    mesh = triangulate_annulus(inner0, outer0, params.n_radial)
     materials = MaterialField.uniform(mesh, params.material)
     system = assemble(mesh, materials, params.mode)
     step_rot = params.rotation_deg_total / (n - 1)
@@ -388,7 +388,7 @@ def _per_pair_cycle(study, params):
     center = centroid(frames[0].inner)
     inner0 = resample_uniform_angle(frames[0].inner, center, params.n_points)
     outer0 = resample_uniform_angle(frames[0].outer, center, params.n_points)
-    mesh = triangulate_annulus(inner0, outer0, params.n_points, params.n_radial)
+    mesh = triangulate_annulus(inner0, outer0, params.n_radial)
     materials = MaterialField.uniform(mesh, params.material)
     system = assemble(mesh, materials, params.mode)
     step_rot = params.rotation_deg_total / (n - 1)
@@ -505,7 +505,7 @@ def test_cycle_results_share_frame0_mesh():
     expected = triangulate_annulus(
         resample_uniform_angle(frame0.inner, center, params.n_points),
         resample_uniform_angle(frame0.outer, center, params.n_points),
-        params.n_points, params.n_radial,
+        params.n_radial,
     )
     assert np.array_equal(mesh.nodes, expected.nodes)
     assert np.array_equal(mesh.triangles, expected.triangles)
