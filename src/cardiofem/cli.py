@@ -138,9 +138,11 @@ def cmd_analyze(cfg) -> int:
         raise UsageError(f"more --reference-manifest files ({len(ref_manifests)}) "
                          f"than --reference studies ({len(ref_paths)})")
     study = _load_study(cfg)
-    # a reference without its own manifest takes the subject's
-    ref_manifests += [cfg.manifest] * (len(ref_paths) - len(ref_manifests))
-    references = [cfio.read_study(path, m) for path, m in zip(ref_paths, ref_manifests)]
+    # a reference without its own manifest borrows the subject's
+    own = len(ref_manifests)
+    ref_manifests += [cfg.manifest] * (len(ref_paths) - own)
+    references = [cfio.read_study(path, m, borrowed_manifest=i >= own)
+                  for i, (path, m) in enumerate(zip(ref_paths, ref_manifests))]
     # each slice is localized against the reference slice at its position
     for path, ref in zip(ref_paths, references):
         if len(ref.slices) < len(study.slices) or ref.n_frames != study.n_frames:

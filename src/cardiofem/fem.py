@@ -90,8 +90,8 @@ class LinearSystem:
     node_order: np.ndarray
 
     def __post_init__(self):
-        if self.stiffness.shape[0] != len(self.load):
-            raise MeshError("stiffness/load size mismatch")
+        if np.shape(self.load) != (self.stiffness.shape[0],):
+            raise MeshError(f"load must be ({self.stiffness.shape[0]},), got {np.shape(self.load)}")
         order = np.sort(self.node_order)
         if 2 * len(order) != len(self.load) or np.any(order != np.arange(len(order))):
             raise MeshError("node order must list every node once")
@@ -270,8 +270,6 @@ def apply_traction(system: LinearSystem, loads) -> LinearSystem:
     """The system with the nodal ``loads`` (2V,) added to its load vector,
     such as :func:`internal_pressure_tractions` returns. Apply them before
     :func:`apply_dirichlet` so its load correction sees them."""
-    if np.shape(loads) != system.load.shape:
-        raise ConfigurationError(f"loads must be ({system.n_dofs},), got {np.shape(loads)}")
     return LinearSystem(system.stiffness, system.load + loads, system.node_order)
 
 

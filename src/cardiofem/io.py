@@ -98,19 +98,21 @@ def read_manifest(path) -> dict:
     return data
 
 
-def read_study_csv(csv_path, manifest_path) -> Study:
+def read_study_csv(csv_path, manifest_path, borrowed_manifest=False) -> Study:
     """Ingest and validate a study from the CSV + manifest pair.
 
     The rows are grouped into the study-JSON shape and built by the same
-    checks as :func:`read_study_json`; only the header, the row fields and
-    ``subject_id``, the boundary labels and the ``point_index`` runs are
-    checked here, an error in a row naming its physical line in the file.
+    checks as :func:`read_study_json`; only the header, the row fields, the
+    boundary labels, the ``point_index`` runs and each row's subject (the
+    manifest's, or with a ``borrowed_manifest`` the first row's) are checked
+    here, an error in a row naming its physical line in the file.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise FileNotFoundError(f"contour file not found: {csv_path}")
     manifest = read_manifest(manifest_path)
-    subject_id = str(manifest["subject_id"])
+    subject_id = None if borrowed_manifest else str(manifest["subject_id"]).strip()
+    owner = "the first row's" if borrowed_manifest else "the manifest's"
 
     grouped: dict[tuple[int, int], dict[str, list]] = {}
     with csv_path.open(newline="") as fh:
@@ -123,15 +125,16 @@ def read_study_csv(csv_path, manifest_path) -> Study:
         for row in filter(None, reader):  # a blank line is an empty row
             try:
                 subject, sl, frame, boundary, index, x, y = fields(row)
-                sl, frame, boundary = int(sl), int(frame), boundary.strip()
+                subject, sl, frame, boundary = subject.strip(), int(sl), int(frame), boundary.strip()
                 point = (int(index), float(x), float(y))
             except (IndexError, ValueError) as exc:  # IndexError: a row short of a column
                 why = exc if isinstance(exc, ValueError) else f"{len(row)} of {len(header)} fields"
                 raise ConfigurationError(
                     f"{csv_path}:{reader.line_num}: malformed row ({why})") from exc
-            if subject.strip() != subject_id:
+            subject_id = subject if subject_id is None else subject_id
+            if subject != subject_id:
                 raise ConfigurationError(f"{csv_path}:{reader.line_num}: subject_id "
-                                         f"{subject!r} is not the manifest's {subject_id!r}")
+                                         f"{subject!r} is not {owner} {subject_id!r}")
             if boundary not in ("inner", "outer"):
                 raise ConfigurationError(f"{csv_path}:{reader.line_num}: "
                                          f"boundary must be inner or outer, got {boundary!r}")
@@ -268,14 +271,14 @@ def read_study_json(path) -> Study:
     return _build_study(json.loads(path.read_text()), str(path), f"study JSON {path}")
 
 
-def read_study(path, manifest_path=None) -> Study:
+def read_study(path, manifest_path=None, borrowed_manifest=False) -> Study:
     """Dispatch on suffix: .json studies are self-contained, .csv needs a manifest."""
     path = Path(path)
     if path.suffix.lower() == ".json":
         return read_study_json(path)
     if manifest_path is None:
         raise FileNotFoundError(f"CSV study {path} requires a manifest file")
-    return read_study_csv(path, manifest_path)
+    return read_study_csv(path, manifest_path, borrowed_manifest)
 
 
 # ---------------------------------------------------------------------------

