@@ -36,7 +36,7 @@ from .fem import apply_dirichlet
 from .materials import MODES, Material
 from .meshing import validate
 from .phantom import RingSpec, verify_ring
-from .study import (CycleParams, check_finite_positive, cycle_strain_analysis,
+from .study import (CycleParams, check_finite_positive, cycle_strain_analysis, float_range_checked,
                     frame_mesh, normalized_volume_curve, reference_localization)
 from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_study
 
@@ -372,7 +372,8 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = _merged_config(args)
-        return COMMANDS[args.command][0](cfg)
+        with float_range_checked():
+            return COMMANDS[args.command][0](cfg)
     except (OSError, json.JSONDecodeError, UsageError, *VALIDATION_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, VALIDATION_ERRORS) else 2

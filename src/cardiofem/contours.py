@@ -237,7 +237,7 @@ def _polar_angles(rel: np.ndarray) -> np.ndarray:
 
 class _AngularPass(NamedTuple):
     """A contour's vertices about one center, computed once and shared by the
-    star, center and tie checks and the uniform-angle resampling."""
+    star and tie checks and the uniform-angle resampling."""
 
     perm: np.ndarray  # stable sort of the vertices by angle
     angles: np.ndarray  # in [0, 2*pi] (see _polar_angles), sorted
@@ -265,7 +265,6 @@ def _angular_pass(contour: Contour, c: np.ndarray) -> _AngularPass:
     gaps = np.concatenate([th[1:], [th[0] + TWO_PI]]) - th
     scale = float(np.abs(d).max()) or 1.0
     star = _distance_to_edges(d) > 1e-12 * scale and _winds_once_monotonically(angles)
-    perm.setflags(write=False)
     return _AngularPass(perm, th, radii[perm], gaps, star)
 
 
@@ -290,61 +289,34 @@ def centroid(contour: Contour) -> tuple[float, float]:
     return tuple(contour.points.mean(axis=0).tolist())
 
 
-def _check_center_inside(points_sorted: np.ndarray, center: np.ndarray) -> None:
-    rel = points_sorted - center
-    scale = float(np.max(np.abs(rel))) or 1.0
-    if _distance_to_edges(rel) <= 1e-12 * scale:
-        raise GeometryError("center lies on the contour boundary")
-    if not points_in_polygon(center, points_sorted)[0]:
-        raise GeometryError("center lies outside the contour")
-
-
-def _checked_pass(contour: Contour, c: np.ndarray, ap: _AngularPass) -> _AngularPass:
-    """The contour's angular pass ``ap`` about ``c`` once the center and tie
-    checks of :func:`angular_permutation` hold."""
-    # the star check found the center off the edges and wound once about it
+def _star_pass(contour: Contour, c: np.ndarray, where: str = "") -> _AngularPass:
+    """The contour's angular pass about ``c``; StarShapeError, its message
+    ending in ``where``, unless the contour is star-shaped about ``c``."""
+    ap = _angular_pass(contour, c)
     if not ap.star:
-        _check_center_inside(contour.points[ap.perm], c)
-
-    radii = ap.radii
-    tied = ap.gaps <= ANGLE_TIE_TOL
-    if np.any(tied):
-        r_scale = max(float(np.max(radii)), 1e-300)
-        mismatched = tied & (np.abs(_next(radii) - radii) > RADIUS_TIE_RTOL * r_scale)
-        if np.any(mismatched):
-            raise StarShapeError(
-                "multiple boundary points share an angle at different radii; "
-                "contour is not star-shaped about the center"
-            )
+        raise StarShapeError("contour is not star-shaped about the reference center" + where)
     return ap
 
 
-def angular_permutation(contour: Contour, center) -> np.ndarray:
-    """Indices that sort the contour vertices by angle about the center.
-
-    The sort is stable, so vertices sharing an angle keep their input order.
-    Vertices at the same angle (within ``ANGLE_TIE_TOL``) but at different
-    radii mean a ray from the center crosses the boundary more than once,
-    which violates the star-shape requirement. The returned array is
-    read-only.
-    """
-    c = _as_point(center)
-    return _checked_pass(contour, c, _angular_pass(contour, c)).perm
-
-
-def _resample(contour: Contour, c: np.ndarray, ap: _AngularPass, n: int) -> Contour:
-    """:func:`resample_uniform_angle` on the contour's angular pass about ``c``."""
+def _resample(c: np.ndarray, ap: _AngularPass, n: int) -> Contour:
+    """:func:`resample_uniform_angle` on a star-shaped contour's angular pass about ``c``."""
     if n < 3:
         raise GeometryError("resampling needs n >= 3")
-    _checked_pass(contour, c, ap)
-    perm, gaps = ap.perm, ap.gaps
+    perm, gaps, radii = ap.perm, ap.gaps, ap.radii
+    # vertices at one angle but at two radii: a ray from c crosses the wall twice
+    tied = gaps <= ANGLE_TIE_TOL
+    if np.any(tied):
+        r_scale = max(float(np.max(radii)), 1e-300)
+        if np.any(tied & (np.abs(_next(radii) - radii) > RADIUS_TIE_RTOL * r_scale)):
+            raise StarShapeError("multiple boundary points share an angle at different "
+                                 "radii; contour is not star-shaped about the center")
 
     # Duplicate angular samples: keep the first in input order (stable sort
     # puts it first within a tie run; resolve a wrap-around tie explicitly).
     keep = np.concatenate([[True], gaps[:-1] > ANGLE_TIE_TOL])
     if gaps[-1] <= ANGLE_TIE_TOL and keep[-1] and perm[-1] > perm[0]:
         keep[-1] = False
-    th, radii = ap.angles[keep], ap.radii[keep]
+    th, radii = ap.angles[keep], radii[keep]
     if len(th) < 3:
         raise GeometryError("contour collapses to fewer than 3 angular samples")
 
@@ -355,14 +327,14 @@ def _resample(contour: Contour, c: np.ndarray, ap: _AngularPass, n: int) -> Cont
 
 
 def resample_uniform_angle(contour: Contour, center, n: int) -> Contour:
-    """Resample onto n uniform angles about the center.
+    """Resample a contour star-shaped about the center onto n uniform angles.
 
     Radii are linearly interpolated against angle between the (angle-ordered)
     input vertices, with periodic wrap-around. Output point k sits exactly at
     angle 2*pi*k/n.
     """
     c = _as_point(center)
-    return _resample(contour, c, _angular_pass(contour, c), n)
+    return _resample(c, _star_pass(contour, c), n)
 
 
 def uniform_angle_walls(
@@ -373,26 +345,23 @@ def uniform_angle_walls(
 ) -> tuple[Contour, Contour]:
     """Both walls of one frame resampled onto n uniform angles about center.
 
-    Each wall must be star-shaped about the center, checked for both before
-    either is resampled; a failure names the wall and ``frame.frame_index``.
-    With ``rotation_deg`` given, the walls are first rotated counter-clockwise
-    by that angle about the center (the removal of a known clockwise
-    rotation), even for 0, whose rotation can still round.
+    Each wall must be star-shaped about the center, as for
+    :func:`resample_uniform_angle`, checked for both before either is
+    resampled; a failure names the wall and ``frame.frame_index``. With
+    ``rotation_deg`` given, the walls are first rotated counter-clockwise by
+    that angle about the center (the removal of a known clockwise rotation),
+    even for 0, whose rotation can still round.
     """
     c = _as_point(center)
     walls = (frame.inner, frame.outer)
     if rotation_deg is not None:
         derot = math.radians(rotation_deg)
         walls = tuple(Contour(rotate_about(w.points, c, derot)) for w in walls)
-    # Checked on the walls that are resampled, so that the check and the
-    # resampling share one angular pass; a rotation about the center keeps
-    # a wall star-shaped.
-    passes = [_angular_pass(w, c) for w in walls]
-    for label, ap in zip(("inner", "outer"), passes):
-        if not ap.star:
-            raise StarShapeError("contour is not star-shaped about the reference center "
-                                 f"(frame {frame.frame_index} {label})")
-    return tuple(_resample(w, c, ap, n) for w, ap in zip(walls, passes))
+    # the check and the resampling share each wall's angular pass, so the walls
+    # checked are the rotated ones; a rotation about c keeps a wall star-shaped
+    passes = [_star_pass(w, c, f" (frame {frame.frame_index} {label})")
+              for w, label in zip(walls, ("inner", "outer"))]
+    return tuple(_resample(c, ap, n) for ap in passes)
 
 
 def boundary_displacements(

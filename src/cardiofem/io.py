@@ -92,7 +92,7 @@ def read_manifest(path) -> dict:
         raise FileNotFoundError(f"manifest not found: {path}")
     data = json.loads(path.read_text())
     where = f"manifest {path}"
-    _json_field(data, "subject_id", object, where)
+    _json_field(data, "subject_id", str, where)
     _json_field(data, "slice_spacing_mm", _NUMBER, where)
     _json_field(data, "frames_per_cycle", int, where)
     return data
@@ -111,7 +111,7 @@ def read_study_csv(csv_path, manifest_path, borrowed_manifest=False) -> Study:
     if not csv_path.exists():
         raise FileNotFoundError(f"contour file not found: {csv_path}")
     manifest = read_manifest(manifest_path)
-    subject_id = None if borrowed_manifest else str(manifest["subject_id"]).strip()
+    subject_id = None if borrowed_manifest else manifest["subject_id"].strip()
     owner = "the first row's" if borrowed_manifest else "the manifest's"
 
     grouped: dict[tuple[int, int], dict[str, list]] = {}
@@ -202,18 +202,17 @@ def _build_study(data, where: str, declared_by: str) -> Study:
     """The Study of study-JSON-shaped ``data`` read from ``where``.
 
     Slices are kept in index order, frames in frame order. A missing key, a
-    value of the wrong JSON type (``frames_per_cycle``, ``slice`` and
-    ``frame`` must be integers, ``slices`` and ``frames`` lists, contours
-    lists of [x, y] pairs), a frame without both walls, a slice whose frames
-    are not 0..n-1, repeated slice indices or unequal frame counts raise
-    ConfigurationError naming ``where``, a degenerate or self-intersecting
-    wall or an inner wall not inside the outer one GeometryError naming it;
-    a spacing that is not finite and positive raises one naming no file, and
-    a ``frames_per_cycle`` other than the frames read one naming
-    ``declared_by``, its source.
+    value of the wrong JSON type (``subject_id`` must be a string,
+    ``frames_per_cycle``, ``slice`` and ``frame`` integers, ``slices`` and
+    ``frames`` lists, contours lists of [x, y] pairs), a frame without both
+    walls, a slice whose frames are not 0..n-1, repeated slice indices or
+    unequal frame counts raise ConfigurationError naming ``where``, a
+    degenerate or self-intersecting wall or an inner wall not inside the
+    outer one GeometryError naming it; a spacing that is not finite and
+    positive raises one naming no file, and a ``frames_per_cycle`` other
+    than the frames read one naming ``declared_by``, its source.
     """
-    if not isinstance(data, dict) or "subject_id" not in data:
-        raise ConfigurationError(f"{where}: study JSON must be an object with 'subject_id'")
+    subject_id = _json_field(data, "subject_id", str, where)
     spacing = float(_json_field(data, "slice_spacing_mm", _NUMBER, where))
     # checked first and named by no file: a manifest may declare it
     check_finite_positive("slice spacing", spacing)
@@ -250,7 +249,7 @@ def _build_study(data, where: str, declared_by: str) -> Study:
             raise ConfigurationError(f"{where} {exc}") from None
     slices.sort(key=lambda s: s.index)
     try:
-        study = Study(str(data["subject_id"]), tuple(slices), spacing)
+        study = Study(subject_id, tuple(slices), spacing)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
     if study.n_frames != frames_per_cycle:

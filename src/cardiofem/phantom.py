@@ -49,9 +49,9 @@ class RingSpec:
     material: Material = Material(1e4, 0.3)
 
     def __post_init__(self):
-        if not (0.0 < self.inner_radius < self.outer_radius):
+        if not (0.0 < self.inner_radius < self.outer_radius < math.inf):
             raise ConfigurationError(
-                f"need 0 < inner radius < outer radius, got "
+                f"need 0 < inner radius < outer radius < inf, got "
                 f"{self.inner_radius}, {self.outer_radius}"
             )
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))

@@ -332,6 +332,17 @@ def check_finite_positive(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
 
 
+@contextmanager
+def float_range_checked():
+    """Run the block with numpy's overflow, division by zero and invalid
+    operations raised as ConfigurationError: an input too large for float64."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigurationError(f"input out of floating-point range ({exc})") from None
+
+
 def infarct_localization(
     subject: Sequence[SectorSummary],
     reference: Sequence[SectorSummary],

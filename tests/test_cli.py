@@ -466,6 +466,51 @@ def test_malformed_spec_or_manifest_json(tmp_path, capsys, command, text, needle
     assert str(bad) in line and needle in line
 
 
+@pytest.mark.parametrize("subject_id", [None, 7, {"a": 1}], ids=["null", "number", "object"])
+@pytest.mark.parametrize("name", ["manifest.json", "study.json"])
+def test_subject_id_must_be_a_json_string(tmp_path, synth_pair, capsys, name, subject_id):
+    healthy_dir, _ = synth_pair
+    data = json.loads((healthy_dir / name).read_text())
+    data["subject_id"] = subject_id
+    bad = tmp_path / name
+    bad.write_text(json.dumps(data))
+    if name == "manifest.json":
+        argv = ["--study", str(healthy_dir / "contours.csv"), "--manifest", str(bad)]
+    else:
+        argv = ["--study", str(bad)]
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert run("volume", *argv, "--out", str(out)) == 1
+    line = _single_error_line(capsys)
+    assert str(bad) in line and f"'subject_id' must be str, got {subject_id!r}" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, needle", [
+    ("verify-young", "input out of floating-point range (overflow encountered in "),
+    ("analyze-young", "input out of floating-point range (overflow encountered in "),
+    ("spec-1e200", "input out of floating-point range (overflow encountered in "),
+    ("spec-infinity", "need 0 < inner radius < outer radius < inf, got 1.0, inf"),
+])
+def test_input_out_of_float_range_is_one_error_line(tmp_path, synth_pair, capsys, case,
+                                                    needle):
+    healthy_dir, mi_dir = synth_pair
+    radius = {"spec-1e200": "1e200", "spec-infinity": "Infinity"}.get(case)
+    if radius:
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"inner_radius": 1.0, "outer_radius": {radius}}}')
+        argv = ["phantom-verify", "--phantom-spec", str(spec)]
+    elif case == "verify-young":
+        argv = ["phantom-verify", "--young", "1e308"]
+    else:
+        argv = ["analyze", "--study", str(mi_dir / "study.json"),
+                "--reference", str(healthy_dir / "study.json"), "--young", "1e308"]
+    capsys.readouterr()
+    assert run(*argv, "--out", str(tmp_path / "res")) == 1
+    assert needle in _single_error_line(capsys)
+    assert_no_child_left()
+
+
 def test_config_values_converted_like_flags(tmp_path, synth_pair):
     healthy_dir, _ = synth_pair
     config = tmp_path / "config.json"

@@ -4,7 +4,8 @@
 test (``contours._is_simple_exact``, its fallback) on every kind of polygon,
 and ``uniform_angle_walls``, which shares one angular pass per wall between
 its checks and the resampling, must give the bytes (or the error) of the
-separate star check, angular sort and resampling it replaced, kept below.
+separate star check, angular sort and resampling it replaced, kept below;
+``resample_uniform_angle`` must admit exactly the walls it admits.
 """
 
 import math
@@ -20,7 +21,6 @@ from cardiofem.contours import (
     FrameContours,
     RADIUS_TIE_RTOL,
     _angular_pass,
-    _check_center_inside,
     _is_simple_exact,
     is_simple_polygon,
     rotate_about,
@@ -280,14 +280,44 @@ def test_walls_match_the_separate_passes(frame, rotation_deg, n, offset):
 
 
 @settings(max_examples=200, deadline=None)
+@given(frames(), st.integers(3, 130), st.floats(-2.0, 2.0))
+def test_both_entry_points_admit_the_same_walls(frame, n, offset):
+    # one rule for every angular use of a wall: resampling the inner wall
+    # alone fails exactly when the frame's resampling rejects it, and with
+    # the same error less the frame's suffix
+    c = contours.centroid(frame.inner)
+    c = np.array([c[0] + offset, c[1]])
+    walls = _outcome(uniform_angle_walls, frame, c, n)
+    alone = _outcome(contours.resample_uniform_angle, frame.inner, c, n)
+    if isinstance(walls[0], type):
+        kind, text = walls
+        assume(not text.endswith(" outer)"))
+        assert alone == (kind, text.removesuffix(" (frame 0 inner)"))
+    else:
+        assert isinstance(alone, Contour)
+        assert np.array_equal(alone.points, walls[0].points)
+
+
+def _check_center_inside(points_sorted, center):
+    """GeometryError unless ``center`` lies inside the polygon of
+    ``points_sorted`` and off its edges."""
+    rel = points_sorted - center
+    scale = float(np.max(np.abs(rel))) or 1.0
+    if contours._distance_to_edges(rel) <= 1e-12 * scale:
+        raise GeometryError("center lies on the contour boundary")
+    if not contours.points_in_polygon(center, points_sorted)[0]:
+        raise GeometryError("center lies outside the contour")
+
+
+@settings(max_examples=200, deadline=None)
 @given(n=st.integers(8, 96), seed=st.integers(0, 2**16), amplitude=st.floats(0.0, 0.1),
        kind=st.sampled_from(["clockwise", "repeated vertex", "both"]), k=st.integers(0, 95),
        offset=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
 def test_star_pass_puts_the_center_inside_its_sorted_polygon(n, seed, amplitude, kind, k,
                                                              offset):
-    # why the angular sort checks the center only for walls that are not
-    # star-shaped: a star pass, whatever the vertex order and its ties, has
-    # the center off the sorted polygon's edges and inside it
+    # why the star check alone admits a wall, with no separate center check:
+    # a star pass, whatever the vertex order and its ties, has the center off
+    # the sorted polygon's edges and inside it
     center = np.array([40.0, -25.0])
     pts = star_contour(n, 10.0, center, seed, amplitude).points
     if kind != "repeated vertex":
@@ -305,9 +335,11 @@ def test_star_pass_puts_the_center_inside_its_sorted_polygon(n, seed, amplitude,
     ((5.0, 0.0), "center lies outside the contour"),
 ])
 def test_resample_center_errors_unchanged(center, error):
+    # the old path's center error is now the one star-shape error
     contour = star_contour(16, radius=1.0)
-    with pytest.raises(GeometryError, match=error):
+    with pytest.raises(StarShapeError) as err:
         contours.resample_uniform_angle(contour, center, 8)
+    assert str(err.value) == "contour is not star-shaped about the reference center"
     assert _outcome(_old_resample, contour, np.array(center), 8) == (GeometryError, error)
 
 
@@ -340,8 +372,8 @@ def test_one_angular_pass_per_wall(monkeypatch):
         3, star_contour(64, 10.0, seed=1), star_contour(64, 20.0, seed=2)
     )
     inner, outer = uniform_angle_walls(frame, (0.0, 0.0), 128, rotation_deg=2.0)
-    # the star check measures each wall's distance to the center once; the
-    # center check of the angular sort is implied by it and skipped
+    # the star check measures each wall's distance to the center once, and
+    # no other check measures it again
     assert calls == [64, 64]
     assert len(inner) == len(outer) == 128
 

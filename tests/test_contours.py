@@ -11,7 +11,6 @@ from cardiofem.contours import (
     FrameContours,
     _angular_pass,
     _polar_angles,
-    angular_permutation,
     boundary_displacements,
     centroid,
     is_simple_polygon,
@@ -79,21 +78,25 @@ def test_centroid_permutation_invariant():
 
 
 # ---------------------------------------------------------------------------
-# ordering
+# ordering: the stable angular sort of every resampling, on any point set
+
+
+def _perm(contour, center):
+    return _angular_pass(contour, np.asarray(center, dtype=float)).perm
 
 
 def _ordered(contour, center):
-    return Contour(contour.points[angular_permutation(contour, center)])
+    return Contour(contour.points[_perm(contour, center)])
 
 
 def test_order_by_angle_cardinal_points():
     c = Contour(np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]))
-    assert angular_permutation(c, (0.0, 0.0)).tolist() == [1, 0, 2, 3]
+    assert _perm(c, (0.0, 0.0)).tolist() == [1, 0, 2, 3]
 
 
 def test_order_by_angle_idempotent():
     once = _ordered(star_contour(32, seed=5), (0.0, 0.0))
-    assert angular_permutation(once, (0.0, 0.0)).tolist() == list(range(32))
+    assert _perm(once, (0.0, 0.0)).tolist() == list(range(32))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -108,34 +111,35 @@ def test_order_by_angle_shuffle_invariant(seed):
 
 def test_order_by_angle_is_permutation():
     base = star_contour(25, seed=11)
-    perm = angular_permutation(base, (0.0, 0.0))
+    perm = _perm(base, (0.0, 0.0))
     assert sorted(perm.tolist()) == list(range(25))
-    assert not perm.flags.writeable
 
 
 def test_order_by_angle_center_outside():
     c = star_contour(16, radius=1.0)
-    with pytest.raises(GeometryError):
-        angular_permutation(c, (5.0, 0.0))
+    with pytest.raises(StarShapeError):
+        resample_uniform_angle(c, (5.0, 0.0), 8)
 
 
 def test_order_by_angle_center_on_boundary():
     c = star_contour(16, radius=1.0)
-    with pytest.raises(GeometryError):
-        angular_permutation(c, (1.0, 0.0))
+    with pytest.raises(StarShapeError):
+        resample_uniform_angle(c, (1.0, 0.0), 8)
 
 
 def test_order_by_angle_duplicate_angle_distinct_radius():
     pts = star_contour(16, radius=1.0).points
     bad = Contour(np.vstack([pts, [2.0, 0.0]]))  # second point at angle 0
-    with pytest.raises(StarShapeError):
-        angular_permutation(bad, (0.0, 0.0))
+    with pytest.raises(StarShapeError, match="share an angle at different radii"):
+        resample_uniform_angle(bad, (0.0, 0.0), 8)
 
 
 def test_duplicate_point_tolerated():
+    # a vertex repeated next to itself ties at its own angle and radius
     pts = star_contour(16, radius=1.0).points
-    dup = Contour(np.vstack([pts, pts[3]]))
-    assert len(angular_permutation(dup, (0.0, 0.0))) == 17
+    dup = Contour(np.insert(pts, 4, pts[3], axis=0))
+    assert np.array_equal(resample_uniform_angle(dup, (0.0, 0.0), 24).points,
+                          resample_uniform_angle(Contour(pts), (0.0, 0.0), 24).points)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +161,15 @@ def test_is_star_shaped_rejects_backtracking():
     frame = FrameContours(4, Contour(pts), star_contour(16, 2.0))
     with pytest.raises(StarShapeError, match=r"reference center \(frame 4 inner\)$"):
         uniform_angle_walls(frame, (0.0, 0.0), 16)
+
+
+def test_resample_rejects_the_backtracking_wall():
+    # the wall uniform_angle_walls rejects above, by the same rule and text
+    theta = np.array([0.0, 0.8, 0.4, 1.6, 2.4, 3.2, 4.0, 4.8, 5.6])
+    wall = Contour(np.column_stack([np.cos(theta), np.sin(theta)]))
+    with pytest.raises(StarShapeError) as err:
+        resample_uniform_angle(wall, (0.0, 0.0), 16)
+    assert str(err.value) == "contour is not star-shaped about the reference center"
 
 
 def test_is_star_shaped_clockwise_ok():

@@ -8,11 +8,6 @@ import cardiofem
 SRC = Path(cardiofem.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# Public without a caller in src/: PAPER.md's first step orders "the
-# endocardial and epicardial contour points ... with respect to the center of
-# gravity of the endocardial contour", which this function does on its own.
-ALLOWED = {"contours.angular_permutation"}
-
 
 def _public_definitions():
     """``module.name`` of each public module-level function and class."""
@@ -67,11 +62,9 @@ def test_every_public_name_has_a_caller(monkeypatch):
     uncalled = sorted(
         qual for qual, name in _public_definitions()
         if name not in used and name not in cardiofem.__all__
-        and qual not in traced and qual not in ALLOWED
+        and qual not in traced
     )
     assert uncalled == [], f"public names with no caller in src/: {uncalled}"
-    for qual in ALLOWED:
-        assert qual.split(".")[1] not in used, f"{qual} has a caller; drop its allowance"
 
 
 def test_every_public_member_has_a_reader():
