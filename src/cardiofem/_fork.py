@@ -1,7 +1,7 @@
 """The package's one fork helper: zero-argument tasks run in forked children
-beside the caller, as ``io.field_vtk_export`` writes its VTK shares and
-``phantom.verify_ring`` verifies its fine ring. It leaves BLAS threads
-alone: ``fem`` pins its two LAPACK calls to one OpenBLAS thread itself."""
+beside the caller, as ``phantom.verify_ring`` verifies its fine ring. It
+leaves BLAS threads alone: ``fem`` pins its two LAPACK calls to one OpenBLAS
+thread itself."""
 
 import contextlib
 import os

@@ -16,7 +16,8 @@ including a file that cannot be read or written, or a flag the command does
 not take. A JSON config file (--config) may supply any long flag of the
 command but --config by name (any other key is a usage error); argparse parses
 each value as that flag's command-line text, and explicit flags override
-config values. Input is read and checked before --out is made.
+config values. Input is read and checked before --out is made, and analyze
+computes every result first, so a rejected run leaves no output directory.
 The commands parse, dispatch and print: the library computes and ``io``
 writes every file.
 """
@@ -150,25 +151,23 @@ def cmd_analyze(cfg) -> int:
                 f"reference {path} has {len(ref.slices)} slice(s) of {ref.n_frames} frames, "
                 f"the subject {len(study.slices)} of {study.n_frames}")
     params = _cycle_params(cfg)
+    # every result is computed before --out is made, so a failed run writes nothing
     curve = normalized_volume_curve(study)
+    per_slice = [cycle_strain_analysis(study, params, i) for i in range(len(study.slices))]
+    localizations = [reference_localization(results, references, params, position, cfg.tau)
+                     if references else None for position, results in enumerate(per_slice)]
     out = _outdir(cfg)
     cfio.write_volume_csv(out / "volume_curve.csv", curve)
-
-    per_slice = [cycle_strain_analysis(study, params, i) for i in range(len(study.slices))]
-    jobs = [cfio.fields_vtk_job(out / f"fields_slice{sl.index}_frame{res.frame_index}.vtk", res)
-            for sl, results in zip(study.slices, per_slice) for res in results]
-    # the VTK writers run while the tables are written and the references analysed
-    with cfio.field_vtk_export(jobs):
-        for position, (sl, results) in enumerate(zip(study.slices, per_slice)):
-            cfio.write_sector_csv(out / f"sector_timeseries_slice{sl.index}.csv", results)
-            cfio.write_strain_aggregates_csv(out / f"strain_aggregates_slice{sl.index}.csv",
-                                             results)
-            if references:
-                loc = reference_localization(results, references, params, position, cfg.tau)
-                cfio.write_localization_json(out / f"localization_slice{sl.index}.json", loc)
-                flagged = loc.suspected_sectors
-                print(f"slice {sl.index}: " + (f"suspected sectors {list(flagged)}"
-                                               if flagged else "no suspected sectors"))
+    for sl, results, loc in zip(study.slices, per_slice, localizations):
+        for res in results:
+            cfio.write_fields_vtk(out / f"fields_slice{sl.index}_frame{res.frame_index}.vtk", res)
+        cfio.write_sector_csv(out / f"sector_timeseries_slice{sl.index}.csv", results)
+        cfio.write_strain_aggregates_csv(out / f"strain_aggregates_slice{sl.index}.csv", results)
+        if loc is not None:
+            cfio.write_localization_json(out / f"localization_slice{sl.index}.json", loc)
+            flagged = loc.suspected_sectors
+            print(f"slice {sl.index}: " + (f"suspected sectors {list(flagged)}"
+                                           if flagged else "no suspected sectors"))
     print(f"artifacts written to {out}")
     return 0
 
@@ -243,7 +242,7 @@ def cmd_strain(cfg) -> int:
     res = _frame_result(cfg, _load_study(cfg))
     out = _outdir(cfg)
     frame = res.frame_index
-    cfio.write_mesh_vtk(*cfio.fields_vtk_job(out / f"strain_frame{frame}.vtk", res))
+    cfio.write_fields_vtk(out / f"strain_frame{frame}.vtk", res)
     cfio.write_strain_csv(out / f"strain_frame{frame}.csv", res.strain)
     cfio.write_sector_csv(out / f"sectors_frame{frame}.csv", [res])
     print(f"artifacts written to {out}")

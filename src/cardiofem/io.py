@@ -9,36 +9,23 @@ carrying subject_id, slice_spacing_mm (the study's one slice spacing, finite
 and > 0) and frames_per_cycle. The JSON study format mirrors the same fields
 in nested form and is self-contained.
 
-Field exports use legacy ASCII VTK (unstructured grid, triangle cells) plus
-plain CSV tables, so results can be inspected without extra dependencies.
-Every float is written as ``repr`` of the Python float, the shortest text that
-reads back to the same value. Every CSV table goes through one writer,
-:func:`_write_csv`, with CRLF line ends. A cycle writes one VTK per frame on
-the same frame-0 mesh, so the header and the POINTS/CELLS/CELL_TYPES block
-are formatted once per mesh and reused; each file is byte-identical to one
-formatted from scratch.
-
-Formatting those floats is the cost of an export, so
-:func:`field_vtk_export` formats each mesh's geometry block and then spreads
-the batch of VTK files over the CPUs the process may use: through
-``_fork.forked``, the package's one fork helper, it forks one writer process
-per extra CPU, which inherits the formatted geometry, and writes its own
-share while the caller goes on with other work, then reaps the writers. The
-bytes of every file are the same as when written in-process, as on one CPU.
+Field exports use legacy binary VTK (unstructured grid, triangle cells,
+:func:`write_mesh_vtk`) plus plain CSV tables, so results can be inspected
+without extra dependencies. The VTK data are big-endian ``>f8`` doubles and
+``>i4`` integers, so every double reads back bitwise. Every CSV table goes
+through one writer, :func:`_write_csv`, with CRLF line ends, and writes a
+float as its ``repr``, the shortest text that reads back to the same value.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import functools
 import json
 import operator
 from pathlib import Path
 
 import numpy as np
 
-from ._fork import forked, usable_cpus
 from .contours import Contour, FrameContours, is_simple_polygon
 from .errors import ConfigurationError, GeometryError
 from .fem import DisplacementField, LinearSystem
@@ -284,86 +271,51 @@ def read_study(path, manifest_path=None, borrowed_manifest=False) -> Study:
 # mesh / field exports
 
 
-def _vtk_geometry(mesh: Mesh) -> str:
-    """Header and POINTS/CELLS/CELL_TYPES block of a legacy VTK file,
-    formatted once per mesh and kept on the mesh."""
-
-    def compute() -> str:
-        lines = [
-            "# vtk DataFile Version 3.0",
-            "cardiofem output",
-            "ASCII",
-            "DATASET UNSTRUCTURED_GRID",
-            f"POINTS {mesh.n_nodes} double",
-        ]
-        lines += [f"{x!r} {y!r} 0.0" for x, y in mesh.nodes.tolist()]
-        lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
-        lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
-        lines.append(f"CELL_TYPES {mesh.n_triangles}")
-        lines += ["5"] * mesh.n_triangles
-        return "\n".join(lines) + "\n"
-
-    return mesh.cached("vtk_geometry", compute)
-
-
 def write_mesh_vtk(
     path,
     mesh: Mesh,
     point_vectors: dict[str, np.ndarray] | None = None,
     cell_scalars: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Legacy ASCII VTK unstructured grid with triangle cells (type 5)."""
-    lines = []
-    if point_vectors:
-        lines.append(f"POINT_DATA {mesh.n_nodes}")
-        for name, vec in point_vectors.items():
-            lines.append(f"VECTORS {name} double")
-            lines += [f"{u!r} {v!r} 0.0" for u, v in np.asarray(vec, dtype=float).tolist()]
-    if cell_scalars:
-        lines.append(f"CELL_DATA {mesh.n_triangles}")
-        for name, arr in cell_scalars.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines += map(repr, np.asarray(arr, dtype=float).tolist())
-    with Path(path).open("w") as fh:
-        fh.write(_vtk_geometry(mesh))
-        if lines:
-            fh.write("\n".join(lines) + "\n")
+    """Legacy binary VTK unstructured grid with triangle cells (type 5).
 
-
-def fields_vtk_job(path, result: FrameResult) -> tuple:
-    """``write_mesh_vtk`` arguments of one frame result's displacement and
-    strain fields on its mesh."""
-    sf = result.strain
-    return (path, result.model.mesh, {"displacement": result.displacement.values},
-            {"eps_x": sf.eps_x, "eps_y": sf.eps_y, "gamma_xy": sf.gamma_xy,
-             "effective": sf.effective})
-
-
-def _write_share(jobs) -> None:
-    for job in jobs:
-        write_mesh_vtk(*job)
-
-
-@contextlib.contextmanager
-def field_vtk_export(jobs):
-    """Write ``write_mesh_vtk(*job)`` for every job, spread over the CPUs.
-
-    Each job's mesh geometry is formatted before any fork, so no child formats
-    it again. With k = min(usable CPUs, len(jobs)), k - 1 forked children
-    write ``jobs[i::k]`` (i = 0..k-2) and this process writes the last share,
-    the smallest, before the body runs. Leaving the block waits for every child,
-    also when the body raised; if it did not, the first failed child's error
-    is raised again. On one CPU, without ``os.fork``, or when a fork fails,
-    a child's share is written here, so every job is written once.
+    Points and point vectors are written as big-endian ``>f8`` triples with
+    z = 0, cell scalars as ``>f8``, CELLS and CELL_TYPES as ``>i4``; each
+    array follows its keyword line and ends with a newline.
     """
-    jobs = list(jobs)
-    for job in jobs:
-        _vtk_geometry(job[1])
-    k = max(1, min(usable_cpus(), len(jobs)))
-    with forked([functools.partial(_write_share, jobs[i::k]) for i in range(k - 1)]):
-        _write_share(jobs[k - 1::k])
-        yield
+    def xyz(values):
+        out = np.zeros((len(values), 3), ">f8")
+        out[:, :2] = values
+        return out
+
+    cells = np.empty((mesh.n_triangles, 4), ">i4")
+    cells[:, 0], cells[:, 1:] = 3, mesh.triangles
+    sections = [
+        ("# vtk DataFile Version 3.0\ncardiofem output\nBINARY\nDATASET UNSTRUCTURED_GRID", None),
+        (f"POINTS {mesh.n_nodes} double", xyz(mesh.nodes)),
+        (f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}", cells),
+        (f"CELL_TYPES {mesh.n_triangles}", np.full(mesh.n_triangles, 5, ">i4")),
+    ]
+    if point_vectors:
+        sections.append((f"POINT_DATA {mesh.n_nodes}", None))
+        sections += [(f"VECTORS {name} double", xyz(vec)) for name, vec in point_vectors.items()]
+    if cell_scalars:
+        sections.append((f"CELL_DATA {mesh.n_triangles}", None))
+        sections += [(f"SCALARS {name} double 1\nLOOKUP_TABLE default", np.asarray(arr, ">f8"))
+                     for name, arr in cell_scalars.items()]
+    with Path(path).open("wb") as fh:
+        for keywords, data in sections:
+            fh.write(keywords.encode() + b"\n")
+            if data is not None:
+                fh.write(data.tobytes() + b"\n")
+
+
+def write_fields_vtk(path, result: FrameResult) -> None:
+    """One frame result's displacement and strain fields on its mesh."""
+    sf = result.strain
+    write_mesh_vtk(path, result.model.mesh, {"displacement": result.displacement.values},
+                   {"eps_x": sf.eps_x, "eps_y": sf.eps_y, "gamma_xy": sf.gamma_xy,
+                    "effective": sf.effective})
 
 
 def write_mesh_csv(nodes_path, elements_path, mesh: Mesh) -> None:

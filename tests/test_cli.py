@@ -150,30 +150,13 @@ def _analyze_mi(healthy_dir, mi_dir, out, *flags, reference=None):
                *flags)
 
 
-def test_forked_and_in_process_exports_are_identical(tmp_path, synth_pair, monkeypatch):
+def test_missing_reference_after_the_fork(tmp_path, synth_pair, capsys):
+    # the references are read right after the subject, before any write
     healthy_dir, mi_dir = synth_pair
-    trees, fork_counts = [], []
-    for n_cpus in (1, 3):
-        forks = cpus(monkeypatch, n_cpus)
-        out = tmp_path / f"cpus{n_cpus}"
-        assert _analyze_mi(healthy_dir, mi_dir, out) == 0
-        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
-        fork_counts.append(len(forks))
-        assert_no_child_left()
-    assert fork_counts == [0, 2]
-    assert len(trees[0]) == len(trees[1]) == 9  # 5 VTKs, 3 CSVs, 1 JSON
-    assert trees[0] == trees[1]
-
-
-def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, capsys):
-    # the references are read right after the subject, before any fork or write
-    healthy_dir, mi_dir = synth_pair
-    forks = cpus(monkeypatch, 2)
     capsys.readouterr()
     out = tmp_path / "res"
     assert _analyze_mi(healthy_dir, mi_dir, out, reference=tmp_path / "nope.csv") == 2
     assert "nope.csv" in _single_error_line(capsys)
-    assert forks == []
     assert not out.exists()
 
 
@@ -205,11 +188,14 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, monkeypatch, cap
     # one more sector than the 64x8 mesh has elements
     ("analyze", ["--sectors", "1025"], "n_sectors must be at most the mesh's element count 1024"),
     ("phantom-verify", ["--sectors", "0"], "sectors must be at least 2 for the stiff-wedge check"),
+    # fails in the solve, after the input is checked
+    ("analyze", ["--young", "1e308"], "input out of floating-point range"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
                                        command, flags, needle):
-    # the input is read and checked before --out is made or a writer forks; a
-    # surplus reference manifest is a usage error, the rest fail validation
+    # the input is read and checked, and analyze computes every result, before
+    # --out is made or phantom-verify forks; a surplus reference manifest is a
+    # usage error, the rest fail validation
     healthy_dir, mi_dir = synth_pair
     forks = cpus(monkeypatch, 2)
     capsys.readouterr()
@@ -230,18 +216,15 @@ def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys
     assert not out.exists()
 
 
-def test_failed_export_child_is_one_error_line(tmp_path, synth_pair, monkeypatch, capsys):
+def test_failed_export_child_is_one_error_line(tmp_path, synth_pair, capsys):
+    # a VTK that cannot be written is one error line, exit code 2
     healthy_dir, mi_dir = synth_pair
-    forks = cpus(monkeypatch, 2)
     out = tmp_path / "res"
-    # the first job, frame 1, belongs to the child on two CPUs
     (out / "fields_slice0_frame1.vtk").mkdir(parents=True)
     capsys.readouterr()
     assert _analyze_mi(healthy_dir, mi_dir, out) == 2
     line = _single_error_line(capsys)
     assert "Is a directory" in line and "fields_slice0_frame1.vtk" in line, line
-    assert len(forks) == 1
-    assert_no_child_left()
 
 
 def test_forked_and_in_process_phantom_verify_are_identical(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -363,22 +362,81 @@ def test_vtk_export_structure(tmp_path):
         point_vectors={"displacement": disp.values},
         cell_scalars={"effective": sf.effective},
     )
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# vtk DataFile")
-    assert "DATASET UNSTRUCTURED_GRID" in lines
-    assert f"POINTS {mesh.n_nodes} double" in lines
-    assert f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}" in lines
-    assert f"CELL_TYPES {mesh.n_triangles}" in lines
-    assert lines.count("5") >= mesh.n_triangles
-    assert f"POINT_DATA {mesh.n_nodes}" in lines
-    assert "VECTORS displacement double" in lines
-    assert f"CELL_DATA {mesh.n_triangles}" in lines
-    assert "SCALARS effective double 1" in lines
+    data = path.read_bytes()
+    assert data.startswith(b"# vtk DataFile Version 3.0\ncardiofem output\nBINARY\n"
+                           b"DATASET UNSTRUCTURED_GRID\n")
+    fmt, sections = _vtk_sections(data)
+    assert fmt == "BINARY"
+    assert [keywords for keywords, _ in sections] == [
+        "# vtk DataFile Version 3.0", "cardiofem output", "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {mesh.n_nodes} double",
+        f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}",
+        f"CELL_TYPES {mesh.n_triangles}",
+        f"POINT_DATA {mesh.n_nodes}", "VECTORS displacement double",
+        f"CELL_DATA {mesh.n_triangles}", "SCALARS effective double 1\nLOOKUP_TABLE default",
+    ]
+    arrays = dict(sections)
+    points = np.frombuffer(arrays[f"POINTS {mesh.n_nodes} double"], ">f8").reshape(-1, 3)
+    assert np.array_equal(points[:, :2], mesh.nodes) and not points[:, 2].any()
+    cells = np.frombuffer(arrays[f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}"], ">i4")
+    expected = np.column_stack([np.full(mesh.n_triangles, 3), mesh.triangles])
+    assert np.array_equal(cells.reshape(-1, 4), expected)
+    assert np.all(np.frombuffer(arrays[f"CELL_TYPES {mesh.n_triangles}"], ">i4") == 5)
+
+
+# each keyword that data follow: the data type, the values per item and the
+# argument that counts the items (None: the POINT_DATA or CELL_DATA count)
+_VTK_DATA = {"POINTS": (">f8", 3, 0), "CELLS": (">i4", 1, 1), "CELL_TYPES": (">i4", 1, 0),
+             "VECTORS": (">f8", 3, None), "SCALARS": (">f8", 1, None)}
+
+
+def _vtk_sections(data: bytes):
+    """The format line (ASCII or BINARY) of a legacy VTK file and its other
+    keyword lines in file order, each with the bytes of the ``>f8`` or
+    ``>i4`` array that follows it (None for a line no data follow). Binary
+    data are read with ``np.frombuffer``, ASCII text value by value; the whole
+    file must be read."""
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode(), end + 1
+        return text
+
+    header = [line() for _ in range(4)]
+    fmt = header.pop(2)
+    sections, n_data = [(text, None) for text in header], 0
+    while pos < len(data):
+        keywords = line()
+        key, *args = keywords.split()
+        if key in ("POINT_DATA", "CELL_DATA"):
+            n_data = int(args[0])
+            sections.append((keywords, None))
+            continue
+        dtype, width, at = _VTK_DATA[key]
+        n = width * (n_data if at is None else int(args[at]))
+        if key == "SCALARS":
+            keywords += "\n" + line()  # its LOOKUP_TABLE line
+        if fmt == "BINARY":
+            nbytes = n * np.dtype(dtype).itemsize
+            values = np.frombuffer(data[pos:pos + nbytes], dtype)
+            assert len(values) == n and data[pos + nbytes:pos + nbytes + 1] == b"\n", keywords
+            pos += nbytes + 1
+        else:
+            text = []
+            while len(text) < n:
+                text += line().split()
+            assert len(text) == n, keywords
+            parse = float if dtype == ">f8" else int
+            values = np.array([parse(t) for t in text], dtype)
+        sections.append((keywords, values.tobytes()))
+    return fmt, sections
 
 
 def _oracle_vtk_text(mesh, point_vectors=None, cell_scalars=None):
-    """The writer's former per-value line builder: every number through
-    repr(float(x)) while iterating numpy rows, the whole file rebuilt per call."""
+    """The former ASCII VTK writer as a per-value line builder: every number
+    through repr(float(x)) while iterating numpy rows."""
 
     def fmt(x):
         return repr(float(x))
@@ -440,74 +498,19 @@ def test_vtk_matches_per_value_oracle(tmp_path):
         ("geometry_a", mesh_a, {}),
         ("points_only_a", mesh_a, {"point_vectors": vec_a}),
         ("cells_only_a", mesh_a, {"cell_scalars": sca_a}),
-        # alternate meshes, so a memo that outlives its mesh shows
         ("fields_b", mesh_b, {"point_vectors": vec_b, "cell_scalars": sca_b}),
         ("fields_a_again", mesh_a, {"point_vectors": vec_a, "cell_scalars": sca_a}),
         ("geometry_b", mesh_b, {}),
     ]
     for name, mesh, kwargs in cases:
+        # every keyword line and every array of the binary file is the
+        # ASCII oracle's, each double and integer bitwise
         path = tmp_path / f"{name}.vtk"
         cfio.write_mesh_vtk(path, mesh, **kwargs)
-        assert path.read_bytes() == _oracle_vtk_text(mesh, **kwargs), name
-
-
-def test_vtk_geometry_follows_an_equal_but_distinct_mesh(tmp_path):
-    mesh, _ = _perturbed_ring(5, 8, 1)
-    moved = Mesh(mesh.nodes + 1.0, mesh.triangles, mesh.inner_edges, mesh.outer_edges)
-    cfio.write_mesh_vtk(tmp_path / "a.vtk", mesh)
-    cfio.write_mesh_vtk(tmp_path / "b.vtk", moved)
-    assert (tmp_path / "b.vtk").read_bytes() == _oracle_vtk_text(moved)
-
-
-def _export_jobs(tmp_path, n):
-    mesh, _ = _perturbed_ring(6, 8, 1)
-    return [(tmp_path / f"f{i}.vtk", mesh, *_fields(mesh, i)) for i in range(n)]
-
-
-def test_field_vtk_export_when_fork_fails(tmp_path, monkeypatch):
-    # a failing fork leaves its share to this process: every job is written once
-    def no_fork():
-        raise OSError("fork refused")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(os, "fork", no_fork)
-    jobs = _export_jobs(tmp_path, 5)
-    with cfio.field_vtk_export(jobs):
-        pass
-    for path, mesh, vectors, scalars in jobs:
-        assert path.read_bytes() == _oracle_vtk_text(mesh, vectors, scalars), path.name
-    assert sorted(p.name for p in tmp_path.iterdir()) == [f"f{i}.vtk" for i in range(5)]
-
-
-def test_field_vtk_export_parent_writes_the_smallest_share(tmp_path, monkeypatch):
-    # on two CPUs the child writes jobs 0, 2, 4 and this process jobs 1, 3
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    written = []
-    write = cfio.write_mesh_vtk
-    monkeypatch.setattr(
-        cfio, "write_mesh_vtk", lambda path, *rest: written.append(path.name) or write(path, *rest)
-    )
-    jobs = _export_jobs(tmp_path, 5)
-    with cfio.field_vtk_export(jobs):
-        pass
-    assert written == ["f1.vtk", "f3.vtk"]
-    for path, mesh, vectors, scalars in jobs:
-        assert path.read_bytes() == _oracle_vtk_text(mesh, vectors, scalars), path.name
-
-
-def test_field_vtk_export_body_error_wins(tmp_path, monkeypatch):
-    # a failed child does not hide the error of the block it ran beside
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    jobs = _export_jobs(tmp_path, 2)
-    jobs[0][0].mkdir()  # the child's share on two CPUs
-    with pytest.raises(KeyError, match="body"):
-        with cfio.field_vtk_export(jobs):
-            raise KeyError("body")
-    with pytest.raises(OSError, match="Is a directory"):
-        with cfio.field_vtk_export(jobs):
-            pass
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        fmt, sections = _vtk_sections(path.read_bytes())
+        oracle_fmt, oracle_sections = _vtk_sections(_oracle_vtk_text(mesh, **kwargs))
+        assert (fmt, oracle_fmt) == ("BINARY", "ASCII")
+        assert sections == oracle_sections, name
 
 
 def _csv_oracle(header, rows) -> bytes:
