@@ -13,7 +13,6 @@ in a forked child when the process may use more than one CPU.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -65,19 +64,21 @@ def make_ring(spec: RingSpec, n_angular: int = 64, n_radial: int = 8):
     return mesh, MaterialField.uniform(mesh, spec.material)
 
 
-def lame_displacement(a: float, b: float, p: float, e_mod: float, nu: float, r):
+def lame_displacement(a: float, b: float, p: float, e_mod: float, nu: float, r,
+                      slack: float = 0.0):
     """Plane-strain radial displacement of the pressurized homogeneous ring.
 
     Internal pressure p at radius a, traction-free outer wall at radius b:
 
         u(r) = (1 + nu) * p * a^2 / (E * (b^2 - a^2)) * ((1 - 2 nu) r + b^2 / r)
 
-    Vectorized over r; r must lie within [a, b].
+    Vectorized over r; r must lie within [a, b], give or take 1e-12 * b plus
+    ``slack``, the rounding the caller's radii carry.
     """
     if not (0.0 < a < b):
         raise ConfigurationError("need 0 < a < b")
     r_arr = np.asarray(r, dtype=float)
-    tol = 1e-12 * b
+    tol = 1e-12 * b + slack
     if np.any(r_arr < a - tol) or np.any(r_arr > b + tol):
         raise GeometryError("radius outside the ring wall [a, b]")
     factor = (1.0 + nu) * p * a * a / (e_mod * (b * b - a * a))
@@ -97,15 +98,15 @@ def lame_strain_polar(a: float, b: float, p: float, e_mod: float, nu: float, r):
 
 
 def lame_displacement_at(spec: RingSpec, pressure: float, points) -> np.ndarray:
-    """Analytic displacement vectors at arbitrary wall points."""
+    """Analytic displacement vectors at arbitrary wall points, whose radii
+    |p - c| may miss the wall by their rounding, up to 4 eps * max|p|."""
     pts = np.asarray(points, dtype=float)
     c = np.asarray(spec.center, dtype=float)
     rel = pts - c
     r = np.linalg.norm(rel, axis=1)
-    u = lame_displacement(
-        spec.inner_radius, spec.outer_radius, pressure, spec.material.E,
-        spec.material.nu, r,
-    )
+    slack = 4.0 * np.finfo(float).eps * np.max(np.abs(pts), initial=0.0)
+    u = lame_displacement(spec.inner_radius, spec.outer_radius, pressure, spec.material.E,
+                          spec.material.nu, r, slack)
     return (u / r)[:, None] * rel
 
 
@@ -260,10 +261,10 @@ def verify_ring(
     is a contour, and divisible by 4 for the traction solve's pin layout, and
     :class:`CycleParams` bounds ``n_radial`` and the sector count; all raise
     ``ConfigurationError`` before any ring is built. The fine ring, the
-    costliest, is verified in one forked child (``_fork.forked``) while this
-    process verifies the rest, so a library caller forks when it may use more
-    than one CPU; on one CPU it is verified inline first, with the same
-    results.
+    costliest, is one task that ``_fork.forked`` verifies in a child while
+    this process verifies the rest, so a library caller forks when it may use
+    more than one CPU; on one CPU, or when the fork fails, it is verified
+    inline first, with the same results.
     """
     if n_sectors < 2:
         raise ConfigurationError(
@@ -277,7 +278,7 @@ def verify_ring(
     CycleParams(n_points=n_points, n_radial=n_radial, n_sectors=n_sectors)
     resolutions = ((n_points // 2, max(n_radial // 2, 1)), (n_points, n_radial),
                    (n_points * 2, n_radial * 2))
-    with forked([functools.partial(_fine_ring, spec, *resolutions[2])]) as fine:
+    with forked(lambda: _fine_ring(spec, *resolutions[2])) as fine:
         rings = [make_ring(spec, na, nr) for na, nr in resolutions[:2]]
         systems = [assemble(mesh, mats, "plane-strain") for mesh, mats in rings]
         oracle = [_oracle_values(spec, mesh) for mesh, _ in rings]

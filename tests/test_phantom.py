@@ -57,6 +57,21 @@ def test_lame_outside_wall():
         lame_displacement(1.0, 2.0, 1.0, 1e4, 0.3, 2.5)
 
 
+def test_a_ring_centred_far_from_the_origin_verifies():
+    # wall radii |p - c| carry rounding of about eps * max|p|, 5.8e-11 at 1e6,
+    # far beyond 1e-12 * b: these centres used to fail with "radius outside
+    # the ring wall [a, b]"
+    origin = verify_ring(RingSpec(1.0, 2.0))
+    for center in [(1e5, 1e5), (1e6, -1e6)]:
+        spec = RingSpec(1.0, 2.0, center)
+        far = verify_ring(spec)
+        assert far.failures == []
+        assert_allclose(far.l2_errors, origin.l2_errors, rtol=0.0, atol=2e-12)
+        # a point genuinely outside the wall still raises
+        with pytest.raises(GeometryError, match="outside the ring wall"):
+            lame_displacement_at(spec, 1.0, [[center[0] + 1.1 * 2.0, center[1]]])
+
+
 def test_lame_strain_consistent_with_displacement():
     # eps_theta = u / r and eps_r = du/dr (central difference oracle)
     a, b, p, e_mod, nu = 1.0, 2.0, 1.0, 1e4, 0.3
@@ -151,16 +166,24 @@ def test_cycle_fem_matches_analytic_for_homogeneous():
 # end-to-end verification loop
 
 
-def _pipeline_error(spec, n_angular, n_radial, pressure=1.0):
-    """Contour pipeline (cycle frames -> boundary displacements -> Dirichlet
-    solve) versus the analytic interior field; area-weighted L2."""
+def _pipeline_solve(spec, n_angular, n_radial, pressure=1.0):
+    """(mesh, displacement) of the contour pipeline on the ring: the cycle's
+    frames, their boundary displacements, the Dirichlet conditions they give
+    on the frame-0 mesh and one solve."""
     frames = pressure_load_cycle(spec, (0.0, pressure), n_points=n_angular)
     bd = boundary_displacements(frames[0], frames[1], n_angular)
     mesh = triangulate_annulus(frames[0].inner, frames[0].outer, n_radial)
-    mats_mesh, mats = make_ring(spec, n_angular, n_radial)
+    _, mats = make_ring(spec, n_angular, n_radial)
     disp = solve_one(
         assemble(mesh, mats, "plane-strain"), *boundary_conditions_from_displacements(mesh, bd)
     )
+    return mesh, disp
+
+
+def _pipeline_error(spec, n_angular, n_radial, pressure=1.0):
+    """Contour pipeline (cycle frames -> boundary displacements -> Dirichlet
+    solve) versus the analytic interior field; area-weighted L2."""
+    mesh, disp = _pipeline_solve(spec, n_angular, n_radial, pressure)
 
     centroids = mesh.triangle_centroids()
     rn = np.linalg.norm(centroids, axis=1)
@@ -188,16 +211,28 @@ def test_end_to_end_pipeline_matches_oracle():
 
 def _strain_errors(spec, n_angular, n_radial):
     """The Lame-valued Dirichlet solve of the plane-strain ring against the
-    closed-form strain at element centroids: area-weighted relative L2 errors
-    of the strain tensor and of the effective strain, and the largest error of
-    the 16 sector means of effective strain relative to the analytic sector
-    mean. The analytic effective strain depends on the radius alone and every
-    sector holds the same radial layers, so each analytic sector mean is the
-    element mean of the analytic effective strain."""
+    closed-form strain: :func:`_lame_strain_errors`."""
     mesh, mats = make_ring(spec, n_angular, n_radial)
     system = assemble(mesh, mats, "plane-strain")
     disp = solve_one(system, *boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes)))
-    sf = strain_field(mesh, disp, mats.nu)
+    return _lame_strain_errors(spec, mesh, disp)
+
+
+def _pipeline_strain_errors(spec, n_angular, n_radial):
+    """The contour pipeline's route to the strain map against the closed-form
+    strain: :func:`_lame_strain_errors`."""
+    return _lame_strain_errors(spec, *_pipeline_solve(spec, n_angular, n_radial))
+
+
+def _lame_strain_errors(spec, mesh, disp):
+    """The strain of ``disp`` against the closed-form strain at element
+    centroids: area-weighted relative L2 errors of the strain tensor and of the
+    effective strain, and the largest error of the 16 sector means of
+    effective strain relative to the analytic sector mean. The analytic
+    effective strain depends on the radius alone and every sector holds the
+    same radial layers, so each analytic sector mean is the element mean of
+    the analytic effective strain."""
+    sf = strain_field(mesh, disp, spec.material.nu)
 
     centroids = mesh.triangle_centroids()
     r = np.linalg.norm(centroids, axis=1)
@@ -222,25 +257,38 @@ def _strain_errors(spec, n_angular, n_radial):
     return tensor, eff, sector
 
 
-def test_strain_converges_to_lame():
-    # b/a 2 measured at 32x4, 64x8, 128x16: tensor 1.07e-1, 5.35e-2, 2.68e-2
-    # (orders 1.00, 1.00); effective 4.03e-2, 1.92e-2, 9.50e-3 (1.07, 1.02);
-    # sector means 1.31e-2, 3.33e-3, 8.36e-4 (1.98, 1.99). The thin walls, b/a
-    # 1.1 and 1.02, at 64x2, 128x4, 256x8: tensor 2.82e-2, 1.41e-2, 7.06e-3 and
-    # 1.60e-2, 7.99e-3, 4.00e-3; lowest orders (tensor, effective, sector)
-    # 0.999, 1.00, 1.99 and 1.00, 1.02, 2.00. Bounds: mid-resolution errors at
-    # 1.1x the measured value, orders at 0.9x the smaller measured order
-    rings = [
-        (2.0, [(32, 4), (64, 8), (128, 16)], [0.059, 0.0212, 0.0037], [0.9, 0.9, 1.78]),
-        (1.1, [(64, 2), (128, 4), (256, 8)], [0.0156, 0.0058, 3.01e-5], [0.89, 0.9, 1.79]),
-        (1.02, [(64, 2), (128, 4), (256, 8)], [0.0088, 0.00123, 2.34e-4], [0.89, 0.91, 1.79]),
-    ]
-    for outer, resolutions, error_bounds, order_bounds in rings:
+# b/a 2 measured at 32x4, 64x8, 128x16: tensor 1.07e-1, 5.35e-2, 2.68e-2
+# (orders 1.00, 1.00); effective 4.03e-2, 1.92e-2, 9.50e-3 (1.07, 1.02);
+# sector means 1.31e-2, 3.33e-3, 8.36e-4 (1.98, 1.99). The thin walls, b/a
+# 1.1 and 1.02, at 64x2, 128x4, 256x8: tensor 2.82e-2, 1.41e-2, 7.06e-3 and
+# 1.60e-2, 7.99e-3, 4.00e-3; lowest orders (tensor, effective, sector)
+# 0.999, 1.00, 1.99 and 1.00, 1.02, 2.00. Bounds: mid-resolution errors at
+# 1.1x the measured value, orders at 0.9x the smaller measured order. The
+# Dirichlet and the contour-pipeline routes give these numbers alike, the
+# sector errors within 1.3e-7 of each other relatively
+LAME_STRAIN_RINGS = [
+    (2.0, [(32, 4), (64, 8), (128, 16)], [0.059, 0.0212, 0.0037], [0.9, 0.9, 1.78]),
+    (1.1, [(64, 2), (128, 4), (256, 8)], [0.0156, 0.0058, 3.01e-5], [0.89, 0.9, 1.79]),
+    (1.02, [(64, 2), (128, 4), (256, 8)], [0.0088, 0.00123, 2.34e-4], [0.89, 0.91, 1.79]),
+]
+
+
+def _check_strain_converges(route):
+    for outer, resolutions, error_bounds, order_bounds in LAME_STRAIN_RINGS:
         spec = RingSpec(1.0, outer, material=Material(1e4, 0.3))
-        errors = np.array([_strain_errors(spec, na, nr) for na, nr in resolutions])
+        errors = np.array([route(spec, na, nr) for na, nr in resolutions])
         orders = np.log2(errors[:-1] / errors[1:]).min(axis=0)
         assert np.all(errors[1] <= error_bounds), (outer, errors)
         assert np.all(orders >= order_bounds), (outer, orders)
+
+
+def test_strain_converges_to_lame():
+    _check_strain_converges(_strain_errors)
+
+
+def test_pipeline_strain_converges_to_lame():
+    # the strain map on the contour pipeline's route, not only its displacements
+    _check_strain_converges(_pipeline_strain_errors)
 
 
 def test_inhomogeneous_low_mobility_sectors():

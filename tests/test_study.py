@@ -33,8 +33,8 @@ from cardiofem.phantom import circle_contour
 from cardiofem.strain import SectorSummary, effective_strain, sector_average, strain_field
 from cardiofem.study import (REFERENCE_MODES, Slice, Study, average_sector_summaries,
                              ventricle_volume)
-from cardiofem.synth import (HEALTHY_ID, MI_ID, WEDGE, _modulated_study, _wedge_motion_factor,
-                            phantom_cycle_study)
+from cardiofem.synth import (CENTER, HEALTHY_ID, MI_ID, WEDGE, _modulated_study,
+                            _wedge_motion_factor, phantom_cycle_study)
 from cardiofem import contours, fem, io
 from cardiofem import study as study_module
 
@@ -681,6 +681,45 @@ def test_localization_mi_wedge_ground_truth():
     subj = [r.sectors for r in cycle_strain_analysis(mi, params)]
     loc = infarct_localization(subj, ref, tau=0.5)
     assert loc.suspected_sectors == (4, 5, 6, 7)
+
+
+def _radially_jittered(study, sigma, rng):
+    """``study`` with Gaussian noise of ``sigma`` px added to each boundary
+    point's distance from ``synth.CENTER``, frame by frame, inner wall first."""
+    c = np.asarray(CENTER)
+
+    def jitter(contour):
+        rel = contour.points - c
+        r = np.linalg.norm(rel, axis=1, keepdims=True)
+        return Contour(c + rel * (1.0 + sigma * rng.standard_normal(r.shape) / r))
+
+    slices = [Slice(s.index, tuple(FrameContours(f.frame_index, jitter(f.inner), jitter(f.outer))
+                                   for f in s.frames)) for s in study.slices]
+    return Study(study.subject_id, tuple(slices), study.spacing)
+
+
+def test_localization_under_contour_noise_is_recorded():
+    # how many of 8 seeds keep the exact verdict {4, 5, 6, 7} under radial
+    # contour noise of sigma px: subject mi_wedge_study(seed), reference
+    # healthy_study(seed + 100), 20 frames, 64x8, tau 0.5; each study's noise
+    # comes from default_rng([its seed, 1]), the same draws at every sigma.
+    # Noise raises the effective strain of subject and reference alike, so
+    # their ratio tends to 1 and the wedge's flags go. A change that makes the
+    # verdict more robust updates this record on purpose
+    params = CycleParams(n_points=64, n_radial=8)
+    pairs = [(mi_wedge_study(seed=seed), healthy_study(seed=seed + 100)) for seed in range(8)]
+
+    def sectors(study, sigma, seed):
+        noisy = _radially_jittered(study, sigma, np.random.default_rng([seed, 1]))
+        return [r.sectors for r in cycle_strain_analysis(noisy, params)]
+
+    exact = {}
+    for sigma in (0.1, 0.25, 0.5, 1.0):
+        verdicts = [infarct_localization(sectors(mi, sigma, seed),
+                                         sectors(healthy, sigma, seed + 100), 0.5)
+                    .suspected_sectors for seed, (mi, healthy) in enumerate(pairs)]
+        exact[sigma] = sum(flags == (4, 5, 6, 7) for flags in verdicts)
+    assert exact == {0.1: 8, 0.25: 7, 0.5: 0, 1.0: 0}
 
 
 def test_inert_wedge_minimum_every_frame():
