@@ -1,7 +1,10 @@
 """The package's one fork helper: a zero-argument task runs in a forked child
-beside the caller, as ``phantom.verify_ring`` verifies its fine ring. It
-leaves BLAS threads alone: ``fem`` pins its two LAPACK calls to one OpenBLAS
-thread itself."""
+beside the caller, as ``phantom.verify_ring`` verifies its fine ring and
+``study.localized_cycles`` the references' cycles. It imports nothing of the
+package and leaves BLAS threads alone; both callers enter
+``fem.one_blas_thread`` around it, since a fork shuts OpenBLAS's thread pool
+down and a thread-count call after it starts a pool thread that busy-waits
+beside the child."""
 
 import contextlib
 import os

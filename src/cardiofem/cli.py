@@ -38,7 +38,7 @@ from .materials import MODES, Material
 from .meshing import validate
 from .phantom import RingSpec, verify_ring
 from .study import (CycleParams, check_finite_positive, cycle_strain_analysis, float_range_checked,
-                    frame_mesh, normalized_volume_curve, reference_localization)
+                    frame_mesh, localized_cycles, normalized_volume_curve)
 from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_study
 
 
@@ -153,9 +153,7 @@ def cmd_analyze(cfg) -> int:
     params = _cycle_params(cfg)
     # every result is computed before --out is made, so a failed run writes nothing
     curve = normalized_volume_curve(study)
-    per_slice = [cycle_strain_analysis(study, params, i) for i in range(len(study.slices))]
-    localizations = [reference_localization(results, references, params, position, cfg.tau)
-                     if references else None for position, results in enumerate(per_slice)]
+    per_slice, localizations = localized_cycles(study, references, params, cfg.tau)
     out = _outdir(cfg)
     cfio.write_volume_csv(out / "volume_curve.csv", curve)
     for sl, results, loc in zip(study.slices, per_slice, localizations):

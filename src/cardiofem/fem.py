@@ -9,9 +9,11 @@ takes an (n_fixed, n_sets) value array and solves for the free dofs of every
 column with one banded Cholesky factorization in the system's fold order, its
 band read from the assembled K through each free dof's band position. LAPACK
 comes from the OpenBLAS that numpy's wheel bundles, through ``ctypes``, each
-of its two calls pinned to one OpenBLAS thread; scipy.linalg serves a numpy
-without it. :func:`apply_dirichlet` builds the equivalent system with the
-fixed rows and columns eliminated (replaced by identity), for export.
+of its two calls pinned to one OpenBLAS thread by :func:`one_blas_thread`,
+which makes no thread-count call when the count is 1 already, as in a pinned
+fork; scipy.linalg serves a numpy without it. :func:`apply_dirichlet` builds
+the equivalent system with the fixed rows and columns eliminated (replaced by
+identity), for export.
 :func:`boundary_dof_map` pairs the boundary nodes with displacement samples by
 one rule, angular order about the reference center.
 
@@ -28,6 +30,7 @@ the x-displacement of node i and dof 2*i + 1 its y-displacement.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 from dataclasses import dataclass
 
@@ -352,12 +355,29 @@ def boundary_conditions_from_displacements(
 # solve
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    caller's count; make no thread-count call when the count is 1 already.
+    ``dpbtrf`` and ``dpbtrs`` run under it, since the thread pool slows a lone
+    banded factorization. The fork sites enter it around the fork and the
+    reap: a fork shuts the pool down, and the next thread-count call, one
+    that sets 1 included, starts a pool thread that busy-waits on the CPU the
+    other process needs."""
+    before = 1 if _LAPACK is None else _LAPACK.get_threads()
+    if before != 1:
+        _LAPACK.set_threads(1)
+    try:
+        yield
+    finally:
+        if before != 1:
+            _LAPACK.set_threads(before)
+
+
 def _openblas():
     """numpy's OpenBLAS, found by its symbols among the libraries numpy's
     LAPACK module links: ILP64 ``dpbtrf``/``dpbtrs`` (LAPACKE's work forms, with
-    no NaN scan, as scipy calls them) and the thread count; None without them.
-    ``trf`` and ``trs`` run on one thread and then restore the caller's count,
-    since the thread pool slows a lone banded factorization."""
+    no NaN scan, as scipy calls them) and the thread count; None without them."""
     lib, i64 = ctypes.CDLL(_umath_linalg.__file__), ctypes.c_int64
     try:
         lib.trf, lib.trs = lib.scipy_LAPACKE_dpbtrf_work64_, lib.scipy_LAPACKE_dpbtrs_work64_
@@ -371,18 +391,6 @@ def _openblas():
     lib.trf.restype = lib.trs.restype = i64
     lib.get_threads.argtypes, lib.get_threads.restype = [], ctypes.c_int
     lib.set_threads.argtypes, lib.set_threads.restype = [ctypes.c_int], None
-
-    def one_thread(routine):
-        def call(*args):
-            before = lib.get_threads()
-            lib.set_threads(1)
-            try:
-                return routine(*args)
-            finally:
-                lib.set_threads(before)
-        return call
-
-    lib.trf, lib.trs = one_thread(lib.trf), one_thread(lib.trs)
     return lib
 
 
@@ -397,7 +405,8 @@ def _band_solve(band: np.ndarray, b: np.ndarray) -> np.ndarray:
 
         return dpbtrs(band, b, lower=1, overwrite_b=1)[0]
     x, n = np.asfortranarray(b), band.shape[1]
-    _LAPACK.trs(102, b"L", n, len(band) - 1, x.size // n, band, len(band), x, n)
+    with one_blas_thread():
+        _LAPACK.trs(102, b"L", n, len(band) - 1, x.size // n, band, len(band), x, n)
     return x
 
 
@@ -431,7 +440,8 @@ def _factor(k: Stiffness, band_dofs: np.ndarray) -> np.ndarray:
 
         band, info = dpbtrf(band, lower=1, overwrite_ab=1)
     else:
-        info = _LAPACK.trf(102, b"L", n, rows - 1, band, rows)
+        with one_blas_thread():
+            info = _LAPACK.trf(102, b"L", n, rows - 1, band, rows)
     if info:
         raise SolverError("direct factorization failed: the stiffness is not positive "
                           f"definite ({info}-th leading minor not positive definite)")

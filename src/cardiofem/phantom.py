@@ -22,7 +22,8 @@ from ._fork import forked
 from .contours import TWO_PI, Contour, FrameContours, boundary_displacements
 from .errors import ConfigurationError, GeometryError
 from .fem import (apply_traction, assemble, boundary_conditions_from_displacements,
-                  boundary_dof_map, internal_pressure_tractions, remove_rigid_motion, solve)
+                  boundary_dof_map, internal_pressure_tractions, one_blas_thread,
+                  remove_rigid_motion, solve)
 from .materials import AngularRegion, Material, MaterialField, region_material_field
 from .meshing import CheckResult, triangulate_annulus
 from .strain import SectorSummary, sector_average, strain_field
@@ -262,7 +263,8 @@ def verify_ring(
     :class:`CycleParams` bounds ``n_radial`` and the sector count; all raise
     ``ConfigurationError`` before any ring is built. The fine ring, the
     costliest, is one task that ``_fork.forked`` verifies in a child while
-    this process verifies the rest, so a library caller forks when it may use
+    this process verifies the rest, numpy's OpenBLAS on one thread in both
+    (``fem.one_blas_thread``), so a library caller forks when it may use
     more than one CPU; on one CPU, or when the fork fails, it is verified
     inline first, with the same results.
     """
@@ -278,7 +280,7 @@ def verify_ring(
     CycleParams(n_points=n_points, n_radial=n_radial, n_sectors=n_sectors)
     resolutions = ((n_points // 2, max(n_radial // 2, 1)), (n_points, n_radial),
                    (n_points * 2, n_radial * 2))
-    with forked(lambda: _fine_ring(spec, *resolutions[2])) as fine:
+    with one_blas_thread(), forked(lambda: _fine_ring(spec, *resolutions[2])) as fine:
         rings = [make_ring(spec, na, nr) for na, nr in resolutions[:2]]
         systems = [assemble(mesh, mats, "plane-strain") for mesh, mats in rings]
         oracle = [_oracle_values(spec, mesh) for mesh, _ in rings]

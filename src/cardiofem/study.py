@@ -23,6 +23,8 @@ one (fixed dofs, pairs) array, the stiffness is condensed onto its free dofs
 and factorized once per slice, and all pairs are solved as one multi-column
 right-hand side (``fem.solve``). Strain is one vectorised B . d per frame,
 with the B matrices and sector bins of the mesh computed once and kept on it.
+:func:`localized_cycles`, ``analyze``'s computation, runs the references'
+cycle analyses in a forked child beside the subject's.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fork import forked
 from .contours import (FrameContours, _read_only, boundary_displacements, centroid,
                        is_simple_polygon, polygon_area, uniform_angle_walls)
 from .errors import ConfigurationError, GeometryError, SolverError
 from .fem import (DisplacementField, LinearSystem, assemble, boundary_conditions_from_displacements,
-                  boundary_dof_map, solve)
+                  boundary_dof_map, one_blas_thread, solve)
 from .materials import Material, MaterialField
 from .meshing import Mesh, triangulate_annulus
 from .strain import SectorSummary, StrainField, sector_average, strain_field
@@ -361,13 +364,26 @@ def infarct_localization(
     return LocalizationResult(subj, ref, tau)
 
 
-def reference_localization(results: Sequence[FrameResult], references: Sequence[Study],
-                           params: CycleParams, slice_index: int,
-                           tau: float) -> LocalizationResult:
-    """Localize one slice's cycle ``results`` against the mean sector
-    summaries of the ``references``' cycle analyses of the slice at position
-    ``slice_index``, with the same ``params``."""
-    reference = average_sector_summaries(
-        [[r.sectors for r in cycle_strain_analysis(ref, params, slice_index)] for ref in references]
-    )
-    return infarct_localization([r.sectors for r in results], reference, tau)
+def localized_cycles(study: Study, references: Sequence[Study], params: CycleParams,
+                     tau: float) -> tuple[list[list[FrameResult]], list[LocalizationResult | None]]:
+    """Every slice's cycle analysis and, given ``references``, its
+    localization against the mean sector summaries of the references' cycle
+    analyses of the slice at the same position, all with ``params``.
+
+    The references' analyses, slice position first, are one ``_fork.forked``
+    task that returns only the per-position means. It runs in a forked child
+    while this process analyses the subject, with numpy's OpenBLAS on one
+    thread in both (``fem.one_blas_thread``); on one CPU it runs inline
+    first. Either way a subject's error is raised before a reference's."""
+    positions = range(len(study.slices))
+
+    def reference_means() -> list[list[SectorSummary]]:
+        return [average_sector_summaries([[r.sectors for r in cycle_strain_analysis(ref, params, i)]
+                                          for ref in references]) for i in positions]
+
+    if not references:
+        return [cycle_strain_analysis(study, params, i) for i in positions], [None] * len(positions)
+    with one_blas_thread(), forked(reference_means) as means:
+        per_slice = [cycle_strain_analysis(study, params, i) for i in positions]
+    return per_slice, [infarct_localization([r.sectors for r in results], reference, tau)
+                       for results, reference in zip(per_slice, means[0])]

@@ -126,6 +126,8 @@ def test_analyze_mi_flags_wedge(tmp_path, synth_pair):
 
 
 def test_analyze_exports_the_cycle_mesh(tmp_path, synth_pair, monkeypatch):
+    # on one CPU the reference's cycle runs in this process, where it is counted
+    cpus(monkeypatch, 1)
     meshes = []
     for module in (cli, study_module):
         if hasattr(module, "triangulate_annulus"):
@@ -194,8 +196,9 @@ def test_missing_reference_after_the_fork(tmp_path, synth_pair, capsys):
 def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys,
                                        command, flags, needle):
     # the input is read and checked, and analyze computes every result, before
-    # --out is made or phantom-verify forks; a surplus reference manifest is a
-    # usage error, the rest fail validation
+    # --out is made; a rejected input never forks, and a solve that fails after
+    # analyze forked its references leaves no child; a surplus reference
+    # manifest is a usage error, the rest fail validation
     healthy_dir, mi_dir = synth_pair
     forks = cpus(monkeypatch, 2)
     capsys.readouterr()
@@ -212,7 +215,11 @@ def test_rejected_run_leaves_no_output(tmp_path, synth_pair, monkeypatch, capsys
         code = run(command, *flags, "--out", str(out))
     assert code == (2 if needle.startswith("more") else 1)
     assert needle in _single_error_line(capsys)
-    assert forks == []
+    if "--young" in flags:
+        assert len(forks) == 1
+        assert_no_child_left()
+    else:
+        assert forks == []
     assert not out.exists()
 
 
@@ -242,6 +249,98 @@ def test_forked_and_in_process_phantom_verify_are_identical(tmp_path, monkeypatc
         assert_no_child_left()
     assert sorted(runs[0][1]) == ["convergence.csv", "sector_comparison.csv"]
     assert runs[0] == runs[1]
+
+
+def test_forked_and_in_process_analyze_are_identical(tmp_path, monkeypatch, capsys):
+    # the references' cycles run in one forked task on two CPUs and inline on one
+    from cardiofem.synth import healthy_study, mi_wedge_study
+
+    kw = dict(n_frames=5, n_points=48, n_slices=2)
+    cfio.write_study_json(tmp_path / "mi.json", mi_wedge_study(seed=5, **kw))
+    argv = ["analyze", "--study", str(tmp_path / "mi.json"), "--n-points", "32", "--n-radial", "4"]
+    for seed in (5, 6):
+        cfio.write_study_json(tmp_path / f"healthy{seed}.json", healthy_study(seed=seed, **kw))
+        argv += ["--reference", str(tmp_path / f"healthy{seed}.json")]
+    runs = []
+    for n_cpus in (1, 2):
+        forks = cpus(monkeypatch, n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        capsys.readouterr()
+        assert run(*argv, "--out", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"artifacts written to {out}"
+        runs.append((lines[:-1], {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert len(forks) == n_cpus - 1
+        assert_no_child_left()
+    assert runs[0][0] == ["slice 0: suspected sectors [4, 5, 6, 7]",
+                          "slice 1: suspected sectors [4, 5, 6, 7]"]
+    assert len(runs[0][1]) == 1 + 2 * (4 + 3)
+    assert runs[0] == runs[1]
+
+
+def _hooked_study(tmp_path, source, frame, name):
+    """A copy of the study JSON ``source`` whose slice-0 inner wall at
+    ``frame`` is not star-shaped."""
+    data = json.loads(source.read_text())
+    data["slices"][0]["frames"][frame]["inner"] = _hooked_inner((128.0, 128.0))
+    bad = tmp_path / name
+    bad.write_text(json.dumps(data))
+    return bad
+
+
+@pytest.mark.parametrize("failure", ["star-shape", "solver"])
+def test_a_failing_reference_is_one_error_line_on_any_cpus(tmp_path, synth_pair, monkeypatch,
+                                                           capsys, failure):
+    # the reference's error crosses the fork with its type and column, so the
+    # line and the exit code do not depend on where its cycle ran
+    healthy_dir, mi_dir = synth_pair
+    reference = healthy_dir / "study.json"
+    argv = ["analyze", "--study", str(mi_dir / "study.json"), "--n-points", "32",
+            "--n-radial", "4"]
+    if failure == "star-shape":
+        reference = _hooked_study(tmp_path, reference, 2, "hooked.json")
+        expected = "error: frame 2: contour is not star-shaped"
+    else:
+        # one CPU runs the reference's cycle first, so its solve is the first one
+        seen, real = [], study_module.solve
+        monkeypatch.setattr(study_module, "solve", lambda *args: seen.append(args[2]) or real(*args))
+        cpus(monkeypatch, 1)
+        assert run(*argv, "--reference", str(reference), "--out", str(tmp_path / "spy")) == 0
+
+        def failing(system, fixed, values):
+            if np.array_equal(values, seen[0]):
+                raise SolverError("residual contract violated", 2)
+            return real(system, fixed, values)
+
+        monkeypatch.setattr(study_module, "solve", failing)
+        expected = "error: frame 3: residual contract violated"
+    for n_cpus in (1, 2):
+        forks = cpus(monkeypatch, n_cpus)
+        capsys.readouterr()
+        out = tmp_path / f"cpus{n_cpus}"
+        assert run(*argv, "--reference", str(reference), "--out", str(out)) == 1
+        assert _single_error_line(capsys).startswith(expected)
+        assert len(forks) == n_cpus - 1
+        assert_no_child_left()
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_the_subjects_error_wins_over_the_references(tmp_path, synth_pair, monkeypatch, capsys,
+                                                     n_cpus):
+    # the reference's cycle fails too, in the child or inline before the subject's
+    healthy_dir, mi_dir = synth_pair
+    subject = _hooked_study(tmp_path, mi_dir / "study.json", 4, "subject.json")
+    reference = _hooked_study(tmp_path, healthy_dir / "study.json", 2, "reference.json")
+    forks = cpus(monkeypatch, n_cpus)
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert run("analyze", "--study", str(subject), "--reference", str(reference),
+               "--n-points", "32", "--n-radial", "4", "--out", str(out)) == 1
+    assert _single_error_line(capsys).startswith("error: frame 4: contour is not star-shaped")
+    assert len(forks) == n_cpus - 1
+    assert_no_child_left()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])

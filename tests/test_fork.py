@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from cardiofem import SolverError, _fork, fem
+from cardiofem import RingSpec, SolverError, _fork, fem
 from cardiofem._fork import forked
+from cardiofem.fem import assemble
+from cardiofem.phantom import lame_displacement_at, make_ring
 
-from conftest import assert_no_child_left, cpus
+from conftest import assert_no_child_left, boundary_dirichlet, cpus, solve_one
 
 
 def test_the_result_comes_back_from_the_child(monkeypatch):
@@ -40,6 +42,63 @@ def test_forked_leaves_the_openblas_thread_count_as_it_found_it(monkeypatch, n_c
         assert lapack.get_threads() == 2
     finally:
         lapack.set_threads(before)
+    assert_no_child_left()
+
+
+@pytest.fixture
+def thread_calls(monkeypatch):
+    """numpy's OpenBLAS at two threads, and the list of every count that
+    ``set_threads`` is called with in this process from here on."""
+    lapack, before = fem._LAPACK, fem._LAPACK.get_threads()
+    calls, real = [], lapack.set_threads
+    lapack.set_threads(2)
+    monkeypatch.setattr(lapack, "set_threads", lambda n: calls.append(n) or real(n))
+    yield calls
+    real(before)
+
+
+def _ring_solve_threads(calls):
+    """The OpenBLAS count during a small ring solve, and the thread-count
+    calls that the solve made."""
+    start = len(calls)
+    spec = RingSpec(1.0, 2.0)
+    mesh, mats = make_ring(spec, 16, 2)
+    fixed, values = boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
+    solve_one(assemble(mesh, mats, "plane-strain"), fixed, values)
+    return fem._LAPACK.get_threads(), calls[start:]
+
+
+@pytest.mark.skipif(fem._LAPACK is None, reason="numpy without its bundled OpenBLAS")
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_a_pinned_fork_solves_on_one_thread_without_a_thread_count_call(
+        monkeypatch, thread_calls, n_cpus):
+    # a fork shuts OpenBLAS's pool down, and any thread-count call after it
+    # would start a pool thread that busy-waits beside the other process
+    forks = cpus(monkeypatch, n_cpus)
+    with fem.one_blas_thread(), forked(lambda: _ring_solve_threads(thread_calls)) as result:
+        assert _ring_solve_threads(thread_calls) == (1, [])
+    assert result == [(1, [])]
+    assert len(forks) == n_cpus - 1
+    assert thread_calls == [1, 2] and fem._LAPACK.get_threads() == 2
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(fem._LAPACK is None, reason="numpy without its bundled OpenBLAS")
+def test_both_fork_sites_pin_the_count_around_the_fork(monkeypatch, thread_calls):
+    # one call pins before the fork and one restores after the reap; fem's
+    # solves in between make none
+    from cardiofem import CycleParams, healthy_study, mi_wedge_study, verify_ring
+    from cardiofem.study import localized_cycles
+
+    forks = cpus(monkeypatch, 2)
+    kw = dict(n_frames=3, n_points=24)
+    localized_cycles(mi_wedge_study(seed=5, **kw), [healthy_study(seed=5, **kw)],
+                     CycleParams(n_points=24, n_radial=3, n_sectors=8), 0.5)
+    assert thread_calls == [1, 2]
+    thread_calls.clear()
+    verify_ring(RingSpec(1.0, 2.0), 16, 2, 4)
+    assert thread_calls == [1, 2]
+    assert len(forks) == 2
     assert_no_child_left()
 
 

@@ -38,7 +38,7 @@ from cardiofem.synth import (CENTER, HEALTHY_ID, MI_ID, WEDGE, _modulated_study,
 from cardiofem import contours, fem, io
 from cardiofem import study as study_module
 
-from conftest import circle_frame, solve_one, star_contour
+from conftest import assert_no_child_left, circle_frame, cpus, solve_one, star_contour
 from oracles import (cli_reference_localization, constraint_values, element_strain,
                      fold_free_block_solve, nodal_dirichlet, position_conditions,
                      two_branch_wedge_factor)
@@ -629,19 +629,29 @@ def test_localization_zero_sector_flagged():
     assert loc.suspected_sectors == (0,)
 
 
-@pytest.mark.parametrize("slice_index", [0, 1])
-def test_reference_localization_is_the_former_cli_loop(slice_index):
-    # two references of two slices each, as analyze localized them inline
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_localized_cycles_is_the_former_cli_loop(monkeypatch, n_cpus):
+    # two references of two slices each, as analyze localized them inline,
+    # with the references' cycles forked on two CPUs
     kw = dict(n_frames=4, n_points=24, n_slices=2)
     subject = mi_wedge_study(seed=5, **kw)
     references = [healthy_study(seed=seed, **kw) for seed in (5, 6)]
     params = CycleParams(n_points=24, n_radial=3, n_sectors=8)
-    results = cycle_strain_analysis(subject, params, slice_index)
-    loc = study_module.reference_localization(results, references, params, slice_index, 0.5)
-    old = cli_reference_localization(results, references, params, slice_index, 0.5)
-    assert loc.flags == old.flags
-    assert np.array_equal(loc.subject_strain, old.subject_strain)
-    assert np.array_equal(loc.reference_strain, old.reference_strain)
+    forks = cpus(monkeypatch, n_cpus)
+    per_slice, locs = study_module.localized_cycles(subject, references, params, 0.5)
+    assert len(forks) == n_cpus - 1
+    assert_no_child_left()
+    for slice_index, (results, loc) in enumerate(zip(per_slice, locs, strict=True)):
+        old_results = cycle_strain_analysis(subject, params, slice_index)
+        for new, old_result in zip(results, old_results, strict=True):
+            assert np.array_equal(new.displacement.values, old_result.displacement.values)
+        old = cli_reference_localization(old_results, references, params, slice_index, 0.5)
+        assert loc.flags == old.flags
+        assert np.array_equal(loc.subject_strain, old.subject_strain)
+        assert np.array_equal(loc.reference_strain, old.reference_strain)
+    # without references nothing forks and nothing is localized
+    assert study_module.localized_cycles(subject, [], params, 0.5)[1] == [None, None]
+    assert len(forks) == n_cpus - 1
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.5])
