@@ -12,20 +12,19 @@ Subcommands:
 
 Each subcommand accepts only the flags its ``COMMANDS`` entry names. Exit
 codes: 0 success, 1 tolerance or validation failure, 2 usage or input error,
-including a file that cannot be read or written, or a flag the command does
-not take. A JSON config file (--config) may supply any long flag of the
-command but --config by name (any other key is a usage error); argparse parses
-each value as that flag's command-line text, and explicit flags override
-config values. Input is read and checked before --out is made, and analyze
-computes every result first, so a rejected run leaves no output directory.
-The commands parse, dispatch and print: the library computes and ``io``
-writes every file.
+including a file that cannot be read, decoded or written, or a flag the
+command does not take. A JSON config file (--config) may supply any long flag
+of the command but --config by name (any other key is a usage error); argparse
+parses each value as that flag's command-line text, and explicit flags
+override config values. Input is read and checked before --out is made, and
+analyze computes every result first, so a rejected run leaves no output
+directory. The commands parse, dispatch and print: the library computes and
+checks, and ``io`` reads and writes every file, --config included.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -37,8 +36,8 @@ from .fem import apply_dirichlet
 from .materials import MODES, Material
 from .meshing import validate
 from .phantom import RingSpec, verify_ring
-from .study import (CycleParams, check_finite_positive, cycle_strain_analysis, float_range_checked,
-                    frame_mesh, localized_cycles, normalized_volume_curve)
+from .study import (CycleParams, cycle_strain_analysis, float_range_checked, frame_mesh,
+                    localized_cycles, normalized_volume_curve)
 from .synth import SYNTH_KINDS, healthy_study, mi_wedge_study, phantom_cycle_study
 
 
@@ -133,7 +132,6 @@ def cmd_phantom_verify(cfg) -> int:
 
 
 def cmd_analyze(cfg) -> int:
-    check_finite_positive("tau", cfg.tau)
     ref_paths, ref_manifests = cfg.reference, list(cfg.reference_manifest)
     if len(ref_manifests) > len(ref_paths):
         raise UsageError(f"more --reference-manifest files ({len(ref_manifests)}) "
@@ -144,12 +142,6 @@ def cmd_analyze(cfg) -> int:
     ref_manifests += [cfg.manifest] * (len(ref_paths) - own)
     references = [cfio.read_study(path, m, borrowed_manifest=i >= own)
                   for i, (path, m) in enumerate(zip(ref_paths, ref_manifests))]
-    # each slice is localized against the reference slice at its position
-    for path, ref in zip(ref_paths, references):
-        if len(ref.slices) < len(study.slices) or ref.n_frames != study.n_frames:
-            raise ConfigurationError(
-                f"reference {path} has {len(ref.slices)} slice(s) of {ref.n_frames} frames, "
-                f"the subject {len(study.slices)} of {study.n_frames}")
     params = _cycle_params(cfg)
     # every result is computed before --out is made, so a failed run writes nothing
     curve = normalized_volume_curve(study)
@@ -305,9 +297,7 @@ def _config_values(path: Path, command: str) -> dict:
     the command line, so only what text cannot carry is checked first: an
     on/off flag takes true or false, and a flag without a ``type`` strings.
     """
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    loaded = json.loads(path.read_text())
+    loaded = cfio.read_json(path, "config file")
     if not isinstance(loaded, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
     argv = []
@@ -371,7 +361,7 @@ def main(argv=None) -> int:
         cfg = _merged_config(args)
         with float_range_checked():
             return COMMANDS[args.command][0](cfg)
-    except (OSError, json.JSONDecodeError, UsageError, *VALIDATION_ERRORS) as exc:
+    except (OSError, UsageError, *VALIDATION_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, VALIDATION_ERRORS) else 2
 

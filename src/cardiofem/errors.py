@@ -18,7 +18,7 @@ class ConfigurationError(ValueError):
 
 
 class UsageError(ValueError):
-    """An option value outside what the input allows, such as a missing slice."""
+    """An option value outside what the input allows, or an input file that cannot be decoded."""
 
 
 class SolverError(RuntimeError):

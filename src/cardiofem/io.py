@@ -6,15 +6,14 @@ Contour CSV schema (header required, rows may be unordered):
 
 with boundary in {inner, outer}. A study additionally needs a manifest JSON
 carrying subject_id, slice_spacing_mm (the study's one slice spacing, finite
-and > 0) and frames_per_cycle. The JSON study format mirrors the same fields
-in nested form and is self-contained.
+and > 0) and frames_per_cycle; a self-contained JSON study nests the same
+fields. :func:`read_json` reads each JSON input; every non-VTK file is UTF-8.
 
 Field exports use legacy binary VTK (unstructured grid, triangle cells,
-:func:`write_mesh_vtk`) plus plain CSV tables, so results can be inspected
-without extra dependencies. The VTK data are big-endian ``>f8`` doubles and
-``>i4`` integers, so every double reads back bitwise. Every CSV table goes
-through one writer, :func:`_write_csv`, with CRLF line ends, and writes a
-float as its ``repr``, the shortest text that reads back to the same value.
+:func:`write_mesh_vtk`) plus plain CSV tables. The VTK data are big-endian
+``>f8`` doubles and ``>i4`` integers, so every double reads back bitwise.
+Every CSV table goes through one writer, :func:`_write_csv`, with CRLF line
+ends, and writes a float as its ``repr``, the shortest text that reads back.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .contours import Contour, FrameContours, is_simple_polygon
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError, GeometryError, UsageError
 from .fem import DisplacementField, LinearSystem
 from .materials import Material
 from .meshing import Mesh
@@ -46,7 +45,7 @@ CONTOUR_CSV_COLUMNS = ("subject_id", "slice", "frame", "boundary", "point_index"
 def _write_csv(path, header, rows) -> None:
     """A CSV table of the ``header`` row and then ``rows``; the ``csv`` module
     ends lines with CRLF and writes a float as its ``repr``."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -68,17 +67,26 @@ def _study_header(study: Study) -> dict:
 
 
 def write_manifest(path, study: Study) -> None:
-    Path(path).write_text(json.dumps(_study_header(study), indent=2) + "\n")
+    Path(path).write_text(json.dumps(_study_header(study), indent=2) + "\n", encoding="utf-8")
+
+
+def read_json(path, what: str):
+    """The JSON value in the UTF-8 file ``path``, a ``what``: FileNotFoundError if it is
+    missing, UsageError naming it if it is not UTF-8, not JSON or nested too deep."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"{what} {path}: {exc}") from None
 
 
 def read_manifest(path) -> dict:
     """A manifest JSON object with ``subject_id``, a number
     ``slice_spacing_mm`` and an integer ``frames_per_cycle``."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"manifest not found: {path}")
-    data = json.loads(path.read_text())
-    where = f"manifest {path}"
+    data = read_json(path, "manifest")
+    where = f"manifest {Path(path)}"
     _json_field(data, "subject_id", str, where)
     _json_field(data, "slice_spacing_mm", _NUMBER, where)
     _json_field(data, "frames_per_cycle", int, where)
@@ -89,10 +97,10 @@ def read_study_csv(csv_path, manifest_path, borrowed_manifest=False) -> Study:
     """Ingest and validate a study from the CSV + manifest pair.
 
     The rows are grouped into the study-JSON shape and built by the same
-    checks as :func:`read_study_json`; only the header, the row fields, the
-    boundary labels, the ``point_index`` runs and each row's subject (the
-    manifest's, or with a ``borrowed_manifest`` the first row's) are checked
-    here, an error in a row naming its physical line in the file.
+    checks as :func:`read_study_json`. The header, the row fields (each within
+    ``csv``'s size limit), boundary labels, ``point_index`` runs and subjects
+    (the manifest's, or with a ``borrowed_manifest`` the first row's) are
+    checked here, a row's error naming its line; non-UTF-8 text is a UsageError.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
@@ -102,30 +110,36 @@ def read_study_csv(csv_path, manifest_path, borrowed_manifest=False) -> Study:
     owner = "the first row's" if borrowed_manifest else "the manifest's"
 
     grouped: dict[tuple[int, int], dict[str, list]] = {}
-    with csv_path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if not set(CONTOUR_CSV_COLUMNS) <= set(header):
-            raise ConfigurationError(
-                f"{csv_path}: header must contain columns {CONTOUR_CSV_COLUMNS}")
-        fields = operator.itemgetter(*map(header.index, CONTOUR_CSV_COLUMNS))
-        for row in filter(None, reader):  # a blank line is an empty row
-            try:
-                subject, sl, frame, boundary, index, x, y = fields(row)
-                subject, sl, frame, boundary = subject.strip(), int(sl), int(frame), boundary.strip()
-                point = (int(index), float(x), float(y))
-            except (IndexError, ValueError) as exc:  # IndexError: a row short of a column
-                why = exc if isinstance(exc, ValueError) else f"{len(row)} of {len(header)} fields"
+    try:
+        with csv_path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if not set(CONTOUR_CSV_COLUMNS) <= set(header):
                 raise ConfigurationError(
-                    f"{csv_path}:{reader.line_num}: malformed row ({why})") from exc
-            subject_id = subject if subject_id is None else subject_id
-            if subject != subject_id:
-                raise ConfigurationError(f"{csv_path}:{reader.line_num}: subject_id "
-                                         f"{subject!r} is not {owner} {subject_id!r}")
-            if boundary not in ("inner", "outer"):
-                raise ConfigurationError(f"{csv_path}:{reader.line_num}: "
-                                         f"boundary must be inner or outer, got {boundary!r}")
-            grouped.setdefault((sl, frame), {}).setdefault(boundary, []).append(point)
+                    f"{csv_path}: header must contain columns {CONTOUR_CSV_COLUMNS}")
+            fields = operator.itemgetter(*map(header.index, CONTOUR_CSV_COLUMNS))
+            for row in filter(None, reader):  # a blank line is an empty row
+                try:
+                    subject, sl, frame, boundary, index, x, y = fields(row)
+                    sl, frame, point = int(sl), int(frame), (int(index), float(x), float(y))
+                    subject, boundary = subject.strip(), boundary.strip()
+                except (IndexError, ValueError) as exc:  # IndexError: a row short of a column
+                    why = (exc if isinstance(exc, ValueError)
+                           else f"{len(row)} of {len(header)} fields")
+                    raise ConfigurationError(
+                        f"{csv_path}:{reader.line_num}: malformed row ({why})") from exc
+                subject_id = subject if subject_id is None else subject_id
+                if subject != subject_id:
+                    raise ConfigurationError(f"{csv_path}:{reader.line_num}: subject_id "
+                                             f"{subject!r} is not {owner} {subject_id!r}")
+                if boundary not in ("inner", "outer"):
+                    raise ConfigurationError(f"{csv_path}:{reader.line_num}: "
+                                             f"boundary must be inner or outer, got {boundary!r}")
+                grouped.setdefault((sl, frame), {}).setdefault(boundary, []).append(point)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"contour file {csv_path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field longer than the csv module's limit
+        raise ConfigurationError(f"{csv_path}:{reader.line_num}: malformed row ({exc})") from None
     if not grouped:
         raise ConfigurationError(f"{csv_path}: no contour rows found")
 
@@ -162,7 +176,7 @@ def write_study_json(path, study: Study) -> None:
             for sl in study.slices
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 
 _NUMBER = (int, float)
@@ -252,9 +266,7 @@ def read_study_json(path) -> Study:
     :func:`_build_study`, the frame count against the file's own
     ``frames_per_cycle``)."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"study file not found: {path}")
-    return _build_study(json.loads(path.read_text()), str(path), f"study JSON {path}")
+    return _build_study(read_json(path, "study file"), str(path), f"study JSON {path}")
 
 
 def read_study(path, manifest_path=None, borrowed_manifest=False) -> Study:
@@ -369,7 +381,7 @@ def write_localization_json(path, result: LocalizationResult) -> None:
         "subject_sector_strain": result.subject_strain.tolist(),
         "reference_sector_strain": result.reference_strain.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def dump_system(prefix, system: LinearSystem) -> None:
@@ -393,11 +405,8 @@ def read_phantom_spec(path) -> RingSpec:
     optional ``center`` [x, y] and ``material`` {"E", "nu"}. A missing key,
     any other key or a value of the wrong JSON type raises
     ConfigurationError."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"phantom spec not found: {path}")
-    data = json.loads(path.read_text())
-    where = f"phantom spec {path}"
+    data = read_json(path, "phantom spec")
+    where = f"phantom spec {Path(path)}"
     inner = float(_json_field(data, "inner_radius", _NUMBER, where))
     outer = float(_json_field(data, "outer_radius", _NUMBER, where))
     center = _json_field(data, "center", list, where, [0.0, 0.0])
@@ -442,4 +451,4 @@ def write_phantom_spec(path, spec: RingSpec) -> None:
         "center": list(spec.center),
         "material": {"E": spec.material.E, "nu": spec.material.nu},
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -23,8 +23,8 @@ one (fixed dofs, pairs) array, the stiffness is condensed onto its free dofs
 and factorized once per slice, and all pairs are solved as one multi-column
 right-hand side (``fem.solve``). Strain is one vectorised B . d per frame,
 with the B matrices and sector bins of the mesh computed once and kept on it.
-:func:`localized_cycles`, ``analyze``'s computation, runs the references'
-cycle analyses in a forked child beside the subject's.
+:func:`localized_cycles` (``analyze``) checks ``tau`` and the references, then
+runs the references' cycle analyses in a forked child beside the subject's.
 """
 
 from __future__ import annotations
@@ -368,13 +368,19 @@ def localized_cycles(study: Study, references: Sequence[Study], params: CyclePar
                      tau: float) -> tuple[list[list[FrameResult]], list[LocalizationResult | None]]:
     """Every slice's cycle analysis and, given ``references``, its
     localization against the mean sector summaries of the references' cycle
-    analyses of the slice at the same position, all with ``params``.
+    analyses of the slice at the same position, all with ``params``. ``tau``
+    and each reference's slice and frame counts are checked before any work.
 
     The references' analyses, slice position first, are one ``_fork.forked``
-    task that returns only the per-position means. It runs in a forked child
-    while this process analyses the subject, with numpy's OpenBLAS on one
-    thread in both (``fem.one_blas_thread``); on one CPU it runs inline
-    first. Either way a subject's error is raised before a reference's."""
+    task returning only the per-position means: in a forked child beside the
+    subject's, numpy's OpenBLAS on one thread in both (``fem.one_blas_thread``),
+    or inline first on one CPU. A subject's error is raised before a reference's."""
+    check_finite_positive("tau", tau)
+    for i, ref in enumerate(references, start=1):
+        if len(ref.slices) < len(study.slices) or ref.n_frames != study.n_frames:
+            raise ConfigurationError(
+                f"reference {i} has {len(ref.slices)} slice(s) of {ref.n_frames} frames, "
+                f"the subject {len(study.slices)} of {study.n_frames}")
     positions = range(len(study.slices))
 
     def reference_means() -> list[list[SectorSummary]]:

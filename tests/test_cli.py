@@ -387,10 +387,18 @@ def _bad_x_after_blank_lines(lines):
     lines[7] = ",".join(fields)
 
 
+def _over_long_field(lines):
+    # longer than the csv module's field size limit
+    fields = lines[2].split(",")
+    fields[5] = "1" * 200_000
+    lines[2] = ",".join(fields)
+
+
 @pytest.mark.parametrize("edit, text", [
     (_short_row, ":4: malformed row (3 of 7 fields)"),
     (_bad_x_after_blank_lines, ":8: malformed row (could not convert string to float: 'abc')"),
-], ids=["row-without-boundary", "line-after-blank-lines"])
+    (_over_long_field, ":3: malformed row (field larger than field limit (131072))"),
+], ids=["row-without-boundary", "line-after-blank-lines", "over-long-field"])
 def test_malformed_csv_row_is_one_error_line_naming_its_line(tmp_path, synth_pair, capsys,
                                                              edit, text):
     # the line is the row's physical line in the file, blank lines counted
@@ -403,6 +411,44 @@ def test_malformed_csv_row_is_one_error_line_naming_its_line(tmp_path, synth_pai
     out = tmp_path / "res"
     assert _analyze_mi(healthy_dir, mi_dir, out) == 1
     assert _single_error_line(capsys) == f"error: {path}{text}"
+    assert not out.exists()
+
+
+# each input file kind: its name in a synthetic study's directory, what an
+# error calls it, and the command line that reads it from ``bad``
+_INPUT_KINDS = {
+    "study JSON": ("study.json", "study file", lambda d, bad: ["volume", "--study", bad]),
+    "study CSV": ("contours.csv", "contour file",
+                  lambda d, bad: ["volume", "--study", bad, "--manifest", d / "manifest.json"]),
+    "manifest": ("manifest.json", "manifest",
+                 lambda d, bad: ["volume", "--study", d / "contours.csv", "--manifest", bad]),
+    "config": ("config.json", "config file", lambda d, bad: ["volume", "--config", bad]),
+    "phantom spec": ("spec.json", "phantom spec",
+                     lambda d, bad: ["phantom-verify", "--phantom-spec", bad]),
+}
+
+
+@pytest.mark.parametrize("kind, case", [
+    *[(kind, "not-utf8") for kind in _INPUT_KINDS],
+    *[(kind, "over-deep") for kind in _INPUT_KINDS if kind != "study CSV"],
+])
+def test_undecodable_or_over_deep_input_is_one_error_line_naming_the_file(
+        tmp_path, synth_pair, capsys, kind, case):
+    # such a file is an input error, as a JSON syntax error is
+    healthy_dir, _ = synth_pair
+    name, what, argv = _INPUT_KINDS[kind]
+    content, needle = {
+        "not-utf8": (b"\xff\xfe{}", "not UTF-8 text (invalid start byte)" if kind == "study CSV"
+                     else "'utf-8' codec can't decode byte 0xff in position 0"),
+        "over-deep": (b"[" * 100_000, "maximum recursion depth exceeded"),
+    }[case]
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    capsys.readouterr()
+    out = tmp_path / "res"
+    assert run(*map(str, argv(healthy_dir, bad)), "--out", str(out)) == 2
+    line = _single_error_line(capsys)
+    assert line.startswith(f"error: {what} {bad}: ") and needle in line, line
     assert not out.exists()
 
 
@@ -904,20 +950,22 @@ def test_phantom_cycle_excludes_motion_flags(tmp_path, capsys, route, name, valu
 def test_mismatched_reference_fails_before_any_work(tmp_path, monkeypatch, capsys,
                                                     n_slices, n_frames):
     # each subject slice is localized against the reference slice at its
-    # position, over the same frames, so the counts are checked on reading
+    # position, over the same frames, so the counts are checked before any
+    # cycle runs; the error names the reference by its position
     from cardiofem.synth import healthy_study, mi_wedge_study
 
     cfio.write_study_json(tmp_path / "mi.json", mi_wedge_study(seed=5, n_frames=6, n_slices=2))
-    reference = tmp_path / "reference.json"
+    matching, reference = tmp_path / "matching.json", tmp_path / "reference.json"
+    cfio.write_study_json(matching, healthy_study(seed=6, n_frames=6, n_slices=2))
     cfio.write_study_json(reference, healthy_study(seed=5, n_frames=n_frames, n_slices=n_slices))
     forks = cpus(monkeypatch, 2)
     capsys.readouterr()
     out = tmp_path / "res"
-    assert run("analyze", "--study", str(tmp_path / "mi.json"), "--reference", str(reference),
-               "--n-points", "32", "--n-radial", "4", "--out", str(out)) == 1
+    assert run("analyze", "--study", str(tmp_path / "mi.json"), "--reference", str(matching),
+               "--reference", str(reference), "--n-points", "32", "--n-radial", "4",
+               "--out", str(out)) == 1
     assert _single_error_line(capsys) == (
-        f"error: reference {reference} has {n_slices} slice(s) of {n_frames} frames, "
-        "the subject 2 of 6")
+        f"error: reference 2 has {n_slices} slice(s) of {n_frames} frames, the subject 2 of 6")
     assert forks == []
     assert not out.exists()
 
@@ -1103,8 +1151,9 @@ def test_every_table_ends_lines_with_crlf(tmp_path, synth_pair):
 
 
 def test_cli_computes_and_writes_nothing_itself():
-    # the CLI parses, dispatches and prints: it imports no numpy, opens or
-    # writes no file (io does), and leaves localization to study
+    # the CLI parses, dispatches and prints: it imports no numpy, opens,
+    # reads, parses or writes no file (io does), and leaves localization and
+    # its threshold check to study
     tree = ast.parse(Path(cli.__file__).read_text())
     nodes = list(ast.walk(tree))
     modules = {alias.name for node in nodes if isinstance(node, ast.Import)
@@ -1113,12 +1162,14 @@ def test_cli_computes_and_writes_nothing_itself():
     assert "numpy" not in {name.split(".")[0] for name in modules}
     called = {getattr(node.func, "attr", getattr(node.func, "id", ""))
               for node in nodes if isinstance(node, ast.Call)}
-    assert not called & {"open", "write", "write_text", "write_bytes", "writelines"}
+    assert not called & {"open", "write", "write_text", "write_bytes", "writelines",
+                         "read_text", "read_bytes", "loads"}
     names = {node.id for node in nodes if isinstance(node, ast.Name)}
     names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
               for alias in node.names}
-    assert not names & {"average_sector_summaries", "infarct_localization"}
+    assert not names & {"average_sector_summaries", "infarct_localization",
+                        "check_finite_positive"}
 
 
 def test_console_scripts_import_and_are_callable():

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cardiofem import cli, synth
 from cardiofem import io as cfio
@@ -89,6 +89,34 @@ def _parses(text, kind):
 
 
 NUMERIC_COLUMNS = {"slice": int, "frame": int, "point_index": int, "x": float, "y": float}
+
+# each input file kind: the command line that reads the fuzzed file {bad},
+# with the other inputs from the fuzz study's directory {root}
+INPUT_KINDS = {
+    "study JSON": ["volume", "--study", "{bad}.json"],
+    "study CSV": ["volume", "--study", "{bad}.csv", "--manifest", "{root}/manifest.json"],
+    "manifest": ["volume", "--study", "{root}/study.csv", "--manifest", "{bad}.json"],
+    "config": ["volume", "--config", "{bad}.json"],
+    "phantom spec": ["phantom-verify", "--phantom-spec", "{bad}.json"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
+@FUZZ
+@given(content=st.binary())
+@example(content=b"\xff\xfe{}")  # not UTF-8
+@example(content=b"[" * 100_000)  # JSON nested deeper than the parser's recursion limit
+@example(content=b"1" * 200_000)  # a CSV field over the csv module's size limit
+def test_any_bytes_are_one_error_line(study_files, kind, content):
+    # a CSV keeps a valid header and first row before the fuzzed bytes, so
+    # that they reach the rows; any other input is the fuzzed bytes alone
+    root, header, rows = study_files
+    prefix = "".join(",".join(r) + "\r\n" for r in (header, rows[0])) if kind == "study CSV" else ""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.format(bad=Path(tmp, "bad"), root=root) for a in INPUT_KINDS[kind]]
+        path = next(Path(a) for a in argv if a.startswith(tmp))
+        path.write_bytes(prefix.encode() + content)
+        _assert_one_error(*_run([*argv, "--out", "{out}"]))
 
 
 @FUZZ

@@ -1,6 +1,8 @@
+import ast
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -690,3 +692,25 @@ def test_localization_json(tmp_path):
     assert data["flags"] == ["normal", "suspected-infarct"]
     assert data["suspected_sectors"] == [1]
     assert data["tau"] == 0.5
+
+
+def _binary_mode(value) -> bool:
+    return (isinstance(value, ast.Constant) and isinstance(value.value, str)
+            and "b" in value.value and set(value.value) <= set("rwxabt+"))
+
+
+def test_every_text_file_is_opened_as_utf8():
+    # a file the package writes reads back on any locale: every open,
+    # read_text and write_text call in src/ names an encoding or opens binary
+    unnamed = []
+    for path in sorted(Path(cfio.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            keywords = {k.arg: k.value for k in node.keywords}
+            binary = name == "open" and any(map(_binary_mode, [*node.args, *keywords.values()]))
+            unnamed_text = name in ("open", "read_text", "write_text") and "encoding" not in keywords
+            if unnamed_text and not binary:
+                unnamed.append(f"{path.name}:{node.lineno}")
+    assert unnamed == [], f"text opened in the locale's encoding: {unnamed}"

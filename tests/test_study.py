@@ -654,6 +654,31 @@ def test_localized_cycles_is_the_former_cli_loop(monkeypatch, n_cpus):
     assert len(forks) == n_cpus - 1
 
 
+@pytest.mark.parametrize("second, tau, message", [
+    ({"n_slices": 1}, 0.5, "reference 2 has 1 slice(s) of 6 frames, the subject 2 of 6"),
+    ({"n_frames": 5}, 0.5, "reference 2 has 2 slice(s) of 5 frames, the subject 2 of 6"),
+    ({}, math.nan, "tau must be finite and positive, got nan"),
+    (None, math.nan, "tau must be finite and positive, got nan"),
+], ids=["one-slice", "five-frames", "nan-tau", "nan-tau-no-reference"])
+def test_localized_cycles_checks_tau_and_references_before_any_work(monkeypatch, second, tau,
+                                                                    message):
+    # each subject slice is localized against the reference slice at its
+    # position over the same frames, and a NaN threshold would flag no sector;
+    # ``second`` changes the second reference (None: no references at all)
+    kw = dict(n_frames=6, n_points=24, n_slices=2)
+    subject = mi_wedge_study(seed=5, **kw)
+    references = [] if second is None else [healthy_study(seed=5, **kw),
+                                            healthy_study(seed=6, **{**kw, **second})]
+    calls = []
+    monkeypatch.setattr(study_module, "cycle_strain_analysis", lambda *args: calls.append(args))
+    forks = cpus(monkeypatch, 2)
+    params = CycleParams(n_points=24, n_radial=3, n_sectors=8)
+    with pytest.raises(ConfigurationError) as info:
+        study_module.localized_cycles(subject, references, params, tau)
+    assert str(info.value) == message
+    assert calls == [] and forks == []
+
+
 @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.5])
 def test_localization_rejects_bad_tau(tau):
     # compared with NaN every sector reads "normal", which would hide an infarct
