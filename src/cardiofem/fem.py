@@ -65,11 +65,20 @@ class Stiffness:
         return (self.cols.shape[1],) * 2
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return self.product(u)
+
+    def product(self, u: np.ndarray, rows=None) -> np.ndarray:
+        """The product with ``u`` on the rows ``rows`` (every row when None);
+        a row's bits do not depend on which other rows are taken."""
+        cols, vals = self.cols, self.vals
+        if rows is not None:
+            cols, vals = np.take(cols, rows, axis=1), np.take(vals, rows, axis=1)
         # summed slot by slot, so each row in column order, as a CSR product
         # sums it; every column is in range, so "clip" only spares a copy
-        out, term = np.zeros(u.shape), np.empty(u.shape)
-        for cols, vals in zip(self.cols, self.vals.reshape(self.vals.shape + (1,) * (u.ndim - 1))):
-            out += np.multiply(vals, np.take(u, cols, axis=0, out=term, mode="clip"), out=term)
+        out = np.zeros(cols.shape[1:] + u.shape[1:])
+        term = np.empty(out.shape)
+        for c, v in zip(cols, vals.reshape(vals.shape + (1,) * (u.ndim - 1))):
+            out += np.multiply(v, np.take(u, c, axis=0, out=term, mode="clip"), out=term)
         return out
 
     def tocsr(self):
@@ -131,7 +140,7 @@ def strain_displacement_matrices(nodes, triangles) -> tuple[np.ndarray, np.ndarr
     (eps_x, eps_y, gamma_xy). A degenerate or clockwise element raises
     GeometryError.
     """
-    p = np.asarray(nodes, dtype=float)[np.asarray(triangles, dtype=np.int64)]
+    p = np.take(np.asarray(nodes, dtype=float), np.asarray(triangles, dtype=np.int64), axis=0)
     x, y = p[..., 0], p[..., 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
@@ -495,7 +504,8 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
     which is factorized once by banded Cholesky for all columns. All of it
     is read from the assembled K in place, with no copy of K_ff: the
     right-hand sides are (F - K u_0) on the free dofs in the system's fold
-    order, u_0 holding the fixed values and zeros elsewhere, and
+    order, u_0 holding the fixed values and zeros elsewhere (K u_0 is formed
+    on the free rows with a fixed column alone, the rest being +0.0), and
     :func:`_factor` reads the band from K's arrays; it raises SolverError
     for a K_ff that is not positive definite or is numerically singular.
     Column j must meet the residual contract of the eliminated system,
@@ -518,12 +528,19 @@ def solve(system: LinearSystem, fixed_dofs, values) -> list[DisplacementField]:
     band_dofs = np.setdiff1d(2 * system.node_order[:, None] + np.arange(2), fixed, True)
     u = np.zeros((system.n_dofs, u_b.shape[1]))
     u[fixed] = u_b
-    rhs = (load - k @ u)[band_dofs]
+    # a free row with no fixed column sums products with zeros only, to +0.0,
+    # so K u_0 is formed on the other free rows alone, with the same bits
+    is_fixed = np.zeros(system.n_dofs, dtype=bool)
+    is_fixed[fixed] = True
+    seen = np.flatnonzero(np.take(is_fixed, k.cols).any(axis=0) & ~is_fixed)
+    k_u0 = np.zeros(u.shape)
+    k_u0[seen] = k.product(u, seen)
+    rhs = (load - k_u0)[band_dofs]
     f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(u_b * u_b, axis=0))
     # a mesh whose nodes are all constrained leaves nothing to solve
     if len(band_dofs):
         u[band_dofs] = _band_solve(_factor(k, band_dofs), rhs)
-    residual = np.linalg.norm((k @ u - load)[band_dofs], axis=0)
+    residual = np.linalg.norm(k.product(u, band_dofs) - load[band_dofs], axis=0)
     _check_columns(u, residual, f_norm)
     return [DisplacementField(u[:, j].reshape(-1, 2)) for j in range(u.shape[1])]
 

@@ -72,15 +72,15 @@ class Mesh:
 
     def triangle_areas(self) -> np.ndarray:
         """Signed areas; positive for counter-clockwise triangles."""
-        p = self.nodes[self.triangles]
+        p = np.take(self.nodes, self.triangles, axis=0)
         v1 = p[:, 1] - p[:, 0]
         v2 = p[:, 2] - p[:, 0]
         return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
 
     def at_centroids(self, values: np.ndarray) -> np.ndarray:
         """The mean of nodal ``values`` (one row per node) over each triangle's three nodes."""
-        t = self.triangles
-        return (values[t[:, 0]] + values[t[:, 1]] + values[t[:, 2]]) / 3
+        p = np.take(values, self.triangles.T, axis=0)
+        return (p[0] + p[1] + p[2]) / 3
 
     def triangle_centroids(self) -> np.ndarray:
         return self.at_centroids(self.nodes)
@@ -181,7 +181,7 @@ def _boundary_loop_closed(edges: np.ndarray) -> bool:
 
 
 def min_interior_angle_deg(mesh: Mesh) -> float:
-    p = mesh.nodes[mesh.triangles]
+    p = np.take(mesh.nodes, mesh.triangles, axis=0)
     u, v = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
     norms = np.linalg.norm(u, axis=2) * np.linalg.norm(v, axis=2)
     cosang = np.einsum("fij,fij->fi", u, v) / norms

@@ -94,7 +94,8 @@ def strain_field(mesh: Mesh, disp: DisplacementField, nu) -> StrainField:
     nf = mesh.n_triangles
     nu_arr = np.broadcast_to(np.asarray(nu, dtype=float), (nf,))
     bmat, _ = _element_matrices(mesh)
-    comps = np.einsum("fij,fj->fi", bmat, disp.values[mesh.triangles].reshape(nf, 6))
+    d = np.take(disp.values, mesh.triangles, axis=0).reshape(nf, 6)
+    comps = np.einsum("fij,fj->fi", bmat, d)
     eff = effective_strain(comps[:, 0], comps[:, 1], comps[:, 2], nu_arr)
     return StrainField(comps[:, 0], comps[:, 1], comps[:, 2], eff)
 

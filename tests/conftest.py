@@ -71,6 +71,13 @@ def boundary_dirichlet(mesh, values):
     return fixed, np.asarray(values, dtype=float).ravel()[fixed]
 
 
+def bits(a) -> tuple:
+    """dtype, shape and bytes of ``a``: equal for arrays with the same bits,
+    signed zeros included, where ``np.array_equal`` takes -0.0 for 0.0."""
+    a = np.ascontiguousarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
 def solve_one(system, fixed, values):
     """The solution of ``system`` with the one set ``values`` on the dofs ``fixed``."""
     (disp,) = solve(system, fixed, np.asarray(values, dtype=float)[:, None])

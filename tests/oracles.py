@@ -44,7 +44,13 @@ the phantom's stiff sectors; ``contours._polar_angles`` now computes every
 angle and ``AngularRegion.contains`` decides wedge membership. Per pressure
 load: the former map from each inner edge to its traction and the sorted loop
 that lumped length * traction / 2 onto both ends of each edge; the library now
-scatters 0.5 * pressure * (e_y, -e_x) of each inner edge e to its ends."""
+scatters 0.5 * pressure * (e_y, -e_x) of each inner edge e to its ends. Per
+element gather: each former fancy gather of node rows by the triangle array
+(``values[mesh.triangles]``, ``values[t[:, 0]]``); the library now gathers
+them by ``np.take``. Per solve: the former right-hand sides and residuals of
+``fem.solve``, both from the full product of K with every column,
+``(load - k @ u)[band_dofs]``; the library now multiplies only the rows that
+can differ from zero."""
 
 import csv
 import math
@@ -58,12 +64,12 @@ from scipy.sparse.linalg import cg, splu
 
 from cardiofem.contours import centroid, uniform_angle_walls
 from cardiofem.errors import ConfigurationError, GeometryError, SolverError, UsageError
-from cardiofem.fem import (LinearSystem, Stiffness, _check_columns, apply_dirichlet, assemble,
-                           strain_displacement_matrices)
+from cardiofem.fem import (LinearSystem, Stiffness, _band_solve, _check_columns, _factor,
+                           apply_dirichlet, assemble, strain_displacement_matrices)
 from cardiofem.materials import AngularRegion, Material, MaterialField, constitutive_matrices
 from cardiofem.io import CONTOUR_CSV_COLUMNS, _build_study, read_manifest
 from cardiofem.meshing import triangulate_annulus
-from cardiofem.strain import SectorSummary, sector_index
+from cardiofem.strain import SectorSummary, StrainField, effective_strain, sector_index
 from cardiofem.study import (average_sector_summaries, cycle_strain_analysis,
                              infarct_localization)
 
@@ -510,6 +516,71 @@ def gather_sector_average(mesh, strain, disp, center, n_sectors) -> SectorSummar
     return SectorSummary(np.bincount(sectors, weights=disp_mag, minlength=n_sectors) / denom,
                          np.bincount(sectors, weights=strain.effective, minlength=n_sectors)
                          / denom, counts)
+
+
+def fancy_strain_field(mesh, disp, nu) -> StrainField:
+    """The former ``strain_field``, its nodal rows gathered by
+    ``disp.values[mesh.triangles]``."""
+    nf = mesh.n_triangles
+    bmat, _ = strain_displacement_matrices(mesh.nodes, mesh.triangles)
+    comps = np.einsum("fij,fj->fi", bmat, disp.values[mesh.triangles].reshape(nf, 6))
+    nu = np.broadcast_to(np.asarray(nu, dtype=float), (nf,))
+    return StrainField(comps[:, 0], comps[:, 1], comps[:, 2],
+                       effective_strain(comps[:, 0], comps[:, 1], comps[:, 2], nu))
+
+
+def row_centroids(mesh, values) -> np.ndarray:
+    """The former ``Mesh.at_centroids``: the three node rows of each triangle
+    gathered one corner at a time, summed and divided by 3."""
+    t = mesh.triangles
+    return (values[t[:, 0]] + values[t[:, 1]] + values[t[:, 2]]) / 3
+
+
+def fancy_element_matrices(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
+    """``strain_displacement_matrices`` of the former gather: the corner
+    coordinates ``nodes[triangles]`` fed to it through an identity triangle list."""
+    corners = np.asarray(nodes, dtype=float)[np.asarray(triangles)]
+    return strain_displacement_matrices(corners.reshape(-1, 2),
+                                        np.arange(corners.shape[0] * 3).reshape(-1, 3))
+
+
+def fancy_triangle_areas(mesh) -> np.ndarray:
+    """The former ``Mesh.triangle_areas``, its corners gathered by ``nodes[triangles]``."""
+    p = mesh.nodes[mesh.triangles]
+    v1, v2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+
+
+def fancy_min_interior_angle_deg(mesh) -> float:
+    """The former ``meshing.min_interior_angle_deg``, its corners gathered by
+    ``nodes[triangles]``."""
+    p = mesh.nodes[mesh.triangles]
+    u, v = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+    norms = np.linalg.norm(u, axis=2) * np.linalg.norm(v, axis=2)
+    cosang = np.einsum("fij,fij->fi", u, v) / norms
+    return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).min())
+
+
+def full_product_solve(system, fixed, values):
+    """``fem.solve`` as it formed its right-hand sides and residuals before it
+    multiplied K by only the rows that can differ from zero: both from the
+    product of K with every column, ``(load - k @ u)[band_dofs]`` and
+    ``(k @ u - load)[band_dofs]``. Returns (right-hand sides, (n_dofs, n_sets)
+    solutions, residuals, load norms); the factor, band solve and residual
+    contract are the library's own, so it raises the same SolverErrors."""
+    fixed = np.asarray(fixed, dtype=np.int64)
+    u_b = np.asarray(values, dtype=float)
+    k, load = system.stiffness, system.load[:, None]
+    band_dofs = np.setdiff1d(2 * system.node_order[:, None] + np.arange(2), fixed, True)
+    u = np.zeros((system.n_dofs, u_b.shape[1]))
+    u[fixed] = u_b
+    rhs = (load - k @ u)[band_dofs]
+    f_norm = np.sqrt(np.sum(rhs * rhs, axis=0) + np.sum(u_b * u_b, axis=0))
+    if len(band_dofs):
+        u[band_dofs] = _band_solve(_factor(k, band_dofs), rhs.copy())
+    residual = np.linalg.norm((k @ u - load)[band_dofs], axis=0)
+    _check_columns(u, residual, f_norm)
+    return rhs, u, residual, f_norm
 
 
 def site_polar_angles(points, center) -> dict[str, np.ndarray]:

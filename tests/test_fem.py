@@ -35,14 +35,17 @@ from cardiofem.meshing import Mesh, triangulate_annulus
 from cardiofem.phantom import lame_displacement_at, make_ring, solve_ring_traction
 from cardiofem.synth import mi_wedge_study
 from cardiofem import fem
+from cardiofem import study as study_module
 
-from conftest import boundary_dirichlet, circle_frame, region_ring, solve_one, star_contour
+from conftest import (bits, boundary_dirichlet, circle_frame, region_ring, solve_one,
+                      star_contour)
 from oracles import (
     csr_stiffness,
     edge_pressure_tractions,
     edge_traction_load,
     element_stiffness,
     fold_free_block_solve,
+    full_product_solve,
     identity_row_solve,
     identity_row_system,
     nodal_dirichlet,
@@ -765,6 +768,94 @@ def test_banded_cholesky_matches_superlu(n_angular, n_radial, support, monkeypat
     monkeypatch.setattr(fem, "_LAPACK", None)
     (got,) = solve(system, fixed, values)
     assert np.array_equal(got.values.ravel(), oracle)
+
+
+def _assert_solve_is_the_full_product(monkeypatch, system, fixed, values):
+    """``solve``'s right-hand sides, solutions, residuals and load norms carry
+    the bits of the full-product oracle's, signed zeros included; where the
+    oracle raises SolverError, ``solve`` raises the same one."""
+    rhs, checked, real_band_solve, real_check = [], [], fem._band_solve, fem._check_columns
+
+    def band_solve(band, b):
+        if b.ndim == 2:  # not the factor's probe
+            rhs.append(b.copy())
+        return real_band_solve(band, b)
+
+    def check_columns(u, residual, f_norm):
+        checked.append((u.copy(), residual, f_norm))
+        return real_check(u, residual, f_norm)
+
+    try:
+        want = full_product_solve(system, fixed, values)
+    except SolverError as exc:
+        with pytest.raises(SolverError) as got:
+            solve(system, fixed, values)
+        assert (str(got.value), got.value.column) == (str(exc), exc.column)
+        return
+    monkeypatch.setattr(fem, "_band_solve", band_solve)
+    monkeypatch.setattr(fem, "_check_columns", check_columns)
+    disps = solve(system, fixed, values)
+    monkeypatch.undo()
+    want_rhs, want_u, want_residual, want_f_norm = want
+    assert [bits(b) for b in rhs] == ([bits(want_rhs)] if want_rhs.size else [])
+    ((u, residual, f_norm),) = checked
+    assert bits(u) == bits(want_u)
+    assert bits(residual) == bits(want_residual)
+    assert bits(f_norm) == bits(want_f_norm)
+    assert bits(np.column_stack([d.values.ravel() for d in disps])) == bits(want_u)
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
+def test_solve_is_bitwise_the_full_product_oracle_on_rings(n_angular, n_radial, support,
+                                                           monkeypatch):
+    # "anchored" is solve_ring_traction's anchor_deg=270 support
+    spec = RingSpec(1.0, 2.0)
+    mesh, mats = make_ring(spec, n_angular, n_radial)
+    _assert_solve_is_the_full_product(monkeypatch, *_ring_supports(
+        spec, mesh, assemble(mesh, mats, "plane-strain"), support,
+        mesh.boundary_nodes("inner"), mesh.boundary_nodes("outer"),
+    ))
+
+
+@pytest.mark.parametrize("reference", ["cumulative", "incremental"])
+def test_solve_is_bitwise_the_full_product_oracle_on_study_cycles(reference, monkeypatch):
+    # every frame pair of a 20-frame cycle at 128x16 in one multi-column solve
+    calls, real_solve = [], study_module.solve
+
+    def recording_solve(system, fixed, values):
+        calls.append((system, fixed, np.array(values)))
+        return real_solve(system, fixed, values)
+
+    monkeypatch.setattr(study_module, "solve", recording_solve)
+    cycle_strain_analysis(mi_wedge_study(seed=5, n_frames=20),
+                          CycleParams(n_points=128, n_radial=16, reference=reference))
+    monkeypatch.undo()
+    ((system, fixed, values),) = calls
+    assert values.shape == (len(fixed), 19)
+    _assert_solve_is_the_full_product(monkeypatch, system, fixed, values)
+
+
+def test_solve_is_bitwise_the_full_product_oracle_on_edge_cases(monkeypatch):
+    spec = RingSpec(1.0, 2.0)
+    mesh, mats = make_ring(spec, 16, 4)  # the middle layer sees no fixed dof
+    system = assemble(mesh, mats, "plane-strain")
+    fixed, values = boundary_dirichlet(mesh, lame_displacement_at(spec, 1.0, mesh.nodes))
+    values = np.column_stack([values, -values, np.zeros_like(values)])
+    # a nonzero load on the free rows next to fixed dofs and on the rows away
+    # from them, and -0.0, whose sign the right-hand side keeps, on the rest
+    load = np.random.default_rng(3).standard_normal(system.n_dofs)
+    load[1::5] = -0.0
+    loaded = fem.LinearSystem(system.stiffness, load, system.node_order)
+    _assert_solve_is_the_full_product(monkeypatch, loaded, fixed, values)
+    # no fixed dof: no row of K u_0 to take, and K is singular
+    with pytest.raises(SolverError, match="not positive definite|numerically singular"):
+        solve(loaded, [], np.zeros((0, 2)))
+    _assert_solve_is_the_full_product(monkeypatch, loaded, [], np.zeros((0, 2)))
+    # every dof fixed: nothing to solve, and no residual row
+    every = np.arange(system.n_dofs)
+    u_b = np.random.default_rng(4).standard_normal((system.n_dofs, 2))
+    _assert_solve_is_the_full_product(monkeypatch, loaded, every, u_b)
 
 
 def _band_rows(monkeypatch) -> list[int]:

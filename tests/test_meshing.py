@@ -1,8 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cardiofem import GeometryError, MeshError
+from cardiofem import GeometryError, MeshError, meshing
 from cardiofem.contours import polygon_area
 from cardiofem.meshing import Mesh, triangulate_annulus, validate
 from cardiofem.phantom import circle_contour
@@ -190,3 +193,24 @@ def test_triangulation_matches_loop_oracle(contours, n_angular, n_radial):
         assert got.dtype == expected.dtype
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+
+def test_no_node_rows_are_gathered_by_fancy_indexing_with_triangles():
+    # np.take(values, triangles, axis=0) gathers the same rows 6-9x faster
+    # than values[triangles]: no subscript in src/ is indexed by a triangle
+    # array, a ``.triangles`` attribute or a name bound to one (t[:, 0] too)
+    def holds_triangles(expr, names):
+        return any(isinstance(n, ast.Attribute) and n.attr == "triangles"
+                   or isinstance(n, ast.Name) and n.id in names for n in ast.walk(expr))
+
+    fancy = []
+    for path in sorted(Path(meshing.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {"triangles"} | {
+            target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "triangles"
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        fancy += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and holds_triangles(node.slice, names)]
+    assert fancy == [], f"node rows gathered by fancy indexing with triangles: {fancy}"

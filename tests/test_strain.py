@@ -8,16 +8,18 @@ from numpy.testing import assert_allclose
 from cardiofem import CycleParams, GeometryError, RingSpec, cycle_strain_analysis, mi_wedge_study
 from cardiofem.fem import DisplacementField, assemble
 from cardiofem.materials import Material
-from cardiofem.meshing import Mesh
+from cardiofem.meshing import Mesh, min_interior_angle_deg
 from cardiofem.phantom import lame_displacement, lame_displacement_at, lame_strain_polar, make_ring
 from cardiofem.strain import effective_strain, sector_average, sector_index, strain_field
 from cardiofem import fem
 from cardiofem import strain as strain_module
 from cardiofem.study import frame_mesh
 
-from conftest import boundary_dirichlet, solve_one
-from oracles import (element_strain, element_strain_local, gather_centroids,
-                     gather_sector_average, strain_displacement_matrix)
+from conftest import bits, boundary_dirichlet, solve_one
+from oracles import (element_strain, element_strain_local, fancy_element_matrices,
+                     fancy_min_interior_angle_deg, fancy_strain_field, fancy_triangle_areas,
+                     gather_centroids, gather_sector_average, row_centroids,
+                     strain_displacement_matrix)
 
 TWO_PI = 2.0 * math.pi
 
@@ -378,6 +380,39 @@ def test_centroid_means_are_bitwise_the_gather_oracle_on_a_study_mesh():
     for result in cycle_strain_analysis(study, CycleParams(n_points=128, n_radial=16)):
         _assert_gather_oracle(result.model.mesh, result.strain, result.displacement, center,
                               result.sectors)
+
+
+def _assert_take_is_the_fancy_gather(mesh, disp, nu):
+    """Every ``np.take`` gather by the triangle array gives the bits of the
+    former fancy gather, signed zeros included."""
+    assert bits(mesh.at_centroids(disp.values)) == bits(row_centroids(mesh, disp.values))
+    assert bits(mesh.at_centroids(mesh.nodes)) == bits(row_centroids(mesh, mesh.nodes))
+    got, want = strain_field(mesh, disp, nu), fancy_strain_field(mesh, disp, nu)
+    for name in ("eps_x", "eps_y", "gamma_xy", "effective"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    for got_b, want_b in zip(fem.strain_displacement_matrices(mesh.nodes, mesh.triangles),
+                             fancy_element_matrices(mesh.nodes, mesh.triangles)):
+        assert bits(got_b) == bits(want_b)
+    assert bits(mesh.triangle_areas()) == bits(fancy_triangle_areas(mesh))
+    assert bits(min_interior_angle_deg(mesh)) == bits(fancy_min_interior_angle_deg(mesh))
+
+
+@pytest.mark.parametrize("n_angular, n_radial", [(64, 8), (128, 16), (256, 32)])
+def test_take_gathers_are_bitwise_the_fancy_gather_on_rings(n_angular, n_radial):
+    spec = RingSpec(1.0, 2.0, (0.3, -0.2))
+    mesh, mats = make_ring(spec, n_angular, n_radial)
+    values = lame_displacement_at(spec, 1.0, mesh.nodes)
+    values[::7] = -0.0  # signed zeros keep their sign through the gather
+    _assert_take_is_the_fancy_gather(mesh, DisplacementField(values), mats.nu)
+
+
+@pytest.mark.parametrize("reference", ["cumulative", "incremental"])
+def test_take_gathers_are_bitwise_the_fancy_gather_on_study_cycles(reference):
+    study = mi_wedge_study(seed=5, n_frames=20)
+    params = CycleParams(n_points=128, n_radial=16, reference=reference)
+    for result in cycle_strain_analysis(study, params):
+        _assert_take_is_the_fancy_gather(result.model.mesh, result.displacement,
+                                         params.material.nu)
 
 
 def test_mesh_geometry_computed_once_per_mesh(monkeypatch):
